@@ -315,10 +315,30 @@ double measure_mem_bandwidth() {
     return secs > 0 ? bytes / secs / 1e9 : 0.0;
 }
 
-void throughput(const Cli& cli) {
-    const auto base = static_cast<Count>(cli.get_int("bench_trials", 2000));
-    const std::string json_path = cli.get("bench_json", "BENCH_engine.json");
-    const bool use_batch = cli.get_bool("batch", true);  // --batch=on|off
+/// The throughput blocks' flags; main() reads them before any experiment
+/// runs, with every other flag.
+struct ThroughputFlags {
+    Count base = 0;         ///< --bench_trials: trials at the n=256 cell
+    std::string json_path;  ///< --bench_json
+    bool use_batch = true;  ///< --batch=on|off
+    unsigned shards = 0;    ///< --shards
+    Count degree = 0;       ///< --sample_degree (sparse blocks)
+};
+
+ThroughputFlags read_throughput_flags(const Cli& cli) {
+    ThroughputFlags f;
+    f.base = static_cast<Count>(cli.get_int("bench_trials", 2000));
+    f.json_path = cli.get("bench_json", "BENCH_engine.json");
+    f.use_batch = cli.get_bool("batch", true);
+    f.shards = static_cast<unsigned>(cli.get_int("shards", 4));
+    f.degree = static_cast<Count>(cli.get_int("sample_degree", 64));
+    return f;
+}
+
+void throughput(const Cli& cli, const ThroughputFlags& flags) {
+    const Count base = flags.base;
+    const std::string& json_path = flags.json_path;
+    const bool use_batch = flags.use_batch;
 
     Table tab("E10: delivery-plane throughput (ours + static, split inputs, 1 thread)");
     tab.set_header({"n", "t", "trials", "trials/sec", "ns/node-round"});
@@ -345,7 +365,7 @@ void throughput(const Cli& cli) {
     // the intra workers (the single-huge-trial use case). On a 1-core host
     // this degrades to the serial loop and speedup reads ~1.0x — the number
     // is honest, not padded.
-    const auto shards = static_cast<unsigned>(cli.get_int("shards", 4));
+    const unsigned shards = flags.shards;
     const unsigned saved_threads = sim::default_threads();
     sim::set_default_threads(1);
     const unsigned workers = std::min(shards, sim::intra_worker_cap(1));
@@ -390,7 +410,7 @@ void throughput(const Cli& cli) {
     // block; chain rides along so the frozen v1 derivation keeps a recorded
     // cost. The n=2^20 cell runs several trials — a single ~1 s trial made
     // the committed baseline noisy enough to trip the regression gate.
-    const auto degree = static_cast<Count>(cli.get_int("sample_degree", 64));
+    const Count degree = flags.degree;
     const std::pair<NodeId, Count> sparse_cells[] = {
         {1 << 14, std::max<Count>(base / 100, 5)},
         {1 << 17, std::max<Count>(base / 500, 2)},
@@ -604,6 +624,7 @@ void throughput(const Cli& cli) {
 
 void experiment(const Cli& cli) {
     const auto trials = static_cast<Count>(cli.get_int("trials", 5));
+    benchutil::finish_flags(cli);
     std::printf("E10: engine throughput (timing entries below); summary table of\n"
                 "per-trial work at representative sizes.\n");
 
@@ -662,11 +683,13 @@ BENCHMARK(BM_macro_vs_micro)->Arg(256)->Arg(1 << 14)->Arg(1 << 20)
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    adba::benchutil::init_intra_threads(cli);
-    experiment(cli);
-    throughput(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        adba::benchutil::init_intra_threads(cli);
+        const ThroughputFlags flags = read_throughput_flags(cli);
+        experiment(cli);
+        throughput(cli, flags);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

@@ -77,6 +77,7 @@ E11Agg run_cell(NodeId n, Count t, Count trials) {
 
 void experiment(const Cli& cli) {
     const auto trials = static_cast<Count>(cli.get_int("trials", 15));
+    benchutil::finish_flags(cli);
     std::printf("E11: sampling-majority vs the drift-cancelling balancer "
                 "(%u trials/cell).\n", trials);
 
@@ -121,9 +122,10 @@ BENCHMARK(BM_sampling_trial);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

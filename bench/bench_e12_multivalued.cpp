@@ -19,6 +19,7 @@ void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 96));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto trials = static_cast<Count>(cli.get_int("trials", 20));
+    benchutil::finish_flags(cli);
     std::printf("E12: multi-valued agreement (Turpin-Coan over Algorithm 3), n=%u, "
                 "t=%u, %u trials/cell.\n", n, t, trials);
 
@@ -89,10 +90,11 @@ BENCHMARK(BM_mv_trial);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    adba::benchutil::reject_fused(cli, "the multi-valued (Turpin-Coan) experiments");
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        adba::benchutil::reject_fused(cli, "the multi-valued (Turpin-Coan) experiments");
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

@@ -27,6 +27,7 @@ void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 256));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto trials = static_cast<Count>(cli.get_int("trials", 25));
+    benchutil::finish_flags(cli);
     std::printf("E13: crash-fault lower-bound witness on Algorithm 3 (n=%u, budget "
                 "t=%u, %u trials).\n", n, t, trials);
 
@@ -90,9 +91,10 @@ BENCHMARK(BM_crash_trial)->Arg(10)->Arg(85);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

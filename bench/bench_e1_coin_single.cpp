@@ -22,6 +22,7 @@ using namespace adba;
 
 void experiment(const Cli& cli) {
     const auto trials = static_cast<Count>(cli.get_int("trials", 1500));
+    benchutil::finish_flags(cli);
     std::printf("E1: common coin (Algorithm 1) vs adaptive rushing corruption.\n");
     std::printf("Definition 2 asks: P(common) >= delta and P(bit|common) in "
                 "[eps, 1-eps].\nPaper proof floor: delta >= 1/6 at f = sqrt(n)/2.\n");
@@ -105,10 +106,11 @@ BENCHMARK(BM_coin_trial_n1024);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    adba::benchutil::reject_fused(cli, "the standalone coin experiments");
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        adba::benchutil::reject_fused(cli, "the standalone coin experiments");
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

@@ -21,6 +21,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 1024));
     const auto trials = static_cast<Count>(cli.get_int("trials", 1200));
+    benchutil::finish_flags(cli);
     std::printf("E2: designated-node common coin (Algorithm 2) at n=%u.\n", n);
 
     const std::vector<double> ratios = {0.0, 0.25, 0.5, 1.0, 2.0};
@@ -63,10 +64,11 @@ BENCHMARK(BM_designated_coin)->Arg(16)->Arg(256);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    adba::benchutil::reject_fused(cli, "the standalone coin experiments");
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        adba::benchutil::reject_fused(cli, "the standalone coin experiments");
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

@@ -32,6 +32,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 256));
     const auto trials = static_cast<Count>(cli.get_int("trials", 25));
+    benchutil::finish_flags(cli);
     an::related_work_table().print(std::cout);
     std::printf("E3: rounds vs t at n=%u (split inputs, strongest adversary per "
                 "protocol, %u trials/cell).\n", n, trials);
@@ -130,9 +131,10 @@ BENCHMARK(BM_ours_trial)->Arg(8)->Arg(42);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

@@ -65,6 +65,7 @@ void regime_table(const Cli& cli, const char* title, const char* slug, TofN t_of
 
 void experiment(const Cli& cli) {
     const auto trials = static_cast<int>(cli.get_int("trials", 15));
+    benchutil::finish_flags(cli);
     std::printf("E4: scaling in n at fixed t-regimes (macro simulator, %d trials, "
                 "%u threads).\n\n", trials, sim::default_threads());
     regime_table(cli, "E4a: t = sqrt(n)  — the paper's near-optimal point",
@@ -99,9 +100,10 @@ BENCHMARK(BM_macro_trial);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

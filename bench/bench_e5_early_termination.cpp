@@ -22,6 +22,7 @@ void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 256));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto trials = static_cast<Count>(cli.get_int("trials", 30));
+    benchutil::finish_flags(cli);
     std::printf("E5: early termination — budget t=%u fixed, actual corruptions q "
                 "sweep (n=%u, %u trials).\n", t, n, trials);
 
@@ -75,9 +76,10 @@ BENCHMARK(BM_early_term)->Arg(0)->Arg(20);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

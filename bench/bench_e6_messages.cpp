@@ -21,6 +21,7 @@ using namespace adba;
 
 void experiment(const Cli& cli) {
     const auto trials = static_cast<Count>(cli.get_int("trials", 15));
+    benchutil::finish_flags(cli);
     std::printf("E6: communication accounting (worst-case adversary, split inputs, "
                 "%u trials).\n", trials);
 
@@ -70,9 +71,10 @@ BENCHMARK(BM_message_accounting)->Arg(64)->Arg(256);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

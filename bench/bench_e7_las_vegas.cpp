@@ -21,6 +21,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 128));
     const auto trials = static_cast<Count>(cli.get_int("trials", 60));
+    benchutil::finish_flags(cli);
     std::printf("E7: Las Vegas Algorithm 3 (n=%u, worst-case adversary, split inputs, "
                 "%u trials).\n", n, trials);
 
@@ -74,9 +75,10 @@ BENCHMARK(BM_las_vegas_trial);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

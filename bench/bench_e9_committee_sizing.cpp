@@ -23,6 +23,7 @@ void experiment(const Cli& cli) {
     const auto n = static_cast<NodeId>(cli.get_int("n", 64));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto trials = static_cast<Count>(cli.get_int("trials", 60));
+    benchutil::finish_flags(cli);
     std::printf("E9: committee-sizing ablation (n=%u, t=%u — the hardest cell — "
                 "%u trials).\n", n, t, trials);
 
@@ -126,9 +127,10 @@ BENCHMARK(BM_params_compute);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const adba::Cli cli(argc, argv);
-    adba::benchutil::init_threads(cli);
-    experiment(cli);
-    adba::benchutil::run_benchmark_tail(cli);
-    return 0;
+    return adba::run_main(argc, argv, [](const adba::Cli& cli) {
+        adba::benchutil::init_threads(cli);
+        experiment(cli);
+        adba::benchutil::run_benchmark_tail(cli);
+        return 0;
+    });
 }

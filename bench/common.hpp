@@ -4,7 +4,9 @@
 // EXPERIMENTS.md records) and then runs its google-benchmark timing entries
 // so `for b in build/bench/*; do $b; done` produces both.
 //
-// Common CLI contract (on top of each bench's own flags):
+// Common CLI contract (on top of each bench's own flags; every main() runs
+// through run_main, support/cli.hpp, so --help lists them all and a bad flag
+// exits 2 before any experiment runs):
 //   --threads=N   worker threads for the Monte-Carlo executor
 //                 (default: hardware concurrency; results are bit-identical
 //                 at any thread count)
@@ -51,13 +53,18 @@ inline void reject_fused(const Cli& cli, const std::string& what) {
             "such as bench_e10_engine)");
 }
 
-/// Hands the non-experiment arguments (argv[0] + --benchmark_* flags) to
-/// google-benchmark and runs the registered entries. Also the point where
-/// strict flag checking fires: every experiment flag has been read by now,
-/// so anything left over is a typo (e.g. `--trails=50`) and aborts loudly
-/// instead of silently running with defaults.
-inline void run_benchmark_tail(const Cli& cli) {
+/// Ends a bench's flag reading, before any experiment runs: recognizes
+/// `--csv_dir` (read later by maybe_write_csv), then fails on anything left
+/// over — a typo like `--trails=50` exits 2 instead of silently running
+/// with defaults — or answers `--help` (cli.hpp's run_main).
+inline void finish_flags(const Cli& cli) {
+    cli.get("csv_dir", "");
     cli.check_unused();
+}
+
+/// Hands the non-experiment arguments (argv[0] + --benchmark_* flags) to
+/// google-benchmark and runs the registered entries.
+inline void run_benchmark_tail(const Cli& cli) {
     std::vector<std::string> args = cli.passthrough();
     std::vector<char*> argv;
     argv.reserve(args.size());

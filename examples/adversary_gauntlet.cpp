@@ -17,9 +17,8 @@
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(const adba::Cli& cli) {
     using namespace adba;
-    const Cli cli(argc, argv);
     const auto n = static_cast<NodeId>(cli.get_int("n", 128));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto trials = static_cast<Count>(cli.get_int("trials", 20));
@@ -59,3 +58,5 @@ int main(int argc, char** argv) {
         "adversaries that motivates the paper.\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return adba::run_main(argc, argv, run); }

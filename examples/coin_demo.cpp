@@ -15,9 +15,8 @@
 #include "support/math.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(const adba::Cli& cli) {
     using namespace adba;
-    const Cli cli(argc, argv);
     const auto n = static_cast<NodeId>(cli.get_int("n", 256));
     const auto trials = static_cast<Count>(cli.get_int("trials", 2000));
     sim::init_threads(cli);
@@ -74,3 +73,5 @@ int main(int argc, char** argv) {
                 "independent of n — this is why Algorithm 3 can afford small committees.\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return adba::run_main(argc, argv, run); }

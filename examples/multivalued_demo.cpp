@@ -10,9 +10,8 @@
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(const adba::Cli& cli) {
     using namespace adba;
-    const Cli cli(argc, argv);
     const auto n = static_cast<NodeId>(cli.get_int("n", 96));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto trials = static_cast<Count>(cli.get_int("trials", 12));
@@ -66,3 +65,5 @@ int main(int argc, char** argv) {
                 last_spec.c_str());
     return 0;
 }
+
+int main(int argc, char** argv) { return adba::run_main(argc, argv, run); }

@@ -16,9 +16,8 @@
 #include "sim/runner.hpp"
 #include "support/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run(const adba::Cli& cli) {
     using namespace adba;
-    const Cli cli(argc, argv);
     const auto n = static_cast<NodeId>(cli.get_int("n", 64));
     const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -82,3 +81,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.metrics.corruptions));
     return r.agreement ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return adba::run_main(argc, argv, run); }

@@ -99,8 +99,7 @@ void asymptotic_section(int trials) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    const Cli cli(argc, argv);
+static int run(const Cli& cli) {
     const auto trials = static_cast<Count>(cli.get_int("trials", 12));
     sim::init_threads(cli);
     cli.check_unused();
@@ -117,3 +116,5 @@ int main(int argc, char** argv) {
                 "grow with q from a flat 6; (4) ratio well below 1 and falling in n.\n");
     return 0;
 }
+
+int main(int argc, char** argv) { return adba::run_main(argc, argv, run); }

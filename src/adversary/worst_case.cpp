@@ -32,112 +32,92 @@ void WorstCaseAdversary::act(net::RoundControl& ctl) {
 
 void WorstCaseAdversary::act_round1(net::RoundControl& ctl, Phase p) {
     if (!cfg_.block_round1_quorums) return;
-    const NodeId n = ctl.n();
+    const net::RoundView view = ctl.view();
+    const NodeId n = view.n;
     const Count quorum = n - cfg_.t;
+    // The live honest round-1 vote of v, or -1.
+    const auto vote_of = [&](NodeId v) -> int {
+        if (!view.live(v)) return -1;
+        const net::Message* m = view.intended(v);
+        if (m == nullptr || m->kind != net::MsgKind::Vote1 || m->phase != p) return -1;
+        return m->val & 1;
+    };
 
     Count tally[2] = {0, 0};
-    for (NodeId v = 0; v < n; ++v) {
-        if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-        const auto& m = ctl.intended_broadcast(v);
-        if (m && m->kind == net::MsgKind::Vote1 && m->phase == p) ++tally[m->val & 1];
-    }
+    for (NodeId v = 0; v < n; ++v)
+        if (const int b = vote_of(v); b >= 0) ++tally[b];
 
-    for (Bit b : {Bit{0}, Bit{1}}) {
+    for (const int b : {0, 1}) {
         if (tally[b] < quorum) continue;
         const Count need = tally[b] - quorum + 1;
         if (need > remaining(ctl)) return;  // cannot block; let it lock in
         // Corrupt `need` nodes of the quorum bloc, preferring members of the
         // current committee (their corpses become coin equivocators in
-        // round 2 of this phase).
-        std::vector<NodeId> committee_first, rest;
-        for (NodeId v = 0; v < n && committee_first.size() + rest.size() <
-                                        static_cast<std::size_t>(tally[b]);
-             ++v) {
-            if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-            const auto& m = ctl.intended_broadcast(v);
-            if (!(m && m->kind == net::MsgKind::Vote1 && m->phase == p && (m->val & 1) == b))
-                continue;
-            if (cfg_.schedule.flips_in_phase(v, p))
-                committee_first.push_back(v);
-            else
-                rest.push_back(v);
-        }
-        Count done = 0;
-        for (NodeId v : committee_first) {
-            if (done == need) break;
-            corrupt_tracked(ctl, v);
-            ++done;
-        }
-        for (NodeId v : rest) {
-            if (done == need) break;
-            corrupt_tracked(ctl, v);
-            ++done;
-        }
+        // round 2 of this phase); ascending ids within each group.
+        victims_.clear();
+        for (const bool committee : {true, false})
+            for (NodeId v = 0; v < n && victims_.size() < need; ++v)
+                if (vote_of(v) == b && cfg_.schedule.flips_in_phase(v, p) == committee)
+                    victims_.push_back(v);
+        for (const NodeId v : victims_) corrupt_tracked(ctl, v);
         return;  // at most one value can hold an n-t quorum
     }
 }
 
 void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
-    const NodeId n = ctl.n();
     const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
     const auto in_committee = [&](NodeId v) { return v >= first && v < last; };
 
     // ---- observe (full information + rushing) ----
+    const net::RoundView view = ctl.view();
+    const NodeId n = view.n;
+    const auto live_decided = [&](NodeId v) { return view.live(v) && view.decided[v] != 0; };
     Count d = 0;
+    Count d_out = 0;  // decided outside the committee
     Bit b_i = 0;
-    std::vector<NodeId> decided_out, decided_in;  // decided honest, by membership
     for (NodeId v = 0; v < n; ++v) {
-        if (!ctl.is_honest(v) || ctl.is_halted(v)) continue;
-        if (ctl.current_decided(v)) {
-            ++d;
-            b_i = ctl.current_value(v);
-            (in_committee(v) ? decided_in : decided_out).push_back(v);
-        }
-    }
-
-    std::int64_t sum = 0;
-    std::vector<NodeId> pos, neg;  // honest committee flippers by sign
-    Count m_byz = 0;
-    for (NodeId u = first; u < last; ++u) {
-        if (!ctl.is_honest(u)) {
-            ++m_byz;
-            continue;
-        }
-        if (ctl.is_halted(u)) continue;
-        const auto& m = ctl.intended_broadcast(u);
-        if (!m || m->kind != net::MsgKind::Vote2 || m->coin == 0) continue;
-        if (m->coin > 0) {
-            ++sum;
-            pos.push_back(u);
-        } else {
-            --sum;
-            neg.push_back(u);
-        }
+        if (!live_decided(v)) continue;
+        ++d;
+        b_i = view.value[v];
+        if (!in_committee(v)) ++d_out;
     }
 
     // ---- plan: decided reduction ----
+    // Victims outside the committee leave the flip sum untouched, so they go
+    // first; committee victims both lose their flip and join the
+    // equivocator pool.
     const Count need_reduce = d > cfg_.t ? d - cfg_.t : 0;
-    // Victims outside the committee leave the flip sum untouched; committee
-    // victims both lose their flip and join the equivocator pool.
-    std::vector<NodeId> victims(decided_out.begin(), decided_out.end());
-    victims.insert(victims.end(), decided_in.begin(), decided_in.end());
-    if (need_reduce > victims.size()) return;  // cannot even see all decided (impossible)
-    victims.resize(need_reduce);
+    victims_.clear();
+    for (const bool outside : {true, false})
+        for (NodeId v = 0; v < n && victims_.size() < need_reduce; ++v)
+            if (live_decided(v) && in_committee(v) != outside) victims_.push_back(v);
+    const Count victims_in = need_reduce > d_out ? need_reduce - d_out : 0;
 
-    std::int64_t plan_sum = sum;
-    std::int64_t plan_m = m_byz;
-    auto plan_pos = pos, plan_neg = neg;
-    for (NodeId v : victims) {
-        if (!in_committee(v)) continue;
-        ++plan_m;
-        // Remove the victim's flip from the plan.
-        if (auto it = std::find(plan_pos.begin(), plan_pos.end(), v); it != plan_pos.end()) {
-            plan_pos.erase(it);
-            --plan_sum;
-        } else if (auto it2 = std::find(plan_neg.begin(), plan_neg.end(), v);
-                   it2 != plan_neg.end()) {
-            plan_neg.erase(it2);
+    // Honest committee flips that survive the reduction, and the Byzantine
+    // margin it leaves: already-corrupted members plus committee victims.
+    std::int64_t plan_sum = 0;
+    std::int64_t plan_m = 0;
+    plan_pos_.clear();
+    plan_neg_.clear();
+    Count decided_seen = 0;
+    for (NodeId u = first; u < last; ++u) {
+        if (!view.honest(u)) {
+            ++plan_m;
+            continue;
+        }
+        if (view.halted[u] != 0) continue;
+        if (view.decided[u] != 0 && decided_seen++ < victims_in) {
+            ++plan_m;  // a victim: its flip is gone, its corpse equivocates
+            continue;
+        }
+        const net::Message* m = view.intended(u);
+        if (m == nullptr || m->kind != net::MsgKind::Vote2 || m->coin == 0) continue;
+        if (m->coin > 0) {
             ++plan_sum;
+            plan_pos_.push_back(u);
+        } else {
+            --plan_sum;
+            plan_neg_.push_back(u);
         }
     }
 
@@ -146,7 +126,7 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     // by 2. Returns corruption count or kInfeasible.
     const auto split_cost = [&]() -> Count {
         std::int64_t s = plan_sum, m = plan_m;
-        std::size_t avail_pos = plan_pos.size(), avail_neg = plan_neg.size();
+        std::size_t avail_pos = plan_pos_.size(), avail_neg = plan_neg_.size();
         Count k = 0;
         while (!(s >= -m && s <= m - 1)) {
             if (s >= 0 && avail_pos > 0) {
@@ -165,7 +145,7 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     };
     const auto opposite_cost = [&](Bit target) -> Count {
         std::int64_t s = plan_sum, m = plan_m;
-        std::size_t avail_pos = plan_pos.size(), avail_neg = plan_neg.size();
+        std::size_t avail_pos = plan_pos_.size(), avail_neg = plan_neg_.size();
         Count k = 0;
         // target 1: all receivers must see s' + m >= 0; target 0: s' - m <= -1.
         while (target == 1 ? (s + m < 0) : (s - m > -1)) {
@@ -197,7 +177,7 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     if (total > remaining(ctl)) return;  // unaffordable: spend nothing
 
     // ---- execute ----
-    for (NodeId v : victims) corrupt_tracked(ctl, v);
+    for (const NodeId v : victims_) corrupt_tracked(ctl, v);
     {
         // Replicate the planning greedy exactly, corrupting for real.
         std::int64_t s = plan_sum;
@@ -205,17 +185,17 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
         for (Count k = 0; k < coin_cost; ++k) {
             if (use_split) {
                 if (s >= 0) {
-                    corrupt_tracked(ctl, plan_pos[ip++]);
+                    corrupt_tracked(ctl, plan_pos_[ip++]);
                     --s;
                 } else {
-                    corrupt_tracked(ctl, plan_neg[in++]);
+                    corrupt_tracked(ctl, plan_neg_[in++]);
                     ++s;
                 }
             } else if (b_i == 0) {  // forcing 1: drain -1 flippers
-                corrupt_tracked(ctl, plan_neg[in++]);
+                corrupt_tracked(ctl, plan_neg_[in++]);
                 ++s;
             } else {  // forcing 0: drain +1 flippers
-                corrupt_tracked(ctl, plan_pos[ip++]);
+                corrupt_tracked(ctl, plan_pos_[ip++]);
                 --s;
             }
         }
@@ -223,42 +203,38 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
     ++ruined_;
 
     // ---- deliveries from every Byzantine committee member ----
-    std::vector<NodeId> byz_members;
-    for (NodeId u = first; u < last; ++u)
-        if (!ctl.is_honest(u)) byz_members.push_back(u);
-    if (byz_members.empty()) return;  // natural ruin, nothing to push
+    // Re-observe: the corruptions above may not show through `view`.
+    const net::RoundView after = need_reduce + coin_cost > 0 ? ctl.view() : view;
+    NodeId byz_members = 0;
+    for (NodeId u = first; u < last; ++u) byz_members += after.honest(u) ? 0 : 1;
+    if (byz_members == 0) return;  // natural ruin, nothing to push
 
+    net::Message m;
+    m.kind = net::MsgKind::Vote2;
+    m.phase = p;
+    m.val = 0;
+    m.flag = 0;
     if (use_split) {
         // Balanced target assignment over live honest receivers so the next
-        // phase's tallies stay far from every threshold.
-        std::vector<Bit> target(n, 0);
+        // phase's tallies stay far from every threshold; everyone else gets
+        // the -1 side.
+        split_row_.resize(n);
         Bit next = 0;
         for (NodeId v = 0; v < n; ++v) {
-            if (ctl.is_honest(v) && !ctl.is_halted(v)) {
-                target[v] = next;
+            Bit target = 0;
+            if (after.live(v)) {
+                target = next;
                 next = next ? Bit{0} : Bit{1};
             }
+            m.coin = target ? CoinSign{1} : CoinSign{-1};
+            split_row_[v] = m;
         }
-        for (NodeId u : byz_members) {
-            for (NodeId to = 0; to < n; ++to) {
-                net::Message m;
-                m.kind = net::MsgKind::Vote2;
-                m.phase = p;
-                m.val = 0;
-                m.flag = 0;
-                m.coin = target[to] ? CoinSign{1} : CoinSign{-1};
-                ctl.deliver_as(u, to, m);
-            }
-        }
+        for (NodeId u = first; u < last; ++u)
+            if (!after.honest(u)) ctl.deliver_row_as(u, split_row_);
     } else {
-        const CoinSign push = b_i == 0 ? CoinSign{1} : CoinSign{-1};
-        net::Message m;
-        m.kind = net::MsgKind::Vote2;
-        m.phase = p;
-        m.val = 0;
-        m.flag = 0;
-        m.coin = push;
-        for (NodeId u : byz_members) ctl.broadcast_as(u, m);
+        m.coin = b_i == 0 ? CoinSign{1} : CoinSign{-1};
+        for (NodeId u = first; u < last; ++u)
+            if (!after.honest(u)) ctl.broadcast_as(u, m);
     }
 }
 

@@ -32,6 +32,11 @@
 //
 // The strategy self-caps at `max_corruptions` (the q < t of Theorem 2's
 // early-termination clause) independent of the engine budget.
+//
+// Observation is bulk: each decision reads one RoundControl::view() and
+// re-observes after corrupting; the SPLIT row is built once per round in
+// member scratch and handed whole to every Byzantine committee member via
+// deliver_row_as.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +78,11 @@ private:
     WorstCaseConfig cfg_;
     Count used_ = 0;
     Count ruined_ = 0;
+    // Per-round scratch, recycled across rounds.
+    std::vector<NodeId> victims_;    ///< nodes to corrupt, in corruption order
+    std::vector<NodeId> plan_pos_;   ///< honest committee +1 flippers, victims excluded
+    std::vector<NodeId> plan_neg_;   ///< honest committee -1 flippers, victims excluded
+    std::vector<net::Message> split_row_;  ///< SPLIT coin deliveries, one per receiver
 };
 
 }  // namespace adba::adv

@@ -104,6 +104,8 @@ public:
     Bit value(NodeId v) const override { return val_[v]; }
     bool decided(NodeId v) const override { return decided_[v] != 0; }
     Bit output(NodeId v) const override { return val_[v]; }
+    const Bit* value_plane() const override { return val_.data(); }
+    const std::uint8_t* decided_plane() const override { return decided_.data(); }
 
 private:
     void apply_report(NodeId v, const std::array<Count, 2>& cnt);

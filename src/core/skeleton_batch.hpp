@@ -93,6 +93,8 @@ public:
     Bit value(NodeId v) const override { return val_[v]; }
     bool decided(NodeId v) const override { return decided_[v] != 0; }
     Bit output(NodeId v) const override { return val_[v]; }
+    const Bit* value_plane() const override { return val_.data(); }
+    const std::uint8_t* decided_plane() const override { return decided_.data(); }
 
 private:
     /// Round-1 threshold update for node v given its (val 0, val 1) counts.

@@ -147,6 +147,12 @@ public:
     virtual Bit value(NodeId v) const = 0;
     virtual bool decided(NodeId v) const = 0;
     virtual Bit output(NodeId v) const = 0;
+    /// value()/decided() as contiguous planes (one byte per node, valid
+    /// between beats like halted_plane()), or nullptr when the batch keeps
+    /// none. RoundControl::view() hands them to adversaries in bulk; a batch
+    /// without them is observed through value()/decided() one node at a time.
+    virtual const Bit* value_plane() const { return nullptr; }
+    virtual const std::uint8_t* decided_plane() const { return nullptr; }
 
     /// The underlying per-node objects, when this batch has them (adapter);
     /// nullptr for native SoA batches. Round observers require them.

@@ -33,6 +33,34 @@ Count RunResult::honest_count() const {
     return static_cast<Count>(std::count(honest.begin(), honest.end(), true));
 }
 
+// ------------------------------------------------------------- RoundControl
+
+RoundView RoundControl::view() const {
+    const NodeId count = n();
+    ViewScratch& s = view_scratch_;
+    s.state.resize(count);
+    s.broadcast.resize(count);
+    s.halted.resize(count);
+    s.value.resize(count);
+    s.decided.resize(count);
+    for (NodeId v = 0; v < count; ++v) {
+        const bool honest = is_honest(v);
+        const Message* m = honest ? intended_broadcast(v) : nullptr;
+        s.state[v] = !honest ? RoundBuffer::kByzantine : m != nullptr ? RoundBuffer::kPresent : 0;
+        if (m != nullptr) s.broadcast[v] = *m;
+        s.halted[v] = honest && is_halted(v) ? 1 : 0;
+        s.value[v] = honest ? current_value(v) : 0;
+        s.decided[v] = honest && current_decided(v) ? 1 : 0;
+    }
+    return {count,          s.state.data(), s.broadcast.data(),
+            s.halted.data(), s.value.data(), s.decided.data()};
+}
+
+void RoundControl::deliver_row_as(NodeId byz_from, std::span<const Message> cells) {
+    ADBA_EXPECTS(cells.size() == n());
+    for (NodeId to = 0; to < cells.size(); ++to) deliver_as(byz_from, to, cells[to]);
+}
+
 // ------------------------------------------------------------- Engine::Ctl
 
 /// The engine-backed RoundControl: one per-trial execution over the flat /
@@ -68,6 +96,17 @@ public:
         ADBA_EXPECTS_MSG(e_.is_honest(v), "introspection is defined for honest nodes");
         return e_.batch_->decided(v);
     }
+    /// The live planes themselves: the buffer's state/broadcast planes and
+    /// the batch's halted/value/decided planes. A batch without value and
+    /// decided planes (the per-node adapter) is observed through the base
+    /// form instead.
+    RoundView view() const override {
+        const Bit* value = e_.batch_->value_plane();
+        const std::uint8_t* decided = e_.batch_->decided_plane();
+        if (value == nullptr || decided == nullptr) return RoundControl::view();
+        return {e_.cfg_.n, e_.buf_.state_plane(), e_.buf_.honest_plane(),
+                e_.batch_->halted_plane(), value, decided};
+    }
     std::optional<Message> corrupt(NodeId v) override { return e_.do_corrupt(v); }
     void deliver_as(NodeId byz_from, NodeId to, const Message& m) override {
         e_.do_deliver(byz_from, to, m);
@@ -79,6 +118,12 @@ public:
                          "split_as requires a corrupted sender");
         e_.metrics_.byzantine_messages += e_.buf_.apply_pattern(
             byz_from, low ? &*low : nullptr, high ? &*high : nullptr, boundary);
+    }
+    void deliver_row_as(NodeId byz_from, std::span<const Message> cells) override {
+        ADBA_EXPECTS(byz_from < e_.cfg_.n && cells.size() == e_.cfg_.n);
+        ADBA_EXPECTS_MSG(!e_.buf_.is_honest(byz_from),
+                         "deliver_row_as requires a corrupted sender");
+        e_.metrics_.byzantine_messages += e_.buf_.deliver_row(byz_from, cells.data());
     }
 
 private:
@@ -186,36 +231,49 @@ void Engine::account_sends() {
     // receivers that already terminated have left the protocol, so a
     // broadcast is charged only for the receivers that still take delivery
     // (Byzantine receivers stay on the wire — the sender cannot know them).
+    // One branch-free pass counts what the closed form (broadcast_fanout,
+    // net/metrics.hpp) needs: live broadcasts, the ones whose sender
+    // flush-halted this round, honest-halted receivers, and the same split
+    // for the word-carrying prelude kinds.
+    const NodeId n = cfg_.n;
+    const std::uint8_t* state = buf_.state_plane();
+    const Message* sent_msgs = buf_.honest_plane();
     const std::uint8_t* halted = batch_->halted_plane();
-    NodeId halted_receivers = 0;
-    for (NodeId v = 0; v < cfg_.n; ++v)
-        if (buf_.is_honest(v) && halted[v]) ++halted_receivers;
+    std::uint64_t sent = 0, sent_halted = 0, words = 0, words_halted = 0;
+    std::uint64_t halted_receivers = 0;
+    for (NodeId v = 0; v < n; ++v) {
+        const std::uint64_t h = halted[v] != 0;
+        const std::uint64_t present = state[v] == RoundBuffer::kPresent;
+        const std::uint64_t word = present & carries_word(sent_msgs[v].kind);
+        sent += present;
+        sent_halted += present & h;
+        words += word;
+        words_halted += word & h;
+        halted_receivers += h & ((state[v] & RoundBuffer::kByzantine) == 0);
+    }
     // Sparse sub-dense delivery is receiver-driven: each live receiver pulls
     // `degree` sampled sender edges, so a broadcast is charged for at most
     // that many receivers. Dense sampling keeps the exact flat accounting
-    // (min never binds), preserving bit-identical aggregates.
-    const bool sampled =
-        cfg_.plane == PlaneMode::Sparse && !sparse_.dense();
+    // (the cap never binds), preserving bit-identical aggregates.
+    const std::uint64_t cap = cfg_.plane == PlaneMode::Sparse && !sparse_.dense()
+                                  ? sparse_.degree()
+                                  : kUncapped;
+    const std::uint64_t fanout =
+        broadcast_fanout(sent, sent_halted, halted_receivers, n, cap);
+    const std::uint64_t word_fanout =
+        broadcast_fanout(words, words_halted, halted_receivers, n, cap);
+    metrics_.honest_messages += fanout;
+    metrics_.honest_bits += fanout * wire_bits(Message{}, n) + word_fanout * kWordWireBits;
+    if (transcript_) record_sends();
+}
+
+void Engine::record_sends() {
     for (NodeId v = 0; v < cfg_.n; ++v) {
         if (buf_.is_honest(v)) {
             const Message* m = buf_.broadcast(v);
-            if (transcript_)
-                transcript_->record_send(
-                    v, m ? std::optional<Message>(*m) : std::nullopt, true);
-            if (m) {
-                // A finish-flushing sender that halted during this round's
-                // send is itself a halted receiver; its own exclusion is
-                // already the "- 1", so put it back.
-                const std::uint64_t excluded =
-                    static_cast<std::uint64_t>(halted_receivers) -
-                    (halted[v] ? 1 : 0);
-                std::uint64_t fanout =
-                    static_cast<std::uint64_t>(cfg_.n) - 1 - excluded;
-                if (sampled) fanout = std::min<std::uint64_t>(fanout, sparse_.degree());
-                metrics_.honest_messages += fanout;
-                metrics_.honest_bits += fanout * wire_bits(*m, cfg_.n);
-            }
-        } else if (transcript_) {
+            transcript_->record_send(v, m ? std::optional<Message>(*m) : std::nullopt,
+                                     true);
+        } else {
             transcript_->record_send(v, std::nullopt, false);
         }
     }

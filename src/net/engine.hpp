@@ -40,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/batch.hpp"
@@ -55,6 +56,37 @@ namespace adba::net {
 
 class Engine;
 
+/// Bulk observation of one round (RoundControl::view): contiguous per-node
+/// planes over all n nodes in the engine's own byte encodings, so a strategy
+/// scans memory instead of making one virtual call per node per question.
+/// Valid until the adversary's next corrupt() or view() call: a corruption
+/// may or may not show through an existing view (the engine's live planes
+/// show it, a snapshot does not), so re-observe after corrupting.
+/// Deliveries never change what a view shows.
+struct RoundView {
+    NodeId n = 0;
+    /// RoundBuffer state byte per node: kPresent (honest, broadcasting this
+    /// round), 0 (honest, silent) or kByzantine.
+    const std::uint8_t* state = nullptr;
+    /// Honest broadcasts; broadcast[v] is defined only where state[v] ==
+    /// kPresent (see intended()).
+    const Message* broadcast = nullptr;
+    /// Defined only for honest v: nonzero iff v terminated.
+    const std::uint8_t* halted = nullptr;
+    /// Defined only for honest v: the current agreement value.
+    const Bit* value = nullptr;
+    /// Defined only for honest v: nonzero iff v is decided.
+    const std::uint8_t* decided = nullptr;
+
+    bool honest(NodeId v) const { return (state[v] & RoundBuffer::kByzantine) == 0; }
+    /// Honest and not terminated: the nodes a strategy may still corrupt.
+    bool live(NodeId v) const { return honest(v) && halted[v] == 0; }
+    /// Honest v's broadcast this round; nullptr when silent or Byzantine.
+    const Message* intended(NodeId v) const {
+        return state[v] == RoundBuffer::kPresent ? broadcast + v : nullptr;
+    }
+};
+
 /// The adversary's handle for one round: observation plus actions.
 /// Only valid during Adversary::act; do not retain.
 ///
@@ -62,6 +94,11 @@ class Engine;
 /// engine's per-trial form (Engine::Ctl, engine.cpp) and the fused trial
 /// plane's lane-masked bridge (net/fused_plane.hpp), which runs one
 /// adversary instance per bit-sliced lane against that lane's planes only.
+///
+/// The bulk calls (view, deliver_row_as) have exact base forms built from
+/// the per-node virtuals, so a control that implements only those — a
+/// forwarding decorator, the fused lane bridge — hosts every strategy
+/// unchanged; the engine overrides them with its live planes.
 class RoundControl {
 public:
     virtual ~RoundControl() = default;
@@ -83,6 +120,10 @@ public:
     /// per-node and SoA protocol implementations alike.
     virtual Bit current_value(NodeId v) const = 0;
     virtual bool current_decided(NodeId v) const = 0;
+    /// All of the above for every node at once (see RoundView for the
+    /// validity window). The base form snapshots the per-node virtuals into
+    /// storage owned by this control.
+    virtual RoundView view() const;
 
     // ---- actions ----
     /// Corrupts honest, non-halted v: discards v's broadcast for this round,
@@ -103,10 +144,22 @@ public:
     /// crash prefixes) are all this shape.
     virtual void split_as(NodeId byz_from, const std::optional<Message>& low,
                           const std::optional<Message>& high, NodeId boundary) = 0;
+    /// Delivers cells[to] from `byz_from` to every receiver `to` (one cell
+    /// per node: cells.size() == n()). The base form is n deliver_as calls.
+    virtual void deliver_row_as(NodeId byz_from, std::span<const Message> cells);
     // Silence is the default behaviour of a Byzantine sender.
 
 protected:
     RoundControl() = default;
+
+private:
+    /// Snapshot storage behind the base form of view().
+    struct ViewScratch {
+        std::vector<std::uint8_t> state, halted, decided;
+        std::vector<Message> broadcast;
+        std::vector<Bit> value;
+    };
+    mutable ViewScratch view_scratch_;
 };
 
 /// Adversary strategy interface. Implementations live in src/adversary.
@@ -256,6 +309,7 @@ private:
     std::optional<Message> do_corrupt(NodeId v);
     void do_deliver(NodeId byz_from, NodeId to, const Message& m);
     void account_sends();
+    void record_sends();
     void run_receives();
 
     EngineConfig cfg_;

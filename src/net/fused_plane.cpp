@@ -156,12 +156,10 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
             advs[j]->act(ctl_);
         }
 
-        // Honest traffic accounting in closed form per lane. Scalar charges
-        // each broadcast for n-1 receivers minus the honest-halted ones,
-        // putting the sender's own halted slot back when it flush-halted
-        // this round:   sum(fanout) = S*(n-1-H) + SH
-        // with S = live broadcasts, H = honest halted, SH = halted senders —
-        // all read AFTER corruptions, exactly like Engine::account_sends.
+        // Honest traffic accounting in closed form per lane: the same
+        // broadcast_fanout identity Engine::account_sends charges, from
+        // per-lane counts of live broadcasts (S), flush-halted senders (SH)
+        // and honest-halted receivers (H), all read AFTER corruptions.
         const std::uint64_t* halted = proto.halted_plane();
         a_sent.reset();
         a_flush.reset();
@@ -181,11 +179,8 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         const std::uint64_t wb = wire_bits(probe, n);
         for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-            // Unsigned wrap-safe: the sum is the exact nonnegative total.
             const std::uint64_t fan =
-                static_cast<std::uint64_t>(sent_cnt[j]) *
-                    (static_cast<std::uint64_t>(n) - 1 - halt_cnt[j]) +
-                flush_cnt[j];
+                broadcast_fanout(sent_cnt[j], flush_cnt[j], halt_cnt[j], n);
             msgs[j] += fan;
             bits[j] += fan * wb;
         }

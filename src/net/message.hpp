@@ -48,6 +48,15 @@ struct Message {
     friend bool operator==(const Message&, const Message&) = default;
 };
 
+/// True for the multi-valued prelude kinds, whose wire form also carries the
+/// word payload.
+constexpr bool carries_word(MsgKind kind) {
+    return kind == MsgKind::TCValue || kind == MsgKind::TCEcho;
+}
+
+/// Wire bits the word payload adds to a carries_word() message.
+inline constexpr std::uint64_t kWordWireBits = 8 * sizeof(Word);
+
 /// Size of a message on the wire in bits, for CONGEST accounting:
 /// 4 (kind) + 1 (val) + 1 (flag) + 2 (coin) + phase counter of
 /// ceil(log2(n+1)) bits (phases are bounded by c <= n), plus the word
@@ -55,9 +64,7 @@ struct Message {
 /// bits; still O(log n) for polynomial domains).
 inline std::uint64_t wire_bits(const Message& m, NodeId n) {
     const std::uint64_t base = 8 + ceil_log2(static_cast<std::uint64_t>(n) + 1);
-    if (m.kind == MsgKind::TCValue || m.kind == MsgKind::TCEcho)
-        return base + 8 * sizeof(Word);
-    return base;
+    return carries_word(m.kind) ? base + kWordWireBits : base;
 }
 
 }  // namespace adba::net

@@ -90,6 +90,24 @@ bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
     return fresh;
 }
 
+Count RoundBuffer::deliver_row(NodeId byz_from, const Message* cells) {
+    ADBA_EXPECTS(byz_from < n_);
+    const std::int32_t prior = byz_row_of_[byz_from];
+    const std::size_t row = static_cast<std::size_t>(ensure_row(byz_from));
+    if (prior < 0) {
+        assign_dense_slot(row);
+    } else {
+        densify(row);
+    }
+    const std::size_t base = static_cast<std::size_t>(row_slot_[row]) * n_;
+    std::uint8_t* present = byz_present_.data() + base;
+    const Count covered =
+        prior < 0 ? 0 : static_cast<Count>(std::count(present, present + n_, 1));
+    std::fill_n(present, n_, std::uint8_t{1});
+    std::copy_n(cells, n_, byz_msgs_.begin() + static_cast<std::ptrdiff_t>(base));
+    return n_ - covered;
+}
+
 Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
                                  const Message* high, NodeId boundary) {
     ADBA_EXPECTS(byz_from < n_ && boundary <= n_);

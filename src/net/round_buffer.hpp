@@ -110,6 +110,10 @@ public:
     /// back to a dense merge when the sender already delivered this round.
     Count apply_pattern(NodeId byz_from, const Message* low, const Message* high,
                         NodeId boundary);
+    /// Dense row in bulk: cells[to] (n cells) to every receiver — exactly n
+    /// deliver() calls, filling one dense slot with one copy. Returns the
+    /// number of previously-empty slots now covered.
+    Count deliver_row(NodeId byz_from, const Message* cells);
 
     // ---- beat 3: receiver probes (the hot path) ----
     const Message* from(NodeId receiver, NodeId sender) const {

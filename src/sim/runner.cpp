@@ -383,6 +383,11 @@ Aggregate run_trials(const Scenario& s, std::uint64_t base_seed, Count trials,
     return run_trials<BinaryWorkload>(s, base_seed, trials, exec);
 }
 
+Aggregate run_trials(const ScenarioPlan& plan, std::uint64_t base_seed, Count trials,
+                     const ExecutorConfig& exec) {
+    return run_trials<BinaryWorkload>(plan, base_seed, trials, exec);
+}
+
 std::string to_string(ProtocolKind k) { return ProtocolRegistry::instance().at(k).display; }
 
 std::string to_string(AdversaryKind k) {

@@ -226,6 +226,10 @@ struct BinaryWorkload {
 /// count including the serial `exec.threads = 1`.
 Aggregate run_trials(const Scenario& s, std::uint64_t base_seed, Count trials,
                      const ExecutorConfig& exec = {});
+/// The same run against a pre-validated plan, e.g. one whose registry
+/// entries a test substituted to wrap the strategy.
+Aggregate run_trials(const ScenarioPlan& plan, std::uint64_t base_seed, Count trials,
+                     const ExecutorConfig& exec = {});
 
 std::string to_string(ProtocolKind k);
 std::string to_string(AdversaryKind k);

@@ -1,10 +1,9 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-
-#include "support/contracts.hpp"
 
 namespace adba {
 
@@ -23,6 +22,41 @@ std::size_t levenshtein(const std::string& a, const std::string& b) {
         std::swap(prev, cur);
     }
     return prev[b.size()];
+}
+
+/// Parses a flag's whole value with `convert` (std::stoll / std::stod): a
+/// malformed or partly numeric value names the flag instead of escaping as
+/// a bare std::invalid_argument or being silently truncated.
+template <typename Convert>
+auto parse_number(const std::string& key, const std::string& text, const char* what,
+                  Convert convert) {
+    std::size_t used = 0;
+    decltype(convert(text, &used)) value{};
+    try {
+        value = convert(text, &used);
+    } catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != text.size())
+        throw ContractViolation("--" + key + " expects " + what + ", got '" + text + "'");
+    return value;
+}
+
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+    return parse_number(key, text, "an integer", [](const std::string& s, std::size_t* used) {
+        return static_cast<std::int64_t>(std::stoll(s, used));
+    });
+}
+
+double parse_double(const std::string& key, const std::string& text) {
+    return parse_number(key, text, "a number", [](const std::string& s, std::size_t* used) {
+        return std::stod(s, used);
+    });
+}
+
+/// argv[0] without its directory.
+std::string program_name(const std::string& argv0) {
+    return argv0.substr(argv0.find_last_of('/') + 1);
 }
 
 }  // namespace
@@ -51,6 +85,10 @@ Cli::Cli(int argc, char** argv) {
         }
         std::string body = arg.substr(2);
         const auto eq = body.find('=');
+        if (body.substr(0, eq) == "help") {
+            help_ = true;
+            continue;
+        }
         if (eq != std::string::npos) {
             kv_[body.substr(0, eq)] = body.substr(eq + 1);
         } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
@@ -62,32 +100,34 @@ Cli::Cli(int argc, char** argv) {
 }
 
 bool Cli::has(const std::string& key) const {
-    queried_.insert(key);
+    queried_.emplace(key, "");  // a later typed read records its default
     return kv_.count(key) > 0;
 }
 
 std::string Cli::get(const std::string& key, const std::string& fallback) const {
-    queried_.insert(key);
+    queried_[key] = fallback;
     const auto it = kv_.find(key);
     return it == kv_.end() ? fallback : it->second;
 }
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
-    queried_.insert(key);
+    queried_[key] = std::to_string(fallback);
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return std::stoll(it->second);
+    return parse_int(key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
-    queried_.insert(key);
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", fallback);
+    queried_[key] = text;
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return std::stod(it->second);
+    return parse_double(key, it->second);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {
-    queried_.insert(key);
+    queried_[key] = fallback ? "on" : "off";
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
     return it->second == "true" || it->second == "1" || it->second == "yes" ||
@@ -96,7 +136,12 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
                                             std::vector<std::int64_t> fallback) const {
-    queried_.insert(key);
+    std::string shown;
+    for (const std::int64_t x : fallback) {
+        if (!shown.empty()) shown += ',';
+        shown += std::to_string(x);
+    }
+    queried_[key] = shown;
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
     std::vector<std::int64_t> out;
@@ -105,28 +150,56 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
     while (pos < s.size()) {
         auto comma = s.find(',', pos);
         if (comma == std::string::npos) comma = s.size();
-        out.push_back(std::stoll(s.substr(pos, comma - pos)));
+        out.push_back(parse_int(key, s.substr(pos, comma - pos)));
         pos = comma + 1;
     }
     ADBA_ENSURES_MSG(!out.empty(), "empty list for --" + key);
     return out;
 }
 
+std::string Cli::usage() const {
+    const std::string prog = program_name(passthrough_.empty() ? "adba" : passthrough_.front());
+    std::string text =
+        "usage: " + prog + " [--flag=value ...]\nRecognized flags, with their defaults:\n";
+    for (const auto& [key, fallback] : queried_)
+        text += "  --" + key + (fallback.empty() ? "" : "=" + fallback) + "\n";
+    return text;
+}
+
 void Cli::check_unused() const {
+    if (help_) throw HelpRequested(usage());
+    std::vector<std::string> known_keys;
+    for (const auto& [key, fallback] : queried_) known_keys.push_back(key);
     std::string msg;
     for (const auto& [key, value] : kv_) {
         if (queried_.count(key)) continue;
         if (!msg.empty()) msg += "; ";
         msg += "unrecognized flag --" + key;
-        const std::string best = closest_match(
-            key, std::vector<std::string>(queried_.begin(), queried_.end()));
+        const std::string best = closest_match(key, known_keys);
         if (!best.empty()) msg += " (did you mean --" + best + "?)";
     }
     if (msg.empty()) return;
     std::string known;
-    for (const auto& key : queried_) known += (known.empty() ? "--" : ", --") + key;
+    for (const auto& key : known_keys) known += (known.empty() ? "--" : ", --") + key;
     throw ContractViolation(msg + ". Recognized flags: " +
-                            (known.empty() ? "(none)" : known));
+                            (known.empty() ? "(none)" : known) + " (--help lists them)");
+}
+
+int run_main(int argc, char** argv, const std::function<int(const Cli&)>& body) {
+    const std::string prog = program_name(argc > 0 ? argv[0] : "adba");
+    try {
+        const Cli cli(argc, argv);
+        const int status = body(cli);
+        cli.check_unused();  // a body that never checked still answers typos
+        return status;
+    } catch (const HelpRequested& help) {
+        std::fputs(help.what(), stdout);
+        return 0;
+    } catch (const std::exception& e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "%s: error: %s\n", prog.c_str(), e.what());
+        return 2;
+    }
 }
 
 }  // namespace adba

@@ -7,14 +7,22 @@
 // Strict mode: every accessor records which key it was asked for; a binary
 // calls `check_unused()` after its last read and gets a loud failure for any
 // flag nothing ever queried — so a typo like `--trails=50` aborts the run
-// instead of silently proceeding with defaults.
+// instead of silently proceeding with defaults. `--help` is answered at the
+// same point with the list of flags the binary asked for.
+//
+// Every binary's main() is `return run_main(argc, argv, body);`: the body
+// reads all of its flags, calls check_unused() before doing any work, and
+// run_main turns the outcome into an exit status (0 for --help, 2 with a
+// `prog: error: ...` line for bad input).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
+
+#include "support/contracts.hpp"
 
 namespace adba {
 
@@ -24,11 +32,22 @@ namespace adba {
 std::string closest_match(const std::string& key,
                           const std::vector<std::string>& candidates);
 
+/// Thrown by Cli::check_unused() when `--help` was given; what() is the
+/// usage text. A ContractViolation, so a caller that only knows the
+/// strict-mode failure still stops before doing any work; run_main answers
+/// it with exit status 0.
+class HelpRequested : public ContractViolation {
+public:
+    using ContractViolation::ContractViolation;
+};
+
 /// Parsed command-line options with typed, defaulted accessors.
 class Cli {
 public:
     /// Parses argv, consuming recognized `--key[=value]` pairs.
     /// Arguments beginning with `--benchmark` are left for google-benchmark.
+    /// A malformed number in an accessor throws ContractViolation naming
+    /// the flag.
     Cli(int argc, char** argv);
 
     bool has(const std::string& key) const;
@@ -48,14 +67,26 @@ public:
 
     /// Throws ContractViolation when any parsed `--flag` was never queried by
     /// an accessor, naming the offenders and suggesting the closest known
-    /// key. Call after the last flag read (benches do this inside
-    /// benchutil::run_benchmark_tail).
+    /// key; throws HelpRequested instead when `--help` was given. Call after
+    /// the last flag read and before any work.
     void check_unused() const;
 
 private:
+    /// The usage text: every queried flag with the default it was read with.
+    std::string usage() const;
+
     std::map<std::string, std::string> kv_;
     std::vector<std::string> passthrough_;
-    mutable std::set<std::string> queried_;
+    bool help_ = false;
+    /// Queried key -> the fallback it was read with ("" for has()).
+    mutable std::map<std::string, std::string> queried_;
 };
+
+/// The shared main() of every binary: parses argv into a Cli and runs
+/// `body`, which reads its flags and calls check_unused() before any work.
+/// `--help` prints the recognized flags to stdout and returns 0; a bad flag,
+/// a malformed value or any other error prints "prog: error: <what>" to
+/// stderr and returns 2. Otherwise returns the body's status.
+int run_main(int argc, char** argv, const std::function<int(const Cli&)>& body);
 
 }  // namespace adba

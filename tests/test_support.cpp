@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
@@ -371,6 +373,64 @@ TEST(Cli, CheckUnusedListsAllOffenders) {
         EXPECT_NE(msg.find("--wrong"), std::string::npos) << msg;
         EXPECT_EQ(msg.find("--alpha=1"), std::string::npos) << msg;
     }
+}
+
+TEST(Cli, HelpListsTheQueriedFlagsWithTheirDefaults) {
+    const char* argv[] = {"some/dir/prog", "--help", "--n=4"};
+    Cli cli(3, const_cast<char**>(argv));
+    EXPECT_EQ(cli.get_int("n", 256), 4);  // values still parse under --help
+    cli.get_bool("batch", true);
+    cli.has("scenario");
+    try {
+        cli.check_unused();
+        FAIL() << "expected HelpRequested";
+    } catch (const HelpRequested& help) {
+        const std::string text = help.what();
+        EXPECT_NE(text.find("usage: prog "), std::string::npos) << text;
+        EXPECT_NE(text.find("  --n=256\n"), std::string::npos) << text;
+        EXPECT_NE(text.find("  --batch=on\n"), std::string::npos) << text;
+        EXPECT_NE(text.find("  --scenario\n"), std::string::npos) << text;
+        EXPECT_EQ(text.find("--help"), std::string::npos) << text;
+    }
+}
+
+TEST(Cli, MalformedNumbersNameTheFlag) {
+    const char* argv[] = {"prog", "--threads=abc", "--alpha=1.5x", "--t=4,x"};
+    Cli cli(4, const_cast<char**>(argv));
+    const auto message_of = [](auto&& read) {
+        try {
+            read();
+        } catch (const ContractViolation& e) {
+            return std::string(e.what());
+        }
+        return std::string("no throw");
+    };
+    EXPECT_EQ(message_of([&] { cli.get_int("threads", 1); }),
+              "--threads expects an integer, got 'abc'");
+    EXPECT_EQ(message_of([&] { cli.get_double("alpha", 0.0); }),
+              "--alpha expects a number, got '1.5x'");
+    EXPECT_EQ(message_of([&] { cli.get_int_list("t", {}); }),
+              "--t expects an integer, got 'x'");
+}
+
+TEST(Cli, RunMainMapsOutcomesToExitStatus) {
+    const auto status = [](std::vector<const char*> args, int body_status,
+                           bool body_throws = false) {
+        args.insert(args.begin(), "prog");
+        return run_main(static_cast<int>(args.size()), const_cast<char**>(args.data()),
+                        [&](const Cli& cli) {
+                            cli.get_int("n", 1);
+                            cli.check_unused();
+                            if (body_throws) throw std::runtime_error("boom");
+                            return body_status;
+                        });
+    };
+    EXPECT_EQ(status({"--n=3"}, 7), 7);
+    EXPECT_EQ(status({"--nope"}, 7), 2);
+    EXPECT_EQ(status({"--n=x"}, 7), 2);
+    EXPECT_EQ(status({"--help"}, 7), 0);
+    EXPECT_EQ(status({"--nope", "--help"}, 7), 0);
+    EXPECT_EQ(status({}, 0, true), 2);
 }
 
 }  // namespace

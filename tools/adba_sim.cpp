@@ -24,9 +24,10 @@
 //        --sparse_stream=chain|counter --fused=on|off --las_vegas --fallback
 //        --k --f --attack --forced_bit --schedule --list
 //        --watchdog_ms --chunk --checkpoint --resume
-//        --faults="key=value ..." --mem_budget_mb
-// Unknown flags (and unknown workload/protocol/adversary names) fail loudly
-// with did-you-mean suggestions (Cli strict mode + registry lookups).
+//        --faults="key=value ..." --mem_budget_mb --help
+// Unknown flags (and unknown workload/protocol/adversary names) exit 2 with
+// did-you-mean suggestions (Cli strict mode + registry lookups); --help
+// lists the flags the selected workload reads.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -376,39 +377,34 @@ int run_binary(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    try {
-        const Cli cli(argc, argv);
-        sim::init_threads(cli);
-        sim::init_intra_threads(cli);
-        const bool faults_armed = sim::init_faults(cli);
-        sim::init_mem_budget(cli);
-        if (cli.get_bool("list", false)) {
-            const int rc = list_capabilities();
-            cli.check_unused();
-            return rc;
-        }
-        std::string name = sim::workload_at(cli.get("workload", "binary")).name;
-        // Back-compat: --protocol=turpin-coan/multivalued/mv selected the mv
-        // stack before --workload existed. Only the binary driver reads
-        // --protocol, so query it only when routing there — passing it to
-        // the coin/macro/mv drivers must fail strict-mode, not be dropped.
-        if (name == "binary") {
-            const std::string protocol = cli.get("protocol", "");
-            if (protocol == "turpin-coan" || protocol == "multivalued" ||
-                protocol == "mv")
-                name = "mv";
-        }
-        int rc;
-        if (name == "mv") rc = run_multivalued(cli);
-        else if (name == "coin") rc = run_coin(cli);
-        else if (name == "macro") rc = run_macro(cli);
-        else rc = run_binary(cli);
-        if (faults_armed)
-            std::printf("%s\n", sim::FaultInjector::stats_line().c_str());
-        return rc;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "adba_sim: error: %s\n", e.what());
-        return 2;
+static int run(const Cli& cli) {
+    sim::init_threads(cli);
+    sim::init_intra_threads(cli);
+    const bool faults_armed = sim::init_faults(cli);
+    sim::init_mem_budget(cli);
+    if (cli.get_bool("list", false)) {
+        cli.check_unused();
+        return list_capabilities();
     }
+    std::string name = sim::workload_at(cli.get("workload", "binary")).name;
+    // Back-compat: --protocol=turpin-coan/multivalued/mv selected the mv
+    // stack before --workload existed. Only run_binary reads --protocol,
+    // so query it only when routing there — passing it to the coin/macro/
+    // mv workloads must fail strict-mode, not be dropped.
+    if (name == "binary") {
+        const std::string protocol = cli.get("protocol", "");
+        if (protocol == "turpin-coan" || protocol == "multivalued" ||
+            protocol == "mv")
+            name = "mv";
+    }
+    int rc;
+    if (name == "mv") rc = run_multivalued(cli);
+    else if (name == "coin") rc = run_coin(cli);
+    else if (name == "macro") rc = run_macro(cli);
+    else rc = run_binary(cli);
+    if (faults_armed)
+        std::printf("%s\n", sim::FaultInjector::stats_line().c_str());
+    return rc;
 }
+
+int main(int argc, char** argv) { return adba::run_main(argc, argv, run); }
