@@ -25,40 +25,28 @@ void StaticAdversary::on_start(NodeId n, Count budget) {
     std::sort(corrupted_.begin(), corrupted_.end());
 }
 
+std::optional<net::LaneUniformRound> StaticAdversary::lane_uniform(Round r, NodeId n) const {
+    // Built in place: a fused block asks every lane for its form every round.
+    std::optional<net::LaneUniformRound> form(std::in_place);
+    form->corrupt = corrupted_;
+    if (behavior_ == StaticBehavior::SplitVotes) {
+        const bool round2 = (r % 2) == 1;
+        net::SplitRow& row = form->row.emplace();
+        net::Message& low = row.low.emplace();  // val 0 (coin -1 in round 2) below the boundary
+        low.kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
+        low.phase = r / 2;
+        low.val = 0;
+        low.coin = round2 ? CoinSign{-1} : CoinSign{0};
+        net::Message& high = row.high.emplace(low);  // val 1 (coin +1) at and above it
+        high.val = 1;
+        high.coin = round2 ? CoinSign{1} : CoinSign{0};
+        row.boundary = n / 2;
+    }
+    return form;
+}
+
 void StaticAdversary::act(net::RoundControl& ctl) {
-    if (ctl.round() == 0) {
-        for (NodeId v : corrupted_) ctl.corrupt(v);
-    }
-    switch (behavior_) {
-        case StaticBehavior::Silent:
-            break;
-        case StaticBehavior::Garbage:
-            for (NodeId v : corrupted_) {
-                net::Message m;
-                m.kind = static_cast<net::MsgKind>(1 + rng_.below(7));
-                m.val = rng_.bit();
-                m.flag = rng_.bit();
-                m.coin = rng_.sign();
-                m.phase = ctl.round() / 2;
-                ctl.broadcast_as(v, m);
-            }
-            break;
-        case StaticBehavior::SplitVotes: {
-            const Phase p = ctl.round() / 2;
-            const bool round2 = (ctl.round() % 2) == 1;
-            net::Message low;  // val 0 (coin -1 in round 2) below the boundary
-            low.kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
-            low.phase = p;
-            low.val = 0;
-            low.coin = round2 ? CoinSign{-1} : CoinSign{0};
-            net::Message high = low;  // val 1 (coin +1) at and above it
-            high.val = 1;
-            high.coin = round2 ? CoinSign{1} : CoinSign{0};
-            const NodeId half = ctl.n() / 2;
-            for (NodeId v : corrupted_) ctl.split_as(v, low, high, half);
-            break;
-        }
-    }
+    lane_uniform(ctl.round(), ctl.n())->play(ctl);
 }
 
 }  // namespace adba::adv

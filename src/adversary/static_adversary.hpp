@@ -2,10 +2,17 @@
 // (the weaker model of Goldwasser-Pavlov-Vaikuntanathan etc., paper §1).
 //
 // Used as an ablation point in E8: the gap between static and adaptive
-// measured rounds is the paper's whole motivation.
+// measured rounds is the paper's whole motivation. Registered twice: as
+// `static` and as `split-vote` (the protocol-agnostic threshold-straddling
+// equivocation attack), both with SplitVotes behaviour.
+//
+// Lane-uniform (net::Adversary::lane_uniform): its act() is its declared
+// form played through the control, so the fused plane can run 64 lanes of
+// it on word masks.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/engine.hpp"
@@ -16,7 +23,6 @@ namespace adba::adv {
 /// What the statically corrupted nodes do each round.
 enum class StaticBehavior : std::uint8_t {
     Silent,      ///< send nothing (fail-stop from round 0)
-    Garbage,     ///< broadcast uniformly random well-formed-ish messages
     SplitVotes,  ///< equivocate: val=0 to low-ID receivers, val=1 to the rest
 };
 
@@ -27,6 +33,10 @@ public:
 
     void on_start(NodeId n, Count budget) override;
     void act(net::RoundControl& ctl) override;
+    /// The sorted corrupt set and, under SplitVotes, round r's split row:
+    /// val 0 (coin -1 in round 2 of a phase) below n/2, val 1 (coin +1)
+    /// from n/2 up.
+    std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override;
 
     const std::vector<NodeId>& corrupted() const { return corrupted_; }
 

@@ -364,21 +364,15 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
     t_val1_.reset(n);
     t_coin_.reset(n);
 
+    fold_.prepare(frame, {kind, p, /*require_flag=*/round2});
     for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
         const std::uint64_t bit = std::uint64_t{1} << j;
-        const auto& rows = frame.rows(j);
-        segs_.rebuild(rows, n);
-        for (std::size_t i = 0; i < segs_.count(); ++i) {
-            const NodeId lo = segs_.lo(i);
-            const NodeId hi = segs_.hi(i);
-            Count cnt[2] = {h0[j], h1[j]};
-            for (const net::FusedRow& row : rows) {
-                const net::Message* m = net::LaneSegments::side(row, lo);
-                if (m == nullptr) continue;
-                if (m->kind == kind && m->phase == p && (!round2 || m->flag != 0))
-                    ++cnt[m->val & 1];
-            }
+        for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
+            const NodeId lo = seg.lo;
+            const NodeId hi = seg.hi;
+            const Count cnt[2] = {static_cast<Count>(h0[j] + seg.c0),
+                                  static_cast<Count>(h1[j] + seg.c1)};
 
             if (!round2) {
                 // Report round: t_fin_ doubles as the "proposing" mark,

@@ -155,7 +155,7 @@ private:
     std::vector<std::uint64_t> halted_;
     std::vector<Xoshiro256> rng_;  ///< lane-major per node: rng_[v*64+j]
     // Recycled receive scratch.
-    net::LaneSegments segs_;
+    net::SegmentFold fold_;
     net::LaneToggles t_fin_, t_val1_, t_coin_;
     std::vector<std::uint64_t> m_fin_, m_val1_, m_coin_;
 };

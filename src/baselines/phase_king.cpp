@@ -298,21 +298,15 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
 
         t_maj_.reset(n);
         t_strong_.reset(n);
+        fold_.prepare(frame, {net::MsgKind::PhaseKingSend, k});
         for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
             const std::uint64_t bit = std::uint64_t{1} << j;
-            const auto& rows = frame.rows(j);
-            segs_.rebuild(rows, n);
-            for (std::size_t i = 0; i < segs_.count(); ++i) {
-                const NodeId lo = segs_.lo(i);
-                const NodeId hi = segs_.hi(i);
-                Count cnt[2] = {h0[j], h1[j]};
-                for (const net::FusedRow& row : rows) {
-                    const net::Message* m = net::LaneSegments::side(row, lo);
-                    if (m != nullptr && m->kind == net::MsgKind::PhaseKingSend &&
-                        m->phase == k)
-                        ++cnt[m->val & 1];
-                }
+            for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
+                const NodeId lo = seg.lo;
+                const NodeId hi = seg.hi;
+                const Count cnt[2] = {static_cast<Count>(h0[j] + seg.c0),
+                                      static_cast<Count>(h1[j] + seg.c1)};
                 const Bit maj = cnt[1] > cnt[0] ? Bit{1} : Bit{0};
                 const Count mult = cnt[maj];
                 if (maj != 0) t_maj_.mark(lo, hi, bit);
@@ -332,29 +326,28 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
     }
 
     // Round 2: the king's value per lane. Honest kings are lane-uniform
-    // (one broadcast plane read); corrupted kings deliver per segment; a
-    // silent/corrupted king defaults to 0 at every node.
+    // (one broadcast plane read); corrupted kings deliver per segment, from
+    // the shared row or the lane's own; a silent/corrupted king defaults to
+    // 0 at every node.
     const NodeId king = params_.king_of(k);
     t_kv_.reset(n);
     const std::uint64_t honest_kv =
         frame.sent[king] & frame.val[king] & ~frame.byz[king];
     if (honest_kv != 0) t_kv_.mark(0, n, honest_kv & frame.active);
+    const auto kv = [&](const net::Message* m) {
+        return m != nullptr && m->kind == net::MsgKind::PhaseKingRuler && m->phase == k &&
+               (m->val & 1) != 0;
+    };
     for (std::uint64_t lanes = frame.active & frame.byz[king]; lanes != 0;
          lanes &= lanes - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
         const std::uint64_t bit = std::uint64_t{1} << j;
-        for (const net::FusedRow& row : frame.rows(j)) {
-            if (row.sender != king) continue;
-            const auto kv = [&](const net::Message* m) {
-                return m != nullptr && m->kind == net::MsgKind::PhaseKingRuler &&
-                       m->phase == k && (m->val & 1) != 0;
-            };
-            if (row.boundary > 0 && kv(row.has_low ? &row.low : nullptr))
-                t_kv_.mark(0, row.boundary, bit);
-            if (row.boundary < n && kv(row.has_high ? &row.high : nullptr))
-                t_kv_.mark(row.boundary, n, bit);
-            break;  // at most one row per (lane, sender, round)
-        }
+        const net::FusedRow* row = frame.row_of(j, king);
+        if (row == nullptr) continue;
+        if (row->boundary > 0 && kv(row->has_low ? &row->low : nullptr))
+            t_kv_.mark(0, row->boundary, bit);
+        if (row->boundary < n && kv(row->has_high ? &row->high : nullptr))
+            t_kv_.mark(row->boundary, n, bit);
     }
     t_kv_.sweep(m_kv_.data(), n);
 

@@ -144,7 +144,7 @@ private:
     std::vector<std::uint64_t> decided_; ///< all-zero (phase-king never decides)
     std::vector<std::uint64_t> halted_;
     // Recycled receive scratch.
-    net::LaneSegments segs_;
+    net::SegmentFold fold_;
     net::LaneToggles t_maj_, t_strong_, t_kv_;
     std::vector<std::uint64_t> m_maj_, m_strong_, m_kv_;
 };

@@ -131,80 +131,19 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         t_coin_.reset(n);
     }
 
+    fold_.prepare(frame, {kind, p, round2, flip_first, flip_last});
     for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
         const std::uint64_t bit = std::uint64_t{1} << j;
-        const auto& rows = frame.rows(j);
-        segs_.rebuild(rows, n);
         bool dealer_drawn = false;
         Bit dealer_bit = 0;
 
-        // Incremental count sweep: start from the segment-0 view of every
-        // row, record each row's side flip as a delta at its boundary, and
-        // fold the deltas in boundary order as the segments advance — the
-        // running (c0, c1, cdelta) then equal the old per-segment row scan
-        // at every segment, in O(rows log rows + segments) per lane.
-        const auto classify = [&](const net::Message* m, const net::FusedRow& row,
-                                  std::int16_t& d0, std::int16_t& d1,
-                                  std::int16_t& dc) {
-            if (m == nullptr) return;
-            if (m->kind == kind && m->phase == p && (!round2 || m->flag != 0)) {
-                if ((m->val & 1) != 0)
-                    ++d1;
-                else
-                    ++d0;
-            }
-            if (committee && m->kind == net::MsgKind::Vote2 && m->phase == p &&
-                row.sender >= flip_first && row.sender < flip_last)
-                dc = static_cast<std::int16_t>(
-                    dc + (m->coin > 0 ? 1 : (m->coin < 0 ? -1 : 0)));
-        };
-        std::int64_t c0 = h0[j], c1 = h1[j], cdelta = 0;
-        deltas_.clear();
-        for (const net::FusedRow& row : rows) {
-            std::int16_t l0 = 0, l1 = 0, lc = 0, g0 = 0, g1 = 0, gc = 0;
-            classify(row.has_low ? &row.low : nullptr, row, l0, l1, lc);
-            classify(row.has_high ? &row.high : nullptr, row, g0, g1, gc);
-            if (row.boundary > 0) {  // segment 0 sees the low side
-                c0 += l0;
-                c1 += l1;
-                cdelta += lc;
-                if (row.boundary < n && (g0 != l0 || g1 != l1 || gc != lc))
-                    deltas_.push_back({row.boundary,
-                                       static_cast<std::int16_t>(g0 - l0),
-                                       static_cast<std::int16_t>(g1 - l1),
-                                       static_cast<std::int16_t>(gc - lc)});
-            } else {  // boundary 0: the high side everywhere
-                c0 += g0;
-                c1 += g1;
-                cdelta += gc;
-            }
-        }
-        // Insertion sort: the delta list is tiny and the supported
-        // adversaries share one split boundary, so it is already sorted —
-        // std::sort's dispatch overhead would dominate the actual work.
-        for (std::size_t a = 1; a < deltas_.size(); ++a) {
-            const RowDelta d = deltas_[a];
-            std::size_t b = a;
-            while (b > 0 && deltas_[b - 1].boundary > d.boundary) {
-                deltas_[b] = deltas_[b - 1];
-                --b;
-            }
-            deltas_[b] = d;
-        }
-        std::size_t dp = 0;
-
-        for (std::size_t i = 0; i < segs_.count(); ++i) {
-            const NodeId lo = segs_.lo(i);
-            const NodeId hi = segs_.hi(i);
-            while (dp < deltas_.size() && deltas_[dp].boundary <= lo) {
-                c0 += deltas_[dp].d0;
-                c1 += deltas_[dp].d1;
-                cdelta += deltas_[dp].dcoin;
-                ++dp;
-            }
-            const Count cnt[2] = {static_cast<Count>(c0), static_cast<Count>(c1)};
-            const std::int64_t coin_delta = cdelta;
+        for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
+            const NodeId lo = seg.lo;
+            const NodeId hi = seg.hi;
+            const Count cnt[2] = {static_cast<Count>(h0[j] + seg.c0),
+                                  static_cast<Count>(h1[j] + seg.c1)};
+            const std::int64_t coin_delta = seg.coin;
 
             if (!round2) {
                 ADBA_ENSURES_MSG(!(cnt[0] >= quorum && cnt[1] >= quorum),

@@ -8,14 +8,15 @@
 // that keeps receive word-parallel under Byzantine pressure: supported
 // adversaries deliver piecewise-constant split_as patterns, so a lane's
 // per-receiver counts are constant on the segments its pattern boundaries
-// cut — every threshold decision is evaluated once per (lane, segment) and
-// materialized for all receivers with one prefix-XOR sweep (LaneToggles).
+// cut (net::SegmentFold) — every threshold decision is evaluated once per
+// (lane, segment) and materialized for all receivers with one prefix-XOR
+// sweep (LaneToggles).
 //
 // The coin hooks become a FusedCoinSpec: Committee sums live in bit-sliced
 // LaneAdder columns (honest part) plus per-(lane, segment) Byzantine
-// deltas; Dealer coins are a pure per-lane function of the phase; Local
-// coins draw from the focused (node, lane) stream exactly where the scalar
-// case-3 path would.
+// coin sums from the fold; Dealer coins are a pure per-lane function of the
+// phase; Local coins draw from the focused (node, lane) stream exactly where
+// the scalar case-3 path would.
 #pragma once
 
 #include <cstdint>
@@ -86,19 +87,8 @@ private:
         return g;
     }
 
-    /// One pattern row's count/coin contribution flip at its boundary: the
-    /// incremental form of the per-segment row scan. Evaluating every row
-    /// against every segment is O(rows x segments) per lane; since a row's
-    /// visible side changes exactly once (at `boundary`), a sorted delta
-    /// sweep does the same work in O(rows log rows + segments).
-    struct RowDelta {
-        NodeId boundary = 0;
-        std::int16_t d0 = 0, d1 = 0, dcoin = 0;
-    };
-
     // Recycled receive scratch.
-    net::LaneSegments segs_;
-    std::vector<RowDelta> deltas_;
+    net::SegmentFold fold_;
     net::LaneToggles t_dec_, t_val1_, t_fin_, t_coin_;
     std::vector<std::uint64_t> m_dec_, m_val1_, m_fin_, m_coin_;
 };

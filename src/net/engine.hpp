@@ -162,6 +162,29 @@ private:
     mutable ViewScratch view_scratch_;
 };
 
+/// One split_as call minus its sender: `low` to receivers below `boundary`,
+/// `high` to the rest (nullopt = silence for that side).
+struct SplitRow {
+    std::optional<Message> low;
+    std::optional<Message> high;
+    NodeId boundary = 0;
+
+    friend bool operator==(const SplitRow&, const SplitRow&) = default;
+};
+
+/// One round of a lane-uniform strategy (Adversary::lane_uniform).
+struct LaneUniformRound {
+    /// The fixed corrupt set, corrupted in round 0 in this order. Points
+    /// into the strategy; valid from on_start until the next on_start.
+    std::span<const NodeId> corrupt;
+    /// The row every member sends this round; nullopt = all stay silent.
+    std::optional<SplitRow> row;
+
+    /// This round through a control: corrupt() every member in round 0,
+    /// then split_as the row from each member, in set order.
+    void play(RoundControl& ctl) const;
+};
+
 /// Adversary strategy interface. Implementations live in src/adversary.
 class Adversary {
 public:
@@ -172,12 +195,27 @@ public:
 
     /// Called once per round, between honest sends and deliveries.
     virtual void act(RoundControl& ctl) = 0;
+
+    /// Lane-uniform form. A strategy is lane-uniform when it corrupts a
+    /// fixed set in round 0 and then, every round, every member of the set
+    /// sends the same split row, a function of (round, n) alone. Such a
+    /// strategy returns round r's form here, and its act() must be exactly
+    /// lane_uniform(ctl.round(), ctl.n())->play(ctl). The fused plane then
+    /// runs it on 64-lane masks instead of through the per-lane bridge
+    /// (net/fused_plane.hpp). The default, nullopt, means not lane-uniform.
+    virtual std::optional<LaneUniformRound> lane_uniform(Round /*r*/, NodeId /*n*/) const {
+        return std::nullopt;
+    }
 };
 
 /// A do-nothing adversary (no corruptions); the honest-execution baseline.
 class NullAdversary final : public Adversary {
 public:
     void act(RoundControl&) override {}
+    /// Lane-uniform with an empty set.
+    std::optional<LaneUniformRound> lane_uniform(Round, NodeId) const override {
+        return LaneUniformRound{};
+    }
 };
 
 /// Which delivery plane answers the receive beat's tally queries.

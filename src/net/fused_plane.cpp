@@ -7,6 +7,16 @@
 
 namespace adba::net {
 
+namespace {
+
+/// Delivery slots a fresh pattern row covers — exactly what
+/// RoundBuffer::apply_pattern reports for a just-corrupted sender.
+std::uint64_t covered_slots(bool low, bool high, NodeId boundary, NodeId n) {
+    return (low ? std::uint64_t{boundary} : 0) + (high ? std::uint64_t{n - boundary} : 0);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- FusedFrame
 
 void FusedFrame::throw_duplicate_row() {
@@ -109,13 +119,65 @@ void FusedLaneControl::split_as(NodeId byz_from, const std::optional<Message>& l
     row.has_high = high.has_value();
     if (low) row.low = *low;
     if (high) row.high = *high;
-    // Newly covered delivery slots of a fresh pattern row — exactly what
-    // RoundBuffer::apply_pattern reports for a just-corrupted sender (the
-    // add_row duplicate guard keeps "fresh" unconditional).
-    std::uint64_t covered = 0;
-    if (low) covered += boundary;
-    if (high) covered += n - boundary;
-    byz_msgs_[lane_] += covered;
+    // The add_row duplicate guard keeps the row fresh.
+    byz_msgs_[lane_] += covered_slots(row.has_low, row.has_high, boundary, n);
+}
+
+bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular) {
+    // corrupt()'s checks, one word of lanes at a time, before any write:
+    // which check fails first depends on the lanes' set orders, so a
+    // failure is left to the bridge to raise.
+    const NodeId n = frame_->n();
+    const std::uint64_t active = frame_->active;
+    if ((irregular & active) != 0) return false;
+    const std::uint64_t* halted = proto_->halted_plane();
+    kern::LaneAdder adder;
+    std::uint64_t taken = 0;  // lanes with a member already Byzantine or halted
+    for (NodeId v = 0; v < n; ++v) {
+        const std::uint64_t m = mask[v] & active;
+        taken |= (frame_->byz[v] | halted[v]) & m;
+        adder.add(m);
+    }
+    if (taken != 0) return false;
+    Count count[kFusedLanes];
+    adder.counts(count);
+    for (unsigned j = 0; j < kFusedLanes; ++j)
+        if (count[j] > budget_ - used_[j]) return false;
+    for (NodeId v = 0; v < n; ++v) {
+        const std::uint64_t m = mask[v] & active;
+        frame_->byz[v] |= m;
+        frame_->sent[v] &= ~m;  // attribute bits stay; consumers mask with sent
+    }
+    for (unsigned j = 0; j < kFusedLanes; ++j) used_[j] += count[j];
+    return true;
+}
+
+void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
+                                 std::uint64_t lanes) {
+    const NodeId n = frame_->n();
+    ADBA_EXPECTS(row.boundary <= n);
+    FusedRow& shared = frame_->shared_row;
+    shared.boundary = row.boundary;
+    shared.has_low = row.low.has_value();
+    shared.has_high = row.high.has_value();
+    if (row.low) shared.low = *row.low;
+    if (row.high) shared.high = *row.high;
+    frame_->has_shared = true;
+    kern::LaneAdder adder;
+    for (NodeId v = 0; v < n; ++v) {
+        const std::uint64_t m = mask[v] & lanes;
+        ADBA_EXPECTS_MSG((frame_->byz[v] & m) == m, "split_as requires a corrupted sender");
+        frame_->shared[v] = m;
+        adder.add(m);
+    }
+    // split_as's fresh-row charge, once per (lane, sender).
+    Count senders[kFusedLanes];
+    adder.counts(senders);
+    const std::uint64_t covered = covered_slots(shared.has_low, shared.has_high, row.boundary, n);
+    for (; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        byz_msgs_[j] += senders[j] * covered;
+    }
 }
 
 // ---------------------------------------------------------------- FusedBlock
@@ -128,6 +190,7 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
     frame_.reset(n);
     ctl_.rearm(&frame_, &proto, budget);
     for (unsigned j = 0; j < kFusedLanes; ++j) advs[j]->on_start(n, budget);
+    bool uniform = fold_uniform(advs, n);
 
     std::uint64_t active = ~std::uint64_t{0};
     std::uint64_t decided = 0;
@@ -150,10 +213,15 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         // Retired lanes' adversaries are never invoked again — their scalar
         // twins' runs already ended.
         ctl_.set_round(r);
-        for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
-            const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-            ctl_.set_lane(j);
-            advs[j]->act(ctl_);
+        if (uniform && r == 0) uniform = ctl_.corrupt_lanes(mask_.data(), irregular_);
+        if (uniform) {
+            act_uniform(advs, r, active);
+        } else {
+            for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+                ctl_.set_lane(j);
+                advs[j]->act(ctl_);
+            }
         }
 
         // Honest traffic accounting in closed form per lane: the same
@@ -219,25 +287,127 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
     }
 }
 
-// -------------------------------------------------------------- LaneSegments
-
-void LaneSegments::rebuild(const std::vector<FusedRow>& rows, NodeId n) {
-    // Sorted-insert with dedupe instead of sort+unique: row counts are small
-    // (≤ the corruption budget) and the supported adversaries split every
-    // sender at ONE shared boundary, so almost every insert is a single
-    // compare against the last interior cut. This runs every (lane, round) —
-    // it is the hot path of fused receive under Byzantine pressure.
-    cuts_.clear();
-    cuts_.push_back(0);
-    for (const FusedRow& row : rows) {
-        const NodeId b = row.boundary;
-        if (b == 0 || b >= n) continue;
-        std::size_t i = cuts_.size();
-        while (i > 1 && cuts_[i - 1] > b) --i;
-        if (cuts_[i - 1] == b) continue;
-        cuts_.insert(cuts_.begin() + static_cast<std::ptrdiff_t>(i), b);
+bool FusedBlock::fold_uniform(Adversary* const* advs, NodeId n) {
+    mask_.assign(n, 0);
+    irregular_ = 0;
+    members_ = 0;
+    for (unsigned j = 0; j < kFusedLanes; ++j) {
+        const std::optional<LaneUniformRound> form = advs[j]->lane_uniform(0, n);
+        if (!form) return false;
+        const std::uint64_t bit = std::uint64_t{1} << j;
+        for (const NodeId v : form->corrupt) {
+            if (v >= n || (mask_[v] & bit) != 0) {
+                irregular_ |= bit;
+                continue;
+            }
+            mask_[v] |= bit;
+        }
+        if (!form->corrupt.empty()) members_ |= bit;
     }
-    cuts_.push_back(n);
+    return true;
+}
+
+void FusedBlock::act_uniform(Adversary* const* advs, Round r, std::uint64_t active) {
+    const NodeId n = frame_.n();
+    // The first live member lane's row is the shared one; a lane sending a
+    // different row — or one split_as rejects — takes the bridge's
+    // split_as, in its set's order.
+    std::optional<SplitRow> shared;
+    std::uint64_t sharing = 0;
+    for (std::uint64_t lanes = active & members_; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        const std::optional<LaneUniformRound> form = advs[j]->lane_uniform(r, n);
+        ADBA_EXPECTS_MSG(form.has_value(),
+                         "a lane-uniform adversary must stay lane-uniform for the whole run");
+        if (!form->row) continue;  // silent this round
+        if (!shared && form->row->boundary <= n) shared = form->row;
+        if (shared && *form->row == *shared) {
+            sharing |= std::uint64_t{1} << j;
+            continue;
+        }
+        ctl_.set_lane(j);
+        for (const NodeId v : form->corrupt)
+            ctl_.split_as(v, form->row->low, form->row->high, form->row->boundary);
+    }
+    if (sharing != 0) ctl_.share_row(*shared, mask_.data(), sharing);
+}
+
+// --------------------------------------------------------------- SegmentFold
+
+void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
+    q_ = q;
+    if (!frame.has_shared) {
+        std::fill(std::begin(weight_), std::end(weight_), Count{0});
+        std::fill(std::begin(coin_weight_), std::end(coin_weight_), Count{0});
+        return;
+    }
+    kern::LaneAdder all, coin;
+    for (NodeId v = 0; v < frame.n(); ++v) {
+        all.add(frame.shared[v]);
+        if (v >= q.coin_first && v < q.coin_last) coin.add(frame.shared[v]);
+    }
+    all.counts(weight_);
+    coin.counts(coin_weight_);
+}
+
+SegmentFold::Counts SegmentFold::classify(const Message* m, std::int32_t weight,
+                                          std::int32_t coin_weight) const {
+    Counts c;
+    if (m == nullptr || m->kind != q_.kind || m->phase != q_.phase) return c;
+    if (!q_.require_flag || m->flag != 0) ((m->val & 1) != 0 ? c.c1 : c.c0) = weight;
+    c.coin = m->coin > 0 ? coin_weight : m->coin < 0 ? -coin_weight : 0;
+    return c;
+}
+
+void SegmentFold::add_row(const FusedRow& row, std::int32_t weight, std::int32_t coin_weight,
+                          NodeId n) {
+    const Counts low = classify(row.has_low ? &row.low : nullptr, weight, coin_weight);
+    const Counts high = classify(row.has_high ? &row.high : nullptr, weight, coin_weight);
+    // Receiver 0 sees the low side unless the boundary is 0.
+    const Counts& first = row.boundary > 0 ? low : high;
+    c0_ += first.c0;
+    c1_ += first.c1;
+    coin_ += first.coin;
+    if (row.boundary > 0 && row.boundary < n && !(high == low))
+        deltas_.push_back({row.boundary,
+                           {high.c0 - low.c0, high.c1 - low.c1, high.coin - low.coin}});
+}
+
+const std::vector<FoldSegment>& SegmentFold::lane(const FusedFrame& frame, unsigned j) {
+    const NodeId n = frame.n();
+    c0_ = c1_ = coin_ = 0;
+    deltas_.clear();
+    for (const FusedRow& row : frame.rows(j))
+        add_row(row, 1, row.sender >= q_.coin_first && row.sender < q_.coin_last ? 1 : 0, n);
+    if (weight_[j] != 0)
+        add_row(frame.shared_row, static_cast<std::int32_t>(weight_[j]),
+                static_cast<std::int32_t>(coin_weight_[j]), n);
+    // Insertion sort: the delta list is tiny and the supported adversaries
+    // share one split boundary, so it is already sorted — std::sort's
+    // dispatch overhead would dominate the actual work.
+    for (std::size_t a = 1; a < deltas_.size(); ++a) {
+        const Delta d = deltas_[a];
+        std::size_t b = a;
+        while (b > 0 && deltas_[b - 1].boundary > d.boundary) {
+            deltas_[b] = deltas_[b - 1];
+            --b;
+        }
+        deltas_[b] = d;
+    }
+    segs_.clear();
+    NodeId lo = 0;
+    for (std::size_t dp = 0;;) {
+        while (dp < deltas_.size() && deltas_[dp].boundary == lo) {
+            c0_ += deltas_[dp].d.c0;
+            c1_ += deltas_[dp].d.c1;
+            coin_ += deltas_[dp].d.coin;
+            ++dp;
+        }
+        const NodeId hi = dp < deltas_.size() ? deltas_[dp].boundary : n;
+        segs_.push_back({lo, hi, c0_, c1_, coin_});
+        if (hi == n) return segs_;
+        lo = hi;
+    }
 }
 
 }  // namespace adba::net

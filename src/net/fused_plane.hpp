@@ -16,7 +16,10 @@
 //                      scalar Adversary instance runs per lane, seeing only
 //                      its lane's bits. Contract failures carry the exact
 //                      Engine::Ctl messages so fused ≡ scalar extends to
-//                      error behaviour.
+//                      error behaviour. Lane-uniform strategies
+//                      (Adversary::lane_uniform) skip the per-lane calls:
+//                      their sets corrupt as one lane mask per node and
+//                      their rows become one shared row per round.
 //   FusedProtocol    — the protocol interface of this plane: word-parallel
 //                      send/receive over a FusedFrame (implementations:
 //                      core/skeleton_fused, baselines ben_or / phase_king).
@@ -26,6 +29,9 @@
 //                      decide early drop out of the active mask and accrue
 //                      nothing; the block retires when the mask is empty or
 //                      the shared round cap fires.
+//   SegmentFold      — the one Byzantine fold of the receive beats: a lane's
+//                      rows (its own plus the shared row, weighted by its
+//                      sender count) as per-receiver-segment counts.
 //
 // Determinism contract: per-lane seeds come from the same index-derived
 // SeedTree chain as scalar trials, every (node, lane) RNG stream is private,
@@ -78,6 +84,8 @@ public:
         coinp.assign(n, 0);
         coinn.assign(n, 0);
         byz.assign(n, 0);
+        shared.assign(n, 0);
+        has_shared = false;
         patterned_.assign(n, 0);
         for (auto& r : rows_) r.clear();
         active = ~std::uint64_t{0};
@@ -93,14 +101,26 @@ public:
         std::fill(flag.begin(), flag.end(), 0);
         std::fill(coinp.begin(), coinp.end(), 0);
         std::fill(coinn.begin(), coinn.end(), 0);
+        if (has_shared) std::fill(shared.begin(), shared.end(), 0);
+        has_shared = false;
         std::fill(patterned_.begin(), patterned_.end(), 0);
         for (auto& r : rows_) r.clear();
     }
 
     NodeId n() const { return n_; }
 
-    /// Lane j's Byzantine pattern rows this round (cleared per round).
+    /// Lane j's own Byzantine pattern rows this round (cleared per round);
+    /// the shared row comes on top (shared_row / shared).
     const std::vector<FusedRow>& rows(unsigned lane) const { return rows_[lane]; }
+
+    /// The row `sender` patterns in `lane` this round — the shared row or
+    /// one of the lane's own — or nullptr when it sends none.
+    const FusedRow* row_of(unsigned lane, NodeId sender) const {
+        if ((shared[sender] >> lane & 1) != 0) return &shared_row;
+        for (const FusedRow& row : rows_[lane])
+            if (row.sender == sender) return &row;
+        return nullptr;
+    }
 
     /// Records a pattern row for (lane, sender) and returns a reference for
     /// the caller to fill in place (sender is already set). At most one row
@@ -136,6 +156,15 @@ public:
     std::vector<std::uint64_t> coinp;  ///< broadcast coin > 0 (unmasked)
     std::vector<std::uint64_t> coinn;  ///< broadcast coin < 0 (unmasked)
     std::vector<std::uint64_t> byz;    ///< corrupted (persistent)
+
+    /// This round's shared Byzantine row, set by a lane-uniform block's act
+    /// (FusedLaneControl::share_row; `sender` unused): node v sends it in
+    /// every lane of shared[v]. Without one, has_shared is false and the
+    /// plane all-zero. A lane never holds both the shared row and a row of
+    /// its own from one sender.
+    bool has_shared = false;
+    FusedRow shared_row;
+    std::vector<std::uint64_t> shared;
 
 private:
     [[noreturn]] static void throw_duplicate_row();
@@ -192,6 +221,20 @@ public:
     Count corruptions(unsigned lane) const { return used_[lane]; }
     std::uint64_t byzantine_messages(unsigned lane) const { return byz_msgs_[lane]; }
 
+    // ---- word-parallel forms of corrupt / split_as (lane-uniform blocks) ----
+    /// Round-0 corruption of node v in lanes mask[v] & active, for every v,
+    /// when corrupt()'s checks pass word-wise in every live lane: none is
+    /// `irregular` (its set names a node twice or one >= n), no member is
+    /// Byzantine or halted, and each lane's count fits its budget. Returns
+    /// false and changes nothing otherwise; the caller then replays the
+    /// round through the bridge, which raises corrupt()'s message for the
+    /// first failing (lane, node).
+    bool corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular);
+    /// Node v sends `row` in lanes mask[v] & lanes this round, for every v:
+    /// publishes it as the frame's shared row and charges each lane's
+    /// byzantine_messages its sender count x the row's covered slots.
+    void share_row(const SplitRow& row, const std::uint64_t* mask, std::uint64_t lanes);
+
     // ---- RoundControl ----
     Round round() const override { return round_; }
     NodeId n() const override { return frame_->n(); }
@@ -236,6 +279,15 @@ struct FusedLaneResult {
 /// Drives one 64-lane block: Engine::run's beat order, word-parallel.
 /// No watchdog (fused scenarios require watchdog_ms == 0) and no
 /// transcript — both are validation-rejected upstream.
+///
+/// When all 64 adversaries are lane-uniform, the adversary beat is
+/// word-parallel too: their sets fold into one lane mask per node after
+/// on_start, round 0 corrupts by mask, and each round one shared row goes
+/// out for every live lane. A lane whose row differs from the shared one
+/// (a block mixing strategies) patterns its own rows through the bridge's
+/// split_as. Otherwise — or when a round-0 contract check fails, so that
+/// the bridge raises its own message — every live lane's act() runs
+/// through the bridge.
 class FusedBlock {
 public:
     /// `proto` must already be rearm()-ed for this block; advs[j] is lane
@@ -248,36 +300,86 @@ public:
     const std::uint64_t* byz_plane() const { return frame_.byz.data(); }
 
 private:
+    /// Folds every lane's lane-uniform set into mask_; false as soon as one
+    /// adversary is not lane-uniform.
+    bool fold_uniform(Adversary* const* advs, NodeId n);
+    /// The row beat of round r for a lane-uniform block (round 0's
+    /// corruptions already applied).
+    void act_uniform(Adversary* const* advs, Round r, std::uint64_t active);
+
     FusedFrame frame_;
     FusedLaneControl ctl_;
+    std::vector<std::uint64_t> mask_;  ///< lanes whose set holds node v
+    std::uint64_t irregular_ = 0;      ///< lanes whose set repeats a node or leaves [0, n)
+    std::uint64_t members_ = 0;        ///< lanes with a non-empty set
 };
 
 // ---- shared word-parallel helpers for FusedProtocol implementations ----
 
-/// The receiver segmentation a lane's pattern rows induce: sorted unique
-/// boundaries cut [0, n) into intervals on which every Byzantine delivery
-/// (hence every exact count, hence every threshold decision) is constant.
-class LaneSegments {
-public:
-    void rebuild(const std::vector<FusedRow>& rows, NodeId n);
-    std::size_t count() const { return cuts_.size() - 1; }
-    NodeId lo(std::size_t i) const { return cuts_[i]; }
-    NodeId hi(std::size_t i) const { return cuts_[i + 1]; }
+/// What a fused receive beat counts from Byzantine deliveries: messages of
+/// (kind, phase) by val & 1 — only those with flag != 0 under
+/// require_flag — and the coin sign of every (kind, phase) message whose
+/// sender lies in [coin_first, coin_last) (empty range = no coin).
+struct FoldQuery {
+    MsgKind kind = MsgKind::None;
+    Phase phase = 0;
+    bool require_flag = false;
+    NodeId coin_first = 0;
+    NodeId coin_last = 0;
+};
 
-    /// The side of `row` a whole segment starting at `seg_lo` sees (segments
-    /// never straddle a boundary): low below, high at-or-above.
-    static const Message* side(const FusedRow& row, NodeId seg_lo) {
-        if (seg_lo < row.boundary) return row.has_low ? &row.low : nullptr;
-        return row.has_high ? &row.high : nullptr;
-    }
+/// A receiver interval [lo, hi) on which one lane's Byzantine counts are
+/// constant.
+struct FoldSegment {
+    NodeId lo = 0;
+    NodeId hi = 0;
+    std::int64_t c0 = 0;    ///< counted messages with val 0
+    std::int64_t c1 = 0;    ///< counted messages with val 1
+    std::int64_t coin = 0;  ///< committee coin sum
+};
+
+/// The Byzantine half of every fused receive beat, once. A row delivers one
+/// side below its boundary and the other from it up, so a lane's counts are
+/// piecewise constant in the receiver: the fold starts from what receiver 0
+/// sees, records each row's side flip as a delta at its boundary, and sweeps
+/// the sorted deltas into segments — O(rows log rows + segments) per lane,
+/// and every threshold decision is taken once per segment. The shared row
+/// enters once per lane, weighted by the lane's sender count (and, for the
+/// coin, its sender count inside the committee range).
+class SegmentFold {
+public:
+    /// Once per round, after the adversary beat: the query, and the shared
+    /// row's per-lane weights from one LaneAdder pass over frame.shared.
+    void prepare(const FusedFrame& frame, const FoldQuery& q);
+    /// Lane j's segments, in receiver order, covering [0, n). Neighbours may
+    /// carry equal counts. Valid until the next lane() call.
+    const std::vector<FoldSegment>& lane(const FusedFrame& frame, unsigned j);
 
 private:
-    std::vector<NodeId> cuts_;
+    /// A row's count contribution on one side, or the flip at its boundary.
+    struct Counts {
+        std::int32_t c0 = 0, c1 = 0, coin = 0;
+        friend bool operator==(const Counts&, const Counts&) = default;
+    };
+    struct Delta {
+        NodeId boundary = 0;
+        Counts d;
+    };
+    Counts classify(const Message* m, std::int32_t weight, std::int32_t coin_weight) const;
+    void add_row(const FusedRow& row, std::int32_t weight, std::int32_t coin_weight,
+                 NodeId n);
+
+    FoldQuery q_;
+    Count weight_[kFusedLanes] = {};       ///< lane's shared-row senders
+    Count coin_weight_[kFusedLanes] = {};  ///< ... inside the coin range
+    std::int64_t c0_ = 0, c1_ = 0, coin_ = 0;  ///< lane() running sums
+    std::vector<Delta> deltas_;
+    std::vector<FoldSegment> segs_;
 };
 
 /// 64-lane interval-write composer: per-(lane, [a,b)) writes accumulate as
 /// XOR toggles, one O(n) prefix-XOR sweep materializes all lanes' write
-/// masks at once. Disjoint intervals per lane (LaneSegments guarantees
+/// masks at once. Disjoint intervals per lane (SegmentFold guarantees
 /// this) make XOR exact.
 class LaneToggles {
 public:

@@ -37,7 +37,9 @@ namespace adba::sim {
 /// New fields append (callers brace-init the first two positionally).
 struct ExecutorConfig {
     unsigned threads = 0;  ///< 0 = default_threads()
-    Count chunk = 0;       ///< trials per work unit; 0 = auto_chunk(trials)
+    /// Trials per work unit; 0 = auto_chunk(trials), which run_trials rounds
+    /// up to whole 64-lane blocks for a fused plan (sim::plan_chunk).
+    Count chunk = 0;
     /// Chunk-granular checkpoint journal (`--checkpoint=path`); empty = off.
     /// Completed chunk aggregates are appended to this write-ahead file as
     /// they finish, so a killed sweep resumes without redoing them.

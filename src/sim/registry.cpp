@@ -10,7 +10,6 @@
 #include "adversary/composite.hpp"
 #include "adversary/crash.hpp"
 #include "adversary/king_killer.hpp"
-#include "adversary/split_vote.hpp"
 #include "adversary/static_adversary.hpp"
 #include "adversary/tc_prelude.hpp"
 #include "adversary/worst_case.hpp"
@@ -620,6 +619,14 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
          },
          /*supports_fused=*/true});
 
+    // `static` and `split-vote` are one strategy under two names: a static
+    // random set (drawn from the Adversary stream) that equivocates split
+    // votes every round.
+    const auto split_votes = [q_of](const Scenario& s, const ProtocolBundle&,
+                                    const SeedTree& seeds) -> std::unique_ptr<net::Adversary> {
+        return std::make_unique<adv::StaticAdversary>(
+            q_of(s), adv::StaticBehavior::SplitVotes, seeds.stream(StreamPurpose::Adversary));
+    };
     add({AdversaryKind::Static,
          "static",
          "static",
@@ -629,12 +636,7 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
          "no",
          false,
          std::nullopt,
-         [q_of](const Scenario& s, const ProtocolBundle&, const SeedTree& seeds)
-             -> std::unique_ptr<net::Adversary> {
-             return std::make_unique<adv::StaticAdversary>(
-                 q_of(s), adv::StaticBehavior::SplitVotes,
-                 seeds.stream(StreamPurpose::Adversary));
-         },
+         split_votes,
          /*supports_fused=*/true});
 
     add({AdversaryKind::SplitVote,
@@ -646,11 +648,7 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
          "no",
          false,
          std::nullopt,
-         [q_of](const Scenario& s, const ProtocolBundle&, const SeedTree& seeds)
-             -> std::unique_ptr<net::Adversary> {
-             return std::make_unique<adv::SplitVoteAdversary>(
-                 q_of(s), seeds.stream(StreamPurpose::Adversary));
-         },
+         split_votes,
          /*supports_fused=*/true});
 
     add({AdversaryKind::Chaos,

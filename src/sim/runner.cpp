@@ -247,6 +247,10 @@ ScenarioPlan BinaryWorkload::make_plan(const Scenario& s) {
     return validate(adjusted);
 }
 
+Count BinaryWorkload::block_trials(const Plan& plan) {
+    return plan.scenario.use_fused ? net::kFusedLanes : 1;
+}
+
 void BinaryWorkload::accumulate(Aggregate& agg, const TrialResult& r) {
     if (r.outcome == TrialOutcome::Faulted) {
         // The trial never ran; nothing but its existence may enter the

@@ -110,7 +110,8 @@ struct Scenario {
     /// `watchdog_ms=0` — why_incompatible states each rule. Aggregates are
     /// bit-identical to the scalar path at any thread count; trial chunks
     /// split into whole 64-lane blocks plus a scalar remainder, so
-    /// checkpoint/resume identity is preserved.
+    /// checkpoint/resume identity is preserved. The default chunk size is a
+    /// multiple of 64, so only a run's last chunk has a remainder.
     bool use_fused = false;
     /// Per-trial wall-clock watchdog in milliseconds (scenario key
     /// `watchdog_ms`, CLI `--watchdog_ms`); 0 = off. Guards the Las Vegas
@@ -206,6 +207,8 @@ struct BinaryWorkload {
     static Plan make_plan(const Scenario& s);
     static void accumulate(Aggregate& agg, const Result& r);
     static void reserve(Aggregate& agg, Count trials) { agg.rounds.reserve(trials); }
+    /// 64 under `fused=true` (one fused block), else 1.
+    static Count block_trials(const Plan& plan);
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);

@@ -29,6 +29,9 @@
 //   W::make_plan(scenario) validation + hoisting, called once per run/sweep
 //   W::accumulate(agg, r)  folds one trial result into a chunk partial
 //   W::reserve(agg, n)     optional pre-sizing of sample buffers
+//   W::block_trials(plan)  optional: trials one arena call co-executes under
+//                          this plan (64 for fused binary plans); the
+//                          default chunk rounds up to whole blocks
 //
 // plus reporting metadata used by the uniform CSV schema (sim/report.hpp):
 //   W::kName, W::csv_header(), W::csv_row(agg),
@@ -74,6 +77,22 @@ typename W::Result run_one_trial(const typename W::Plan& plan, std::uint64_t see
     return arena.run(seed);
 }
 
+/// The chunk size a run uses, decided once for run_trials, run_journaled and
+/// parallel_reduce: ExecutorConfig::chunk when set, else auto_chunk(trials)
+/// rounded up to whole W::block_trials(plan) blocks, so only a run's last
+/// chunk can end in a partial block. A function of (plan, trials, chunk)
+/// alone, like every chunk boundary.
+template <typename W>
+Count plan_chunk(const typename W::Plan& plan, Count trials, const ExecutorConfig& exec) {
+    if (exec.chunk) return exec.chunk;
+    const Count chunk = detail::auto_chunk(trials);
+    if constexpr (requires { W::block_trials(plan); }) {
+        const Count block = W::block_trials(plan);
+        return (chunk + block - 1) / block * block;
+    }
+    return chunk;
+}
+
 /// Runs one chunk's trials through a pooled arena, recovering injected
 /// harness faults (sim/faults.hpp): an InjectedFault thrown anywhere in the
 /// attempt — arena construction, a ShardPool shard task, the engine's beats
@@ -107,10 +126,11 @@ typename W::Aggregate run_resilient_chunk(const typename W::Plan& plan,
         // word-parallel block, in index order, with the SAME index-derived
         // seeds the scalar loop below would use — so the chunk partial is
         // bit-identical either way and chunk identity (checkpoint/resume,
-        // thread invariance) is untouched. The trailing `trials % 64`
-        // remainder runs scalar. Disabled under an armed fault injector:
-        // per-trial fault identity and chunk-retry recovery are defined on
-        // the scalar path only.
+        // thread invariance) is untouched. A trailing partial block runs
+        // scalar; under the default chunk (plan_chunk) only the run's last
+        // chunk has one. Disabled under an armed fault injector: per-trial
+        // fault identity and chunk-retry recovery are defined on the scalar
+        // path only.
         if constexpr (requires { arena.fused_active(); }) {
             if (!inj && arena.fused_active()) {
                 std::uint64_t lane_seeds[64];
@@ -163,7 +183,7 @@ template <typename W>
 typename W::Aggregate run_journaled(const typename W::Plan& plan,
                                     std::uint64_t base_seed, Count trials,
                                     const ExecutorConfig& exec) {
-    const Count chunk = exec.chunk ? exec.chunk : detail::auto_chunk(trials);
+    const Count chunk = plan_chunk<W>(plan, trials, exec);
     const unsigned threads = exec.threads ? exec.threads : default_threads();
     CheckpointMeta meta;
     meta.workload = W::kName;
@@ -222,12 +242,14 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
 template <typename W>
 typename W::Aggregate run_trials(const typename W::Plan& plan, std::uint64_t base_seed,
                                  Count trials, const ExecutorConfig& exec = {}) {
-    if (!exec.checkpoint.empty())
-        return run_journaled<W>(plan, base_seed, trials, exec);
-    const Count chunk = exec.chunk ? exec.chunk : detail::auto_chunk(trials);
+    ExecutorConfig resolved = exec;
+    resolved.chunk = plan_chunk<W>(plan, trials, exec);
+    if (!resolved.checkpoint.empty())
+        return run_journaled<W>(plan, base_seed, trials, resolved);
     return parallel_reduce<typename W::Aggregate>(
-        trials, exec, [&](Count begin, Count end) {
-            return run_resilient_chunk<W>(plan, base_seed, begin / chunk, begin, end);
+        trials, resolved, [&](Count begin, Count end) {
+            return run_resilient_chunk<W>(plan, base_seed, begin / resolved.chunk, begin,
+                                          end);
         });
 }
 

@@ -10,7 +10,6 @@
 #include "adversary/chaos.hpp"
 #include "adversary/coin_ruin.hpp"
 #include "adversary/crash.hpp"
-#include "adversary/split_vote.hpp"
 #include "adversary/static_adversary.hpp"
 #include "adversary/worst_case.hpp"
 #include "core/agreement.hpp"
@@ -287,8 +286,10 @@ TEST(WorstCase, SelfCapsBelowEngineBudget) {
     EXPECT_LE(res.metrics.corruptions, 2u);
 }
 
+// `split-vote` is StaticAdversary under SplitVotes (the registry builds both
+// names from one factory).
 TEST(SplitVoteAdv, KeepsHalvesOnOppositeValues) {
-    SplitVoteAdversary adv(2, Xoshiro256(11));
+    StaticAdversary adv(2, StaticBehavior::SplitVotes, Xoshiro256(11));
     std::vector<StubVoter*> raw;
     net::Engine eng({10, 2, 2, false}, stub_network(10, 0, 0, &raw), adv);
     const auto res = eng.run();

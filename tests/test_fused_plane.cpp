@@ -2,20 +2,29 @@
 // must be BIT-IDENTICAL to the scalar path — same aggregates, sample order
 // included — for every fused-capable (protocol, adversary) registry pair, at
 // any thread count, through partial blocks (trials % 64 != 0), per-lane
-// early-decide divergence, and checkpoint kill/resume. Plus the feasibility
-// rules (why_incompatible must name every rejected combination), the
-// scenario key round trip, and a LaneAdder unit check against popcount.
+// early-decide divergence, and checkpoint kill/resume. The word-parallel
+// act of lane-uniform adversaries must equal the per-lane bridge, contract
+// failures included, and the default chunk must hold whole blocks. Plus the
+// feasibility rules (why_incompatible must name every rejected
+// combination), the scenario key round trip, and a LaneAdder unit check
+// against popcount.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adversary/static_adversary.hpp"
 #include "net/fused_plane.hpp"
 #include "net/tally_kernels.hpp"
 #include "rand/rng.hpp"
+#include "sim/inputs.hpp"
 #include "sim/multivalued_runner.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
@@ -55,6 +64,145 @@ Count max_t(const sim::ProtocolEntry& p, NodeId n) {
 
 std::string temp_path(const char* name) {
     return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Forwards on_start and act only, like a timing decorator that knows
+/// nothing of lane_uniform: wrapping every lane forces a block onto the
+/// per-lane bridge.
+class BridgeOnly final : public net::Adversary {
+public:
+    explicit BridgeOnly(std::unique_ptr<net::Adversary> inner) : inner_(std::move(inner)) {}
+    void on_start(NodeId n, Count budget) override { inner_->on_start(n, budget); }
+    void act(net::RoundControl& ctl) override { inner_->act(ctl); }
+
+private:
+    std::unique_ptr<net::Adversary> inner_;
+};
+
+/// The row a ScriptedUniform sends: val `low_val` (coin +1) below n / div,
+/// the other value (coin -1) from there up, with the flag set, in kind
+/// `even` in even rounds and `odd` in odd ones.
+struct Script {
+    net::MsgKind even = net::MsgKind::Vote1;
+    net::MsgKind odd = net::MsgKind::Vote2;
+    Bit low_val = 1;
+    NodeId div = 3;
+};
+
+/// A lane-uniform strategy with a scripted set that no on_start checks and a
+/// scripted row; counts its act() calls into `*acts` when given one.
+class ScriptedUniform final : public net::Adversary {
+public:
+    ScriptedUniform(std::vector<NodeId> set, Script script, int* acts = nullptr)
+        : set_(std::move(set)), script_(script), acts_(acts) {}
+    void act(net::RoundControl& ctl) override {
+        if (acts_ != nullptr) ++*acts_;
+        lane_uniform(ctl.round(), ctl.n())->play(ctl);
+    }
+    std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override {
+        net::Message low;
+        low.kind = r % 2 == 0 ? script_.even : script_.odd;
+        low.phase = r / 2;
+        low.flag = 1;
+        low.val = script_.low_val;
+        low.coin = 1;
+        net::Message high = low;
+        high.val = static_cast<Bit>(1 - script_.low_val);
+        high.coin = -1;
+        return net::LaneUniformRound{set_, net::SplitRow{low, high, n / script_.div}};
+    }
+
+private:
+    std::vector<NodeId> set_;
+    Script script_;
+    int* acts_;
+};
+
+/// Everything a finished fused block reports.
+struct BlockOutcome {
+    net::FusedLaneResult lanes[net::kFusedLanes];
+    std::vector<std::uint64_t> byz, val;
+};
+
+void expect_block_eq(const BlockOutcome& a, const BlockOutcome& b) {
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        SCOPED_TRACE("lane " + std::to_string(j));
+        EXPECT_EQ(a.lanes[j].rounds, b.lanes[j].rounds);
+        EXPECT_EQ(a.lanes[j].all_halted, b.lanes[j].all_halted);
+        EXPECT_EQ(a.lanes[j].outcome, b.lanes[j].outcome);
+        EXPECT_EQ(a.lanes[j].metrics.honest_messages, b.lanes[j].metrics.honest_messages);
+        EXPECT_EQ(a.lanes[j].metrics.honest_bits, b.lanes[j].metrics.honest_bits);
+        EXPECT_EQ(a.lanes[j].metrics.byzantine_messages, b.lanes[j].metrics.byzantine_messages);
+        EXPECT_EQ(a.lanes[j].metrics.corruptions, b.lanes[j].metrics.corruptions);
+        EXPECT_EQ(a.lanes[j].metrics.rounds, b.lanes[j].metrics.rounds);
+    }
+    EXPECT_EQ(a.byz, b.byz);
+    EXPECT_EQ(a.val, b.val);
+}
+
+/// Runs one fused block of `plan`'s protocol, as the binary arena does,
+/// against the adversaries `make(j, lane seeds, metadata)` builds.
+template <typename MakeAdversary>
+BlockOutcome run_block(const sim::ScenarioPlan& plan, std::uint64_t base_seed,
+                       MakeAdversary&& make) {
+    const sim::Scenario& s = plan.scenario;
+    const NodeId n = s.n;
+    const std::unique_ptr<net::FusedProtocol> proto = plan.protocol->make_fused(s);
+    sim::ProtocolBundle meta;
+    const sim::BudgetHint hint = plan.protocol->budgets(s);
+    meta.phases = hint.phases;
+    meta.default_max_rounds = hint.max_rounds;
+    if (plan.protocol->schedule_of) meta.schedule = plan.protocol->schedule_of(s);
+
+    std::vector<SeedTree> seeds;
+    seeds.reserve(net::kFusedLanes);
+    std::vector<std::uint64_t> input_plane(n, 0);
+    std::vector<Bit> inputs;
+    std::vector<std::unique_ptr<net::Adversary>> owned;
+    net::Adversary* advs[net::kFusedLanes];
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        seeds.emplace_back(mix64(base_seed + j));
+        sim::make_inputs(s.inputs, n, seeds.back(), inputs);
+        for (NodeId v = 0; v < n; ++v) input_plane[v] |= std::uint64_t{inputs[v]} << j;
+        owned.push_back(make(j, seeds.back(), meta));
+        advs[j] = owned.back().get();
+    }
+    proto->rearm(input_plane.data(), seeds.data());
+    net::FusedBlock block;
+    BlockOutcome out;
+    block.run(*proto, advs, s.t, s.max_rounds_override ? s.max_rounds_override
+                                                        : meta.default_max_rounds,
+              out.lanes);
+    out.byz.assign(block.byz_plane(), block.byz_plane() + n);
+    out.val.assign(proto->value_plane(), proto->value_plane() + n);
+    return out;
+}
+
+/// The block against the registry adversary, direct and wrapped in
+/// BridgeOnly.
+std::pair<BlockOutcome, BlockOutcome> uniform_and_bridge(const sim::ScenarioPlan& plan,
+                                                         std::uint64_t seed) {
+    const auto registry = [&](bool bridge) {
+        return [&plan, bridge](unsigned, const SeedTree& seeds,
+                               const sim::ProtocolBundle& meta) {
+            std::unique_ptr<net::Adversary> a =
+                plan.adversary->make_adversary(plan.scenario, meta, seeds);
+            if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+            return a;
+        };
+    };
+    return {run_block(plan, seed, registry(false)), run_block(plan, seed, registry(true))};
+}
+
+/// The ContractViolation text a block run raises ("" when none).
+template <typename MakeAdversary>
+std::string block_error(const sim::ScenarioPlan& plan, MakeAdversary&& make) {
+    try {
+        (void)run_block(plan, 0x5EED, make);
+    } catch (const ContractViolation& e) {
+        return e.what();
+    }
+    return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -248,6 +396,286 @@ TEST(FusedPlaneEquivalence, CheckpointResumeIsBitIdentical) {
         const sim::Aggregate resumed =
             sim::run_trials(s, 0xC4E5, trials, sim::ExecutorConfig{threads, 64, cut, true});
         expect_aggregate_eq(resumed, expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane-uniform adversaries act on 64-lane masks with one shared row; the
+// per-lane bridge is the oracle. Every fused protocol x {none, static,
+// split-vote}, q < t and q = t, split and unanimous inputs, n in {7, 64, 200}.
+
+TEST(FusedLaneUniform, WordParallelActMatchesThePerLaneBridge) {
+    Count covered = 0;
+    bool divergent = false;
+    for (const NodeId n : {NodeId{7}, NodeId{64}, NodeId{200}}) {
+        for (const sim::ProtocolEntry* p : sim::ProtocolRegistry::instance().list()) {
+            if (p->make_fused == nullptr) continue;
+            for (const sim::AdversaryKind adv :
+                 {sim::AdversaryKind::None, sim::AdversaryKind::Static,
+                  sim::AdversaryKind::SplitVote}) {
+                for (const bool full_q : {false, true}) {
+                    for (const sim::InputPattern inputs :
+                         {sim::InputPattern::Split, sim::InputPattern::AllOne}) {
+                        sim::Scenario s;
+                        s.protocol = p->kind;
+                        s.adversary = adv;
+                        s.n = n;
+                        s.t = max_t(*p, n);
+                        if (!full_q) s.q = s.t / 2;
+                        s.inputs = inputs;
+                        s.local_coin_phases = 8;  // keep the private-coin runs bounded
+                        s.use_fused = true;
+                        if (!sim::compatible(s)) continue;
+                        ++covered;
+                        SCOPED_TRACE(s.describe());
+                        const auto [uniform, bridge] =
+                            uniform_and_bridge(sim::validate(s), 0xA11 + n);
+                        expect_block_eq(uniform, bridge);
+                        for (unsigned j = 1; j < net::kFusedLanes; ++j)
+                            divergent |= uniform.lanes[j].rounds != uniform.lanes[0].rounds;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GE(covered, 130u) << "lane-uniform coverage unexpectedly low";
+    EXPECT_TRUE(divergent) << "no block retired its lanes at different rounds";
+}
+
+TEST(FusedLaneUniform, LanesWithADifferentRowTakeTheBridgeRows) {
+    // Lanes mix three lane-uniform strategies: the static split row (shared
+    // from lane 0), a silent static set, and a scripted row at another
+    // boundary that must go out as per-lane rows.
+    sim::Scenario s;
+    s.protocol = sim::ProtocolKind::Ours;
+    s.adversary = sim::AdversaryKind::Static;
+    s.n = 40;
+    s.t = 13;
+    s.inputs = sim::InputPattern::Split;
+    s.use_fused = true;
+    const sim::ScenarioPlan plan = sim::validate(s);
+    const auto mixed = [](bool bridge) {
+        return [bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
+            std::unique_ptr<net::Adversary> a;
+            if (j % 3 == 2)
+                a = std::make_unique<ScriptedUniform>(std::vector<NodeId>{1, 5, 9, 30},
+                                                      Script{});
+            else
+                a = std::make_unique<adv::StaticAdversary>(
+                    j % 3 == 0 ? 13 : 7,
+                    j % 3 == 0 ? adv::StaticBehavior::SplitVotes : adv::StaticBehavior::Silent,
+                    seeds.stream(StreamPurpose::Adversary));
+            if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+            return a;
+        };
+    };
+    expect_block_eq(run_block(plan, 0x313, mixed(false)), run_block(plan, 0x313, mixed(true)));
+}
+
+TEST(FusedLaneUniform, RowsOfEveryProtocolKindFoldWithPerLaneWeights) {
+    // The registry strategies send skeleton votes, which Ben-Or and
+    // phase-king ignore; scripted rows in each protocol's own kinds make
+    // their folds, the committee coin and the king probe read the shared
+    // row. Lane j corrupts nodes 0..(j mod (t+1))-1 — the kings of the
+    // first phases among them — so every lane weighs the row differently.
+    struct Case {
+        sim::ProtocolKind protocol;
+        NodeId n;
+        Count t;
+        net::MsgKind even, odd;
+    };
+    const Case cases[] = {
+        {sim::ProtocolKind::Ours, 40, 13, net::MsgKind::Vote1, net::MsgKind::Vote2},
+        {sim::ProtocolKind::BenOr, 41, 8, net::MsgKind::BenOrReport, net::MsgKind::BenOrPropose},
+        {sim::ProtocolKind::PhaseKing, 40, 9, net::MsgKind::PhaseKingSend,
+         net::MsgKind::PhaseKingRuler},
+    };
+    for (const Case& c : cases) {
+        sim::Scenario s;
+        s.protocol = c.protocol;
+        s.adversary = sim::AdversaryKind::Static;
+        s.n = c.n;
+        s.t = c.t;
+        s.inputs = sim::InputPattern::Split;
+        s.local_coin_phases = 8;
+        s.use_fused = true;
+        const sim::ScenarioPlan plan = sim::validate(s);
+        for (const Bit low_val : {Bit{0}, Bit{1}}) {
+            for (const NodeId div : {NodeId{2}, NodeId{3}}) {
+                SCOPED_TRACE(s.describe() + " low_val=" + std::to_string(low_val) +
+                             " div=" + std::to_string(div));
+                const Script script{c.even, c.odd, low_val, div};
+                const auto make = [&](bool bridge) {
+                    return [&, bridge](unsigned j, const SeedTree&, const sim::ProtocolBundle&) {
+                        std::vector<NodeId> set(j % (c.t + 1));
+                        for (NodeId v = 0; v < set.size(); ++v) set[v] = v;
+                        std::unique_ptr<net::Adversary> a =
+                            std::make_unique<ScriptedUniform>(std::move(set), script);
+                        if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+                        return a;
+                    };
+                };
+                expect_block_eq(run_block(plan, 0x77 + div, make(false)),
+                                run_block(plan, 0x77 + div, make(true)));
+            }
+        }
+    }
+}
+
+TEST(FusedLaneUniform, WordWiseContractsRaiseTheBridgeMessages) {
+    sim::Scenario s;
+    s.protocol = sim::ProtocolKind::Ours;
+    s.adversary = sim::AdversaryKind::Static;
+    s.n = 16;
+    s.t = 3;
+    s.inputs = sim::InputPattern::Split;
+    s.use_fused = true;
+    const sim::ScenarioPlan plan = sim::validate(s);
+    // Lanes 3 and 9 get the scripted sets; every other lane corrupts {0}.
+    int acts = 0;
+    using Sets = std::pair<std::vector<NodeId>, std::vector<NodeId>>;
+    const auto scripted = [&acts](const Sets& sets, bool bridge) {
+        return [sets, bridge, &acts](unsigned j, const SeedTree&, const sim::ProtocolBundle&) {
+            std::unique_ptr<net::Adversary> a = std::make_unique<ScriptedUniform>(
+                j == 3 ? sets.first : j == 9 ? sets.second : std::vector<NodeId>{0},
+                Script{}, &acts);
+            if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+            return a;
+        };
+    };
+    // The first failing (lane, node) in the bridge's order names the error.
+    const std::pair<Sets, const char*> cases[] = {
+        {{{0}, {2, 4, 6, 8}}, "corruption budget exhausted"},
+        {{{0}, {2, 5, 2}}, "cannot corrupt an already-Byzantine node"},
+        {{{0}, {3, 16}}, "v < frame_->n()"},
+        {{{2, 4, 6, 8, 2}, {0}}, "corruption budget exhausted"},
+        {{{2, 2, 4, 6, 8}, {3, 16}}, "cannot corrupt an already-Byzantine node"},
+        {{{16}, {2, 5, 2}}, "v < frame_->n()"},
+        {{{1, 2, 3}, {2, 4, 6, 8}}, "corruption budget exhausted"},
+    };
+    for (const auto& [sets, message] : cases) {
+        SCOPED_TRACE(message);
+        const std::string bridge = block_error(plan, scripted(sets, true));
+        EXPECT_NE(bridge.find(message), std::string::npos) << bridge;
+        EXPECT_EQ(block_error(plan, scripted(sets, false)), bridge);
+    }
+    // Sets within the budget run, both paths agree, and only the bridge
+    // calls act(): the word-parallel path replaces every call.
+    const Sets fit{{1, 2, 3}, {2, 4, 6}};
+    acts = 0;
+    const BlockOutcome uniform = run_block(plan, 0x5EED, scripted(fit, false));
+    EXPECT_EQ(acts, 0);
+    const BlockOutcome bridge = run_block(plan, 0x5EED, scripted(fit, true));
+    EXPECT_GE(acts, static_cast<int>(net::kFusedLanes));
+    expect_block_eq(uniform, bridge);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-block chunks: the default chunk of a fused plan is a multiple of 64,
+// so only a run's last chunk can end in a scalar remainder.
+
+sim::Scenario fused_ours(NodeId n, Count t) {
+    sim::Scenario s;
+    s.protocol = sim::ProtocolKind::Ours;
+    s.adversary = sim::AdversaryKind::Static;
+    s.n = n;
+    s.t = t;
+    s.inputs = sim::InputPattern::Split;
+    s.use_fused = true;
+    return s;
+}
+
+TEST(FusedPlaneChunks, DefaultChunkIsWholeBlocksOnlyWhenFused) {
+    sim::Scenario s = fused_ours(32, 9);
+    const sim::ScenarioPlan fused = sim::validate(s);
+    s.use_fused = false;
+    const sim::ScenarioPlan scalar = sim::validate(s);
+    for (const Count trials : {Count{1}, Count{130}, Count{1000}, Count{64000}, Count{200000}}) {
+        SCOPED_TRACE("trials=" + std::to_string(trials));
+        const Count chunk = sim::plan_chunk<sim::BinaryWorkload>(fused, trials, {});
+        EXPECT_EQ(chunk % net::kFusedLanes, 0u);
+        EXPECT_GE(chunk, sim::detail::auto_chunk(trials));
+        EXPECT_LT(chunk - sim::detail::auto_chunk(trials), net::kFusedLanes);
+        EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(scalar, trials, {}),
+                  sim::detail::auto_chunk(trials));
+        EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(fused, trials, {1, 1000}), 1000u);
+    }
+    EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(fused, 64000, {}), 1024u);
+}
+
+TEST(FusedPlaneChunks, DefaultChunkMatchesExplicitChunkAndScalar) {
+    const sim::Scenario s = fused_ours(20, 6);
+    sim::Scenario scalar = s;
+    scalar.use_fused = false;
+    const Count trials = 3000;  // auto_chunk 46 -> 64; chunk 1000 = 15 blocks + 40
+    const sim::Aggregate ref = sim::run_trials(scalar, 0xC0DE, trials, {1, 0});
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expect_aggregate_eq(sim::run_trials(s, 0xC0DE, trials, {threads, 0}), ref);
+        expect_aggregate_eq(sim::run_trials(s, 0xC0DE, trials, {threads, 1000}), ref);
+    }
+}
+
+TEST(FusedPlaneChunks, CiSmokeShapeRunsFusedBlocksAtEveryThreadCount) {
+    // adba_sim's fused smoke: 130 trials, default chunk. Chunks of 64, 64
+    // and 2: each whole-block chunk builds one fused protocol in its arena.
+    const sim::Scenario s = fused_ours(32, 9);
+    sim::Scenario scalar = s;
+    scalar.use_fused = false;
+    const sim::Aggregate ref = sim::run_trials(scalar, 3, 130, {1, 0});
+    const sim::ScenarioPlan live = sim::validate(s);
+    std::atomic<int> built{0};
+    sim::ProtocolEntry counted = *live.protocol;
+    counted.make_fused = [&built, make = live.protocol->make_fused](const sim::Scenario& sc) {
+        ++built;
+        return make(sc);
+    };
+    sim::ScenarioPlan plan = live;
+    plan.protocol = &counted;
+    for (const unsigned threads : {2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        built = 0;
+        expect_aggregate_eq(sim::run_trials(plan, 3, 130, {threads, 0}), ref);
+        EXPECT_EQ(built.load(), 2);
+    }
+}
+
+TEST(FusedPlaneChunks, KilledJournalResumesUnderTheDefaultChunk) {
+    const sim::Scenario s = fused_ours(22, 7);
+    sim::Scenario scalar = s;
+    scalar.use_fused = false;
+    const Count trials = 200;  // auto_chunk 3 -> 64: chunks of 64, 64, 64 and 8
+    const sim::Aggregate expected = sim::run_trials(scalar, 0xD00D, trials, {1, 0});
+
+    const std::string full = temp_path("fused_ck_default.bin");
+    std::filesystem::remove(full);
+    expect_aggregate_eq(sim::run_trials(s, 0xD00D, trials, {1, 0, full, false}), expected);
+    std::ifstream in(full, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    const auto u32_at = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof v);
+        return v;
+    };
+    // Header: magic | u64 seed | u64 stride | u32 trials | u32 chunk | ...
+    EXPECT_EQ(u32_at(8 + 8 + 8 + 4), 64u) << "the journal pins the aligned chunk";
+    std::size_t at = 8 + 8 + 8 + 4 + 4;
+    at += 4 + u32_at(at);
+    at += 4 + u32_at(at);
+    const std::size_t first_record_end = at + 20 + u32_at(at + 8);
+
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const std::string cut = temp_path("fused_ck_default_cut.bin");
+        std::filesystem::remove(cut);
+        {
+            std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+            out << bytes.substr(0, first_record_end);
+        }
+        expect_aggregate_eq(sim::run_trials(s, 0xD00D, trials, {threads, 0, cut, true}),
+                            expected);
     }
 }
 
