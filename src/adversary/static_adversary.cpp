@@ -1,7 +1,8 @@
 #include "adversary/static_adversary.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <numeric>
+#include <utility>
 
 #include "support/contracts.hpp"
 
@@ -13,16 +14,23 @@ StaticAdversary::StaticAdversary(Count q, StaticBehavior behavior, Xoshiro256 rn
 void StaticAdversary::on_start(NodeId n, Count budget) {
     ADBA_EXPECTS_MSG(q_ <= budget, "static corrupt set exceeds engine budget");
     // Uniform sample without replacement (partial Fisher-Yates). The draw
-    // sequence is part of the recorded-experiment contract — the scratch
-    // reuse below must never change which rng_ values are consumed.
+    // sequence is part of the recorded-experiment contract: exactly q_
+    // below() calls, in this order.
     ids_.resize(n);
     std::iota(ids_.begin(), ids_.end(), NodeId{0});
+    member_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
     for (Count i = 0; i < q_; ++i) {
         const auto j = i + static_cast<NodeId>(rng_.below(n - i));
         std::swap(ids_[i], ids_[j]);
+        member_[ids_[i] / 64] |= std::uint64_t{1} << (ids_[i] % 64);
     }
-    corrupted_.assign(ids_.begin(), ids_.begin() + q_);
-    std::sort(corrupted_.begin(), corrupted_.end());
+    // One O(n/64 + q) sweep of the membership bitmap lists the set in
+    // ascending order.
+    corrupted_.resize(q_);
+    Count k = 0;
+    for (std::size_t w = 0; w < member_.size(); ++w)
+        for (std::uint64_t bits = member_[w]; bits != 0; bits &= bits - 1)
+            corrupted_[k++] = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
 }
 
 std::optional<net::LaneUniformRound> StaticAdversary::lane_uniform(Round r, NodeId n) const {

@@ -33,7 +33,7 @@ public:
 
     void on_start(NodeId n, Count budget) override;
     void act(net::RoundControl& ctl) override;
-    /// The sorted corrupt set and, under SplitVotes, round r's split row:
+    /// The ascending corrupt set and, under SplitVotes, round r's split row:
     /// val 0 (coin -1 in round 2 of a phase) below n/2, val 1 (coin +1)
     /// from n/2 up.
     std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override;
@@ -45,7 +45,10 @@ private:
     StaticBehavior behavior_;
     Xoshiro256 rng_;
     std::vector<NodeId> corrupted_;
-    std::vector<NodeId> ids_;  ///< on_start scratch — fused blocks restart often
+    // on_start scratch: the Fisher-Yates array and the drawn ids' n-bit
+    // membership bitmap.
+    std::vector<NodeId> ids_;
+    std::vector<std::uint64_t> member_;
 };
 
 }  // namespace adba::adv

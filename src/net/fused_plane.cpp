@@ -123,7 +123,8 @@ void FusedLaneControl::split_as(NodeId byz_from, const std::optional<Message>& l
     byz_msgs_[lane_] += covered_slots(row.has_low, row.has_high, boundary, n);
 }
 
-bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular) {
+bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular,
+                                     Count* counted) {
     // corrupt()'s checks, one word of lanes at a time, before any write:
     // which check fails first depends on the lanes' set orders, so a
     // failure is left to the bridge to raise.
@@ -148,12 +149,15 @@ bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t ir
         frame_->byz[v] |= m;
         frame_->sent[v] &= ~m;  // attribute bits stay; consumers mask with sent
     }
-    for (unsigned j = 0; j < kFusedLanes; ++j) used_[j] += count[j];
+    for (unsigned j = 0; j < kFusedLanes; ++j) {
+        used_[j] += count[j];
+        counted[j] = count[j];
+    }
     return true;
 }
 
 void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
-                                 std::uint64_t lanes) {
+                                 std::uint64_t lanes, const Count* senders) {
     const NodeId n = frame_->n();
     ADBA_EXPECTS(row.boundary <= n);
     FusedRow& shared = frame_->shared_row;
@@ -163,19 +167,16 @@ void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
     if (row.low) shared.low = *row.low;
     if (row.high) shared.high = *row.high;
     frame_->has_shared = true;
-    kern::LaneAdder adder;
     for (NodeId v = 0; v < n; ++v) {
         const std::uint64_t m = mask[v] & lanes;
         ADBA_EXPECTS_MSG((frame_->byz[v] & m) == m, "split_as requires a corrupted sender");
         frame_->shared[v] = m;
-        adder.add(m);
     }
     // split_as's fresh-row charge, once per (lane, sender).
-    Count senders[kFusedLanes];
-    adder.counts(senders);
     const std::uint64_t covered = covered_slots(shared.has_low, shared.has_high, row.boundary, n);
     for (; lanes != 0; lanes &= lanes - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        frame_->shared_senders[j] = senders[j];
         byz_msgs_[j] += senders[j] * covered;
     }
 }
@@ -213,7 +214,7 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         // Retired lanes' adversaries are never invoked again — their scalar
         // twins' runs already ended.
         ctl_.set_round(r);
-        if (uniform && r == 0) uniform = ctl_.corrupt_lanes(mask_.data(), irregular_);
+        if (uniform && r == 0) uniform = ctl_.corrupt_lanes(mask_.data(), irregular_, set_size_);
         if (uniform) {
             act_uniform(advs, r, active);
         } else {
@@ -329,24 +330,20 @@ void FusedBlock::act_uniform(Adversary* const* advs, Round r, std::uint64_t acti
         for (const NodeId v : form->corrupt)
             ctl_.split_as(v, form->row->low, form->row->high, form->row->boundary);
     }
-    if (sharing != 0) ctl_.share_row(*shared, mask_.data(), sharing);
+    if (sharing != 0) ctl_.share_row(*shared, mask_.data(), sharing, set_size_);
 }
 
 // --------------------------------------------------------------- SegmentFold
 
 void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
     q_ = q;
-    if (!frame.has_shared) {
-        std::fill(std::begin(weight_), std::end(weight_), Count{0});
-        std::fill(std::begin(coin_weight_), std::end(coin_weight_), Count{0});
-        return;
+    // The all-node weights are frame.shared_senders; only the coin range
+    // needs a count.
+    kern::LaneAdder coin;
+    if (frame.has_shared) {
+        const NodeId last = std::min(q.coin_last, frame.n());
+        for (NodeId v = q.coin_first; v < last; ++v) coin.add(frame.shared[v]);
     }
-    kern::LaneAdder all, coin;
-    for (NodeId v = 0; v < frame.n(); ++v) {
-        all.add(frame.shared[v]);
-        if (v >= q.coin_first && v < q.coin_last) coin.add(frame.shared[v]);
-    }
-    all.counts(weight_);
     coin.counts(coin_weight_);
 }
 
@@ -379,8 +376,8 @@ const std::vector<FoldSegment>& SegmentFold::lane(const FusedFrame& frame, unsig
     deltas_.clear();
     for (const FusedRow& row : frame.rows(j))
         add_row(row, 1, row.sender >= q_.coin_first && row.sender < q_.coin_last ? 1 : 0, n);
-    if (weight_[j] != 0)
-        add_row(frame.shared_row, static_cast<std::int32_t>(weight_[j]),
+    if (frame.shared_senders[j] != 0)
+        add_row(frame.shared_row, static_cast<std::int32_t>(frame.shared_senders[j]),
                 static_cast<std::int32_t>(coin_weight_[j]), n);
     // Insertion sort: the delta list is tiny and the supported adversaries
     // share one split boundary, so it is already sorted — std::sort's

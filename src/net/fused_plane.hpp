@@ -18,8 +18,10 @@
 //                      Engine::Ctl messages so fused ≡ scalar extends to
 //                      error behaviour. Lane-uniform strategies
 //                      (Adversary::lane_uniform) skip the per-lane calls:
-//                      their sets corrupt as one lane mask per node and
-//                      their rows become one shared row per round.
+//                      their sets corrupt as one lane mask per node, their
+//                      rows become one shared row per round, and its
+//                      per-lane sender counts are the set sizes counted
+//                      once per block.
 //   FusedProtocol    — the protocol interface of this plane: word-parallel
 //                      send/receive over a FusedFrame (implementations:
 //                      core/skeleton_fused, baselines ben_or / phase_king).
@@ -40,7 +42,9 @@
 // exactly as `reference=` / `batch=` / `simd=` already do.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -85,6 +89,7 @@ public:
         coinn.assign(n, 0);
         byz.assign(n, 0);
         shared.assign(n, 0);
+        std::fill(std::begin(shared_senders), std::end(shared_senders), Count{0});
         has_shared = false;
         patterned_.assign(n, 0);
         for (auto& r : rows_) r.clear();
@@ -101,7 +106,10 @@ public:
         std::fill(flag.begin(), flag.end(), 0);
         std::fill(coinp.begin(), coinp.end(), 0);
         std::fill(coinn.begin(), coinn.end(), 0);
-        if (has_shared) std::fill(shared.begin(), shared.end(), 0);
+        if (has_shared) {
+            std::fill(shared.begin(), shared.end(), 0);
+            std::fill(std::begin(shared_senders), std::end(shared_senders), Count{0});
+        }
         has_shared = false;
         std::fill(patterned_.begin(), patterned_.end(), 0);
         for (auto& r : rows_) r.clear();
@@ -159,12 +167,15 @@ public:
 
     /// This round's shared Byzantine row, set by a lane-uniform block's act
     /// (FusedLaneControl::share_row; `sender` unused): node v sends it in
-    /// every lane of shared[v]. Without one, has_shared is false and the
-    /// plane all-zero. A lane never holds both the shared row and a row of
-    /// its own from one sender.
+    /// every lane of shared[v], and shared_senders[j] is lane j's number of
+    /// such senders (its set size; 0 in a lane that does not send it).
+    /// Without one, has_shared is false and the plane and counts are all
+    /// zero. A lane never holds both the shared row and a row of its own
+    /// from one sender.
     bool has_shared = false;
     FusedRow shared_row;
     std::vector<std::uint64_t> shared;
+    Count shared_senders[kFusedLanes] = {};
 
 private:
     [[noreturn]] static void throw_duplicate_row();
@@ -225,15 +236,19 @@ public:
     /// Round-0 corruption of node v in lanes mask[v] & active, for every v,
     /// when corrupt()'s checks pass word-wise in every live lane: none is
     /// `irregular` (its set names a node twice or one >= n), no member is
-    /// Byzantine or halted, and each lane's count fits its budget. Returns
+    /// Byzantine or halted, and each lane's count fits its budget. Then
+    /// writes each lane's count to counted[0..63] and returns true. Returns
     /// false and changes nothing otherwise; the caller then replays the
     /// round through the bridge, which raises corrupt()'s message for the
     /// first failing (lane, node).
-    bool corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular);
-    /// Node v sends `row` in lanes mask[v] & lanes this round, for every v:
-    /// publishes it as the frame's shared row and charges each lane's
+    bool corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular, Count* counted);
+    /// Node v sends `row` in lanes mask[v] & lanes this round, for every v,
+    /// where senders[j] is lane j's count of mask bits (the set size
+    /// corrupt_lanes counted): publishes the row, its lane plane and those
+    /// counts as the frame's shared row, and charges each lane's
     /// byzantine_messages its sender count x the row's covered slots.
-    void share_row(const SplitRow& row, const std::uint64_t* mask, std::uint64_t lanes);
+    void share_row(const SplitRow& row, const std::uint64_t* mask, std::uint64_t lanes,
+                   const Count* senders);
 
     // ---- RoundControl ----
     Round round() const override { return round_; }
@@ -282,8 +297,9 @@ struct FusedLaneResult {
 ///
 /// When all 64 adversaries are lane-uniform, the adversary beat is
 /// word-parallel too: their sets fold into one lane mask per node after
-/// on_start, round 0 corrupts by mask, and each round one shared row goes
-/// out for every live lane. A lane whose row differs from the shared one
+/// on_start, round 0 corrupts by mask and counts each lane's set size once,
+/// and each round one shared row goes out for every live lane, charged from
+/// those sizes. A lane whose row differs from the shared one
 /// (a block mixing strategies) patterns its own rows through the bridge's
 /// split_as. Otherwise — or when a round-0 contract check fails, so that
 /// the bridge raises its own message — every live lane's act() runs
@@ -309,9 +325,10 @@ private:
 
     FusedFrame frame_;
     FusedLaneControl ctl_;
-    std::vector<std::uint64_t> mask_;  ///< lanes whose set holds node v
-    std::uint64_t irregular_ = 0;      ///< lanes whose set repeats a node or leaves [0, n)
-    std::uint64_t members_ = 0;        ///< lanes with a non-empty set
+    std::vector<std::uint64_t> mask_;   ///< lanes whose set holds node v
+    std::uint64_t irregular_ = 0;       ///< lanes whose set repeats a node or leaves [0, n)
+    std::uint64_t members_ = 0;         ///< lanes with a non-empty set
+    Count set_size_[kFusedLanes] = {};  ///< lane's set size, counted in round 0
 };
 
 // ---- shared word-parallel helpers for FusedProtocol implementations ----
@@ -344,12 +361,14 @@ struct FoldSegment {
 /// sees, records each row's side flip as a delta at its boundary, and sweeps
 /// the sorted deltas into segments — O(rows log rows + segments) per lane,
 /// and every threshold decision is taken once per segment. The shared row
-/// enters once per lane, weighted by the lane's sender count (and, for the
-/// coin, its sender count inside the committee range).
+/// enters once per lane, weighted by the lane's sender count
+/// (frame.shared_senders) and, for the coin, its sender count inside the
+/// committee range.
 class SegmentFold {
 public:
     /// Once per round, after the adversary beat: the query, and the shared
-    /// row's per-lane weights from one LaneAdder pass over frame.shared.
+    /// row's per-lane coin weights from one LaneAdder pass over
+    /// frame.shared on [coin_first, coin_last) only.
     void prepare(const FusedFrame& frame, const FoldQuery& q);
     /// Lane j's segments, in receiver order, covering [0, n). Neighbours may
     /// carry equal counts. Valid until the next lane() call.
@@ -370,8 +389,7 @@ private:
                  NodeId n);
 
     FoldQuery q_;
-    Count weight_[kFusedLanes] = {};       ///< lane's shared-row senders
-    Count coin_weight_[kFusedLanes] = {};  ///< ... inside the coin range
+    Count coin_weight_[kFusedLanes] = {};  ///< lane's shared-row senders in the coin range
     std::int64_t c0_ = 0, c1_ = 0, coin_ = 0;  ///< lane() running sums
     std::vector<Delta> deltas_;
     std::vector<FoldSegment> segs_;

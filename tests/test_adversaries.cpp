@@ -2,9 +2,13 @@
 // discipline, equivocation patterns) against scripted protocol stubs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/chaos.hpp"
@@ -101,6 +105,62 @@ TEST(StaticAdversary, SplitVotesEquivocatesByReceiverHalf) {
         ASSERT_TRUE(raw[v]->last_inbox_[byz].has_value());
         EXPECT_EQ(raw[v]->last_inbox_[byz]->val, v < 4 ? 0 : 1);
     }
+}
+
+/// The static draw as first specified: iota, the partial Fisher-Yates on the
+/// adversary's generator, then a comparison sort.
+std::vector<NodeId> sorted_fisher_yates(NodeId n, Count q, Xoshiro256& rng) {
+    std::vector<NodeId> ids(n);
+    std::iota(ids.begin(), ids.end(), NodeId{0});
+    for (Count i = 0; i < q; ++i) {
+        const auto j = i + static_cast<NodeId>(rng.below(n - i));
+        std::swap(ids[i], ids[j]);
+    }
+    std::vector<NodeId> set(ids.begin(), ids.begin() + q);
+    std::sort(set.begin(), set.end());
+    return set;
+}
+
+TEST(StaticAdversary, BitmapSweepYieldsTheSortedFisherYatesDraw) {
+    // n straddles the bitmap's word boundaries (63, 64, 65) and ends in a
+    // partial word (7, 200, 4097); q runs from empty to the largest budget.
+    for (const NodeId n : {7u, 63u, 64u, 65u, 200u, 4097u}) {
+        for (const Count q : {Count{0}, Count{1}, Count{(n - 1) / 3}}) {
+            for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " q=" + std::to_string(q) +
+                             " seed=" + std::to_string(seed));
+                StaticAdversary adv(q, StaticBehavior::SplitVotes, Xoshiro256(seed));
+                Xoshiro256 ref(seed);
+                // The second on_start continues the same stream.
+                for (int start = 0; start < 2; ++start) {
+                    adv.on_start(n, q);
+                    ASSERT_EQ(adv.corrupted(), sorted_fisher_yates(n, q, ref));
+                    const auto& set = adv.corrupted();
+                    EXPECT_TRUE(std::adjacent_find(set.begin(), set.end(),
+                                                   std::greater_equal<>()) == set.end())
+                        << "set not strictly ascending";
+                }
+                EXPECT_EQ(adv.lane_uniform(0, n)->corrupt.size(), q);
+            }
+        }
+    }
+}
+
+TEST(StaticAdversary, TranscriptListsRoundZeroCorruptionsAscending) {
+    StaticAdversary adv(66, StaticBehavior::SplitVotes, Xoshiro256(7));
+    net::EngineConfig cfg;
+    cfg.n = 200;
+    cfg.budget = 66;
+    cfg.max_rounds = 2;
+    cfg.record_transcript = true;
+    net::Engine eng(cfg, stub_network(200, 0, 0), adv);
+    const auto res = eng.run();
+    ASSERT_TRUE(res.transcript.has_value());
+    const auto& round0 = res.transcript->round(0).new_corruptions;
+    EXPECT_EQ(round0, adv.corrupted());
+    EXPECT_EQ(round0.size(), 66u);
+    EXPECT_TRUE(std::adjacent_find(round0.begin(), round0.end(), std::greater_equal<>()) ==
+                round0.end());
 }
 
 TEST(StaticAdversary, RejectsOverBudget) {

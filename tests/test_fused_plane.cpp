@@ -522,6 +522,44 @@ TEST(FusedLaneUniform, RowsOfEveryProtocolKindFoldWithPerLaneWeights) {
     }
 }
 
+TEST(FusedLaneUniform, SharedRowChargesEachLaneItsOwnSetSize) {
+    // One shared split-vote row from 64 static sets of 64 distinct sizes
+    // (37j mod 67, so lane 0's is empty) at n = 200, a partial last word.
+    // Each lane's byzantine_messages and fold weights must come from its own
+    // set size; one count charged to every lane would break the bridge
+    // equality below.
+    sim::Scenario s;
+    s.protocol = sim::ProtocolKind::Ours;
+    s.adversary = sim::AdversaryKind::SplitVote;
+    s.n = 200;
+    s.t = 66;
+    s.inputs = sim::InputPattern::Split;
+    s.use_fused = true;
+    const sim::ScenarioPlan plan = sim::validate(s);
+    const auto sized = [&s](bool bridge) {
+        return [&s, bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
+            std::unique_ptr<net::Adversary> a = std::make_unique<adv::StaticAdversary>(
+                static_cast<Count>(37 * j % (s.t + 1)), adv::StaticBehavior::SplitVotes,
+                seeds.stream(StreamPurpose::Adversary));
+            if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+            return a;
+        };
+    };
+    bool divergent = false;
+    for (const std::uint64_t seed : {0x5A1u, 0x5A2u, 0x5A3u, 0x5A4u}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        const BlockOutcome uniform = run_block(plan, seed, sized(false));
+        expect_block_eq(uniform, run_block(plan, seed, sized(true)));
+        EXPECT_EQ(uniform.lanes[0].metrics.byzantine_messages, 0u);
+        for (unsigned j = 1; j < net::kFusedLanes; ++j) {
+            EXPECT_EQ(uniform.lanes[j].metrics.corruptions, 37 * j % (s.t + 1));
+            EXPECT_GT(uniform.lanes[j].metrics.byzantine_messages, 0u);
+            divergent |= uniform.lanes[j].rounds != uniform.lanes[0].rounds;
+        }
+    }
+    EXPECT_TRUE(divergent) << "no block retired its lanes at different rounds";
+}
+
 TEST(FusedLaneUniform, WordWiseContractsRaiseTheBridgeMessages) {
     sim::Scenario s;
     s.protocol = sim::ProtocolKind::Ours;
