@@ -142,10 +142,6 @@ void BenOrBatch::rearm(const BenOrParams& params, const std::vector<Bit>& inputs
         rng_.push_back(seeds.stream(StreamPurpose::NodeProtocol, v));
 }
 
-void BenOrBatch::send_all(Round r, net::RoundBuffer& buf) {
-    send_range(r, buf, 0, params_.n);
-}
-
 void BenOrBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) {
     const std::uint8_t* state = buf.state_plane();
     const bool round2 = (r % 2) != 0;
@@ -166,131 +162,56 @@ void BenOrBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi
     }
 }
 
-void BenOrBatch::apply_report(NodeId v, const std::array<Count, 2>& cnt) {
-    proposing_[v] = 0;
-    for (Bit b : {Bit{0}, Bit{1}}) {
-        if (2 * static_cast<std::uint64_t>(cnt[b]) >
-            static_cast<std::uint64_t>(params_.n) + params_.t) {
-            proposal_[v] = b;
-            proposing_[v] = 1;
-        }
-    }
+net::BeatQuery BenOrBatch::beat_query(Round r) const {
+    const bool propose = (r % 2) != 0;
+    return {propose ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport, r / 2,
+            /*require_flag=*/propose};
 }
 
-void BenOrBatch::apply_propose(NodeId v, Phase p, const std::array<Count, 2>& prop,
-                               bool checked) {
+void BenOrBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo, NodeId hi) {
+    const Phase p = r / 2;
     const Count t = params_.t;
-    // Two honest nodes cannot propose different values (both passed the
-    // (n+t)/2 quorum), so at most one value exceeds t from honest senders.
-    if (checked) {
-        ADBA_ENSURES_MSG(!(prop[0] > t && prop[1] > t),
-                         "conflicting Ben-Or proposals above t");
-    }
-    for (Bit b : {Bit{0}, Bit{1}}) {
-        if (prop[b] > 2 * t) {
-            val_[v] = b;
+    for (NodeId v = lo; v < hi; ++v) {
+        if (in.byzantine(v) || halted_[v] || flushing_[v]) continue;
+        const std::array<Count, 2> cnt = in.val(v);
+
+        if ((r % 2) == 0) {
+            // Report round: propose b when b passes the (n+t)/2 quorum.
+            proposing_[v] = 0;
+            for (Bit b : {Bit{0}, Bit{1}}) {
+                if (2 * static_cast<std::uint64_t>(cnt[b]) >
+                    static_cast<std::uint64_t>(params_.n) + t) {
+                    proposal_[v] = b;
+                    proposing_[v] = 1;
+                }
+            }
+            continue;
+        }
+
+        // Two honest nodes cannot propose different values (both passed the
+        // (n+t)/2 quorum), so at most one value exceeds t from honest
+        // senders — a theorem for exact counts only.
+        if (in.exact()) {
+            ADBA_ENSURES_MSG(!(cnt[0] > t && cnt[1] > t),
+                             "conflicting Ben-Or proposals above t");
+        }
+        if (cnt[0] > 2 * t || cnt[1] > 2 * t) {
+            val_[v] = cnt[0] > 2 * t ? Bit{0} : Bit{1};
             decided_[v] = 1;
             flushing_[v] = 1;
             proposal_[v] = val_[v];
             proposing_[v] = 1;
-            return;
-        }
-    }
-    bool adopted = false;
-    for (Bit b : {Bit{0}, Bit{1}}) {
-        if (prop[b] > t) {
-            val_[v] = b;
-            adopted = true;
-        }
-    }
-    if (!adopted) val_[v] = rng_[v].bit();  // private coin
-    if (p + 1 >= params_.phases) halted_[v] = 1;
-}
-
-void BenOrBatch::receive_all(Round r, const net::RoundBuffer& buf,
-                             const net::RoundTally& tally) {
-    receive_prepare(r, buf, tally);
-    receive_range(r, buf, tally, 0, params_.n);
-}
-
-void BenOrBatch::receive_prepare(Round r, const net::RoundBuffer&,
-                                 const net::RoundTally& tally) {
-    const Phase p = r / 2;
-    const bool round2 = (r % 2) != 0;
-    const net::MsgKind kind =
-        round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport;
-    // Honest quorum counts once per round; only Byzantine deltas vary.
-    const net::TallyBucket* b = tally.find(kind, p);
-    prep_base_ = {0, 0};
-    if (b != nullptr) prep_base_ = round2 ? b->val_flag_cnt : b->val_cnt;
-    prep_delta_ = tally.val_delta_plane(kind, p, round2);
-}
-
-void BenOrBatch::receive_range(Round r, const net::RoundBuffer& buf,
-                               const net::RoundTally&, NodeId lo, NodeId hi) {
-    const Phase p = r / 2;
-    const std::uint8_t* state = buf.state_plane();
-    const bool round2 = (r % 2) != 0;
-    for (NodeId v = lo; v < hi; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v] ||
-            flushing_[v])
             continue;
-        std::array<Count, 2> cnt = prep_base_;
-        if (prep_delta_ != nullptr) {
-            cnt[0] += prep_delta_[v][0];
-            cnt[1] += prep_delta_[v][1];
         }
-        if (round2)
-            apply_propose(v, p, cnt, /*checked=*/true);
-        else
-            apply_report(v, cnt);
-    }
-}
-
-void BenOrBatch::receive_sparse_prepare(Round r, const net::RoundBuffer&,
-                                        const net::RoundTally&,
-                                        const net::SparsePlane& sparse) {
-    const Phase p = r / 2;
-    const bool round2 = (r % 2) != 0;
-    const net::MsgKind kind =
-        round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport;
-    prep_sparse_query_ = sparse.query(kind, p, /*require_flag=*/round2);
-}
-
-void BenOrBatch::receive_sparse_range(Round r, const net::RoundBuffer& buf,
-                                      const net::RoundTally&,
-                                      const net::SparsePlane& sparse, NodeId lo,
-                                      NodeId hi) {
-    const Phase p = r / 2;
-    const std::uint8_t* state = buf.state_plane();
-    const bool round2 = (r % 2) != 0;
-    for (NodeId v = lo; v < hi; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v] ||
-            flushing_[v])
-            continue;
-        const std::array<Count, 2> cnt = sparse.val_estimates(prep_sparse_query_, v);
-        if (round2)
-            apply_propose(v, p, cnt, /*checked=*/sparse.dense());
-        else
-            apply_report(v, cnt);
-    }
-}
-
-void BenOrBatch::receive_all(Round r, const net::RoundBuffer& buf,
-                             const net::DeliverySource& src) {
-    const Phase p = r / 2;
-    const NodeId n = params_.n;
-    const std::uint8_t* state = buf.state_plane();
-    for (NodeId v = 0; v < n; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v] ||
-            flushing_[v])
-            continue;
-        const net::ReceiveView view(src, v);
-        if ((r % 2) == 0)
-            apply_report(v, view.val_counts(net::MsgKind::BenOrReport, p, false));
-        else
-            apply_propose(v, p, view.val_counts(net::MsgKind::BenOrPropose, p, true),
-                          /*checked=*/true);
+        bool adopted = false;
+        for (Bit b : {Bit{0}, Bit{1}}) {
+            if (cnt[b] > t) {
+                val_[v] = b;
+                adopted = true;
+            }
+        }
+        if (!adopted) val_[v] = rng_[v].bit();  // private coin
+        if (p + 1 >= params_.phases) halted_[v] = 1;
     }
 }
 
@@ -442,20 +363,6 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
         proposal_[v] = (proposal_[v] & ~fin) | (m_val1_[v] & fin);
         if (last_phase) halted_[v] |= act & ~fin;
     }
-}
-
-std::unique_ptr<net::BatchProtocol> make_ben_or_batch(const BenOrParams& params,
-                                                      const std::vector<Bit>& inputs,
-                                                      const SeedTree& seeds) {
-    return std::make_unique<BenOrBatch>(params, inputs, seeds);
-}
-
-void reinit_ben_or_batch(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds, net::BatchProtocol& batch) {
-    auto* b = dynamic_cast<BenOrBatch*>(&batch);
-    ADBA_EXPECTS_MSG(b != nullptr,
-                     "batch pool type does not match the requested protocol");
-    b->rearm(params, inputs, seeds);
 }
 
 }  // namespace adba::base

@@ -23,7 +23,6 @@
 #include "net/batch.hpp"
 #include "net/fused_plane.hpp"
 #include "net/node.hpp"
-#include "net/sparse_plane.hpp"
 #include "rand/seed_tree.hpp"
 #include "support/types.hpp"
 
@@ -62,11 +61,11 @@ private:
 
 /// SoA batch form of Ben-Or: per-node state (val / proposal / proposing /
 /// decided / flushing / halted, plus private-coin RNG streams) as flat
-/// arrays, whole population stepped under one dispatch per beat. The
-/// report/propose quorum counts are hoisted out of the per-node loop: the
-/// honest tallies are receiver-independent, only Byzantine deltas vary.
+/// arrays, whole population stepped under one dispatch per beat, with the
+/// report/propose rule written once over net::BeatCounts (honest quorum
+/// counts hoisted once per round, only Byzantine deltas per receiver).
 /// Bit-identical to BenOrNode (tests/test_batch_plane.cpp).
-class BenOrBatch final : public net::BatchProtocol {
+class BenOrBatch final : public net::NativeBatch {
 public:
     BenOrBatch(const BenOrParams& params, const std::vector<Bit>& inputs,
                const SeedTree& seeds);
@@ -74,32 +73,7 @@ public:
                const SeedTree& seeds);
 
     NodeId n() const override { return params_.n; }
-    void send_all(Round r, net::RoundBuffer& buf) override;
-    void receive_all(Round r, const net::RoundBuffer& buf,
-                     const net::RoundTally& tally) override;
-    void receive_all(Round r, const net::RoundBuffer& buf,
-                     const net::DeliverySource& src) override;
-    // Sharded beats: state planes and RNG streams are per-node, the honest
-    // quorum counts and Byzantine delta plane are hoisted in
-    // receive_prepare, so ranges step race-free (net/batch.hpp contract).
-    bool shardable() const override { return true; }
     void send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) override;
-    void receive_prepare(Round r, const net::RoundBuffer& buf,
-                         const net::RoundTally& tally) override;
-    void receive_range(Round r, const net::RoundBuffer& buf,
-                       const net::RoundTally& tally, NodeId lo, NodeId hi) override;
-    // Sparse beats: report/propose quorums from sampled estimates. The
-    // "conflicting proposals above t" assertion is a theorem for exact
-    // counts only, so it relaxes under sub-dense sampling; dense sampling
-    // reproduces the flat integers and keeps it armed.
-    bool supports_sparse() const override { return true; }
-    void receive_sparse_prepare(Round r, const net::RoundBuffer& buf,
-                                const net::RoundTally& tally,
-                                const net::SparsePlane& sparse) override;
-    void receive_sparse_range(Round r, const net::RoundBuffer& buf,
-                              const net::RoundTally& tally,
-                              const net::SparsePlane& sparse, NodeId lo,
-                              NodeId hi) override;
     const std::uint8_t* halted_plane() const override { return halted_.data(); }
     Bit value(NodeId v) const override { return val_[v]; }
     bool decided(NodeId v) const override { return decided_[v] != 0; }
@@ -107,18 +81,13 @@ public:
     const Bit* value_plane() const override { return val_.data(); }
     const std::uint8_t* decided_plane() const override { return decided_.data(); }
 
-private:
-    void apply_report(NodeId v, const std::array<Count, 2>& cnt);
-    /// `checked` arms the conflicting-proposals assertion — exact counts
-    /// only; sub-dense sampled estimates can trip it statistically.
-    void apply_propose(NodeId v, Phase p, const std::array<Count, 2>& prop,
-                       bool checked);
+protected:
+    /// Report rounds count report vals; propose rounds count non-⊥ proposals.
+    net::BeatQuery beat_query(Round r) const override;
+    void receive_rule(Round r, const net::BeatCounts& in, NodeId lo, NodeId hi) override;
 
+private:
     BenOrParams params_;
-    // receive_prepare → receive_range handoff; valid for one beat only.
-    std::array<Count, 2> prep_base_{0, 0};
-    const std::array<Count, 2>* prep_delta_ = nullptr;
-    net::SparsePlane::Query prep_sparse_query_;  ///< sparse beats only
     std::vector<Bit> val_;
     std::vector<Bit> proposal_;
     std::vector<std::uint8_t> proposing_;
@@ -167,12 +136,5 @@ std::vector<std::unique_ptr<net::HonestNode>> make_ben_or_nodes(
 void reinit_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
                          const SeedTree& seeds,
                          std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native batch factory / pooled reinit (mirrors make/reinit_ben_or_nodes).
-std::unique_ptr<net::BatchProtocol> make_ben_or_batch(const BenOrParams& params,
-                                                      const std::vector<Bit>& inputs,
-                                                      const SeedTree& seeds);
-void reinit_ben_or_batch(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds, net::BatchProtocol& batch);
 
 }  // namespace adba::base

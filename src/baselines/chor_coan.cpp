@@ -96,33 +96,6 @@ void reinit_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
     });
 }
 
-namespace {
-
-core::BatchCoinSpec chor_coan_coin(const ChorCoanParams& params) {
-    core::BatchCoinSpec coin;
-    coin.kind = core::BatchCoinSpec::Kind::Committee;
-    coin.schedule = params.schedule;
-    return coin;
-}
-
-}  // namespace
-
-std::unique_ptr<net::BatchProtocol> make_chor_coan_batch(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
-    return core::make_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        chor_coan_coin(params), inputs, seeds);
-}
-
-void reinit_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            net::BatchProtocol& batch) {
-    core::reinit_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        chor_coan_coin(params), inputs, seeds, batch);
-}
-
 Round max_rounds_whp(const ChorCoanParams& p) { return 2 * (p.phases + 2); }
 
 }  // namespace adba::base

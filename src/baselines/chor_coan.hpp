@@ -25,7 +25,6 @@
 
 #include "core/params.hpp"
 #include "core/skeleton.hpp"
-#include "core/skeleton_batch.hpp"
 #include "rand/seed_tree.hpp"
 
 namespace adba::base {
@@ -79,15 +78,6 @@ std::vector<std::unique_ptr<net::HonestNode>> make_chor_coan_nodes(
 void reinit_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
                             const std::vector<Bit>& inputs, const SeedTree& seeds,
                             std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form (committee coin over the variant's schedule);
-/// bit-identical to the node vector, one dispatch per engine beat.
-std::unique_ptr<net::BatchProtocol> make_chor_coan_batch(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-void reinit_chor_coan_batch(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            net::BatchProtocol& batch);
 
 /// The paper's round budget analogue for this baseline.
 Round max_rounds_whp(const ChorCoanParams& p);

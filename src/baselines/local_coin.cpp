@@ -33,24 +33,4 @@ void reinit_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode 
     });
 }
 
-std::unique_ptr<net::BatchProtocol> make_local_coin_batch(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds) {
-    core::BatchCoinSpec coin;
-    coin.kind = core::BatchCoinSpec::Kind::Local;
-    return core::make_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        std::move(coin), inputs, seeds);
-}
-
-void reinit_local_coin_batch(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch) {
-    core::BatchCoinSpec coin;
-    coin.kind = core::BatchCoinSpec::Kind::Local;
-    core::reinit_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        std::move(coin), inputs, seeds, batch);
-}
-
 }  // namespace adba::base

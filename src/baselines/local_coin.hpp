@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/skeleton.hpp"
-#include "core/skeleton_batch.hpp"
 #include "rand/seed_tree.hpp"
 
 namespace adba::base {
@@ -52,13 +51,5 @@ std::vector<std::unique_ptr<net::HonestNode>> make_local_coin_nodes(
 void reinit_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode mode,
                              const std::vector<Bit>& inputs, const SeedTree& seeds,
                              std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form (private coins); bit-identical to the node vector.
-std::unique_ptr<net::BatchProtocol> make_local_coin_batch(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
-void reinit_local_coin_batch(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch);
 
 }  // namespace adba::base

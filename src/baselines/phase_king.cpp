@@ -106,10 +106,6 @@ void PhaseKingBatch::rearm(const PhaseKingParams& params,
     halted_.assign(n, 0);
 }
 
-void PhaseKingBatch::send_all(Round r, net::RoundBuffer& buf) {
-    send_range(r, buf, 0, params_.n);
-}
-
 void PhaseKingBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) {
     const Phase k = r / 2;
     const std::uint8_t* state = buf.state_plane();
@@ -135,108 +131,37 @@ void PhaseKingBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeI
     buf.set_broadcast(king, m);
 }
 
-void PhaseKingBatch::apply_send_round(NodeId v, const std::array<Count, 2>& cnt) {
-    maj_[v] = cnt[1] > cnt[0] ? Bit{1} : Bit{0};
-    mult_[v] = cnt[maj_[v]];
+net::BeatQuery PhaseKingBatch::beat_query(Round r) const {
+    net::BeatQuery q{net::MsgKind::PhaseKingSend, r / 2};
+    q.counts = (r % 2) == 0;
+    return q;
 }
 
-void PhaseKingBatch::apply_king_round(NodeId v, Phase k, const net::Message* m) {
-    Bit king_val = 0;  // a silent/corrupted king defaults to 0 at every node
-    if (m != nullptr && m->kind == net::MsgKind::PhaseKingRuler && m->phase == k)
-        king_val = m->val & 1;
-    if (2 * static_cast<std::uint64_t>(mult_[v]) >
-        params_.n + 2 * static_cast<std::uint64_t>(params_.t)) {
-        val_[v] = maj_[v];
-    } else {
-        val_[v] = king_val;
-    }
-    if (k + 1 == params_.phases()) halted_[v] = 1;
-}
-
-void PhaseKingBatch::receive_all(Round r, const net::RoundBuffer& buf,
-                                 const net::RoundTally& tally) {
-    receive_prepare(r, buf, tally);
-    receive_range(r, buf, tally, 0, params_.n);
-}
-
-void PhaseKingBatch::receive_prepare(Round r, const net::RoundBuffer&,
-                                     const net::RoundTally& tally) {
-    prep_base_ = {0, 0};
-    prep_delta_ = nullptr;
-    if ((r % 2) != 0) return;  // the king round needs no shared tallies
+void PhaseKingBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo,
+                                  NodeId hi) {
     const Phase k = r / 2;
-    const net::TallyBucket* b = tally.find(net::MsgKind::PhaseKingSend, k);
-    if (b != nullptr) prep_base_ = b->val_cnt;
-    prep_delta_ = tally.val_delta_plane(net::MsgKind::PhaseKingSend, k, false);
-}
-
-void PhaseKingBatch::receive_range(Round r, const net::RoundBuffer& buf,
-                                   const net::RoundTally&, NodeId lo, NodeId hi) {
-    const Phase k = r / 2;
-    const std::uint8_t* state = buf.state_plane();
-    if ((r % 2) == 0) {
-        for (NodeId v = lo; v < hi; ++v) {
-            if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-            std::array<Count, 2> cnt = prep_base_;
-            if (prep_delta_ != nullptr) {
-                cnt[0] += prep_delta_[v][0];
-                cnt[1] += prep_delta_[v][1];
-            }
-            apply_send_round(v, cnt);
-        }
-        return;
-    }
     const NodeId king = params_.king_of(k);
     for (NodeId v = lo; v < hi; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-        apply_king_round(v, k, buf.from(v, king));
-    }
-}
-
-void PhaseKingBatch::receive_sparse_prepare(Round r, const net::RoundBuffer&,
-                                            const net::RoundTally&,
-                                            const net::SparsePlane& sparse) {
-    prep_sparse_query_ = net::SparsePlane::Query{};
-    if ((r % 2) != 0) return;  // the king round probes one sender exactly
-    prep_sparse_query_ =
-        sparse.query(net::MsgKind::PhaseKingSend, r / 2, /*require_flag=*/false);
-}
-
-void PhaseKingBatch::receive_sparse_range(Round r, const net::RoundBuffer& buf,
-                                          const net::RoundTally&,
-                                          const net::SparsePlane& sparse, NodeId lo,
-                                          NodeId hi) {
-    const Phase k = r / 2;
-    const std::uint8_t* state = buf.state_plane();
-    if ((r % 2) == 0) {
-        for (NodeId v = lo; v < hi; ++v) {
-            if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-            apply_send_round(v, sparse.val_estimates(prep_sparse_query_, v));
+        if (in.byzantine(v) || halted_[v]) continue;
+        if ((r % 2) == 0) {
+            const std::array<Count, 2> cnt = in.val(v);
+            maj_[v] = cnt[1] > cnt[0] ? Bit{1} : Bit{0};
+            mult_[v] = cnt[maj_[v]];
+            continue;
         }
-        return;
-    }
-    // The king probe is exact at any sampling degree: one sender, one O(1)
-    // buffer read — sampling it would save nothing and lose the coordinator.
-    const NodeId king = params_.king_of(k);
-    for (NodeId v = lo; v < hi; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-        apply_king_round(v, k, buf.from(v, king));
-    }
-}
-
-void PhaseKingBatch::receive_all(Round r, const net::RoundBuffer& buf,
-                                 const net::DeliverySource& src) {
-    const Phase k = r / 2;
-    const NodeId n = params_.n;
-    const std::uint8_t* state = buf.state_plane();
-    for (NodeId v = 0; v < n; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-        const net::ReceiveView view(src, v);
-        if ((r % 2) == 0)
-            apply_send_round(v,
-                             view.val_counts(net::MsgKind::PhaseKingSend, k, false));
-        else
-            apply_king_round(v, k, view.from(params_.king_of(k)));
+        // Round 2: adopt the king's value unless our majority was
+        // overwhelming; a silent/corrupted king defaults to 0 at every node.
+        Bit king_val = 0;
+        const net::Message* m = in.from(v, king);
+        if (m != nullptr && m->kind == net::MsgKind::PhaseKingRuler && m->phase == k)
+            king_val = m->val & 1;
+        if (2 * static_cast<std::uint64_t>(mult_[v]) >
+            params_.n + 2 * static_cast<std::uint64_t>(params_.t)) {
+            val_[v] = maj_[v];
+        } else {
+            val_[v] = king_val;
+        }
+        if (k + 1 == params_.phases()) halted_[v] = 1;
     }
 }
 
@@ -359,20 +284,6 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
         val_[v] = (val_[v] & ~act) | (nv & act);
         if (last_phase) halted_[v] |= act;
     }
-}
-
-std::unique_ptr<net::BatchProtocol> make_phase_king_batch(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs) {
-    return std::make_unique<PhaseKingBatch>(params, inputs);
-}
-
-void reinit_phase_king_batch(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             net::BatchProtocol& batch) {
-    auto* b = dynamic_cast<PhaseKingBatch*>(&batch);
-    ADBA_EXPECTS_MSG(b != nullptr,
-                     "batch pool type does not match the requested protocol");
-    b->rearm(params, inputs);
 }
 
 }  // namespace adba::base

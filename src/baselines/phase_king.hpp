@@ -26,7 +26,6 @@
 #include "net/batch.hpp"
 #include "net/fused_plane.hpp"
 #include "net/node.hpp"
-#include "net/sparse_plane.hpp"
 #include "rand/seed_tree.hpp"
 #include "support/types.hpp"
 
@@ -64,54 +63,33 @@ private:
 };
 
 /// SoA batch form of Phase-King: val / maj / mult planes, one dispatch per
-/// beat. Round-1 majorities hoist the shared honest tally; the round-2 king
-/// probe is one buffer load per receiver. Bit-identical to PhaseKingNode.
-class PhaseKingBatch final : public net::BatchProtocol {
+/// beat, the rule written once over net::BeatCounts. Round-1 majorities
+/// hoist the shared honest tally (or read sampled estimates); the round-2
+/// king probe is one single-sender read per receiver, exact on every plane
+/// (the one-coordinator analogue of the committee's exact island). No RNG
+/// and no threshold assertion, so sampling needs no relaxation.
+/// Bit-identical to PhaseKingNode.
+class PhaseKingBatch final : public net::NativeBatch {
 public:
     PhaseKingBatch(const PhaseKingParams& params, const std::vector<Bit>& inputs);
     void rearm(const PhaseKingParams& params, const std::vector<Bit>& inputs);
 
     NodeId n() const override { return params_.n; }
-    void send_all(Round r, net::RoundBuffer& buf) override;
-    void receive_all(Round r, const net::RoundBuffer& buf,
-                     const net::RoundTally& tally) override;
-    void receive_all(Round r, const net::RoundBuffer& buf,
-                     const net::DeliverySource& src) override;
-    // Sharded beats: no RNG at all, per-node planes only; the round-2 king
-    // broadcast fires exactly once — from the shard whose range holds the
-    // king. The king probe (buf.from) is a const read, safe from any shard.
-    bool shardable() const override { return true; }
+    // The round-2 king broadcast fires exactly once — from the shard whose
+    // range holds the king.
     void send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) override;
-    void receive_prepare(Round r, const net::RoundBuffer& buf,
-                         const net::RoundTally& tally) override;
-    void receive_range(Round r, const net::RoundBuffer& buf,
-                       const net::RoundTally& tally, NodeId lo, NodeId hi) override;
-    // Sparse beats: round-1 majorities from sampled estimates; the round-2
-    // king probe is a single-sender read and stays exact at any degree
-    // (the one-coordinator analogue of the committee exact island). No
-    // threshold assertion exists here, so no relaxation is needed.
-    bool supports_sparse() const override { return true; }
-    void receive_sparse_prepare(Round r, const net::RoundBuffer& buf,
-                                const net::RoundTally& tally,
-                                const net::SparsePlane& sparse) override;
-    void receive_sparse_range(Round r, const net::RoundBuffer& buf,
-                              const net::RoundTally& tally,
-                              const net::SparsePlane& sparse, NodeId lo,
-                              NodeId hi) override;
     const std::uint8_t* halted_plane() const override { return halted_.data(); }
     Bit value(NodeId v) const override { return val_[v]; }
     bool decided(NodeId /*v*/) const override { return false; }
     Bit output(NodeId v) const override { return val_[v]; }
 
-private:
-    void apply_send_round(NodeId v, const std::array<Count, 2>& cnt);
-    void apply_king_round(NodeId v, Phase k, const net::Message* king_msg);
+protected:
+    /// Round 1 counts vals; the king round reads no counts.
+    net::BeatQuery beat_query(Round r) const override;
+    void receive_rule(Round r, const net::BeatCounts& in, NodeId lo, NodeId hi) override;
 
+private:
     PhaseKingParams params_;
-    // receive_prepare → receive_range handoff; valid for one beat only.
-    std::array<Count, 2> prep_base_{0, 0};
-    const std::array<Count, 2>* prep_delta_ = nullptr;
-    net::SparsePlane::Query prep_sparse_query_;  ///< sparse beats only
     std::vector<Bit> val_;
     std::vector<Bit> maj_;
     std::vector<Count> mult_;
@@ -156,12 +134,5 @@ std::vector<std::unique_ptr<net::HonestNode>> make_phase_king_nodes(
 void reinit_phase_king_nodes(const PhaseKingParams& params,
                              const std::vector<Bit>& inputs,
                              std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native batch factory / pooled reinit (mirrors make/reinit_phase_king_nodes).
-std::unique_ptr<net::BatchProtocol> make_phase_king_batch(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs);
-void reinit_phase_king_batch(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             net::BatchProtocol& batch);
 
 }  // namespace adba::base

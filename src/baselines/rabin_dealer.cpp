@@ -8,8 +8,7 @@
 
 namespace adba::base {
 
-RabinDealerParams RabinDealerParams::compute(NodeId n, Count t, std::uint64_t dealer_seed,
-                                             double gamma) {
+RabinDealerParams RabinDealerParams::compute(NodeId n, Count t, double gamma) {
     ADBA_EXPECTS(n >= 1);
     ADBA_EXPECTS_MSG(3 * static_cast<std::uint64_t>(t) < n, "requires t < n/3");
     const double logn = static_cast<double>(std::max<std::uint32_t>(1, ceil_log2(n)));
@@ -17,21 +16,22 @@ RabinDealerParams RabinDealerParams::compute(NodeId n, Count t, std::uint64_t de
     p.n = n;
     p.t = t;
     p.phases = static_cast<Count>(std::max(1.0, std::ceil(gamma * logn))) + 1;
-    p.dealer_seed = dealer_seed;
     return p;
 }
 
 RabinDealerNode::RabinDealerNode(const RabinDealerParams& params, core::AgreementMode mode,
-                                 NodeId self, Bit input, Xoshiro256 rng) {
-    reinit(params, mode, self, input, rng);
+                                 NodeId self, Bit input, Xoshiro256 rng,
+                                 std::uint64_t dealer_seed) {
+    reinit(params, mode, self, input, rng, dealer_seed);
 }
 
 void RabinDealerNode::reinit(const RabinDealerParams& params, core::AgreementMode mode,
-                             NodeId self, Bit input, Xoshiro256 rng) {
+                             NodeId self, Bit input, Xoshiro256 rng,
+                             std::uint64_t dealer_seed) {
     RabinSkeletonNode::reinit(
         core::SkeletonConfig{params.n, params.t, params.phases, mode}, self, input,
         rng);
-    dealer_seed_ = params.dealer_seed;
+    dealer_seed_ = dealer_seed;
 }
 
 Bit RabinDealerNode::dealer_coin(std::uint64_t dealer_seed, Phase p) {
@@ -46,11 +46,13 @@ std::vector<std::unique_ptr<net::HonestNode>> make_rabin_dealer_nodes(
     const RabinDealerParams& params, core::AgreementMode mode,
     const std::vector<Bit>& inputs, const SeedTree& seeds) {
     ADBA_EXPECTS(inputs.size() == params.n);
+    const std::uint64_t dealer_seed = seeds.seed(StreamPurpose::DealerCoin);
     std::vector<std::unique_ptr<net::HonestNode>> nodes;
     nodes.reserve(params.n);
     for (NodeId v = 0; v < params.n; ++v) {
         nodes.push_back(std::make_unique<RabinDealerNode>(
-            params, mode, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
+            params, mode, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v),
+            dealer_seed));
     }
     return nodes;
 }
@@ -60,41 +62,12 @@ void reinit_rabin_dealer_nodes(const RabinDealerParams& params,
                                const std::vector<Bit>& inputs, const SeedTree& seeds,
                                std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
+    const std::uint64_t dealer_seed = seeds.seed(StreamPurpose::DealerCoin);
     net::reinit_node_pool<RabinDealerNode>(nodes, params.n, [&](RabinDealerNode& nd,
                                                                 NodeId v) {
         nd.reinit(params, mode, v, inputs[v],
-                  seeds.stream(StreamPurpose::NodeProtocol, v));
+                  seeds.stream(StreamPurpose::NodeProtocol, v), dealer_seed);
     });
-}
-
-namespace {
-
-core::BatchCoinSpec dealer_coin_spec(const RabinDealerParams& params) {
-    core::BatchCoinSpec coin;
-    coin.kind = core::BatchCoinSpec::Kind::Dealer;
-    coin.dealer = [seed = params.dealer_seed](Phase p) {
-        return RabinDealerNode::dealer_coin(seed, p);
-    };
-    return coin;
-}
-
-}  // namespace
-
-std::unique_ptr<net::BatchProtocol> make_rabin_dealer_batch(
-    const RabinDealerParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds) {
-    return core::make_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        dealer_coin_spec(params), inputs, seeds);
-}
-
-void reinit_rabin_dealer_batch(const RabinDealerParams& params,
-                               core::AgreementMode mode,
-                               const std::vector<Bit>& inputs, const SeedTree& seeds,
-                               net::BatchProtocol& batch) {
-    core::reinit_skeleton_batch(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode},
-        dealer_coin_spec(params), inputs, seeds, batch);
 }
 
 Round max_rounds_whp(const RabinDealerParams& p) { return 2 * (p.phases + 2); }

@@ -16,31 +16,30 @@
 #include <vector>
 
 #include "core/skeleton.hpp"
-#include "core/skeleton_batch.hpp"
 #include "rand/seed_tree.hpp"
 
 namespace adba::base {
 
+/// Seed-free: the dealer seed is per trial (the trial's DealerCoin stream
+/// seed), bound by every factory from the trial's SeedTree.
 struct RabinDealerParams {
     NodeId n = 0;
     Count t = 0;
-    Count phases = 1;          ///< w.h.p. budget: failure prob <= 2^-phases
-    std::uint64_t dealer_seed = 0;
+    Count phases = 1;  ///< w.h.p. budget: failure prob <= 2^-phases
 
     /// phases = ⌈γ·log2 n⌉ + 1 gives failure probability <= 2/n^γ.
-    static RabinDealerParams compute(NodeId n, Count t, std::uint64_t dealer_seed,
-                                     double gamma = 2.0);
+    static RabinDealerParams compute(NodeId n, Count t, double gamma = 2.0);
 };
 
 class RabinDealerNode final : public core::RabinSkeletonNode {
 public:
     RabinDealerNode(const RabinDealerParams& params, core::AgreementMode mode,
-                    NodeId self, Bit input, Xoshiro256 rng);
+                    NodeId self, Bit input, Xoshiro256 rng, std::uint64_t dealer_seed);
 
     /// Re-arms a pooled node for a fresh trial (constructor contract; the
     /// dealer seed is per-trial, so it is re-latched here).
     void reinit(const RabinDealerParams& params, core::AgreementMode mode,
-                NodeId self, Bit input, Xoshiro256 rng);
+                NodeId self, Bit input, Xoshiro256 rng, std::uint64_t dealer_seed);
 
     /// The dealer's public coin for phase p (identical at every node).
     static Bit dealer_coin(std::uint64_t dealer_seed, Phase p);
@@ -53,6 +52,7 @@ private:
     std::uint64_t dealer_seed_ = 0;
 };
 
+/// Node set for one trial; the dealer seed is the trial's DealerCoin seed.
 std::vector<std::unique_ptr<net::HonestNode>> make_rabin_dealer_nodes(
     const RabinDealerParams& params, core::AgreementMode mode,
     const std::vector<Bit>& inputs, const SeedTree& seeds);
@@ -62,15 +62,6 @@ void reinit_rabin_dealer_nodes(const RabinDealerParams& params,
                                core::AgreementMode mode,
                                const std::vector<Bit>& inputs, const SeedTree& seeds,
                                std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form (dealer coin); bit-identical to the node vector.
-std::unique_ptr<net::BatchProtocol> make_rabin_dealer_batch(
-    const RabinDealerParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
-void reinit_rabin_dealer_batch(const RabinDealerParams& params,
-                               core::AgreementMode mode,
-                               const std::vector<Bit>& inputs, const SeedTree& seeds,
-                               net::BatchProtocol& batch);
 
 Round max_rounds_whp(const RabinDealerParams& p);
 

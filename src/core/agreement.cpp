@@ -50,29 +50,4 @@ void reinit_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
     });
 }
 
-namespace {
-
-BatchCoinSpec alg3_coin(const AgreementParams& params) {
-    BatchCoinSpec coin;
-    coin.kind = BatchCoinSpec::Kind::Committee;
-    coin.schedule = params.schedule;
-    return coin;
-}
-
-}  // namespace
-
-std::unique_ptr<net::BatchProtocol> make_algorithm3_batch(
-    const AgreementParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
-    return make_skeleton_batch(SkeletonConfig{params.n, params.t, params.phases, mode},
-                               alg3_coin(params), inputs, seeds);
-}
-
-void reinit_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch) {
-    reinit_skeleton_batch(SkeletonConfig{params.n, params.t, params.phases, mode},
-                          alg3_coin(params), inputs, seeds, batch);
-}
-
 }  // namespace adba::core

@@ -16,7 +16,6 @@
 
 #include "core/params.hpp"
 #include "core/skeleton.hpp"
-#include "core/skeleton_batch.hpp"
 #include "net/node.hpp"
 #include "rand/seed_tree.hpp"
 
@@ -53,17 +52,5 @@ std::vector<std::unique_ptr<net::HonestNode>> make_algorithm3_nodes(
 void reinit_algorithm3_nodes(const AgreementParams& params, AgreementMode mode,
                              const std::vector<Bit>& inputs, const SeedTree& seeds,
                              std::vector<std::unique_ptr<net::HonestNode>>& nodes);
-
-/// Native SoA batch form of the same protocol (core/skeleton_batch.hpp with
-/// the committee coin): bit-identical to the node vector above, one
-/// dispatch per engine beat.
-std::unique_ptr<net::BatchProtocol> make_algorithm3_batch(
-    const AgreementParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a batch built by make_algorithm3_batch for a new trial.
-void reinit_algorithm3_batch(const AgreementParams& params, AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             net::BatchProtocol& batch);
 
 }  // namespace adba::core

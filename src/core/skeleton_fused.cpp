@@ -8,12 +8,12 @@ namespace adba::core {
 
 using net::kFusedLanes;
 
-FusedSkeleton::FusedSkeleton(const SkeletonConfig& cfg, FusedCoinSpec coin) {
+FusedSkeleton::FusedSkeleton(const SkeletonConfig& cfg, CoinSpec coin) {
     // Same contracts as SkeletonBatch::rearm, checked once per block set.
     ADBA_EXPECTS(cfg.n > 0);
     ADBA_EXPECTS_MSG(3 * static_cast<std::uint64_t>(cfg.t) < cfg.n, "requires t < n/3");
     ADBA_EXPECTS(cfg.phases >= 1);
-    if (coin.kind == FusedCoinSpec::Kind::Dealer) ADBA_EXPECTS(coin.dealer != nullptr);
+    if (coin.kind == CoinSpec::Kind::Dealer) ADBA_EXPECTS(coin.dealer != nullptr);
     cfg_ = cfg;
     coin_ = std::move(coin);
 }
@@ -36,7 +36,7 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     rng_.resize(static_cast<std::size_t>(n) * kFusedLanes);
     rng_live_.assign(n, 0);
     for (unsigned j = 0; j < kFusedLanes; ++j) lane_master_[j] = lane_seeds[j].master();
-    if (coin_.kind == FusedCoinSpec::Kind::Dealer)
+    if (coin_.kind == CoinSpec::Kind::Dealer)
         for (unsigned j = 0; j < kFusedLanes; ++j)
             dealer_seed_[j] = lane_seeds[j].seed(StreamPurpose::DealerCoin);
 }
@@ -49,7 +49,7 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
     frame.phase = p;
 
     NodeId flip_first = 0, flip_last = 0;
-    if (round2 && coin_.kind == FusedCoinSpec::Kind::Committee) {
+    if (round2 && coin_.kind == CoinSpec::Kind::Committee) {
         const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
         flip_first = range.first;
         flip_last = range.second;
@@ -104,7 +104,7 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
     NodeId flip_first = 0, flip_last = 0;
     std::int64_t hcoin[kFusedLanes] = {};
     const bool committee =
-        round2 && coin_.kind == FusedCoinSpec::Kind::Committee;
+        round2 && coin_.kind == CoinSpec::Kind::Committee;
     if (committee) {
         const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
         flip_first = range.first;
@@ -180,17 +180,17 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
             }
             // Case 3: adopt the phase coin.
             switch (coin_.kind) {
-                case FusedCoinSpec::Kind::Committee:
+                case CoinSpec::Kind::Committee:
                     if (hcoin[j] + coin_delta >= 0) t_val1_.mark(lo, hi, bit);
                     break;
-                case FusedCoinSpec::Kind::Dealer:
+                case CoinSpec::Kind::Dealer:
                     if (!dealer_drawn) {
                         dealer_bit = coin_.dealer(dealer_seed_[j], p);
                         dealer_drawn = true;
                     }
                     if (dealer_bit != 0) t_val1_.mark(lo, hi, bit);
                     break;
-                case FusedCoinSpec::Kind::Local:
+                case CoinSpec::Kind::Local:
                     t_coin_.mark(lo, hi, bit);  // per-cell draw at the write
                     break;
             }
@@ -229,7 +229,7 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         decided_[v] = (decided_[v] & ~act) | (m_dec_[v] & act);
         const std::uint64_t fin = m_fin_[v] & act;
         finish_[v] |= fin;
-        flushing_[v] |= fin;  // apply_phase_end: finishers flush next phase
+        flushing_[v] |= fin;  // finishers flush through the next phase
         if (last_phase) halted_[v] |= act & ~fin;  // fixed-phase exhaustion
     }
 }

@@ -12,15 +12,14 @@
 // (lane, segment) and materialized for all receivers with one prefix-XOR
 // sweep (LaneToggles).
 //
-// The coin hooks become a FusedCoinSpec: Committee sums live in bit-sliced
-// LaneAdder columns (honest part) plus per-(lane, segment) Byzantine
-// coin sums from the fold; Dealer coins are a pure per-lane function of the
-// phase; Local coins draw from the focused (node, lane) stream exactly where
-// the scalar case-3 path would.
+// The coin hooks are SkeletonBatch's CoinSpec: Committee sums live in
+// bit-sliced LaneAdder columns (honest part) plus per-(lane, segment)
+// Byzantine coin sums from the fold; Dealer coins are the pure coin function
+// under each lane's own DealerCoin seed; Local coins draw from the focused
+// (node, lane) stream exactly where the scalar case-3 path would.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/params.hpp"
@@ -32,21 +31,10 @@
 
 namespace adba::core {
 
-/// Coin source of a FusedSkeleton — BatchCoinSpec with the dealer hook
-/// seed-parameterized so each lane evaluates it under its own trial's
-/// DealerCoin stream seed.
-struct FusedCoinSpec {
-    using Kind = BatchCoinSpec::Kind;
-    Kind kind = Kind::Local;
-    BlockSchedule schedule;  ///< Committee only
-    /// Dealer only: pure coin function of (per-lane dealer seed, phase).
-    std::function<Bit(std::uint64_t, Phase)> dealer;
-};
-
 /// 64-lane Rabin skeleton: one object, n nodes x 64 trials, bit planes.
 class FusedSkeleton final : public net::FusedProtocol {
 public:
-    FusedSkeleton(const SkeletonConfig& cfg, FusedCoinSpec coin);
+    FusedSkeleton(const SkeletonConfig& cfg, CoinSpec coin);
 
     NodeId n() const override { return cfg_.n; }
     void rearm(const std::uint64_t* input_plane, const SeedTree* lane_seeds) override;
@@ -58,7 +46,7 @@ public:
 
 private:
     SkeletonConfig cfg_;
-    FusedCoinSpec coin_;
+    CoinSpec coin_;
     std::vector<std::uint64_t> val_;
     std::vector<std::uint64_t> decided_;
     std::vector<std::uint64_t> finish_;

@@ -72,4 +72,93 @@ void PerNodeBatch::receive_all(Round r, const RoundBuffer& buf,
     receive_impl(r, buf.state_plane(), [&](NodeId v) { return ReceiveView(src, v); });
 }
 
+// --------------------------------------------------------------- BeatCounts
+
+BeatCounts BeatCounts::flat(const BeatQuery& q, const RoundBuffer& buf,
+                            const RoundTally& tally) {
+    BeatCounts c(Plane::Flat, q, buf);
+    if (q.counts) {
+        // Honest counts are receiver-independent: read once per beat; only
+        // the Byzantine delta plane varies per receiver.
+        if (const TallyBucket* b = tally.find(q.kind, q.phase))
+            c.base_ = q.require_flag ? b->val_flag_cnt : b->val_cnt;
+        c.delta_ = tally.val_delta_plane(q.kind, q.phase, q.require_flag);
+    }
+    c.hoist_coin(tally);
+    return c;
+}
+
+BeatCounts BeatCounts::sampled(const BeatQuery& q, const RoundBuffer& buf,
+                               const RoundTally& tally, const SparsePlane& sparse) {
+    BeatCounts c(Plane::Sampled, q, buf);
+    c.exact_ = sparse.dense();
+    c.sparse_ = &sparse;
+    if (q.counts) c.sparse_query_ = sparse.query(q.kind, q.phase, q.require_flag);
+    // The committee coin is the sparse plane's exact island: every receiver
+    // hears the committee in full through the shared tally, so the coin is
+    // the same integer at any sampling degree.
+    c.hoist_coin(tally);
+    return c;
+}
+
+BeatCounts BeatCounts::reference(const BeatQuery& q, const RoundBuffer& buf,
+                                 const DeliverySource& src) {
+    BeatCounts c(Plane::Reference, q, buf);
+    c.src_ = &src;
+    return c;
+}
+
+void BeatCounts::hoist_coin(const RoundTally& tally) {
+    if (q_.coin_first >= q_.coin_last) return;
+    // Eager: the tally's lazy caches must not be built from concurrent
+    // shards, so the beat pays for them up front even when no receiver
+    // lands on the coin — a cache build, not an observable draw.
+    if (const TallyBucket* b = tally.find(q_.kind, q_.phase))
+        honest_coin_ = tally.coin_range_sum(*b, q_.coin_first, q_.coin_last);
+    coin_delta_ = tally.coin_delta_plane(q_.kind, q_.phase, /*check_phase=*/true,
+                                         q_.coin_first, q_.coin_last);
+}
+
+std::array<Count, 2> BeatCounts::val_probed(NodeId v) const {
+    if (plane_ == Plane::Sampled) return sparse_->val_estimates(sparse_query_, v);
+    return ReceiveView(*src_, v).val_counts(q_.kind, q_.phase, q_.require_flag);
+}
+
+std::int64_t BeatCounts::coin_probed(NodeId v) const {
+    return ReceiveView(*src_, v).coin_sum(q_.kind, q_.phase, /*check_phase=*/true,
+                                          q_.coin_first, q_.coin_last);
+}
+
+// -------------------------------------------------------------- NativeBatch
+
+void NativeBatch::receive_all(Round r, const RoundBuffer& buf, const RoundTally& tally) {
+    receive_prepare(r, buf, tally);
+    receive_rule(r, prep_, 0, n());
+}
+
+void NativeBatch::receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src) {
+    receive_rule(r, BeatCounts::reference(beat_query(r), buf, src), 0, n());
+}
+
+void NativeBatch::receive_prepare(Round r, const RoundBuffer& buf,
+                                  const RoundTally& tally) {
+    prep_ = BeatCounts::flat(beat_query(r), buf, tally);
+}
+
+void NativeBatch::receive_range(Round r, const RoundBuffer&, const RoundTally&,
+                                NodeId lo, NodeId hi) {
+    receive_rule(r, prep_, lo, hi);
+}
+
+void NativeBatch::receive_sparse_prepare(Round r, const RoundBuffer& buf,
+                                         const RoundTally& tally,
+                                         const SparsePlane& sparse) {
+    prep_ = BeatCounts::sampled(beat_query(r), buf, tally, sparse);
+}
+
+void NativeBatch::receive_sparse_range(Round r, const RoundBuffer&, const RoundTally&,
+                                       const SparsePlane&, NodeId lo, NodeId hi) {
+    receive_rule(r, prep_, lo, hi);
+}
+
 }  // namespace adba::net

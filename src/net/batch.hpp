@@ -15,18 +15,29 @@
 //   receive_all(r, src)           — the same over the virtual DeliverySource
 //                                   oracle (EngineConfig::reference_delivery),
 //
-// and reads `halted_plane()` / `value(v)` / `decided(v)` for gating, message
-// accounting, adversary introspection, and result assembly.
+// plus the sharded (receive_prepare / receive_range) and sampled
+// (receive_sparse_prepare / receive_sparse_range) splits of the receive
+// beat, and reads `halted_plane()` / `value(v)` / `decided(v)` for gating,
+// message accounting, adversary introspection, and result assembly.
 //
 // Two families implement the interface:
 //  * PerNodeBatch — the generic adapter over any HonestNode vector. Every
 //    protocol works unchanged through it, and it is the reference oracle the
 //    native batches are pinned against (the same role reference_delivery
 //    plays for the delivery plane).
-//  * native SoA batches (core/skeleton_batch.hpp, baselines/ben_or.hpp,
-//    baselines/phase_king.hpp) — per-node state as flat arrays, shared
-//    tally queries hoisted out of the per-node loop. Selected by the
-//    registry's make_batch hooks; scenario key `batch=false` (CLI
+//  * NativeBatch — SoA batches (core/skeleton_batch.hpp,
+//    baselines/ben_or.hpp, baselines/phase_king.hpp) that keep per-node
+//    state as flat arrays and write each protocol's receive rule ONCE. A
+//    native batch states two things per beat: the query (BeatQuery — which
+//    (kind, phase) bucket its counts read, with or without the flag filter,
+//    and which committee's coin) and the per-node rule over [lo, hi), which
+//    reads its inputs from a BeatCounts. This file implements every receive
+//    entry point from those two hooks: BeatCounts is backed by the flat
+//    tally (honest histogram + per-receiver delta plane), by the sparse
+//    plane (sampled estimates; the committee coin stays an exact island),
+//    or by per-sender ReceiveView loops over a DeliverySource — so the
+//    flat, sharded, sampled and reference beats run one rule. Selected by
+//    the registry's make_batch hooks; scenario key `batch=false` (CLI
 //    `--batch=off`) falls back to the adapter.
 //
 // One step further along the same axis, net/fused_plane.hpp batches across
@@ -37,17 +48,17 @@
 // fused lanes are pinned against, just as PerNodeBatch is this plane's.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "net/node.hpp"
 #include "net/round_buffer.hpp"
+#include "net/sparse_plane.hpp"
 #include "support/types.hpp"
 
 namespace adba::net {
-
-class SparsePlane;
 
 /// Steps one protocol's whole node population; the engine's only handle on
 /// honest protocol state. Implementations must preserve per-node semantics
@@ -126,8 +137,8 @@ public:
     // that are theorems for exact counts may fail statistically, so range
     // implementations must run their relaxed (assert-free) forms there.
 
-    /// True when this batch implements the sparse receive protocol. Mirrors
-    /// the registry's `supports_sparse` capability flag.
+    /// True when this batch implements the sparse receive protocol (every
+    /// NativeBatch does).
     virtual bool supports_sparse() const { return false; }
     /// Serial pre-pass of the sparse receive beat.
     virtual void receive_sparse_prepare(Round r, const RoundBuffer& buf,
@@ -196,6 +207,133 @@ private:
 
     std::vector<std::unique_ptr<HonestNode>> nodes_;
     std::vector<std::uint8_t> halted_;
+};
+
+/// What one receive beat of a native batch reads: per-receiver counts, by
+/// val & 1, of deliveries matching (kind, phase) — flag != 0 only when
+/// `require_flag` — and, over senders [coin_first, coin_last), the
+/// committee coin's sanitized ±1 sum of matching deliveries (an empty
+/// range means the beat has no committee coin). `counts == false` marks a
+/// beat that reads no counts at all (phase-king's king round), so no tally
+/// or sample query is built for it.
+struct BeatQuery {
+    MsgKind kind{};
+    Phase phase = 0;
+    bool require_flag = false;
+    bool counts = true;
+    NodeId coin_first = 0;
+    NodeId coin_last = 0;
+};
+
+/// One receive beat's inputs, whichever plane delivers them. Built once
+/// per beat (serially — the tally's lazy caches are not thread-safe) and
+/// then read from any shard:
+///  * flat      — the honest bucket counts plus the per-receiver Byzantine
+///                delta plane; the committee coin as the honest range sum
+///                plus its delta plane;
+///  * sampled   — SparsePlane::val_estimates per receiver; the committee
+///                coin and single-sender probes stay exact (the committee
+///                is the plane's exact island);
+///  * reference — per-sender ReceiveView loops over a DeliverySource, the
+///                executable spec of the other two.
+class BeatCounts {
+public:
+    BeatCounts() = default;
+    static BeatCounts flat(const BeatQuery& q, const RoundBuffer& buf,
+                           const RoundTally& tally);
+    static BeatCounts sampled(const BeatQuery& q, const RoundBuffer& buf,
+                              const RoundTally& tally, const SparsePlane& sparse);
+    static BeatCounts reference(const BeatQuery& q, const RoundBuffer& buf,
+                                const DeliverySource& src);
+
+    /// Receiver v is Byzantine this round (its state is not stepped).
+    bool byzantine(NodeId v) const {
+        return (state_[v] & RoundBuffer::kByzantine) != 0;
+    }
+    /// Receiver v's (val 0, val 1) counts: exact, or sampled estimates.
+    std::array<Count, 2> val(NodeId v) const {
+        if (plane_ != Plane::Flat) return val_probed(v);
+        std::array<Count, 2> c = base_;
+        if (delta_ != nullptr) {
+            c[0] += delta_[v][0];
+            c[1] += delta_[v][1];
+        }
+        return c;
+    }
+    /// The committee coin's sum as receiver v hears it — exact on every plane.
+    std::int64_t coin_sum(NodeId v) const {
+        if (plane_ == Plane::Reference) return coin_probed(v);
+        return honest_coin_ + (coin_delta_ != nullptr ? coin_delta_[v] : 0);
+    }
+    /// The message `sender` delivered to v this round (nullptr = silence);
+    /// a single-sender probe, exact on every plane.
+    const Message* from(NodeId v, NodeId sender) const {
+        return src_ != nullptr ? src_->delivery(v, sender) : buf_->from(v, sender);
+    }
+    /// True when the counts are exact (flat, reference, dense sampling):
+    /// threshold lemmas that are theorems for exact counts — Lemma 3, Ben-Or's
+    /// conflicting proposals — may be asserted. False under sub-dense
+    /// sampling, where estimates can breach them statistically.
+    bool exact() const { return exact_; }
+
+private:
+    enum class Plane : std::uint8_t { Flat, Sampled, Reference };
+
+    std::array<Count, 2> val_probed(NodeId v) const;
+    std::int64_t coin_probed(NodeId v) const;
+    BeatCounts(Plane plane, const BeatQuery& q, const RoundBuffer& buf)
+        : plane_(plane), q_(q), state_(buf.state_plane()), buf_(&buf) {}
+    /// Honest coin sum and Byzantine coin delta plane from the tally.
+    void hoist_coin(const RoundTally& tally);
+
+    Plane plane_ = Plane::Flat;
+    bool exact_ = true;
+    BeatQuery q_;
+    const std::uint8_t* state_ = nullptr;
+    const RoundBuffer* buf_ = nullptr;
+    std::array<Count, 2> base_{0, 0};
+    const std::array<Count, 2>* delta_ = nullptr;
+    std::int64_t honest_coin_ = 0;
+    const std::int64_t* coin_delta_ = nullptr;
+    const SparsePlane* sparse_ = nullptr;
+    SparsePlane::Query sparse_query_;
+    const DeliverySource* src_ = nullptr;
+};
+
+/// A native SoA batch written as one receive rule. Subclasses supply the
+/// send beat (send_range) and two receive hooks — the beat's query and the
+/// per-node rule over [lo, hi) — and every BatchProtocol entry point that
+/// steps the population is implemented here from them, so the flat,
+/// sharded, sampled and reference beats cannot drift apart.
+///
+/// Sharding contract: the rule touches only per-node state in [lo, hi)
+/// (value planes, halted bits, per-node RNG streams), so ranges write
+/// disjointly and any shard count reproduces the serial sweep; a shared
+/// coin hook the rule calls must be pure.
+class NativeBatch : public BatchProtocol {
+public:
+    void send_all(Round r, RoundBuffer& buf) final { send_range(r, buf, 0, n()); }
+    void receive_all(Round r, const RoundBuffer& buf, const RoundTally& tally) final;
+    void receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src) final;
+    bool shardable() const final { return true; }
+    void receive_prepare(Round r, const RoundBuffer& buf, const RoundTally& tally) final;
+    void receive_range(Round r, const RoundBuffer& buf, const RoundTally& tally,
+                       NodeId lo, NodeId hi) final;
+    bool supports_sparse() const final { return true; }
+    void receive_sparse_prepare(Round r, const RoundBuffer& buf, const RoundTally& tally,
+                                const SparsePlane& sparse) final;
+    void receive_sparse_range(Round r, const RoundBuffer& buf, const RoundTally& tally,
+                              const SparsePlane& sparse, NodeId lo, NodeId hi) final;
+
+protected:
+    /// What round r's receive beat reads.
+    virtual BeatQuery beat_query(Round r) const = 0;
+    /// Round r's receive step for every live honest node in [lo, hi),
+    /// ascending, reading its inputs from `in` only.
+    virtual void receive_rule(Round r, const BeatCounts& in, NodeId lo, NodeId hi) = 0;
+
+private:
+    BeatCounts prep_;  ///< prepare → range handoff; valid for one beat
 };
 
 }  // namespace adba::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
 #include "adversary/balancer.hpp"
@@ -124,475 +125,315 @@ ProtocolRegistry& ProtocolRegistry::instance() {
     return reg;
 }
 
-ProtocolRegistry::ProtocolRegistry() : RegistryBase("protocol") {
-    // Algorithm 3 (the paper), w.h.p. fixed-phase and Las Vegas modes.
-    const auto alg3_nodes = [](const Scenario& s, const std::vector<Bit>& inputs,
-                               const SeedTree& seeds, core::AgreementMode mode) {
-        ProtocolBundle b;
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        b.nodes = core::make_algorithm3_nodes(params, mode, inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = mode == core::AgreementMode::LasVegas
-                                   ? 32 * core::max_rounds_whp(params) + 256
-                                   : core::max_rounds_whp(params);
-        return b;
-    };
-    const auto alg3_reinit = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                const SeedTree& seeds, core::AgreementMode mode,
-                                ProtocolBundle& b) {
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        core::reinit_algorithm3_nodes(params, mode, inputs, seeds, b.nodes);
-    };
-    const auto alg3_schedule = [](const Scenario& s) {
-        return core::AgreementParams::compute(s.n, s.t, s.tuning).schedule;
-    };
-    const auto alg3_batch = [](const Scenario& s, const std::vector<Bit>& inputs,
-                               const SeedTree& seeds, core::AgreementMode mode) {
-        ProtocolBundle b;
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        b.batch = core::make_algorithm3_batch(params, mode, inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = mode == core::AgreementMode::LasVegas
-                                   ? 32 * core::max_rounds_whp(params) + 256
-                                   : core::max_rounds_whp(params);
-        return b;
-    };
-    const auto alg3_batch_reinit = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                      const SeedTree& seeds, core::AgreementMode mode,
-                                      ProtocolBundle& b) {
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        core::reinit_algorithm3_batch(params, mode, inputs, seeds, *b.batch);
-    };
-    const auto alg3_fused =
-        [](const Scenario& s,
-           core::AgreementMode mode) -> std::unique_ptr<net::FusedProtocol> {
-        const auto params = core::AgreementParams::compute(s.n, s.t, s.tuning);
-        return std::make_unique<core::FusedSkeleton>(
-            core::SkeletonConfig{s.n, s.t, params.phases, mode},
-            core::FusedCoinSpec{core::FusedCoinSpec::Kind::Committee, params.schedule,
-                                nullptr});
-    };
+namespace {
 
-    add({ProtocolKind::Ours,
+using core::AgreementMode;
+using Coin = core::CoinSpec::Kind;
+using Inputs = std::vector<Bit>;
+using NodeSet = std::vector<std::unique_ptr<net::HonestNode>>;
+using BatchSlot = std::unique_ptr<net::BatchProtocol>;
+
+/// What a protocol's parameters fix for a whole scenario: the phase budget,
+/// the default round cap and, for committee protocols, the schedule. Every
+/// bundle carries exactly this and budgets()/schedule_of() report exactly
+/// this, so the fused arena (cap from budgets()) and the scalar arena (cap
+/// from the bundle) cannot disagree.
+struct ProtocolMeta {
+    Count phases = 0;
+    Round max_rounds = 0;
+    std::optional<core::BlockSchedule> schedule = std::nullopt;
+};
+
+ProtocolBundle bundle_of(const ProtocolMeta& m) {
+    ProtocolBundle b;
+    b.phases = m.phases;
+    b.default_max_rounds = m.max_rounds;
+    b.schedule = m.schedule;
+    return b;
+}
+
+/// Builds a fresh B into an empty slot, or re-arms the B already there.
+template <typename B, typename... Args>
+void arm(BatchSlot& slot, const Args&... args) {
+    if (slot == nullptr) {
+        slot = std::make_unique<B>(args...);
+        return;
+    }
+    auto* b = dynamic_cast<B*>(slot.get());
+    ADBA_EXPECTS_MSG(b != nullptr, "batch pool type does not match the requested protocol");
+    b->rearm(args...);
+}
+
+// A protocol descriptor is a struct of static functions, written once per
+// protocol:
+//   params(scenario) -> P          the protocol's parameters (seed-free; a
+//                                  trial's seeds reach only the builders),
+//   meta(P) -> ProtocolMeta        phases, round cap, optional schedule,
+//   committee                      true when meta() carries a schedule,
+//   make_nodes / reinit_nodes      the per-node form, and, when the
+//   arm_batch / make_fused         protocol has them, the native batch
+//                                  (built into an empty slot or re-armed
+//                                  in place) and the 64-lane form.
+// derive<D>() turns one into every ProtocolEntry hook.
+template <typename D>
+ProtocolEntry derive(ProtocolEntry e) {
+    e.make_nodes = [](const Scenario& s, const Inputs& in, const SeedTree& sd) {
+        const auto p = D::params(s);
+        ProtocolBundle b = bundle_of(D::meta(p));
+        b.nodes = D::make_nodes(p, in, sd);
+        return b;
+    };
+    e.reinit_nodes = [](const Scenario& s, const Inputs& in, const SeedTree& sd,
+                        ProtocolBundle& b) { D::reinit_nodes(D::params(s), in, sd, b.nodes); };
+    e.budgets = [](const Scenario& s) {
+        const ProtocolMeta m = D::meta(D::params(s));
+        return BudgetHint{m.phases, m.max_rounds};
+    };
+    if constexpr (D::committee)
+        e.schedule_of = [](const Scenario& s) { return D::meta(D::params(s)).schedule.value(); };
+    if constexpr (requires { &D::arm_batch; }) {
+        e.make_batch = [](const Scenario& s, const Inputs& in, const SeedTree& sd) {
+            const auto p = D::params(s);
+            ProtocolBundle b = bundle_of(D::meta(p));
+            D::arm_batch(p, in, sd, b.batch);
+            return b;
+        };
+        e.reinit_batch = [](const Scenario& s, const Inputs& in, const SeedTree& sd,
+                            ProtocolBundle& b) { D::arm_batch(D::params(s), in, sd, b.batch); };
+    }
+    if constexpr (requires { &D::make_fused; })
+        e.make_fused = [](const Scenario& s) { return D::make_fused(D::params(s)); };
+    return e;
+}
+
+/// The six skeleton protocols: each supplies params() and meta(), and this
+/// base supplies the rest — node sets from the protocol's own factories in
+/// mode M, and batch and fused forms from one SkeletonConfig-and-coin
+/// builder over the params' (n, t, phases): a committee coin over the
+/// params' schedule, the trusted dealer's public coin, or private flips.
+template <typename P, AgreementMode M, Coin C,
+          NodeSet (*MakeNodes)(const P&, AgreementMode, const Inputs&, const SeedTree&),
+          void (*ReinitNodes)(const P&, AgreementMode, const Inputs&, const SeedTree&,
+                              NodeSet&)>
+struct Skeleton {
+    static constexpr bool committee = C == Coin::Committee;
+
+    static NodeSet make_nodes(const P& p, const Inputs& in, const SeedTree& sd) {
+        return MakeNodes(p, M, in, sd);
+    }
+    static void reinit_nodes(const P& p, const Inputs& in, const SeedTree& sd,
+                             NodeSet& nodes) {
+        ReinitNodes(p, M, in, sd, nodes);
+    }
+    static core::SkeletonConfig config(const P& p) { return {p.n, p.t, p.phases, M}; }
+    static core::CoinSpec coin(const P& p) {
+        core::CoinSpec spec;
+        spec.kind = C;
+        if constexpr (C == Coin::Committee) spec.schedule = p.schedule;
+        if constexpr (C == Coin::Dealer) spec.dealer = &base::RabinDealerNode::dealer_coin;
+        return spec;
+    }
+    static void arm_batch(const P& p, const Inputs& in, const SeedTree& sd, BatchSlot& slot) {
+        arm<core::SkeletonBatch>(slot, config(p), coin(p), in, sd);
+    }
+    static std::unique_ptr<net::FusedProtocol> make_fused(const P& p) {
+        return std::make_unique<core::FusedSkeleton>(config(p), coin(p));
+    }
+};
+
+/// Explicit phase budgets (scenario key `phases`): every phase plus two
+/// rounds of slack for the last finish flush.
+Round phase_budget_cap(Count phases) { return static_cast<Round>(2 * (phases + 2)); }
+
+/// Algorithm 3 (the paper), w.h.p. fixed-phase or Las Vegas.
+template <AgreementMode M>
+struct Alg3 : Skeleton<core::AgreementParams, M, Coin::Committee, &core::make_algorithm3_nodes,
+                       &core::reinit_algorithm3_nodes> {
+    static core::AgreementParams params(const Scenario& s) {
+        return core::AgreementParams::compute(s.n, s.t, s.tuning);
+    }
+    static ProtocolMeta meta(const core::AgreementParams& p) {
+        const Round whp = core::max_rounds_whp(p);
+        return {p.phases, M == AgreementMode::LasVegas ? 32 * whp + 256 : whp, p.schedule};
+    }
+};
+
+template <base::ChorCoanParams (*Compute)(NodeId, Count, const core::Tuning&)>
+struct ChorCoan : Skeleton<base::ChorCoanParams, AgreementMode::WhpFixedPhases, Coin::Committee,
+                           &base::make_chor_coan_nodes, &base::reinit_chor_coan_nodes> {
+    static base::ChorCoanParams params(const Scenario& s) { return Compute(s.n, s.t, s.tuning); }
+    static ProtocolMeta meta(const base::ChorCoanParams& p) {
+        return {p.phases, base::max_rounds_whp(p), p.schedule};
+    }
+};
+
+struct RabinDealer
+    : Skeleton<base::RabinDealerParams, AgreementMode::WhpFixedPhases, Coin::Dealer,
+               &base::make_rabin_dealer_nodes, &base::reinit_rabin_dealer_nodes> {
+    static base::RabinDealerParams params(const Scenario& s) {
+        return base::RabinDealerParams::compute(s.n, s.t, s.tuning.gamma);
+    }
+    static ProtocolMeta meta(const base::RabinDealerParams& p) {
+        return {p.phases, base::max_rounds_whp(p)};
+    }
+};
+
+struct LocalCoin : Skeleton<base::LocalCoinParams, AgreementMode::WhpFixedPhases, Coin::Local,
+                            &base::make_local_coin_nodes, &base::reinit_local_coin_nodes> {
+    static base::LocalCoinParams params(const Scenario& s) {
+        return {s.n, s.t, s.local_coin_phases};
+    }
+    static ProtocolMeta meta(const base::LocalCoinParams& p) {
+        return {p.phases, phase_budget_cap(p.phases)};
+    }
+};
+
+struct BenOr {
+    static constexpr bool committee = false;
+    static base::BenOrParams params(const Scenario& s) { return {s.n, s.t, s.local_coin_phases}; }
+    static ProtocolMeta meta(const base::BenOrParams& p) {
+        return {p.phases, phase_budget_cap(p.phases)};
+    }
+    static NodeSet make_nodes(const base::BenOrParams& p, const Inputs& in, const SeedTree& sd) {
+        return base::make_ben_or_nodes(p, in, sd);
+    }
+    static void reinit_nodes(const base::BenOrParams& p, const Inputs& in, const SeedTree& sd,
+                             NodeSet& nodes) {
+        base::reinit_ben_or_nodes(p, in, sd, nodes);
+    }
+    static void arm_batch(const base::BenOrParams& p, const Inputs& in, const SeedTree& sd,
+                          BatchSlot& slot) {
+        arm<base::BenOrBatch>(slot, p, in, sd);
+    }
+    static std::unique_ptr<net::FusedProtocol> make_fused(const base::BenOrParams& p) {
+        return std::make_unique<base::FusedBenOr>(p);
+    }
+};
+
+struct PhaseKing {
+    static constexpr bool committee = false;
+    static base::PhaseKingParams params(const Scenario& s) { return {s.n, s.t}; }
+    static ProtocolMeta meta(const base::PhaseKingParams& p) {
+        return {p.phases(), static_cast<Round>(p.total_rounds() + 2)};
+    }
+    static NodeSet make_nodes(const base::PhaseKingParams& p, const Inputs& in,
+                              const SeedTree&) {
+        return base::make_phase_king_nodes(p, in);
+    }
+    static void reinit_nodes(const base::PhaseKingParams& p, const Inputs& in, const SeedTree&,
+                             NodeSet& nodes) {
+        base::reinit_phase_king_nodes(p, in, nodes);
+    }
+    static void arm_batch(const base::PhaseKingParams& p, const Inputs& in, const SeedTree&,
+                          BatchSlot& slot) {
+        arm<base::PhaseKingBatch>(slot, p, in);
+    }
+    static std::unique_ptr<net::FusedProtocol> make_fused(const base::PhaseKingParams& p) {
+        return std::make_unique<base::FusedPhaseKing>(p);
+    }
+};
+
+/// No native batch: sampling-majority's receive is per-receiver randomized
+/// (two random senders per node), so batching would only save the
+/// dispatch; it rides the PerNodeBatch adapter.
+struct SamplingMajority {
+    static constexpr bool committee = false;
+    static base::SamplingMajorityParams params(const Scenario& s) {
+        return base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
+    }
+    static ProtocolMeta meta(const base::SamplingMajorityParams& p) {
+        return {p.rounds, static_cast<Round>(p.rounds + 1)};
+    }
+    static NodeSet make_nodes(const base::SamplingMajorityParams& p, const Inputs& in,
+                              const SeedTree& sd) {
+        return base::make_sampling_majority_nodes(p, in, sd);
+    }
+    static void reinit_nodes(const base::SamplingMajorityParams& p, const Inputs& in,
+                             const SeedTree& sd, NodeSet& nodes) {
+        base::reinit_sampling_majority_nodes(p, in, sd, nodes);
+    }
+};
+
+}  // namespace
+
+ProtocolRegistry::ProtocolRegistry() : RegistryBase("protocol") {
+    add(derive<Alg3<AgreementMode::WhpFixedPhases>>(
+        {ProtocolKind::Ours,
          "ours",
          "ours(alg3)",
          {"alg3", "ours(alg3)", "dufoulon-pandurangan"},
          "Algorithm 3, w.h.p. fixed phases (Theorem 2)",
          "t < n/3",
          third_resilient,
-         AdversaryKind::WorstCase,
-         [alg3_nodes](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_nodes(s, in, sd, core::AgreementMode::WhpFixedPhases);
-         },
-         [alg3_reinit](const Scenario& s, const std::vector<Bit>& in,
-                       const SeedTree& sd, ProtocolBundle& b) {
-             alg3_reinit(s, in, sd, core::AgreementMode::WhpFixedPhases, b);
-         },
-         alg3_schedule,
-         [](const Scenario& s) {
-             const auto p = core::AgreementParams::compute(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, core::max_rounds_whp(p)};
-         },
-         [alg3_batch](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_batch(s, in, sd, core::AgreementMode::WhpFixedPhases);
-         },
-         [alg3_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                             const SeedTree& sd, ProtocolBundle& b) {
-             alg3_batch_reinit(s, in, sd, core::AgreementMode::WhpFixedPhases, b);
-         },
-         /*supports_sparse=*/true,
-         [alg3_fused](const Scenario& s) {
-             return alg3_fused(s, core::AgreementMode::WhpFixedPhases);
-         }});
-
-    add({ProtocolKind::OursLasVegas,
+         AdversaryKind::WorstCase}));
+    add(derive<Alg3<AgreementMode::LasVegas>>(
+        {ProtocolKind::OursLasVegas,
          "ours-las-vegas",
          "ours(las-vegas)",
          {"ours(las-vegas)", "las-vegas", "alg3-lv"},
          "Algorithm 3, Las Vegas variant (paper §3.2)",
          "t < n/3",
          third_resilient,
-         AdversaryKind::WorstCase,
-         [alg3_nodes](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_nodes(s, in, sd, core::AgreementMode::LasVegas);
-         },
-         [alg3_reinit](const Scenario& s, const std::vector<Bit>& in,
-                       const SeedTree& sd, ProtocolBundle& b) {
-             alg3_reinit(s, in, sd, core::AgreementMode::LasVegas, b);
-         },
-         alg3_schedule,
-         [](const Scenario& s) {
-             const auto p = core::AgreementParams::compute(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, 32 * core::max_rounds_whp(p) + 256};
-         },
-         [alg3_batch](const Scenario& s, const std::vector<Bit>& in, const SeedTree& sd) {
-             return alg3_batch(s, in, sd, core::AgreementMode::LasVegas);
-         },
-         [alg3_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                             const SeedTree& sd, ProtocolBundle& b) {
-             alg3_batch_reinit(s, in, sd, core::AgreementMode::LasVegas, b);
-         },
-         /*supports_sparse=*/true,
-         [alg3_fused](const Scenario& s) {
-             return alg3_fused(s, core::AgreementMode::LasVegas);
-         }});
-
-    const auto chor_coan_nodes = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                    const SeedTree& seeds, bool rushing) {
-        ProtocolBundle b;
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        b.nodes = base::make_chor_coan_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = base::max_rounds_whp(params);
-        return b;
-    };
-    const auto chor_coan_reinit = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                     const SeedTree& seeds, bool rushing,
-                                     ProtocolBundle& b) {
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        base::reinit_chor_coan_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                     inputs, seeds, b.nodes);
-    };
-    const auto chor_coan_batch = [](const Scenario& s, const std::vector<Bit>& inputs,
-                                    const SeedTree& seeds, bool rushing) {
-        ProtocolBundle b;
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        b.batch = base::make_chor_coan_batch(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds);
-        b.phases = params.phases;
-        b.schedule = params.schedule;
-        b.default_max_rounds = base::max_rounds_whp(params);
-        return b;
-    };
-    const auto chor_coan_batch_reinit = [](const Scenario& s,
-                                           const std::vector<Bit>& inputs,
-                                           const SeedTree& seeds, bool rushing,
-                                           ProtocolBundle& b) {
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        base::reinit_chor_coan_batch(params, core::AgreementMode::WhpFixedPhases,
-                                     inputs, seeds, *b.batch);
-    };
-    const auto chor_coan_fused =
-        [](const Scenario& s, bool rushing) -> std::unique_ptr<net::FusedProtocol> {
-        const auto params = rushing
-                                ? base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning)
-                                : base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-        return std::make_unique<core::FusedSkeleton>(
-            core::SkeletonConfig{s.n, s.t, params.phases,
-                                 core::AgreementMode::WhpFixedPhases},
-            core::FusedCoinSpec{core::FusedCoinSpec::Kind::Committee, params.schedule,
-                                nullptr});
-    };
-
-    add({ProtocolKind::ChorCoanRushing,
+         AdversaryKind::WorstCase}));
+    add(derive<ChorCoan<&base::ChorCoanParams::compute_rushing>>(
+        {ProtocolKind::ChorCoanRushing,
          "chor-coan-rushing",
          "chor-coan(rushing)",
          {"chor-coan(rushing)", "cc-rushing"},
          "rushing-hardened Chor-Coan (footnote-3 comparator)",
          "t < n/3",
          third_resilient,
-         AdversaryKind::WorstCase,
-         [chor_coan_nodes](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_nodes(s, in, sd, true); },
-         [chor_coan_reinit](const Scenario& s, const std::vector<Bit>& in,
-                            const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_reinit(s, in, sd, true, b);
-         },
-         [](const Scenario& s) {
-             return base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning).schedule;
-         },
-         [](const Scenario& s) {
-             const auto p = base::ChorCoanParams::compute_rushing(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, base::max_rounds_whp(p)};
-         },
-         [chor_coan_batch](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_batch(s, in, sd, true); },
-         [chor_coan_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                                  const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_batch_reinit(s, in, sd, true, b);
-         },
-         /*supports_sparse=*/true,
-         [chor_coan_fused](const Scenario& s) { return chor_coan_fused(s, true); }});
-
-    add({ProtocolKind::ChorCoanClassic,
+         AdversaryKind::WorstCase}));
+    add(derive<ChorCoan<&base::ChorCoanParams::compute_classic>>(
+        {ProtocolKind::ChorCoanClassic,
          "chor-coan-classic",
          "chor-coan(classic)",
          {"chor-coan(classic)", "cc-classic", "chor-coan"},
          "historic Chor-Coan 1985, Θ(log n)-size groups",
          "t < n/3",
          third_resilient,
-         AdversaryKind::WorstCase,
-         [chor_coan_nodes](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_nodes(s, in, sd, false); },
-         [chor_coan_reinit](const Scenario& s, const std::vector<Bit>& in,
-                            const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_reinit(s, in, sd, false, b);
-         },
-         [](const Scenario& s) {
-             return base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning).schedule;
-         },
-         [](const Scenario& s) {
-             const auto p = base::ChorCoanParams::compute_classic(s.n, s.t, s.tuning);
-             return BudgetHint{p.phases, base::max_rounds_whp(p)};
-         },
-         [chor_coan_batch](const Scenario& s, const std::vector<Bit>& in,
-                           const SeedTree& sd) { return chor_coan_batch(s, in, sd, false); },
-         [chor_coan_batch_reinit](const Scenario& s, const std::vector<Bit>& in,
-                                  const SeedTree& sd, ProtocolBundle& b) {
-             chor_coan_batch_reinit(s, in, sd, false, b);
-         },
-         /*supports_sparse=*/true,
-         [chor_coan_fused](const Scenario& s) { return chor_coan_fused(s, false); }});
-
-    add({ProtocolKind::RabinDealer,
-         "rabin-dealer",
-         "rabin(dealer)",
-         {"rabin(dealer)", "rabin"},
-         "Rabin 1983, trusted-dealer shared coin (ideal reference)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::SplitVote,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             b.nodes = base::make_rabin_dealer_nodes(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = base::max_rounds_whp(params);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             // The dealer seed is per-trial; recompute params with it.
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             base::reinit_rabin_dealer_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             const auto p = base::RabinDealerParams::compute(s.n, s.t, 0, s.tuning.gamma);
-             return BudgetHint{p.phases, base::max_rounds_whp(p)};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             b.batch = base::make_rabin_dealer_batch(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = base::max_rounds_whp(params);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             // The dealer seed is per-trial; recompute params with it.
-             const auto params = base::RabinDealerParams::compute(
-                 s.n, s.t, seeds.seed(StreamPurpose::DealerCoin), s.tuning.gamma);
-             base::reinit_rabin_dealer_batch(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds, *b.batch);
-         },
-         /*supports_sparse=*/true,
-         // Per-lane dealer seeds come from each lane's DealerCoin stream at
-         // rearm time (skeleton_fused.cpp), so the phase budget — which is
-         // dealer-seed-independent — is the only params field used here.
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             const auto p = base::RabinDealerParams::compute(s.n, s.t, 0, s.tuning.gamma);
-             return std::make_unique<core::FusedSkeleton>(
-                 core::SkeletonConfig{s.n, s.t, p.phases,
-                                      core::AgreementMode::WhpFixedPhases},
-                 core::FusedCoinSpec{core::FusedCoinSpec::Kind::Dealer,
-                                     {},
-                                     &base::RabinDealerNode::dealer_coin});
-         }});
-
-    add({ProtocolKind::LocalCoin,
-         "local-coin",
-         "local-coin",
-         {},
-         "skeleton with private coins (ablation; exponential rounds)",
-         "t < n/3",
-         third_resilient,
-         AdversaryKind::SplitVote,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             b.nodes = base::make_local_coin_nodes(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_local_coin_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                           inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             return BudgetHint{s.local_coin_phases,
-                               static_cast<Round>(2 * (s.local_coin_phases + 2))};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             b.batch = base::make_local_coin_batch(
-                 params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::LocalCoinParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_local_coin_batch(params, core::AgreementMode::WhpFixedPhases,
-                                           inputs, seeds, *b.batch);
-         },
-         /*supports_sparse=*/true,
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             return std::make_unique<core::FusedSkeleton>(
-                 core::SkeletonConfig{s.n, s.t, s.local_coin_phases,
-                                      core::AgreementMode::WhpFixedPhases},
-                 core::FusedCoinSpec{core::FusedCoinSpec::Kind::Local, {}, nullptr});
-         }});
-
-    add({ProtocolKind::BenOr,
-         "ben-or",
-         "ben-or(1983)",
-         {"ben-or(1983)", "benor"},
-         "Ben-Or 1983 proper, private coins",
-         "t < n/5",
-         [](NodeId n, Count t) { return 5 * static_cast<std::uint64_t>(t) < n; },
-         AdversaryKind::SplitVote,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             b.nodes = base::make_ben_or_nodes(params, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_ben_or_nodes(params, inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             return BudgetHint{s.local_coin_phases,
-                               static_cast<Round>(2 * (s.local_coin_phases + 2))};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             b.batch = base::make_ben_or_batch(params, inputs, seeds);
-             b.phases = params.phases;
-             b.default_max_rounds = 2 * (params.phases + 2);
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const base::BenOrParams params{s.n, s.t, s.local_coin_phases};
-             base::reinit_ben_or_batch(params, inputs, seeds, *b.batch);
-         },
-         /*supports_sparse=*/true,
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             return std::make_unique<base::FusedBenOr>(
-                 base::BenOrParams{s.n, s.t, s.local_coin_phases});
-         }});
-
-    add({ProtocolKind::PhaseKing,
-         "phase-king",
-         "phase-king",
-         {"phaseking", "king"},
-         "deterministic 2(t+1)-round baseline",
-         "t < n/4",
-         [](NodeId n, Count t) { return 4 * static_cast<std::uint64_t>(t) < n; },
-         AdversaryKind::KingKiller,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&) {
-             ProtocolBundle b;
-             const base::PhaseKingParams params{s.n, s.t};
-             b.nodes = base::make_phase_king_nodes(params, inputs);
-             b.phases = params.phases();
-             b.default_max_rounds = params.total_rounds() + 2;
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&,
-            ProtocolBundle& b) {
-             base::reinit_phase_king_nodes(base::PhaseKingParams{s.n, s.t}, inputs,
-                                           b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             const base::PhaseKingParams p{s.n, s.t};
-             return BudgetHint{p.phases(), static_cast<Round>(p.total_rounds() + 2)};
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&) {
-             ProtocolBundle b;
-             const base::PhaseKingParams params{s.n, s.t};
-             b.batch = base::make_phase_king_batch(params, inputs);
-             b.phases = params.phases();
-             b.default_max_rounds = params.total_rounds() + 2;
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree&,
-            ProtocolBundle& b) {
-             base::reinit_phase_king_batch(base::PhaseKingParams{s.n, s.t}, inputs,
-                                           *b.batch);
-         },
-         /*supports_sparse=*/true,
-         [](const Scenario& s) -> std::unique_ptr<net::FusedProtocol> {
-             return std::make_unique<base::FusedPhaseKing>(
-                 base::PhaseKingParams{s.n, s.t});
-         }});
-
-    add({ProtocolKind::SamplingMajority,
+         AdversaryKind::WorstCase}));
+    add(derive<RabinDealer>({ProtocolKind::RabinDealer,
+                             "rabin-dealer",
+                             "rabin(dealer)",
+                             {"rabin(dealer)", "rabin"},
+                             "Rabin 1983, trusted-dealer shared coin (ideal reference)",
+                             "t < n/3",
+                             third_resilient,
+                             AdversaryKind::SplitVote}));
+    add(derive<LocalCoin>({ProtocolKind::LocalCoin,
+                           "local-coin",
+                           "local-coin",
+                           {},
+                           "skeleton with private coins (ablation; exponential rounds)",
+                           "t < n/3",
+                           third_resilient,
+                           AdversaryKind::SplitVote}));
+    add(derive<BenOr>({ProtocolKind::BenOr,
+                       "ben-or",
+                       "ben-or(1983)",
+                       {"ben-or(1983)", "benor"},
+                       "Ben-Or 1983 proper, private coins",
+                       "t < n/5",
+                       [](NodeId n, Count t) { return 5 * static_cast<std::uint64_t>(t) < n; },
+                       AdversaryKind::SplitVote}));
+    add(derive<PhaseKing>({ProtocolKind::PhaseKing,
+                           "phase-king",
+                           "phase-king",
+                           {"phaseking", "king"},
+                           "deterministic 2(t+1)-round baseline",
+                           "t < n/4",
+                           [](NodeId n, Count t) { return 4 * static_cast<std::uint64_t>(t) < n; },
+                           AdversaryKind::KingKiller}));
+    add(derive<SamplingMajority>(
+        {ProtocolKind::SamplingMajority,
          "sampling-majority",
          "sampling-majority",
          {"sampling", "apr"},
          "APR 2013 sampling-majority drift protocol (paper §1.3)",
          "t < n/3, n >= 2",
          [](NodeId n, Count t) { return n >= 2 && third_resilient(n, t); },
-         AdversaryKind::Balancer,
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds) {
-             ProtocolBundle b;
-             const auto params =
-                 base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
-             b.nodes = base::make_sampling_majority_nodes(params, inputs, seeds);
-             b.phases = params.rounds;
-             b.default_max_rounds = params.rounds + 1;
-             return b;
-         },
-         [](const Scenario& s, const std::vector<Bit>& inputs, const SeedTree& seeds,
-            ProtocolBundle& b) {
-             const auto params =
-                 base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
-             base::reinit_sampling_majority_nodes(params, inputs, seeds, b.nodes);
-         },
-         nullptr,
-         [](const Scenario& s) {
-             const auto p = base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
-             return BudgetHint{p.rounds, static_cast<Round>(p.rounds + 1)};
-         },
-         // No native batch: sampling-majority's receive is per-receiver
-         // randomized (two random senders per node), so batching would only
-         // save the dispatch; it rides the PerNodeBatch adapter.
-         nullptr,
-         nullptr});
+         AdversaryKind::Balancer}));
 }
 
 // --------------------------------------------------------- built-in adversaries
@@ -841,10 +682,10 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
     }
 
     if (s.sparse_plane) {
-        if (!p.supports_sparse) {
+        if (!p.make_batch) {
             std::string with;
             for (const ProtocolEntry* e : ProtocolRegistry::instance().list())
-                if (e->supports_sparse) with += (with.empty() ? "" : ", ") + e->name;
+                if (e->make_batch) with += (with.empty() ? "" : ", ") + e->name;
             return "plane=sparse needs a sparse-capable native batch; protocol '" +
                    p.name + "' has none (sparse-capable protocols: " + with + ")";
         }
@@ -1040,8 +881,8 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
     }
 }
 
-bool parse_onoff(const std::string& value) {
-    return value == "true" || value == "1" || value == "yes" || value == "on";
+bool parse_onoff(const std::string& key, const std::string& value) {
+    return parse_bool("scenario key '" + key + "'", value);
 }
 
 /// THE spec tokenizer: splits a `key=value ...` string (tolerating trailing
@@ -1108,15 +949,15 @@ Scenario Scenario::parse(const std::string& spec) {
         } else if (key == "max_rounds") {
             s.max_rounds_override = static_cast<Round>(parse_u64(key, value));
         } else if (key == "transcript") {
-            s.record_transcript = parse_onoff(value);
+            s.record_transcript = parse_onoff(key, value);
         } else if (key == "reference") {
-            s.reference_delivery = parse_onoff(value);
+            s.reference_delivery = parse_onoff(key, value);
         } else if (key == "batch") {
-            s.use_batch = parse_onoff(value);
+            s.use_batch = parse_onoff(key, value);
         } else if (key == "shard") {
-            s.use_shard = parse_onoff(value);
+            s.use_shard = parse_onoff(key, value);
         } else if (key == "simd") {
-            s.use_simd = parse_onoff(value);
+            s.use_simd = parse_onoff(key, value);
         } else if (key == "intra_threads") {
             s.intra_threads = static_cast<Count>(parse_u64(key, value));
         } else if (key == "plane") {
@@ -1128,7 +969,7 @@ Scenario Scenario::parse(const std::string& spec) {
         } else if (key == "sparse_stream") {
             s.sparse_stream = parse_sparse_stream_name(value);
         } else if (key == "fused") {
-            s.use_fused = parse_onoff(value);
+            s.use_fused = parse_onoff(key, value);
         } else if (key == "watchdog_ms") {
             s.watchdog_ms = static_cast<std::uint32_t>(parse_u64(key, value));
         } else {
@@ -1191,13 +1032,13 @@ MvScenario MvScenario::parse(const std::string& spec) {
         } else if (key == "fallback") {
             s.fallback = static_cast<net::Word>(parse_u64(key, value));
         } else if (key == "las_vegas") {
-            s.las_vegas = parse_onoff(value);
+            s.las_vegas = parse_onoff(key, value);
         } else if (key == "reference") {
-            s.reference_delivery = parse_onoff(value);
+            s.reference_delivery = parse_onoff(key, value);
         } else if (key == "batch") {
-            s.use_batch = parse_onoff(value);
+            s.use_batch = parse_onoff(key, value);
         } else if (key == "simd") {
-            s.use_simd = parse_onoff(value);
+            s.use_simd = parse_onoff(key, value);
         } else if (key == "plane") {
             s.sparse_plane = parse_plane_name(value);
         } else if (key == "sample_degree") {
@@ -1235,7 +1076,7 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
     if (flat <= budget) return std::nullopt;
 
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
-    const bool can_fall_back = !s.sparse_plane && p.supports_sparse && s.use_batch &&
+    const bool can_fall_back = !s.sparse_plane && p.make_batch && s.use_batch &&
                                s.use_simd && !s.reference_delivery && !s.use_fused;
     if (can_fall_back) {
         const std::uint64_t sparse = estimate_trial_arena_bytes(s.n, true);

@@ -10,8 +10,13 @@
 // new enum value threaded through four switch statements.
 //
 // The built-in entries are registered by the registry constructors in
-// registry.cpp (linker-safe for a static library). A plug-in translation
-// unit extends the system with
+// registry.cpp (linker-safe for a static library). Each built-in protocol
+// is written there as ONE descriptor — a params function (scenario ->
+// protocol parameters) plus one metadata function (phases, round cap,
+// optional committee schedule) and its builders — from which every
+// ProtocolEntry hook (make_nodes, reinit_nodes, make_batch, reinit_batch,
+// make_fused, budgets, schedule_of) is derived, so a protocol states its
+// budgets once. A plug-in translation unit extends the system with
 //
 //     static const auto& my_proto = adba::sim::ProtocolRegistry::instance().add({...});
 //
@@ -70,7 +75,7 @@ struct ProtocolEntry {
     /// Builds the node set for one trial.
     std::function<ProtocolBundle(const Scenario&, const std::vector<Bit>&,
                                  const SeedTree&)>
-        make_nodes;
+        make_nodes = nullptr;
 
     /// Trial-reuse fast path: re-arms `bundle.nodes` (produced by an earlier
     /// make_nodes for the SAME scenario) for a new trial's inputs/seeds with
@@ -79,34 +84,30 @@ struct ProtocolEntry {
     /// budget) is scenario-only and stays valid across trials.
     std::function<void(const Scenario&, const std::vector<Bit>&, const SeedTree&,
                        ProtocolBundle&)>
-        reinit_nodes;
+        reinit_nodes = nullptr;
 
     /// Committee schedule hook; null for protocols without one (their
     /// scenarios are incompatible with schedule-aware adversaries).
-    std::function<core::BlockSchedule(const Scenario&)> schedule_of;
+    std::function<core::BlockSchedule(const Scenario&)> schedule_of = nullptr;
 
     /// Default phase/round budgets at the scenario's parameters.
-    std::function<BudgetHint(const Scenario&)> budgets;
+    std::function<BudgetHint(const Scenario&)> budgets = nullptr;
 
     /// Native SoA batch factory: fills a bundle whose `batch` steps the
     /// whole population under one dispatch per beat (bit-identical to
     /// make_nodes + the PerNodeBatch adapter, pinned by the equivalence
-    /// suite). Null = no native batch; runners fall back to per-node.
+    /// suite). Null = no native batch; runners fall back to per-node. Every
+    /// native batch is a net::NativeBatch, so it also runs the sampled
+    /// plane (`plane=sparse`) and sharded beats.
     std::function<ProtocolBundle(const Scenario&, const std::vector<Bit>&,
                                  const SeedTree&)>
-        make_batch;
+        make_batch = nullptr;
 
     /// Trial-reuse fast path for the batch form (same contract as
     /// reinit_nodes, re-arming `bundle.batch` in place).
     std::function<void(const Scenario&, const std::vector<Bit>&, const SeedTree&,
                        ProtocolBundle&)>
-        reinit_batch;
-
-    /// The native batch answers its receive beat from sampled per-receiver
-    /// counts (net/sparse_plane.hpp; scenario key `plane=sparse`). Mirrors
-    /// BatchProtocol::supports_sparse for capability listings and the
-    /// feasibility rules; implies make_batch != nullptr.
-    bool supports_sparse = false;
+        reinit_batch = nullptr;
 
     /// Word-parallel fused-plane factory (net/fused_plane.hpp; scenario key
     /// `fused`): builds the 64-lane FusedProtocol for this scenario's
@@ -115,7 +116,7 @@ struct ProtocolEntry {
     /// scenarios are rejected by why_incompatible). Lane j of a fused block
     /// is bit-identical to the scalar trial at lane j's index — the scalar
     /// path stays the oracle, as with `batch=` / `simd=` / `plane=`.
-    std::function<std::unique_ptr<net::FusedProtocol>(const Scenario&)> make_fused;
+    std::function<std::unique_ptr<net::FusedProtocol>(const Scenario&)> make_fused = nullptr;
 };
 
 /// Capability descriptor + factory for one adversary strategy.
@@ -280,7 +281,7 @@ net::SparseStream parse_sparse_stream_name(const std::string& name);
 /// value): estimates the scenario's per-trial arena footprint against the
 /// process-wide memory budget. Within budget (or budget off): no change,
 /// nullopt. Over budget on the flat plane with a sparse-capable
-/// configuration (protocol supports_sparse, batch=on, simd=on,
+/// configuration (protocol with a native batch, batch=on, simd=on,
 /// reference=off): flips `s.sparse_plane = true` and returns the one-line
 /// warning to print. Otherwise throws ContractViolation with an actionable
 /// message (raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, shrink n, or pick a

@@ -75,6 +75,13 @@ std::string closest_match(const std::string& key,
     return best;
 }
 
+bool parse_bool(const std::string& what, const std::string& value) {
+    if (value == "true" || value == "1" || value == "yes" || value == "on") return true;
+    if (value == "false" || value == "0" || value == "no" || value == "off") return false;
+    throw ContractViolation(what + " expects true/1/yes/on or false/0/no/off, got '" +
+                            value + "'");
+}
+
 Cli::Cli(int argc, char** argv) {
     if (argc > 0) passthrough_.emplace_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -130,8 +137,7 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
     queried_[key] = fallback ? "on" : "off";
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return it->second == "true" || it->second == "1" || it->second == "yes" ||
-           it->second == "on";
+    return parse_bool("--" + key, it->second);
 }
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& key,

@@ -32,6 +32,13 @@ namespace adba {
 std::string closest_match(const std::string& key,
                           const std::vector<std::string>& candidates);
 
+/// Parses a boolean setting: true/1/yes/on or false/0/no/off. Anything else
+/// throws ContractViolation naming `what` (e.g. "--fused" or "scenario key
+/// 'fused'") and the accepted spellings, so a misspelled toggle stops the
+/// run instead of silently reading as false. Shared by Cli::get_bool and
+/// the scenario spec parsers.
+bool parse_bool(const std::string& what, const std::string& value);
+
 /// Thrown by Cli::check_unused() when `--help` was given; what() is the
 /// usage text. A ContractViolation, so a caller that only knows the
 /// strict-mode failure still stops before doing any work; run_main answers
@@ -54,8 +61,8 @@ public:
     std::string get(const std::string& key, const std::string& fallback) const;
     std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
     double get_double(const std::string& key, double fallback) const;
-    /// True for "true"/"1"/"yes"/"on" (so `--batch=on|off` style toggles
-    /// work); any other present value is false.
+    /// parse_bool over the flag's value (so `--batch=on|off` style toggles
+    /// work); a bare `--flag` reads as true.
     bool get_bool(const std::string& key, bool fallback) const;
 
     /// Comma-separated integer list, e.g. `--t=4,8,16`.

@@ -206,7 +206,7 @@ TEST(Accounting, EngineMatchesPerSenderReferenceAcrossTheRegistry) {
 TEST(Accounting, SubDenseSparseCapsEachBroadcastAtTheDegree) {
     Coverage seen;
     for (const sim::ProtocolEntry* p : sim::ProtocolRegistry::instance().list()) {
-        if (!p->supports_sparse) continue;
+        if (p->make_batch == nullptr) continue;
         for (const Count degree : {Count{8}, Count{40}, Count{60}}) {
             sim::Scenario s;
             s.protocol = p->kind;

@@ -222,6 +222,20 @@ TEST(ScenarioSpec, UnknownKeysAndValuesThrowActionably) {
     EXPECT_THROW(Scenario::parse("n=eight"), ContractViolation);
     EXPECT_THROW(Scenario::parse("inputs=zebra"), ContractViolation);
     EXPECT_THROW(Scenario::parse("just-a-token"), ContractViolation);
+
+    // Boolean keys accept true/1/yes/on and false/0/no/off only.
+    const std::string bad_bool =
+        thrown_message([] { Scenario::parse("n=64 t=21 fused=ture"); });
+    EXPECT_NE(bad_bool.find("scenario key 'fused'"), std::string::npos) << bad_bool;
+    EXPECT_NE(bad_bool.find("true/1/yes/on or false/0/no/off"), std::string::npos)
+        << bad_bool;
+    EXPECT_NE(bad_bool.find("'ture'"), std::string::npos) << bad_bool;
+    EXPECT_THROW(Scenario::parse("batch=of"), ContractViolation);
+    EXPECT_FALSE(Scenario::parse("batch=no").use_batch);
+    EXPECT_TRUE(Scenario::parse("reference=1").reference_delivery);
+    const std::string bad_mv =
+        thrown_message([] { MvScenario::parse("n=16 t=5 las_vegas=maybe"); });
+    EXPECT_NE(bad_mv.find("scenario key 'las_vegas'"), std::string::npos) << bad_mv;
 }
 
 TEST(ScenarioSpec, ParsedScenarioRunsByName) {
@@ -265,6 +279,44 @@ TEST(Registry, BudgetsMatchTrialConfiguration) {
     const TrialResult r = run_trial(s, 3);
     EXPECT_EQ(hint.phases, r.phases_configured);
     EXPECT_GE(hint.max_rounds, r.rounds);
+
+    // The fused arena takes its round cap and schedule from budgets() and
+    // schedule_of(), the scalar arena from the trial bundle, so fused/scalar
+    // bit-identity needs the two to agree for every protocol and shape.
+    const auto same_schedule = [](const core::BlockSchedule& a,
+                                  const core::BlockSchedule& b) {
+        return a.n == b.n && a.block == b.block && a.num_blocks == b.num_blocks;
+    };
+    std::size_t compared = 0;
+    for (const ProtocolEntry* p : ProtocolRegistry::instance().list()) {
+        for (const NodeId n : {7u, 16u, 64u, 200u, 1000u}) {
+            const Count stride = n > 100 ? 17 : 1;
+            for (Count t = 0; p->supports(n, t); t += stride) {
+                Scenario sc;
+                sc.protocol = p->kind;
+                sc.n = n;
+                sc.t = t;
+                const BudgetHint b = p->budgets(sc);
+                const std::vector<Bit> inputs(n, 0);
+                for (const std::uint64_t seed : {1u, 99u}) {
+                    const SeedTree seeds(seed);
+                    std::vector<ProtocolBundle> bundles;
+                    bundles.push_back(p->make_nodes(sc, inputs, seeds));
+                    if (p->make_batch) bundles.push_back(p->make_batch(sc, inputs, seeds));
+                    for (const ProtocolBundle& bundle : bundles) {
+                        SCOPED_TRACE(sc.describe() + " seed=" + std::to_string(seed));
+                        EXPECT_EQ(b.phases, bundle.phases);
+                        EXPECT_EQ(b.max_rounds, bundle.default_max_rounds);
+                        ASSERT_EQ(p->schedule_of != nullptr, bundle.schedule.has_value());
+                        if (p->schedule_of)
+                            EXPECT_TRUE(same_schedule(p->schedule_of(sc), *bundle.schedule));
+                        ++compared;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 1000u);
 }
 
 }  // namespace

@@ -153,8 +153,8 @@ TEST(SparsePlaneFuzz, SubDenseSplitRunsCompleteWithoutTrippingAsserts) {
     // estimates genuinely wobble: decisions are not guaranteed, but every
     // trial must complete — the relaxed (assert-free) threshold forms must
     // absorb estimate noise instead of aborting, and the round cap bounds
-    // stalls. This is the regression guard for the `checked` gating in
-    // SkeletonBatch::apply_round2 / BenOrBatch::apply_propose.
+    // stalls. This is the regression guard for the BeatCounts::exact()
+    // gating in SkeletonBatch / BenOrBatch::receive_rule.
     Xoshiro256 rng(0xFADE);
     for (int iter = 0; iter < 10; ++iter) {
         sim::Scenario s;

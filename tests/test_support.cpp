@@ -395,8 +395,9 @@ TEST(Cli, HelpListsTheQueriedFlagsWithTheirDefaults) {
 }
 
 TEST(Cli, MalformedNumbersNameTheFlag) {
-    const char* argv[] = {"prog", "--threads=abc", "--alpha=1.5x", "--t=4,x"};
-    Cli cli(4, const_cast<char**>(argv));
+    const char* argv[] = {"prog", "--threads=abc", "--alpha=1.5x", "--t=4,x",
+                          "--fused=onn", "--batch=off", "--resume"};
+    Cli cli(7, const_cast<char**>(argv));
     const auto message_of = [](auto&& read) {
         try {
             read();
@@ -411,6 +412,15 @@ TEST(Cli, MalformedNumbersNameTheFlag) {
               "--alpha expects a number, got '1.5x'");
     EXPECT_EQ(message_of([&] { cli.get_int_list("t", {}); }),
               "--t expects an integer, got 'x'");
+    // A misspelled toggle must not silently read as false.
+    EXPECT_EQ(message_of([&] { cli.get_bool("fused", false); }),
+              "--fused expects true/1/yes/on or false/0/no/off, got 'onn'");
+    EXPECT_FALSE(cli.get_bool("batch", true));
+    EXPECT_TRUE(cli.get_bool("resume", false));  // bare flag
+    EXPECT_EQ(message_of([&] { (void)parse_bool("--x", ""); }),
+              "--x expects true/1/yes/on or false/0/no/off, got ''");
+    for (const char* yes : {"true", "1", "yes", "on"}) EXPECT_TRUE(parse_bool("--x", yes));
+    for (const char* no : {"false", "0", "no", "off"}) EXPECT_FALSE(parse_bool("--x", no));
 }
 
 TEST(Cli, RunMainMapsOutcomesToExitStatus) {
