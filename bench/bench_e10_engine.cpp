@@ -67,6 +67,9 @@ ThroughputPoint measure_throughput(NodeId n, Count trials, bool use_batch,
     s.inputs = sim::InputPattern::Split;
     s.use_batch = use_batch;
     s.intra_threads = intra_shards;
+    // The serial, batch, shard and packed entries time the scalar engine
+    // paths their names say; the `fused` block times the fused plane.
+    s.use_fused = false;
 
     const sim::ExecutorConfig serial{1, 0};  // the canonical single-thread metric
     (void)sim::run_trials(s, 0xE10, std::max<Count>(trials / 10, 2), serial);  // warm-up
@@ -167,8 +170,8 @@ SparsePoint measure_sparse(NodeId n, Count trials, Count degree,
 // Same protocol/adversary shape as the serial entries but with fused=true:
 // 64 trials co-execute bit-sliced, one uint64_t per node, so the per-trial
 // cost of small-n cells stops being dominated by per-node bookkeeping.
-// Trial counts are whole multiples of 64 so the chunk is all fused blocks
-// (a scalar remainder would dilute the measurement); aggregates stay
+// Trial counts are whole multiples of 64 so the chunk is all whole fused
+// blocks (a partial block would dilute the measurement); aggregates stay
 // bit-identical to the scalar path, so the health counters gate the same
 // way. `ns_per_trial_overhead` prices the fixed per-block cost (rearm,
 // input packing, result scatter) on a fast-deciding all-one/no-adversary

@@ -53,6 +53,11 @@ std::optional<net::LaneUniformRound> StaticAdversary::lane_uniform(Round r, Node
     return form;
 }
 
+bool StaticAdversary::same_strategy(const net::Adversary& other) const {
+    const auto* o = dynamic_cast<const StaticAdversary*>(&other);
+    return o != nullptr && o->behavior_ == behavior_;
+}
+
 void StaticAdversary::act(net::RoundControl& ctl) {
     lane_uniform(ctl.round(), ctl.n())->play(ctl);
 }

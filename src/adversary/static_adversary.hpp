@@ -8,7 +8,8 @@
 //
 // Lane-uniform (net::Adversary::lane_uniform): its act() is its declared
 // form played through the control, so the fused plane can run 64 lanes of
-// it on word masks.
+// it on word masks. Its strategy key is its behaviour: a fused block asks
+// one lane per behaviour for each round's row.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,8 @@ public:
     /// val 0 (coin -1 in round 2 of a phase) below n/2, val 1 (coin +1)
     /// from n/2 up.
     std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override;
+    /// Another StaticAdversary with this behaviour: its rows are this one's.
+    bool same_strategy(const net::Adversary& other) const override;
 
     const std::vector<NodeId>& corrupted() const { return corrupted_; }
 

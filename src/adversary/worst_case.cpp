@@ -1,6 +1,7 @@
 #include "adversary/worst_case.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "support/contracts.hpp"
@@ -9,6 +10,17 @@ namespace adba::adv {
 
 namespace {
 constexpr Count kInfeasible = std::numeric_limits<Count>::max();
+}
+
+void WorstCaseAdversary::on_start(NodeId, Count) {
+    used_ = 0;
+    ruined_ = 0;
+    lane_used_.clear();
+}
+
+bool WorstCaseAdversary::same_strategy(const net::Adversary& other) const {
+    const auto* o = dynamic_cast<const WorstCaseAdversary*>(&other);
+    return o != nullptr && o->cfg_ == cfg_;
 }
 
 Count WorstCaseAdversary::remaining(const net::RoundControl& ctl) const {
@@ -236,6 +248,236 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
         for (NodeId u = first; u < last; ++u)
             if (!after.honest(u)) ctl.broadcast_as(u, m);
     }
+}
+
+// ------------------------------------------------------ block-level form
+//
+// The same strategy for all 64 lanes of a fused block at once, written
+// apart from act() above so that each checks the other.
+
+namespace {
+
+/// One ascending sweep of [lo, hi): each lane of `want` takes the ids whose
+/// bit is set in cand(v) into out[v] until it holds quota[j] of them, then
+/// leaves `want`.
+template <typename Cand>
+void take_ascending(NodeId lo, NodeId hi, const Cand& cand, Count* quota,
+                    std::uint64_t& want, std::uint64_t* out) {
+    for (NodeId v = lo; v < hi && want != 0; ++v) {
+        std::uint64_t take = cand(v) & want;
+        out[v] |= take;
+        for (; take != 0; take &= take - 1)
+            if (--quota[std::countr_zero(take)] == 0) want &= ~(take & -take);
+    }
+}
+
+/// Corruptions that close a margin gap each one narrows by 2: ceil(gap/2),
+/// or 0 when the gap is already closed.
+std::int64_t closing(std::int64_t gap) { return gap > 0 ? (gap + 1) / 2 : 0; }
+
+/// `k` when `avail` flippers can pay for it, else kInfeasible.
+Count within(std::int64_t k, Count avail) {
+    return k <= static_cast<std::int64_t>(avail) ? static_cast<Count>(k) : kInfeasible;
+}
+
+}  // namespace
+
+Count WorstCaseAdversary::lane_remaining(const net::FusedLaneControl& ctl,
+                                         unsigned lane) const {
+    return std::min<Count>(ctl.lane_budget_left(lane), cfg_.max_corruptions - lane_used_[lane]);
+}
+
+void WorstCaseAdversary::corrupt_picks(net::FusedLaneControl& ctl, NodeId lo, NodeId hi) {
+    for (NodeId v = lo; v < hi; ++v)
+        if (picks_[v] != 0) ctl.corrupt_word(v, picks_[v]);
+}
+
+void WorstCaseAdversary::act_block(net::FusedLaneControl& ctl) {
+    lane_used_.resize(net::kFusedLanes, 0);
+    if (ctl.round() < cfg_.round_offset) return;  // prelude rounds: not ours
+    const Round r = ctl.round() - cfg_.round_offset;
+    if ((r % 2) == 0)
+        block_round1(ctl, r / 2);
+    else
+        block_round2(ctl, r / 2);
+}
+
+void WorstCaseAdversary::block_round1(net::FusedLaneControl& ctl, Phase p) {
+    const net::FusedFrame& f = ctl.frame();
+    // Only live honest Vote1 broadcasts of this phase count toward a quorum.
+    if (!cfg_.block_round1_quorums || f.kind != net::MsgKind::Vote1 || f.phase != p) return;
+    const NodeId n = f.n();
+    const std::uint64_t* halted = ctl.protocol().halted_plane();
+    const auto voting = [&](NodeId v) { return f.sent[v] & ~halted[v]; };
+    net::kern::LaneAdder zeros, ones;
+    for (NodeId v = 0; v < n; ++v) {
+        zeros.add(voting(v) & ~f.val[v]);
+        ones.add(voting(v) & f.val[v]);
+    }
+    Count tally[2][net::kFusedLanes];
+    zeros.counts(tally[0]);
+    ones.counts(tally[1]);
+
+    // Each lane blocks the value holding the n-t quorum (at most one can)
+    // when it can afford tally - quorum + 1 corruptions.
+    const Count quorum = n - cfg_.t;
+    Count quota[net::kFusedLanes] = {};
+    std::uint64_t want = 0, bloc_one = 0;
+    for (std::uint64_t lanes = f.active; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        const int b = tally[0][j] >= quorum ? 0 : 1;
+        if (tally[b][j] < quorum) continue;
+        const Count need = tally[b][j] - quorum + 1;
+        if (need > lane_remaining(ctl, j)) continue;  // cannot block; let it lock in
+        quota[j] = need;
+        lane_used_[j] += need;
+        want |= lanes & -lanes;
+        if (b == 1) bloc_one |= lanes & -lanes;
+    }
+    if (want == 0) return;
+
+    // The first `need` ascending ids of the bloc, current committee first.
+    picks_.assign(n, 0);
+    const auto bloc = [&](NodeId v) { return voting(v) & ~(f.val[v] ^ bloc_one); };
+    const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
+    take_ascending(first, last, bloc, quota, want, picks_.data());
+    take_ascending(0, first, bloc, quota, want, picks_.data());
+    take_ascending(last, n, bloc, quota, want, picks_.data());
+    ADBA_ENSURES_MSG(want == 0, "a quorum bloc holds every victim it needs");
+    corrupt_picks(ctl, 0, n);
+}
+
+void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
+    const net::FusedFrame& f = ctl.frame();
+    const NodeId n = f.n();
+    const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
+    const net::FusedProtocol& proto = ctl.protocol();
+    const std::uint64_t* halted = proto.halted_plane();
+    const std::uint64_t* decided = proto.decided_plane();
+    const std::uint64_t* value = proto.value_plane();
+    const std::uint64_t active = f.active;
+    const auto live = [&](NodeId v) { return ~f.byz[v] & ~halted[v]; };
+    const auto live_decided = [&](NodeId v) { return live(v) & decided[v]; };
+
+    // ---- observe: live decided nodes inside and outside the committee, and
+    // b_i, the value of each lane's highest live decided node.
+    net::kern::LaneAdder inside, outside;
+    for (NodeId v = 0; v < first; ++v) outside.add(live_decided(v));
+    for (NodeId v = first; v < last; ++v) inside.add(live_decided(v));
+    for (NodeId v = last; v < n; ++v) outside.add(live_decided(v));
+    Count d_in[net::kFusedLanes], d_out[net::kFusedLanes];
+    inside.counts(d_in);
+    outside.counts(d_out);
+    std::uint64_t any_decided = 0;
+    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1)
+        if (d_in[std::countr_zero(lanes)] + d_out[std::countr_zero(lanes)] > 0)
+            any_decided |= lanes & -lanes;
+    std::uint64_t b_i = 0, found = 0;
+    for (NodeId v = n; v-- > 0 && found != any_decided;) {
+        const std::uint64_t top = live_decided(v) & any_decided & ~found;
+        b_i |= top & value[v];
+        found |= top;
+    }
+
+    // ---- plan: decided reduction to t, victims outside the committee first
+    // (they leave the flip sum alone), then committee members.
+    Count need[net::kFusedLanes] = {}, quota[net::kFusedLanes] = {};
+    std::uint64_t want = 0;
+    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        const Count d = d_in[j] + d_out[j];
+        need[j] = quota[j] = d > cfg_.t ? d - cfg_.t : 0;
+        if (need[j] != 0) want |= lanes & -lanes;
+    }
+    picks_.assign(n, 0);
+    take_ascending(0, first, live_decided, quota, want, picks_.data());
+    take_ascending(last, n, live_decided, quota, want, picks_.data());
+    take_ascending(first, last, live_decided, quota, want, picks_.data());
+
+    // Honest committee flips that survive the reduction, and the Byzantine
+    // margin it leaves: members already corrupted plus committee victims.
+    const bool vote2 = f.kind == net::MsgKind::Vote2 && f.phase == p;
+    net::kern::LaneAdder byz_members, victims_in, plus, minus;
+    for (NodeId u = first; u < last; ++u) {
+        byz_members.add(f.byz[u]);
+        victims_in.add(picks_[u]);
+        if (!vote2) continue;
+        const std::uint64_t flip = f.sent[u] & ~halted[u] & ~picks_[u];
+        plus.add(flip & f.coinp[u]);
+        minus.add(flip & f.coinn[u]);
+    }
+    Count margin[net::kFusedLanes], taken_in[net::kFusedLanes], pos[net::kFusedLanes],
+        neg[net::kFusedLanes];
+    byz_members.counts(margin);
+    victims_in.counts(taken_in);
+    plus.counts(pos);
+    minus.counts(neg);
+
+    // ---- plan: the cheaper coin ruin per lane, each greedy in closed form.
+    // A corruption moves the flip sum s one step toward the drained sign's
+    // opposite and adds one equivocator to the margin m.
+    Count coin_quota[net::kFusedLanes] = {};
+    std::uint64_t acting = 0, split = 0, drain_plus = 0;
+    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        const std::uint64_t bit = lanes & -lanes;
+        const std::int64_t s = static_cast<std::int64_t>(pos[j]) - neg[j];
+        const std::int64_t m = static_cast<std::int64_t>(margin[j]) + taken_in[j];
+        // SPLIT: drain the majority sign until -m <= s <= m - 1.
+        const Count c_split =
+            s >= 0 ? within(closing(s - m + 1), pos[j]) : within(closing(-s - m), neg[j]);
+        // OPPOSITE, while a decided node stays visible: every receiver on
+        // 1 - b_i, by draining -1 flips until s + m >= 0 (toward 1) or +1
+        // flips until s - m <= -1 (toward 0).
+        const bool bi = (b_i & bit) != 0;
+        Count c_opp = kInfeasible;
+        if (d_in[j] + d_out[j] > need[j])
+            c_opp = bi ? within(closing(s - m + 1), pos[j]) : within(closing(-s - m), neg[j]);
+        const bool use_split = c_split <= c_opp;
+        const Count cost = use_split ? c_split : c_opp;
+        if (cost == kInfeasible) continue;
+        if (std::uint64_t{need[j]} + cost > lane_remaining(ctl, j)) continue;  // spend nothing
+        acting |= bit;
+        if (use_split) split |= bit;
+        if (use_split ? s >= 0 : bi) drain_plus |= bit;
+        coin_quota[j] = cost;
+        lane_used_[j] += need[j] + cost;
+    }
+    if (acting == 0) return;
+
+    // ---- execute: the reduction, then the first flippers of each acting
+    // lane's drained sign (the reduction victims are Byzantine by then).
+    for (NodeId v = 0; v < n; ++v) picks_[v] &= acting;
+    corrupt_picks(ctl, 0, n);
+    std::fill(picks_.begin() + first, picks_.begin() + last, std::uint64_t{0});
+    std::uint64_t drain = 0;
+    for (std::uint64_t lanes = acting; lanes != 0; lanes &= lanes - 1)
+        if (coin_quota[std::countr_zero(lanes)] != 0) drain |= lanes & -lanes;
+    const auto drained = [&](NodeId u) {
+        return f.sent[u] & ~halted[u] & ((f.coinp[u] & drain_plus) | (f.coinn[u] & ~drain_plus));
+    };
+    take_ascending(first, last, drained, coin_quota, drain, picks_.data());
+    ADBA_ENSURES_MSG(drain == 0, "every planned coin corruption has a flipper");
+    corrupt_picks(ctl, first, last);
+
+    // ---- deliveries from every Byzantine committee member, as one coin-sign
+    // row: SPLIT lanes give each live receiver the parity of the live
+    // receivers below it (balanced targets; everyone else gets -1), OPPOSITE
+    // lanes give every receiver the coin toward 1 - b_i.
+    sign_.resize(n);
+    const std::uint64_t toward_one = acting & ~split & ~b_i;
+    std::uint64_t parity = 0;
+    for (NodeId v = 0; v < n; ++v) {
+        const std::uint64_t l = live(v);
+        sign_[v] = (split & l & parity) | toward_one;
+        parity ^= l;
+    }
+    net::Message m;
+    m.kind = net::MsgKind::Vote2;
+    m.phase = p;
+    m.val = 0;
+    m.flag = 0;
+    ctl.sign_row(m, first, last, acting, sign_.data());
 }
 
 }  // namespace adba::adv

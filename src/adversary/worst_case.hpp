@@ -37,6 +37,18 @@
 // re-observes after corrupting; the SPLIT row is built once per round in
 // member scratch and handed whole to every Byzantine committee member via
 // deliver_row_as.
+//
+// Block-level form (net::Adversary::block_form): on the fused plane one
+// object decides all 64 lanes of a block per round from the frame's
+// planes, in O(n) word operations — LaneAdder counts for the Vote1 tallies
+// and the decided nodes, one ascending sweep with per-lane quotas for each
+// "first k ascending ids of a set" victim pick, one descending sweep for
+// b_i, closed forms for the SPLIT and OPPOSITE greedy costs, word-wise
+// corruption, and SPLIT and OPPOSITE together as one coin-sign row (SPLIT
+// targets are a prefix-XOR over the live plane, OPPOSITE a per-lane
+// constant). It is written apart from act(), which stays its oracle: the
+// block-by-block tests pin the two against each other. phases_ruined()
+// counts act() runs only.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +56,7 @@
 
 #include "core/params.hpp"
 #include "net/engine.hpp"
+#include "net/fused_plane.hpp"
 #include "support/types.hpp"
 
 namespace adba::adv {
@@ -57,13 +70,19 @@ struct WorstCaseConfig {
     /// when wrapped by the Turpin-Coan prelude). Rounds before the offset
     /// are ignored.
     Round round_offset = 0;
+
+    friend bool operator==(const WorstCaseConfig&, const WorstCaseConfig&) = default;
 };
 
-class WorstCaseAdversary final : public net::Adversary {
+class WorstCaseAdversary final : public net::Adversary, private net::BlockStrategy {
 public:
     explicit WorstCaseAdversary(WorstCaseConfig cfg) : cfg_(cfg) {}
 
+    void on_start(NodeId n, Count budget) override;
     void act(net::RoundControl& ctl) override;
+    /// Another WorstCaseAdversary with an equal configuration.
+    bool same_strategy(const net::Adversary& other) const override;
+    net::BlockStrategy* block_form() override { return this; }
 
     Count corruptions_used() const { return used_; }
     /// Number of phases whose coin this adversary successfully ruined.
@@ -75,6 +94,15 @@ private:
     Count remaining(const net::RoundControl& ctl) const;
     void corrupt_tracked(net::RoundControl& ctl, NodeId v);
 
+    // ---- block-level form (worst_case.cpp) ----
+    void act_block(net::FusedLaneControl& ctl) override;
+    void block_round1(net::FusedLaneControl& ctl, Phase p);
+    void block_round2(net::FusedLaneControl& ctl, Phase p);
+    /// remaining() of one lane.
+    Count lane_remaining(const net::FusedLaneControl& ctl, unsigned lane) const;
+    /// Corrupts node v in the lanes of picks_[v], for every v in [lo, hi).
+    void corrupt_picks(net::FusedLaneControl& ctl, NodeId lo, NodeId hi);
+
     WorstCaseConfig cfg_;
     Count used_ = 0;
     Count ruined_ = 0;
@@ -83,6 +111,11 @@ private:
     std::vector<NodeId> plan_pos_;   ///< honest committee +1 flippers, victims excluded
     std::vector<NodeId> plan_neg_;   ///< honest committee -1 flippers, victims excluded
     std::vector<net::Message> split_row_;  ///< SPLIT coin deliveries, one per receiver
+    // Block-level form, sized at its first round, so that the other lanes'
+    // objects stay small: each lane's corruptions and per-round planes.
+    std::vector<Count> lane_used_;
+    std::vector<std::uint64_t> picks_;  ///< lanes in which node v is picked to corrupt
+    std::vector<std::uint64_t> sign_;   ///< coin-sign plane
 };
 
 }  // namespace adba::adv

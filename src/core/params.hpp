@@ -40,6 +40,8 @@ struct BlockSchedule {
     bool flips_in_phase(NodeId v, Phase p) const;
     /// Size of committee k (the last block may be short).
     NodeId size(Count k) const;
+
+    friend bool operator==(const BlockSchedule&, const BlockSchedule&) = default;
 };
 
 /// Tunable analysis constants (paper's α plus our finite-n γ floor and the

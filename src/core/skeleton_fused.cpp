@@ -29,12 +29,15 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     m_val1_.assign(n, 0);
     m_fin_.assign(n, 0);
     m_coin_.assign(n, 0);
+    m_sign_.assign(n, 0);
     // Per-cell streams identical to the scalar batches': lane j's stream
-    // (NodeProtocol, v), consumed only by cell (v, j) — derived lazily at
-    // the first draw (see cell_rng), so a block only pays for the cells
-    // that actually flip coins.
-    rng_.resize(static_cast<std::size_t>(n) * kFusedLanes);
-    rng_live_.assign(n, 0);
+    // (NodeProtocol, v), consumed only by cell (v, j). Committee flips draw
+    // statelessly (committee_flip); only the Local coin's case-3 draws keep
+    // a stream per cell, derived lazily at the first draw (cell_rng).
+    if (coin_.kind == CoinSpec::Kind::Local) {
+        rng_.resize(static_cast<std::size_t>(n) * kFusedLanes);
+        rng_live_.assign(n, 0);
+    }
     for (unsigned j = 0; j < kFusedLanes; ++j) lane_master_[j] = lane_seeds[j].master();
     if (coin_.kind == CoinSpec::Kind::Dealer)
         for (unsigned j = 0; j < kFusedLanes; ++j)
@@ -66,9 +69,9 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
             // (Lemma 5 independence) for every live lane, flushing or not —
             // exactly the scalar send path's draw set.
             std::uint64_t pos = 0, neg = 0;
-            for (std::uint64_t lanes = act; lanes != 0; lanes &= lanes - 1) {
+            for (std::uint64_t lanes = act & frame.active; lanes != 0; lanes &= lanes - 1) {
                 const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-                if (cell_rng(v, j).sign() > 0)
+                if (committee_flip(v, j, p) > 0)
                     pos |= std::uint64_t{1} << j;
                 else
                     neg |= std::uint64_t{1} << j;
@@ -130,6 +133,8 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         t_fin_.reset(n);
         t_coin_.reset(n);
     }
+    const bool sign = round2 && frame.has_sign;
+    if (sign) t_sign_.reset(n);
 
     fold_.prepare(frame, {kind, p, round2, flip_first, flip_last});
     for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
@@ -181,7 +186,12 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
             // Case 3: adopt the phase coin.
             switch (coin_.kind) {
                 case CoinSpec::Kind::Committee:
-                    if (hcoin[j] + coin_delta >= 0) t_val1_.mark(lo, hi, bit);
+                    // The coin-sign row adds +coin_sign or -coin_sign: both
+                    // signs adopt 1, neither does, or the sign plane says.
+                    if (hcoin[j] + coin_delta - seg.coin_sign >= 0)
+                        t_val1_.mark(lo, hi, bit);
+                    else if (hcoin[j] + coin_delta + seg.coin_sign >= 0)
+                        t_sign_.mark(lo, hi, bit);
                     break;
                 case CoinSpec::Kind::Dealer:
                     if (!dealer_drawn) {
@@ -203,6 +213,7 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         t_fin_.sweep(m_fin_.data(), n);
         t_coin_.sweep(m_coin_.data(), n);
     }
+    if (sign) t_sign_.sweep(m_sign_.data(), n);
 
     const bool last_phase =
         cfg_.mode == AgreementMode::WhpFixedPhases && p + 1 == cfg_.phases;
@@ -218,6 +229,7 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         // Round 2: every active receiver writes val (case 1/2 adopt b,
         // case 3 adopts the coin).
         std::uint64_t v1 = m_val1_[v];
+        if (sign) v1 |= m_sign_[v] & frame.sign[v];
         std::uint64_t cm = m_coin_[v] & act;
         if (cm != 0) {
             for (; cm != 0; cm &= cm - 1) {

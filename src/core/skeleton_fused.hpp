@@ -14,9 +14,11 @@
 //
 // The coin hooks are SkeletonBatch's CoinSpec: Committee sums live in
 // bit-sliced LaneAdder columns (honest part) plus per-(lane, segment)
-// Byzantine coin sums from the fold; Dealer coins are the pure coin function
-// under each lane's own DealerCoin seed; Local coins draw from the focused
-// (node, lane) stream exactly where the scalar case-3 path would.
+// Byzantine coin sums from the fold, and a coin-sign row splits a segment's
+// case 3 into two outcomes that the sign plane selects per receiver. Dealer
+// coins are the pure coin function under each lane's own DealerCoin seed;
+// Local coins draw from the focused (node, lane) stream exactly where the
+// scalar case-3 path would.
 #pragma once
 
 #include <cstdint>
@@ -52,18 +54,26 @@ private:
     std::vector<std::uint64_t> finish_;
     std::vector<std::uint64_t> flushing_;
     std::vector<std::uint64_t> halted_;
-    /// Per-(node, lane) protocol streams, lane-major: rng_[v * 64 + j] is
-    /// lane j's stream (NodeProtocol, v) — private per cell, so fused
-    /// iteration order never perturbs another cell's draws. Streams are
-    /// constructed LAZILY at the first draw (rng_live_[v] bit j): under the
-    /// Committee coin only committee-member cells ever draw, so eagerly
-    /// deriving all n x 64 streams per block would dominate small-n rearm.
-    /// Laziness is invisible to determinism — the stream is a pure function
-    /// of (lane master, v), whenever it is built.
+    /// Local coin only: per-(node, lane) protocol streams, lane-major:
+    /// rng_[v * 64 + j] is lane j's stream (NodeProtocol, v) — private per
+    /// cell, so fused iteration order never perturbs another cell's draws.
+    /// Streams are constructed LAZILY at the first draw (rng_live_[v] bit
+    /// j); the stream is a pure function of (lane master, v), whenever it
+    /// is built.
     std::vector<Xoshiro256> rng_;
     std::vector<std::uint64_t> rng_live_;
     std::uint64_t lane_master_[net::kFusedLanes] = {};
     std::uint64_t dealer_seed_[net::kFusedLanes] = {};
+
+    /// Committee coin: lane j's phase-p flip of node v, drawn without
+    /// state. Honesty and liveness are monotone, so a member live now drew
+    /// once at every earlier visit of its committee, and this flip is
+    /// output number p / num_blocks of its (NodeProtocol, v) stream.
+    CoinSign committee_flip(NodeId v, unsigned j, Phase p) const {
+        Xoshiro256 g = SeedTree(lane_master_[j]).stream(StreamPurpose::NodeProtocol, v);
+        for (Phase visit = p / coin_.schedule.num_blocks; visit > 0; --visit) g();
+        return g.sign();
+    }
 
     Xoshiro256& cell_rng(NodeId v, unsigned j) {
         const std::uint64_t bit = std::uint64_t{1} << j;
@@ -77,8 +87,9 @@ private:
 
     // Recycled receive scratch.
     net::SegmentFold fold_;
-    net::LaneToggles t_dec_, t_val1_, t_fin_, t_coin_;
-    std::vector<std::uint64_t> m_dec_, m_val1_, m_fin_, m_coin_;
+    net::LaneToggles t_dec_, t_val1_, t_fin_, t_coin_, t_sign_;
+    /// m_sign_: lanes whose receiver v adopts 1 iff its coin-sign bit says +1.
+    std::vector<std::uint64_t> m_dec_, m_val1_, m_fin_, m_coin_, m_sign_;
 };
 
 }  // namespace adba::core

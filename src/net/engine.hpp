@@ -54,6 +54,7 @@
 
 namespace adba::net {
 
+class BlockStrategy;  // net/fused_plane.hpp
 class Engine;
 
 /// Bulk observation of one round (RoundControl::view): contiguous per-node
@@ -206,6 +207,22 @@ public:
     virtual std::optional<LaneUniformRound> lane_uniform(Round /*r*/, NodeId /*n*/) const {
         return std::nullopt;
     }
+
+    /// Strategy key for the fused plane: true when `other` runs this
+    /// strategy with this configuration (for StaticAdversary, its
+    /// behaviour), so that one of them may answer for both in a fused block:
+    /// equal rows from lane_uniform() in every round, equal decisions from
+    /// block_form() on equal planes. The default, false, keeps each lane to
+    /// itself, asked every round.
+    virtual bool same_strategy(const Adversary& /*other*/) const { return false; }
+
+    /// Block-level form (net/fused_plane.hpp): the object that decides the
+    /// adversary beat of all 64 lanes of a fused block from the frame's
+    /// planes. A block takes its first lane's only when every lane offers
+    /// one and runs that lane's strategy; otherwise every lane's act() runs
+    /// through the per-lane bridge. The default, nullptr, means no
+    /// block-level form.
+    virtual BlockStrategy* block_form() { return nullptr; }
 };
 
 /// A do-nothing adversary (no corruptions); the honest-execution baseline.
@@ -215,6 +232,9 @@ public:
     /// Lane-uniform with an empty set.
     std::optional<LaneUniformRound> lane_uniform(Round, NodeId) const override {
         return LaneUniformRound{};
+    }
+    bool same_strategy(const Adversary& other) const override {
+        return dynamic_cast<const NullAdversary*>(&other) != nullptr;
     }
 };
 

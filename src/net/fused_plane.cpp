@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "support/contracts.hpp"
 
@@ -25,6 +26,13 @@ void FusedFrame::throw_duplicate_row() {
         "round); supported fused adversaries pattern a sender at most once "
         "per round (adversaries that re-pattern must declare "
         "supports_fused=false)");
+}
+
+void FusedFrame::throw_sign_row_of() {
+    throw ContractViolation(
+        "fused plane: a coin-sign row sends each receiver its own coin, so it "
+        "has no single-row form for row_of; protocols that read one sender's "
+        "row cannot run against a block-level strategy");
 }
 
 // --------------------------------------------------------- FusedLaneControl
@@ -104,7 +112,7 @@ void FusedLaneControl::deliver_as(NodeId, NodeId, const Message&) {
     throw ContractViolation(
         "the fused plane delivers Byzantine messages as split_as patterns "
         "only; per-cell deliver_as has no lane form (adversaries that need it "
-        "must declare supports_fused=false)");
+        "must offer a block-level form or declare supports_fused=false)");
 }
 
 void FusedLaneControl::split_as(NodeId byz_from, const std::optional<Message>& low,
@@ -181,19 +189,55 @@ void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
     }
 }
 
+void FusedLaneControl::corrupt_word(NodeId v, std::uint64_t lanes) {
+    ADBA_EXPECTS(v < frame_->n());
+    ADBA_EXPECTS_MSG((frame_->byz[v] & lanes) == 0,
+                     "cannot corrupt an already-Byzantine node");
+    ADBA_EXPECTS_MSG((proto_->halted_plane()[v] & lanes) == 0,
+                     "cannot corrupt a node that already terminated");
+    for (std::uint64_t l = lanes; l != 0; l &= l - 1)
+        ADBA_EXPECTS_MSG(used_[std::countr_zero(l)] < budget_, "corruption budget exhausted");
+    for (std::uint64_t l = lanes; l != 0; l &= l - 1) ++used_[std::countr_zero(l)];
+    frame_->byz[v] |= lanes;
+    frame_->sent[v] &= ~lanes;  // attribute bits stay; consumers mask with sent
+}
+
+void FusedLaneControl::sign_row(const Message& m, NodeId first, NodeId last,
+                                std::uint64_t lanes, const std::uint64_t* sign) {
+    FusedFrame& f = *frame_;
+    const NodeId n = f.n();
+    ADBA_EXPECTS(first <= last && last <= n);
+    kern::LaneAdder senders;
+    for (NodeId u = first; u < last; ++u) senders.add(f.byz[u] & lanes);
+    senders.counts(f.sign_senders);
+    f.sign.assign(sign, sign + n);
+    f.sign_msg = m;
+    f.sign_first = first;
+    f.sign_last = last;
+    f.sign_lanes = lanes;
+    f.has_sign = true;
+    for (; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        byz_msgs_[j] += std::uint64_t{f.sign_senders[j]} * n;
+    }
+}
+
 // ---------------------------------------------------------------- FusedBlock
 
 void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
-                     Round max_rounds, FusedLaneResult* out) {
+                     Round max_rounds, FusedLaneResult* out, std::uint64_t in_block) {
     const NodeId n = proto.n();
     ADBA_EXPECTS(n > 0);
     ADBA_EXPECTS(max_rounds > 0);
+    ADBA_EXPECTS(in_block != 0);
     frame_.reset(n);
     ctl_.rearm(&frame_, &proto, budget);
-    for (unsigned j = 0; j < kFusedLanes; ++j) advs[j]->on_start(n, budget);
-    bool uniform = fold_uniform(advs, n);
+    for (std::uint64_t l = in_block; l != 0; l &= l - 1)
+        advs[std::countr_zero(l)]->on_start(n, budget);
+    BlockStrategy* const block = block_form(advs, in_block);
+    bool uniform = block == nullptr && fold_uniform(advs, n, in_block);
 
-    std::uint64_t active = ~std::uint64_t{0};
+    std::uint64_t active = in_block;
     std::uint64_t decided = 0;
     Round rounds[kFusedLanes] = {};
     std::uint64_t msgs[kFusedLanes] = {};
@@ -215,7 +259,9 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         // twins' runs already ended.
         ctl_.set_round(r);
         if (uniform && r == 0) uniform = ctl_.corrupt_lanes(mask_.data(), irregular_, set_size_);
-        if (uniform) {
+        if (block != nullptr) {
+            block->act_block(ctl_);
+        } else if (uniform) {
             act_uniform(advs, r, active);
         } else {
             for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
@@ -271,7 +317,8 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         active &= live_any;
     }
 
-    for (unsigned j = 0; j < kFusedLanes; ++j) {
+    for (std::uint64_t l = in_block; l != 0; l &= l - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(l));
         FusedLaneResult& res = out[j];
         const bool lane_decided = (decided >> j & 1) != 0;
         res.all_halted = lane_decided;
@@ -288,11 +335,22 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
     }
 }
 
-bool FusedBlock::fold_uniform(Adversary* const* advs, NodeId n) {
+BlockStrategy* FusedBlock::block_form(Adversary* const* advs, std::uint64_t lanes) {
+    const Adversary& lead = *advs[std::countr_zero(lanes)];
+    for (std::uint64_t l = lanes; l != 0; l &= l - 1) {
+        Adversary& other = *advs[std::countr_zero(l)];
+        if (other.block_form() == nullptr || !lead.same_strategy(other)) return nullptr;
+    }
+    return advs[std::countr_zero(lanes)]->block_form();
+}
+
+bool FusedBlock::fold_uniform(Adversary* const* advs, NodeId n, std::uint64_t lanes) {
     mask_.assign(n, 0);
     irregular_ = 0;
     members_ = 0;
-    for (unsigned j = 0; j < kFusedLanes; ++j) {
+    group_count_ = 0;
+    for (; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
         const std::optional<LaneUniformRound> form = advs[j]->lane_uniform(0, n);
         if (!form) return false;
         const std::uint64_t bit = std::uint64_t{1} << j;
@@ -304,31 +362,45 @@ bool FusedBlock::fold_uniform(Adversary* const* advs, NodeId n) {
             mask_[v] |= bit;
         }
         if (!form->corrupt.empty()) members_ |= bit;
+        // Join the first group whose lead lane runs this lane's strategy.
+        unsigned g = 0;
+        while (g < group_count_ &&
+               !advs[std::countr_zero(groups_[g])]->same_strategy(*advs[j]))
+            ++g;
+        if (g == group_count_) groups_[group_count_++] = 0;
+        groups_[g] |= bit;
     }
     return true;
 }
 
 void FusedBlock::act_uniform(Adversary* const* advs, Round r, std::uint64_t active) {
     const NodeId n = frame_.n();
-    // The first live member lane's row is the shared one; a lane sending a
-    // different row — or one split_as rejects — takes the bridge's
-    // split_as, in its set's order.
+    // One live member lane answers for its strategy group. The first
+    // group's row is the shared one; a group sending a different row — or
+    // one split_as rejects — takes the bridge's split_as, lane by lane in
+    // each set's order.
     std::optional<SplitRow> shared;
     std::uint64_t sharing = 0;
-    for (std::uint64_t lanes = active & members_; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const std::optional<LaneUniformRound> form = advs[j]->lane_uniform(r, n);
+    for (unsigned g = 0; g < group_count_; ++g) {
+        const std::uint64_t lanes = groups_[g] & active & members_;
+        if (lanes == 0) continue;
+        const std::optional<LaneUniformRound> form =
+            advs[std::countr_zero(lanes)]->lane_uniform(r, n);
         ADBA_EXPECTS_MSG(form.has_value(),
                          "a lane-uniform adversary must stay lane-uniform for the whole run");
         if (!form->row) continue;  // silent this round
         if (!shared && form->row->boundary <= n) shared = form->row;
         if (shared && *form->row == *shared) {
-            sharing |= std::uint64_t{1} << j;
+            sharing |= lanes;
             continue;
         }
-        ctl_.set_lane(j);
-        for (const NodeId v : form->corrupt)
-            ctl_.split_as(v, form->row->low, form->row->high, form->row->boundary);
+        for (std::uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
+            const unsigned j = static_cast<unsigned>(std::countr_zero(rest));
+            ctl_.set_lane(j);
+            const std::span<const NodeId> set = advs[j]->lane_uniform(r, n)->corrupt;
+            for (const NodeId v : set)
+                ctl_.split_as(v, form->row->low, form->row->high, form->row->boundary);
+        }
     }
     if (sharing != 0) ctl_.share_row(*shared, mask_.data(), sharing, set_size_);
 }
@@ -345,6 +417,13 @@ void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
         for (NodeId v = q.coin_first; v < last; ++v) coin.add(frame.shared[v]);
     }
     coin.counts(coin_weight_);
+    if (frame.has_sign) {
+        kern::LaneAdder sign;
+        const NodeId last = std::min(q.coin_last, frame.sign_last);
+        for (NodeId v = std::max(q.coin_first, frame.sign_first); v < last; ++v)
+            sign.add(frame.byz[v] & frame.sign_lanes);
+        sign.counts(sign_weight_);
+    }
 }
 
 SegmentFold::Counts SegmentFold::classify(const Message* m, std::int32_t weight,
@@ -372,13 +451,23 @@ void SegmentFold::add_row(const FusedRow& row, std::int32_t weight, std::int32_t
 
 const std::vector<FoldSegment>& SegmentFold::lane(const FusedFrame& frame, unsigned j) {
     const NodeId n = frame.n();
-    c0_ = c1_ = coin_ = 0;
+    c0_ = c1_ = coin_ = coin_sign_ = 0;
     deltas_.clear();
     for (const FusedRow& row : frame.rows(j))
         add_row(row, 1, row.sender >= q_.coin_first && row.sender < q_.coin_last ? 1 : 0, n);
     if (frame.shared_senders[j] != 0)
         add_row(frame.shared_row, static_cast<std::int32_t>(frame.shared_senders[j]),
                 static_cast<std::int32_t>(coin_weight_[j]), n);
+    if (frame.has_sign && frame.sign_senders[j] != 0) {
+        // Its counts are the same for every receiver; only the coin sign
+        // varies, so the weight goes to the receiver.
+        const Counts c =
+            classify(&frame.sign_msg, static_cast<std::int32_t>(frame.sign_senders[j]), 0);
+        c0_ += c.c0;
+        c1_ += c.c1;
+        if (frame.sign_msg.kind == q_.kind && frame.sign_msg.phase == q_.phase)
+            coin_sign_ = sign_weight_[j];
+    }
     // Insertion sort: the delta list is tiny and the supported adversaries
     // share one split boundary, so it is already sorted — std::sort's
     // dispatch overhead would dominate the actual work.
@@ -401,7 +490,7 @@ const std::vector<FoldSegment>& SegmentFold::lane(const FusedFrame& frame, unsig
             ++dp;
         }
         const NodeId hi = dp < deltas_.size() ? deltas_[dp].boundary : n;
-        segs_.push_back({lo, hi, c0_, c1_, coin_});
+        segs_.push_back({lo, hi, c0_, c1_, coin_, coin_sign_});
         if (hi == n) return segs_;
         lo = hi;
     }

@@ -21,7 +21,13 @@
 //                      their sets corrupt as one lane mask per node, their
 //                      rows become one shared row per round, and its
 //                      per-lane sender counts are the set sizes counted
-//                      once per block.
+//                      once per block. One lane per strategy group
+//                      (Adversary::same_strategy) is asked for the row.
+//   BlockStrategy    — the block-level form of an adaptive strategy
+//                      (Adversary::block_form): one object decides all 64
+//                      lanes per round from the planes, corrupting word-wise
+//                      and sending one coin-sign row — per receiver and lane
+//                      a coin sign, weighted per lane by its sender count.
 //   FusedProtocol    — the protocol interface of this plane: word-parallel
 //                      send/receive over a FusedFrame (implementations:
 //                      core/skeleton_fused, baselines ben_or / phase_king).
@@ -33,7 +39,9 @@
 //                      the shared round cap fires.
 //   SegmentFold      — the one Byzantine fold of the receive beats: a lane's
 //                      rows (its own plus the shared row, weighted by its
-//                      sender count) as per-receiver-segment counts.
+//                      sender count) as per-receiver-segment counts, plus
+//                      the coin-sign row's weight, which a receiver adds or
+//                      subtracts as the sign plane says.
 //
 // Determinism contract: per-lane seeds come from the same index-derived
 // SeedTree chain as scalar trials, every (node, lane) RNG stream is private,
@@ -91,6 +99,7 @@ public:
         shared.assign(n, 0);
         std::fill(std::begin(shared_senders), std::end(shared_senders), Count{0});
         has_shared = false;
+        has_sign = false;  // the sign plane is sized by the first coin-sign row
         patterned_.assign(n, 0);
         for (auto& r : rows_) r.clear();
         active = ~std::uint64_t{0};
@@ -111,6 +120,7 @@ public:
             std::fill(std::begin(shared_senders), std::end(shared_senders), Count{0});
         }
         has_shared = false;
+        has_sign = false;  // a coin-sign row rewrites its plane and counts whole
         std::fill(patterned_.begin(), patterned_.end(), 0);
         for (auto& r : rows_) r.clear();
     }
@@ -122,8 +132,12 @@ public:
     const std::vector<FusedRow>& rows(unsigned lane) const { return rows_[lane]; }
 
     /// The row `sender` patterns in `lane` this round — the shared row or
-    /// one of the lane's own — or nullptr when it sends none.
+    /// one of the lane's own — or nullptr when it sends none. A coin-sign
+    /// row has no such form, so asking for one is a contract failure.
     const FusedRow* row_of(unsigned lane, NodeId sender) const {
+        if (has_sign && sender >= sign_first && sender < sign_last &&
+            (byz[sender] & sign_lanes) >> lane & 1)
+            throw_sign_row_of();
         if ((shared[sender] >> lane & 1) != 0) return &shared_row;
         for (const FusedRow& row : rows_[lane])
             if (row.sender == sender) return &row;
@@ -152,9 +166,9 @@ public:
     Phase phase = 0;
 
     /// Lanes still running (bit j set = lane j live). Maintained by
-    /// FusedBlock; protocols may skip evaluation for retired lanes (their
-    /// per-node activity masks are all-zero anyway, so this is purely a
-    /// shortcut, never a semantic).
+    /// FusedBlock; protocols may skip evaluation for the other lanes, which
+    /// are never observed again (a retired lane's per-node activity masks
+    /// are all-zero anyway; a lane a partial block leaves out never ran).
     std::uint64_t active = ~std::uint64_t{0};
 
     // One word per NODE, bit j = trial j.
@@ -177,8 +191,25 @@ public:
     std::vector<std::uint64_t> shared;
     Count shared_senders[kFusedLanes] = {};
 
+    /// This round's coin-sign row, set by a block-level strategy
+    /// (FusedLaneControl::sign_row): in every lane of sign_lanes, each
+    /// Byzantine node in [sign_first, sign_last) sends sign_msg to every
+    /// receiver, with coin +1 to receiver v where sign[v] holds the lane's
+    /// bit and coin -1 elsewhere (sign_msg.coin is unused). sign_senders[j]
+    /// is lane j's sender count, 0 outside sign_lanes. Without one, has_sign
+    /// is false and the other fields are stale. A block that sends it sends
+    /// no other Byzantine row.
+    bool has_sign = false;
+    Message sign_msg;
+    NodeId sign_first = 0;
+    NodeId sign_last = 0;
+    std::uint64_t sign_lanes = 0;
+    std::vector<std::uint64_t> sign;
+    Count sign_senders[kFusedLanes] = {};
+
 private:
     [[noreturn]] static void throw_duplicate_row();
+    [[noreturn]] static void throw_sign_row_of();
 
     NodeId n_ = 0;
     std::vector<std::uint64_t> patterned_;  ///< per-round duplicate-row guard
@@ -250,6 +281,22 @@ public:
     void share_row(const SplitRow& row, const std::uint64_t* mask, std::uint64_t lanes,
                    const Count* senders);
 
+    // ---- what a block-level strategy (BlockStrategy) reads and does ----
+    const FusedFrame& frame() const { return *frame_; }
+    const FusedProtocol& protocol() const { return *proto_; }
+    /// budget_left() of `lane`.
+    Count lane_budget_left(unsigned lane) const { return budget_ - used_[lane]; }
+    /// corrupt(v) in every lane of `lanes` at once, with corrupt()'s checks
+    /// and messages.
+    void corrupt_word(NodeId v, std::uint64_t lanes);
+    /// In every lane of `lanes`, each Byzantine node in [first, last) sends
+    /// `m` to every receiver v, with coin +1 where sign[v] holds the lane's
+    /// bit and -1 elsewhere: publishes the frame's coin-sign row and charges
+    /// each lane's byzantine_messages n per sender, as one fresh
+    /// deliver_row_as per sender does.
+    void sign_row(const Message& m, NodeId first, NodeId last, std::uint64_t lanes,
+                  const std::uint64_t* sign);
+
     // ---- RoundControl ----
     Round round() const override { return round_; }
     NodeId n() const override { return frame_->n(); }
@@ -291,34 +338,60 @@ struct FusedLaneResult {
     Metrics metrics;
 };
 
+/// The block-level form of an adaptive strategy (Adversary::block_form):
+/// one object decides the adversary beat of every live lane of a fused
+/// block from the frame's planes, in O(n) word operations where the
+/// per-lane bridge would run 64 act() calls. It corrupts through
+/// FusedLaneControl::corrupt_word and sends through sign_row, and keeps its
+/// per-lane state itself, reset by its adversary's on_start.
+class BlockStrategy {
+public:
+    /// Round ctl.round()'s adversary beat in every lane of
+    /// ctl.frame().active.
+    virtual void act_block(FusedLaneControl& ctl) = 0;
+
+protected:
+    ~BlockStrategy() = default;
+};
+
 /// Drives one 64-lane block: Engine::run's beat order, word-parallel.
 /// No watchdog (fused scenarios require watchdog_ms == 0) and no
-/// transcript — both are validation-rejected upstream.
+/// transcript — both are kept off the fused plane upstream.
 ///
+/// When every lane offers a block-level form of the first lane's strategy
+/// (Adversary::block_form, same_strategy), the first lane's decides them
+/// all.
 /// When all 64 adversaries are lane-uniform, the adversary beat is
 /// word-parallel too: their sets fold into one lane mask per node after
 /// on_start, round 0 corrupts by mask and counts each lane's set size once,
 /// and each round one shared row goes out for every live lane, charged from
-/// those sizes. A lane whose row differs from the shared one
-/// (a block mixing strategies) patterns its own rows through the bridge's
-/// split_as. Otherwise — or when a round-0 contract check fails, so that
-/// the bridge raises its own message — every live lane's act() runs
-/// through the bridge.
+/// those sizes; one lane per strategy group is asked for its row. A lane
+/// whose row differs from the shared one (a block mixing strategies)
+/// patterns its own rows through the bridge's split_as. Otherwise — or when
+/// a round-0 contract check fails, so that the bridge raises its own
+/// message — every live lane's act() runs through the bridge.
 class FusedBlock {
 public:
     /// `proto` must already be rearm()-ed for this block; advs[j] is lane
-    /// j's adversary (on_start is called here). Results land in out[0..63].
-    void run(FusedProtocol& proto, Adversary* const* advs, Count budget,
-             Round max_rounds, FusedLaneResult* out);
+    /// j's adversary (on_start is called here). The block runs the lanes of
+    /// `in_block` (a partial block leaves the rest out from round 0: their
+    /// adversaries may be null and their results are not written). Results
+    /// land in out[j] for each lane j of `in_block`.
+    void run(FusedProtocol& proto, Adversary* const* advs, Count budget, Round max_rounds,
+             FusedLaneResult* out, std::uint64_t in_block = ~std::uint64_t{0});
 
     /// Corruption plane of the finished block (bit j of word v = node v
     /// Byzantine in lane j).
     const std::uint64_t* byz_plane() const { return frame_.byz.data(); }
 
 private:
-    /// Folds every lane's lane-uniform set into mask_; false as soon as one
-    /// adversary is not lane-uniform.
-    bool fold_uniform(Adversary* const* advs, NodeId n);
+    /// The first lane's block-level form when every lane of `lanes` offers
+    /// one of its strategy, else nullptr.
+    static BlockStrategy* block_form(Adversary* const* advs, std::uint64_t lanes);
+    /// Folds the lane-uniform set of every lane of `lanes` into mask_ and
+    /// groups those lanes by strategy; false as soon as one adversary is
+    /// not lane-uniform.
+    bool fold_uniform(Adversary* const* advs, NodeId n, std::uint64_t lanes);
     /// The row beat of round r for a lane-uniform block (round 0's
     /// corruptions already applied).
     void act_uniform(Adversary* const* advs, Round r, std::uint64_t active);
@@ -329,6 +402,8 @@ private:
     std::uint64_t irregular_ = 0;       ///< lanes whose set repeats a node or leaves [0, n)
     std::uint64_t members_ = 0;         ///< lanes with a non-empty set
     Count set_size_[kFusedLanes] = {};  ///< lane's set size, counted in round 0
+    std::uint64_t groups_[kFusedLanes] = {};  ///< lanes of each strategy group
+    unsigned group_count_ = 0;
 };
 
 // ---- shared word-parallel helpers for FusedProtocol implementations ----
@@ -353,6 +428,10 @@ struct FoldSegment {
     std::int64_t c0 = 0;    ///< counted messages with val 0
     std::int64_t c1 = 0;    ///< counted messages with val 1
     std::int64_t coin = 0;  ///< committee coin sum
+    /// Committee coin weight of the coin-sign row: receiver v's sum gains
+    /// +coin_sign where frame.sign[v] holds the lane's bit, -coin_sign
+    /// elsewhere (0 without one).
+    std::int64_t coin_sign = 0;
 };
 
 /// The Byzantine half of every fused receive beat, once. A row delivers one
@@ -363,12 +442,13 @@ struct FoldSegment {
 /// and every threshold decision is taken once per segment. The shared row
 /// enters once per lane, weighted by the lane's sender count
 /// (frame.shared_senders) and, for the coin, its sender count inside the
-/// committee range.
+/// committee range. The coin-sign row enters the same way, except that its
+/// coin weight is left to the receiver, as FoldSegment::coin_sign.
 class SegmentFold {
 public:
     /// Once per round, after the adversary beat: the query, and the shared
-    /// row's per-lane coin weights from one LaneAdder pass over
-    /// frame.shared on [coin_first, coin_last) only.
+    /// and coin-sign rows' per-lane coin weights from one LaneAdder pass
+    /// each over their senders in [coin_first, coin_last) only.
     void prepare(const FusedFrame& frame, const FoldQuery& q);
     /// Lane j's segments, in receiver order, covering [0, n). Neighbours may
     /// carry equal counts. Valid until the next lane() call.
@@ -390,7 +470,8 @@ private:
 
     FoldQuery q_;
     Count coin_weight_[kFusedLanes] = {};  ///< lane's shared-row senders in the coin range
-    std::int64_t c0_ = 0, c1_ = 0, coin_ = 0;  ///< lane() running sums
+    Count sign_weight_[kFusedLanes] = {};  ///< lane's coin-sign senders in the coin range
+    std::int64_t c0_ = 0, c1_ = 0, coin_ = 0, coin_sign_ = 0;  ///< lane() running sums
     std::vector<Delta> deltas_;
     std::vector<FoldSegment> segs_;
 };

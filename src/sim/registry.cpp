@@ -556,7 +556,8 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
              -> std::unique_ptr<net::Adversary> {
              return std::make_unique<adv::WorstCaseAdversary>(
                  adv::WorstCaseConfig{s.t, q_of(s), *bundle.schedule, true});
-         }});
+         },
+         /*supports_fused=*/true});
 
     add({AdversaryKind::KingKiller,
          "king-killer",
@@ -700,51 +701,57 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
                    "combine with simd=false; drop one of the two";
     }
 
-    if (s.use_fused) {
-        if (!p.make_fused) {
-            std::string with;
-            for (const ProtocolEntry* e : ProtocolRegistry::instance().list())
-                if (e->make_fused) with += (with.empty() ? "" : ", ") + e->name;
-            return "fused=true needs a fused-capable protocol; '" + p.name +
-                   "' has no 64-lane form (fused-capable protocols: " + with + ")";
-        }
-        if (!a.supports_fused) {
-            std::string with;
-            for (const AdversaryEntry* e : AdversaryRegistry::instance().list())
-                if (e->supports_fused) with += (with.empty() ? "" : ", ") + e->name;
-            return "adversary '" + a.name +
-                   "' does not act through the fused plane's lane-masked "
-                   "split_as bridge; drop fused=true or pick one of: " +
-                   with;
-        }
-        if (s.sparse_plane)
-            return "fused=true co-executes 64 trials on the flat bit planes and "
-                   "cannot combine with plane=sparse; drop one of the two";
-        if (s.reference_delivery)
-            return "fused=true has no reference-delivery form; drop "
-                   "reference=true (use fused=false for oracle comparisons)";
-        if (s.record_transcript)
-            return "fused=true does not record per-trial transcripts (64 trials "
-                   "share each beat); drop transcript=true or fused=true";
-        if (!s.use_batch)
-            return "fused=true is the word-parallel form of the native batch "
-                   "plane and cannot combine with batch=false; drop one of the "
-                   "two";
-        if (s.watchdog_ms != 0)
-            return "fused=true shares wall-clock across 64 co-executing trials, "
-                   "so a per-trial watchdog is undefined; drop watchdog_ms or "
-                   "fused=true";
-    }
-
     return std::nullopt;
 }
 
 bool compatible(const Scenario& s) { return !why_incompatible(s).has_value(); }
 
+std::optional<std::string> why_not_fused(const Scenario& s) {
+    if (!s.use_fused) return "fused=off";
+    const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
+    const AdversaryEntry& a = AdversaryRegistry::instance().at(s.adversary);
+    if (!p.make_fused) {
+        std::string with;
+        for (const ProtocolEntry* e : ProtocolRegistry::instance().list())
+            if (e->make_fused) with += (with.empty() ? "" : ", ") + e->name;
+        return "protocol '" + p.name + "' has no 64-lane form (fused-capable protocols: " +
+               with + ")";
+    }
+    if (!a.supports_fused) {
+        std::string with;
+        for (const AdversaryEntry* e : AdversaryRegistry::instance().list())
+            if (e->supports_fused) with += (with.empty() ? "" : ", ") + e->name;
+        return "adversary '" + a.name + "' does not act on the fused plane (fused-capable " +
+               "adversaries: " + with + ")";
+    }
+    if (s.sparse_plane)
+        return "plane=sparse samples each receiver's senders; fused blocks run on the "
+               "flat bit planes";
+    if (s.reference_delivery) return "reference=true is the scalar delivery oracle";
+    if (s.record_transcript)
+        return "transcript=true records per-trial transcripts, which co-executing "
+               "trials do not keep";
+    if (!s.use_batch)
+        return "batch=false steps the per-node adapter; fused blocks are the native "
+               "batch's word-parallel form";
+    if (s.watchdog_ms != 0)
+        return "watchdog_ms is a per-trial wall-clock deadline, undefined for 64 "
+               "trials sharing each beat";
+    if (s.n >= kAutoShardMinN)
+        return "n=" + std::to_string(s.n) + " is at or above the flat plane's shard "
+               "crossover (n >= " + std::to_string(kAutoShardMinN) + ")";
+    if (s.intra_threads > 1)
+        return "intra_threads=" + std::to_string(s.intra_threads) +
+               " shards each trial; fused blocks do not";
+    return std::nullopt;
+}
+
 ScenarioPlan validate(const Scenario& s) {
     if (const auto why = why_incompatible(s)) throw ContractViolation(*why);
-    return {s, &ProtocolRegistry::instance().at(s.protocol),
-            &AdversaryRegistry::instance().at(s.adversary)};
+    ScenarioPlan plan{s, &ProtocolRegistry::instance().at(s.protocol),
+                      &AdversaryRegistry::instance().at(s.adversary), why_not_fused(s)};
+    plan.scenario.use_fused = !plan.fused_skip;
+    return plan;
 }
 
 std::optional<std::string> why_incompatible(const MvScenario& s) {
@@ -859,7 +866,7 @@ std::string Scenario::describe() const {
     if (sparse_stream != defaults.sparse_stream)
         out += std::string(" sparse_stream=") +
                (sparse_stream == net::SparseStream::Chain ? "chain" : "counter");
-    if (use_fused) out += " fused=true";
+    if (!use_fused) out += " fused=false";
     if (watchdog_ms != defaults.watchdog_ms)
         out += " watchdog_ms=" + std::to_string(watchdog_ms);
     return out;
@@ -1075,9 +1082,12 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
     const std::uint64_t flat = estimate_trial_arena_bytes(s.n, s.sparse_plane);
     if (flat <= budget) return std::nullopt;
 
+    // Fused blocks run on the flat planes: a plan that engages them (the
+    // resolved decision, not the scenario flag) cannot fall back.
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
     const bool can_fall_back = !s.sparse_plane && p.make_batch && s.use_batch &&
-                               s.use_simd && !s.reference_delivery && !s.use_fused;
+                               s.use_simd && !s.reference_delivery &&
+                               why_not_fused(s).has_value();
     if (can_fall_back) {
         const std::uint64_t sparse = estimate_trial_arena_bytes(s.n, true);
         if (sparse <= budget) {

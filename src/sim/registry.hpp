@@ -112,10 +112,10 @@ struct ProtocolEntry {
     /// Word-parallel fused-plane factory (net/fused_plane.hpp; scenario key
     /// `fused`): builds the 64-lane FusedProtocol for this scenario's
     /// parameters once per arena; the arena re-arms it per block with the
-    /// lane SeedTrees. Null = the protocol has no fused form (`fused=true`
-    /// scenarios are rejected by why_incompatible). Lane j of a fused block
-    /// is bit-identical to the scalar trial at lane j's index — the scalar
-    /// path stays the oracle, as with `batch=` / `simd=` / `plane=`.
+    /// lane SeedTrees. Null = the protocol has no fused form (its scenarios
+    /// run scalar, with the reason why_not_fused names). Lane j of a fused
+    /// block is bit-identical to the scalar trial at lane j's index — the
+    /// scalar path stays the oracle, as with `batch=` / `simd=` / `plane=`.
     std::function<std::unique_ptr<net::FusedProtocol>(const Scenario&)> make_fused = nullptr;
 };
 
@@ -140,11 +140,12 @@ struct AdversaryEntry {
                                                   const SeedTree&)>
         make_adversary;
 
-    /// The strategy works against the fused plane's lane-masked
+    /// The strategy acts on the fused plane: through the lane-masked
     /// RoundControl bridge (corrupt/split_as only, one pattern per sender
-    /// per round, no deliver_as). False for strategies that need per-cell
-    /// delivery or full-information transcripts; why_incompatible explains
-    /// the rejection for `fused=true` scenarios.
+    /// per round, no deliver_as) or through its block-level form
+    /// (net::Adversary::block_form). False for strategies that need
+    /// per-cell delivery or full-information transcripts; their scenarios
+    /// run scalar, with the reason why_not_fused names.
     bool supports_fused = false;
 };
 
@@ -225,9 +226,14 @@ private:
 /// validated scenario itself — the once-per-sweep product trial loops
 /// capture so per-trial work never repeats validation or registry lookups.
 struct ScenarioPlan {
+    /// The validated scenario, with use_fused resolved: true iff fused
+    /// blocks engage (why_not_fused found nothing against them).
     Scenario scenario;
     const ProtocolEntry* protocol = nullptr;
     const AdversaryEntry* adversary = nullptr;
+    /// Why fused blocks stay off for this plan (why_not_fused); nullopt
+    /// when they engage.
+    std::optional<std::string> fused_skip;
 };
 
 /// The multi-valued analogue of ScenarioPlan: resolved mv-adversary entry
@@ -251,12 +257,22 @@ std::optional<std::string> why_incompatible(const Scenario& s);
 /// q must not exceed the budget t.
 std::optional<std::string> why_incompatible(const MvScenario& s);
 
+/// The fused-plane policy. `fused=` means "when the plan can": fused
+/// blocks engage unless this names a reason they cannot — fused=off, a
+/// protocol or adversary without a fused form, plane=sparse,
+/// reference=true, transcript=true, batch=false, watchdog_ms, n at or above
+/// the flat shard crossover (kAutoShardMinN), or intra_threads > 1. The
+/// run-level reasons (fewer than 64 trials, an armed fault injector) are
+/// fused_skip_reason's (sim/runner.hpp). Aggregates are the same either way.
+std::optional<std::string> why_not_fused(const Scenario& s);
+
 /// True iff validate(s) would succeed. Sweep filters use this.
 bool compatible(const Scenario& s);
 bool compatible(const MvScenario& s);
 
 /// Resolves and checks the scenario; throws ContractViolation with the
-/// why_incompatible message on failure.
+/// why_incompatible message on failure. Resolves the fused decision into
+/// the plan (why_not_fused).
 ScenarioPlan validate(const Scenario& s);
 
 /// Resolves and checks the multi-valued scenario, hoisting the Turpin-Coan
@@ -282,8 +298,8 @@ net::SparseStream parse_sparse_stream_name(const std::string& name);
 /// process-wide memory budget. Within budget (or budget off): no change,
 /// nullopt. Over budget on the flat plane with a sparse-capable
 /// configuration (protocol with a native batch, batch=on, simd=on,
-/// reference=off): flips `s.sparse_plane = true` and returns the one-line
-/// warning to print. Otherwise throws ContractViolation with an actionable
+/// reference=off, and no fused blocks engaged by why_not_fused): flips
+/// `s.sparse_plane = true` and returns the one-line warning to print. Otherwise throws ContractViolation with an actionable
 /// message (raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, shrink n, or pick a
 /// sparse-capable protocol) instead of letting the sweep OOM.
 std::optional<std::string> apply_memory_budget(Scenario& s);

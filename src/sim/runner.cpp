@@ -141,16 +141,12 @@ public:
         return res;
     }
 
-    /// True when this scenario's trial chunks run through the fused plane
-    /// (validate() already guaranteed the protocol and adversary support it,
-    /// so the scenario flag is the whole decision).
-    bool fused_active() const { return plan_.scenario.use_fused; }
-
-    /// Runs 64 consecutive trials as one fused block. trial_seeds[j] is the
-    /// index-derived seed of lane j's trial — the exact value the scalar
-    /// path would pass to run() — and out[j] receives a TrialResult
-    /// bit-identical to run(trial_seeds[j]).
-    void run_fused(const std::uint64_t* trial_seeds, TrialResult* out) {
+    /// Runs `lanes` (1..64) consecutive trials as one fused block, lane j
+    /// for trial j. trial_seeds[j] is the index-derived seed of lane j's
+    /// trial — the exact value the scalar path would pass to run() — and
+    /// out[j] receives a TrialResult bit-identical to run(trial_seeds[j]).
+    void run_fused(const std::uint64_t* trial_seeds, Count lanes, TrialResult* out) {
+        ADBA_EXPECTS(lanes >= 1 && lanes <= net::kFusedLanes);
         const Scenario& s = plan_.scenario;
         const NodeId n = s.n;
         if (!fused_proto_) {
@@ -162,12 +158,14 @@ public:
                 fused_meta_.schedule = plan_.protocol->schedule_of(s);
         }
 
+        // Lanes past `lanes` stay out of the block: they repeat the last
+        // trial's seed for the protocol's rearm and have no adversary.
         lane_seeds_.clear();
         lane_seeds_.reserve(net::kFusedLanes);
         fused_inputs_.assign(n, 0);
         std::uint64_t unan = 0, front = 0;
-        net::Adversary* advs[net::kFusedLanes];
-        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        net::Adversary* advs[net::kFusedLanes] = {};
+        for (unsigned j = 0; j < lanes; ++j) {
             lane_seeds_.emplace_back(trial_seeds[j]);
             make_inputs(s.inputs, n, lane_seeds_.back(), inputs_);
             for (NodeId v = 0; v < n; ++v)
@@ -178,13 +176,17 @@ public:
                 plan_.adversary->make_adversary(s, fused_meta_, lane_seeds_.back());
             advs[j] = fused_advs_[j].get();
         }
+        const SeedTree last = lane_seeds_.back();
+        lane_seeds_.resize(net::kFusedLanes, last);
         fused_proto_->rearm(fused_inputs_.data(), lane_seeds_.data());
 
         const Round max_rounds = s.max_rounds_override
                                      ? s.max_rounds_override
                                      : fused_meta_.default_max_rounds;
-        net::FusedLaneResult lanes[net::kFusedLanes];
-        fused_block_.run(*fused_proto_, advs, s.t, max_rounds, lanes);
+        net::FusedLaneResult results[net::kFusedLanes];
+        const std::uint64_t in_block =
+            lanes == net::kFusedLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+        fused_block_.run(*fused_proto_, advs, s.t, max_rounds, results, in_block);
 
         // Per-lane agreement over the surviving honest outputs — exactly
         // RunResult::agreement(): honest = never corrupted, output = the
@@ -196,7 +198,7 @@ public:
             any0 |= ~byz[v] & ~val[v];
             any1 |= ~byz[v] & val[v];
         }
-        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        for (unsigned j = 0; j < lanes; ++j) {
             const std::uint64_t bit = std::uint64_t{1} << j;
             TrialResult& res = out[j];
             res = TrialResult{};
@@ -208,10 +210,10 @@ public:
                 !res.validity_applicable ||
                 (res.agreement && res.agreed_value &&
                  *res.agreed_value == static_cast<Bit>((front & bit) != 0 ? 1 : 0));
-            res.all_halted = lanes[j].all_halted;
-            res.rounds = lanes[j].rounds;
-            res.outcome = lanes[j].outcome;
-            res.metrics = lanes[j].metrics;
+            res.all_halted = results[j].all_halted;
+            res.rounds = results[j].rounds;
+            res.outcome = results[j].outcome;
+            res.metrics = results[j].metrics;
             res.phases_configured = fused_meta_.phases;
             fused_advs_[j].reset();
         }
@@ -225,7 +227,7 @@ private:
     std::optional<net::Engine> engine_;
     std::unique_ptr<ShardPool> shard_pool_;  ///< persists across trials
     unsigned shard_count_ = 0;
-    // Fused-plane state (fused=true scenarios only): the 64-lane protocol is
+    // Fused-plane state (fused plans only): the 64-lane protocol is
     // built once per arena and re-armed per block; the metadata bundle only
     // carries phases/schedule/round budget for the adversary factories.
     std::unique_ptr<net::FusedProtocol> fused_proto_;
@@ -317,7 +319,9 @@ std::vector<std::string> BinaryWorkload::csv_row(const Aggregate& agg) {
 }
 
 std::string BinaryWorkload::checkpoint_scope(const Plan& plan) {
-    return plan.scenario.describe();
+    Scenario semantic = plan.scenario;
+    semantic.use_fused = Scenario{}.use_fused;
+    return semantic.describe();
 }
 
 void BinaryWorkload::checkpoint_encode(const Aggregate& agg, std::string& out) {
@@ -358,6 +362,19 @@ void BinaryWorkload::checkpoint_decode(std::string_view bytes, Aggregate& agg) {
     for (double x : xs) agg.corruptions.add(x);
     ADBA_EXPECTS_MSG(r.exhausted(),
                      "binary checkpoint payload has trailing bytes");
+}
+
+std::optional<std::string> fused_skip_reason(const ScenarioPlan& plan, Count trials,
+                                             const ExecutorConfig& exec) {
+    if (plan.fused_skip) return plan.fused_skip;
+    const Count chunk = plan_chunk<BinaryWorkload>(plan, trials, exec);
+    if (!runs_in_blocks<BinaryWorkload>(plan, trials, chunk))
+        return trials < net::kFusedLanes
+                   ? "runs of fewer than 64 trials stay scalar"
+                   : "chunk=" + std::to_string(chunk) + " holds no 64-lane block";
+    if (FaultInjector::active() != nullptr)
+        return "fault injection is armed; its recovery runs the scalar path";
+    return std::nullopt;
 }
 
 TrialResult run_trial(const ScenarioPlan& plan, std::uint64_t seed) {

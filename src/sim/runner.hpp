@@ -104,15 +104,19 @@ struct Scenario {
     /// the batched default; chain replays PR-7-era recorded experiments.
     net::SparseStream sparse_stream = net::SparseStream::Counter;
     /// Co-execute 64 trials per machine word through the fused trial plane
-    /// (net/fused_plane.hpp; scenario key `fused`, CLI `--fused`). Requires
-    /// a fused-capable protocol and adversary (registry capability flags),
-    /// `batch=on`, `plane=flat`, `reference=off`, no transcript, and
-    /// `watchdog_ms=0` — why_incompatible states each rule. Aggregates are
-    /// bit-identical to the scalar path at any thread count; trial chunks
-    /// split into whole 64-lane blocks plus a scalar remainder, so
-    /// checkpoint/resume identity is preserved. The default chunk size is a
-    /// multiple of 64, so only a run's last chunk has a remainder.
-    bool use_fused = false;
+    /// when the plan can (net/fused_plane.hpp; scenario key `fused`, CLI
+    /// `--fused`), like `batch`: it engages for a fused-capable protocol
+    /// and adversary (registry capability flags) with `batch=on`,
+    /// `plane=flat`, `reference=off`, no transcript, `watchdog_ms=0`, n
+    /// below the shard crossover and no `intra_threads` > 1, on runs of at
+    /// least 64 trials — why_not_fused and fused_skip_reason name the
+    /// reason it does not. `fused=off` keeps the scalar oracle. Aggregates
+    /// are bit-identical to the scalar path at any thread count; trial
+    /// chunks split into whole 64-lane blocks plus one partial block, so
+    /// checkpoint/resume identity is preserved. The default chunk size is
+    /// then a multiple of 64, so only a run's last chunk has a partial
+    /// block.
+    bool use_fused = true;
     /// Per-trial wall-clock watchdog in milliseconds (scenario key
     /// `watchdog_ms`, CLI `--watchdog_ms`); 0 = off. Guards the Las Vegas
     /// variants' unbounded round tail: a trial past the deadline stops with
@@ -207,15 +211,17 @@ struct BinaryWorkload {
     static Plan make_plan(const Scenario& s);
     static void accumulate(Aggregate& agg, const Result& r);
     static void reserve(Aggregate& agg, Count trials) { agg.rounds.reserve(trials); }
-    /// 64 under `fused=true` (one fused block), else 1.
+    /// 64 when the plan engages fused blocks (one block), else 1.
     static Count block_trials(const Plan& plan);
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
 
     // Checkpoint hooks (sim/checkpoint.hpp): the journal header pins the
-    // full canonical scenario string, and chunk partials round-trip through
-    // a byte-exact encoding (raw IEEE bits, Samples order preserved).
+    // canonical scenario string, less the result-invariant `fused` key
+    // (the header pins the chunk, which is what a resume must match), and
+    // chunk partials round-trip through a byte-exact encoding (raw IEEE
+    // bits, Samples order preserved).
     static std::string checkpoint_scope(const Plan& plan);
     static void checkpoint_encode(const Aggregate& agg, std::string& out);
     static void checkpoint_decode(std::string_view bytes, Aggregate& agg);
@@ -233,6 +239,13 @@ Aggregate run_trials(const Scenario& s, std::uint64_t base_seed, Count trials,
 /// entries a test substituted to wrap the strategy.
 Aggregate run_trials(const ScenarioPlan& plan, std::uint64_t base_seed, Count trials,
                      const ExecutorConfig& exec = {});
+
+/// Why a run of `trials` trials under `exec` runs no 64-lane block, or
+/// nullopt when it does: the plan's why_not_fused reason, fewer than 64
+/// trials, a chunk too small to hold a block, or an armed fault injector
+/// (whose recovery is defined on the scalar path).
+std::optional<std::string> fused_skip_reason(const ScenarioPlan& plan, Count trials,
+                                             const ExecutorConfig& exec = {});
 
 std::string to_string(ProtocolKind k);
 std::string to_string(AdversaryKind k);

@@ -31,7 +31,9 @@
 //   W::reserve(agg, n)     optional pre-sizing of sample buffers
 //   W::block_trials(plan)  optional: trials one arena call co-executes under
 //                          this plan (64 for fused binary plans); the
-//                          default chunk rounds up to whole blocks
+//                          default chunk rounds up to whole blocks, and
+//                          the arena's run_fused(seeds, lanes, out) runs
+//                          up to that many trials at once
 //
 // plus reporting metadata used by the uniform CSV schema (sim/report.hpp):
 //   W::kName, W::csv_header(), W::csv_row(agg),
@@ -80,17 +82,32 @@ typename W::Result run_one_trial(const typename W::Plan& plan, std::uint64_t see
 /// The chunk size a run uses, decided once for run_trials, run_journaled and
 /// parallel_reduce: ExecutorConfig::chunk when set, else auto_chunk(trials)
 /// rounded up to whole W::block_trials(plan) blocks, so only a run's last
-/// chunk can end in a partial block. A function of (plan, trials, chunk)
-/// alone, like every chunk boundary.
+/// chunk can end in a partial block. A run shorter than one block keeps
+/// auto_chunk: it could fill no block, and one whole-run chunk would
+/// serialize it. A function of (plan, trials, chunk) alone, like every
+/// chunk boundary.
 template <typename W>
 Count plan_chunk(const typename W::Plan& plan, Count trials, const ExecutorConfig& exec) {
     if (exec.chunk) return exec.chunk;
     const Count chunk = detail::auto_chunk(trials);
     if constexpr (requires { W::block_trials(plan); }) {
         const Count block = W::block_trials(plan);
-        return (chunk + block - 1) / block * block;
+        if (trials >= block) return (chunk + block - 1) / block * block;
     }
     return chunk;
+}
+
+/// True when a run of `trials` trials in chunks of `chunk` co-executes them
+/// in W::block_trials(plan)-trial blocks: the plan has blocks, and both the
+/// run and its chunks hold a whole one. Each chunk then runs as whole
+/// blocks and, for the rest, one partial block.
+template <typename W>
+bool runs_in_blocks(const typename W::Plan& plan, Count trials, Count chunk) {
+    if constexpr (requires { W::block_trials(plan); }) {
+        const Count block = W::block_trials(plan);
+        return block > 1 && trials >= block && chunk >= block;
+    }
+    return false;
 }
 
 /// Runs one chunk's trials through a pooled arena, recovering injected
@@ -110,7 +127,7 @@ template <typename W>
 typename W::Aggregate run_resilient_chunk(const typename W::Plan& plan,
                                           std::uint64_t base_seed,
                                           std::size_t chunk_index, Count begin,
-                                          Count end) {
+                                          Count end, bool blocks) {
     auto attempt_chunk = [&](std::uint32_t attempt) {
         const ScopedChunkAttempt salt(attempt);
         FaultInjector* inj = FaultInjector::active();
@@ -121,26 +138,27 @@ typename W::Aggregate run_resilient_chunk(const typename W::Plan& plan,
             W::reserve(part, end - begin);
         typename W::Arena arena(plan);
         Count i = begin;
-        // Fused fast path: arenas that expose fused_active()/run_fused()
-        // (the binary stack under `fused=true`) co-execute 64 trials per
-        // word-parallel block, in index order, with the SAME index-derived
-        // seeds the scalar loop below would use — so the chunk partial is
-        // bit-identical either way and chunk identity (checkpoint/resume,
-        // thread invariance) is untouched. A trailing partial block runs
-        // scalar; under the default chunk (plan_chunk) only the run's last
-        // chunk has one. Disabled under an armed fault injector: per-trial
-        // fault identity and chunk-retry recovery are defined on the scalar
-        // path only.
-        if constexpr (requires { arena.fused_active(); }) {
-            if (!inj && arena.fused_active()) {
+        // Fused fast path: when the run goes in blocks (runs_in_blocks;
+        // the binary stack under a fused plan), the arena's run_fused
+        // co-executes up to 64 trials per word-parallel block, in index
+        // order, with the SAME index-derived seeds the scalar loop below
+        // would use — so the chunk partial is bit-identical either way and
+        // chunk identity (checkpoint/resume, thread invariance) is
+        // untouched. The chunk's last block may be partial; under the
+        // default chunk (plan_chunk) only the run's last chunk has one.
+        // Disabled under an armed fault injector: per-trial fault identity
+        // and chunk-retry recovery are defined on the scalar path only.
+        if constexpr (requires { W::block_trials(plan); }) {
+            if (blocks && !inj) {
+                const Count block = W::block_trials(plan);
                 std::uint64_t lane_seeds[64];
                 typename W::Result lane_out[64];
-                while (end - i >= 64) {
-                    for (unsigned j = 0; j < 64; ++j)
+                for (Count lanes = 0; i < end; i += lanes) {
+                    lanes = std::min<Count>(block, end - i);
+                    for (Count j = 0; j < lanes; ++j)
                         lane_seeds[j] = mix64(base_seed + W::kSeedStride * (i + j));
-                    arena.run_fused(lane_seeds, lane_out);
-                    for (unsigned j = 0; j < 64; ++j) W::accumulate(part, lane_out[j]);
-                    i += 64;
+                    arena.run_fused(lane_seeds, lanes, lane_out);
+                    for (Count j = 0; j < lanes; ++j) W::accumulate(part, lane_out[j]);
                 }
             }
         }
@@ -214,11 +232,12 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
         partials[ci].emplace(std::move(agg));
     }
 
+    const bool blocks = runs_in_blocks<W>(plan, trials, chunk);
     detail::for_each_chunk(
         trials, chunk, threads, [&](std::size_t ci, Count begin, Count end) {
             if (partials[ci]) return;  // recovered from the journal
             typename W::Aggregate part =
-                run_resilient_chunk<W>(plan, base_seed, ci, begin, end);
+                run_resilient_chunk<W>(plan, base_seed, ci, begin, end, blocks);
             std::string payload;
             W::checkpoint_encode(part, payload);
             journal.append(ci, payload);
@@ -246,10 +265,11 @@ typename W::Aggregate run_trials(const typename W::Plan& plan, std::uint64_t bas
     resolved.chunk = plan_chunk<W>(plan, trials, exec);
     if (!resolved.checkpoint.empty())
         return run_journaled<W>(plan, base_seed, trials, resolved);
+    const bool blocks = runs_in_blocks<W>(plan, trials, resolved.chunk);
     return parallel_reduce<typename W::Aggregate>(
         trials, resolved, [&](Count begin, Count end) {
             return run_resilient_chunk<W>(plan, base_seed, begin / resolved.chunk, begin,
-                                          end);
+                                          end, blocks);
         });
 }
 

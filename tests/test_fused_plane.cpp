@@ -4,30 +4,40 @@
 // any thread count, through partial blocks (trials % 64 != 0), per-lane
 // early-decide divergence, and checkpoint kill/resume. The word-parallel
 // act of lane-uniform adversaries must equal the per-lane bridge, contract
-// failures included, and the default chunk must hold whole blocks. Plus the
-// feasibility rules (why_incompatible must name every rejected
-// combination), the scenario key round trip, and a LaneAdder unit check
-// against popcount.
+// failures included, and the default chunk must hold whole blocks. The
+// worst-case adversary's block-level form must equal 64 scalar engine runs
+// block by block, and stateless committee draws must hold across committee
+// revisits. Plus the fused policy (fused engages where the plan can, and
+// every skip names its reason), the scenario key round trip, and a
+// LaneAdder unit check against popcount.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "adversary/static_adversary.hpp"
+#include "adversary/worst_case.hpp"
+#include "core/params.hpp"
+#include "net/engine.hpp"
 #include "net/fused_plane.hpp"
 #include "net/tally_kernels.hpp"
 #include "rand/rng.hpp"
 #include "sim/inputs.hpp"
 #include "sim/multivalued_runner.hpp"
+#include "sim/faults.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
+#include "sim/workload.hpp"
 #include "support/contracts.hpp"
 
 namespace adba {
@@ -229,11 +239,11 @@ TEST(FusedPlane, LaneAdderMatchesPerLanePopcount) {
 
 // ---------------------------------------------------------------------------
 // Every fused-capable registry pair: fused == scalar, bit for bit, through
-// one whole block plus a partial remainder, serial and threaded.
+// one whole block plus a partial block, serial and threaded.
 
 TEST(FusedPlaneEquivalence, AllRegistryPairsFusedMatchesScalar) {
     const NodeId n = 25;
-    const Count trials = 70;  // one 64-lane block + 6 scalar-remainder trials
+    const Count trials = 70;  // one 64-lane block + a 6-lane partial block
     Count covered = 0;
     for (const sim::ProtocolEntry* p : sim::ProtocolRegistry::instance().list()) {
         if (p->make_fused == nullptr) continue;
@@ -255,23 +265,23 @@ TEST(FusedPlaneEquivalence, AllRegistryPairsFusedMatchesScalar) {
             scalar.use_fused = false;
 
             // One chunk holding the whole range: the fused path runs one
-            // block plus the scalar remainder inside it.
+            // block plus a partial block inside it.
             const sim::ExecutorConfig serial{1, trials};
             const sim::Aggregate fused = sim::run_trials(s, 0xBA7C5, trials, serial);
             const sim::Aggregate ref = sim::run_trials(scalar, 0xBA7C5, trials, serial);
             expect_aggregate_eq(fused, ref);
 
-            // Thread/chunk invariance of the fused path: chunks below 64
-            // trials degrade to all-scalar, at 64+ they fuse — either way
+            // Thread/chunk invariance of the fused path: chunks of 64 and
+            // 6 run one whole and one partial block — either way
             // the merged aggregate is the same object.
             const sim::Aggregate par = sim::run_trials(s, 0xBA7C5, trials, {8, 64});
             expect_aggregate_eq(fused, par);
         }
     }
-    // 8 fused protocols x 5 fused adversaries, minus the schedule
-    // constraint (crash-targeted-coin needs a committee schedule: only
-    // ours / ours-lv / chor-coan x2 qualify) = 8*4 + 4.
-    EXPECT_GE(covered, 36u) << "fused registry coverage unexpectedly low";
+    // 8 fused protocols x 6 fused adversaries, minus the schedule
+    // constraint (crash-targeted-coin and worst-case need a committee
+    // schedule: only ours / ours-lv / chor-coan x2 qualify) = 8*4 + 2*4.
+    EXPECT_GE(covered, 40u) << "fused registry coverage unexpectedly low";
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +298,7 @@ TEST(FusedPlaneEquivalence, FuzzDivergentLanesMatchBitIdentically) {
     const auto adversaries = sim::AdversaryRegistry::instance().list();
 
     Xoshiro256 rng(0xF05ED);
-    Count checked = 0;
+    Count checked = 0, worst_case = 0;
     for (int iter = 0; iter < 300 && checked < 24; ++iter) {
         const auto* p = protocols[rng.below(protocols.size())];
         if (p->make_fused == nullptr) continue;
@@ -305,6 +315,7 @@ TEST(FusedPlaneEquivalence, FuzzDivergentLanesMatchBitIdentically) {
         s.use_fused = true;
         if (!sim::compatible(s)) continue;
         ++checked;
+        worst_case += a->kind == sim::AdversaryKind::WorstCase ? 1 : 0;
         const std::uint64_t seed = rng();
         SCOPED_TRACE(p->name + " vs " + a->name + " n=" + std::to_string(s.n) +
                      " seed=" + std::to_string(seed));
@@ -315,12 +326,14 @@ TEST(FusedPlaneEquivalence, FuzzDivergentLanesMatchBitIdentically) {
         expect_aggregate_eq(sim::run_trials(s, seed, 64, serial),
                             sim::run_trials(scalar, seed, 64, serial));
     }
-    EXPECT_GE(checked, 16u) << "fuzz sweep sampled too few fused scenarios";
+    EXPECT_GE(checked, 20u) << "fuzz sweep sampled too few fused scenarios";
+    EXPECT_GE(worst_case, 1u) << "fuzz sweep never sampled the worst-case adversary";
 }
 
 // ---------------------------------------------------------------------------
 // Partial blocks: every remainder class around the 64-lane boundary runs
-// the right mix of fused blocks and scalar tail trials.
+// the right mix of whole and partial fused blocks (runs below one block
+// run scalar).
 
 TEST(FusedPlaneEquivalence, PartialBlockRemaindersMatchScalar) {
     sim::Scenario s;
@@ -610,7 +623,7 @@ TEST(FusedLaneUniform, WordWiseContractsRaiseTheBridgeMessages) {
 
 // ---------------------------------------------------------------------------
 // Whole-block chunks: the default chunk of a fused plan is a multiple of 64,
-// so only a run's last chunk can end in a scalar remainder.
+// so only a run's last chunk can end in a partial block.
 
 sim::Scenario fused_ours(NodeId n, Count t) {
     sim::Scenario s;
@@ -628,12 +641,18 @@ TEST(FusedPlaneChunks, DefaultChunkIsWholeBlocksOnlyWhenFused) {
     const sim::ScenarioPlan fused = sim::validate(s);
     s.use_fused = false;
     const sim::ScenarioPlan scalar = sim::validate(s);
-    for (const Count trials : {Count{1}, Count{130}, Count{1000}, Count{64000}, Count{200000}}) {
+    for (const Count trials : {Count{1}, Count{63}, Count{64}, Count{130}, Count{1000},
+                               Count{64000}, Count{200000}}) {
         SCOPED_TRACE("trials=" + std::to_string(trials));
         const Count chunk = sim::plan_chunk<sim::BinaryWorkload>(fused, trials, {});
-        EXPECT_EQ(chunk % net::kFusedLanes, 0u);
-        EXPECT_GE(chunk, sim::detail::auto_chunk(trials));
-        EXPECT_LT(chunk - sim::detail::auto_chunk(trials), net::kFusedLanes);
+        if (trials < net::kFusedLanes) {
+            // A run that fills no block keeps the scalar chunking.
+            EXPECT_EQ(chunk, sim::detail::auto_chunk(trials));
+        } else {
+            EXPECT_EQ(chunk % net::kFusedLanes, 0u);
+            EXPECT_GE(chunk, sim::detail::auto_chunk(trials));
+            EXPECT_LT(chunk - sim::detail::auto_chunk(trials), net::kFusedLanes);
+        }
         EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(scalar, trials, {}),
                   sim::detail::auto_chunk(trials));
         EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(fused, trials, {1, 1000}), 1000u);
@@ -656,7 +675,8 @@ TEST(FusedPlaneChunks, DefaultChunkMatchesExplicitChunkAndScalar) {
 
 TEST(FusedPlaneChunks, CiSmokeShapeRunsFusedBlocksAtEveryThreadCount) {
     // adba_sim's fused smoke: 130 trials, default chunk. Chunks of 64, 64
-    // and 2: each whole-block chunk builds one fused protocol in its arena.
+    // and 2: each builds one fused protocol in its arena, and the last runs
+    // a 2-lane partial block.
     const sim::Scenario s = fused_ours(32, 9);
     sim::Scenario scalar = s;
     scalar.use_fused = false;
@@ -674,7 +694,7 @@ TEST(FusedPlaneChunks, CiSmokeShapeRunsFusedBlocksAtEveryThreadCount) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         built = 0;
         expect_aggregate_eq(sim::run_trials(plan, 3, 130, {threads, 0}), ref);
-        EXPECT_EQ(built.load(), 2);
+        EXPECT_EQ(built.load(), 3);
     }
 }
 
@@ -721,8 +741,11 @@ TEST(FusedPlaneChunks, KilledJournalResumesUnderTheDefaultChunk) {
 // Feasibility: every rejected combination states why, by name.
 
 TEST(FusedPlaneRegistry, WhyIncompatibleNamesEveryRejection) {
+    // Every former fused rejection is now a skip reason: the scenario stays
+    // compatible and runs scalar, and why_not_fused names why.
     const auto why = [](sim::Scenario s) {
-        const auto msg = sim::why_incompatible(s);
+        EXPECT_FALSE(sim::why_incompatible(s).has_value()) << s.describe();
+        const auto msg = sim::why_not_fused(s);
         return msg ? *msg : std::string{};
     };
 
@@ -733,6 +756,7 @@ TEST(FusedPlaneRegistry, WhyIncompatibleNamesEveryRejection) {
     base.t = 5;
     base.use_fused = true;
     ASSERT_TRUE(sim::compatible(base));
+    ASSERT_FALSE(sim::why_not_fused(base).has_value());
 
     // Protocol without a fused form (t set to its own resilience bound so
     // the fused rule, not the resilience rule, is what fires).
@@ -742,23 +766,24 @@ TEST(FusedPlaneRegistry, WhyIncompatibleNamesEveryRejection) {
     EXPECT_NE(why(s).find("fused-capable protocol"), std::string::npos) << why(s);
     EXPECT_NE(why(s).find("ours"), std::string::npos) << why(s);
 
-    // Adversaries outside the lane-masked split_as bridge. (Balancer and
-    // king-killer carry requires_protocol rules that fire first, so the
-    // generic sweep uses the unrestricted ones and king-killer is paired
-    // with its own protocol below.)
-    for (const auto kind :
-         {sim::AdversaryKind::Chaos, sim::AdversaryKind::WorstCase}) {
-        s = base;
-        s.adversary = kind;
-        EXPECT_NE(why(s).find("fused plane"), std::string::npos) << why(s);
-        EXPECT_NE(why(s).find("static"), std::string::npos)
-            << "rejection should list the fused-capable alternatives: " << why(s);
-    }
+    // Adversaries with no fused form. (Balancer and king-killer carry
+    // requires_protocol rules, so each is paired with its own protocol.)
+    s = base;
+    s.adversary = sim::AdversaryKind::Chaos;
+    EXPECT_NE(why(s).find("fused plane"), std::string::npos) << why(s);
+    EXPECT_NE(why(s).find("static"), std::string::npos)
+        << "the reason should list the fused-capable alternatives: " << why(s);
+    EXPECT_NE(why(s).find("worst-case"), std::string::npos) << why(s);
     s = base;
     s.protocol = sim::ProtocolKind::PhaseKing;
     s.t = 3;
     s.adversary = sim::AdversaryKind::KingKiller;
     EXPECT_NE(why(s).find("fused plane"), std::string::npos) << why(s);
+    s = base;
+    s.protocol = sim::ProtocolKind::SamplingMajority;
+    s.t = max_t(sim::ProtocolRegistry::instance().at(s.protocol), s.n);
+    s.adversary = sim::AdversaryKind::Balancer;
+    EXPECT_NE(why(s).find("fused-capable protocol"), std::string::npos) << why(s);
 
     // Plane/oracle/transcript/batch/watchdog conflicts.
     s = base;
@@ -786,10 +811,13 @@ TEST(FusedPlaneRegistry, ScenarioFusedKeyRoundTrips) {
     sim::Scenario s;
     s.n = 16;
     s.t = 5;
-    s.use_fused = true;
-    EXPECT_NE(s.describe().find("fused=true"), std::string::npos);
+    s.use_fused = false;
+    EXPECT_NE(s.describe().find("fused=false"), std::string::npos);
     EXPECT_EQ(sim::Scenario::parse(s.describe()), s);
-    EXPECT_FALSE(sim::Scenario::parse("n=16 t=5").use_fused);
+    s.use_fused = true;  // the default: elided
+    EXPECT_EQ(s.describe().find("fused"), std::string::npos);
+    EXPECT_EQ(sim::Scenario::parse(s.describe()), s);
+    EXPECT_TRUE(sim::Scenario::parse("n=16 t=5").use_fused);
     EXPECT_TRUE(sim::Scenario::parse("n=16 t=5 fused=on").use_fused);
     EXPECT_FALSE(sim::Scenario::parse("n=16 t=5 fused=off").use_fused);
 }
@@ -803,11 +831,631 @@ TEST(FusedPlaneRegistry, FusedCapabilityFlagsMatchThePlan) {
     EXPECT_TRUE(protocols.at("sampling-majority").make_fused == nullptr);
 
     const auto& adversaries = sim::AdversaryRegistry::instance();
-    for (const char* name :
-         {"none", "static", "split-vote", "crash-random", "crash-targeted-coin"})
+    for (const char* name : {"none", "static", "split-vote", "crash-random",
+                             "crash-targeted-coin", "worst-case"})
         EXPECT_TRUE(adversaries.at(std::string(name)).supports_fused) << name;
-    for (const char* name : {"chaos", "worst-case", "king-killer", "balancer"})
+    for (const char* name : {"chaos", "king-killer", "balancer"})
         EXPECT_FALSE(adversaries.at(std::string(name)).supports_fused) << name;
+}
+
+// ---------------------------------------------------------------------------
+// Lane-uniform strategy groups: one lane per group is asked for its row.
+
+/// Counts lane_uniform() calls into `*asks`; forwards everything else,
+/// including the strategy key.
+class CountingUniform final : public net::Adversary {
+public:
+    CountingUniform(std::unique_ptr<net::Adversary> inner, int* asks)
+        : inner_(std::move(inner)), asks_(asks) {}
+    void on_start(NodeId n, Count budget) override { inner_->on_start(n, budget); }
+    void act(net::RoundControl& ctl) override { inner_->act(ctl); }
+    std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override {
+        ++*asks_;
+        return inner_->lane_uniform(r, n);
+    }
+    bool same_strategy(const net::Adversary& other) const override {
+        const auto* o = dynamic_cast<const CountingUniform*>(&other);
+        return o != nullptr && inner_->same_strategy(*o->inner_);
+    }
+
+private:
+    std::unique_ptr<net::Adversary> inner_;
+    int* asks_;
+};
+
+TEST(FusedLaneUniform, OneLanePerStrategyGroupIsAskedEachRound) {
+    // Two strategy groups (split-vote and silent static sets): after the
+    // round-0 fold asks every lane once, each round asks at most one lane
+    // per group, and the block still equals the per-lane bridge.
+    sim::Scenario s = sim::Scenario::parse("protocol=ours adversary=static n=40 t=13");
+    const sim::ScenarioPlan plan = sim::validate(s);
+    int asks = 0;
+    const auto grouped = [&asks](bool bridge) {
+        return [bridge, &asks](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
+            std::unique_ptr<net::Adversary> a = std::make_unique<adv::StaticAdversary>(
+                13, j % 2 == 0 ? adv::StaticBehavior::SplitVotes : adv::StaticBehavior::Silent,
+                seeds.stream(StreamPurpose::Adversary));
+            a = std::make_unique<CountingUniform>(std::move(a), &asks);
+            if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+            return a;
+        };
+    };
+    const BlockOutcome uniform = run_block(plan, 0x6A0, grouped(false));
+    const int uniform_asks = asks;
+    expect_block_eq(uniform, run_block(plan, 0x6A0, grouped(true)));
+    Round rounds = 0;
+    for (const net::FusedLaneResult& lane : uniform.lanes) rounds = std::max(rounds, lane.rounds);
+    EXPECT_GE(uniform_asks, static_cast<int>(net::kFusedLanes));
+    EXPECT_LE(uniform_asks, static_cast<int>(net::kFusedLanes + 2 * rounds));
+}
+
+// ---------------------------------------------------------------------------
+// The worst-case adversary's block-level form against 64 scalar engine runs
+// of the same trials, block by block.
+
+/// One scalar engine run of the trial a fused lane seeded with `seeds` runs.
+net::RunResult scalar_lane(const sim::ScenarioPlan& plan, const SeedTree& seeds) {
+    const sim::Scenario& s = plan.scenario;
+    std::vector<Bit> inputs;
+    sim::make_inputs(s.inputs, s.n, seeds, inputs);
+    sim::ProtocolBundle bundle = plan.protocol->make_batch(s, inputs, seeds);
+    const std::unique_ptr<net::Adversary> adversary =
+        plan.adversary->make_adversary(s, bundle, seeds);
+    net::EngineConfig cfg;
+    cfg.n = s.n;
+    cfg.budget = s.t;
+    cfg.max_rounds = bundle.default_max_rounds;
+    net::Engine engine(cfg, std::move(bundle.batch), *adversary);
+    return engine.run();
+}
+
+void expect_block_matches_scalar(const BlockOutcome& block,
+                                 const std::vector<net::RunResult>& lanes, NodeId n) {
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        SCOPED_TRACE("lane " + std::to_string(j));
+        const net::RunResult& r = lanes[j];
+        const net::FusedLaneResult& f = block.lanes[j];
+        EXPECT_EQ(f.rounds, r.rounds);
+        EXPECT_EQ(f.all_halted, r.all_halted);
+        EXPECT_EQ(f.outcome, r.outcome);
+        EXPECT_EQ(f.metrics.honest_messages, r.metrics.honest_messages);
+        EXPECT_EQ(f.metrics.honest_bits, r.metrics.honest_bits);
+        EXPECT_EQ(f.metrics.byzantine_messages, r.metrics.byzantine_messages);
+        EXPECT_EQ(f.metrics.corruptions, r.metrics.corruptions);
+        EXPECT_EQ(f.metrics.rounds, r.metrics.rounds);
+        NodeId wrong = 0;
+        for (NodeId v = 0; v < n; ++v) {
+            const bool byz = (block.byz[v] >> j & 1) != 0;
+            if (byz != !r.honest[v] || (!byz && (block.val[v] >> j & 1) != r.outputs[v])) ++wrong;
+        }
+        EXPECT_EQ(wrong, 0u) << "nodes whose byz or value bit differs from the scalar run";
+    }
+}
+
+TEST(FusedWorstCase, BlocksMatchSixtyFourScalarEngineRuns) {
+    Count covered = 0;
+    bool divergent = false, coin_rows = false;
+    for (const NodeId n : {NodeId{7}, NodeId{64}, NodeId{256}}) {
+        for (const sim::ProtocolKind protocol :
+             {sim::ProtocolKind::Ours, sim::ProtocolKind::OursLasVegas,
+              sim::ProtocolKind::ChorCoanRushing, sim::ProtocolKind::ChorCoanClassic}) {
+            for (const bool full_q : {false, true}) {
+                for (const sim::InputPattern inputs :
+                     {sim::InputPattern::Split, sim::InputPattern::AllOne,
+                      sim::InputPattern::Random}) {
+                    sim::Scenario s;
+                    s.protocol = protocol;
+                    s.adversary = sim::AdversaryKind::WorstCase;
+                    s.n = n;
+                    s.t = max_t(sim::ProtocolRegistry::instance().at(protocol), n);
+                    if (!full_q) s.q = s.t / 2;
+                    s.inputs = inputs;
+                    const sim::ScenarioPlan plan = sim::validate(s);
+                    ASSERT_TRUE(plan.scenario.use_fused) << *plan.fused_skip;
+                    ++covered;
+                    SCOPED_TRACE(s.describe());
+                    const std::uint64_t seed = 0x3C0 + covered;
+                    const BlockOutcome block = run_block(
+                        plan, seed,
+                        [&plan](unsigned, const SeedTree& seeds, const sim::ProtocolBundle& meta) {
+                            return plan.adversary->make_adversary(plan.scenario, meta, seeds);
+                        });
+                    std::vector<net::RunResult> lanes;
+                    for (unsigned j = 0; j < net::kFusedLanes; ++j)
+                        lanes.push_back(scalar_lane(plan, SeedTree(mix64(seed + j))));
+                    expect_block_matches_scalar(block, lanes, n);
+
+                    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                        divergent |= block.lanes[j].rounds != block.lanes[0].rounds;
+                        // The strategy's only Byzantine deliveries are coin rows.
+                        coin_rows |= block.lanes[j].metrics.byzantine_messages > 0;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(covered, 72u);
+    EXPECT_TRUE(divergent) << "no block retired its lanes at different rounds";
+    EXPECT_TRUE(coin_rows) << "no lane sent a coin row";
+}
+
+// ---------------------------------------------------------------------------
+// The block-level form against act() on random planes: decided sets of any
+// size, halted nodes and partial active masks, which registry runs never
+// reach. (In registry runs every live receiver sees the same honest counts,
+// so nodes decide all together and reducing them to t is never affordable:
+// OPPOSITE never sends there.)
+
+/// A FusedProtocol that only holds the planes a block-level strategy reads.
+class PlaneProtocol final : public net::FusedProtocol {
+public:
+    explicit PlaneProtocol(NodeId n) : halted(n, 0), decided(n, 0), value(n, 0) {}
+    NodeId n() const override { return static_cast<NodeId>(halted.size()); }
+    void rearm(const std::uint64_t*, const SeedTree*) override {}
+    void send_round(Round, net::FusedFrame&) override {}
+    void receive_round(Round, const net::FusedFrame&) override {}
+    const std::uint64_t* value_plane() const override { return value.data(); }
+    const std::uint64_t* decided_plane() const override { return decided.data(); }
+    const std::uint64_t* halted_plane() const override { return halted.data(); }
+
+    std::vector<std::uint64_t> halted, decided, value;
+};
+
+/// One lane of a FusedLaneControl for a scalar act(): observation and
+/// corrupt() go to the lane, each sender's delivered row is recorded.
+class LaneRowRecorder final : public net::RoundControl {
+public:
+    explicit LaneRowRecorder(net::FusedLaneControl& lane) : lane_(lane) {}
+    Round round() const override { return lane_.round(); }
+    NodeId n() const override { return lane_.n(); }
+    Count budget_left() const override { return lane_.budget_left(); }
+    bool is_honest(NodeId v) const override { return lane_.is_honest(v); }
+    bool is_halted(NodeId v) const override { return lane_.is_halted(v); }
+    const net::Message* intended_broadcast(NodeId v) const override {
+        return lane_.intended_broadcast(v);
+    }
+    Bit current_value(NodeId v) const override { return lane_.current_value(v); }
+    bool current_decided(NodeId v) const override { return lane_.current_decided(v); }
+    std::optional<net::Message> corrupt(NodeId v) override { return lane_.corrupt(v); }
+    void deliver_as(NodeId, NodeId, const net::Message&) override {
+        ADD_FAILURE() << "the worst-case strategy delivers whole rows only";
+    }
+    void split_as(NodeId from, const std::optional<net::Message>& low,
+                  const std::optional<net::Message>& high, NodeId boundary) override {
+        EXPECT_TRUE(low && !high && boundary == n()) << "OPPOSITE is a broadcast";
+        rows[from].assign(n(), *low);
+        opposite = true;
+    }
+    void deliver_row_as(NodeId from, std::span<const net::Message> cells) override {
+        rows[from].assign(cells.begin(), cells.end());
+        split = true;
+    }
+
+    std::map<NodeId, std::vector<net::Message>> rows;
+    bool split = false, opposite = false;
+
+private:
+    net::FusedLaneControl& lane_;
+};
+
+TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
+    const NodeId n = 40;
+    const Count t = 13;
+    const auto schedule = core::BlockSchedule::make(n, 10);
+    Xoshiro256 rng(0xB10C);
+    const auto bits = [&rng](double p) {  // each lane's bit set with probability p
+        std::uint64_t w = 0;
+        for (unsigned j = 0; j < net::kFusedLanes; ++j)
+            if (rng.bernoulli(p)) w |= std::uint64_t{1} << j;
+        return w;
+    };
+    Count split_lanes = 0, opposite_lanes = 0;
+    bool mixed = false;
+    for (int run = 0; run < 24; ++run) {
+        const adv::WorstCaseConfig cfg{t, run % 2 == 0 ? t : t / 2, schedule, true};
+        adv::WorstCaseAdversary block_adv(cfg);
+        block_adv.on_start(n, t);
+        std::vector<std::unique_ptr<adv::WorstCaseAdversary>> lane_advs;
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            lane_advs.push_back(std::make_unique<adv::WorstCaseAdversary>(cfg));
+            lane_advs.back()->on_start(n, t);
+        }
+        ASSERT_NE(block_adv.block_form(), nullptr);
+        PlaneProtocol proto(n);
+        net::FusedFrame block_frame, lane_frame;
+        block_frame.reset(n);
+        lane_frame.reset(n);
+        net::FusedLaneControl block_ctl, lane_ctl;
+        block_ctl.rearm(&block_frame, &proto, t);
+        lane_ctl.rearm(&lane_frame, &proto, t);
+        std::uint64_t expected_msgs[net::kFusedLanes] = {};
+
+        for (Round r = 0; r < 8; ++r) {
+            SCOPED_TRACE("run " + std::to_string(run) + " round " + std::to_string(r));
+            ASSERT_EQ(block_frame.byz, lane_frame.byz);
+            // A random round: lane j votes 1 with probability ~j/64 and is
+            // decided with probability (j mod 4)/3; a few honest nodes are
+            // halted, some of them still sending their flush broadcast.
+            const bool round2 = r % 2 == 1;
+            const auto [first, last] = schedule.range(schedule.committee_of_phase(r / 2));
+            block_frame.begin_round(round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1, r / 2);
+            block_frame.active = ~bits(0.1);
+            for (NodeId v = 0; v < n; ++v) {
+                const std::uint64_t honest = ~block_frame.byz[v];
+                proto.halted[v] = honest & bits(0.08);
+                std::uint64_t decided = 0, value = 0;
+                for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                    if (rng.bernoulli((j % 4) / 3.0)) decided |= std::uint64_t{1} << j;
+                    if (rng.bernoulli(0.35 + 0.65 * j / 64.0)) value |= std::uint64_t{1} << j;
+                }
+                proto.decided[v] = decided;
+                proto.value[v] = value;
+                block_frame.sent[v] = honest & (~proto.halted[v] | bits(0.5));
+                block_frame.val[v] = value;
+                block_frame.flag[v] = decided;
+                if (round2 && v >= first && v < last) {
+                    const std::uint64_t plus = bits(0.5);
+                    block_frame.coinp[v] = block_frame.sent[v] & plus;
+                    block_frame.coinn[v] = block_frame.sent[v] & ~plus;
+                }
+            }
+            lane_frame.begin_round(block_frame.kind, block_frame.phase);
+            lane_frame.active = block_frame.active;
+            lane_frame.sent = block_frame.sent;
+            lane_frame.val = block_frame.val;
+            lane_frame.flag = block_frame.flag;
+            lane_frame.coinp = block_frame.coinp;
+            lane_frame.coinn = block_frame.coinn;
+
+            block_ctl.set_round(r);
+            block_adv.block_form()->act_block(block_ctl);
+            lane_ctl.set_round(r);
+            bool split = false, opposite = false;
+            for (std::uint64_t lanes = block_frame.active; lanes != 0; lanes &= lanes - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+                SCOPED_TRACE("lane " + std::to_string(j));
+                lane_ctl.set_lane(j);
+                LaneRowRecorder lane(lane_ctl);
+                lane_advs[j]->act(lane);
+                EXPECT_EQ(block_ctl.corruptions(j), lane_ctl.corruptions(j));
+                split |= lane.split;
+                opposite |= lane.opposite;
+                split_lanes += lane.split ? 1 : 0;
+                opposite_lanes += lane.opposite ? 1 : 0;
+
+                // The block's coin-sign row, read back as per-sender rows.
+                const bool sends = block_frame.has_sign && (block_frame.sign_lanes >> j & 1) != 0;
+                std::map<NodeId, std::vector<net::Message>> rows;
+                for (NodeId u = sends ? block_frame.sign_first : 0;
+                     sends && u < block_frame.sign_last; ++u) {
+                    if ((block_frame.byz[u] >> j & 1) == 0) continue;
+                    std::vector<net::Message>& row = rows[u];
+                    for (NodeId v = 0; v < n; ++v) {
+                        net::Message m = block_frame.sign_msg;
+                        m.coin = (block_frame.sign[v] >> j & 1) != 0 ? CoinSign{1} : CoinSign{-1};
+                        row.push_back(m);
+                    }
+                }
+                if (sends) {
+                    EXPECT_EQ(block_frame.sign_senders[j], rows.size());
+                }
+                ASSERT_EQ(rows.size(), lane.rows.size());
+                for (const auto& [u, row] : lane.rows) {
+                    ASSERT_EQ(rows.count(u), 1u) << "sender " << u;
+                    for (NodeId v = 0; v < n; ++v) {
+                        const net::Message& want = row[v];
+                        const net::Message& got = rows[u][v];
+                        EXPECT_EQ(got.kind, want.kind);
+                        EXPECT_EQ(got.phase, want.phase);
+                        EXPECT_EQ(got.val, want.val);
+                        EXPECT_EQ(got.flag, want.flag);
+                        ASSERT_EQ(got.coin, want.coin) << "sender " << u << " receiver " << v;
+                    }
+                }
+                expected_msgs[j] += std::uint64_t{n} * lane.rows.size();
+                EXPECT_EQ(block_ctl.byzantine_messages(j), expected_msgs[j]);
+            }
+            mixed |= split && opposite;
+        }
+        ASSERT_EQ(block_frame.byz, lane_frame.byz);
+    }
+    EXPECT_GT(split_lanes, 0u);
+    EXPECT_GT(opposite_lanes, 0u);
+    EXPECT_TRUE(mixed) << "no round sent SPLIT in one lane and OPPOSITE in another";
+}
+
+// ---------------------------------------------------------------------------
+// The receive side of coin-sign rows. The worst-case SPLIT targets every
+// live receiver by parity, which makes a run symmetric under flipping every
+// value: a receiver that read the sign plane the wrong way round would still
+// match the scalar runs. A scripted strategy whose signs depend on the
+// receiver's own value breaks that symmetry.
+
+/// Round 0 corrupts, in each lane, every third node below `limit` whose
+/// input is 1. In round 2 of every phase, each Byzantine committee member
+/// sends every receiver v a coin +1 iff pattern(v, r) differs from v's value
+/// (0 for a Byzantine v). act() sends the same rows through deliver_row_as.
+/// Every round it appends a hash of the values it observes to its lane's
+/// trace (traces[0] for act(), traces[j] for lane j of a block), so that
+/// every receive beat's outcome is compared, not only the run's end: the
+/// protocol overwrites its values each phase, which can hide a wrong one.
+class ScriptedSignRows final : public net::Adversary, private net::BlockStrategy {
+public:
+    ScriptedSignRows(NodeId limit, core::BlockSchedule schedule,
+                     std::vector<std::uint64_t>* traces)
+        : limit_(limit), schedule_(schedule), traces_(traces) {}
+
+    bool same_strategy(const net::Adversary& other) const override {
+        const auto* o = dynamic_cast<const ScriptedSignRows*>(&other);
+        return o != nullptr && o->limit_ == limit_ && o->schedule_ == schedule_;
+    }
+    net::BlockStrategy* block_form() override { return this; }
+
+    void act(net::RoundControl& ctl) override {
+        const Round r = ctl.round();
+        std::uint64_t h = kFnvBasis;
+        for (NodeId v = 0; v < ctl.n(); ++v)
+            h = fnv(h, ctl.is_honest(v) ? ctl.current_value(v) : 2);
+        traces_[0].push_back(h);
+        if (r == 0) {
+            for (NodeId v = 0; v < limit_; v += 3)
+                if (ctl.current_value(v) != 0) ctl.corrupt(v);
+            return;
+        }
+        if (r % 2 == 0) return;
+        const auto [first, last] = schedule_.range(schedule_.committee_of_phase(r / 2));
+        std::vector<net::Message> row(ctl.n(), header(r));
+        for (NodeId v = 0; v < ctl.n(); ++v) {
+            const Bit value = ctl.is_honest(v) ? ctl.current_value(v) : Bit{0};
+            row[v].coin = pattern(v, r) != value ? CoinSign{1} : CoinSign{-1};
+        }
+        for (NodeId u = first; u < last; ++u)
+            if (!ctl.is_honest(u)) ctl.deliver_row_as(u, row);
+    }
+
+private:
+    static constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+    static std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
+        return (h ^ x) * 0x100000001b3ULL;
+    }
+    static Bit pattern(NodeId v, Round r) { return (7 * v + r) % 3 == 0 ? 1 : 0; }
+    static net::Message header(Round r) {
+        net::Message m;
+        m.kind = net::MsgKind::Vote2;
+        m.phase = r / 2;
+        return m;
+    }
+
+    void act_block(net::FusedLaneControl& ctl) override {
+        const net::FusedFrame& f = ctl.frame();
+        const std::uint64_t* value = ctl.protocol().value_plane();
+        const Round r = ctl.round();
+        for (std::uint64_t lanes = f.active; lanes != 0; lanes &= lanes - 1) {
+            const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+            std::uint64_t h = kFnvBasis;
+            for (NodeId v = 0; v < f.n(); ++v)
+                h = fnv(h, (f.byz[v] >> j & 1) != 0 ? 2 : value[v] >> j & 1);
+            traces_[j].push_back(h);
+        }
+        if (r == 0) {
+            for (NodeId v = 0; v < limit_; v += 3)
+                if ((value[v] & f.active) != 0) ctl.corrupt_word(v, value[v] & f.active);
+            return;
+        }
+        if (r % 2 == 0) return;
+        const auto [first, last] = schedule_.range(schedule_.committee_of_phase(r / 2));
+        std::vector<std::uint64_t> sign(f.n());
+        for (NodeId v = 0; v < f.n(); ++v)
+            sign[v] = (pattern(v, r) != 0 ? ~std::uint64_t{0} : 0) ^ (~f.byz[v] & value[v]);
+        ctl.sign_row(header(r), first, last, f.active, sign.data());
+    }
+
+    NodeId limit_;
+    core::BlockSchedule schedule_;
+    std::vector<std::uint64_t>* traces_;
+};
+
+TEST(FusedWorstCase, CoinSignRowsFoldLikeScalarDenseRows) {
+    Count covered = 0, sign_rounds = 0;
+    for (const NodeId n : {NodeId{16}, NodeId{64}}) {
+        for (const sim::ProtocolKind protocol :
+             {sim::ProtocolKind::Ours, sim::ProtocolKind::OursLasVegas,
+              sim::ProtocolKind::ChorCoanRushing, sim::ProtocolKind::ChorCoanClassic}) {
+            sim::Scenario s;
+            s.protocol = protocol;
+            s.adversary = sim::AdversaryKind::WorstCase;
+            s.n = n;
+            s.t = max_t(sim::ProtocolRegistry::instance().at(protocol), n);
+            s.inputs = sim::InputPattern::Random;
+            const sim::ScenarioPlan plan = sim::validate(s);
+            ++covered;
+            SCOPED_TRACE(s.describe());
+            const std::uint64_t seed = 0x5160 + covered;
+            const NodeId limit = 3 * s.t;  // at most t corruptions
+            std::vector<std::uint64_t> block_traces[net::kFusedLanes];
+            const BlockOutcome block = run_block(
+                plan, seed,
+                [limit, &block_traces](unsigned, const SeedTree&, const sim::ProtocolBundle& meta) {
+                    return std::make_unique<ScriptedSignRows>(limit, *meta.schedule, block_traces);
+                });
+            std::vector<net::RunResult> lanes;
+            for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                const SeedTree seeds(mix64(seed + j));
+                std::vector<Bit> inputs;
+                sim::make_inputs(s.inputs, n, seeds, inputs);
+                sim::ProtocolBundle bundle = plan.protocol->make_batch(s, inputs, seeds);
+                std::vector<std::uint64_t> trace;
+                ScriptedSignRows adversary(limit, *bundle.schedule, &trace);
+                net::EngineConfig cfg;
+                cfg.n = n;
+                cfg.budget = s.t;
+                cfg.max_rounds = bundle.default_max_rounds;
+                net::Engine engine(cfg, std::move(bundle.batch), adversary);
+                lanes.push_back(engine.run());
+                EXPECT_EQ(block_traces[j], trace) << "lane " << j << ": values seen per round";
+                sign_rounds += lanes.back().metrics.byzantine_messages / n;
+            }
+            expect_block_matches_scalar(block, lanes, n);
+        }
+    }
+    EXPECT_EQ(covered, 8u);
+    EXPECT_GT(sign_rounds, 0u) << "no lane sent a coin-sign row";
+}
+
+// ---------------------------------------------------------------------------
+// Stateless committee draws: a member's phase-p flip is output p / num_blocks
+// of its stream. Fused runs long enough to revisit a committee must still
+// equal the scalar path, for every committee-coin protocol x fused adversary.
+
+TEST(FusedWorstCase, StatelessCommitteeDrawsHoldAcrossCommitteeRevisits) {
+    Count compared = 0, revisited = 0;
+    for (const sim::ProtocolKind protocol :
+         {sim::ProtocolKind::Ours, sim::ProtocolKind::OursLasVegas,
+          sim::ProtocolKind::ChorCoanRushing, sim::ProtocolKind::ChorCoanClassic}) {
+        for (const sim::AdversaryEntry* a : sim::AdversaryRegistry::instance().list()) {
+            if (!a->supports_fused) continue;
+            for (const NodeId n : {NodeId{4}, NodeId{7}, NodeId{16}, NodeId{25}, NodeId{64},
+                                   NodeId{100}}) {
+                for (const sim::InputPattern inputs :
+                     {sim::InputPattern::Split, sim::InputPattern::Random}) {
+                    sim::Scenario s;
+                    s.protocol = protocol;
+                    s.adversary = a->kind;
+                    s.n = n;
+                    s.t = max_t(sim::ProtocolRegistry::instance().at(protocol), n);
+                    s.inputs = inputs;
+                    if (!sim::compatible(s)) continue;
+                    SCOPED_TRACE(s.describe());
+                    sim::Scenario scalar = s;
+                    scalar.use_fused = false;
+                    const sim::Aggregate fused = sim::run_trials(s, 0xD4A + n, 128, {1, 0});
+                    expect_aggregate_eq(fused, sim::run_trials(scalar, 0xD4A + n, 128, {1, 0}));
+                    ++compared;
+                    // Phase p visits committee p mod num_blocks.
+                    if (fused.rounds.max() > 2.0 * sim::schedule_of(s)->num_blocks) ++revisited;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 4u * 6u * 6u * 2u);
+    EXPECT_GT(revisited, 0u) << "no run revisited a committee";
+}
+
+// ---------------------------------------------------------------------------
+// The fused policy: fused engages where the plan can, and every skip says why.
+
+TEST(FusedPolicy, EngagesForTheWorstCaseShapeWithABlockOfTrials) {
+    const sim::ScenarioPlan live =
+        sim::validate(sim::Scenario::parse("protocol=ours adversary=worst-case n=256 t=85"));
+    EXPECT_TRUE(live.scenario.use_fused);
+    EXPECT_FALSE(live.fused_skip.has_value());
+    EXPECT_FALSE(sim::fused_skip_reason(live, 64).has_value());
+    EXPECT_FALSE(sim::fused_skip_reason(live, 1000).has_value());
+    const auto reason = [&live](Count trials, sim::ExecutorConfig exec) {
+        return sim::fused_skip_reason(live, trials, exec).value_or("");
+    };
+    EXPECT_NE(reason(63, {}).find("fewer than 64 trials"), std::string::npos);
+    EXPECT_NE(reason(1000, {1, 16}).find("chunk=16"), std::string::npos);
+    {
+        sim::FaultConfig faults;
+        faults.trial_rate = 0.5;
+        const sim::ScopedFaultInjection armed(faults);
+        EXPECT_NE(reason(1000, {}).find("fault injection"), std::string::npos);
+    }
+
+    // A run of a block or more builds the fused protocol; a shorter run
+    // keeps the scalar chunking and never does.
+    std::atomic<int> built{0};
+    sim::ProtocolEntry counted = *live.protocol;
+    counted.make_fused = [&built, make = live.protocol->make_fused](const sim::Scenario& sc) {
+        ++built;
+        return make(sc);
+    };
+    sim::ScenarioPlan plan = live;
+    plan.protocol = &counted;
+    (void)sim::run_trials(plan, 5, 63, {2, 0});
+    EXPECT_EQ(built.load(), 0);
+    (void)sim::run_trials(plan, 5, 64, {2, 0});
+    EXPECT_EQ(built.load(), 1);
+}
+
+TEST(FusedPolicy, EverySkipNamesItsReason) {
+    const auto skip = [](sim::Scenario s) {
+        if (s.t == 0) s.t = max_t(sim::ProtocolRegistry::instance().at(s.protocol), s.n);
+        const sim::ScenarioPlan plan = sim::validate(s);
+        EXPECT_FALSE(plan.scenario.use_fused) << s.describe();
+        return plan.fused_skip.value_or("");
+    };
+    const std::pair<const char*, const char*> cases[] = {
+        {"protocol=sampling-majority adversary=balancer n=64", "fused-capable protocol"},
+        {"protocol=ours adversary=chaos n=64", "fused plane"},
+        {"protocol=phase-king adversary=king-killer n=64", "fused plane"},
+        {"protocol=ours adversary=worst-case n=64 plane=sparse", "plane=sparse"},
+        {"protocol=ours adversary=worst-case n=64 reference=true", "reference"},
+        {"protocol=ours adversary=worst-case n=64 transcript=true", "transcript"},
+        {"protocol=ours adversary=worst-case n=64 batch=false", "batch=false"},
+        {"protocol=ours adversary=worst-case n=64 watchdog_ms=5", "watchdog"},
+        {"protocol=ours adversary=static n=2048", "2048"},
+        {"protocol=ours adversary=worst-case n=64 intra_threads=4", "intra_threads=4"},
+        {"protocol=ours adversary=worst-case n=64 fused=off", "fused=off"},
+    };
+    for (const auto& [spec, reason] : cases) {
+        SCOPED_TRACE(spec);
+        const std::string why = skip(sim::Scenario::parse(spec));
+        EXPECT_NE(why.find(reason), std::string::npos) << why;
+    }
+    // One intra-trial shard is no sharding: fused still engages.
+    const sim::Scenario one = sim::Scenario::parse(
+        "protocol=ours adversary=worst-case n=64 t=21 intra_threads=1");
+    EXPECT_TRUE(sim::validate(one).scenario.use_fused);
+}
+
+TEST(FusedPolicy, DefaultFlatPlanOverTheMemoryBudgetFallsBackToSparse) {
+    // apply_memory_budget reads the resolved fused decision: n = 32768 is
+    // past the shard crossover, so fused stays off and the default flat
+    // plan (fused=true by default) still falls back.
+    const sim::ScopedMemBudget budget(2);
+    sim::Scenario s = sim::Scenario::parse("protocol=ours adversary=static n=32768 t=3000 q=256");
+    ASSERT_TRUE(s.use_fused);
+    const sim::ScenarioPlan plan = sim::BinaryWorkload::make_plan(s);
+    EXPECT_TRUE(plan.scenario.sparse_plane);
+    EXPECT_FALSE(plan.scenario.use_fused);
+}
+
+TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
+    // The checkpoint scope leaves out the result-invariant fused key: a
+    // journal written with fused=off resumes under the default (fused
+    // blocks) when the chunk matches, to the same bytes.
+    sim::Scenario scalar =
+        sim::Scenario::parse("protocol=ours adversary=worst-case inputs=random n=22 t=7");
+    scalar.use_fused = false;
+    sim::Scenario fused = scalar;
+    fused.use_fused = true;
+    const Count trials = 192;
+    const sim::Aggregate expected = sim::run_trials(scalar, 0xAB, trials, {1, 64});
+
+    const std::string full = temp_path("fused_policy_ck.bin");
+    std::filesystem::remove(full);
+    (void)sim::run_trials(scalar, 0xAB, trials, {1, 64, full, false});
+    std::ifstream in(full, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    const auto u32_at = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof v);
+        return v;
+    };
+    std::size_t at = 8 + 8 + 8 + 4 + 4;
+    at += 4 + u32_at(at);
+    at += 4 + u32_at(at);
+    const std::size_t first_record_end = at + 20 + u32_at(at + 8);
+    const std::string cut = temp_path("fused_policy_ck_cut.bin");
+    {
+        std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+        out << bytes.substr(0, first_record_end);
+    }
+    expect_aggregate_eq(sim::run_trials(fused, 0xAB, trials, {2, 64, cut, true}), expected);
 }
 
 }  // namespace

@@ -331,11 +331,11 @@ int run_binary(const Cli& cli) {
         s.sparse_seed = static_cast<std::uint64_t>(cli.get_int("sparse_seed", 0));
     if (cli.has("sparse_stream"))
         s.sparse_stream = sim::parse_sparse_stream_name(cli.get("sparse_stream", ""));
-    // --fused=on|off co-executes 64 trials per machine word through the
-    // fused trial plane (scenario key `fused`); validate() rejects
-    // unsupported protocol/adversary/plane combinations with the
-    // why_incompatible message.
-    if (cli.has("fused")) s.use_fused = cli.get_bool("fused", false);
+    // --fused=on|off: co-execute 64 trials per machine word through the
+    // fused trial plane where the plan can (scenario key `fused`, on by
+    // default); off keeps the scalar oracle. The decision and its reason go
+    // to stderr below.
+    if (cli.has("fused")) s.use_fused = cli.get_bool("fused", true);
     if (cli.has("watchdog_ms"))
         s.watchdog_ms = static_cast<std::uint32_t>(cli.get_int("watchdog_ms", 0));
 
@@ -345,13 +345,17 @@ int run_binary(const Cli& cli) {
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
     cli.check_unused();      // fail on typos BEFORE burning trial time
 
-    const sim::ScenarioPlan plan = sim::validate(s);
+    const sim::ScenarioPlan plan = sim::BinaryWorkload::make_plan(s);
     const sim::BudgetHint budget = plan.protocol->budgets(s);
     std::printf("scenario: %s\n", s.describe().c_str());
     std::printf("phase budget %u, round cap %u, %u trials, %u threads\n", budget.phases,
                 budget.max_rounds, trials, sim::default_threads());
+    // On stderr: the CI smokes diff stdout across --fused=on|off.
+    const auto fused_skip = sim::fused_skip_reason(plan, trials, exec);
+    std::fprintf(stderr, "fused: %s\n",
+                 fused_skip ? ("off (" + *fused_skip + ")").c_str() : "on");
 
-    const sim::Aggregate agg = sim::run_trials(s, seed, trials, exec);
+    const sim::Aggregate agg = sim::run_trials(plan, seed, trials, exec);
     // Faulted trials ran no protocol: exclude them from every rate's
     // denominator and guard the Samples reads (empty when all faulted).
     const Count ran = agg.trials - agg.faulted;
