@@ -97,7 +97,7 @@ unsigned plan_intra_shards(Count requested, NodeId n) {
     // costs microseconds per beat) and the trial pool leaves hardware idle
     // (cross-trial parallelism is embarrassingly parallel and always wins
     // when there are enough trials to feed it).
-    if (n < kAutoShardMinN) return 1;
+    if (n < 2048) return 1;
     const unsigned cap = intra_worker_cap(default_threads());
     if (cap <= 1) return 1;
     return std::min(8u, cap);

@@ -74,10 +74,6 @@ unsigned init_threads(const Cli& cli);
 // wide trial pool gets at most max(1, hardware/pool_width) threads, and on
 // a saturated pool the shards simply run serially on the calling thread.
 
-/// The auto policy's crossover: it shards a flat trial only from this n
-/// up. Below it, fused blocks take a run when they can (why_not_fused).
-inline constexpr NodeId kAutoShardMinN = 2048;
-
 /// Process-wide default intra-trial shard count. 0 = auto policy (shard
 /// only when n is large and the trial pool leaves hardware headroom).
 /// Seeded lazily from the ADBA_INTRA_THREADS environment variable;

@@ -333,4 +333,12 @@ std::uint64_t estimate_trial_arena_bytes(NodeId n, bool sparse_plane) {
     return kFixed + N * (kPerNodeCommon + (sparse_plane ? kPerNodeSparse : kPerNodeFlat));
 }
 
+std::uint64_t estimate_fused_arena_bytes(NodeId n) {
+    // 64 lanes' flat per-node share: ~4 KiB/node. Peak RSS of fused runs at
+    // n = 16384 puts a real arena at ~0.5 KiB/node (committee coin) to
+    // ~2.4 KiB/node (per-lane private coin streams).
+    const std::uint64_t fixed = estimate_trial_arena_bytes(0, false);
+    return fixed + 64 * (estimate_trial_arena_bytes(n, false) - fixed);
+}
+
 }  // namespace adba::sim

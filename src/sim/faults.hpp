@@ -217,6 +217,13 @@ std::uint64_t init_mem_budget(const Cli& cli);
 /// engine): multiply by your trial-worker count for a whole-sweep bound.
 std::uint64_t estimate_trial_arena_bytes(NodeId n, bool sparse_plane);
 
+/// Conservative estimate of one fused arena (net/fused_plane.hpp), in
+/// bytes: a 64-lane block holds 64 trials' per-node state, so it is
+/// budgeted as 64 flat trials' per-node share plus one fixed share. Under
+/// an active budget fused blocks engage only where this fits
+/// (sim::why_not_fused).
+std::uint64_t estimate_fused_arena_bytes(NodeId n);
+
 /// RAII budget override for tests.
 class ScopedMemBudget {
 public:

@@ -44,6 +44,11 @@ std::string fmt_double(double v) {
 
 bool third_resilient(NodeId n, Count t) { return 3 * static_cast<std::uint64_t>(t) < n; }
 
+std::string mb_string(std::uint64_t bytes) {
+    // Ceiling in MiB so "needs ~X MiB" never understates.
+    return std::to_string((bytes + (1ULL << 20) - 1) >> 20) + " MiB";
+}
+
 }  // namespace
 
 // --------------------------------------------------------- registry machinery
@@ -707,7 +712,6 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
 bool compatible(const Scenario& s) { return !why_incompatible(s).has_value(); }
 
 std::optional<std::string> why_not_fused(const Scenario& s) {
-    if (!s.use_fused) return "fused=off";
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
     const AdversaryEntry& a = AdversaryRegistry::instance().at(s.adversary);
     if (!p.make_fused) {
@@ -737,20 +741,31 @@ std::optional<std::string> why_not_fused(const Scenario& s) {
     if (s.watchdog_ms != 0)
         return "watchdog_ms is a per-trial wall-clock deadline, undefined for 64 "
                "trials sharing each beat";
-    if (s.n >= kAutoShardMinN)
-        return "n=" + std::to_string(s.n) + " is at or above the flat plane's shard "
-               "crossover (n >= " + std::to_string(kAutoShardMinN) + ")";
+    // An explicit shard count (the scenario key, else the process default)
+    // asks for sharded trials; the auto policy's shards yield to fused blocks.
     if (s.intra_threads > 1)
         return "intra_threads=" + std::to_string(s.intra_threads) +
                " shards each trial; fused blocks do not";
+    if (s.intra_threads == 0 && default_intra_threads() > 1)
+        return "--intra_threads / ADBA_INTRA_THREADS=" +
+               std::to_string(default_intra_threads()) +
+               " shards each trial; fused blocks do not";
+    if (const std::uint64_t budget_mb = default_mem_budget_mb(); budget_mb != 0) {
+        const std::uint64_t need = estimate_fused_arena_bytes(s.n);
+        if (need > (budget_mb << 20))
+            return "a fused arena at n=" + std::to_string(s.n) + " needs ~" +
+                   mb_string(need) + ", over the memory budget of " +
+                   std::to_string(budget_mb) + " MiB";
+    }
+    if (!s.use_fused) return "fused=off";
     return std::nullopt;
 }
 
 ScenarioPlan validate(const Scenario& s) {
     if (const auto why = why_incompatible(s)) throw ContractViolation(*why);
     ScenarioPlan plan{s, &ProtocolRegistry::instance().at(s.protocol),
-                      &AdversaryRegistry::instance().at(s.adversary), why_not_fused(s)};
-    plan.scenario.use_fused = !plan.fused_skip;
+                      &AdversaryRegistry::instance().at(s.adversary)};
+    plan.scenario.use_fused = !why_not_fused(s);
     return plan;
 }
 
@@ -1065,15 +1080,6 @@ MvScenario MvScenario::parse(const std::string& spec) {
 
 // ----------------------------------------------------------- memory budget
 
-namespace {
-
-std::string mb_string(std::uint64_t bytes) {
-    // Ceiling in MiB so "needs ~X MiB" never understates.
-    return std::to_string((bytes + (1ULL << 20) - 1) >> 20) + " MiB";
-}
-
-}  // namespace
-
 std::optional<std::string> apply_memory_budget(Scenario& s) {
     const std::uint64_t budget_mb = default_mem_budget_mb();
     if (budget_mb == 0) return std::nullopt;
@@ -1082,12 +1088,12 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
     const std::uint64_t flat = estimate_trial_arena_bytes(s.n, s.sparse_plane);
     if (flat <= budget) return std::nullopt;
 
-    // Fused blocks run on the flat planes: a plan that engages them (the
-    // resolved decision, not the scenario flag) cannot fall back.
+    // Fused blocks hold 64 trials on the flat planes, so they are over the
+    // budget too (estimate_fused_arena_bytes >= flat): the fallback takes
+    // the plan to sparse, where they stay off.
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
     const bool can_fall_back = !s.sparse_plane && p.make_batch && s.use_batch &&
-                               s.use_simd && !s.reference_delivery &&
-                               why_not_fused(s).has_value();
+                               s.use_simd && !s.reference_delivery;
     if (can_fall_back) {
         const std::uint64_t sparse = estimate_trial_arena_bytes(s.n, true);
         if (sparse <= budget) {

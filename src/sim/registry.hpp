@@ -227,13 +227,11 @@ private:
 /// capture so per-trial work never repeats validation or registry lookups.
 struct ScenarioPlan {
     /// The validated scenario, with use_fused resolved: true iff fused
-    /// blocks engage (why_not_fused found nothing against them).
+    /// blocks engage (why_not_fused found nothing against them; on the
+    /// resolved scenario it names the reason when they do not).
     Scenario scenario;
     const ProtocolEntry* protocol = nullptr;
     const AdversaryEntry* adversary = nullptr;
-    /// Why fused blocks stay off for this plan (why_not_fused); nullopt
-    /// when they engage.
-    std::optional<std::string> fused_skip;
 };
 
 /// The multi-valued analogue of ScenarioPlan: resolved mv-adversary entry
@@ -258,12 +256,16 @@ std::optional<std::string> why_incompatible(const Scenario& s);
 std::optional<std::string> why_incompatible(const MvScenario& s);
 
 /// The fused-plane policy. `fused=` means "when the plan can": fused
-/// blocks engage unless this names a reason they cannot — fused=off, a
-/// protocol or adversary without a fused form, plane=sparse,
-/// reference=true, transcript=true, batch=false, watchdog_ms, n at or above
-/// the flat shard crossover (kAutoShardMinN), or intra_threads > 1. The
-/// run-level reasons (fewer than 64 trials, an armed fault injector) are
-/// fused_skip_reason's (sim/runner.hpp). Aggregates are the same either way.
+/// blocks engage unless this names a reason they cannot — a protocol or
+/// adversary without a fused form, plane=sparse, reference=true,
+/// transcript=true, batch=false, watchdog_ms, an explicit intra-trial
+/// shard count > 1 (scenario key, else --intra_threads /
+/// ADBA_INTRA_THREADS; the auto policy's shards yield), a fused arena over
+/// an active memory budget, or, when nothing else does, fused=off. No n
+/// bound: fused blocks beat the flat plane, sharded or not, at every n in
+/// README's fused-vs-scalar table. The run-level reasons are
+/// BinaryWorkload::why_scalar's (sim/runner.hpp). Aggregates are the same
+/// either way.
 std::optional<std::string> why_not_fused(const Scenario& s);
 
 /// True iff validate(s) would succeed. Sweep filters use this.
@@ -272,7 +274,7 @@ bool compatible(const MvScenario& s);
 
 /// Resolves and checks the scenario; throws ContractViolation with the
 /// why_incompatible message on failure. Resolves the fused decision into
-/// the plan (why_not_fused).
+/// plan.scenario.use_fused (why_not_fused).
 ScenarioPlan validate(const Scenario& s);
 
 /// Resolves and checks the multi-valued scenario, hoisting the Turpin-Coan
@@ -298,8 +300,8 @@ net::SparseStream parse_sparse_stream_name(const std::string& name);
 /// process-wide memory budget. Within budget (or budget off): no change,
 /// nullopt. Over budget on the flat plane with a sparse-capable
 /// configuration (protocol with a native batch, batch=on, simd=on,
-/// reference=off, and no fused blocks engaged by why_not_fused): flips
-/// `s.sparse_plane = true` and returns the one-line warning to print. Otherwise throws ContractViolation with an actionable
+/// reference=off): flips `s.sparse_plane = true` and returns the one-line
+/// warning to print. Otherwise throws ContractViolation with an actionable
 /// message (raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, shrink n, or pick a
 /// sparse-capable protocol) instead of letting the sweep OOM.
 std::optional<std::string> apply_memory_budget(Scenario& s);

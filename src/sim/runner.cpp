@@ -253,6 +253,16 @@ Count BinaryWorkload::block_trials(const Plan& plan) {
     return plan.scenario.use_fused ? net::kFusedLanes : 1;
 }
 
+std::optional<std::string> BinaryWorkload::why_scalar(const Plan& plan, Count trials,
+                                                      Count chunk) {
+    if (!plan.scenario.use_fused) return why_not_fused(plan.scenario);
+    if (trials < 2) return "a run of one trial has no other trial to share its block";
+    if (chunk < 2) return "chunk=1 leaves each trial alone in its block";
+    if (FaultInjector::active() != nullptr)
+        return "fault injection is armed; its recovery runs the scalar path";
+    return std::nullopt;
+}
+
 void BinaryWorkload::accumulate(Aggregate& agg, const TrialResult& r) {
     if (r.outcome == TrialOutcome::Faulted) {
         // The trial never ran; nothing but its existence may enter the
@@ -366,15 +376,8 @@ void BinaryWorkload::checkpoint_decode(std::string_view bytes, Aggregate& agg) {
 
 std::optional<std::string> fused_skip_reason(const ScenarioPlan& plan, Count trials,
                                              const ExecutorConfig& exec) {
-    if (plan.fused_skip) return plan.fused_skip;
-    const Count chunk = plan_chunk<BinaryWorkload>(plan, trials, exec);
-    if (!runs_in_blocks<BinaryWorkload>(plan, trials, chunk))
-        return trials < net::kFusedLanes
-                   ? "runs of fewer than 64 trials stay scalar"
-                   : "chunk=" + std::to_string(chunk) + " holds no 64-lane block";
-    if (FaultInjector::active() != nullptr)
-        return "fault injection is armed; its recovery runs the scalar path";
-    return std::nullopt;
+    return BinaryWorkload::why_scalar(plan, trials,
+                                      plan_chunk<BinaryWorkload>(plan, trials, exec));
 }
 
 TrialResult run_trial(const ScenarioPlan& plan, std::uint64_t seed) {

@@ -107,15 +107,16 @@ struct Scenario {
     /// when the plan can (net/fused_plane.hpp; scenario key `fused`, CLI
     /// `--fused`), like `batch`: it engages for a fused-capable protocol
     /// and adversary (registry capability flags) with `batch=on`,
-    /// `plane=flat`, `reference=off`, no transcript, `watchdog_ms=0`, n
-    /// below the shard crossover and no `intra_threads` > 1, on runs of at
-    /// least 64 trials — why_not_fused and fused_skip_reason name the
-    /// reason it does not. `fused=off` keeps the scalar oracle. Aggregates
-    /// are bit-identical to the scalar path at any thread count; trial
-    /// chunks split into whole 64-lane blocks plus one partial block, so
+    /// `plane=flat`, `reference=off`, no transcript, `watchdog_ms=0`, no
+    /// explicit intra-trial shard count > 1 and a fused arena within any
+    /// memory budget, on runs and chunks of at least two trials —
+    /// why_not_fused and BinaryWorkload::why_scalar name the reason it does
+    /// not. `fused=off` keeps the scalar oracle. Aggregates are
+    /// bit-identical to the scalar path at any thread count; trial chunks
+    /// split into whole 64-lane blocks plus one partial block, so
     /// checkpoint/resume identity is preserved. The default chunk size is
     /// then a multiple of 64, so only a run's last chunk has a partial
-    /// block.
+    /// block, and a run of fewer than 64 trials is one partial block.
     bool use_fused = true;
     /// Per-trial wall-clock watchdog in milliseconds (scenario key
     /// `watchdog_ms`, CLI `--watchdog_ms`); 0 = off. Guards the Las Vegas
@@ -213,6 +214,15 @@ struct BinaryWorkload {
     static void reserve(Aggregate& agg, Count trials) { agg.rounds.reserve(trials); }
     /// 64 when the plan engages fused blocks (one block), else 1.
     static Count block_trials(const Plan& plan);
+    /// THE run-level fused decision (the kernel's runs_in_blocks, and
+    /// adba_sim's stderr line via fused_skip_reason): why a run of
+    /// `trials` trials in chunks of `chunk` runs no fused block, or nullopt
+    /// when every chunk runs as blocks — the plan's why_not_fused reason, a
+    /// run or chunk of one trial (a one-lane block costs more than the
+    /// scalar trial it replaces), or an armed fault injector (whose
+    /// recovery is defined on the scalar path).
+    static std::optional<std::string> why_scalar(const Plan& plan, Count trials,
+                                                 Count chunk);
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
@@ -240,10 +250,8 @@ Aggregate run_trials(const Scenario& s, std::uint64_t base_seed, Count trials,
 Aggregate run_trials(const ScenarioPlan& plan, std::uint64_t base_seed, Count trials,
                      const ExecutorConfig& exec = {});
 
-/// Why a run of `trials` trials under `exec` runs no 64-lane block, or
-/// nullopt when it does: the plan's why_not_fused reason, fewer than 64
-/// trials, a chunk too small to hold a block, or an armed fault injector
-/// (whose recovery is defined on the scalar path).
+/// BinaryWorkload::why_scalar for a run of `trials` trials under `exec`,
+/// at the chunk run_trials picks (plan_chunk).
 std::optional<std::string> fused_skip_reason(const ScenarioPlan& plan, Count trials,
                                              const ExecutorConfig& exec = {});
 

@@ -34,6 +34,10 @@
 //                          default chunk rounds up to whole blocks, and
 //                          the arena's run_fused(seeds, lanes, out) runs
 //                          up to that many trials at once
+//   W::why_scalar(plan, trials, chunk)
+//                          with block_trials: THE run-level block decision,
+//                          why a run goes trial by trial (nullopt = each
+//                          chunk runs as blocks)
 //
 // plus reporting metadata used by the uniform CSV schema (sim/report.hpp):
 //   W::kName, W::csv_header(), W::csv_row(agg),
@@ -82,31 +86,26 @@ typename W::Result run_one_trial(const typename W::Plan& plan, std::uint64_t see
 /// The chunk size a run uses, decided once for run_trials, run_journaled and
 /// parallel_reduce: ExecutorConfig::chunk when set, else auto_chunk(trials)
 /// rounded up to whole W::block_trials(plan) blocks, so only a run's last
-/// chunk can end in a partial block. A run shorter than one block keeps
-/// auto_chunk: it could fill no block, and one whole-run chunk would
-/// serialize it. A function of (plan, trials, chunk) alone, like every
-/// chunk boundary.
+/// chunk can end in a partial block (a run shorter than a block is one). A
+/// function of (plan, trials, chunk) alone, like every chunk boundary.
 template <typename W>
 Count plan_chunk(const typename W::Plan& plan, Count trials, const ExecutorConfig& exec) {
     if (exec.chunk) return exec.chunk;
     const Count chunk = detail::auto_chunk(trials);
     if constexpr (requires { W::block_trials(plan); }) {
         const Count block = W::block_trials(plan);
-        if (trials >= block) return (chunk + block - 1) / block * block;
+        return (chunk + block - 1) / block * block;
     }
     return chunk;
 }
 
 /// True when a run of `trials` trials in chunks of `chunk` co-executes them
-/// in W::block_trials(plan)-trial blocks: the plan has blocks, and both the
-/// run and its chunks hold a whole one. Each chunk then runs as whole
-/// blocks and, for the rest, one partial block.
+/// in W::block_trials(plan)-trial blocks, as W::why_scalar decides: each
+/// chunk then runs as whole blocks and, for the rest, one partial block.
 template <typename W>
 bool runs_in_blocks(const typename W::Plan& plan, Count trials, Count chunk) {
-    if constexpr (requires { W::block_trials(plan); }) {
-        const Count block = W::block_trials(plan);
-        return block > 1 && trials >= block && chunk >= block;
-    }
+    if constexpr (requires { W::why_scalar(plan, trials, chunk); })
+        return !W::why_scalar(plan, trials, chunk);
     return false;
 }
 
@@ -146,10 +145,11 @@ typename W::Aggregate run_resilient_chunk(const typename W::Plan& plan,
         // chunk identity (checkpoint/resume, thread invariance) is
         // untouched. The chunk's last block may be partial; under the
         // default chunk (plan_chunk) only the run's last chunk has one.
-        // Disabled under an armed fault injector: per-trial fault identity
-        // and chunk-retry recovery are defined on the scalar path only.
+        // Never under an armed fault injector (W::why_scalar): per-trial
+        // fault identity and chunk-retry recovery are defined on the
+        // scalar path only.
         if constexpr (requires { W::block_trials(plan); }) {
-            if (blocks && !inj) {
+            if (blocks) {
                 const Count block = W::block_trials(plan);
                 std::uint64_t lane_seeds[64];
                 typename W::Result lane_out[64];

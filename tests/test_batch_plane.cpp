@@ -61,6 +61,9 @@ TEST(BatchPlaneEquivalence, AllRegistryPairsBatchMatchesPerNode) {
             s.t = max_t(*p, n);
             s.inputs = sim::InputPattern::Split;
             s.local_coin_phases = 12;  // keep the private-coin runs bounded
+            // The scalar native batch is the subject; fused blocks have
+            // their own equivalence suite (test_fused_plane.cpp).
+            s.use_fused = false;
             if (!sim::compatible(s)) continue;
             ++covered;
             SCOPED_TRACE(p->name + " vs " + a->name);
@@ -184,6 +187,7 @@ TEST(BatchPlanePooling, ArenaReuseMatchesFreshTrials) {
     s.n = 28;
     s.t = 9;
     s.inputs = sim::InputPattern::Random;
+    s.use_fused = false;  // the pooled scalar arena is the subject
 
     const Count trials = 10;
     const sim::Aggregate pooled = sim::run_trials(s, 0xBEEF, trials, {1, 0});

@@ -69,6 +69,9 @@ TEST(DeliveryPlaneEquivalence, AllRegistryPairsFlatMatchesReference) {
             s.t = max_t(*p, n);
             s.inputs = sim::InputPattern::Split;
             s.local_coin_phases = 12;  // keep the private-coin runs bounded
+            // The scalar flat plane is the subject; fused blocks have their
+            // own equivalence suite (test_fused_plane.cpp).
+            s.use_fused = false;
             if (force_sparse) {
                 s.sparse_plane = true;
                 s.sample_degree = n;  // dense: bit-identical to flat
@@ -105,6 +108,7 @@ TEST(DeliveryPlaneEquivalence, ArenaReuseMatchesFreshTrials) {
     s.n = 28;
     s.t = 9;
     s.inputs = sim::InputPattern::Random;
+    s.use_fused = false;  // the pooled scalar arena is the subject
 
     const Count trials = 10;
     const sim::Aggregate pooled = sim::run_trials(s, 0xABBA, trials, {1, 0});
@@ -399,6 +403,7 @@ TEST(DeliveryPlaneReuse, EngineResetReproducesFreshRun) {
         s.adversary = sim::AdversaryKind::Static;
         s.n = 20;
         s.t = 6;
+        s.use_fused = false;  // Engine::reset is the subject
         return s;
     };
     // Two one-shot runs with the same seed agree...

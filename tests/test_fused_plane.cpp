@@ -76,6 +76,23 @@ std::string temp_path(const char* name) {
     return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// Sets the process-wide intra-trial shard default for one scope. Fused
+/// scenarios in this file pin `intra_threads = 1` instead: an explicit
+/// shard count > 1, including a process default such as the sharded CI
+/// passes' ADBA_INTRA_THREADS=4, keeps a run scalar (why_not_fused).
+class ScopedIntraDefault {
+public:
+    explicit ScopedIntraDefault(unsigned shards) : saved_(sim::default_intra_threads()) {
+        sim::set_default_intra_threads(shards);
+    }
+    ~ScopedIntraDefault() { sim::set_default_intra_threads(saved_); }
+    ScopedIntraDefault(const ScopedIntraDefault&) = delete;
+    ScopedIntraDefault& operator=(const ScopedIntraDefault&) = delete;
+
+private:
+    unsigned saved_;
+};
+
 /// Forwards on_start and act only, like a timing decorator that knows
 /// nothing of lane_uniform: wrapping every lane forces a block onto the
 /// per-lane bridge.
@@ -257,6 +274,7 @@ TEST(FusedPlaneEquivalence, AllRegistryPairsFusedMatchesScalar) {
             s.inputs = sim::InputPattern::Split;
             s.local_coin_phases = 12;  // keep the private-coin runs bounded
             s.use_fused = true;
+            s.intra_threads = 1;
             if (!sim::compatible(s)) continue;
             ++covered;
             SCOPED_TRACE(p->name + " vs " + a->name);
@@ -313,6 +331,7 @@ TEST(FusedPlaneEquivalence, FuzzDivergentLanesMatchBitIdentically) {
         s.inputs = patterns[rng.below(4)];
         s.local_coin_phases = 10;
         s.use_fused = true;
+        s.intra_threads = 1;
         if (!sim::compatible(s)) continue;
         ++checked;
         worst_case += a->kind == sim::AdversaryKind::WorstCase ? 1 : 0;
@@ -343,6 +362,7 @@ TEST(FusedPlaneEquivalence, PartialBlockRemaindersMatchScalar) {
     s.t = 7;
     s.inputs = sim::InputPattern::Split;
     s.use_fused = true;
+    s.intra_threads = 1;
     sim::Scenario scalar = s;
     scalar.use_fused = false;
 
@@ -366,6 +386,7 @@ TEST(FusedPlaneEquivalence, CheckpointResumeIsBitIdentical) {
     s.t = 7;
     s.inputs = sim::InputPattern::Random;
     s.use_fused = true;
+    s.intra_threads = 1;
     sim::Scenario scalar = s;
     scalar.use_fused = false;
     const Count trials = 192;  // 3 chunks of 64, each one whole fused block
@@ -438,6 +459,7 @@ TEST(FusedLaneUniform, WordParallelActMatchesThePerLaneBridge) {
                         s.inputs = inputs;
                         s.local_coin_phases = 8;  // keep the private-coin runs bounded
                         s.use_fused = true;
+                        s.intra_threads = 1;
                         if (!sim::compatible(s)) continue;
                         ++covered;
                         SCOPED_TRACE(s.describe());
@@ -466,6 +488,7 @@ TEST(FusedLaneUniform, LanesWithADifferentRowTakeTheBridgeRows) {
     s.t = 13;
     s.inputs = sim::InputPattern::Split;
     s.use_fused = true;
+    s.intra_threads = 1;
     const sim::ScenarioPlan plan = sim::validate(s);
     const auto mixed = [](bool bridge) {
         return [bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
@@ -512,6 +535,7 @@ TEST(FusedLaneUniform, RowsOfEveryProtocolKindFoldWithPerLaneWeights) {
         s.inputs = sim::InputPattern::Split;
         s.local_coin_phases = 8;
         s.use_fused = true;
+        s.intra_threads = 1;
         const sim::ScenarioPlan plan = sim::validate(s);
         for (const Bit low_val : {Bit{0}, Bit{1}}) {
             for (const NodeId div : {NodeId{2}, NodeId{3}}) {
@@ -548,6 +572,7 @@ TEST(FusedLaneUniform, SharedRowChargesEachLaneItsOwnSetSize) {
     s.t = 66;
     s.inputs = sim::InputPattern::Split;
     s.use_fused = true;
+    s.intra_threads = 1;
     const sim::ScenarioPlan plan = sim::validate(s);
     const auto sized = [&s](bool bridge) {
         return [&s, bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
@@ -581,6 +606,7 @@ TEST(FusedLaneUniform, WordWiseContractsRaiseTheBridgeMessages) {
     s.t = 3;
     s.inputs = sim::InputPattern::Split;
     s.use_fused = true;
+    s.intra_threads = 1;
     const sim::ScenarioPlan plan = sim::validate(s);
     // Lanes 3 and 9 get the scripted sets; every other lane corrupts {0}.
     int acts = 0;
@@ -633,6 +659,7 @@ sim::Scenario fused_ours(NodeId n, Count t) {
     s.t = t;
     s.inputs = sim::InputPattern::Split;
     s.use_fused = true;
+    s.intra_threads = 1;
     return s;
 }
 
@@ -645,14 +672,9 @@ TEST(FusedPlaneChunks, DefaultChunkIsWholeBlocksOnlyWhenFused) {
                                Count{64000}, Count{200000}}) {
         SCOPED_TRACE("trials=" + std::to_string(trials));
         const Count chunk = sim::plan_chunk<sim::BinaryWorkload>(fused, trials, {});
-        if (trials < net::kFusedLanes) {
-            // A run that fills no block keeps the scalar chunking.
-            EXPECT_EQ(chunk, sim::detail::auto_chunk(trials));
-        } else {
-            EXPECT_EQ(chunk % net::kFusedLanes, 0u);
-            EXPECT_GE(chunk, sim::detail::auto_chunk(trials));
-            EXPECT_LT(chunk - sim::detail::auto_chunk(trials), net::kFusedLanes);
-        }
+        EXPECT_EQ(chunk % net::kFusedLanes, 0u);
+        EXPECT_GE(chunk, sim::detail::auto_chunk(trials));
+        EXPECT_LT(chunk - sim::detail::auto_chunk(trials), net::kFusedLanes);
         EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(scalar, trials, {}),
                   sim::detail::auto_chunk(trials));
         EXPECT_EQ(sim::plan_chunk<sim::BinaryWorkload>(fused, trials, {1, 1000}), 1000u);
@@ -755,6 +777,7 @@ TEST(FusedPlaneRegistry, WhyIncompatibleNamesEveryRejection) {
     base.n = 16;
     base.t = 5;
     base.use_fused = true;
+    base.intra_threads = 1;
     ASSERT_TRUE(sim::compatible(base));
     ASSERT_FALSE(sim::why_not_fused(base).has_value());
 
@@ -950,8 +973,9 @@ TEST(FusedWorstCase, BlocksMatchSixtyFourScalarEngineRuns) {
                     s.t = max_t(sim::ProtocolRegistry::instance().at(protocol), n);
                     if (!full_q) s.q = s.t / 2;
                     s.inputs = inputs;
+                    s.intra_threads = 1;
                     const sim::ScenarioPlan plan = sim::validate(s);
-                    ASSERT_TRUE(plan.scenario.use_fused) << *plan.fused_skip;
+                    ASSERT_TRUE(plan.scenario.use_fused) << *sim::why_not_fused(plan.scenario);
                     ++covered;
                     SCOPED_TRACE(s.describe());
                     const std::uint64_t seed = 0x3C0 + covered;
@@ -1255,6 +1279,25 @@ private:
     std::vector<std::uint64_t>* traces_;
 };
 
+TEST(FusedWorstCase, BridgeOnlyBlockFailsAtItsFirstSplitRow) {
+    // worst-case acts on the fused plane only through its block form. A
+    // decorator that forwards on_start/act alone (BridgeOnly, like
+    // perfbench's timing wrapper) sends the block down the per-lane
+    // bridge, where act()'s SPLIT row goes through deliver_row_as's base
+    // form to per-cell deliver_as, which has no lane form: the run fails
+    // loudly instead of folding a wrong row.
+    const sim::ScenarioPlan plan =
+        sim::validate(sim::Scenario::parse(
+            "protocol=ours adversary=worst-case n=64 t=21 intra_threads=1"));
+    ASSERT_TRUE(plan.scenario.use_fused);
+    const std::string err = block_error(
+        plan, [&plan](unsigned, const SeedTree& seeds, const sim::ProtocolBundle& meta) {
+            return std::unique_ptr<net::Adversary>(std::make_unique<BridgeOnly>(
+                plan.adversary->make_adversary(plan.scenario, meta, seeds)));
+        });
+    EXPECT_NE(err.find("per-cell deliver_as has no lane form"), std::string::npos) << err;
+}
+
 TEST(FusedWorstCase, CoinSignRowsFoldLikeScalarDenseRows) {
     Count covered = 0, sign_rounds = 0;
     for (const NodeId n : {NodeId{16}, NodeId{64}}) {
@@ -1324,6 +1367,7 @@ TEST(FusedWorstCase, StatelessCommitteeDrawsHoldAcrossCommitteeRevisits) {
                     s.n = n;
                     s.t = max_t(sim::ProtocolRegistry::instance().at(protocol), n);
                     s.inputs = inputs;
+                    s.intra_threads = 1;
                     if (!sim::compatible(s)) continue;
                     SCOPED_TRACE(s.describe());
                     sim::Scenario scalar = s;
@@ -1344,18 +1388,20 @@ TEST(FusedWorstCase, StatelessCommitteeDrawsHoldAcrossCommitteeRevisits) {
 // ---------------------------------------------------------------------------
 // The fused policy: fused engages where the plan can, and every skip says why.
 
-TEST(FusedPolicy, EngagesForTheWorstCaseShapeWithABlockOfTrials) {
-    const sim::ScenarioPlan live =
-        sim::validate(sim::Scenario::parse("protocol=ours adversary=worst-case n=256 t=85"));
+TEST(FusedPolicy, EngagesForTheWorstCaseShapeFromTwoTrials) {
+    const sim::ScenarioPlan live = sim::validate(
+        sim::Scenario::parse("protocol=ours adversary=worst-case n=256 t=85 intra_threads=1"));
     EXPECT_TRUE(live.scenario.use_fused);
-    EXPECT_FALSE(live.fused_skip.has_value());
-    EXPECT_FALSE(sim::fused_skip_reason(live, 64).has_value());
-    EXPECT_FALSE(sim::fused_skip_reason(live, 1000).has_value());
+    EXPECT_FALSE(sim::why_not_fused(live.scenario).has_value());
+    // The paper benches' 25-60-trial cells are one partial block.
+    for (const Count trials : {Count{2}, Count{25}, Count{60}, Count{64}, Count{1000}})
+        EXPECT_FALSE(sim::fused_skip_reason(live, trials).has_value()) << trials;
+    EXPECT_FALSE(sim::fused_skip_reason(live, 1000, {1, 2}).has_value());
     const auto reason = [&live](Count trials, sim::ExecutorConfig exec) {
         return sim::fused_skip_reason(live, trials, exec).value_or("");
     };
-    EXPECT_NE(reason(63, {}).find("fewer than 64 trials"), std::string::npos);
-    EXPECT_NE(reason(1000, {1, 16}).find("chunk=16"), std::string::npos);
+    EXPECT_NE(reason(1, {}).find("one trial"), std::string::npos);
+    EXPECT_NE(reason(1000, {1, 1}).find("chunk=1"), std::string::npos);
     {
         sim::FaultConfig faults;
         faults.trial_rate = 0.5;
@@ -1363,8 +1409,9 @@ TEST(FusedPolicy, EngagesForTheWorstCaseShapeWithABlockOfTrials) {
         EXPECT_NE(reason(1000, {}).find("fault injection"), std::string::npos);
     }
 
-    // A run of a block or more builds the fused protocol; a shorter run
-    // keeps the scalar chunking and never does.
+    // The reason decides the path: a one-trial run never builds the fused
+    // protocol, a 25-trial run builds it once (one chunk, one partial
+    // block), and the aggregates match the scalar oracle.
     std::atomic<int> built{0};
     sim::ProtocolEntry counted = *live.protocol;
     counted.make_fused = [&built, make = live.protocol->make_fused](const sim::Scenario& sc) {
@@ -1373,18 +1420,42 @@ TEST(FusedPolicy, EngagesForTheWorstCaseShapeWithABlockOfTrials) {
     };
     sim::ScenarioPlan plan = live;
     plan.protocol = &counted;
-    (void)sim::run_trials(plan, 5, 63, {2, 0});
+    sim::ScenarioPlan scalar = live;
+    scalar.scenario.use_fused = false;
+    expect_aggregate_eq(sim::run_trials(plan, 5, 1, {2, 0}),
+                        sim::run_trials(scalar, 5, 1, {2, 0}));
     EXPECT_EQ(built.load(), 0);
-    (void)sim::run_trials(plan, 5, 64, {2, 0});
+    expect_aggregate_eq(sim::run_trials(plan, 5, 25, {2, 0}),
+                        sim::run_trials(scalar, 5, 25, {2, 0}));
     EXPECT_EQ(built.load(), 1);
 }
 
+TEST(FusedPolicy, EngagesAtEveryNWithoutAnExplicitShardCount) {
+    // No n bound: at n >= 2048 the auto shard policy yields to fused blocks,
+    // which match the scalar (auto-sharded) oracle.
+    const ScopedIntraDefault auto_policy(0);
+    for (const NodeId n : {NodeId{2048}, NodeId{4096}}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        sim::Scenario s = sim::Scenario::parse("protocol=ours adversary=static");
+        s.n = n;
+        s.t = (n - 1) / 3;
+        EXPECT_TRUE(sim::validate(s).scenario.use_fused);
+        sim::Scenario scalar = s;
+        scalar.use_fused = false;
+        expect_aggregate_eq(sim::run_trials(s, 0x2048, 3, {1, 0}),
+                            sim::run_trials(scalar, 0x2048, 3, {1, 0}));
+    }
+}
+
 TEST(FusedPolicy, EverySkipNamesItsReason) {
+    const ScopedIntraDefault auto_policy(0);
     const auto skip = [](sim::Scenario s) {
         if (s.t == 0) s.t = max_t(sim::ProtocolRegistry::instance().at(s.protocol), s.n);
         const sim::ScenarioPlan plan = sim::validate(s);
         EXPECT_FALSE(plan.scenario.use_fused) << s.describe();
-        return plan.fused_skip.value_or("");
+        // The resolved scenario names the same reason as the one asked.
+        EXPECT_EQ(sim::why_not_fused(plan.scenario), sim::why_not_fused(s));
+        return sim::fused_skip_reason(plan, 1000).value_or("");
     };
     const std::pair<const char*, const char*> cases[] = {
         {"protocol=sampling-majority adversary=balancer n=64", "fused-capable protocol"},
@@ -1395,9 +1466,10 @@ TEST(FusedPolicy, EverySkipNamesItsReason) {
         {"protocol=ours adversary=worst-case n=64 transcript=true", "transcript"},
         {"protocol=ours adversary=worst-case n=64 batch=false", "batch=false"},
         {"protocol=ours adversary=worst-case n=64 watchdog_ms=5", "watchdog"},
-        {"protocol=ours adversary=static n=2048", "2048"},
         {"protocol=ours adversary=worst-case n=64 intra_threads=4", "intra_threads=4"},
         {"protocol=ours adversary=worst-case n=64 fused=off", "fused=off"},
+        // A structural reason wins over fused=off.
+        {"protocol=ours adversary=chaos n=64 fused=off", "fused plane"},
     };
     for (const auto& [spec, reason] : cases) {
         SCOPED_TRACE(spec);
@@ -1408,12 +1480,38 @@ TEST(FusedPolicy, EverySkipNamesItsReason) {
     const sim::Scenario one = sim::Scenario::parse(
         "protocol=ours adversary=worst-case n=64 t=21 intra_threads=1");
     EXPECT_TRUE(sim::validate(one).scenario.use_fused);
+
+    // The process default (--intra_threads, ADBA_INTRA_THREADS) shards
+    // every scenario that does not set the key, exactly as
+    // plan_intra_shards reads it.
+    {
+        const ScopedIntraDefault forced(4);
+        const sim::Scenario unset =
+            sim::Scenario::parse("protocol=ours adversary=worst-case n=64 t=21");
+        const std::string why = skip(unset);
+        EXPECT_NE(why.find("ADBA_INTRA_THREADS=4"), std::string::npos) << why;
+        EXPECT_TRUE(sim::validate(one).scenario.use_fused);
+    }
+
+    // Under a memory budget, fused blocks engage only where their arena
+    // fits: n = 4096 fits 8 MiB as a flat trial arena, not as 64 lanes.
+    {
+        const sim::ScopedMemBudget budget(8);
+        sim::Scenario s = sim::Scenario::parse("protocol=ours adversary=static n=4096 t=1365");
+        const sim::ScenarioPlan plan = sim::BinaryWorkload::make_plan(s);
+        EXPECT_FALSE(plan.scenario.sparse_plane);
+        const std::string mem = skip(s);
+        EXPECT_NE(mem.find("memory budget"), std::string::npos) << mem;
+        s.n = 64;
+        s.t = 21;
+        EXPECT_TRUE(sim::validate(s).scenario.use_fused);
+    }
 }
 
 TEST(FusedPolicy, DefaultFlatPlanOverTheMemoryBudgetFallsBackToSparse) {
-    // apply_memory_budget reads the resolved fused decision: n = 32768 is
-    // past the shard crossover, so fused stays off and the default flat
-    // plan (fused=true by default) still falls back.
+    // A fused-capable default plan (fused=true by default) over the budget
+    // still falls back: fused blocks hold 64 trials on the flat planes, so
+    // they do not fit either, and on the sparse plane they stay off.
     const sim::ScopedMemBudget budget(2);
     sim::Scenario s = sim::Scenario::parse("protocol=ours adversary=static n=32768 t=3000 q=256");
     ASSERT_TRUE(s.use_fused);
@@ -1426,8 +1524,8 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
     // The checkpoint scope leaves out the result-invariant fused key: a
     // journal written with fused=off resumes under the default (fused
     // blocks) when the chunk matches, to the same bytes.
-    sim::Scenario scalar =
-        sim::Scenario::parse("protocol=ours adversary=worst-case inputs=random n=22 t=7");
+    sim::Scenario scalar = sim::Scenario::parse(
+        "protocol=ours adversary=worst-case inputs=random n=22 t=7 intra_threads=1");
     scalar.use_fused = false;
     sim::Scenario fused = scalar;
     fused.use_fused = true;

@@ -93,6 +93,7 @@ TEST(IntraShardEquivalence, AllRegistryPairsShardedMatchesScalarSerial) {
             s.t = max_t(*p, n);
             s.inputs = sim::InputPattern::Split;
             s.local_coin_phases = 12;  // keep the private-coin runs bounded
+            s.use_fused = false;  // sharded scalar trials are the subject
             if (!sim::compatible(s)) continue;
             ++covered;
             SCOPED_TRACE(p->name + " vs " + a->name);
@@ -140,6 +141,7 @@ TEST(IntraShardEquivalence, SizeSweepShardedMatchesScalarSerial) {
             s.n = n;
             s.t = max_t(p, n);
             s.inputs = sim::InputPattern::Split;
+            s.use_fused = false;  // sharded scalar trials are the subject
             if (!sim::compatible(s)) continue;
             SCOPED_TRACE(p.name + " n=" + std::to_string(n));
 

@@ -115,6 +115,11 @@ TEST(RoundControlSpec, LivePlanesMatchBaseFormsAcrossTheRegistry) {
                 s.t = max_t(*p, n);
                 s.inputs = sim::InputPattern::Split;
                 s.local_coin_phases = 8;  // keep the private-coin runs bounded
+                // The engine's control is the subject: the fused plane's own
+                // word-path vs bridge oracle is tests/test_fused_plane.cpp,
+                // and a pass-through wrapper hides worst-case's block form,
+                // which it needs there.
+                s.use_fused = false;
                 if (!sim::compatible(s)) continue;
                 ++covered;
                 worst_case_seen |= a->kind == sim::AdversaryKind::WorstCase;

@@ -69,6 +69,7 @@ TEST(SparsePlaneEquivalence, DenseSparseMatchesFlatAcrossRegistry) {
             s.t = max_t(*p, n);
             s.inputs = sim::InputPattern::Split;
             s.local_coin_phases = 12;  // keep the private-coin runs bounded
+            s.use_fused = false;  // the oracle is the scalar flat plane
 
             sim::Scenario sp = s;
             sp.sparse_plane = true;
@@ -113,6 +114,7 @@ TEST(SparsePlaneEquivalence, DefaultDegreeIsDenseAtSmallN) {
     s.adversary = sim::AdversaryKind::WorstCase;
     s.n = 25;
     s.t = 8;
+    s.use_fused = false;  // the oracle is the scalar flat plane
     const sim::Aggregate flat = sim::run_trials(s, 0xF00D, 4, {1, 0});
     s.sparse_plane = true;  // sample_degree stays 0 -> kDefaultSampleDegree
     expect_aggregate_eq(flat, sim::run_trials(s, 0xF00D, 4, {1, 0}));
