@@ -1,8 +1,8 @@
 // E12 — the multi-valued extension (Turpin-Coan 1984 over Algorithm 3):
 // agreement over an arbitrary 32-bit domain at the cost of two prelude
 // rounds, with t < n/3 preserved. Not a claim of the paper — it is the
-// natural "first feature request" for a BA library (DESIGN.md extension
-// list) and doubles as an end-to-end stress of Algorithm 3 when embedded.
+// natural "first feature request" for a BA library, and doubles as an
+// end-to-end stress of Algorithm 3 when embedded.
 #include <cstdio>
 #include <iostream>
 

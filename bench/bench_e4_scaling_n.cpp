@@ -8,7 +8,8 @@
 // The full-fidelity engine stops at a few thousand nodes (n^2 messages per
 // round); the macro simulator (src/sim/macro, calibrated against the engine
 // in test_sim) reproduces the same worst-case dynamics in O(s) per phase,
-// reaching n = 2^20. Substitution documented in DESIGN.md §2/§5.
+// reaching n = 2^20. The cost model it simulates is PAPER.md's "Mechanism
+// in one paragraph".
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -83,7 +84,7 @@ void experiment(const Cli& cli) {
         "Shape check vs paper: at t = sqrt(n) (E4a) ours stays ~flat in rounds\n"
         "(Õ(log n) phases) while cc-rushing grows ~t/log n — the ratio falls\n"
         "with n. At t = n^0.75 (E4c) the min() saturates at simulable n (the\n"
-        "log-factor separation needs n ≳ 2^56, see EXPERIMENTS.md) so the ratio\n"
+        "log-factor separation needs log^2 n < n^0.25, i.e. n ≳ 2^56) so the ratio\n"
         "hovers near 1. Near n/3 (E4d) both coincide, as Theorem 2 predicts.\n");
 }
 

@@ -1,4 +1,4 @@
-// E9 — design ablations called out in DESIGN.md:
+// E9 — design ablations of the committee coin's constants:
 //   (a) the committee-count constant α: the paper's analysis wants
 //       α - 4·sqrt(α) >= γ (α ≈ 18 for γ = 1); how small can α really be?
 //       This regenerates the measured w.h.p. failure boundary that fixed

@@ -1,8 +1,9 @@
 // Shared plumbing for the experiment bench binaries.
 //
-// Every bench prints its reproduction table(s) first (the deliverable that
-// EXPERIMENTS.md records) and then runs its google-benchmark timing entries
-// so `for b in build/bench/*; do $b; done` produces both.
+// Every bench prints its reproduction table(s) first (the deliverable;
+// PAPER.md names the bench behind each claim) and then runs its
+// google-benchmark timing entries so `for b in build/bench/*; do $b; done`
+// produces both.
 //
 // Common CLI contract (on top of each bench's own flags; every main() runs
 // through run_main, support/cli.hpp, so --help lists them all and a bad flag
@@ -76,7 +77,7 @@ inline void run_benchmark_tail(const Cli& cli) {
 }
 
 /// With `--csv_dir=DIR`, also dumps the table as DIR/<slug>.csv so plots
-/// and EXPERIMENTS.md extraction stay mechanical. Creates DIR if absent and
+/// and paper-vs-measured comparisons stay mechanical. Creates DIR if absent and
 /// throws (loudly) when the file cannot be written — a silently dropped
 /// reproduction table is worse than a crash.
 inline void maybe_write_csv(const Cli& cli, const Table& table, const std::string& slug) {

@@ -105,8 +105,8 @@ static int run(const Cli& cli) {
     cli.check_unused();
     std::printf("# adba quick reproduction report\n\n"
                 "Reduced-scale pass over the headline claims of\n"
-                "Dufoulon-Pandurangan PODC 2025; see EXPERIMENTS.md for the "
-                "full tables.\n");
+                "Dufoulon-Pandurangan PODC 2025; the bench_e* binaries print "
+                "the full tables.\n");
     coin_section(trials);
     rounds_section(trials);
     early_section(trials);

@@ -309,14 +309,12 @@ void WorstCaseAdversary::block_round1(net::FusedLaneControl& ctl, Phase p) {
     const NodeId n = f.n();
     const std::uint64_t* halted = ctl.protocol().halted_plane();
     const auto voting = [&](NodeId v) { return f.sent[v] & ~halted[v]; };
-    net::kern::LaneAdder zeros, ones;
-    for (NodeId v = 0; v < n; ++v) {
-        zeros.add(voting(v) & ~f.val[v]);
-        ones.add(voting(v) & f.val[v]);
-    }
     Count tally[2][net::kFusedLanes];
-    zeros.counts(tally[0]);
-    ones.counts(tally[1]);
+    net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
+        const std::uint64_t vote = voting(v);
+        w[0] = vote & ~f.val[v];
+        w[1] = vote & f.val[v];
+    }, tally);
 
     // Each lane blocks the value holding the n-t quorum (at most one can)
     // when it can afford tally - quorum + 1 corruptions.
@@ -359,19 +357,14 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
     const auto live = [&](NodeId v) { return ~f.byz[v] & ~halted[v]; };
     const auto live_decided = [&](NodeId v) { return live(v) & decided[v]; };
 
-    // ---- observe: live decided nodes inside and outside the committee, and
-    // b_i, the value of each lane's highest live decided node.
-    net::kern::LaneAdder inside, outside;
-    for (NodeId v = 0; v < first; ++v) outside.add(live_decided(v));
-    for (NodeId v = first; v < last; ++v) inside.add(live_decided(v));
-    for (NodeId v = last; v < n; ++v) outside.add(live_decided(v));
-    Count d_in[net::kFusedLanes], d_out[net::kFusedLanes];
-    inside.counts(d_in);
-    outside.counts(d_out);
+    // ---- observe: the live decided nodes, and b_i, the value of each
+    // lane's highest one.
+    Count d_all[net::kFusedLanes];
+    net::kern::lane_counts<1>(0, n, [&](NodeId v, std::uint64_t* w) { w[0] = live_decided(v); },
+                              &d_all);
     std::uint64_t any_decided = 0;
     for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1)
-        if (d_in[std::countr_zero(lanes)] + d_out[std::countr_zero(lanes)] > 0)
-            any_decided |= lanes & -lanes;
+        if (d_all[std::countr_zero(lanes)] > 0) any_decided |= lanes & -lanes;
     std::uint64_t b_i = 0, found = 0;
     for (NodeId v = n; v-- > 0 && found != any_decided;) {
         const std::uint64_t top = live_decided(v) & any_decided & ~found;
@@ -385,7 +378,7 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
     std::uint64_t want = 0;
     for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const Count d = d_in[j] + d_out[j];
+        const Count d = d_all[j];
         need[j] = quota[j] = d > cfg_.t ? d - cfg_.t : 0;
         if (need[j] != 0) want |= lanes & -lanes;
     }
@@ -396,22 +389,21 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
 
     // Honest committee flips that survive the reduction, and the Byzantine
     // margin it leaves: members already corrupted plus committee victims.
-    const bool vote2 = f.kind == net::MsgKind::Vote2 && f.phase == p;
-    net::kern::LaneAdder byz_members, victims_in, plus, minus;
-    for (NodeId u = first; u < last; ++u) {
-        byz_members.add(f.byz[u]);
-        victims_in.add(picks_[u]);
-        if (!vote2) continue;
-        const std::uint64_t flip = f.sent[u] & ~halted[u] & ~picks_[u];
-        plus.add(flip & f.coinp[u]);
-        minus.add(flip & f.coinn[u]);
-    }
-    Count margin[net::kFusedLanes], taken_in[net::kFusedLanes], pos[net::kFusedLanes],
-        neg[net::kFusedLanes];
-    byz_members.counts(margin);
-    victims_in.counts(taken_in);
-    plus.counts(pos);
-    minus.counts(neg);
+    // Flips count only when this round carries the phase's Vote2 broadcasts.
+    const std::uint64_t vote2 =
+        f.kind == net::MsgKind::Vote2 && f.phase == p ? ~std::uint64_t{0} : 0;
+    Count cnt[4][net::kFusedLanes];
+    net::kern::lane_counts<4>(first, last, [&](NodeId u, std::uint64_t* w) {
+        const std::uint64_t flip = f.sent[u] & ~halted[u] & ~picks_[u] & vote2;
+        w[0] = f.byz[u];
+        w[1] = picks_[u];
+        w[2] = flip & f.coinp[u];
+        w[3] = flip & f.coinn[u];
+    }, cnt);
+    const Count* margin = cnt[0];
+    const Count* taken_in = cnt[1];
+    const Count* pos = cnt[2];
+    const Count* neg = cnt[3];
 
     // ---- plan: the cheaper coin ruin per lane, each greedy in closed form.
     // A corruption moves the flip sum s one step toward the drained sign's
@@ -431,7 +423,7 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
         // flips until s - m <= -1 (toward 0).
         const bool bi = (b_i & bit) != 0;
         Count c_opp = kInfeasible;
-        if (d_in[j] + d_out[j] > need[j])
+        if (d_all[j] > need[j])
             c_opp = bi ? within(closing(s - m + 1), pos[j]) : within(closing(-s - m), neg[j]);
         const bool use_split = c_split <= c_opp;
         const Count cost = use_split ? c_split : c_opp;

@@ -40,8 +40,9 @@
 //
 // Block-level form (net::Adversary::block_form): on the fused plane one
 // object decides all 64 lanes of a block per round from the frame's
-// planes, in O(n) word operations — LaneAdder counts for the Vote1 tallies
-// and the decided nodes, one ascending sweep with per-lane quotas for each
+// planes, in O(n) word operations — kern::lane_counts passes for the Vote1
+// tallies, the decided nodes and the committee margins (one four-column
+// pass), one ascending sweep with per-lane quotas for each
 // "first k ascending ids of a set" victim pick, one descending sweep for
 // b_i, closed forms for the SPLIT and OPPOSITE greedy costs, word-wise
 // corruption, and SPLIT and OPPOSITE together as one coin-sign row (SPLIT

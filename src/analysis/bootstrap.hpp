@@ -1,7 +1,7 @@
 // Percentile-bootstrap confidence intervals for the experiment tables.
 //
 // Benches report means over a few dozen stochastic trials; a CI column
-// makes "who wins" claims honest (EXPERIMENTS.md quotes them). Plain
+// makes "who wins" claims honest (bench_e3 prints one per t). Plain
 // percentile bootstrap: resample with replacement B times, take the
 // empirical quantiles of the resampled means.
 #pragma once

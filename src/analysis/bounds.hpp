@@ -1,6 +1,6 @@
 // Closed-form bound curves from the paper, used as the "theory" columns of
 // every experiment table (constants set to 1 unless the paper names one —
-// we compare growth shapes, not constants; DESIGN.md §2).
+// we compare growth shapes, not constants).
 #pragma once
 
 #include <cstdint>

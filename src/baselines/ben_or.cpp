@@ -270,16 +270,15 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
         round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport;
     const Count t = params_.t;
 
-    net::kern::LaneAdder a0, a1;
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t present =
-            round2 ? frame.sent[v] & frame.flag[v] : frame.sent[v];
-        a0.add(present & ~frame.val[v]);
-        a1.add(present & frame.val[v]);
-    }
-    Count h0[net::kFusedLanes], h1[net::kFusedLanes];
-    a0.counts(h0);
-    a1.counts(h1);
+    // Honest per-lane counts in one pass; a proposal counts only with its
+    // flag (flag 0 is the ⊥ proposal).
+    const std::uint64_t flag_free = round2 ? 0 : ~std::uint64_t{0};
+    Count h[2][net::kFusedLanes];
+    net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
+        const std::uint64_t present = frame.sent[v] & (frame.flag[v] | flag_free);
+        w[0] = present & ~frame.val[v];
+        w[1] = present & frame.val[v];
+    }, h);
 
     t_fin_.reset(n);
     t_val1_.reset(n);
@@ -292,8 +291,8 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
         for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
             const NodeId lo = seg.lo;
             const NodeId hi = seg.hi;
-            const Count cnt[2] = {static_cast<Count>(h0[j] + seg.c0),
-                                  static_cast<Count>(h1[j] + seg.c1)};
+            const Count cnt[2] = {static_cast<Count>(h[0][j] + seg.c0),
+                                  static_cast<Count>(h[1][j] + seg.c1)};
 
             if (!round2) {
                 // Report round: t_fin_ doubles as the "proposing" mark,

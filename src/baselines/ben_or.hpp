@@ -99,7 +99,7 @@ private:
 
 /// 64-lane Ben-Or over the fused trial plane (net/fused_plane.hpp): report
 /// and propose quorums become per-(lane, segment) exact counts fed by
-/// bit-sliced LaneAdder columns; the private coin draws from the focused
+/// one two-column kern::lane_counts pass; the private coin draws from the focused
 /// (node, lane) stream exactly where the scalar case-3 path would.
 /// Bit-identical to BenOrBatch lane by lane.
 class FusedBenOr final : public net::FusedProtocol {

@@ -2,7 +2,7 @@
 //
 // Chor-Coan is the same Rabin-style vote/threshold/coin loop, with the
 // common coin produced by *groups* of nodes taking turns. We provide two
-// faithful-to-purpose variants (DESIGN.md §5):
+// faithful-to-purpose variants:
 //
 //  * Rushing  — the strengthened version the paper's footnote 3 sketches
 //    ("easy to make Chor and Coan's protocol work under a rushing adaptive
@@ -16,8 +16,8 @@
 //  * Classic  — the historical shape: fixed groups of g = β·log2 n nodes,
 //    phase i served by group i mod (n/g). Under the *rushing* adversary the
 //    ruin cost of a group is only ~½·sqrt(g), so measured rounds degrade
-//    toward Θ(t/sqrt(log n)) — an instructive measured finding reported in
-//    EXPERIMENTS.md (the 1985 analysis assumed a non-rushing adversary).
+//    toward Θ(t/sqrt(log n)) — an instructive measured finding, bench_e3's
+//    cc-classic column (the 1985 analysis assumed a non-rushing adversary).
 #pragma once
 
 #include <memory>

@@ -212,14 +212,11 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
     const Phase k = r / 2;
 
     if ((r % 2) == 0) {
-        net::kern::LaneAdder a0, a1;
-        for (NodeId v = 0; v < n; ++v) {
-            a0.add(frame.sent[v] & ~frame.val[v]);
-            a1.add(frame.sent[v] & frame.val[v]);
-        }
-        Count h0[net::kFusedLanes], h1[net::kFusedLanes];
-        a0.counts(h0);
-        a1.counts(h1);
+        Count h[2][net::kFusedLanes];
+        net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
+            w[0] = frame.sent[v] & ~frame.val[v];
+            w[1] = frame.sent[v] & frame.val[v];
+        }, h);
 
         t_maj_.reset(n);
         t_strong_.reset(n);
@@ -230,8 +227,8 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
             for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
                 const NodeId lo = seg.lo;
                 const NodeId hi = seg.hi;
-                const Count cnt[2] = {static_cast<Count>(h0[j] + seg.c0),
-                                      static_cast<Count>(h1[j] + seg.c1)};
+                const Count cnt[2] = {static_cast<Count>(h[0][j] + seg.c0),
+                                      static_cast<Count>(h[1][j] + seg.c1)};
                 const Bit maj = cnt[1] > cnt[0] ? Bit{1} : Bit{0};
                 const Count mult = cnt[maj];
                 if (maj != 0) t_maj_.mark(lo, hi, bit);

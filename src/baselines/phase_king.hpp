@@ -8,8 +8,8 @@
 //     round 1: all broadcast val; v records (maj_v, mult_v);
 //     round 2: the king broadcasts maj_king; v keeps maj_v if
 //              mult_v > n/2 + t, otherwise adopts the king's value.
-// Resilience t < n/4 (the simple variant's bound — DESIGN.md §7 discusses
-// why this suffices as the deterministic *shape* comparator; the t < n/3
+// Resilience t < n/4 (the simple variant's bound, which suffices as the
+// deterministic *shape* comparator; the t < n/3
 // deterministic protocols of Garay-Moses are substantially more intricate
 // and add nothing to the measured comparison).
 //
@@ -97,11 +97,12 @@ private:
 };
 
 /// 64-lane Phase-King over the fused trial plane: round-1 majorities from
-/// bit-sliced LaneAdder counts per (lane, segment); the round-2 king probe
-/// is lane-uniform for honest kings (one plane read) and per-(lane,
-/// segment) for corrupted ones. mult_ never materializes — only the
-/// "2·mult > n + 2t" predicate survives round 1, stored as the strong_
-/// plane. No RNG at all. Bit-identical to PhaseKingBatch lane by lane.
+/// one two-column kern::lane_counts pass plus the fold per (lane, segment);
+/// the round-2 king probe is lane-uniform for honest kings (one plane read)
+/// and per-(lane, segment) for corrupted ones. mult_ never materializes —
+/// only the "2·mult > n + 2t" predicate survives round 1, stored as the
+/// strong_ plane. No RNG at all. Bit-identical to PhaseKingBatch lane by
+/// lane.
 class FusedPhaseKing final : public net::FusedProtocol {
 public:
     explicit FusedPhaseKing(const PhaseKingParams& params);

@@ -6,7 +6,7 @@
 //     s = n / c                                          nodes each,
 // nodes grouped by ID blocks: committee k = IDs in [k·s, (k+1)·s).
 //
-// Finite-n refinements (documented in DESIGN.md §5):
+// Finite-n refinements:
 //  * we clamp c to [1, n] and add a w.h.p. phase floor of ⌈γ·log2 n⌉ —
 //    the paper's union-bound over good phases needs Ω(log n) phases, which
 //    the asymptotic statement supplies implicitly; at small t the raw min
@@ -52,8 +52,8 @@ struct BlockSchedule {
 /// total phase-ruin cost  c · ½·sqrt(n/c) = ½·sqrt(c·n)  (the greedy rushing
 /// adversary's bill for ruining every phase, which scales with sqrt(α)) to
 /// exceed the corruption budget t with margin. α = 2 leaves t = n/3 at
-/// n = 64 right at the boundary (~10% measured failure; see EXPERIMENTS.md
-/// E9); α = 4 restores w.h.p. behaviour across the measured range while
+/// n = 64 right at the boundary (~10% measured failure; bench_e9's α
+/// ablation regenerates it); α = 4 restores w.h.p. behaviour across the measured range while
 /// keeping rounds small through early termination.
 struct Tuning {
     double alpha = 4.0;  ///< paper's α (committee count multiplier)

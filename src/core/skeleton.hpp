@@ -19,8 +19,9 @@
 // leave remaining honest nodes short of the n-t threshold whenever
 // f > h-(n-t) nodes finish simultaneously. One extra broadcast round per
 // finishing node preserves the lemma's guarantee (finisher halts in phase
-// i+1; everyone else by phase i+2) at identical asymptotic cost. See
-// DESIGN.md §5.
+// i+1; everyone else by phase i+2) at identical asymptotic cost. Pinned by
+// SkeletonFlush.FinisherBroadcastsOneFullPhaseThenHalts (test_skeleton) and
+// Lemma4.FinisherForcesTerminationWithinTwoPhases (test_agreement).
 //
 // Subclasses supply only the coin source:
 //   * coin_contribution(p) — this node's ±1 flip piggybacked on its round-2

@@ -38,7 +38,8 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
         rng_.resize(static_cast<std::size_t>(n) * kFusedLanes);
         rng_live_.assign(n, 0);
     }
-    for (unsigned j = 0; j < kFusedLanes; ++j) lane_master_[j] = lane_seeds[j].master();
+    for (unsigned j = 0; j < kFusedLanes; ++j)
+        lane_purpose_[j] = lane_seeds[j].purpose_hash(StreamPurpose::NodeProtocol);
     if (coin_.kind == CoinSpec::Kind::Dealer)
         for (unsigned j = 0; j < kFusedLanes; ++j)
             dealer_seed_[j] = lane_seeds[j].seed(StreamPurpose::DealerCoin);
@@ -91,18 +92,15 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
     const Count quorum = cfg_.n - cfg_.t;
     const Count supermin = cfg_.t + 1;
 
-    // Honest per-lane counts, bit-sliced: one pass over the planes feeds
-    // every lane's histogram (val_cnt round 1, val_flag_cnt round 2).
-    net::kern::LaneAdder a0, a1;
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t present =
-            round2 ? frame.sent[v] & frame.flag[v] : frame.sent[v];
-        a0.add(present & ~frame.val[v]);
-        a1.add(present & frame.val[v]);
-    }
-    Count h0[kFusedLanes], h1[kFusedLanes];
-    a0.counts(h0);
-    a1.counts(h1);
+    // Honest per-lane counts: one pass over the planes feeds every lane's
+    // histogram (val_cnt round 1, val_flag_cnt round 2: flagged senders only).
+    const std::uint64_t flag_free = round2 ? 0 : ~std::uint64_t{0};
+    Count h[2][kFusedLanes];
+    net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
+        const std::uint64_t present = frame.sent[v] & (frame.flag[v] | flag_free);
+        w[0] = present & ~frame.val[v];
+        w[1] = present & frame.val[v];
+    }, h);
 
     NodeId flip_first = 0, flip_last = 0;
     std::int64_t hcoin[kFusedLanes] = {};
@@ -115,16 +113,13 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         // Honest committee coin sum per lane (coin planes are nonzero only
         // inside the flip range; mask with sent so corrupted members drop
         // out exactly as the shared tally drops Byzantine senders).
-        net::kern::LaneAdder apos, aneg;
-        for (NodeId v = flip_first; v < flip_last; ++v) {
-            apos.add(frame.sent[v] & frame.coinp[v]);
-            aneg.add(frame.sent[v] & frame.coinn[v]);
-        }
-        Count cp[kFusedLanes], cn[kFusedLanes];
-        apos.counts(cp);
-        aneg.counts(cn);
+        Count c[2][kFusedLanes];
+        net::kern::lane_counts<2>(flip_first, flip_last, [&](NodeId v, std::uint64_t* w) {
+            w[0] = frame.sent[v] & frame.coinp[v];
+            w[1] = frame.sent[v] & frame.coinn[v];
+        }, c);
         for (unsigned j = 0; j < kFusedLanes; ++j)
-            hcoin[j] = static_cast<std::int64_t>(cp[j]) - cn[j];
+            hcoin[j] = static_cast<std::int64_t>(c[0][j]) - c[1][j];
     }
 
     t_dec_.reset(n);
@@ -146,8 +141,8 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
         for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
             const NodeId lo = seg.lo;
             const NodeId hi = seg.hi;
-            const Count cnt[2] = {static_cast<Count>(h0[j] + seg.c0),
-                                  static_cast<Count>(h1[j] + seg.c1)};
+            const Count cnt[2] = {static_cast<Count>(h[0][j] + seg.c0),
+                                  static_cast<Count>(h[1][j] + seg.c1)};
             const std::int64_t coin_delta = seg.coin;
 
             if (!round2) {

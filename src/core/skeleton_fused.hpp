@@ -12,8 +12,9 @@
 // (lane, segment) and materialized for all receivers with one prefix-XOR
 // sweep (LaneToggles).
 //
-// The coin hooks are SkeletonBatch's CoinSpec: Committee sums live in
-// bit-sliced LaneAdder columns (honest part) plus per-(lane, segment)
+// Honest counts come from kern::lane_counts, one pass per beat. The coin
+// hooks are SkeletonBatch's CoinSpec: Committee sums are a two-column
+// lane_counts pass over the committee (honest part) plus per-(lane, segment)
 // Byzantine coin sums from the fold, and a coin-sign row splits a segment's
 // case 3 into two outcomes that the sign plane selects per receiver. Dealer
 // coins are the pure coin function under each lane's own DealerCoin seed;
@@ -62,15 +63,22 @@ private:
     /// is built.
     std::vector<Xoshiro256> rng_;
     std::vector<std::uint64_t> rng_live_;
-    std::uint64_t lane_master_[net::kFusedLanes] = {};
+    /// Lane j's SeedTree purpose hash of NodeProtocol: node v's stream is
+    /// Xoshiro256(SeedTree::child_seed(lane_purpose_[j], v)).
+    std::uint64_t lane_purpose_[net::kFusedLanes] = {};
     std::uint64_t dealer_seed_[net::kFusedLanes] = {};
 
     /// Committee coin: lane j's phase-p flip of node v, drawn without
     /// state. Honesty and liveness are monotone, so a member live now drew
     /// once at every earlier visit of its committee, and this flip is
-    /// output number p / num_blocks of its (NodeProtocol, v) stream.
+    /// output number p / num_blocks of its (NodeProtocol, v) stream. A first
+    /// visit reads output 0 without building the stream; sign() is its top
+    /// bit.
     CoinSign committee_flip(NodeId v, unsigned j, Phase p) const {
-        Xoshiro256 g = SeedTree(lane_master_[j]).stream(StreamPurpose::NodeProtocol, v);
+        const std::uint64_t seed = SeedTree::child_seed(lane_purpose_[j], v);
+        if (p < coin_.schedule.num_blocks)
+            return (Xoshiro256::first_output(seed) >> 63) != 0 ? CoinSign{1} : CoinSign{-1};
+        Xoshiro256 g(seed);
         for (Phase visit = p / coin_.schedule.num_blocks; visit > 0; --visit) g();
         return g.sign();
     }
@@ -79,7 +87,7 @@ private:
         const std::uint64_t bit = std::uint64_t{1} << j;
         Xoshiro256& g = rng_[static_cast<std::size_t>(v) * net::kFusedLanes + j];
         if ((rng_live_[v] & bit) == 0) {
-            g = SeedTree(lane_master_[j]).stream(StreamPurpose::NodeProtocol, v);
+            g = Xoshiro256(SeedTree::child_seed(lane_purpose_[j], v));
             rng_live_[v] |= bit;
         }
         return g;

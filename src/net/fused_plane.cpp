@@ -140,16 +140,14 @@ bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t ir
     const std::uint64_t active = frame_->active;
     if ((irregular & active) != 0) return false;
     const std::uint64_t* halted = proto_->halted_plane();
-    kern::LaneAdder adder;
     std::uint64_t taken = 0;  // lanes with a member already Byzantine or halted
-    for (NodeId v = 0; v < n; ++v) {
+    Count count[kFusedLanes];
+    kern::lane_counts<1>(0, n, [&](NodeId v, std::uint64_t* w) {
         const std::uint64_t m = mask[v] & active;
         taken |= (frame_->byz[v] | halted[v]) & m;
-        adder.add(m);
-    }
+        w[0] = m;
+    }, &count);
     if (taken != 0) return false;
-    Count count[kFusedLanes];
-    adder.counts(count);
     for (unsigned j = 0; j < kFusedLanes; ++j)
         if (count[j] > budget_ - used_[j]) return false;
     for (NodeId v = 0; v < n; ++v) {
@@ -207,9 +205,8 @@ void FusedLaneControl::sign_row(const Message& m, NodeId first, NodeId last,
     FusedFrame& f = *frame_;
     const NodeId n = f.n();
     ADBA_EXPECTS(first <= last && last <= n);
-    kern::LaneAdder senders;
-    for (NodeId u = first; u < last; ++u) senders.add(f.byz[u] & lanes);
-    senders.counts(f.sign_senders);
+    kern::lane_counts<1>(first, last, [&](NodeId u, std::uint64_t* w) { w[0] = f.byz[u] & lanes; },
+                         &f.sign_senders);
     f.sign.assign(sign, sign + n);
     f.sign_msg = m;
     f.sign_first = first;
@@ -243,8 +240,7 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
     std::uint64_t msgs[kFusedLanes] = {};
     std::uint64_t bits[kFusedLanes] = {};
 
-    kern::LaneAdder a_sent, a_flush, a_halt;
-    Count sent_cnt[kFusedLanes], flush_cnt[kFusedLanes], halt_cnt[kFusedLanes];
+    Count cnt[3][kFusedLanes];  // live broadcasts, flush-halted senders, halted receivers
 
     for (Round r = 0; r < max_rounds && active != 0; ++r) {
         frame_.active = active;
@@ -276,18 +272,12 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         // per-lane counts of live broadcasts (S), flush-halted senders (SH)
         // and honest-halted receivers (H), all read AFTER corruptions.
         const std::uint64_t* halted = proto.halted_plane();
-        a_sent.reset();
-        a_flush.reset();
-        a_halt.reset();
-        for (NodeId v = 0; v < n; ++v) {
+        kern::lane_counts<3>(0, n, [&](NodeId v, std::uint64_t* w) {
             const std::uint64_t s = frame_.sent[v];
-            a_sent.add(s);
-            a_flush.add(s & halted[v]);
-            a_halt.add(~frame_.byz[v] & halted[v]);
-        }
-        a_sent.counts(sent_cnt);
-        a_flush.counts(flush_cnt);
-        a_halt.counts(halt_cnt);
+            w[0] = s;
+            w[1] = s & halted[v];
+            w[2] = ~frame_.byz[v] & halted[v];
+        }, cnt);
         Message probe;
         probe.kind = frame_.kind;
         probe.phase = frame_.phase;
@@ -295,7 +285,7 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
             const std::uint64_t fan =
-                broadcast_fanout(sent_cnt[j], flush_cnt[j], halt_cnt[j], n);
+                broadcast_fanout(cnt[0][j], cnt[1][j], cnt[2][j], n);
             msgs[j] += fan;
             bits[j] += fan * wb;
         }
@@ -411,19 +401,19 @@ void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
     q_ = q;
     // The all-node weights are frame.shared_senders; only the coin range
     // needs a count.
-    kern::LaneAdder coin;
-    if (frame.has_shared) {
-        const NodeId last = std::min(q.coin_last, frame.n());
-        for (NodeId v = q.coin_first; v < last; ++v) coin.add(frame.shared[v]);
-    }
-    coin.counts(coin_weight_);
-    if (frame.has_sign) {
-        kern::LaneAdder sign;
-        const NodeId last = std::min(q.coin_last, frame.sign_last);
-        for (NodeId v = std::max(q.coin_first, frame.sign_first); v < last; ++v)
-            sign.add(frame.byz[v] & frame.sign_lanes);
-        sign.counts(sign_weight_);
-    }
+    if (frame.has_shared)
+        kern::lane_counts<1>(q.coin_first, std::min(q.coin_last, frame.n()),
+                             [&](NodeId v, std::uint64_t* w) { w[0] = frame.shared[v]; },
+                             &coin_weight_);
+    else
+        std::fill(std::begin(coin_weight_), std::end(coin_weight_), Count{0});
+    if (frame.has_sign)
+        kern::lane_counts<1>(std::max(q.coin_first, frame.sign_first),
+                             std::min(q.coin_last, frame.sign_last),
+                             [&](NodeId v, std::uint64_t* w) {
+                                 w[0] = frame.byz[v] & frame.sign_lanes;
+                             },
+                             &sign_weight_);
 }
 
 SegmentFold::Counts SegmentFold::classify(const Message* m, std::int32_t weight,

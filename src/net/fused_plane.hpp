@@ -447,7 +447,7 @@ struct FoldSegment {
 class SegmentFold {
 public:
     /// Once per round, after the adversary beat: the query, and the shared
-    /// and coin-sign rows' per-lane coin weights from one LaneAdder pass
+    /// and coin-sign rows' per-lane coin weights from one lane_counts pass
     /// each over their senders in [coin_first, coin_last) only.
     void prepare(const FusedFrame& frame, const FoldQuery& q);
     /// Lane j's segments, in receiver order, covering [0, n). Neighbours may

@@ -5,6 +5,10 @@
 #include "net/round_buffer.hpp"
 #include "support/contracts.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace adba::net::kern {
 
 void pack_shard(const RoundBuffer& buf, NodeId lo, NodeId hi,
@@ -74,6 +78,61 @@ void pack_shard(const RoundBuffer& buf, NodeId lo, NodeId hi,
         planes.coin_neg[w] = neg;
         planes.byz[w] = byz;
     }
+}
+
+void lane_digits_to_counts_portable(const std::uint64_t* digits, unsigned k, Count* out) {
+    ADBA_EXPECTS(k <= kMaxLaneDigits);
+    std::fill(out, out + kWordBits, Count{0});
+    for (unsigned i = 0; i < k; ++i)
+        for (std::uint64_t bits = digits[i]; bits != 0; bits &= bits - 1)
+            out[std::countr_zero(bits)] |= Count{1} << i;
+}
+
+namespace {
+
+#if defined(__x86_64__)
+/// Four 16-lane accumulators hold the 64 counts; digit i adds 2^i to the
+/// lanes its word marks, 16 mask bits per accumulator, with no transpose.
+__attribute__((target("avx512f")))
+void lane_digits_to_counts_avx512(const std::uint64_t* digits, unsigned k, Count* out) {
+    static_assert(sizeof(Count) == 4);
+    __m512i c0 = _mm512_setzero_si512();
+    __m512i c1 = _mm512_setzero_si512();
+    __m512i c2 = _mm512_setzero_si512();
+    __m512i c3 = _mm512_setzero_si512();
+    for (unsigned i = 0; i < k; ++i) {
+        const std::uint64_t d = digits[i];
+        const __m512i w = _mm512_set1_epi32(static_cast<int>(1u << i));
+        c0 = _mm512_mask_add_epi32(c0, static_cast<__mmask16>(d), c0, w);
+        c1 = _mm512_mask_add_epi32(c1, static_cast<__mmask16>(d >> 16), c1, w);
+        c2 = _mm512_mask_add_epi32(c2, static_cast<__mmask16>(d >> 32), c2, w);
+        c3 = _mm512_mask_add_epi32(c3, static_cast<__mmask16>(d >> 48), c3, w);
+    }
+    _mm512_storeu_si512(out, c0);
+    _mm512_storeu_si512(out + 16, c1);
+    _mm512_storeu_si512(out + 32, c2);
+    _mm512_storeu_si512(out + 48, c3);
+}
+#endif  // __x86_64__
+
+using DigitsToCountsFn = void (*)(const std::uint64_t*, unsigned, Count*);
+
+DigitsToCountsFn resolve_digits_to_counts() {
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx512f") != 0) return &lane_digits_to_counts_avx512;
+#endif
+    return &lane_digits_to_counts_portable;
+}
+
+/// Resolved once at load: the build carries no -march, so the AVX-512 form
+/// is compiled behind a target attribute and chosen only when the host CPU
+/// reports the feature.
+const DigitsToCountsFn g_digits_to_counts = resolve_digits_to_counts();
+
+}  // namespace
+
+void lane_digits_to_counts(const std::uint64_t* digits, unsigned k, Count* out) {
+    g_digits_to_counts(digits, k, out);
 }
 
 }  // namespace adba::net::kern

@@ -12,7 +12,7 @@
 // tests pin the two bit-identical — every count here is an exact integer,
 // so "vectorized" never means "approximate".
 //
-// Two pieces live here:
+// Three pieces live here:
 //
 //  * IntraDispatcher — the engine-side seam for intra-trial parallelism.
 //    An implementation (sim::ShardPool) runs fn(shard, lo, hi) over
@@ -27,11 +27,21 @@
 //    shard-local buckets in shard order, which preserves the serial
 //    ascending-first-occurrence bucket order) and the popcount reduction
 //    kernels RoundTally and ReceiveView call.
+//
+//  * kern::lane_counts — the fused trial plane's one counting kernel: K
+//    columns of 64 per-lane counts (bit j of a word belongs to trial j) in
+//    one pass, a carry-save adder tree over groups of 8 words whose digits
+//    stay bit-sliced until kern::lane_digits_to_counts turns them into
+//    integers. That conversion is chosen once at load time from the CPU
+//    (AVX-512F masked adds, else a portable loop), like the sparse probe
+//    kernel; both give the same integers.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -214,59 +224,99 @@ void for_each_set_bit(const std::uint64_t* words, std::size_t word_count, Fn&& f
     }
 }
 
-/// Bit-sliced 64-lane column accumulator — the carry-save adder tree of
-/// the fused trial plane (net/fused_plane.hpp). The popcount kernels above
-/// count bits ACROSS a word (64 senders of ONE trial); the fused plane
-/// needs the transpose: 64 independent per-lane counts where lane j of
-/// every added word belongs to trial j. LaneAdder keeps the running counts
-/// bit-sliced — planes_[k] holds bit k of all 64 lane counts — so add(x)
-/// is a ripple-carry over at most log2(count) words (amortized ~2 word ops
-/// per add: the carry chain terminates as soon as a plane has no carry),
-/// never 64 scalar increments.
-class LaneAdder {
-public:
-    /// log2 ceiling of the largest supported addend count (2^32 adds).
-    static constexpr unsigned kMaxPlanes = 32;
+// ---- per-lane counts: the fused trial plane's counting kernel ------------
+//
+// The popcount kernels above count bits ACROSS a word (64 senders of ONE
+// trial); the fused plane (net/fused_plane.hpp) needs the transpose: 64
+// independent counts, where bit j of every word belongs to trial j. Counts
+// are kept bit-sliced while they grow — digit word i holds bit i of all 64
+// counts — and turned into integers once at the end.
 
-    /// Adds 1 to lane j's count for every set bit j of x.
-    void add(std::uint64_t x) {
-        for (unsigned k = 0; k < used_; ++k) {
-            const std::uint64_t carry = planes_[k] & x;
-            planes_[k] ^= x;
-            x = carry;
-            if (x == 0) return;
+/// Digit words of any per-lane count (a Count).
+inline constexpr unsigned kMaxLaneDigits = std::numeric_limits<Count>::digits;
+
+/// Turns k bit-sliced digit words (bit j of digits[i] is bit i of lane j's
+/// count) into the 64 counts out[0..63], k <= kMaxLaneDigits. The path is
+/// chosen once at load time from the CPU: with AVX-512F, four masked 16-lane
+/// adds of 2^i per digit; otherwise lane_digits_to_counts_portable.
+void lane_digits_to_counts(const std::uint64_t* digits, unsigned k, Count* out);
+
+/// The portable form of lane_digits_to_counts: the same integers, from a
+/// walk over each digit's set bits. The fallback on CPUs without AVX-512F,
+/// and the tests' reference.
+void lane_digits_to_counts_portable(const std::uint64_t* digits, unsigned k, Count* out);
+
+/// Carry-save adder: a + b + c == 2 * carry + sum in every bit position,
+/// with no carry chain between positions.
+inline void csa(std::uint64_t& carry, std::uint64_t& sum, std::uint64_t a,
+                std::uint64_t b, std::uint64_t c) {
+    const std::uint64_t u = a ^ b;
+    carry = (a & b) | (u & c);
+    sum = u ^ c;
+}
+
+/// K columns of 64 per-lane counts in one pass over v in [lo, hi):
+/// words(v, w) is called exactly once per v, in ascending order, and fills
+/// w[0..K-1]; out[k][j] becomes the number of v whose word k has bit j set.
+///
+/// Each group of 8 consecutive words goes through a carry-save tree that
+/// keeps every column's weight-1/2/4 digits apart from the digit array, so
+/// one carry word per group and column enters the high digits; the words
+/// after the last full group ripple in one by one. Every carry walks all
+/// the digits the range can need (bit_width(hi - lo)), so no branch
+/// depends on the data.
+template <unsigned K, typename Words>
+void lane_counts(NodeId lo, NodeId hi, Words&& words, Count (*out)[kWordBits]) {
+    static_assert(K >= 1);
+    const NodeId len = hi > lo ? hi - lo : 0;
+    const unsigned digits = std::max(3u, static_cast<unsigned>(std::bit_width(len)));
+    std::uint64_t ones[K] = {}, twos[K] = {}, fours[K] = {};
+    std::uint64_t d[K][kMaxLaneDigits] = {};  // d[k][i]: digit i of column k
+    const auto carry_up = [&](unsigned k, std::uint64_t c) {
+        for (unsigned i = 3; i < digits; ++i) {
+            const std::uint64_t next = d[k][i] & c;
+            d[k][i] ^= c;
+            c = next;
         }
-        planes_[used_++] = x;
-    }
+    };
 
-    /// Lane j's accumulated count.
-    Count lane(unsigned j) const {
-        Count c = 0;
-        for (unsigned k = 0; k < used_; ++k)
-            c |= static_cast<Count>((planes_[k] >> j) & 1) << k;
-        return c;
+    NodeId v = lo;
+    for (const NodeId end = lo + (len & ~NodeId{7}); v != end; v += 8) {
+        std::uint64_t x[8][K];
+        for (unsigned i = 0; i < 8; ++i) words(v + i, x[i]);
+        for (unsigned k = 0; k < K; ++k) {
+            std::uint64_t twos_a, twos_b, fours_a, fours_b, eights;
+            csa(twos_a, ones[k], ones[k], x[0][k], x[1][k]);
+            csa(twos_b, ones[k], ones[k], x[2][k], x[3][k]);
+            csa(fours_a, twos[k], twos[k], twos_a, twos_b);
+            csa(twos_a, ones[k], ones[k], x[4][k], x[5][k]);
+            csa(twos_b, ones[k], ones[k], x[6][k], x[7][k]);
+            csa(fours_b, twos[k], twos[k], twos_a, twos_b);
+            csa(eights, fours[k], fours[k], fours_a, fours_b);
+            carry_up(k, eights);
+        }
     }
-
-    /// Writes all 64 lane counts to out[0..63].
-    void counts(Count* out) const {
-        for (unsigned j = 0; j < 64; ++j) out[j] = 0;
-        for (unsigned k = 0; k < used_; ++k) {
-            std::uint64_t bits = planes_[k];
-            while (bits != 0) {
-                const unsigned j = static_cast<unsigned>(std::countr_zero(bits));
-                out[j] |= Count{1} << k;
-                bits &= bits - 1;
-            }
+    for (; v != lo + len; ++v) {
+        std::uint64_t x[K];
+        words(v, x);
+        for (unsigned k = 0; k < K; ++k) {
+            const std::uint64_t c1 = ones[k] & x[k];
+            ones[k] ^= x[k];
+            const std::uint64_t c2 = twos[k] & c1;
+            twos[k] ^= c1;
+            const std::uint64_t c3 = fours[k] & c2;
+            fours[k] ^= c2;
+            carry_up(k, c3);
         }
     }
 
-    /// O(1): forget the counts without touching the plane array.
-    void reset() { used_ = 0; }
-
-private:
-    std::uint64_t planes_[kMaxPlanes] = {};
-    unsigned used_ = 0;
-};
+    for (unsigned k = 0; k < K; ++k) {
+        d[k][0] = ones[k];
+        d[k][1] = twos[k];
+        d[k][2] = fours[k];
+        lane_digits_to_counts(d[k], digits, out[k]);
+    }
+}
 
 }  // namespace kern
 }  // namespace adba::net

@@ -4,19 +4,6 @@
 
 namespace adba {
 
-std::uint64_t splitmix64_next(std::uint64_t& state) {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t x) {
-    std::uint64_t s = x;
-    return splitmix64_next(s);
-}
-
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "support/types.hpp"
@@ -22,10 +23,16 @@ namespace adba {
 
 /// splitmix64 step: advances the state and returns a 64-bit output.
 /// Standard constants from the reference implementation.
-std::uint64_t splitmix64_next(std::uint64_t& state);
+inline std::uint64_t splitmix64_next(std::uint64_t& state) {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
 
 /// One-shot avalanche hash of a 64-bit value (splitmix64 finalizer).
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) { return splitmix64_next(x); }
 
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Xoshiro256 {
@@ -40,6 +47,14 @@ public:
     static constexpr result_type max() { return ~0ULL; }
 
     result_type operator()();
+
+    /// The first output of Xoshiro256(seed), without building the state:
+    /// xoshiro256** reads only s[1], the second splitmix64 word of the seed
+    /// (the all-zero guard touches only s[0]).
+    static result_type first_output(std::uint64_t seed) {
+        splitmix64_next(seed);
+        return std::rotl(splitmix64_next(seed) * 5, 7) * 9;
+    }
 
     /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection.
     std::uint64_t below(std::uint64_t bound);

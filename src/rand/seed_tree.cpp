@@ -2,16 +2,6 @@
 
 namespace adba {
 
-std::uint64_t SeedTree::seed(StreamPurpose purpose, std::uint64_t index) const {
-    // Two rounds of avalanche mixing over (master, purpose, index). A single
-    // round already decorrelates, the second guards against the structured
-    // (small-integer) inputs used here.
-    std::uint64_t h = master_;
-    h = mix64(h ^ (static_cast<std::uint64_t>(purpose) * 0xd1342543de82ef95ULL));
-    h = mix64(h ^ (index * 0xaf251af3b0f025b5ULL));
-    return h;
-}
-
 Xoshiro256 SeedTree::stream(StreamPurpose purpose, std::uint64_t index) const {
     return Xoshiro256(seed(purpose, index));
 }

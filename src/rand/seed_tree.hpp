@@ -29,8 +29,23 @@ class SeedTree {
 public:
     explicit SeedTree(std::uint64_t master) : master_(master) {}
 
-    /// Child seed for (purpose, index); deterministic avalanche mix.
-    std::uint64_t seed(StreamPurpose purpose, std::uint64_t index = 0) const;
+    /// Child seed for (purpose, index): two rounds of avalanche mixing. One
+    /// round already decorrelates; the second guards against the structured
+    /// (small-integer) inputs used here.
+    std::uint64_t seed(StreamPurpose purpose, std::uint64_t index = 0) const {
+        return child_seed(purpose_hash(purpose), index);
+    }
+
+    /// The first of seed()'s two mixing rounds, shared by every index of a
+    /// purpose: callers that derive many indices can hash it once.
+    std::uint64_t purpose_hash(StreamPurpose purpose) const {
+        return mix64(master_ ^ (static_cast<std::uint64_t>(purpose) * 0xd1342543de82ef95ULL));
+    }
+
+    /// The second round: seed(purpose, index) == child_seed(purpose_hash(purpose), index).
+    static std::uint64_t child_seed(std::uint64_t purpose_hash, std::uint64_t index) {
+        return mix64(purpose_hash ^ (index * 0xaf251af3b0f025b5ULL));
+    }
 
     /// Convenience: a generator seeded for (purpose, index).
     Xoshiro256 stream(StreamPurpose purpose, std::uint64_t index = 0) const;

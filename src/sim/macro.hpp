@@ -3,7 +3,7 @@
 // The full-fidelity engine delivers n^2 messages per round, capping
 // practical n at a few thousand — but the paper's headline separation
 // (t^2 log n / n vs t / log n) only opens up numerically around n >= 2^16
-// (DESIGN.md §2, substitution 3). This module simulates the SAME protocol
+// (bench_e4's E4a table). This module simulates the SAME protocol
 // semantics restricted to the regime the worst-case adversary actually
 // induces from split inputs:
 //

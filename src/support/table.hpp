@@ -2,7 +2,8 @@
 //
 // Every bench binary prints its reproduction table through this class so the
 // repository's tables share one format (aligned columns, optional CSV dump),
-// making EXPERIMENTS.md's paper-vs-measured comparison mechanical.
+// making the paper-vs-measured comparison mechanical (PAPER.md's "Main
+// results" table names the bench behind each claim).
 #pragma once
 
 #include <iosfwd>

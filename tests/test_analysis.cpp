@@ -47,8 +47,8 @@ TEST(Bounds, PaperHeadlineExampleIsAsymptotic) {
     // Õ(n^0.75). WITH the hidden log factors spelled out, the separation
     // n^0.5·log n < n^0.75/log n requires log^2 n < n^0.25, i.e. n ≳ 2^56 —
     // at any simulable n the min() saturates at the Chor-Coan term. The
-    // log-FREE polynomial parts separate at every n; both facts are
-    // documented in EXPERIMENTS.md E4.
+    // log-FREE polynomial parts separate at every n; bench_e4's E4c table
+    // shows the saturation.
     const double n = 1 << 20;
     const double t = std::pow(n, 0.75);
     // min() saturates: ours == Chor-Coan at this (n, t).

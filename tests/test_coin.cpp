@@ -46,7 +46,7 @@ TEST(CommonCoin, Theorem3CommonnessUnderHalfSqrtN) {
     // adversary converges to 2·Φ̄(1) ≈ 0.317, since each corruption both
     // removes a majority flip and adds an equivocator (margin 2 per
     // corruption), so commonness needs |S| >= 2f ≈ sqrt(n) ≈ one stddev.
-    // See EXPERIMENTS.md E1 for the adaptivity discussion.
+    // bench_e1 prints the measured curve as the budget sweeps through it.
     for (NodeId n : {64u, 256u, 1024u}) {
         const auto f = static_cast<Count>(isqrt(n) / 2);
         const auto agg = run_coin_trials(alg1(n, f), 5, 1000);

@@ -8,8 +8,8 @@
 // worst-case adversary's block-level form must equal 64 scalar engine runs
 // block by block, and stateless committee draws must hold across committee
 // revisits. Plus the fused policy (fused engages where the plan can, and
-// every skip names its reason), the scenario key round trip, and a
-// LaneAdder unit check against popcount.
+// every skip names its reason), the scenario key round trip, and the
+// per-lane counting kernel against popcounts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -233,24 +233,115 @@ std::string block_error(const sim::ScenarioPlan& plan, MakeAdversary&& make) {
 }
 
 // ---------------------------------------------------------------------------
-// LaneAdder: bit-sliced column counts must equal per-lane popcounts.
+// lane_counts: K columns of per-lane counts in one pass must equal per-lane
+// popcounts of the same words, at any range offset, tail length after the
+// last full group of 8, and density; words(v, w) runs once per v, ascending.
+// lane_digits_to_counts: the load-time dispatched form equals the portable
+// one.
 
-TEST(FusedPlane, LaneAdderMatchesPerLanePopcount) {
-    Xoshiro256 rng(0xADDE);
-    for (int iter = 0; iter < 20; ++iter) {
-        const unsigned rows = 1 + static_cast<unsigned>(rng.below(300));
-        net::kern::LaneAdder adder;
-        Count expect[net::kFusedLanes] = {};
-        for (unsigned r = 0; r < rows; ++r) {
-            const std::uint64_t w = rng();
-            adder.add(w);
+/// Word k of node v under `density`: sparse (~1/8 of bits), half, dense
+/// (~3/4) or all ones.
+enum class Density { Sparse, Half, Dense, AllOnes };
+
+std::uint64_t test_word(std::uint64_t seed, NodeId v, unsigned k, Density density) {
+    const std::uint64_t h = seed ^ (std::uint64_t{v} << 3 | k);
+    const std::uint64_t a = mix64(h), b = mix64(h + 1), c = mix64(h + 2);
+    switch (density) {
+        case Density::Sparse: return a & b & c;
+        case Density::Half: return a;
+        case Density::Dense: return a | b;
+        case Density::AllOnes: return ~std::uint64_t{0};
+    }
+    return 0;
+}
+
+template <unsigned K>
+void expect_lane_counts(NodeId lo, NodeId len, std::uint64_t seed, Density density) {
+    Count expect[K][net::kFusedLanes] = {};
+    for (NodeId v = lo; v < lo + len; ++v)
+        for (unsigned k = 0; k < K; ++k) {
+            const std::uint64_t w = test_word(seed, v, k, density);
             for (unsigned j = 0; j < net::kFusedLanes; ++j)
-                expect[j] += static_cast<Count>((w >> j) & 1u);
+                expect[k][j] += static_cast<Count>((w >> j) & 1u);
         }
-        Count got[net::kFusedLanes];
-        adder.counts(got);
+    NodeId next = lo;
+    bool in_order = true;
+    std::uint64_t calls = 0;
+    Count got[K][net::kFusedLanes];
+    net::kern::lane_counts<K>(lo, lo + len, [&](NodeId v, std::uint64_t* w) {
+        in_order = in_order && v == next;
+        next = v + 1;
+        ++calls;
+        for (unsigned k = 0; k < K; ++k) w[k] = test_word(seed, v, k, density);
+    }, got);
+    ASSERT_TRUE(in_order) << "words must run once per v, ascending";
+    ASSERT_EQ(calls, len) << "K=" << K << " lo=" << lo;
+    for (unsigned k = 0; k < K; ++k)
         for (unsigned j = 0; j < net::kFusedLanes; ++j)
-            ASSERT_EQ(got[j], expect[j]) << "rows=" << rows << " lane=" << j;
+            ASSERT_EQ(got[k][j], expect[k][j]) << "K=" << K << " lo=" << lo << " len=" << len
+                                               << " density=" << static_cast<int>(density)
+                                               << " column=" << k << " lane=" << j;
+}
+
+template <unsigned K>
+void expect_lane_counts_everywhere() {
+    for (const NodeId lo : {NodeId{0}, NodeId{1}, NodeId{37}})
+        for (const NodeId groups : {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{33}, NodeId{125}})
+            for (NodeId tail = 0; tail < 8; ++tail)
+                for (const Density d :
+                     {Density::Sparse, Density::Half, Density::Dense, Density::AllOnes})
+                    expect_lane_counts<K>(lo, 8 * groups + tail, 0xC0FFEEu + lo + tail, d);
+}
+
+TEST(FusedPlane, LaneCountsMatchPerLanePopcounts) {
+    expect_lane_counts_everywhere<1>();
+    expect_lane_counts_everywhere<2>();
+    expect_lane_counts_everywhere<3>();
+    expect_lane_counts_everywhere<4>();
+}
+
+TEST(FusedPlane, LaneCountsFillSeventeenDigits) {
+    // 2^17 all-ones words: every lane counts 2^17, an 18-digit count whose
+    // low 17 digits are all zero, so each carry walks the whole stack.
+    const NodeId len = NodeId{1} << 17;
+    Count got[2][net::kFusedLanes];
+    std::uint64_t calls = 0;
+    net::kern::lane_counts<2>(5, 5 + len, [&](NodeId v, std::uint64_t* w) {
+        ++calls;
+        w[0] = ~std::uint64_t{0};
+        w[1] = std::uint64_t{1} << (v % 64);  // one lane per word, round robin
+    }, got);
+    EXPECT_EQ(calls, len);
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        ASSERT_EQ(got[0][j], len) << "lane " << j;
+        ASSERT_EQ(got[1][j], len / 64) << "lane " << j;
+    }
+    expect_lane_counts<3>(3, len + 5, 0xD1617u, Density::Dense);
+}
+
+TEST(FusedPlane, LaneDigitsToCountsMatchesPortableForm) {
+    // The dispatched form (AVX-512F when the host has it) against the
+    // portable one and a handwritten sum of 2^i, over random digit stacks
+    // of every height. On an AVX-512 host this is the only place the
+    // portable form runs.
+    Xoshiro256 rng(0xD161u);
+    for (unsigned k = 1; k <= net::kern::kMaxLaneDigits; ++k) {
+        for (int rep = 0; rep < 8; ++rep) {
+            std::uint64_t digits[net::kern::kMaxLaneDigits] = {};
+            for (unsigned i = 0; i < k; ++i)
+                digits[i] = rep == 0 ? ~std::uint64_t{0} : rep == 1 ? rng() & rng() : rng();
+            Count expect[net::kFusedLanes] = {};
+            for (unsigned i = 0; i < k; ++i)
+                for (unsigned j = 0; j < net::kFusedLanes; ++j)
+                    expect[j] += static_cast<Count>((digits[i] >> j) & 1u) * (Count{1} << i);
+            Count got[net::kFusedLanes], portable[net::kFusedLanes];
+            net::kern::lane_digits_to_counts(digits, k, got);
+            net::kern::lane_digits_to_counts_portable(digits, k, portable);
+            for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                ASSERT_EQ(portable[j], expect[j]) << "k=" << k << " rep=" << rep << " lane=" << j;
+                ASSERT_EQ(got[j], portable[j]) << "k=" << k << " rep=" << rep << " lane=" << j;
+            }
+        }
     }
 }
 

@@ -38,6 +38,17 @@ TEST(Xoshiro, DifferentSeedsDiverge) {
     EXPECT_LE(same, 1);
 }
 
+TEST(Xoshiro, FirstOutputMatchesAFreshStream) {
+    // The fused committee coin reads a stream's first output without
+    // building it; seed 0 and the all-ones seed included.
+    Xoshiro256 seeds(0xF1257u);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t seed = i == 0 ? 0 : i == 1 ? ~std::uint64_t{0} : seeds();
+        Xoshiro256 g(seed);
+        ASSERT_EQ(Xoshiro256::first_output(seed), g()) << "seed " << seed;
+    }
+}
+
 TEST(Xoshiro, BelowStaysInRange) {
     Xoshiro256 r(7);
     for (std::uint64_t bound : {1ULL, 2ULL, 3ULL, 10ULL, 1000ULL, (1ULL << 33) + 7}) {
@@ -129,6 +140,17 @@ TEST(SeedTree, DeterministicDerivation) {
     SeedTree a(99), b(99);
     EXPECT_EQ(a.seed(StreamPurpose::NodeProtocol, 5),
               b.seed(StreamPurpose::NodeProtocol, 5));
+}
+
+TEST(SeedTree, ChildSeedOfThePurposeHashIsTheSeed) {
+    for (const std::uint64_t master : {std::uint64_t{0}, std::uint64_t{42}, ~std::uint64_t{0}}) {
+        const SeedTree tree(master);
+        for (const auto purpose : {StreamPurpose::NodeProtocol, StreamPurpose::Adversary,
+                                   StreamPurpose::SparseTopology})
+            for (std::uint64_t index = 0; index < 300; ++index)
+                ASSERT_EQ(SeedTree::child_seed(tree.purpose_hash(purpose), index),
+                          tree.seed(purpose, index));
+    }
 }
 
 TEST(SeedTree, PurposesAreIndependent) {
