@@ -32,6 +32,11 @@ public:
     /// Corrupts `q` nodes chosen uniformly at round 0 (q <= engine budget).
     StaticAdversary(Count q, StaticBehavior behavior, Xoshiro256 rng);
 
+    /// Replaces the stream the next on_start draws its set from, so that a
+    /// kept object replays a fresh one built with `rng` (its vectors are
+    /// reused).
+    void reseed(Xoshiro256 rng) { rng_ = rng; }
+
     void on_start(NodeId n, Count budget) override;
     void act(net::RoundControl& ctl) override;
     /// The ascending corrupt set and, under SplitVotes, round r's split row:

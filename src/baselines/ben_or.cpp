@@ -233,9 +233,6 @@ void FusedBenOr::rearm(const std::uint64_t* input_plane, const SeedTree* lane_se
     decided_.assign(n, 0);
     flushing_.assign(n, 0);
     halted_.assign(n, 0);
-    m_fin_.assign(n, 0);
-    m_val1_.assign(n, 0);
-    m_coin_.assign(n, 0);
     rng_.clear();
     rng_.reserve(static_cast<std::size_t>(n) * net::kFusedLanes);
     for (NodeId v = 0; v < n; ++v)
@@ -263,105 +260,61 @@ void FusedBenOr::send_round(Round r, net::FusedFrame& frame) {
 }
 
 void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
+    using net::kern::lanes_greater;
     const NodeId n = params_.n;
     const Phase p = r / 2;
     const bool round2 = (r % 2) != 0;
     const net::MsgKind kind =
         round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport;
-    const Count t = params_.t;
-
-    // Honest per-lane counts in one pass; a proposal counts only with its
-    // flag (flag 0 is the ⊥ proposal).
-    const std::uint64_t flag_free = round2 ? 0 : ~std::uint64_t{0};
-    Count h[2][net::kFusedLanes];
-    net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
-        const std::uint64_t present = frame.sent[v] & (frame.flag[v] | flag_free);
-        w[0] = present & ~frame.val[v];
-        w[1] = present & frame.val[v];
-    }, h);
-
-    t_fin_.reset(n);
-    t_val1_.reset(n);
-    t_coin_.reset(n);
-
-    fold_.prepare(frame, {kind, p, /*require_flag=*/round2});
-    for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const std::uint64_t bit = std::uint64_t{1} << j;
-        for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
-            const NodeId lo = seg.lo;
-            const NodeId hi = seg.hi;
-            const Count cnt[2] = {static_cast<Count>(h[0][j] + seg.c0),
-                                  static_cast<Count>(h[1][j] + seg.c1)};
-
-            if (!round2) {
-                // Report round: t_fin_ doubles as the "proposing" mark,
-                // t_val1_ as "proposal = 1"; at most one value can pass the
-                // (n+t)/2 quorum (counts total at most n).
-                for (Bit b : {Bit{0}, Bit{1}}) {
-                    if (2 * static_cast<std::uint64_t>(cnt[b]) >
-                        static_cast<std::uint64_t>(n) + t) {
-                        t_fin_.mark(lo, hi, bit);
-                        if (b != 0) t_val1_.mark(lo, hi, bit);
-                    }
-                }
-                continue;
-            }
-
-            ADBA_ENSURES_MSG(!(cnt[0] > t && cnt[1] > t),
-                             "conflicting Ben-Or proposals above t");
-            if (cnt[0] > 2 * t || cnt[1] > 2 * t) {
-                t_fin_.mark(lo, hi, bit);
-                if (cnt[1] > 2 * t && !(cnt[0] > 2 * t)) t_val1_.mark(lo, hi, bit);
-                continue;
-            }
-            bool adopted = false;
-            Bit vb = 0;
-            for (Bit b : {Bit{0}, Bit{1}}) {
-                if (cnt[b] > t) {
-                    vb = b;
-                    adopted = true;
-                }
-            }
-            if (adopted) {
-                if (vb != 0) t_val1_.mark(lo, hi, bit);
-            } else {
-                t_coin_.mark(lo, hi, bit);  // private per-cell draw at write
-            }
-        }
-    }
-
-    t_fin_.sweep(m_fin_.data(), n);
-    t_val1_.sweep(m_val1_.data(), n);
-    t_coin_.sweep(m_coin_.data(), n);
-
+    const auto t = static_cast<std::int32_t>(params_.t);
+    // 2 * count > n + t, as count > floor((n + t) / 2).
+    const auto report_quorum = static_cast<std::int32_t>((n + params_.t) / 2);
+    const std::uint64_t active = frame.active;
     const bool last_phase = p + 1 >= params_.phases;
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+
+    // A proposal counts only with its flag (flag 0 is the ⊥ proposal).
+    fold_.prepare(frame, {kind, p, /*require_flag=*/round2});
+    fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
         if (!round2) {
-            const std::uint64_t prop = m_fin_[v] & act;
-            proposing_[v] = (proposing_[v] & ~act) | prop;
-            proposal_[v] = (proposal_[v] & ~prop) | (m_val1_[v] & act);
-            continue;
-        }
-        std::uint64_t v1 = m_val1_[v];
-        std::uint64_t cm = m_coin_[v] & act;
-        if (cm != 0) {
-            Xoshiro256* streams =
-                &rng_[static_cast<std::size_t>(v) * net::kFusedLanes];
-            for (; cm != 0; cm &= cm - 1) {
-                const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
-                if (streams[j].bit() != 0) v1 |= std::uint64_t{1} << j;
+            // Report round: propose the value past the (n+t)/2 quorum; at
+            // most one can pass it (counts total at most n).
+            const std::uint64_t p1 = lanes_greater(c.c1, report_quorum) & active;
+            const std::uint64_t prop = (lanes_greater(c.c0, report_quorum) & active) | p1;
+            for (NodeId v = lo; v < hi; ++v) {
+                const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+                proposing_[v] = (proposing_[v] & ~act) | (prop & act);
+                proposal_[v] = (proposal_[v] & ~(prop & act)) | (p1 & act);
             }
+            return;
         }
-        val_[v] = (val_[v] & ~act) | (v1 & act);
-        const std::uint64_t fin = m_fin_[v] & act;
-        decided_[v] |= fin;
-        flushing_[v] |= fin;
-        proposing_[v] |= fin;
-        proposal_[v] = (proposal_[v] & ~fin) | (m_val1_[v] & fin);
-        if (last_phase) halted_[v] |= act & ~fin;
-    }
+
+        // Propose round: more than 2t proposals of a value decide it, more
+        // than t adopt it; otherwise the private coin.
+        const std::uint64_t a0 = lanes_greater(c.c0, t) & active;
+        const std::uint64_t a1 = lanes_greater(c.c1, t) & active;
+        ADBA_ENSURES_MSG((a0 & a1) == 0, "conflicting Ben-Or proposals above t");
+        const std::uint64_t fin = (lanes_greater(c.c0, 2 * t) | lanes_greater(c.c1, 2 * t)) & active;
+        const std::uint64_t draw = active & ~(a0 | a1);
+        for (NodeId v = lo; v < hi; ++v) {
+            const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+            std::uint64_t v1 = a1;
+            const std::uint64_t cm = draw & act;
+            if (cm != 0) {
+                Xoshiro256* streams = &rng_[static_cast<std::size_t>(v) * net::kFusedLanes];
+                for (std::uint64_t l = cm; l != 0; l &= l - 1) {
+                    const unsigned j = static_cast<unsigned>(std::countr_zero(l));
+                    if (streams[j].bit() != 0) v1 |= std::uint64_t{1} << j;
+                }
+            }
+            val_[v] = (val_[v] & ~act) | (v1 & act);
+            const std::uint64_t fin_v = fin & act;
+            decided_[v] |= fin_v;
+            flushing_[v] |= fin_v;
+            proposing_[v] |= fin_v;
+            proposal_[v] = (proposal_[v] & ~fin_v) | (a1 & fin_v);
+            if (last_phase) halted_[v] |= act & ~fin_v;
+        }
+    });
 }
 
 }  // namespace adba::base

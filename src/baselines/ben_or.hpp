@@ -98,10 +98,12 @@ private:
 };
 
 /// 64-lane Ben-Or over the fused trial plane (net/fused_plane.hpp): report
-/// and propose quorums become per-(lane, segment) exact counts fed by
-/// one two-column kern::lane_counts pass; the private coin draws from the focused
-/// (node, lane) stream exactly where the scalar case-3 path would.
-/// Bit-identical to BenOrBatch lane by lane.
+/// and propose quorums are lane masks over the fold's exact counts (one
+/// kern::lanes_greater compare each), decided once per receiver segment for
+/// all 64 lanes; the conflict check is one word check over the active
+/// lanes, and the private coin draws from the focused (node, lane) stream
+/// exactly where the scalar case-3 path would. Bit-identical to BenOrBatch
+/// lane by lane.
 class FusedBenOr final : public net::FusedProtocol {
 public:
     explicit FusedBenOr(const BenOrParams& params);
@@ -123,10 +125,7 @@ private:
     std::vector<std::uint64_t> flushing_;
     std::vector<std::uint64_t> halted_;
     std::vector<Xoshiro256> rng_;  ///< lane-major per node: rng_[v*64+j]
-    // Recycled receive scratch.
-    net::SegmentFold fold_;
-    net::LaneToggles t_fin_, t_val1_, t_coin_;
-    std::vector<std::uint64_t> m_fin_, m_val1_, m_coin_;
+    net::SegmentFold fold_;  ///< recycled receive scratch
 };
 
 std::vector<std::unique_ptr<net::HonestNode>> make_ben_or_nodes(

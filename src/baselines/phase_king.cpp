@@ -183,9 +183,6 @@ void FusedPhaseKing::rearm(const std::uint64_t* input_plane,
     strong_.assign(n, 0);
     decided_.assign(n, 0);
     halted_.assign(n, 0);
-    m_maj_.assign(n, 0);
-    m_strong_.assign(n, 0);
-    m_kv_.assign(n, 0);
 }
 
 void FusedPhaseKing::send_round(Round r, net::FusedFrame& frame) {
@@ -208,79 +205,44 @@ void FusedPhaseKing::send_round(Round r, net::FusedFrame& frame) {
 }
 
 void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
-    const NodeId n = params_.n;
+    using net::kern::lanes_greater;
     const Phase k = r / 2;
+    const std::uint64_t active = frame.active;
 
     if ((r % 2) == 0) {
-        Count h[2][net::kFusedLanes];
-        net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
-            w[0] = frame.sent[v] & ~frame.val[v];
-            w[1] = frame.sent[v] & frame.val[v];
-        }, h);
-
-        t_maj_.reset(n);
-        t_strong_.reset(n);
+        // 2 * mult > n + 2t, as mult > floor((n + 2t) / 2).
+        const auto strong_bound =
+            static_cast<std::int32_t>((params_.n + 2 * static_cast<std::uint64_t>(params_.t)) / 2);
         fold_.prepare(frame, {net::MsgKind::PhaseKingSend, k});
-        for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
-            const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-            const std::uint64_t bit = std::uint64_t{1} << j;
-            for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
-                const NodeId lo = seg.lo;
-                const NodeId hi = seg.hi;
-                const Count cnt[2] = {static_cast<Count>(h[0][j] + seg.c0),
-                                      static_cast<Count>(h[1][j] + seg.c1)};
-                const Bit maj = cnt[1] > cnt[0] ? Bit{1} : Bit{0};
-                const Count mult = cnt[maj];
-                if (maj != 0) t_maj_.mark(lo, hi, bit);
-                if (2 * static_cast<std::uint64_t>(mult) >
-                    params_.n + 2 * static_cast<std::uint64_t>(params_.t))
-                    t_strong_.mark(lo, hi, bit);
+        fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
+            const std::uint64_t maj = lanes_greater(c.c1, c.c0) & active;
+            const std::uint64_t strong = ((maj & lanes_greater(c.c1, strong_bound)) |
+                                          (~maj & lanes_greater(c.c0, strong_bound))) &
+                                         active;
+            for (NodeId v = lo; v < hi; ++v) {
+                const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
+                maj_[v] = (maj_[v] & ~act) | (maj & act);
+                strong_[v] = (strong_[v] & ~act) | (strong & act);
             }
-        }
-        t_maj_.sweep(m_maj_.data(), n);
-        t_strong_.sweep(m_strong_.data(), n);
-        for (NodeId v = 0; v < n; ++v) {
-            const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
-            maj_[v] = (maj_[v] & ~act) | (m_maj_[v] & act);
-            strong_[v] = (strong_[v] & ~act) | (m_strong_[v] & act);
-        }
+        });
         return;
     }
 
-    // Round 2: the king's value per lane. Honest kings are lane-uniform
-    // (one broadcast plane read); corrupted kings deliver per segment, from
-    // the shared row or the lane's own; a silent/corrupted king defaults to
-    // 0 at every node.
+    // Round 2: the king's value, counted from the king alone — its honest
+    // broadcast, or the row a corrupted king sends (shared or the lane's
+    // own); a silent/corrupted king defaults to 0 at every node.
     const NodeId king = params_.king_of(k);
-    t_kv_.reset(n);
-    const std::uint64_t honest_kv =
-        frame.sent[king] & frame.val[king] & ~frame.byz[king];
-    if (honest_kv != 0) t_kv_.mark(0, n, honest_kv & frame.active);
-    const auto kv = [&](const net::Message* m) {
-        return m != nullptr && m->kind == net::MsgKind::PhaseKingRuler && m->phase == k &&
-               (m->val & 1) != 0;
-    };
-    for (std::uint64_t lanes = frame.active & frame.byz[king]; lanes != 0;
-         lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const std::uint64_t bit = std::uint64_t{1} << j;
-        const net::FusedRow* row = frame.row_of(j, king);
-        if (row == nullptr) continue;
-        if (row->boundary > 0 && kv(row->has_low ? &row->low : nullptr))
-            t_kv_.mark(0, row->boundary, bit);
-        if (row->boundary < n && kv(row->has_high ? &row->high : nullptr))
-            t_kv_.mark(row->boundary, n, bit);
-    }
-    t_kv_.sweep(m_kv_.data(), n);
-
     const bool last_phase = k + 1 == params_.phases();
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
-        const std::uint64_t nv =
-            (strong_[v] & maj_[v]) | (~strong_[v] & m_kv_[v]);
-        val_[v] = (val_[v] & ~act) | (nv & act);
-        if (last_phase) halted_[v] |= act;
-    }
+    fold_.prepare(frame, {net::MsgKind::PhaseKingRuler, k, false, 0, 0, king, king + 1});
+    fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
+        const std::uint64_t kv = lanes_greater(c.c1, 0) & active;
+        for (NodeId v = lo; v < hi; ++v) {
+            const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
+            const std::uint64_t nv = (strong_[v] & maj_[v]) | (~strong_[v] & kv);
+            val_[v] = (val_[v] & ~act) | (nv & act);
+            if (last_phase) halted_[v] |= act;
+        }
+    });
 }
 
 }  // namespace adba::base

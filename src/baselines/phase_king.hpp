@@ -96,13 +96,13 @@ private:
     std::vector<std::uint8_t> halted_;
 };
 
-/// 64-lane Phase-King over the fused trial plane: round-1 majorities from
-/// one two-column kern::lane_counts pass plus the fold per (lane, segment);
-/// the round-2 king probe is lane-uniform for honest kings (one plane read)
-/// and per-(lane, segment) for corrupted ones. mult_ never materializes —
-/// only the "2·mult > n + 2t" predicate survives round 1, stored as the
-/// strong_ plane. No RNG at all. Bit-identical to PhaseKingBatch lane by
-/// lane.
+/// 64-lane Phase-King over the fused trial plane: round-1 majorities are
+/// one lane-vector compare of the fold's counts (c1 > c0) per receiver
+/// segment, for all 64 lanes; the round-2 king probe is a fold over the
+/// king alone, whose honest broadcast and Byzantine rows count alike.
+/// mult_ never materializes — only the "2·mult > n + 2t" predicate survives
+/// round 1, stored as the strong_ plane. No RNG at all. Bit-identical to
+/// PhaseKingBatch lane by lane.
 class FusedPhaseKing final : public net::FusedProtocol {
 public:
     explicit FusedPhaseKing(const PhaseKingParams& params);
@@ -122,10 +122,7 @@ private:
     std::vector<std::uint64_t> strong_;  ///< 2·mult > n + 2t, per (node, lane)
     std::vector<std::uint64_t> decided_; ///< all-zero (phase-king never decides)
     std::vector<std::uint64_t> halted_;
-    // Recycled receive scratch.
-    net::SegmentFold fold_;
-    net::LaneToggles t_maj_, t_strong_, t_kv_;
-    std::vector<std::uint64_t> m_maj_, m_strong_, m_kv_;
+    net::SegmentFold fold_;  ///< recycled receive scratch
 };
 
 std::vector<std::unique_ptr<net::HonestNode>> make_phase_king_nodes(

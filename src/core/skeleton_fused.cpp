@@ -25,11 +25,6 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     finish_.assign(n, 0);
     flushing_.assign(n, 0);
     halted_.assign(n, 0);
-    m_dec_.assign(n, 0);
-    m_val1_.assign(n, 0);
-    m_fin_.assign(n, 0);
-    m_coin_.assign(n, 0);
-    m_sign_.assign(n, 0);
     // Per-cell streams identical to the scalar batches': lane j's stream
     // (NodeProtocol, v), consumed only by cell (v, j). Committee flips draw
     // statelessly (committee_flip); only the Local coin's case-3 draws keep
@@ -85,160 +80,97 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
 }
 
 void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
-    const NodeId n = cfg_.n;
+    using net::kern::lanes_greater;
     const Phase p = r / 2;
     const bool round2 = (r % 2) != 0;
     const net::MsgKind kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
-    const Count quorum = cfg_.n - cfg_.t;
-    const Count supermin = cfg_.t + 1;
+    // count >= n - t, and count >= t + 1, as count > bound.
+    const auto quorum = static_cast<std::int32_t>(cfg_.n - cfg_.t - 1);
+    const auto supermin = static_cast<std::int32_t>(cfg_.t);
+    const std::uint64_t active = frame.active;
 
-    // Honest per-lane counts: one pass over the planes feeds every lane's
-    // histogram (val_cnt round 1, val_flag_cnt round 2: flagged senders only).
-    const std::uint64_t flag_free = round2 ? 0 : ~std::uint64_t{0};
-    Count h[2][kFusedLanes];
-    net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
-        const std::uint64_t present = frame.sent[v] & (frame.flag[v] | flag_free);
-        w[0] = present & ~frame.val[v];
-        w[1] = present & frame.val[v];
-    }, h);
-
+    // Round 2 counts flagged senders only (val_flag_cnt), and the committee
+    // coin adds its members' flips.
     NodeId flip_first = 0, flip_last = 0;
-    std::int64_t hcoin[kFusedLanes] = {};
-    const bool committee =
-        round2 && coin_.kind == CoinSpec::Kind::Committee;
-    if (committee) {
+    if (round2 && coin_.kind == CoinSpec::Kind::Committee) {
         const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
         flip_first = range.first;
         flip_last = range.second;
-        // Honest committee coin sum per lane (coin planes are nonzero only
-        // inside the flip range; mask with sent so corrupted members drop
-        // out exactly as the shared tally drops Byzantine senders).
-        Count c[2][kFusedLanes];
-        net::kern::lane_counts<2>(flip_first, flip_last, [&](NodeId v, std::uint64_t* w) {
-            w[0] = frame.sent[v] & frame.coinp[v];
-            w[1] = frame.sent[v] & frame.coinn[v];
-        }, c);
-        for (unsigned j = 0; j < kFusedLanes; ++j)
-            hcoin[j] = static_cast<std::int64_t>(c[0][j]) - c[1][j];
     }
-
-    t_dec_.reset(n);
-    t_val1_.reset(n);
-    if (round2) {
-        t_fin_.reset(n);
-        t_coin_.reset(n);
-    }
-    const bool sign = round2 && frame.has_sign;
-    if (sign) t_sign_.reset(n);
-
     fold_.prepare(frame, {kind, p, round2, flip_first, flip_last});
-    for (std::uint64_t lanes = frame.active; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const std::uint64_t bit = std::uint64_t{1} << j;
-        bool dealer_drawn = false;
-        Bit dealer_bit = 0;
-
-        for (const net::FoldSegment& seg : fold_.lane(frame, j)) {
-            const NodeId lo = seg.lo;
-            const NodeId hi = seg.hi;
-            const Count cnt[2] = {static_cast<Count>(h[0][j] + seg.c0),
-                                  static_cast<Count>(h[1][j] + seg.c1)};
-            const std::int64_t coin_delta = seg.coin;
-
-            if (!round2) {
-                ADBA_ENSURES_MSG(!(cnt[0] >= quorum && cnt[1] >= quorum),
-                                 "two n-t quorums cannot coexist (t < n/3)");
-                if (cnt[0] >= quorum) {
-                    t_dec_.mark(lo, hi, bit);
-                } else if (cnt[1] >= quorum) {
-                    t_dec_.mark(lo, hi, bit);
-                    t_val1_.mark(lo, hi, bit);
-                }
-                continue;
-            }
-
-            ADBA_ENSURES_MSG(!(cnt[0] >= supermin && cnt[1] >= supermin),
-                             "Lemma 3 violated: decided quorums for both values");
-            bool fin = false, dec = false;
-            Bit b = 0;
-            if (cnt[0] >= quorum) {
-                fin = dec = true;
-            } else if (cnt[1] >= quorum) {
-                fin = dec = true;
-                b = 1;
-            } else if (cnt[0] >= supermin) {
-                dec = true;
-            } else if (cnt[1] >= supermin) {
-                dec = true;
-                b = 1;
-            }
-            if (dec) {
-                t_dec_.mark(lo, hi, bit);
-                if (fin) t_fin_.mark(lo, hi, bit);
-                if (b != 0) t_val1_.mark(lo, hi, bit);
-                continue;
-            }
-            // Case 3: adopt the phase coin.
-            switch (coin_.kind) {
-                case CoinSpec::Kind::Committee:
-                    // The coin-sign row adds +coin_sign or -coin_sign: both
-                    // signs adopt 1, neither does, or the sign plane says.
-                    if (hcoin[j] + coin_delta - seg.coin_sign >= 0)
-                        t_val1_.mark(lo, hi, bit);
-                    else if (hcoin[j] + coin_delta + seg.coin_sign >= 0)
-                        t_sign_.mark(lo, hi, bit);
-                    break;
-                case CoinSpec::Kind::Dealer:
-                    if (!dealer_drawn) {
-                        dealer_bit = coin_.dealer(dealer_seed_[j], p);
-                        dealer_drawn = true;
-                    }
-                    if (dealer_bit != 0) t_val1_.mark(lo, hi, bit);
-                    break;
-                case CoinSpec::Kind::Local:
-                    t_coin_.mark(lo, hi, bit);  // per-cell draw at the write
-                    break;
-            }
-        }
-    }
-
-    t_dec_.sweep(m_dec_.data(), n);
-    t_val1_.sweep(m_val1_.data(), n);
-    if (round2) {
-        t_fin_.sweep(m_fin_.data(), n);
-        t_coin_.sweep(m_coin_.data(), n);
-    }
-    if (sign) t_sign_.sweep(m_sign_.data(), n);
 
     const bool last_phase =
         cfg_.mode == AgreementMode::WhpFixedPhases && p + 1 == cfg_.phases;
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+    std::uint64_t dealer_drawn = 0, dealer_ones = 0;
+    fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
+        const std::uint64_t q0 = lanes_greater(c.c0, quorum) & active;
+        const std::uint64_t q1 = lanes_greater(c.c1, quorum) & active;
         if (!round2) {
+            ADBA_ENSURES_MSG((q0 & q1) == 0, "two n-t quorums cannot coexist (t < n/3)");
             // Round 1: val is written only where a quorum decided.
-            const std::uint64_t dw = m_dec_[v] & act;
-            val_[v] = (val_[v] & ~dw) | (m_val1_[v] & act);
-            decided_[v] = (decided_[v] & ~act) | dw;
-            continue;
+            const std::uint64_t dec = q0 | q1;
+            for (NodeId v = lo; v < hi; ++v) {
+                const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+                const std::uint64_t dw = dec & act;
+                val_[v] = (val_[v] & ~dw) | (q1 & act);
+                decided_[v] = (decided_[v] & ~act) | dw;
+            }
+            return;
         }
-        // Round 2: every active receiver writes val (case 1/2 adopt b,
-        // case 3 adopts the coin).
-        std::uint64_t v1 = m_val1_[v];
-        if (sign) v1 |= m_sign_[v] & frame.sign[v];
-        std::uint64_t cm = m_coin_[v] & act;
-        if (cm != 0) {
-            for (; cm != 0; cm &= cm - 1) {
+
+        // Round 2: a value with t+1 flagged votes is decided (finished with
+        // n-t); otherwise case 3 adopts the phase coin.
+        const std::uint64_t s0 = lanes_greater(c.c0, supermin) & active;
+        const std::uint64_t s1 = lanes_greater(c.c1, supermin) & active;
+        ADBA_ENSURES_MSG((s0 & s1) == 0, "Lemma 3 violated: decided quorums for both values");
+        const std::uint64_t dec = s0 | s1;
+        const std::uint64_t fin = q0 | q1;
+        const std::uint64_t case3 = active & ~dec;
+        std::uint64_t val1 = s1;
+        std::uint64_t by_sign = 0;  // case-3 lanes whose receiver adopts its coin-sign bit
+        std::uint64_t by_draw = 0;  // case-3 lanes that draw a private coin per cell
+        switch (coin_.kind) {
+            case CoinSpec::Kind::Committee: {
+                // The coin-sign row adds +coin_sign or -coin_sign: both
+                // signs adopt 1, neither does, or the sign plane says.
+                std::int32_t low[net::kFusedLanes], high[net::kFusedLanes];
+                for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                    low[j] = c.coin[j] - c.coin_sign[j];
+                    high[j] = c.coin[j] + c.coin_sign[j];
+                }
+                const std::uint64_t low_ones = lanes_greater(low, -1);
+                val1 |= case3 & low_ones;
+                by_sign = case3 & ~low_ones & lanes_greater(high, -1);
+                break;
+            }
+            case CoinSpec::Kind::Dealer:
+                for (std::uint64_t l = case3 & ~dealer_drawn; l != 0; l &= l - 1) {
+                    const unsigned j = static_cast<unsigned>(std::countr_zero(l));
+                    if (coin_.dealer(dealer_seed_[j], p) != 0) dealer_ones |= std::uint64_t{1} << j;
+                }
+                dealer_drawn |= case3;
+                val1 |= case3 & dealer_ones;
+                break;
+            case CoinSpec::Kind::Local:
+                by_draw = case3;
+                break;
+        }
+        for (NodeId v = lo; v < hi; ++v) {
+            const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+            std::uint64_t v1 = val1;
+            if (by_sign != 0) v1 |= by_sign & frame.sign[v];
+            for (std::uint64_t cm = by_draw & act; cm != 0; cm &= cm - 1) {
                 const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
                 if (cell_rng(v, j).bit() != 0) v1 |= std::uint64_t{1} << j;
             }
+            val_[v] = (val_[v] & ~act) | (v1 & act);
+            decided_[v] = (decided_[v] & ~act) | (dec & act);
+            const std::uint64_t fin_v = fin & act;
+            finish_[v] |= fin_v;
+            flushing_[v] |= fin_v;  // finishers flush through the next phase
+            if (last_phase) halted_[v] |= act & ~fin_v;  // fixed-phase exhaustion
         }
-        val_[v] = (val_[v] & ~act) | (v1 & act);
-        decided_[v] = (decided_[v] & ~act) | (m_dec_[v] & act);
-        const std::uint64_t fin = m_fin_[v] & act;
-        finish_[v] |= fin;
-        flushing_[v] |= fin;  // finishers flush through the next phase
-        if (last_phase) halted_[v] |= act & ~fin;  // fixed-phase exhaustion
-    }
+    });
 }
 
 }  // namespace adba::core

@@ -6,20 +6,20 @@
 // lane) randomness draws in the same order — so lane j of a fused block is
 // bit-identical to the scalar trial seeded with lane j's SeedTree. The trick
 // that keeps receive word-parallel under Byzantine pressure: supported
-// adversaries deliver piecewise-constant split_as patterns, so a lane's
-// per-receiver counts are constant on the segments its pattern boundaries
-// cut (net::SegmentFold) — every threshold decision is evaluated once per
-// (lane, segment) and materialized for all receivers with one prefix-XOR
-// sweep (LaneToggles).
+// adversaries deliver piecewise-constant split_as patterns, so every lane's
+// per-receiver counts are constant between the boundaries of all lanes'
+// rows (net::SegmentFold), and each receive rule is mask algebra over
+// kern::lanes_greater compares, decided once per segment for all 64 lanes:
+// round 1 is dec = Q0|Q1, val1 = Q1; round 2 is dec = S0|S1, fin = Q0|Q1,
+// val1 = S1, case3 = active & ~dec (Q = n-t quorum, S = t+1 support).
 //
-// Honest counts come from kern::lane_counts, one pass per beat. The coin
-// hooks are SkeletonBatch's CoinSpec: Committee sums are a two-column
-// lane_counts pass over the committee (honest part) plus per-(lane, segment)
-// Byzantine coin sums from the fold, and a coin-sign row splits a segment's
-// case 3 into two outcomes that the sign plane selects per receiver. Dealer
-// coins are the pure coin function under each lane's own DealerCoin seed;
-// Local coins draw from the focused (node, lane) stream exactly where the
-// scalar case-3 path would.
+// The coin hooks are SkeletonBatch's CoinSpec. Committee sums come from the
+// fold (honest flips plus Byzantine coins); a coin-sign row splits case 3
+// into two masks, one adopting 1 and one adopting the receiver's sign-plane
+// bit. Dealer coins are the pure coin function under each lane's own
+// DealerCoin seed, drawn once per beat for the lanes some receiver sends to
+// case 3; Local coins draw from the focused (node, lane) stream exactly
+// where the scalar case-3 path would.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +93,7 @@ private:
         return g;
     }
 
-    // Recycled receive scratch.
-    net::SegmentFold fold_;
-    net::LaneToggles t_dec_, t_val1_, t_fin_, t_coin_, t_sign_;
-    /// m_sign_: lanes whose receiver v adopts 1 iff its coin-sign bit says +1.
-    std::vector<std::uint64_t> m_dec_, m_val1_, m_fin_, m_coin_, m_sign_;
+    net::SegmentFold fold_;  ///< recycled receive scratch
 };
 
 }  // namespace adba::core

@@ -397,93 +397,154 @@ void FusedBlock::act_uniform(Adversary* const* advs, Round r, std::uint64_t acti
 
 // --------------------------------------------------------------- SegmentFold
 
+SegmentFold::Unit SegmentFold::classify(const Message* m) const {
+    Unit u;
+    if (m == nullptr || m->kind != q_.kind || m->phase != q_.phase) return u;
+    if (!q_.require_flag || m->flag != 0) ((m->val & 1) != 0 ? u.c1 : u.c0) = 1;
+    u.coin = m->coin > 0 ? 1 : m->coin < 0 ? -1 : 0;
+    return u;
+}
+
+void SegmentFold::apply(const Delta& d) {
+    if (d.lane < kFusedLanes) {
+        counts_.c0[d.lane] += d.d.c0;
+        counts_.c1[d.lane] += d.d.c1;
+        counts_.coin[d.lane] += d.d.coin;
+        return;
+    }
+    for (unsigned j = 0; j < kFusedLanes; ++j) {
+        counts_.c0[j] += shared_weight_[j] * d.d.c0;
+        counts_.c1[j] += shared_weight_[j] * d.d.c1;
+        counts_.coin[j] += shared_coin_[j] * d.d.coin;
+    }
+}
+
 void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
-    q_ = q;
-    // The all-node weights are frame.shared_senders; only the coin range
-    // needs a count.
-    if (frame.has_shared)
-        kern::lane_counts<1>(q.coin_first, std::min(q.coin_last, frame.n()),
-                             [&](NodeId v, std::uint64_t* w) { w[0] = frame.shared[v]; },
-                             &coin_weight_);
-    else
-        std::fill(std::begin(coin_weight_), std::end(coin_weight_), Count{0});
-    if (frame.has_sign)
-        kern::lane_counts<1>(std::max(q.coin_first, frame.sign_first),
-                             std::min(q.coin_last, frame.sign_last),
-                             [&](NodeId v, std::uint64_t* w) {
-                                 w[0] = frame.byz[v] & frame.sign_lanes;
-                             },
-                             &sign_weight_);
-}
-
-SegmentFold::Counts SegmentFold::classify(const Message* m, std::int32_t weight,
-                                          std::int32_t coin_weight) const {
-    Counts c;
-    if (m == nullptr || m->kind != q_.kind || m->phase != q_.phase) return c;
-    if (!q_.require_flag || m->flag != 0) ((m->val & 1) != 0 ? c.c1 : c.c0) = weight;
-    c.coin = m->coin > 0 ? coin_weight : m->coin < 0 ? -coin_weight : 0;
-    return c;
-}
-
-void SegmentFold::add_row(const FusedRow& row, std::int32_t weight, std::int32_t coin_weight,
-                          NodeId n) {
-    const Counts low = classify(row.has_low ? &row.low : nullptr, weight, coin_weight);
-    const Counts high = classify(row.has_high ? &row.high : nullptr, weight, coin_weight);
-    // Receiver 0 sees the low side unless the boundary is 0.
-    const Counts& first = row.boundary > 0 ? low : high;
-    c0_ += first.c0;
-    c1_ += first.c1;
-    coin_ += first.coin;
-    if (row.boundary > 0 && row.boundary < n && !(high == low))
-        deltas_.push_back({row.boundary,
-                           {high.c0 - low.c0, high.c1 - low.c1, high.coin - low.coin}});
-}
-
-const std::vector<FoldSegment>& SegmentFold::lane(const FusedFrame& frame, unsigned j) {
     const NodeId n = frame.n();
-    c0_ = c1_ = coin_ = coin_sign_ = 0;
+    q_ = q;
+    n_ = n;
     deltas_.clear();
-    for (const FusedRow& row : frame.rows(j))
-        add_row(row, 1, row.sender >= q_.coin_first && row.sender < q_.coin_last ? 1 : 0, n);
-    if (frame.shared_senders[j] != 0)
-        add_row(frame.shared_row, static_cast<std::int32_t>(frame.shared_senders[j]),
-                static_cast<std::int32_t>(coin_weight_[j]), n);
-    if (frame.has_sign && frame.sign_senders[j] != 0) {
-        // Its counts are the same for every receiver; only the coin sign
-        // varies, so the weight goes to the receiver.
-        const Counts c =
-            classify(&frame.sign_msg, static_cast<std::int32_t>(frame.sign_senders[j]), 0);
-        c0_ += c.c0;
-        c1_ += c.c1;
-        if (frame.sign_msg.kind == q_.kind && frame.sign_msg.phase == q_.phase)
-            coin_sign_ = sign_weight_[j];
+    const NodeId from_first = std::min(q.from_first, n);
+    const NodeId from_last = std::min(q.from_last, n);
+    const NodeId coin_first = std::min(q.coin_first, n);
+    const NodeId coin_last = std::min(q.coin_last, n);
+    const bool every_sender = from_first == 0 && from_last == n;
+
+    // Honest broadcasts all carry the frame's (kind, phase) and reach every
+    // receiver. When only some senders count, the same pass counts the
+    // shared row's senders among them; otherwise those are its per-lane
+    // sender counts.
+    const std::uint64_t honest =
+        frame.kind == q.kind && frame.phase == q.phase ? ~std::uint64_t{0} : 0;
+    const std::uint64_t flag_free = q.require_flag ? 0 : ~std::uint64_t{0};
+    Count h[3][kFusedLanes];
+    const auto by_val = [&](NodeId v, std::uint64_t* w) {
+        const std::uint64_t present = frame.sent[v] & (frame.flag[v] | flag_free) & honest;
+        w[0] = present & ~frame.val[v];
+        w[1] = present & frame.val[v];
+    };
+    if (every_sender) {
+        kern::lane_counts<2>(0, n, by_val, h);
+        std::copy(std::begin(frame.shared_senders), std::end(frame.shared_senders), h[2]);
+    } else {
+        kern::lane_counts<3>(from_first, from_last, [&](NodeId v, std::uint64_t* w) {
+            by_val(v, w);
+            w[2] = frame.shared[v];
+        }, h);
     }
-    // Insertion sort: the delta list is tiny and the supported adversaries
-    // share one split boundary, so it is already sorted — std::sort's
-    // dispatch overhead would dominate the actual work.
-    for (std::size_t a = 1; a < deltas_.size(); ++a) {
-        const Delta d = deltas_[a];
-        std::size_t b = a;
-        while (b > 0 && deltas_[b - 1].boundary > d.boundary) {
-            deltas_[b] = deltas_[b - 1];
-            --b;
+    // The honest coin sum and the shared row's committee senders.
+    Count c[3][kFusedLanes] = {};
+    if (coin_first < coin_last)
+        kern::lane_counts<3>(coin_first, coin_last, [&](NodeId v, std::uint64_t* w) {
+            w[0] = frame.sent[v] & frame.coinp[v] & honest;
+            w[1] = frame.sent[v] & frame.coinn[v] & honest;
+            w[2] = frame.shared[v];
+        }, c);
+    for (unsigned j = 0; j < kFusedLanes; ++j) {
+        counts_.c0[j] = static_cast<std::int32_t>(h[0][j]);
+        counts_.c1[j] = static_cast<std::int32_t>(h[1][j]);
+        counts_.coin[j] = static_cast<std::int32_t>(c[0][j]) - static_cast<std::int32_t>(c[1][j]);
+        counts_.coin_sign[j] = 0;
+        shared_weight_[j] = frame.has_shared ? static_cast<std::int32_t>(h[2][j]) : 0;
+        shared_coin_[j] = frame.has_shared ? static_cast<std::int32_t>(c[2][j]) : 0;
+    }
+
+    // The shared row, weighted per lane: receiver 0 sees the low side
+    // unless the boundary is 0.
+    if (frame.has_shared) {
+        const FusedRow& row = frame.shared_row;
+        const Unit low = classify(row.has_low ? &row.low : nullptr);
+        const Unit high = classify(row.has_high ? &row.high : nullptr);
+        const Unit& first = row.boundary > 0 ? low : high;
+        for (unsigned j = 0; j < kFusedLanes; ++j) {
+            counts_.c0[j] += shared_weight_[j] * first.c0;
+            counts_.c1[j] += shared_weight_[j] * first.c1;
+            counts_.coin[j] += shared_coin_[j] * first.coin;
         }
-        deltas_[b] = d;
+        if (row.boundary > 0 && row.boundary < n && !(high == low))
+            deltas_.push_back({row.boundary, kFusedLanes, high - low});
     }
-    segs_.clear();
-    NodeId lo = 0;
-    for (std::size_t dp = 0;;) {
-        while (dp < deltas_.size() && deltas_[dp].boundary == lo) {
-            c0_ += deltas_[dp].d.c0;
-            c1_ += deltas_[dp].d.c1;
-            coin_ += deltas_[dp].d.coin;
-            ++dp;
+
+    // The coin-sign row: its counts are the same for every receiver; only
+    // the coin sign varies, so its coin weight goes to the receiver.
+    if (frame.has_sign) {
+        const auto byz_senders = [&](NodeId lo, NodeId hi, Count (*out)[kFusedLanes]) {
+            kern::lane_counts<1>(std::max(lo, frame.sign_first), std::min(hi, frame.sign_last),
+                                 [&](NodeId v, std::uint64_t* w) {
+                                     w[0] = frame.byz[v] & frame.sign_lanes;
+                                 },
+                                 out);
+        };
+        Count weight[1][kFusedLanes], coin_weight[1][kFusedLanes] = {};
+        if (every_sender)
+            std::copy(std::begin(frame.sign_senders), std::end(frame.sign_senders), weight[0]);
+        else
+            byz_senders(from_first, from_last, weight);
+        const bool coined = frame.sign_msg.kind == q.kind && frame.sign_msg.phase == q.phase;
+        if (coined) byz_senders(coin_first, coin_last, coin_weight);
+        const Unit u = classify(&frame.sign_msg);
+        for (unsigned j = 0; j < kFusedLanes; ++j) {
+            counts_.c0[j] += static_cast<std::int32_t>(weight[0][j]) * u.c0;
+            counts_.c1[j] += static_cast<std::int32_t>(weight[0][j]) * u.c1;
+            counts_.coin_sign[j] = static_cast<std::int32_t>(coin_weight[0][j]);
         }
-        const NodeId hi = dp < deltas_.size() ? deltas_[dp].boundary : n;
-        segs_.push_back({lo, hi, c0_, c1_, coin_, coin_sign_});
-        if (hi == n) return segs_;
-        lo = hi;
     }
+
+    // Each lane's own rows, at unit weight where their sender counts.
+    for (std::uint64_t lanes = frame.row_lanes() & frame.active; lanes != 0;
+         lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        for (const FusedRow& row : frame.rows(j)) {
+            const bool counted = row.sender >= from_first && row.sender < from_last;
+            const bool coined = row.sender >= coin_first && row.sender < coin_last;
+            if (!counted && !coined) continue;
+            const auto side = [&](bool has, const Message& m) {
+                Unit u = classify(has ? &m : nullptr);
+                if (!counted) u.c0 = u.c1 = 0;
+                if (!coined) u.coin = 0;
+                return u;
+            };
+            const Unit low = side(row.has_low, row.low);
+            const Unit high = side(row.has_high, row.high);
+            const Unit& first = row.boundary > 0 ? low : high;
+            counts_.c0[j] += first.c0;
+            counts_.c1[j] += first.c1;
+            counts_.coin[j] += first.coin;
+            if (row.boundary == 0 || row.boundary >= n || high == low) continue;
+            // A lane's set playing one row through the bridge cuts at one
+            // boundary: one delta per run of equal cuts.
+            if (!deltas_.empty() && deltas_.back().lane == j &&
+                deltas_.back().boundary == row.boundary)
+                deltas_.back().d = deltas_.back().d + (high - low);
+            else
+                deltas_.push_back({row.boundary, j, high - low});
+        }
+    }
+    // Rows that share one cut (a shared row, a bridged lane-uniform set)
+    // arrive sorted already.
+    const auto by_boundary = [](const Delta& a, const Delta& b) { return a.boundary < b.boundary; };
+    if (!std::is_sorted(deltas_.begin(), deltas_.end(), by_boundary))
+        std::sort(deltas_.begin(), deltas_.end(), by_boundary);
 }
 
 }  // namespace adba::net

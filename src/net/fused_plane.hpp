@@ -37,11 +37,12 @@
 //                      decide early drop out of the active mask and accrue
 //                      nothing; the block retires when the mask is empty or
 //                      the shared round cap fires.
-//   SegmentFold      — the one Byzantine fold of the receive beats: a lane's
-//                      rows (its own plus the shared row, weighted by its
-//                      sender count) as per-receiver-segment counts, plus
-//                      the coin-sign row's weight, which a receiver adds or
-//                      subtracts as the sign plane says.
+//   SegmentFold      — the one count of the receive beats: every lane's
+//                      honest and Byzantine counts (its own rows, the shared
+//                      row weighted by its sender count, the coin-sign row)
+//                      as 64-lane int32 vectors, receiver segment by
+//                      receiver segment. A protocol decides all 64 lanes of
+//                      a segment at once with kern::lanes_greater masks.
 //
 // Determinism contract: per-lane seeds come from the same index-derived
 // SeedTree chain as scalar trials, every (node, lane) RNG stream is private,
@@ -51,8 +52,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -71,8 +74,8 @@ inline constexpr unsigned kFusedLanes = 64;
 /// One Byzantine split_as pattern from one lane's adversary: `low` to
 /// receivers below `boundary`, `high` to the rest (absent side = silence).
 /// The piecewise-constant shape is what makes fused receive cheap: every
-/// threshold decision is evaluated once per (lane, boundary segment), not
-/// once per receiver.
+/// threshold decision is taken once per segment between the boundaries of
+/// all lanes' rows, for all 64 lanes at once, not once per receiver.
 struct FusedRow {
     NodeId sender = 0;
     NodeId boundary = 0;
@@ -102,6 +105,7 @@ public:
         has_sign = false;  // the sign plane is sized by the first coin-sign row
         patterned_.assign(n, 0);
         for (auto& r : rows_) r.clear();
+        row_lanes_ = 0;
         active = ~std::uint64_t{0};
         kind = MsgKind::None;
         phase = 0;
@@ -121,8 +125,11 @@ public:
         }
         has_shared = false;
         has_sign = false;  // a coin-sign row rewrites its plane and counts whole
-        std::fill(patterned_.begin(), patterned_.end(), 0);
-        for (auto& r : rows_) r.clear();
+        if (row_lanes_ != 0) {
+            std::fill(patterned_.begin(), patterned_.end(), 0);
+            for (; row_lanes_ != 0; row_lanes_ &= row_lanes_ - 1)
+                rows_[std::countr_zero(row_lanes_)].clear();
+        }
     }
 
     NodeId n() const { return n_; }
@@ -130,6 +137,8 @@ public:
     /// Lane j's own Byzantine pattern rows this round (cleared per round);
     /// the shared row comes on top (shared_row / shared).
     const std::vector<FusedRow>& rows(unsigned lane) const { return rows_[lane]; }
+    /// Lanes with at least one row of their own this round.
+    std::uint64_t row_lanes() const { return row_lanes_; }
 
     /// The row `sender` patterns in `lane` this round — the shared row or
     /// one of the lane's own — or nullptr when it sends none. A coin-sign
@@ -155,6 +164,7 @@ public:
         const std::uint64_t bit = std::uint64_t{1} << lane;
         if ((patterned_[sender] & bit) != 0) throw_duplicate_row();
         patterned_[sender] |= bit;
+        row_lanes_ |= bit;
         FusedRow& row = rows_[lane].emplace_back();
         row.sender = sender;
         return row;
@@ -214,6 +224,7 @@ private:
     NodeId n_ = 0;
     std::vector<std::uint64_t> patterned_;  ///< per-round duplicate-row guard
     std::vector<FusedRow> rows_[kFusedLanes];
+    std::uint64_t row_lanes_ = 0;  ///< lanes whose rows_ are non-empty
 };
 
 /// A word-parallel protocol over the fused plane. Implementations mirror
@@ -408,97 +419,93 @@ private:
 
 // ---- shared word-parallel helpers for FusedProtocol implementations ----
 
-/// What a fused receive beat counts from Byzantine deliveries: messages of
-/// (kind, phase) by val & 1 — only those with flag != 0 under
+/// What a fused receive beat counts: messages of (kind, phase) from senders
+/// in [from_first, from_last) by val & 1 — only those with flag != 0 under
 /// require_flag — and the coin sign of every (kind, phase) message whose
-/// sender lies in [coin_first, coin_last) (empty range = no coin).
+/// sender lies in [coin_first, coin_last) (empty range = no coin). Honest
+/// broadcasts and Byzantine rows count alike.
 struct FoldQuery {
     MsgKind kind = MsgKind::None;
     Phase phase = 0;
     bool require_flag = false;
     NodeId coin_first = 0;
     NodeId coin_last = 0;
+    NodeId from_first = 0;
+    NodeId from_last = std::numeric_limits<NodeId>::max();
 };
 
-/// A receiver interval [lo, hi) on which one lane's Byzantine counts are
-/// constant.
-struct FoldSegment {
-    NodeId lo = 0;
-    NodeId hi = 0;
-    std::int64_t c0 = 0;    ///< counted messages with val 0
-    std::int64_t c1 = 0;    ///< counted messages with val 1
-    std::int64_t coin = 0;  ///< committee coin sum
+/// Every lane's counts on one receiver segment, as 64-lane vectors (lane j
+/// at index j), the operands of kern::lanes_greater.
+struct LaneCounts {
+    alignas(64) std::int32_t c0[kFusedLanes];    ///< counted messages with val 0
+    alignas(64) std::int32_t c1[kFusedLanes];    ///< counted messages with val 1
+    alignas(64) std::int32_t coin[kFusedLanes];  ///< committee coin sum
     /// Committee coin weight of the coin-sign row: receiver v's sum gains
     /// +coin_sign where frame.sign[v] holds the lane's bit, -coin_sign
     /// elsewhere (0 without one).
-    std::int64_t coin_sign = 0;
+    alignas(64) std::int32_t coin_sign[kFusedLanes];
 };
 
-/// The Byzantine half of every fused receive beat, once. A row delivers one
-/// side below its boundary and the other from it up, so a lane's counts are
-/// piecewise constant in the receiver: the fold starts from what receiver 0
-/// sees, records each row's side flip as a delta at its boundary, and sweeps
-/// the sorted deltas into segments — O(rows log rows + segments) per lane,
-/// and every threshold decision is taken once per segment. The shared row
-/// enters once per lane, weighted by the lane's sender count
-/// (frame.shared_senders) and, for the coin, its sender count inside the
-/// committee range. The coin-sign row enters the same way, except that its
-/// coin weight is left to the receiver, as FoldSegment::coin_sign.
+/// The one count of every fused receive beat. A row delivers one side below
+/// its boundary and the other from it up, so every lane's counts are
+/// piecewise constant in the receiver: prepare() counts what receiver 0
+/// sees in all lanes — the honest broadcasts (one lane_counts pass), the
+/// shared row weighted by each lane's sender count (frame.shared_senders)
+/// and, for the coin, its sender count inside the committee range, the
+/// coin-sign row likewise, and each lane's own rows — and records each
+/// row's side flip as a delta at its boundary. sweep() then walks the
+/// sorted union of those boundaries, applying only the deltas recorded at
+/// each, so every threshold decision is taken once per segment for all 64
+/// lanes. The coin-sign row's coin weight is left to the receiver, as
+/// LaneCounts::coin_sign.
 class SegmentFold {
 public:
-    /// Once per round, after the adversary beat: the query, and the shared
-    /// and coin-sign rows' per-lane coin weights from one lane_counts pass
-    /// each over their senders in [coin_first, coin_last) only.
+    /// Once per receive beat, after the adversary beat.
     void prepare(const FusedFrame& frame, const FoldQuery& q);
-    /// Lane j's segments, in receiver order, covering [0, n). Neighbours may
-    /// carry equal counts. Valid until the next lane() call.
-    const std::vector<FoldSegment>& lane(const FusedFrame& frame, unsigned j);
 
-private:
-    /// A row's count contribution on one side, or the flip at its boundary.
-    struct Counts {
-        std::int32_t c0 = 0, c1 = 0, coin = 0;
-        friend bool operator==(const Counts&, const Counts&) = default;
-    };
-    struct Delta {
-        NodeId boundary = 0;
-        Counts d;
-    };
-    Counts classify(const Message* m, std::int32_t weight, std::int32_t coin_weight) const;
-    void add_row(const FusedRow& row, std::int32_t weight, std::int32_t coin_weight,
-                 NodeId n);
-
-    FoldQuery q_;
-    Count coin_weight_[kFusedLanes] = {};  ///< lane's shared-row senders in the coin range
-    Count sign_weight_[kFusedLanes] = {};  ///< lane's coin-sign senders in the coin range
-    std::int64_t c0_ = 0, c1_ = 0, coin_ = 0, coin_sign_ = 0;  ///< lane() running sums
-    std::vector<Delta> deltas_;
-    std::vector<FoldSegment> segs_;
-};
-
-/// 64-lane interval-write composer: per-(lane, [a,b)) writes accumulate as
-/// XOR toggles, one O(n) prefix-XOR sweep materializes all lanes' write
-/// masks at once. Disjoint intervals per lane (SegmentFold guarantees
-/// this) make XOR exact.
-class LaneToggles {
-public:
-    void reset(NodeId n) { t_.assign(static_cast<std::size_t>(n) + 1, 0); }
-    void mark(NodeId a, NodeId b, std::uint64_t lane_mask) {
-        t_[a] ^= lane_mask;
-        t_[b] ^= lane_mask;
-    }
-    /// Prefix-XOR sweep: out[v] = mask of lanes whose marked interval
-    /// covers v. `out` must hold n words; sweep leaves the toggles intact.
-    void sweep(std::uint64_t* out, NodeId n) const {
-        std::uint64_t acc = 0;
-        for (NodeId v = 0; v < n; ++v) {
-            acc ^= t_[v];
-            out[v] = acc;
+    /// Calls fn(counts, lo, hi) for each receiver segment [lo, hi) in order,
+    /// covering [0, n), with every lane's counts on it. Neighbours may carry
+    /// equal counts. Once per prepare().
+    template <typename Fn>
+    void sweep(Fn&& fn) {
+        std::size_t d = 0;
+        for (NodeId lo = 0;;) {
+            for (; d < deltas_.size() && deltas_[d].boundary == lo; ++d) apply(deltas_[d]);
+            const NodeId hi = d < deltas_.size() ? deltas_[d].boundary : n_;
+            fn(static_cast<const LaneCounts&>(counts_), lo, hi);
+            if (hi == n_) return;
+            lo = hi;
         }
     }
 
 private:
-    std::vector<std::uint64_t> t_;
+    /// One message's contribution at unit weight.
+    struct Unit {
+        std::int32_t c0 = 0, c1 = 0, coin = 0;
+        friend bool operator==(const Unit&, const Unit&) = default;
+        friend Unit operator+(const Unit& a, const Unit& b) {
+            return {a.c0 + b.c0, a.c1 + b.c1, a.coin + b.coin};
+        }
+        friend Unit operator-(const Unit& a, const Unit& b) {
+            return {a.c0 - b.c0, a.c1 - b.c1, a.coin - b.coin};
+        }
+    };
+    /// The flip at a row's boundary, at unit weight: lane `lane`'s own row,
+    /// or the shared row (lane == kFusedLanes), weighted per lane.
+    struct Delta {
+        NodeId boundary = 0;
+        unsigned lane = 0;
+        Unit d;
+    };
+    Unit classify(const Message* m) const;
+    void apply(const Delta& d);
+
+    FoldQuery q_;
+    NodeId n_ = 0;
+    LaneCounts counts_;
+    std::int32_t shared_weight_[kFusedLanes] = {};  ///< lane's shared-row senders counted
+    std::int32_t shared_coin_[kFusedLanes] = {};    ///< ... and in the coin range
+    std::vector<Delta> deltas_;
 };
 
 }  // namespace adba::net

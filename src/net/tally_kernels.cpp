@@ -88,9 +88,42 @@ void lane_digits_to_counts_portable(const std::uint64_t* digits, unsigned k, Cou
             out[std::countr_zero(bits)] |= Count{1} << i;
 }
 
+std::uint64_t lanes_greater_portable(const std::int32_t* x, std::int32_t c) {
+    std::uint64_t m = 0;
+    for (unsigned j = 0; j < kWordBits; ++j) m |= std::uint64_t{x[j] > c} << j;
+    return m;
+}
+
+std::uint64_t lanes_greater_portable(const std::int32_t* a, const std::int32_t* b) {
+    std::uint64_t m = 0;
+    for (unsigned j = 0; j < kWordBits; ++j) m |= std::uint64_t{a[j] > b[j]} << j;
+    return m;
+}
+
 namespace {
 
 #if defined(__x86_64__)
+/// 16 lanes per compare, each into its own 16 bits of the mask.
+__attribute__((target("avx512f")))
+std::uint64_t lanes_greater_avx512(const std::int32_t* a, const std::int32_t* b) {
+    std::uint64_t m = 0;
+    for (unsigned q = 0; q < 4; ++q)
+        m |= std::uint64_t{_mm512_cmpgt_epi32_mask(_mm512_loadu_si512(a + 16 * q),
+                                                   _mm512_loadu_si512(b + 16 * q))}
+             << (16 * q);
+    return m;
+}
+
+__attribute__((target("avx512f")))
+std::uint64_t lanes_greater_avx512(const std::int32_t* x, std::int32_t c) {
+    const __m512i cv = _mm512_set1_epi32(c);
+    std::uint64_t m = 0;
+    for (unsigned q = 0; q < 4; ++q)
+        m |= std::uint64_t{_mm512_cmpgt_epi32_mask(_mm512_loadu_si512(x + 16 * q), cv)}
+             << (16 * q);
+    return m;
+}
+
 /// Four 16-lane accumulators hold the 64 counts; digit i adds 2^i to the
 /// lanes its word marks, 16 mask bits per accumulator, with no transpose.
 __attribute__((target("avx512f")))
@@ -116,23 +149,40 @@ void lane_digits_to_counts_avx512(const std::uint64_t* digits, unsigned k, Count
 #endif  // __x86_64__
 
 using DigitsToCountsFn = void (*)(const std::uint64_t*, unsigned, Count*);
+using GreaterConstFn = std::uint64_t (*)(const std::int32_t*, std::int32_t);
+using GreaterFn = std::uint64_t (*)(const std::int32_t*, const std::int32_t*);
 
-DigitsToCountsFn resolve_digits_to_counts() {
+// Resolved once at load: the build carries no -march, so the AVX-512 forms
+// are compiled behind a target attribute and chosen only when the host CPU
+// reports the feature.
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx512f") != 0) return &lane_digits_to_counts_avx512;
-#endif
-    return &lane_digits_to_counts_portable;
+template <typename Fn>
+Fn resolve(Fn avx512, Fn portable) {
+    return __builtin_cpu_supports("avx512f") != 0 ? avx512 : portable;
 }
-
-/// Resolved once at load: the build carries no -march, so the AVX-512 form
-/// is compiled behind a target attribute and chosen only when the host CPU
-/// reports the feature.
-const DigitsToCountsFn g_digits_to_counts = resolve_digits_to_counts();
+const DigitsToCountsFn g_digits_to_counts =
+    resolve<DigitsToCountsFn>(&lane_digits_to_counts_avx512, &lane_digits_to_counts_portable);
+const GreaterConstFn g_greater_const =
+    resolve<GreaterConstFn>(&lanes_greater_avx512, &lanes_greater_portable);
+const GreaterFn g_greater = resolve<GreaterFn>(&lanes_greater_avx512, &lanes_greater_portable);
+#else
+const DigitsToCountsFn g_digits_to_counts = &lane_digits_to_counts_portable;
+const GreaterConstFn g_greater_const = &lanes_greater_portable;
+const GreaterFn g_greater = &lanes_greater_portable;
+#endif
 
 }  // namespace
 
 void lane_digits_to_counts(const std::uint64_t* digits, unsigned k, Count* out) {
     g_digits_to_counts(digits, k, out);
+}
+
+std::uint64_t lanes_greater(const std::int32_t* x, std::int32_t c) {
+    return g_greater_const(x, c);
+}
+
+std::uint64_t lanes_greater(const std::int32_t* a, const std::int32_t* b) {
+    return g_greater(a, b);
 }
 
 }  // namespace adba::net::kern

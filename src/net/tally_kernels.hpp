@@ -34,7 +34,9 @@
 //    stay bit-sliced until kern::lane_digits_to_counts turns them into
 //    integers. That conversion is chosen once at load time from the CPU
 //    (AVX-512F masked adds, else a portable loop), like the sparse probe
-//    kernel; both give the same integers.
+//    kernel; both give the same integers. kern::lanes_greater, the fused
+//    receive beats' one compare kernel, turns 64 such counts back into a
+//    lane mask, dispatched the same way.
 #pragma once
 
 #include <algorithm>
@@ -245,6 +247,18 @@ void lane_digits_to_counts(const std::uint64_t* digits, unsigned k, Count* out);
 /// walk over each digit's set bits. The fallback on CPUs without AVX-512F,
 /// and the tests' reference.
 void lane_digits_to_counts_portable(const std::uint64_t* digits, unsigned k, Count* out);
+
+/// Lane masks from 64-lane int32 vectors: bit j is x[j] > c, or a[j] > b[j].
+/// The path is chosen once at load time from the CPU, as for
+/// lane_digits_to_counts: with AVX-512F, four 16-lane compares into mask
+/// registers; otherwise lanes_greater_portable.
+std::uint64_t lanes_greater(const std::int32_t* x, std::int32_t c);
+std::uint64_t lanes_greater(const std::int32_t* a, const std::int32_t* b);
+
+/// The portable forms of lanes_greater: one compare per lane. The fallback
+/// on CPUs without AVX-512F, and the tests' reference.
+std::uint64_t lanes_greater_portable(const std::int32_t* x, std::int32_t c);
+std::uint64_t lanes_greater_portable(const std::int32_t* a, const std::int32_t* b);
 
 /// Carry-save adder: a + b + c == 2 * carry + sum in every bit position,
 /// with no carry chain between positions.

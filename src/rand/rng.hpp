@@ -46,7 +46,17 @@ public:
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
 
-    result_type operator()();
+    result_type operator()() {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /// The first output of Xoshiro256(seed), without building the state:
     /// xoshiro256** reads only s[1], the second splitmix64 word of the seed
@@ -56,7 +66,11 @@ public:
         return std::rotl(splitmix64_next(seed) * 5, 7) * 9;
     }
 
-    /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection.
+    /// Uniform integer in [0, bound) by modulo rejection: x % bound of a
+    /// draw x below the largest multiple of bound in [0, 2^64), redrawn
+    /// otherwise. That multiple exceeds 2^64 - 1 - bound, so only a draw
+    /// above it can be rejected, and only that draw pays for computing the
+    /// multiple: one division per draw.
     std::uint64_t below(std::uint64_t bound);
 
     /// Uniform double in [0, 1).

@@ -24,6 +24,20 @@ std::vector<Bit> make_inputs(InputPattern pattern, NodeId n, const SeedTree& see
 void make_inputs(InputPattern pattern, NodeId n, const SeedTree& seeds,
                  std::vector<Bit>& out);
 
+/// Lane masks of an input plane (make_input_plane).
+struct InputPlaneLanes {
+    std::uint64_t unanimous = 0;  ///< lanes whose inputs are unanimous
+    std::uint64_t front = 0;      ///< lanes in which node 0 starts with 1
+};
+
+/// The fused form of make_inputs for `lanes` (1..64) trials: fills `plane`
+/// (resized to n) so that bit j of plane[v] is node v's input in the trial
+/// lane_seeds[j] seeds, exactly as make_inputs draws it; bits past `lanes`
+/// are 0. Every pattern but `random` is the same in every trial and is
+/// broadcast; `random` keeps each lane's InputAssignment draws.
+InputPlaneLanes make_input_plane(InputPattern pattern, NodeId n, const SeedTree* lane_seeds,
+                                 unsigned lanes, std::vector<std::uint64_t>& plane);
+
 /// True iff every node holds the same input (validity clause applies).
 bool unanimous(const std::vector<Bit>& inputs);
 

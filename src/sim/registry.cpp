@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <typeinfo>
 
 #include "adversary/balancer.hpp"
 #include "adversary/chaos.hpp"
@@ -448,6 +449,17 @@ AdversaryRegistry& AdversaryRegistry::instance() {
     return reg;
 }
 
+namespace {
+
+/// AdversaryEntry::reinit_adversary of a strategy of type A that draws no
+/// seed and whose on_start resets all that a trial changes: nothing to do.
+template <typename A>
+bool rearm_unseeded(const SeedTree&, net::Adversary& a) {
+    return typeid(a) == typeid(A);
+}
+
+}  // namespace
+
 AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
     const auto q_of = [](const Scenario& s) { return s.q.value_or(s.t); };
 
@@ -463,7 +475,8 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
          [](const Scenario&, const ProtocolBundle&, const SeedTree&) {
              return std::make_unique<net::NullAdversary>();
          },
-         /*supports_fused=*/true});
+         /*supports_fused=*/true,
+         &rearm_unseeded<net::NullAdversary>});
 
     // `static` and `split-vote` are one strategy under two names: a static
     // random set (drawn from the Adversary stream) that equivocates split
@@ -472,6 +485,11 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
                                     const SeedTree& seeds) -> std::unique_ptr<net::Adversary> {
         return std::make_unique<adv::StaticAdversary>(
             q_of(s), adv::StaticBehavior::SplitVotes, seeds.stream(StreamPurpose::Adversary));
+    };
+    const auto reseed_split_votes = [](const SeedTree& seeds, net::Adversary& a) {
+        if (typeid(a) != typeid(adv::StaticAdversary)) return false;
+        static_cast<adv::StaticAdversary&>(a).reseed(seeds.stream(StreamPurpose::Adversary));
+        return true;
     };
     add({AdversaryKind::Static,
          "static",
@@ -483,7 +501,8 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
          false,
          std::nullopt,
          split_votes,
-         /*supports_fused=*/true});
+         /*supports_fused=*/true,
+         reseed_split_votes});
 
     add({AdversaryKind::SplitVote,
          "split-vote",
@@ -495,7 +514,8 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
          false,
          std::nullopt,
          split_votes,
-         /*supports_fused=*/true});
+         /*supports_fused=*/true,
+         reseed_split_votes});
 
     add({AdversaryKind::Chaos,
          "chaos",
@@ -562,7 +582,8 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
              return std::make_unique<adv::WorstCaseAdversary>(
                  adv::WorstCaseConfig{s.t, q_of(s), *bundle.schedule, true});
          },
-         /*supports_fused=*/true});
+         /*supports_fused=*/true,
+         &rearm_unseeded<adv::WorstCaseAdversary>});
 
     add({AdversaryKind::KingKiller,
          "king-killer",

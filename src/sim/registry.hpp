@@ -147,6 +147,15 @@ struct AdversaryEntry {
     /// per-cell delivery or full-information transcripts; their scenarios
     /// run scalar, with the reason why_not_fused names.
     bool supports_fused = false;
+
+    /// Trial-reuse fast path (the contract of ProtocolEntry::reinit_batch):
+    /// re-seeds, in place, an adversary this entry's make_adversary built
+    /// for the SAME scenario, so that after on_start it plays exactly what
+    /// make_adversary(scenario, bundle, seeds) would. Returns false, and
+    /// leaves it untouched, when the object is not of the type this entry
+    /// builds (say, a decorator a substituted factory wrapped it in); the
+    /// arenas then build a new one, as they do when this is null.
+    std::function<bool(const SeedTree&, net::Adversary&)> reinit_adversary = nullptr;
 };
 
 /// Adversary strategies for the multi-valued (Turpin-Coan) stack.

@@ -21,8 +21,10 @@
 // pooled per-chunk arenas, in-order merge) lives in the workload-generic
 // kernel (sim/workload.hpp); this file defines only the BinaryWorkload
 // binding: the arena that re-arms one engine + one node set + one input
-// buffer per trial (ProtocolEntry::reinit_nodes + Engine::reset), so a warm
-// trial performs no allocation beyond what the adversary strategy needs.
+// buffer per trial (ProtocolEntry::reinit_nodes + Engine::reset) and its
+// adversaries in place (AdversaryEntry::reinit_adversary), so a warm trial
+// allocates nothing beyond what a strategy without that hook needs to be
+// rebuilt and to run.
 
 namespace adba::sim {
 
@@ -66,7 +68,7 @@ public:
             // No pooling support: rebuild the node set, keep the metadata.
             bundle_.nodes = plan_.protocol->make_nodes(s, inputs_, seeds).nodes;
         }
-        auto adversary = plan_.adversary->make_adversary(s, bundle_, seeds);
+        net::Adversary& adversary = arm(adversary_, bundle_, seeds);
 
         net::EngineConfig cfg;
         cfg.n = s.n;
@@ -111,14 +113,14 @@ public:
 
         if (batched) {
             if (engine_) {
-                engine_->reset(cfg, std::move(bundle_.batch), *adversary);
+                engine_->reset(cfg, std::move(bundle_.batch), adversary);
             } else {
-                engine_.emplace(cfg, std::move(bundle_.batch), *adversary);
+                engine_.emplace(cfg, std::move(bundle_.batch), adversary);
             }
         } else if (engine_) {
-            engine_->reset(cfg, std::move(bundle_.nodes), *adversary);
+            engine_->reset(cfg, std::move(bundle_.nodes), adversary);
         } else {
-            engine_.emplace(cfg, std::move(bundle_.nodes), *adversary);
+            engine_.emplace(cfg, std::move(bundle_.nodes), adversary);
         }
         const net::RunResult run = engine_->run();
         if (batched)
@@ -161,21 +163,12 @@ public:
         // Lanes past `lanes` stay out of the block: they repeat the last
         // trial's seed for the protocol's rearm and have no adversary.
         lane_seeds_.clear();
-        lane_seeds_.reserve(net::kFusedLanes);
-        fused_inputs_.assign(n, 0);
-        std::uint64_t unan = 0, front = 0;
+        for (unsigned j = 0; j < lanes; ++j) lane_seeds_.emplace_back(trial_seeds[j]);
+        const InputPlaneLanes inputs =
+            make_input_plane(s.inputs, n, lane_seeds_.data(), lanes, fused_inputs_);
         net::Adversary* advs[net::kFusedLanes] = {};
-        for (unsigned j = 0; j < lanes; ++j) {
-            lane_seeds_.emplace_back(trial_seeds[j]);
-            make_inputs(s.inputs, n, lane_seeds_.back(), inputs_);
-            for (NodeId v = 0; v < n; ++v)
-                fused_inputs_[v] |= std::uint64_t{inputs_[v] & 1u} << j;
-            if (unanimous(inputs_)) unan |= std::uint64_t{1} << j;
-            front |= std::uint64_t{inputs_.front() & 1u} << j;
-            fused_advs_[j] =
-                plan_.adversary->make_adversary(s, fused_meta_, lane_seeds_.back());
-            advs[j] = fused_advs_[j].get();
-        }
+        for (unsigned j = 0; j < lanes; ++j)
+            advs[j] = &arm(fused_advs_[j], fused_meta_, lane_seeds_[j]);
         const SeedTree last = lane_seeds_.back();
         lane_seeds_.resize(net::kFusedLanes, last);
         fused_proto_->rearm(fused_inputs_.data(), lane_seeds_.data());
@@ -205,26 +198,36 @@ public:
             res.agreement = (any0 & any1 & bit) == 0;
             if (res.agreement)
                 res.agreed_value = static_cast<Bit>((any1 & bit) != 0 ? 1 : 0);
-            res.validity_applicable = (unan & bit) != 0;
+            res.validity_applicable = (inputs.unanimous & bit) != 0;
             res.validity_ok =
                 !res.validity_applicable ||
                 (res.agreement && res.agreed_value &&
-                 *res.agreed_value == static_cast<Bit>((front & bit) != 0 ? 1 : 0));
+                 *res.agreed_value == static_cast<Bit>((inputs.front & bit) != 0 ? 1 : 0));
             res.all_halted = results[j].all_halted;
             res.rounds = results[j].rounds;
             res.outcome = results[j].outcome;
             res.metrics = results[j].metrics;
             res.phases_configured = fused_meta_.phases;
-            fused_advs_[j].reset();
         }
     }
 
 private:
+    /// The adversary of the trial `seeds` seeds, in `slot`: re-armed in
+    /// place when the entry can re-arm the one already there, else built.
+    net::Adversary& arm(std::unique_ptr<net::Adversary>& slot, const ProtocolBundle& bundle,
+                        const SeedTree& seeds) {
+        const AdversaryEntry& entry = *plan_.adversary;
+        if (!slot || !entry.reinit_adversary || !entry.reinit_adversary(seeds, *slot))
+            slot = entry.make_adversary(plan_.scenario, bundle, seeds);
+        return *slot;
+    }
+
     const ScenarioPlan& plan_;
     std::vector<Bit> inputs_;
     ProtocolBundle bundle_;
     bool have_bundle_ = false;
     std::optional<net::Engine> engine_;
+    std::unique_ptr<net::Adversary> adversary_;
     std::unique_ptr<ShardPool> shard_pool_;  ///< persists across trials
     unsigned shard_count_ = 0;
     // Fused-plane state (fused plans only): the 64-lane protocol is
@@ -235,7 +238,7 @@ private:
     ProtocolBundle fused_meta_;
     std::vector<std::uint64_t> fused_inputs_;
     std::vector<SeedTree> lane_seeds_;
-    std::unique_ptr<net::Adversary> fused_advs_[net::kFusedLanes];
+    std::unique_ptr<net::Adversary> fused_advs_[net::kFusedLanes];  ///< kept across blocks
 };
 
 ScenarioPlan BinaryWorkload::make_plan(const Scenario& s) {

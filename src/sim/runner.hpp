@@ -211,7 +211,12 @@ struct BinaryWorkload {
     /// actionable ContractViolation — never an OOM kill mid-sweep.
     static Plan make_plan(const Scenario& s);
     static void accumulate(Aggregate& agg, const Result& r);
-    static void reserve(Aggregate& agg, Count trials) { agg.rounds.reserve(trials); }
+    static void reserve(Aggregate& agg, Count trials) {
+        agg.rounds.reserve(trials);
+        agg.messages.reserve(trials);
+        agg.bits.reserve(trials);
+        agg.corruptions.reserve(trials);
+    }
     /// 64 when the plan engages fused blocks (one block), else 1.
     static Count block_trials(const Plan& plan);
     /// THE run-level fused decision (the kernel's runs_in_blocks, and

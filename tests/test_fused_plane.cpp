@@ -7,26 +7,36 @@
 // failures included, and the default chunk must hold whole blocks. The
 // worst-case adversary's block-level form must equal 64 scalar engine runs
 // block by block, and stateless committee draws must hold across committee
-// revisits. Plus the fused policy (fused engages where the plan can, and
-// every skip names its reason), the scenario key round trip, and the
-// per-lane counting kernel against popcounts.
+// revisits. Each protocol's receive beat must equal a per-(lane, receiver)
+// oracle on synthetic frames, and arenas that re-arm their adversaries
+// across blocks must still equal the scalar path. Plus the fused policy
+// (fused engages where the plan can, and every skip names its reason), the
+// scenario key round trip, the per-lane counting and compare kernels
+// against their portable forms, and the input plane against per-lane
+// inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "adversary/static_adversary.hpp"
 #include "adversary/worst_case.hpp"
+#include "baselines/phase_king.hpp"
+#include "baselines/rabin_dealer.hpp"
 #include "core/params.hpp"
 #include "net/engine.hpp"
 #include "net/fused_plane.hpp"
@@ -345,6 +355,516 @@ TEST(FusedPlane, LaneDigitsToCountsMatchesPortableForm) {
     }
 }
 
+TEST(FusedPlane, LanesGreaterMatchesPortableForm) {
+    // The dispatched compares (AVX-512F when the host has it) against the
+    // portable ones and a handwritten compare, over random vectors salted
+    // with the int32 extremes; on an AVX-512 host this is the only place the
+    // portable forms run.
+    Xoshiro256 rng(0x6A7u);
+    const std::int32_t extremes[] = {INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1,
+                                     INT32_MAX};
+    const auto draw = [&] {
+        return rng.below(4) == 0 ? extremes[rng.below(std::size(extremes))]
+                                 : static_cast<std::int32_t>(rng() >> (rng.below(2) == 0 ? 32 : 58)) -
+                                       (rng.below(2) == 0 ? 16 : 0);
+    };
+    for (int rep = 0; rep < 2000; ++rep) {
+        std::int32_t a[net::kFusedLanes], b[net::kFusedLanes];
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            a[j] = draw();
+            b[j] = rep % 3 == 0 ? a[j] : draw();  // equal lanes are not greater
+        }
+        const std::int32_t c = draw();
+        std::uint64_t expect_ab = 0, expect_ac = 0;
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            expect_ab |= std::uint64_t{a[j] > b[j]} << j;
+            expect_ac |= std::uint64_t{a[j] > c} << j;
+        }
+        ASSERT_EQ(net::kern::lanes_greater_portable(a, b), expect_ab) << "rep " << rep;
+        ASSERT_EQ(net::kern::lanes_greater(a, b), expect_ab) << "rep " << rep;
+        ASSERT_EQ(net::kern::lanes_greater_portable(a, c), expect_ac) << "rep " << rep;
+        ASSERT_EQ(net::kern::lanes_greater(a, c), expect_ac) << "rep " << rep;
+    }
+}
+
+TEST(FusedPlane, InputPlaneMatchesPerLaneInputs) {
+    // The broadcast plane of the seed-free patterns and the per-lane draws
+    // of `random`, for whole and partial blocks: bit j of plane[v] is what
+    // make_inputs gives lane j's trial, and the lane masks are unanimous()
+    // and the front input, lane by lane; lanes past the block stay 0.
+    const sim::InputPattern patterns[] = {sim::InputPattern::AllZero, sim::InputPattern::AllOne,
+                                          sim::InputPattern::Split, sim::InputPattern::Random};
+    std::vector<SeedTree> seeds;
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) seeds.emplace_back(mix64(0x1A9u + j));
+    std::vector<std::uint64_t> plane(3, 0xFFu);  // stale contents are overwritten
+    std::vector<Bit> inputs;
+    for (const sim::InputPattern pattern : patterns)
+        for (const NodeId n : {NodeId{1}, NodeId{2}, NodeId{7}, NodeId{64}, NodeId{130}})
+            for (const unsigned lanes : {1u, 5u, 63u, 64u}) {
+                SCOPED_TRACE(sim::to_string(pattern) + " n=" + std::to_string(n) +
+                             " lanes=" + std::to_string(lanes));
+                const sim::InputPlaneLanes got =
+                    sim::make_input_plane(pattern, n, seeds.data(), lanes, plane);
+                ASSERT_EQ(plane.size(), n);
+                std::vector<std::uint64_t> expect(n, 0);
+                std::uint64_t unanimous = 0, front = 0;
+                for (unsigned j = 0; j < lanes; ++j) {
+                    sim::make_inputs(pattern, n, seeds[j], inputs);
+                    for (NodeId v = 0; v < n; ++v) expect[v] |= std::uint64_t{inputs[v]} << j;
+                    unanimous |= std::uint64_t{sim::unanimous(inputs)} << j;
+                    front |= std::uint64_t{inputs.front()} << j;
+                }
+                EXPECT_EQ(plane, expect);
+                EXPECT_EQ(got.unanimous, unanimous);
+                EXPECT_EQ(got.front, front);
+            }
+}
+
+// ---------------------------------------------------------------------------
+// The fold against a per-(lane, receiver) oracle. Synthetic frames carry
+// honest planes with per-lane densities, per-lane rows at per-lane
+// boundaries (0, n, and boundaries shared across lanes), a shared row and a
+// coin-sign row; each protocol's receive must equal the scalar threshold
+// rule applied to what each receiver sees, contract failures included.
+
+/// What receiver v sees in lane j, counted the scalar way from each
+/// sender's message: its coin-sign row, its row through row_of (the shared
+/// row or its own) when Byzantine, its broadcast when honest.
+struct Seen {
+    Count c[2] = {};
+    std::int64_t coin = 0;
+};
+
+Seen oracle_seen(const net::FusedFrame& f, const net::FoldQuery& q, unsigned j, NodeId v) {
+    const std::uint64_t bit = std::uint64_t{1} << j;
+    Seen seen;
+    for (NodeId u = 0; u < f.n(); ++u) {
+        std::optional<net::Message> m;
+        if ((f.byz[u] & bit) != 0) {
+            if (f.has_sign && (f.sign_lanes & bit) != 0 && u >= f.sign_first &&
+                u < f.sign_last) {
+                m = f.sign_msg;
+                m->coin = (f.sign[v] & bit) != 0 ? CoinSign{1} : CoinSign{-1};
+            } else if (const net::FusedRow* row = f.row_of(j, u)) {
+                if (v < row->boundary ? row->has_low : row->has_high)
+                    m = v < row->boundary ? row->low : row->high;
+            }
+        } else if ((f.sent[u] & bit) != 0) {
+            m.emplace();
+            m->kind = f.kind;
+            m->phase = f.phase;
+            m->val = (f.val[u] & bit) != 0 ? 1 : 0;
+            m->flag = (f.flag[u] & bit) != 0 ? 1 : 0;
+            m->coin = (f.coinp[u] & bit) != 0 ? CoinSign{1}
+                      : (f.coinn[u] & bit) != 0 ? CoinSign{-1}
+                                                : CoinSign{0};
+        }
+        if (!m || m->kind != q.kind || m->phase != q.phase) continue;
+        if (u >= q.from_first && u < q.from_last && (!q.require_flag || m->flag != 0))
+            ++seen.c[m->val & 1];
+        if (u >= q.coin_first && u < q.coin_last)
+            seen.coin += m->coin > 0 ? 1 : m->coin < 0 ? -1 : 0;
+    }
+    return seen;
+}
+
+/// A word whose bit j is set with probability eighths[j] / 8.
+std::uint64_t lane_density_word(Xoshiro256& rng, const unsigned* eighths) {
+    std::uint64_t w = 0;
+    for (unsigned j = 0; j < net::kFusedLanes; ++j)
+        w |= std::uint64_t{rng.below(8) < eighths[j]} << j;
+    return w;
+}
+
+/// Overwrites the honest planes send_round left in `f` (its kind and phase
+/// stay) with per-lane densities, and adds Byzantine traffic of every form
+/// the fold reads: at most t corrupted nodes per lane, each sending the
+/// shared row, a coin-sign row (when `sign`) or a row of its own, at
+/// boundaries 0, n, ones shared across lanes, or its own. Under
+/// `one_value`, each lane's honest senders all hold one value. Each node of
+/// [focus_first, focus_last) is among a lane's first picks with
+/// probability 1/2, so that the committee is corrupted often.
+void randomize_frame(net::FusedFrame& f, Xoshiro256& rng, Count t, bool sign, bool one_value,
+                     NodeId focus_first, NodeId focus_last) {
+    const NodeId n = f.n();
+    unsigned val_density[net::kFusedLanes], flag_density[net::kFusedLanes];
+    const unsigned densities[] = {0, 1, 2, 4, 6, 7, 8};
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        val_density[j] = one_value ? 8 * rng.bit() : densities[rng.below(std::size(densities))];
+        flag_density[j] = densities[rng.below(std::size(densities))];
+    }
+    std::fill(f.byz.begin(), f.byz.end(), 0);
+    std::vector<NodeId> ids(n);
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        const std::uint64_t bit = std::uint64_t{1} << j;
+        const Count k = static_cast<Count>(rng.below(t + 1));
+        Count picked = 0;
+        for (NodeId u = focus_first; u < focus_last && picked < k; ++u)
+            if (rng.bit() != 0) {
+                f.byz[u] |= bit;
+                ++picked;
+            }
+        std::iota(ids.begin(), ids.end(), NodeId{0});
+        for (NodeId i = 0; picked < k; ++i) {
+            std::swap(ids[i], ids[i + rng.below(n - i)]);
+            if ((f.byz[ids[i]] & bit) != 0) continue;
+            f.byz[ids[i]] |= bit;
+            ++picked;
+        }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+        f.sent[v] = (rng() | rng() | rng()) & ~f.byz[v];
+        f.val[v] = lane_density_word(rng, val_density);
+        f.flag[v] = lane_density_word(rng, flag_density);
+        f.coinp[v] = rng();
+        f.coinn[v] = rng() & ~f.coinp[v];
+    }
+
+    const auto message = [&] {
+        net::Message m;
+        m.kind = rng.below(4) != 0 ? f.kind : net::MsgKind::Coin;
+        m.phase = rng.below(4) != 0 ? f.phase : f.phase + 1;
+        m.val = rng.bit();
+        m.flag = rng.below(3) != 0 ? 1 : 0;
+        m.coin = static_cast<CoinSign>(static_cast<int>(rng.below(3)) - 1);
+        return m;
+    };
+    const NodeId shared_cuts[] = {0, n, n / 2, n / 3};
+    const auto boundary = [&] {
+        return rng.below(3) != 0 ? shared_cuts[rng.below(4)]
+                                 : static_cast<NodeId>(rng.below(n + 1));
+    };
+    const auto fill_row = [&](net::FusedRow& row) {
+        row.boundary = boundary();
+        row.has_low = rng.below(4) != 0;
+        row.has_high = rng.below(4) != 0;
+        row.low = message();
+        row.high = message();
+    };
+
+    // The coin-sign row's senders send nothing else in its lanes.
+    f.has_sign = sign && rng.below(2) == 0;
+    std::vector<std::uint64_t> signing(n, 0);
+    if (f.has_sign) {
+        const bool whole = rng.bit() != 0;  // then it surely covers the committee
+        f.sign_first = whole ? 0 : static_cast<NodeId>(rng.below(n));
+        f.sign_last =
+            whole ? n : f.sign_first + static_cast<NodeId>(rng.below(n - f.sign_first + 1));
+        f.sign_lanes = rng() | rng();
+        f.sign_msg = message();
+        f.sign.resize(n);
+        for (NodeId v = 0; v < n; ++v) f.sign[v] = rng();
+        std::fill(std::begin(f.sign_senders), std::end(f.sign_senders), Count{0});
+        for (NodeId u = f.sign_first; u < f.sign_last; ++u) {
+            signing[u] = f.byz[u] & f.sign_lanes;
+            for (unsigned j = 0; j < net::kFusedLanes; ++j)
+                f.sign_senders[j] += static_cast<Count>(signing[u] >> j & 1);
+        }
+    }
+    f.has_shared = rng.below(4) != 0;
+    std::fill(f.shared.begin(), f.shared.end(), 0);
+    std::fill(std::begin(f.shared_senders), std::end(f.shared_senders), Count{0});
+    if (f.has_shared) {
+        fill_row(f.shared_row);
+        const std::uint64_t lanes = rng() | rng();
+        for (NodeId u = 0; u < n; ++u) {
+            f.shared[u] = f.byz[u] & ~signing[u] & lanes & (rng() | rng());
+            for (unsigned j = 0; j < net::kFusedLanes; ++j)
+                f.shared_senders[j] += static_cast<Count>(f.shared[u] >> j & 1);
+        }
+    }
+    for (std::uint64_t lanes = f.active; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        for (NodeId u = 0; u < n; ++u)
+            if (((f.byz[u] & ~signing[u] & ~f.shared[u]) >> j & 1) != 0 && rng.below(2) == 0)
+                fill_row(f.add_row(j, u));
+    }
+}
+
+/// A receive beat's inputs and the planes it leaves: runs send_round(r)
+/// on a fresh frame over `active`, randomizes it, and snapshots the
+/// protocol's planes before receive_round.
+struct FoldBeat {
+    net::FusedFrame frame;
+    std::vector<std::uint64_t> val, decided, halted;  ///< before the receive
+
+    void send(net::FusedProtocol& proto, Round r, std::uint64_t active, Xoshiro256& rng,
+              Count t, bool sign, bool one_value = false, NodeId focus_first = 0,
+              NodeId focus_last = 0) {
+        const NodeId n = proto.n();
+        frame.reset(n);
+        frame.active = active;
+        frame.begin_round(net::MsgKind::None, 0);
+        proto.send_round(r, frame);
+        randomize_frame(frame, rng, t, sign, one_value, focus_first, focus_last);
+        val.assign(proto.value_plane(), proto.value_plane() + n);
+        decided.assign(proto.decided_plane(), proto.decided_plane() + n);
+        halted.assign(proto.halted_plane(), proto.halted_plane() + n);
+    }
+};
+
+/// Runs receive_round and checks it against the oracle's planes, or — when
+/// the oracle found a receiver that sees both values past the rule's bound
+/// in a live lane — that it throws `violation`. Returns true when it ran.
+bool expect_receive(net::FusedProtocol& proto, Round r, const FoldBeat& beat, bool violated,
+                    const std::string& violation, const std::vector<std::uint64_t>& val,
+                    const std::vector<std::uint64_t>& decided,
+                    const std::vector<std::uint64_t>& halted) {
+    if (violated) {
+        try {
+            proto.receive_round(r, beat.frame);
+            ADD_FAILURE() << "expected a contract failure: " << violation;
+        } catch (const ContractViolation& e) {
+            EXPECT_NE(std::string(e.what()).find(violation), std::string::npos) << e.what();
+        }
+        return false;
+    }
+    proto.receive_round(r, beat.frame);
+    // Lanes outside the active mask are never observed again.
+    const auto live = [&](const std::uint64_t* plane) {
+        std::vector<std::uint64_t> out(plane, plane + proto.n());
+        for (std::uint64_t& w : out) w &= beat.frame.active;
+        return out;
+    };
+    EXPECT_EQ(live(proto.value_plane()), live(val.data()));
+    EXPECT_EQ(live(proto.decided_plane()), live(decided.data()));
+    EXPECT_EQ(live(proto.halted_plane()), live(halted.data()));
+    return true;
+}
+
+/// Phase budget of the private-coin protocols in the fold tests.
+constexpr Count kFoldPhases = 5;
+
+/// A fused protocol of registry entry `name` at (n, t), re-armed with
+/// random inputs under `seeds`; `s` receives its scenario.
+std::unique_ptr<net::FusedProtocol> fold_protocol(const std::string& name, NodeId n, Count t,
+                                                  const std::vector<SeedTree>& seeds,
+                                                  sim::Scenario& s, Xoshiro256& rng) {
+    s.protocol = sim::ProtocolRegistry::instance().at(name).kind;
+    s.adversary = sim::AdversaryKind::None;
+    s.n = n;
+    s.t = t;
+    s.local_coin_phases = kFoldPhases;
+    std::unique_ptr<net::FusedProtocol> proto =
+        sim::ProtocolRegistry::instance().at(name).make_fused(s);
+    std::vector<std::uint64_t> inputs(n);
+    for (auto& w : inputs) w = rng();
+    proto->rearm(inputs.data(), seeds.data());
+    return proto;
+}
+
+std::vector<SeedTree> fold_seeds(std::uint64_t base) {
+    std::vector<SeedTree> seeds;
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) seeds.emplace_back(mix64(base + j));
+    return seeds;
+}
+
+TEST(FusedFold, SkeletonReceiveMatchesTheScalarRuleAtEveryReceiver) {
+    // The committee coin (ours, with coin-sign rows), the dealer's and the
+    // private one; round 1, round 2, and the last phase's round 2, whose
+    // halts show which receivers finished.
+    const NodeId n = 40;
+    const Count t = 13;
+    const auto& registry = sim::ProtocolRegistry::instance();
+    Xoshiro256 rng(0xF01Du);
+    Count ran = 0, failed = 0;
+    for (const char* name : {"ours", "rabin-dealer", "local-coin"}) {
+        for (int rep = 0; rep < (std::string(name) == "ours" ? 40 : 12); ++rep) {
+            const std::vector<SeedTree> seeds = fold_seeds(rng());
+            sim::Scenario s;
+            const auto probe = fold_protocol(name, n, t, seeds, s, rng);
+            const sim::ProtocolEntry& entry = registry.at(name);
+            const Count phases = entry.budgets(s).phases;
+            const bool committee = entry.schedule_of != nullptr;
+            for (const Round r : {Round{0}, Round{1}, Round{2 * phases - 1}}) {
+                SCOPED_TRACE(std::string(name) + " rep " + std::to_string(rep) + " round " +
+                             std::to_string(r));
+                auto proto = fold_protocol(name, n, t, seeds, s, rng);
+                const Phase p = r / 2;
+                const bool round2 = r % 2 != 0;
+                net::FoldQuery q{round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1, p, round2};
+                if (round2 && committee) {
+                    const core::BlockSchedule sched = entry.schedule_of(s);
+                    std::tie(q.coin_first, q.coin_last) = sched.range(sched.committee_of_phase(p));
+                }
+                FoldBeat beat;
+                beat.send(*proto, r, rng() | rng(), rng, t, committee, false, q.coin_first,
+                          q.coin_last);
+                const bool last = round2 && p + 1 == phases;
+                std::vector<std::uint64_t> val = beat.val, decided = beat.decided,
+                                           halted = beat.halted;
+                bool violated = false;
+                for (std::uint64_t lanes = beat.frame.active; lanes != 0; lanes &= lanes - 1) {
+                    const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+                    const std::uint64_t bit = std::uint64_t{1} << j;
+                    for (NodeId v = 0; v < n; ++v) {
+                        const Seen seen = oracle_seen(beat.frame, q, j, v);
+                        const bool q0 = seen.c[0] >= n - t, q1 = seen.c[1] >= n - t;
+                        const bool s0 = seen.c[0] >= t + 1, s1 = seen.c[1] >= t + 1;
+                        violated |= round2 ? s0 && s1 : q0 && q1;
+                        if ((beat.frame.byz[v] & bit) != 0) continue;
+                        const auto set = [&](std::vector<std::uint64_t>& plane, bool on) {
+                            plane[v] = on ? plane[v] | bit : plane[v] & ~bit;
+                        };
+                        if (!round2) {
+                            if (q0 || q1) set(val, q1);
+                            set(decided, q0 || q1);
+                            continue;
+                        }
+                        bool coin = false;
+                        if (committee)
+                            coin = seen.coin >= 0;
+                        else if (std::string(name) == "rabin-dealer")
+                            coin = base::RabinDealerNode::dealer_coin(
+                                       seeds[j].seed(StreamPurpose::DealerCoin), p) != 0;
+                        else
+                            coin = seeds[j].stream(StreamPurpose::NodeProtocol, v).bit() != 0;
+                        set(val, s0 || s1 ? s1 : coin);
+                        set(decided, s0 || s1);
+                        if (last && !(q0 || q1)) set(halted, true);
+                    }
+                }
+                const bool ok = expect_receive(
+                    *proto, r, beat, violated,
+                    round2 ? "Lemma 3 violated" : "two n-t quorums cannot coexist", val, decided,
+                    halted);
+                (ok ? ran : failed) += 1;
+            }
+        }
+    }
+    EXPECT_GE(ran, 60u);
+    EXPECT_GE(failed, 1u) << "no frame reached a contract failure";
+}
+
+TEST(FusedFold, BenOrReceiveMatchesTheScalarRuleAtEveryReceiver) {
+    // The report round, whose proposals the next send shows, and the
+    // propose round, plain and as the last phase.
+    const NodeId n = 41;
+    const Count t = 8;
+    Xoshiro256 rng(0xBE0Du);
+    Count ran = 0, failed = 0;
+    for (int rep = 0; rep < 24; ++rep) {
+        const std::vector<SeedTree> seeds = fold_seeds(rng());
+        for (const Round r : {Round{0}, Round{1}, Round{2 * kFoldPhases - 1}}) {
+            SCOPED_TRACE("rep " + std::to_string(rep) + " round " + std::to_string(r));
+            sim::Scenario s;
+            auto proto = fold_protocol("ben-or", n, t, seeds, s, rng);
+            const Phase p = r / 2;
+            const bool round2 = r % 2 != 0;
+            const net::FoldQuery q{round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport,
+                                   p, round2};
+            // Conflicting proposals need both values past t: rarely so when
+            // every lane's honest senders agree.
+            FoldBeat beat;
+            beat.send(*proto, r, rng() | rng(), rng, t, true, rep % 3 != 0);
+            const bool last = round2 && p + 1 >= kFoldPhases;
+            std::vector<std::uint64_t> val = beat.val, decided = beat.decided,
+                                       halted = beat.halted;
+            std::vector<std::uint64_t> proposing(n, 0), proposal(n, 0);
+            bool violated = false;
+            for (std::uint64_t lanes = beat.frame.active; lanes != 0; lanes &= lanes - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+                const std::uint64_t bit = std::uint64_t{1} << j;
+                for (NodeId v = 0; v < n; ++v) {
+                    const Seen seen = oracle_seen(beat.frame, q, j, v);
+                    const Count c0 = seen.c[0], c1 = seen.c[1];
+                    violated |= round2 && c0 > t && c1 > t;
+                    if ((beat.frame.byz[v] & bit) != 0) continue;
+                    const auto set = [&](std::vector<std::uint64_t>& plane, bool on) {
+                        plane[v] = on ? plane[v] | bit : plane[v] & ~bit;
+                    };
+                    if (!round2) {
+                        const bool p0 = 2 * c0 > n + t, p1 = 2 * c1 > n + t;
+                        set(proposing, p0 || p1);
+                        set(proposal, p1);
+                        continue;
+                    }
+                    const bool fin = c0 > 2 * t || c1 > 2 * t;
+                    set(val, c0 > t   ? false
+                             : c1 > t ? true
+                                      : seeds[j].stream(StreamPurpose::NodeProtocol, v).bit() != 0);
+                    if (fin) set(decided, true);
+                    if (last && !fin) set(halted, true);
+                }
+            }
+            const bool ok = expect_receive(*proto, r, beat, violated,
+                                           "conflicting Ben-Or proposals above t", val, decided,
+                                           halted);
+            (ok ? ran : failed) += 1;
+            if (!ok || round2) continue;
+            // The propose round's send shows the proposals: val = proposal,
+            // flag = proposing (a live lane's bits only; the rest start 0).
+            FoldBeat next;
+            next.frame.reset(n);
+            next.frame.active = beat.frame.active;
+            next.frame.begin_round(net::MsgKind::None, 0);
+            proto->send_round(r + 1, next.frame);
+            for (NodeId v = 0; v < n; ++v) {
+                EXPECT_EQ(next.frame.val[v] & beat.frame.active, proposal[v]) << "node " << v;
+                EXPECT_EQ(next.frame.flag[v] & beat.frame.active, proposing[v]) << "node " << v;
+            }
+        }
+    }
+    EXPECT_GE(ran, 50u);
+    EXPECT_GE(failed, 1u) << "no frame reached a contract failure";
+}
+
+TEST(FusedFold, PhaseKingReceiveMatchesTheScalarRuleAtEveryReceiver) {
+    // Both rounds of a phase on one protocol object — round 2 reads the
+    // majorities round 1 left — for the first phase and the last; round 2
+    // counts the king alone, whatever the other senders send.
+    const NodeId n = 41;
+    const Count t = 10;
+    const base::PhaseKingParams params{n, t};
+    Xoshiro256 rng(0x4B1Du);
+    for (int rep = 0; rep < 24; ++rep) {
+        const std::vector<SeedTree> seeds = fold_seeds(rng());
+        for (const Phase k : {Phase{0}, Phase{params.phases() - 1}}) {
+            SCOPED_TRACE("rep " + std::to_string(rep) + " phase " + std::to_string(k));
+            sim::Scenario s;
+            auto proto = fold_protocol("phase-king", n, t, seeds, s, rng);
+            const std::uint64_t active = rng() | rng();
+            FoldBeat round1;
+            round1.send(*proto, 2 * k, active, rng, t, true);
+            std::vector<std::uint64_t> maj(n, 0), strong(n, 0);
+            const net::FoldQuery q1{net::MsgKind::PhaseKingSend, k};
+            for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+                const std::uint64_t bit = std::uint64_t{1} << j;
+                for (NodeId v = 0; v < n; ++v) {
+                    if ((round1.frame.byz[v] & bit) != 0) continue;
+                    const Seen seen = oracle_seen(round1.frame, q1, j, v);
+                    const bool m = seen.c[1] > seen.c[0];
+                    if (m) maj[v] |= bit;
+                    if (2 * static_cast<std::uint64_t>(seen.c[m ? 1 : 0]) > n + 2 * t)
+                        strong[v] |= bit;
+                }
+            }
+            proto->receive_round(2 * k, round1.frame);
+
+            FoldBeat round2;
+            round2.send(*proto, 2 * k + 1, active, rng, t, true);
+            const NodeId king = params.king_of(k);
+            const net::FoldQuery q2{net::MsgKind::PhaseKingRuler, k, false, 0, 0, king, king + 1};
+            std::vector<std::uint64_t> val = round2.val, halted = round2.halted;
+            for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+                const std::uint64_t bit = std::uint64_t{1} << j;
+                for (NodeId v = 0; v < n; ++v) {
+                    if ((round2.frame.byz[v] & bit) != 0) continue;
+                    const bool king_val = oracle_seen(round2.frame, q2, j, v).c[1] > 0;
+                    const bool nv = (strong[v] & bit) != 0 ? (maj[v] & bit) != 0 : king_val;
+                    val[v] = nv ? val[v] | bit : val[v] & ~bit;
+                    if (k + 1 == params.phases()) halted[v] |= bit;
+                }
+            }
+            // Round 1's nodes that round 2 corrupts keep the majority they
+            // took; only round 2's live receivers are compared.
+            expect_receive(*proto, 2 * k + 1, round2, false, "", val, round2.decided, halted);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Every fused-capable registry pair: fused == scalar, bit for bit, through
 // one whole block plus a partial block, serial and threaded.
@@ -391,6 +911,45 @@ TEST(FusedPlaneEquivalence, AllRegistryPairsFusedMatchesScalar) {
     // constraint (crash-targeted-coin and worst-case need a committee
     // schedule: only ours / ours-lv / chor-coan x2 qualify) = 8*4 + 2*4.
     EXPECT_GE(covered, 40u) << "fused registry coverage unexpectedly low";
+}
+
+TEST(FusedPlaneEquivalence, RearmedAdversariesMatchScalarAcrossBlocks) {
+    // One arena runs three whole blocks and a partial one, so every lane's
+    // adversary is re-armed in place at least twice (the scalar arena
+    // re-arms its one per trial), under random inputs and under a corrupt
+    // set smaller than t.
+    const NodeId n = 19;
+    const Count trials = 3 * net::kFusedLanes + 3;
+    Count covered = 0;
+    for (const sim::ProtocolEntry* p : sim::ProtocolRegistry::instance().list()) {
+        if (p->make_fused == nullptr) continue;
+        for (const sim::AdversaryEntry* a : sim::AdversaryRegistry::instance().list()) {
+            if (!a->supports_fused) continue;
+            for (const bool below_t : {false, true}) {
+                sim::Scenario s;
+                s.protocol = p->kind;
+                s.adversary = a->kind;
+                s.n = n;
+                s.t = max_t(*p, n);
+                if (below_t) s.q = s.t / 2;
+                s.inputs = below_t ? sim::InputPattern::Split : sim::InputPattern::Random;
+                s.local_coin_phases = 8;  // keep the private-coin runs bounded
+                s.use_fused = true;
+                s.intra_threads = 1;
+                if (!sim::compatible(s)) continue;
+                ++covered;
+                SCOPED_TRACE(p->name + " vs " + a->name + (below_t ? " q<t" : " random inputs"));
+                sim::Scenario scalar = s;
+                scalar.use_fused = false;
+                sim::ExecutorConfig one_arena;
+                one_arena.threads = 1;
+                one_arena.chunk = trials;
+                expect_aggregate_eq(sim::run_trials(s, 0xA12E, trials, one_arena),
+                                    sim::run_trials(scalar, 0xA12E, trials, one_arena));
+            }
+        }
+    }
+    EXPECT_GE(covered, 80u) << "fused registry coverage unexpectedly low";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "rand/rng.hpp"
 #include "rand/seed_tree.hpp"
@@ -71,6 +72,44 @@ TEST(Xoshiro, BelowCoversAllResidues) {
     std::set<std::uint64_t> seen;
     for (int i = 0; i < 2000; ++i) seen.insert(r.below(7));
     EXPECT_EQ(seen.size(), 7u);
+}
+
+/// below() as it computed the rejection limit before every draw: two
+/// divisions per call.
+std::uint64_t below_two_divisions(Xoshiro256& g, std::uint64_t bound) {
+    if ((bound & (bound - 1)) == 0) return g() & (bound - 1);
+    const std::uint64_t limit = (~0ULL / bound) * bound;
+    std::uint64_t x = g();
+    while (x >= limit) x = g();
+    return x % bound;
+}
+
+TEST(Xoshiro, BelowMatchesTheTwoDivisionForm) {
+    // Bounds above 2^63 reject about half their draws, so the path that
+    // computes the limit runs too.
+    std::vector<std::uint64_t> bounds = {1ULL,
+                                         2ULL,
+                                         3ULL,
+                                         63ULL,
+                                         64ULL,
+                                         65ULL,
+                                         (1ULL << 32) - 1,
+                                         (1ULL << 32) + 1,
+                                         (1ULL << 63) - 1,
+                                         (1ULL << 63) + 1,
+                                         ~0ULL - 1,
+                                         ~0ULL};
+    Xoshiro256 pick(0xB0D5);
+    for (int i = 0; i < 200; ++i) {
+        const std::uint64_t x = pick();
+        bounds.push_back((x >> (pick() % 64)) | 1);
+    }
+    for (const std::uint64_t bound : bounds) {
+        Xoshiro256 a(bound ^ 0x5EED), b(bound ^ 0x5EED);
+        for (int i = 0; i < 300; ++i)
+            ASSERT_EQ(a.below(bound), below_two_divisions(b, bound)) << "bound " << bound;
+        EXPECT_EQ(a.state(), b.state()) << "bound " << bound;
+    }
 }
 
 TEST(Xoshiro, BelowRoughlyUniform) {
