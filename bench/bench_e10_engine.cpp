@@ -330,11 +330,11 @@ struct ThroughputFlags {
 
 ThroughputFlags read_throughput_flags(const Cli& cli) {
     ThroughputFlags f;
-    f.base = static_cast<Count>(cli.get_int("bench_trials", 2000));
+    f.base = cli.get_uint<Count>("bench_trials", 2000);
     f.json_path = cli.get("bench_json", "BENCH_engine.json");
     f.use_batch = cli.get_bool("batch", true);
-    f.shards = static_cast<unsigned>(cli.get_int("shards", 4));
-    f.degree = static_cast<Count>(cli.get_int("sample_degree", 64));
+    f.shards = cli.get_uint<unsigned>("shards", 4);
+    f.degree = cli.get_uint<Count>("sample_degree", 64);
     return f;
 }
 
@@ -626,7 +626,7 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = static_cast<Count>(cli.get_int("trials", 5));
+    const auto trials = cli.get_uint<Count>("trials", 5);
     benchutil::finish_flags(cli);
     std::printf("E10: engine throughput (timing entries below); summary table of\n"
                 "per-trial work at representative sizes.\n");

@@ -16,9 +16,9 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto n = static_cast<NodeId>(cli.get_int("n", 96));
-    const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
+    const auto n = cli.get_uint<NodeId>("n", 96);
+    const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
+    const auto trials = cli.get_uint<Count>("trials", 20);
     benchutil::finish_flags(cli);
     std::printf("E12: multi-valued agreement (Turpin-Coan over Algorithm 3), n=%u, "
                 "t=%u, %u trials/cell.\n", n, t, trials);

@@ -19,8 +19,8 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto n = static_cast<NodeId>(cli.get_int("n", 1024));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 1200));
+    const auto n = cli.get_uint<NodeId>("n", 1024);
+    const auto trials = cli.get_uint<Count>("trials", 1200);
     benchutil::finish_flags(cli);
     std::printf("E2: designated-node common coin (Algorithm 2) at n=%u.\n", n);
 

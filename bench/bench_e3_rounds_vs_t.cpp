@@ -30,8 +30,8 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto n = static_cast<NodeId>(cli.get_int("n", 256));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 25));
+    const auto n = cli.get_uint<NodeId>("n", 256);
+    const auto trials = cli.get_uint<Count>("trials", 25);
     benchutil::finish_flags(cli);
     an::related_work_table().print(std::cout);
     std::printf("E3: rounds vs t at n=%u (split inputs, strongest adversary per "

@@ -25,18 +25,18 @@ namespace {
 using namespace adba;
 
 sim::MacroAggregate macro_cell(sim::MacroScheduleKind schedule, std::uint64_t n,
-                               std::uint64_t t, int trials) {
+                               std::uint64_t t, Count trials) {
     sim::MacroScenario m;
     m.n = n;
     m.t = t;
     m.q = t;
     m.schedule = schedule;
-    return sim::run_macro_trials(m, 0xE4 + n, static_cast<Count>(trials));
+    return sim::run_macro_trials(m, 0xE4 + n, trials);
 }
 
 template <typename TofN>
 void regime_table(const Cli& cli, const char* title, const char* slug, TofN t_of_n,
-                  int trials, std::ostream& os) {
+                  Count trials, std::ostream& os) {
     Table t(title);
     t.set_header({"n", "t", "ours (macro)", "cc-rushing (macro)", "ratio",
                   "thy ours", "thy cc", "thy LB"});
@@ -65,9 +65,9 @@ void regime_table(const Cli& cli, const char* title, const char* slug, TofN t_of
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = static_cast<int>(cli.get_int("trials", 15));
+    const auto trials = cli.get_uint<Count>("trials", 15);
     benchutil::finish_flags(cli);
-    std::printf("E4: scaling in n at fixed t-regimes (macro simulator, %d trials, "
+    std::printf("E4: scaling in n at fixed t-regimes (macro simulator, %u trials, "
                 "%u threads).\n\n", trials, sim::default_threads());
     regime_table(cli, "E4a: t = sqrt(n)  — the paper's near-optimal point",
                  "e4a_sqrt_n", [](double n) { return std::pow(n, 0.5); }, trials,

@@ -20,7 +20,7 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto trials = static_cast<Count>(cli.get_int("trials", 15));
+    const auto trials = cli.get_uint<Count>("trials", 15);
     benchutil::finish_flags(cli);
     std::printf("E6: communication accounting (worst-case adversary, split inputs, "
                 "%u trials).\n", trials);

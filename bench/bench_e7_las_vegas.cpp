@@ -19,8 +19,8 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto n = static_cast<NodeId>(cli.get_int("n", 128));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 60));
+    const auto n = cli.get_uint<NodeId>("n", 128);
+    const auto trials = cli.get_uint<Count>("trials", 60);
     benchutil::finish_flags(cli);
     std::printf("E7: Las Vegas Algorithm 3 (n=%u, worst-case adversary, split inputs, "
                 "%u trials).\n", n, trials);

@@ -18,9 +18,9 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto n = static_cast<NodeId>(cli.get_int("n", 128));
-    const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 25));
+    const auto n = cli.get_uint<NodeId>("n", 128);
+    const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
+    const auto trials = cli.get_uint<Count>("trials", 25);
     benchutil::finish_flags(cli);
     std::printf("E8: adversary ablation for Algorithm 3 (n=%u, t=%u, split inputs, "
                 "%u trials).\n", n, t, trials);

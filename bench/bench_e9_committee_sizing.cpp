@@ -20,9 +20,9 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto n = static_cast<NodeId>(cli.get_int("n", 64));
-    const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 60));
+    const auto n = cli.get_uint<NodeId>("n", 64);
+    const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
+    const auto trials = cli.get_uint<Count>("trials", 60);
     benchutil::finish_flags(cli);
     std::printf("E9: committee-sizing ablation (n=%u, t=%u — the hardest cell — "
                 "%u trials).\n", n, t, trials);

@@ -19,9 +19,9 @@
 
 static int run(const adba::Cli& cli) {
     using namespace adba;
-    const auto n = static_cast<NodeId>(cli.get_int("n", 128));
-    const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
+    const auto n = cli.get_uint<NodeId>("n", 128);
+    const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
+    const auto trials = cli.get_uint<Count>("trials", 20);
     sim::init_threads(cli);
     cli.check_unused();
 

@@ -17,8 +17,8 @@
 
 static int run(const adba::Cli& cli) {
     using namespace adba;
-    const auto n = static_cast<NodeId>(cli.get_int("n", 256));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 2000));
+    const auto n = cli.get_uint<NodeId>("n", 256);
+    const auto trials = cli.get_uint<Count>("trials", 2000);
     sim::init_threads(cli);
     cli.check_unused();
     const double sqrt_n = std::sqrt(static_cast<double>(n));

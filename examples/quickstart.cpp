@@ -18,9 +18,9 @@
 
 static int run(const adba::Cli& cli) {
     using namespace adba;
-    const auto n = static_cast<NodeId>(cli.get_int("n", 64));
-    const auto t = static_cast<Count>(cli.get_int("t", (n - 1) / 3));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    const auto n = cli.get_uint<NodeId>("n", 64);
+    const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     cli.check_unused();
 
     std::printf("== Byzantine agreement under an adaptive rushing adversary ==\n");

@@ -4,16 +4,19 @@
 // Used as an ablation point in E8: the gap between static and adaptive
 // measured rounds is the paper's whole motivation. Registered twice: as
 // `static` and as `split-vote` (the protocol-agnostic threshold-straddling
-// equivocation attack), both with SplitVotes behaviour.
+// equivocation attack). It corrupts its set in round 0, and every round
+// every member sends the same split row, a function of (round, n) alone.
 //
-// Lane-uniform (net::Adversary::lane_uniform): its act() is its declared
-// form played through the control, so the fused plane can run 64 lanes of
-// it on word masks. Its strategy key is its behaviour: a fused block asks
-// one lane per behaviour for each round's row.
+// Block-level form (net::Adversary::block_form): on the fused plane the
+// first lane's object plays all 64 lanes. In round 0 it folds every lane's
+// set into one lane mask per node and corrupts by it
+// (FusedLaneControl::corrupt_lanes), which counts each lane's set size; each
+// round it sends its row once for every lane as the frame's shared row,
+// weighted per lane by that size (share_row). act() is its oracle through
+// the per-lane bridge.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "net/engine.hpp"
@@ -21,16 +24,10 @@
 
 namespace adba::adv {
 
-/// What the statically corrupted nodes do each round.
-enum class StaticBehavior : std::uint8_t {
-    Silent,      ///< send nothing (fail-stop from round 0)
-    SplitVotes,  ///< equivocate: val=0 to low-ID receivers, val=1 to the rest
-};
-
-class StaticAdversary final : public net::Adversary {
+class StaticAdversary final : public net::Adversary, private net::BlockStrategy {
 public:
     /// Corrupts `q` nodes chosen uniformly at round 0 (q <= engine budget).
-    StaticAdversary(Count q, StaticBehavior behavior, Xoshiro256 rng);
+    StaticAdversary(Count q, Xoshiro256 rng) : q_(q), rng_(rng) {}
 
     /// Replaces the stream the next on_start draws its set from, so that a
     /// kept object replays a fresh one built with `rng` (its vectors are
@@ -39,24 +36,32 @@ public:
 
     void on_start(NodeId n, Count budget) override;
     void act(net::RoundControl& ctl) override;
-    /// The ascending corrupt set and, under SplitVotes, round r's split row:
-    /// val 0 (coin -1 in round 2 of a phase) below n/2, val 1 (coin +1)
-    /// from n/2 up.
-    std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override;
-    /// Another StaticAdversary with this behaviour: its rows are this one's.
+    /// Any other StaticAdversary: its rows are this one's.
     bool same_strategy(const net::Adversary& other) const override;
+    net::BlockStrategy* block_form() override { return this; }
 
+    /// The corrupt set, ascending; valid from on_start.
     const std::vector<NodeId>& corrupted() const { return corrupted_; }
+    /// Round r's row at n: val 0 (coin -1 in round 2 of a phase) below n/2,
+    /// val 1 (coin +1) from n/2 up.
+    static net::SplitRow row(Round r, NodeId n);
 
 private:
+    void act_block(net::FusedLaneControl& ctl, const net::Adversary* const* advs) override;
+
     Count q_;
-    StaticBehavior behavior_;
     Xoshiro256 rng_;
     std::vector<NodeId> corrupted_;
     // on_start scratch: the Fisher-Yates array and the drawn ids' n-bit
     // membership bitmap.
     std::vector<NodeId> ids_;
     std::vector<std::uint64_t> member_;
+    // Block-level form, set in round 0 and sized then, so that the other
+    // lanes' objects stay small: the lanes whose set holds node v, the
+    // lanes with a non-empty set, and each lane's set size.
+    std::vector<std::uint64_t> lane_mask_;
+    std::uint64_t members_ = 0;
+    std::vector<Count> set_size_;
 };
 
 }  // namespace adba::adv

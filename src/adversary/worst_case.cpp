@@ -292,7 +292,7 @@ void WorstCaseAdversary::corrupt_picks(net::FusedLaneControl& ctl, NodeId lo, No
         if (picks_[v] != 0) ctl.corrupt_word(v, picks_[v]);
 }
 
-void WorstCaseAdversary::act_block(net::FusedLaneControl& ctl) {
+void WorstCaseAdversary::act_block(net::FusedLaneControl& ctl, const net::Adversary* const*) {
     lane_used_.resize(net::kFusedLanes, 0);
     if (ctl.round() < cfg_.round_offset) return;  // prelude rounds: not ours
     const Round r = ctl.round() - cfg_.round_offset;

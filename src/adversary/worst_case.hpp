@@ -96,7 +96,8 @@ private:
     void corrupt_tracked(net::RoundControl& ctl, NodeId v);
 
     // ---- block-level form (worst_case.cpp) ----
-    void act_block(net::FusedLaneControl& ctl) override;
+    /// Every lane's state is this object's own: `advs` is not read.
+    void act_block(net::FusedLaneControl& ctl, const net::Adversary* const* advs) override;
     void block_round1(net::FusedLaneControl& ctl, Phase p);
     void block_round2(net::FusedLaneControl& ctl, Phase p);
     /// remaining() of one lane.

@@ -61,13 +61,6 @@ void RoundControl::deliver_row_as(NodeId byz_from, std::span<const Message> cell
     for (NodeId to = 0; to < cells.size(); ++to) deliver_as(byz_from, to, cells[to]);
 }
 
-void LaneUniformRound::play(RoundControl& ctl) const {
-    if (ctl.round() == 0)
-        for (const NodeId v : corrupt) ctl.corrupt(v);
-    if (row)
-        for (const NodeId v : corrupt) ctl.split_as(v, row->low, row->high, row->boundary);
-}
-
 // ------------------------------------------------------------- Engine::Ctl
 
 /// The engine-backed RoundControl: one per-trial execution over the flat /

@@ -31,6 +31,12 @@
 // the virtual DeliverySource adapter with per-sender tally loops: the slow
 // oracle the equivalence tests pin the flat path against.
 //
+// Adversaries act through RoundControl, one trial at a time. The fused
+// trial plane (net/fused_plane.hpp) runs the same act() per lane through a
+// lane-masked bridge; a strategy may also offer one block-level form
+// (BlockStrategy) that decides all 64 lanes of a block at once, with that
+// bridge as its oracle.
+//
 // Engines are reusable: reset() rearms a finished engine for another run
 // and take_nodes()/take_batch() return the protocol state to the caller's
 // pool, so Monte-Carlo runners keep one engine + one protocol instance per
@@ -54,8 +60,9 @@
 
 namespace adba::net {
 
-class BlockStrategy;  // net/fused_plane.hpp
+class BlockStrategy;
 class Engine;
+class FusedLaneControl;  // net/fused_plane.hpp
 
 /// Bulk observation of one round (RoundControl::view): contiguous per-node
 /// planes over all n nodes in the engine's own byte encodings, so a strategy
@@ -169,21 +176,6 @@ struct SplitRow {
     std::optional<Message> low;
     std::optional<Message> high;
     NodeId boundary = 0;
-
-    friend bool operator==(const SplitRow&, const SplitRow&) = default;
-};
-
-/// One round of a lane-uniform strategy (Adversary::lane_uniform).
-struct LaneUniformRound {
-    /// The fixed corrupt set, corrupted in round 0 in this order. Points
-    /// into the strategy; valid from on_start until the next on_start.
-    std::span<const NodeId> corrupt;
-    /// The row every member sends this round; nullopt = all stay silent.
-    std::optional<SplitRow> row;
-
-    /// This round through a control: corrupt() every member in round 0,
-    /// then split_as the row from each member, in set order.
-    void play(RoundControl& ctl) const;
 };
 
 /// Adversary strategy interface. Implementations live in src/adversary.
@@ -197,45 +189,50 @@ public:
     /// Called once per round, between honest sends and deliveries.
     virtual void act(RoundControl& ctl) = 0;
 
-    /// Lane-uniform form. A strategy is lane-uniform when it corrupts a
-    /// fixed set in round 0 and then, every round, every member of the set
-    /// sends the same split row, a function of (round, n) alone. Such a
-    /// strategy returns round r's form here, and its act() must be exactly
-    /// lane_uniform(ctl.round(), ctl.n())->play(ctl). The fused plane then
-    /// runs it on 64-lane masks instead of through the per-lane bridge
-    /// (net/fused_plane.hpp). The default, nullopt, means not lane-uniform.
-    virtual std::optional<LaneUniformRound> lane_uniform(Round /*r*/, NodeId /*n*/) const {
-        return std::nullopt;
-    }
-
     /// Strategy key for the fused plane: true when `other` runs this
-    /// strategy with this configuration (for StaticAdversary, its
-    /// behaviour), so that one of them may answer for both in a fused block:
-    /// equal rows from lane_uniform() in every round, equal decisions from
-    /// block_form() on equal planes. The default, false, keeps each lane to
-    /// itself, asked every round.
+    /// strategy with this configuration, so that this one's block_form()
+    /// may decide for both: on equal planes it takes the decisions
+    /// other.act() would. The default, false, keeps each lane to itself.
     virtual bool same_strategy(const Adversary& /*other*/) const { return false; }
 
-    /// Block-level form (net/fused_plane.hpp): the object that decides the
-    /// adversary beat of all 64 lanes of a fused block from the frame's
-    /// planes. A block takes its first lane's only when every lane offers
-    /// one and runs that lane's strategy; otherwise every lane's act() runs
-    /// through the per-lane bridge. The default, nullptr, means no
-    /// block-level form.
+    /// Block-level form: the object that decides the adversary beat of all
+    /// 64 lanes of a fused block from the frame's planes. A block takes its
+    /// first lane's only when every lane offers one and runs that lane's
+    /// strategy; otherwise every lane's act() runs through the per-lane
+    /// bridge, which is the block form's oracle. The default, nullptr,
+    /// means no block-level form.
     virtual BlockStrategy* block_form() { return nullptr; }
 };
 
+/// The block-level form of a strategy (Adversary::block_form): one object
+/// decides the adversary beat of every live lane of a fused block
+/// (net/fused_plane.hpp) from the frame's planes, in word operations where
+/// the per-lane bridge would run 64 act() calls. It acts through
+/// FusedLaneControl's word-wise forms of corrupt and split_as and keeps its
+/// per-lane state itself, reset by its adversary's on_start.
+class BlockStrategy {
+public:
+    /// Round ctl.round()'s adversary beat in every lane j of
+    /// ctl.frame().active, where advs[j] is lane j's adversary (one of this
+    /// strategy, by same_strategy), the source of that lane's own draws.
+    virtual void act_block(FusedLaneControl& ctl, const Adversary* const* advs) = 0;
+
+protected:
+    ~BlockStrategy() = default;
+};
+
 /// A do-nothing adversary (no corruptions); the honest-execution baseline.
-class NullAdversary final : public Adversary {
+/// Its block-level form does nothing either.
+class NullAdversary final : public Adversary, private BlockStrategy {
 public:
     void act(RoundControl&) override {}
-    /// Lane-uniform with an empty set.
-    std::optional<LaneUniformRound> lane_uniform(Round, NodeId) const override {
-        return LaneUniformRound{};
-    }
     bool same_strategy(const Adversary& other) const override {
         return dynamic_cast<const NullAdversary*>(&other) != nullptr;
     }
+    BlockStrategy* block_form() override { return this; }
+
+private:
+    void act_block(FusedLaneControl&, const Adversary* const*) override {}
 };
 
 /// Which delivery plane answers the receive beat's tally queries.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <span>
 
 #include "support/contracts.hpp"
 
@@ -26,13 +25,6 @@ void FusedFrame::throw_duplicate_row() {
         "round); supported fused adversaries pattern a sender at most once "
         "per round (adversaries that re-pattern must declare "
         "supports_fused=false)");
-}
-
-void FusedFrame::throw_sign_row_of() {
-    throw ContractViolation(
-        "fused plane: a coin-sign row sends each receiver its own coin, so it "
-        "has no single-row form for row_of; protocols that read one sender's "
-        "row cannot run against a block-level strategy");
 }
 
 // --------------------------------------------------------- FusedLaneControl
@@ -131,25 +123,36 @@ void FusedLaneControl::split_as(NodeId byz_from, const std::optional<Message>& l
     byz_msgs_[lane_] += covered_slots(row.has_low, row.has_high, boundary, n);
 }
 
-bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular,
-                                     Count* counted) {
-    // corrupt()'s checks, one word of lanes at a time, before any write:
-    // which check fails first depends on the lanes' set orders, so a
-    // failure is left to the bridge to raise.
+void FusedLaneControl::corrupt_word(NodeId v, std::uint64_t lanes) {
+    ADBA_EXPECTS(v < frame_->n());
+    ADBA_EXPECTS_MSG((frame_->byz[v] & lanes) == 0,
+                     "cannot corrupt an already-Byzantine node");
+    ADBA_EXPECTS_MSG((proto_->halted_plane()[v] & lanes) == 0,
+                     "cannot corrupt a node that already terminated");
+    for (std::uint64_t l = lanes; l != 0; l &= l - 1)
+        ADBA_EXPECTS_MSG(used_[std::countr_zero(l)] < budget_, "corruption budget exhausted");
+    for (std::uint64_t l = lanes; l != 0; l &= l - 1) ++used_[std::countr_zero(l)];
+    frame_->byz[v] |= lanes;
+    frame_->sent[v] &= ~lanes;  // attribute bits stay; consumers mask with sent
+}
+
+void FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, Count* counted) {
+    // corrupt()'s checks, one word of lanes at a time, before any write.
     const NodeId n = frame_->n();
     const std::uint64_t active = frame_->active;
-    if ((irregular & active) != 0) return false;
     const std::uint64_t* halted = proto_->halted_plane();
-    std::uint64_t taken = 0;  // lanes with a member already Byzantine or halted
+    std::uint64_t byzantine = 0, terminated = 0;  // lanes with such a member
     Count count[kFusedLanes];
     kern::lane_counts<1>(0, n, [&](NodeId v, std::uint64_t* w) {
         const std::uint64_t m = mask[v] & active;
-        taken |= (frame_->byz[v] | halted[v]) & m;
+        byzantine |= frame_->byz[v] & m;
+        terminated |= halted[v] & m;
         w[0] = m;
     }, &count);
-    if (taken != 0) return false;
+    ADBA_EXPECTS_MSG(byzantine == 0, "cannot corrupt an already-Byzantine node");
+    ADBA_EXPECTS_MSG(terminated == 0, "cannot corrupt a node that already terminated");
     for (unsigned j = 0; j < kFusedLanes; ++j)
-        if (count[j] > budget_ - used_[j]) return false;
+        ADBA_EXPECTS_MSG(count[j] <= budget_ - used_[j], "corruption budget exhausted");
     for (NodeId v = 0; v < n; ++v) {
         const std::uint64_t m = mask[v] & active;
         frame_->byz[v] |= m;
@@ -159,7 +162,6 @@ bool FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, std::uint64_t ir
         used_[j] += count[j];
         counted[j] = count[j];
     }
-    return true;
 }
 
 void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
@@ -185,19 +187,6 @@ void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
         frame_->shared_senders[j] = senders[j];
         byz_msgs_[j] += senders[j] * covered;
     }
-}
-
-void FusedLaneControl::corrupt_word(NodeId v, std::uint64_t lanes) {
-    ADBA_EXPECTS(v < frame_->n());
-    ADBA_EXPECTS_MSG((frame_->byz[v] & lanes) == 0,
-                     "cannot corrupt an already-Byzantine node");
-    ADBA_EXPECTS_MSG((proto_->halted_plane()[v] & lanes) == 0,
-                     "cannot corrupt a node that already terminated");
-    for (std::uint64_t l = lanes; l != 0; l &= l - 1)
-        ADBA_EXPECTS_MSG(used_[std::countr_zero(l)] < budget_, "corruption budget exhausted");
-    for (std::uint64_t l = lanes; l != 0; l &= l - 1) ++used_[std::countr_zero(l)];
-    frame_->byz[v] |= lanes;
-    frame_->sent[v] &= ~lanes;  // attribute bits stay; consumers mask with sent
 }
 
 void FusedLaneControl::sign_row(const Message& m, NodeId first, NodeId last,
@@ -232,7 +221,6 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
     for (std::uint64_t l = in_block; l != 0; l &= l - 1)
         advs[std::countr_zero(l)]->on_start(n, budget);
     BlockStrategy* const block = block_form(advs, in_block);
-    bool uniform = block == nullptr && fold_uniform(advs, n, in_block);
 
     std::uint64_t active = in_block;
     std::uint64_t decided = 0;
@@ -250,15 +238,13 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         // applies its flush-halts).
         proto.send_round(r, frame_);
 
-        // Beat 2: each live lane's rushing adversary observes and acts.
-        // Retired lanes' adversaries are never invoked again — their scalar
-        // twins' runs already ended.
+        // Beat 2: each live lane's rushing adversary observes and acts,
+        // all at once through the block form or lane by lane through the
+        // bridge. Retired lanes' adversaries are never invoked again —
+        // their scalar twins' runs already ended.
         ctl_.set_round(r);
-        if (uniform && r == 0) uniform = ctl_.corrupt_lanes(mask_.data(), irregular_, set_size_);
         if (block != nullptr) {
-            block->act_block(ctl_);
-        } else if (uniform) {
-            act_uniform(advs, r, active);
+            block->act_block(ctl_, advs);
         } else {
             for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
                 const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
@@ -332,67 +318,6 @@ BlockStrategy* FusedBlock::block_form(Adversary* const* advs, std::uint64_t lane
         if (other.block_form() == nullptr || !lead.same_strategy(other)) return nullptr;
     }
     return advs[std::countr_zero(lanes)]->block_form();
-}
-
-bool FusedBlock::fold_uniform(Adversary* const* advs, NodeId n, std::uint64_t lanes) {
-    mask_.assign(n, 0);
-    irregular_ = 0;
-    members_ = 0;
-    group_count_ = 0;
-    for (; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const std::optional<LaneUniformRound> form = advs[j]->lane_uniform(0, n);
-        if (!form) return false;
-        const std::uint64_t bit = std::uint64_t{1} << j;
-        for (const NodeId v : form->corrupt) {
-            if (v >= n || (mask_[v] & bit) != 0) {
-                irregular_ |= bit;
-                continue;
-            }
-            mask_[v] |= bit;
-        }
-        if (!form->corrupt.empty()) members_ |= bit;
-        // Join the first group whose lead lane runs this lane's strategy.
-        unsigned g = 0;
-        while (g < group_count_ &&
-               !advs[std::countr_zero(groups_[g])]->same_strategy(*advs[j]))
-            ++g;
-        if (g == group_count_) groups_[group_count_++] = 0;
-        groups_[g] |= bit;
-    }
-    return true;
-}
-
-void FusedBlock::act_uniform(Adversary* const* advs, Round r, std::uint64_t active) {
-    const NodeId n = frame_.n();
-    // One live member lane answers for its strategy group. The first
-    // group's row is the shared one; a group sending a different row — or
-    // one split_as rejects — takes the bridge's split_as, lane by lane in
-    // each set's order.
-    std::optional<SplitRow> shared;
-    std::uint64_t sharing = 0;
-    for (unsigned g = 0; g < group_count_; ++g) {
-        const std::uint64_t lanes = groups_[g] & active & members_;
-        if (lanes == 0) continue;
-        const std::optional<LaneUniformRound> form =
-            advs[std::countr_zero(lanes)]->lane_uniform(r, n);
-        ADBA_EXPECTS_MSG(form.has_value(),
-                         "a lane-uniform adversary must stay lane-uniform for the whole run");
-        if (!form->row) continue;  // silent this round
-        if (!shared && form->row->boundary <= n) shared = form->row;
-        if (shared && *form->row == *shared) {
-            sharing |= lanes;
-            continue;
-        }
-        for (std::uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
-            const unsigned j = static_cast<unsigned>(std::countr_zero(rest));
-            ctl_.set_lane(j);
-            const std::span<const NodeId> set = advs[j]->lane_uniform(r, n)->corrupt;
-            for (const NodeId v : set)
-                ctl_.split_as(v, form->row->low, form->row->high, form->row->boundary);
-        }
-    }
-    if (sharing != 0) ctl_.share_row(*shared, mask_.data(), sharing, set_size_);
 }
 
 // --------------------------------------------------------------- SegmentFold
@@ -540,8 +465,8 @@ void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
                 deltas_.push_back({row.boundary, j, high - low});
         }
     }
-    // Rows that share one cut (a shared row, a bridged lane-uniform set)
-    // arrive sorted already.
+    // Rows that share one cut (a shared row, one lane's set playing one row
+    // through the bridge) arrive sorted already.
     const auto by_boundary = [](const Delta& a, const Delta& b) { return a.boundary < b.boundary; };
     if (!std::is_sorted(deltas_.begin(), deltas_.end(), by_boundary))
         std::sort(deltas_.begin(), deltas_.end(), by_boundary);

@@ -16,18 +16,16 @@
 //                      scalar Adversary instance runs per lane, seeing only
 //                      its lane's bits. Contract failures carry the exact
 //                      Engine::Ctl messages so fused ≡ scalar extends to
-//                      error behaviour. Lane-uniform strategies
-//                      (Adversary::lane_uniform) skip the per-lane calls:
-//                      their sets corrupt as one lane mask per node, their
-//                      rows become one shared row per round, and its
-//                      per-lane sender counts are the set sizes counted
-//                      once per block. One lane per strategy group
-//                      (Adversary::same_strategy) is asked for the row.
-//   BlockStrategy    — the block-level form of an adaptive strategy
-//                      (Adversary::block_form): one object decides all 64
-//                      lanes per round from the planes, corrupting word-wise
-//                      and sending one coin-sign row — per receiver and lane
-//                      a coin sign, weighted per lane by its sender count.
+//                      error behaviour. It also holds the word-wise forms a
+//                      block-level strategy (net::BlockStrategy,
+//                      Adversary::block_form) acts through: one object
+//                      decides all 64 lanes per round from the planes,
+//                      corrupting by lane mask and sending one shared row
+//                      (`static`: its split row, weighted per lane by the
+//                      set size counted in round 0) or one coin-sign row
+//                      (`worst-case`: per receiver and lane a coin sign,
+//                      weighted per lane by its sender count). The bridge
+//                      is the oracle of every block form.
 //   FusedProtocol    — the protocol interface of this plane: word-parallel
 //                      send/receive over a FusedFrame (implementations:
 //                      core/skeleton_fused, baselines ben_or / phase_king).
@@ -140,19 +138,6 @@ public:
     /// Lanes with at least one row of their own this round.
     std::uint64_t row_lanes() const { return row_lanes_; }
 
-    /// The row `sender` patterns in `lane` this round — the shared row or
-    /// one of the lane's own — or nullptr when it sends none. A coin-sign
-    /// row has no such form, so asking for one is a contract failure.
-    const FusedRow* row_of(unsigned lane, NodeId sender) const {
-        if (has_sign && sender >= sign_first && sender < sign_last &&
-            (byz[sender] & sign_lanes) >> lane & 1)
-            throw_sign_row_of();
-        if ((shared[sender] >> lane & 1) != 0) return &shared_row;
-        for (const FusedRow& row : rows_[lane])
-            if (row.sender == sender) return &row;
-        return nullptr;
-    }
-
     /// Records a pattern row for (lane, sender) and returns a reference for
     /// the caller to fill in place (sender is already set). At most one row
     /// per (lane, sender, round): every supported fused adversary patterns a
@@ -170,7 +155,7 @@ public:
         return row;
     }
 
-    /// Lane-uniform header of this round's honest broadcasts: every live
+    /// Header of this round's honest broadcasts in every lane: every live
     /// sender's message shares (kind, phase) in the supported protocols.
     MsgKind kind = MsgKind::None;
     Phase phase = 0;
@@ -189,7 +174,7 @@ public:
     std::vector<std::uint64_t> coinn;  ///< broadcast coin < 0 (unmasked)
     std::vector<std::uint64_t> byz;    ///< corrupted (persistent)
 
-    /// This round's shared Byzantine row, set by a lane-uniform block's act
+    /// This round's shared Byzantine row, set by a block-level strategy
     /// (FusedLaneControl::share_row; `sender` unused): node v sends it in
     /// every lane of shared[v], and shared_senders[j] is lane j's number of
     /// such senders (its set size; 0 in a lane that does not send it).
@@ -219,7 +204,6 @@ public:
 
 private:
     [[noreturn]] static void throw_duplicate_row();
-    [[noreturn]] static void throw_sign_row_of();
 
     NodeId n_ = 0;
     std::vector<std::uint64_t> patterned_;  ///< per-round duplicate-row guard
@@ -274,24 +258,6 @@ public:
     Count corruptions(unsigned lane) const { return used_[lane]; }
     std::uint64_t byzantine_messages(unsigned lane) const { return byz_msgs_[lane]; }
 
-    // ---- word-parallel forms of corrupt / split_as (lane-uniform blocks) ----
-    /// Round-0 corruption of node v in lanes mask[v] & active, for every v,
-    /// when corrupt()'s checks pass word-wise in every live lane: none is
-    /// `irregular` (its set names a node twice or one >= n), no member is
-    /// Byzantine or halted, and each lane's count fits its budget. Then
-    /// writes each lane's count to counted[0..63] and returns true. Returns
-    /// false and changes nothing otherwise; the caller then replays the
-    /// round through the bridge, which raises corrupt()'s message for the
-    /// first failing (lane, node).
-    bool corrupt_lanes(const std::uint64_t* mask, std::uint64_t irregular, Count* counted);
-    /// Node v sends `row` in lanes mask[v] & lanes this round, for every v,
-    /// where senders[j] is lane j's count of mask bits (the set size
-    /// corrupt_lanes counted): publishes the row, its lane plane and those
-    /// counts as the frame's shared row, and charges each lane's
-    /// byzantine_messages its sender count x the row's covered slots.
-    void share_row(const SplitRow& row, const std::uint64_t* mask, std::uint64_t lanes,
-                   const Count* senders);
-
     // ---- what a block-level strategy (BlockStrategy) reads and does ----
     const FusedFrame& frame() const { return *frame_; }
     const FusedProtocol& protocol() const { return *proto_; }
@@ -300,6 +266,18 @@ public:
     /// corrupt(v) in every lane of `lanes` at once, with corrupt()'s checks
     /// and messages.
     void corrupt_word(NodeId v, std::uint64_t lanes);
+    /// corrupt(v) in lanes mask[v] & active, for every v: with corrupt()'s
+    /// checks and messages, all taken before any write, and then writes
+    /// each lane's count of mask bits to counted[0..63].
+    void corrupt_lanes(const std::uint64_t* mask, Count* counted);
+    /// Node v sends `row` in lanes mask[v] & lanes this round, for every v,
+    /// where senders[j] is lane j's count of mask bits (the set size
+    /// corrupt_lanes counted): publishes the row, its lane plane and those
+    /// counts as the frame's shared row, and charges each lane's
+    /// byzantine_messages its sender count x the row's covered slots, as
+    /// one fresh split_as per sender does.
+    void share_row(const SplitRow& row, const std::uint64_t* mask, std::uint64_t lanes,
+                   const Count* senders);
     /// In every lane of `lanes`, each Byzantine node in [first, last) sends
     /// `m` to every receiver v, with coin +1 where sign[v] holds the lane's
     /// bit and -1 elsewhere: publishes the frame's coin-sign row and charges
@@ -349,38 +327,15 @@ struct FusedLaneResult {
     Metrics metrics;
 };
 
-/// The block-level form of an adaptive strategy (Adversary::block_form):
-/// one object decides the adversary beat of every live lane of a fused
-/// block from the frame's planes, in O(n) word operations where the
-/// per-lane bridge would run 64 act() calls. It corrupts through
-/// FusedLaneControl::corrupt_word and sends through sign_row, and keeps its
-/// per-lane state itself, reset by its adversary's on_start.
-class BlockStrategy {
-public:
-    /// Round ctl.round()'s adversary beat in every lane of
-    /// ctl.frame().active.
-    virtual void act_block(FusedLaneControl& ctl) = 0;
-
-protected:
-    ~BlockStrategy() = default;
-};
-
 /// Drives one 64-lane block: Engine::run's beat order, word-parallel.
 /// No watchdog (fused scenarios require watchdog_ms == 0) and no
 /// transcript — both are kept off the fused plane upstream.
 ///
-/// When every lane offers a block-level form of the first lane's strategy
+/// The adversary beat takes one of two paths for the whole block: when
+/// every lane offers a block-level form of the first lane's strategy
 /// (Adversary::block_form, same_strategy), the first lane's decides them
-/// all.
-/// When all 64 adversaries are lane-uniform, the adversary beat is
-/// word-parallel too: their sets fold into one lane mask per node after
-/// on_start, round 0 corrupts by mask and counts each lane's set size once,
-/// and each round one shared row goes out for every live lane, charged from
-/// those sizes; one lane per strategy group is asked for its row. A lane
-/// whose row differs from the shared one (a block mixing strategies)
-/// patterns its own rows through the bridge's split_as. Otherwise — or when
-/// a round-0 contract check fails, so that the bridge raises its own
-/// message — every live lane's act() runs through the bridge.
+/// all; otherwise — a block mixing strategies, or a decorator that hides
+/// the form — every live lane's act() runs through the per-lane bridge.
 class FusedBlock {
 public:
     /// `proto` must already be rearm()-ed for this block; advs[j] is lane
@@ -399,22 +354,9 @@ private:
     /// The first lane's block-level form when every lane of `lanes` offers
     /// one of its strategy, else nullptr.
     static BlockStrategy* block_form(Adversary* const* advs, std::uint64_t lanes);
-    /// Folds the lane-uniform set of every lane of `lanes` into mask_ and
-    /// groups those lanes by strategy; false as soon as one adversary is
-    /// not lane-uniform.
-    bool fold_uniform(Adversary* const* advs, NodeId n, std::uint64_t lanes);
-    /// The row beat of round r for a lane-uniform block (round 0's
-    /// corruptions already applied).
-    void act_uniform(Adversary* const* advs, Round r, std::uint64_t active);
 
     FusedFrame frame_;
     FusedLaneControl ctl_;
-    std::vector<std::uint64_t> mask_;   ///< lanes whose set holds node v
-    std::uint64_t irregular_ = 0;       ///< lanes whose set repeats a node or leaves [0, n)
-    std::uint64_t members_ = 0;         ///< lanes with a non-empty set
-    Count set_size_[kFusedLanes] = {};  ///< lane's set size, counted in round 0
-    std::uint64_t groups_[kFusedLanes] = {};  ///< lanes of each strategy group
-    unsigned group_count_ = 0;
 };
 
 // ---- shared word-parallel helpers for FusedProtocol implementations ----

@@ -11,7 +11,7 @@ void RoundBuffer::reset(NodeId n) {
     n_ = n;
     honest_.resize(n);
     state_.assign(n, 0);
-    byz_row_of_.assign(n, -1);
+    byz_row_index_.assign(n, -1);
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
@@ -21,7 +21,7 @@ void RoundBuffer::reset(NodeId n) {
 
 void RoundBuffer::begin_round() {
     for (NodeId v = 0; v < n_; ++v) state_[v] &= kByzantine;
-    std::fill(byz_row_of_.begin(), byz_row_of_.end(), -1);
+    std::fill(byz_row_index_.begin(), byz_row_index_.end(), -1);
     row_sender_.clear();
     row_mode_.clear();
     row_slot_.clear();
@@ -38,11 +38,11 @@ std::optional<Message> RoundBuffer::corrupt(NodeId v) {
 }
 
 std::int32_t RoundBuffer::ensure_row(NodeId v) {
-    std::int32_t row = byz_row_of_[v];
+    std::int32_t row = byz_row_index_[v];
     if (row >= 0) return row;
     if (row_pattern_.size() <= rows_in_use_) row_pattern_.resize(rows_in_use_ + 1);
     row = static_cast<std::int32_t>(rows_in_use_);
-    byz_row_of_[v] = row;
+    byz_row_index_[v] = row;
     row_sender_.push_back(v);
     row_mode_.push_back(kRowDense);
     row_slot_.push_back(-1);  // dense cells assigned only when needed
@@ -76,7 +76,7 @@ void RoundBuffer::densify(std::size_t row) {
 
 bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
     ADBA_EXPECTS(byz_from < n_ && to < n_);
-    const std::int32_t prior = byz_row_of_[byz_from];
+    const std::int32_t prior = byz_row_index_[byz_from];
     const std::size_t row = static_cast<std::size_t>(ensure_row(byz_from));
     if (prior < 0) {
         assign_dense_slot(row);  // fresh dense row: clear its cells once
@@ -92,7 +92,7 @@ bool RoundBuffer::deliver(NodeId byz_from, NodeId to, const Message& m) {
 
 Count RoundBuffer::deliver_row(NodeId byz_from, const Message* cells) {
     ADBA_EXPECTS(byz_from < n_);
-    const std::int32_t prior = byz_row_of_[byz_from];
+    const std::int32_t prior = byz_row_index_[byz_from];
     const std::size_t row = static_cast<std::size_t>(ensure_row(byz_from));
     if (prior < 0) {
         assign_dense_slot(row);
@@ -111,7 +111,7 @@ Count RoundBuffer::deliver_row(NodeId byz_from, const Message* cells) {
 Count RoundBuffer::apply_pattern(NodeId byz_from, const Message* low,
                                  const Message* high, NodeId boundary) {
     ADBA_EXPECTS(byz_from < n_ && boundary <= n_);
-    const std::int32_t prior = byz_row_of_[byz_from];
+    const std::int32_t prior = byz_row_index_[byz_from];
     const std::size_t row = static_cast<std::size_t>(ensure_row(byz_from));
     if (prior < 0) {
         row_mode_[row] = kRowPattern;

@@ -120,7 +120,7 @@ public:
         const std::uint8_t st = state_[sender];
         if (st == kPresent) return &honest_[sender];
         if (st == 0) return nullptr;
-        const std::int32_t row = byz_row_of_[sender];
+        const std::int32_t row = byz_row_index_[sender];
         if (row < 0) return nullptr;
         return row_delivery(static_cast<std::size_t>(row), receiver);
     }
@@ -156,7 +156,7 @@ private:
     NodeId n_ = 0;
     std::vector<Message> honest_;        ///< [n] honest broadcasts
     std::vector<std::uint8_t> state_;    ///< [n] presence/honesty plane
-    std::vector<std::int32_t> byz_row_of_;  ///< [n] sender -> row, or -1
+    std::vector<std::int32_t> byz_row_index_;  ///< [n] sender -> row, or -1
     std::vector<NodeId> row_sender_;     ///< [rows] row -> sender
     std::vector<std::uint8_t> row_mode_; ///< [rows] kRowDense / kRowPattern
     std::vector<std::int32_t> row_slot_; ///< [rows] dense slot index, or -1

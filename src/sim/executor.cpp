@@ -34,11 +34,7 @@ void set_default_threads(unsigned threads) {
 }
 
 unsigned init_threads(const Cli& cli) {
-    const std::int64_t raw =
-        cli.get_int("threads", static_cast<std::int64_t>(hardware_threads()));
-    ADBA_EXPECTS_MSG(raw >= 0, "--threads must be non-negative, got " +
-                                   std::to_string(raw));
-    auto threads = static_cast<unsigned>(raw);
+    auto threads = cli.get_uint<unsigned>("threads", hardware_threads());
     if (threads == 0) threads = 1;
     set_default_threads(threads);
     return threads;
@@ -61,11 +57,7 @@ void set_default_intra_threads(unsigned shards) {
 }
 
 unsigned init_intra_threads(const Cli& cli) {
-    const std::int64_t raw = cli.get_int(
-        "intra_threads", static_cast<std::int64_t>(default_intra_threads()));
-    ADBA_EXPECTS_MSG(raw >= 0, "--intra_threads must be non-negative, got " +
-                                   std::to_string(raw));
-    const auto shards = static_cast<unsigned>(raw);
+    const auto shards = cli.get_uint<unsigned>("intra_threads", default_intra_threads());
     set_default_intra_threads(shards);
     return shards;
 }
@@ -218,8 +210,7 @@ Count auto_chunk(Count trials) {
 
 void for_each_chunk(Count trials, Count chunk, unsigned threads,
                     const std::function<void(std::size_t, Count, Count)>& body) {
-    const std::size_t num_chunks =
-        (static_cast<std::size_t>(trials) + chunk - 1) / chunk;
+    const std::size_t num_chunks = chunk_count(trials, chunk);
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
@@ -230,7 +221,7 @@ void for_each_chunk(Count trials, Count chunk, unsigned threads,
             const std::size_t ci = cursor.fetch_add(1, std::memory_order_relaxed);
             if (ci >= num_chunks) return;
             const Count begin = static_cast<Count>(ci) * chunk;
-            const Count end = std::min<Count>(trials, begin + chunk);
+            const Count end = chunk_end(trials, begin, chunk);
             try {
                 body(ci, begin, end);
             } catch (...) {

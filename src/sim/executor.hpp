@@ -13,6 +13,7 @@
 // the executor tests enforce.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -147,6 +148,18 @@ namespace detail {
 /// to amortize dispatch. Depends only on the trial count (determinism rule).
 Count auto_chunk(Count trials);
 
+/// Chunks of `chunk` trials covering [0, trials), counted in 64 bits so a
+/// run near 2^32 trials does not wrap.
+inline std::size_t chunk_count(Count trials, Count chunk) {
+    return (static_cast<std::size_t>(trials) + chunk - 1) / chunk;
+}
+
+/// One past the last trial of the chunk starting at `begin`:
+/// min(trials, begin + chunk), summed in 64 bits for the same reason.
+inline Count chunk_end(Count trials, Count begin, Count chunk) {
+    return static_cast<Count>(std::min<std::uint64_t>(trials, std::uint64_t{begin} + chunk));
+}
+
 /// Runs body(chunk_index, begin, end) for the consecutive chunks covering
 /// [0, trials). Worker threads claim chunks off a shared atomic cursor; the
 /// first exception thrown by any chunk is rethrown on the calling thread
@@ -166,7 +179,7 @@ Agg parallel_reduce(Count trials, const ExecutorConfig& cfg, PerChunk&& per_chun
     const Count chunk = cfg.chunk ? cfg.chunk : detail::auto_chunk(trials);
     if (threads <= 1 || trials <= chunk) return per_chunk(Count{0}, trials);
 
-    const std::size_t num_chunks = (trials + chunk - 1) / chunk;
+    const std::size_t num_chunks = detail::chunk_count(trials, chunk);
     std::vector<std::optional<Agg>> partials(num_chunks);
     detail::for_each_chunk(trials, chunk, threads,
                            [&](std::size_t ci, Count begin, Count end) {

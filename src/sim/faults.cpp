@@ -61,17 +61,10 @@ double parse_rate(const std::string& key, const std::string& v) {
     return r;
 }
 
-std::uint64_t parse_u64_value(const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    unsigned long long r = 0;
-    try {
-        r = std::stoull(v, &pos);
-    } catch (const std::exception&) {
-        pos = std::string::npos;
-    }
-    ADBA_EXPECTS_MSG(pos == v.size(),
-                     "fault key '" + key + "' wants an unsigned integer, got '" + v + "'");
-    return static_cast<std::uint64_t>(r);
+/// A fault key stored in an unsigned field of type T.
+template <typename T>
+T parse_count(const std::string& key, const std::string& v) {
+    return parse_uint<T>("fault key '" + key + "'", v);
 }
 
 std::int64_t parse_i64_value(const std::string& key, const std::string& v) {
@@ -108,7 +101,7 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
         const std::string key = tok.substr(0, eq);
         const std::string val = tok.substr(eq + 1);
         if (key == "seed") {
-            c.seed = parse_u64_value(key, val);
+            c.seed = parse_count<std::uint64_t>(key, val);
         } else if (key == "shard_death") {
             c.shard_death = parse_rate(key, val);
         } else if (key == "shard_death_shard") {
@@ -116,7 +109,7 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
         } else if (key == "stall_rate") {
             c.stall_rate = parse_rate(key, val);
         } else if (key == "stall_ms") {
-            c.stall_ms = static_cast<std::uint32_t>(parse_u64_value(key, val));
+            c.stall_ms = parse_count<std::uint32_t>(key, val);
         } else if (key == "alloc_rate") {
             c.alloc_rate = parse_rate(key, val);
         } else if (key == "trial_rate") {
@@ -124,9 +117,9 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
         } else if (key == "beat_delay_rate") {
             c.beat_delay_rate = parse_rate(key, val);
         } else if (key == "beat_delay_ms") {
-            c.beat_delay_ms = static_cast<std::uint32_t>(parse_u64_value(key, val));
+            c.beat_delay_ms = parse_count<std::uint32_t>(key, val);
         } else if (key == "max_attempts") {
-            c.max_attempts = static_cast<std::uint32_t>(parse_u64_value(key, val));
+            c.max_attempts = parse_count<std::uint32_t>(key, val);
             ADBA_EXPECTS_MSG(c.max_attempts >= 1, "max_attempts must be >= 1");
         } else {
             ADBA_EXPECTS_MSG(false,
@@ -309,8 +302,8 @@ std::uint64_t default_mem_budget_mb() {
 void set_default_mem_budget_mb(std::uint64_t mb) { g_mem_budget_mb = mb; }
 
 std::uint64_t init_mem_budget(const Cli& cli) {
-    const std::int64_t mb = cli.get_int("mem_budget_mb", -1);
-    if (mb >= 0) set_default_mem_budget_mb(static_cast<std::uint64_t>(mb));
+    if (cli.has("mem_budget_mb"))
+        set_default_mem_budget_mb(cli.get_uint<std::uint64_t>("mem_budget_mb", 0));
     return default_mem_budget_mb();
 }
 

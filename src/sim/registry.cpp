@@ -483,8 +483,8 @@ AdversaryRegistry::AdversaryRegistry() : RegistryBase("adversary") {
     // votes every round.
     const auto split_votes = [q_of](const Scenario& s, const ProtocolBundle&,
                                     const SeedTree& seeds) -> std::unique_ptr<net::Adversary> {
-        return std::make_unique<adv::StaticAdversary>(
-            q_of(s), adv::StaticBehavior::SplitVotes, seeds.stream(StreamPurpose::Adversary));
+        return std::make_unique<adv::StaticAdversary>(q_of(s),
+                                                      seeds.stream(StreamPurpose::Adversary));
     };
     const auto reseed_split_votes = [](const SeedTree& seeds, net::Adversary& a) {
         if (typeid(a) != typeid(adv::StaticAdversary)) return false;
@@ -910,18 +910,10 @@ std::string Scenario::describe() const {
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const ContractViolation&) {
-        throw;
-    } catch (...) {
-        throw ContractViolation("scenario key '" + key +
-                                "' expects a non-negative integer, got '" + value + "'");
-    }
+/// A scenario key stored in an unsigned field of type T.
+template <typename T>
+T parse_count(const std::string& key, const std::string& value) {
+    return parse_uint<T>("scenario key '" + key + "'", value);
 }
 
 bool parse_onoff(const std::string& key, const std::string& value) {
@@ -974,11 +966,11 @@ Scenario Scenario::parse(const std::string& spec) {
         } else if (key == "inputs") {
             s.inputs = parse_input_pattern(value);
         } else if (key == "n") {
-            s.n = static_cast<NodeId>(parse_u64(key, value));
+            s.n = parse_count<NodeId>(key, value);
         } else if (key == "t") {
-            s.t = static_cast<Count>(parse_u64(key, value));
+            s.t = parse_count<Count>(key, value);
         } else if (key == "q") {
-            s.q = static_cast<Count>(parse_u64(key, value));
+            s.q = parse_count<Count>(key, value);
         } else if (key == "alpha") {
             s.tuning.alpha = parse_f64(key, value);
         } else if (key == "gamma") {
@@ -986,11 +978,11 @@ Scenario Scenario::parse(const std::string& spec) {
         } else if (key == "beta") {
             s.tuning.beta = parse_f64(key, value);
         } else if (key == "phases") {
-            s.local_coin_phases = static_cast<Count>(parse_u64(key, value));
+            s.local_coin_phases = parse_count<Count>(key, value);
         } else if (key == "kappa") {
             s.sampling_kappa = parse_f64(key, value);
         } else if (key == "max_rounds") {
-            s.max_rounds_override = static_cast<Round>(parse_u64(key, value));
+            s.max_rounds_override = parse_count<Round>(key, value);
         } else if (key == "transcript") {
             s.record_transcript = parse_onoff(key, value);
         } else if (key == "reference") {
@@ -1002,19 +994,19 @@ Scenario Scenario::parse(const std::string& spec) {
         } else if (key == "simd") {
             s.use_simd = parse_onoff(key, value);
         } else if (key == "intra_threads") {
-            s.intra_threads = static_cast<Count>(parse_u64(key, value));
+            s.intra_threads = parse_count<Count>(key, value);
         } else if (key == "plane") {
             s.sparse_plane = parse_plane_name(value);
         } else if (key == "sample_degree") {
-            s.sample_degree = static_cast<Count>(parse_u64(key, value));
+            s.sample_degree = parse_count<Count>(key, value);
         } else if (key == "sparse_seed") {
-            s.sparse_seed = parse_u64(key, value);
+            s.sparse_seed = parse_count<std::uint64_t>(key, value);
         } else if (key == "sparse_stream") {
             s.sparse_stream = parse_sparse_stream_name(value);
         } else if (key == "fused") {
             s.use_fused = parse_onoff(key, value);
         } else if (key == "watchdog_ms") {
-            s.watchdog_ms = static_cast<std::uint32_t>(parse_u64(key, value));
+            s.watchdog_ms = parse_count<std::uint32_t>(key, value);
         } else {
             throw ContractViolation(
                 "unknown scenario key '" + key +
@@ -1061,11 +1053,11 @@ MvScenario MvScenario::parse(const std::string& spec) {
         } else if (key == "inputs") {
             s.inputs = parse_mv_input_pattern(value);
         } else if (key == "n") {
-            s.n = static_cast<NodeId>(parse_u64(key, value));
+            s.n = parse_count<NodeId>(key, value);
         } else if (key == "t") {
-            s.t = static_cast<Count>(parse_u64(key, value));
+            s.t = parse_count<Count>(key, value);
         } else if (key == "q") {
-            s.q = static_cast<Count>(parse_u64(key, value));
+            s.q = parse_count<Count>(key, value);
         } else if (key == "alpha") {
             s.tuning.alpha = parse_f64(key, value);
         } else if (key == "gamma") {
@@ -1073,7 +1065,7 @@ MvScenario MvScenario::parse(const std::string& spec) {
         } else if (key == "beta") {
             s.tuning.beta = parse_f64(key, value);
         } else if (key == "fallback") {
-            s.fallback = static_cast<net::Word>(parse_u64(key, value));
+            s.fallback = parse_count<net::Word>(key, value);
         } else if (key == "las_vegas") {
             s.las_vegas = parse_onoff(key, value);
         } else if (key == "reference") {
@@ -1085,9 +1077,9 @@ MvScenario MvScenario::parse(const std::string& spec) {
         } else if (key == "plane") {
             s.sparse_plane = parse_plane_name(value);
         } else if (key == "sample_degree") {
-            s.sample_degree = static_cast<Count>(parse_u64(key, value));
+            s.sample_degree = parse_count<Count>(key, value);
         } else if (key == "watchdog_ms") {
-            s.watchdog_ms = static_cast<std::uint32_t>(parse_u64(key, value));
+            s.watchdog_ms = parse_count<std::uint32_t>(key, value);
         } else {
             throw ContractViolation(
                 "unknown multi-valued scenario key '" + key +

@@ -213,8 +213,7 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
     ChunkJournal journal(exec.checkpoint, meta, exec.resume);
 
     if (trials == 0) return typename W::Aggregate{};
-    const std::size_t num_chunks =
-        (static_cast<std::size_t>(trials) + chunk - 1) / chunk;
+    const std::size_t num_chunks = detail::chunk_count(trials, chunk);
     std::vector<std::optional<typename W::Aggregate>> partials(num_chunks);
     for (const auto& [ci, payload] : journal.completed()) {
         ADBA_EXPECTS_MSG(ci < num_chunks,
@@ -224,7 +223,7 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
         typename W::Aggregate agg;
         W::checkpoint_decode(payload, agg);
         const Count begin = static_cast<Count>(ci) * chunk;
-        const Count end = std::min<Count>(trials, begin + chunk);
+        const Count end = detail::chunk_end(trials, begin, chunk);
         ADBA_EXPECTS_MSG(agg.trials == end - begin,
                          "checkpoint journal chunk " + std::to_string(ci) +
                              " records " + std::to_string(agg.trials) +

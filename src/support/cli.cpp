@@ -82,6 +82,23 @@ bool parse_bool(const std::string& what, const std::string& value) {
                             value + "'");
 }
 
+std::uint64_t parse_uint(const std::string& what, const std::string& value, std::uint64_t max) {
+    std::uint64_t v = 0;
+    bool ok = !value.empty();
+    for (const char c : value) {
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (c < '0' || c > '9' || v > (max - digit) / 10) {
+            ok = false;
+            break;
+        }
+        v = v * 10 + digit;
+    }
+    if (!ok)
+        throw ContractViolation(what + " expects an integer in [0, " + std::to_string(max) +
+                                "], got '" + value + "'");
+    return v;
+}
+
 Cli::Cli(int argc, char** argv) {
     if (argc > 0) passthrough_.emplace_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -122,6 +139,14 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
     return parse_int(key, it->second);
+}
+
+std::uint64_t Cli::read_uint(const std::string& key, std::uint64_t fallback,
+                             std::uint64_t max) const {
+    queried_[key] = std::to_string(fallback);
+    const auto it = kv_.find(key);
+    if (it == kv_.end()) return fallback;
+    return parse_uint("--" + key, it->second, max);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {

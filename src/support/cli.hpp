@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/contracts.hpp"
@@ -38,6 +40,20 @@ std::string closest_match(const std::string& key,
 /// run instead of silently reading as false. Shared by Cli::get_bool and
 /// the scenario spec parsers.
 bool parse_bool(const std::string& what, const std::string& value);
+
+/// Parses an unsigned setting that must lie in [0, max]: decimal digits
+/// only, so a sign, a space or a value above `max` throws ContractViolation
+/// naming `what` (e.g. "--trials" or "scenario key 'n'") and the range,
+/// instead of wrapping into the field it is stored in. Shared by
+/// Cli::get_uint and the scenario and fault spec parsers.
+std::uint64_t parse_uint(const std::string& what, const std::string& value, std::uint64_t max);
+
+/// parse_uint over the whole range of the unsigned field type T.
+template <typename T>
+T parse_uint(const std::string& what, const std::string& value) {
+    static_assert(std::is_unsigned_v<T>);
+    return static_cast<T>(parse_uint(what, value, std::numeric_limits<T>::max()));
+}
 
 /// Thrown by Cli::check_unused() when `--help` was given; what() is the
 /// usage text. A ContractViolation, so a caller that only knows the
@@ -60,6 +76,14 @@ public:
     bool has(const std::string& key) const;
     std::string get(const std::string& key, const std::string& fallback) const;
     std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+    /// A flag stored in an unsigned field of type T, read through
+    /// parse_uint: `--trials=-1` or a value past T's width names the flag
+    /// instead of wrapping.
+    template <typename T>
+    T get_uint(const std::string& key, T fallback) const {
+        static_assert(std::is_unsigned_v<T>);
+        return static_cast<T>(read_uint(key, fallback, std::numeric_limits<T>::max()));
+    }
     double get_double(const std::string& key, double fallback) const;
     /// parse_bool over the flag's value (so `--batch=on|off` style toggles
     /// work); a bare `--flag` reads as true.
@@ -81,6 +105,9 @@ public:
 private:
     /// The usage text: every queried flag with the default it was read with.
     std::string usage() const;
+    /// get_uint's untyped body: the flag's value in [0, max], or fallback.
+    std::uint64_t read_uint(const std::string& key, std::uint64_t fallback,
+                            std::uint64_t max) const;
 
     std::map<std::string, std::string> kv_;
     std::vector<std::string> passthrough_;

@@ -3,6 +3,7 @@
 // bit-identical at 1, 2, and 8 threads for a fixed (scenario, base seed).
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/coin_runner.hpp"
@@ -57,6 +58,33 @@ TEST(Executor, ExceptionsPropagateFromWorkers) {
                  ContractViolation);
     EXPECT_THROW(parallel_reduce<OrderAgg>(20, ExecutorConfig{1, 1}, boom),
                  ContractViolation);
+}
+
+TEST(Executor, ChunksTileRangesNearTheCountWidth) {
+    // 2^32 - 1 trials in chunks of 2^31: the second chunk ends at the
+    // range's end, where 32-bit begin + chunk would wrap to 0. The body
+    // records each range instead of running trials.
+    struct Ranges {
+        std::vector<std::pair<Count, Count>> ranges;
+        void merge(const Ranges& other) {
+            ranges.insert(ranges.end(), other.ranges.begin(), other.ranges.end());
+        }
+    };
+    const Count trials = ~Count{0};
+    const Count chunk = Count{1} << 31;
+    const auto record = [](Count begin, Count end) { return Ranges{{{begin, end}}}; };
+    for (const unsigned threads : {2u, 4u}) {
+        const Ranges agg = parallel_reduce<Ranges>(trials, ExecutorConfig{threads, chunk}, record);
+        ASSERT_EQ(agg.ranges.size(), 2u) << threads;
+        EXPECT_EQ(agg.ranges[0], std::make_pair(Count{0}, chunk));
+        EXPECT_EQ(agg.ranges[1], std::make_pair(chunk, trials));
+    }
+    std::vector<std::pair<Count, Count>> seen(2);
+    detail::for_each_chunk(trials, chunk, 2, [&seen](std::size_t ci, Count begin, Count end) {
+        seen.at(ci) = {begin, end};
+    });
+    EXPECT_EQ(seen[0], std::make_pair(Count{0}, chunk));
+    EXPECT_EQ(seen[1], std::make_pair(chunk, trials));
 }
 
 TEST(Executor, DefaultThreadsIsSettable) {

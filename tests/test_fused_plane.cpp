@@ -2,11 +2,12 @@
 // must be BIT-IDENTICAL to the scalar path — same aggregates, sample order
 // included — for every fused-capable (protocol, adversary) registry pair, at
 // any thread count, through partial blocks (trials % 64 != 0), per-lane
-// early-decide divergence, and checkpoint kill/resume. The word-parallel
-// act of lane-uniform adversaries must equal the per-lane bridge, contract
-// failures included, and the default chunk must hold whole blocks. The
-// worst-case adversary's block-level form must equal 64 scalar engine runs
-// block by block, and stateless committee draws must hold across committee
+// early-decide divergence, and checkpoint kill/resume. The block-level
+// forms of `none` and `static` must equal the per-lane bridge, contract
+// failures included, a block mixing strategies must take the bridge, and
+// the default chunk must hold whole blocks. The worst-case adversary's
+// block-level form must equal 64 scalar engine runs block by block, and
+// stateless committee draws must hold across committee
 // revisits. Each protocol's receive beat must equal a per-(lane, receiver)
 // oracle on synthetic frames, and arenas that re-arm their adversaries
 // across blocks must still equal the scalar path. Plus the fused policy
@@ -104,7 +105,7 @@ private:
 };
 
 /// Forwards on_start and act only, like a timing decorator that knows
-/// nothing of lane_uniform: wrapping every lane forces a block onto the
+/// nothing of block_form: wrapping every lane forces a block onto the
 /// per-lane bridge.
 class BridgeOnly final : public net::Adversary {
 public:
@@ -124,19 +125,34 @@ struct Script {
     net::MsgKind odd = net::MsgKind::Vote2;
     Bit low_val = 1;
     NodeId div = 3;
+
+    friend bool operator==(const Script&, const Script&) = default;
 };
 
-/// A lane-uniform strategy with a scripted set that no on_start checks and a
-/// scripted row; counts its act() calls into `*acts` when given one.
-class ScriptedUniform final : public net::Adversary {
+/// A static strategy with a scripted set and row: act() corrupts the set in
+/// round 0 and has every member send the row each round. Its block-level
+/// form folds every lane's set into one lane mask (corrupt_lanes) and sends
+/// the row once as the frame's shared row (share_row), as `static` does.
+/// Counts its act() calls into `*acts` when given one.
+class ScriptedUniform final : public net::Adversary, private net::BlockStrategy {
 public:
     ScriptedUniform(std::vector<NodeId> set, Script script, int* acts = nullptr)
         : set_(std::move(set)), script_(script), acts_(acts) {}
     void act(net::RoundControl& ctl) override {
         if (acts_ != nullptr) ++*acts_;
-        lane_uniform(ctl.round(), ctl.n())->play(ctl);
+        if (ctl.round() == 0)
+            for (const NodeId v : set_) ctl.corrupt(v);
+        const net::SplitRow r = row(ctl.round(), ctl.n());
+        for (const NodeId v : set_) ctl.split_as(v, r.low, r.high, r.boundary);
     }
-    std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override {
+    bool same_strategy(const net::Adversary& other) const override {
+        const auto* o = dynamic_cast<const ScriptedUniform*>(&other);
+        return o != nullptr && o->script_ == script_;
+    }
+    net::BlockStrategy* block_form() override { return this; }
+
+private:
+    net::SplitRow row(Round r, NodeId n) const {
         net::Message low;
         low.kind = r % 2 == 0 ? script_.even : script_.odd;
         low.phase = r / 2;
@@ -146,13 +162,27 @@ public:
         net::Message high = low;
         high.val = static_cast<Bit>(1 - script_.low_val);
         high.coin = -1;
-        return net::LaneUniformRound{set_, net::SplitRow{low, high, n / script_.div}};
+        return net::SplitRow{low, high, n / script_.div};
+    }
+    void act_block(net::FusedLaneControl& ctl, const net::Adversary* const* advs) override {
+        const net::FusedFrame& f = ctl.frame();
+        if (ctl.round() == 0) {
+            mask_.assign(f.n(), 0);
+            for (std::uint64_t lanes = f.active; lanes != 0; lanes &= lanes - 1) {
+                const auto* lane =
+                    static_cast<const ScriptedUniform*>(advs[std::countr_zero(lanes)]);
+                for (const NodeId v : lane->set_) mask_[v] |= lanes & -lanes;
+            }
+            ctl.corrupt_lanes(mask_.data(), sizes_);
+        }
+        ctl.share_row(row(ctl.round(), f.n()), mask_.data(), f.active, sizes_);
     }
 
-private:
     std::vector<NodeId> set_;
     Script script_;
     int* acts_;
+    std::vector<std::uint64_t> mask_;  ///< block form: lanes whose set holds node v
+    Count sizes_[net::kFusedLanes] = {};
 };
 
 /// Everything a finished fused block reports.
@@ -217,8 +247,8 @@ BlockOutcome run_block(const sim::ScenarioPlan& plan, std::uint64_t base_seed,
 
 /// The block against the registry adversary, direct and wrapped in
 /// BridgeOnly.
-std::pair<BlockOutcome, BlockOutcome> uniform_and_bridge(const sim::ScenarioPlan& plan,
-                                                         std::uint64_t seed) {
+std::pair<BlockOutcome, BlockOutcome> direct_and_bridge(const sim::ScenarioPlan& plan,
+                                                        std::uint64_t seed) {
     const auto registry = [&](bool bridge) {
         return [&plan, bridge](unsigned, const SeedTree& seeds,
                                const sim::ProtocolBundle& meta) {
@@ -428,8 +458,8 @@ TEST(FusedPlane, InputPlaneMatchesPerLaneInputs) {
 // rule applied to what each receiver sees, contract failures included.
 
 /// What receiver v sees in lane j, counted the scalar way from each
-/// sender's message: its coin-sign row, its row through row_of (the shared
-/// row or its own) when Byzantine, its broadcast when honest.
+/// sender's message: its coin-sign row, the shared row or a row of its own
+/// when Byzantine, its broadcast when honest.
 struct Seen {
     Count c[2] = {};
     std::int64_t coin = 0;
@@ -445,8 +475,12 @@ Seen oracle_seen(const net::FusedFrame& f, const net::FoldQuery& q, unsigned j, 
                 u < f.sign_last) {
                 m = f.sign_msg;
                 m->coin = (f.sign[v] & bit) != 0 ? CoinSign{1} : CoinSign{-1};
-            } else if (const net::FusedRow* row = f.row_of(j, u)) {
-                if (v < row->boundary ? row->has_low : row->has_high)
+            } else {
+                const net::FusedRow* row =
+                    f.has_shared && (f.shared[u] & bit) != 0 ? &f.shared_row : nullptr;
+                for (const net::FusedRow& own : f.rows(j))
+                    if (own.sender == u) row = &own;
+                if (row != nullptr && (v < row->boundary ? row->has_low : row->has_high))
                     m = v < row->boundary ? row->low : row->high;
             }
         } else if ((f.sent[u] & bit) != 0) {
@@ -1084,11 +1118,12 @@ TEST(FusedPlaneEquivalence, CheckpointResumeIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-uniform adversaries act on 64-lane masks with one shared row; the
-// per-lane bridge is the oracle. Every fused protocol x {none, static,
-// split-vote}, q < t and q = t, split and unanimous inputs, n in {7, 64, 200}.
+// Block-level forms act on 64-lane masks: `static` with one shared row,
+// `none` not at all; the per-lane bridge is the oracle. Every fused
+// protocol x {none, static, split-vote}, q < t and q = t, split and
+// unanimous inputs, n in {7, 64, 200}.
 
-TEST(FusedLaneUniform, WordParallelActMatchesThePerLaneBridge) {
+TEST(FusedBlockForm, WordParallelActMatchesThePerLaneBridge) {
     Count covered = 0;
     bool divergent = false;
     for (const NodeId n : {NodeId{7}, NodeId{64}, NodeId{200}}) {
@@ -1113,24 +1148,25 @@ TEST(FusedLaneUniform, WordParallelActMatchesThePerLaneBridge) {
                         if (!sim::compatible(s)) continue;
                         ++covered;
                         SCOPED_TRACE(s.describe());
-                        const auto [uniform, bridge] =
-                            uniform_and_bridge(sim::validate(s), 0xA11 + n);
-                        expect_block_eq(uniform, bridge);
+                        const auto [block, bridge] =
+                            direct_and_bridge(sim::validate(s), 0xA11 + n);
+                        expect_block_eq(block, bridge);
                         for (unsigned j = 1; j < net::kFusedLanes; ++j)
-                            divergent |= uniform.lanes[j].rounds != uniform.lanes[0].rounds;
+                            divergent |= block.lanes[j].rounds != block.lanes[0].rounds;
                     }
                 }
             }
         }
     }
-    EXPECT_GE(covered, 130u) << "lane-uniform coverage unexpectedly low";
+    EXPECT_GE(covered, 130u) << "block-form coverage unexpectedly low";
     EXPECT_TRUE(divergent) << "no block retired its lanes at different rounds";
 }
 
-TEST(FusedLaneUniform, LanesWithADifferentRowTakeTheBridgeRows) {
-    // Lanes mix three lane-uniform strategies: the static split row (shared
-    // from lane 0), a silent static set, and a scripted row at another
-    // boundary that must go out as per-lane rows.
+TEST(FusedBlockForm, LanesWithADifferentRowTakeTheBridgeRows) {
+    // Lanes mix three strategies with block-level forms: the static split
+    // row and two scripted rows at other boundaries. No one form answers
+    // for them all, so every lane's act() runs through the bridge and
+    // patterns its own rows, as in a block of BridgeOnly lanes.
     sim::Scenario s;
     s.protocol = sim::ProtocolKind::Ours;
     s.adversary = sim::AdversaryKind::Static;
@@ -1140,25 +1176,31 @@ TEST(FusedLaneUniform, LanesWithADifferentRowTakeTheBridgeRows) {
     s.use_fused = true;
     s.intra_threads = 1;
     const sim::ScenarioPlan plan = sim::validate(s);
-    const auto mixed = [](bool bridge) {
-        return [bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
+    int acts = 0;
+    const auto mixed = [&acts](bool bridge) {
+        return [bridge, &acts](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
+            const Script scripts[] = {Script{},
+                                      Script{net::MsgKind::Vote1, net::MsgKind::Vote2, 0, 2}};
             std::unique_ptr<net::Adversary> a;
-            if (j % 3 == 2)
-                a = std::make_unique<ScriptedUniform>(std::vector<NodeId>{1, 5, 9, 30},
-                                                      Script{});
+            if (j % 3 == 0)
+                a = std::make_unique<adv::StaticAdversary>(13,
+                                                           seeds.stream(StreamPurpose::Adversary));
             else
-                a = std::make_unique<adv::StaticAdversary>(
-                    j % 3 == 0 ? 13 : 7,
-                    j % 3 == 0 ? adv::StaticBehavior::SplitVotes : adv::StaticBehavior::Silent,
-                    seeds.stream(StreamPurpose::Adversary));
+                a = std::make_unique<ScriptedUniform>(std::vector<NodeId>{1, 5, 9, 30},
+                                                      scripts[j % 3 - 1], &acts);
             if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
             return a;
         };
     };
-    expect_block_eq(run_block(plan, 0x313, mixed(false)), run_block(plan, 0x313, mixed(true)));
+    const BlockOutcome block = run_block(plan, 0x313, mixed(false));
+    const int block_acts = acts;
+    acts = 0;
+    expect_block_eq(block, run_block(plan, 0x313, mixed(true)));
+    EXPECT_GT(block_acts, 0) << "the mixed block did not take the bridge";
+    EXPECT_EQ(block_acts, acts);
 }
 
-TEST(FusedLaneUniform, RowsOfEveryProtocolKindFoldWithPerLaneWeights) {
+TEST(FusedBlockForm, RowsOfEveryProtocolKindFoldWithPerLaneWeights) {
     // The registry strategies send skeleton votes, which Ben-Or and
     // phase-king ignore; scripted rows in each protocol's own kinds make
     // their folds, the committee coin and the king probe read the shared
@@ -1192,24 +1234,26 @@ TEST(FusedLaneUniform, RowsOfEveryProtocolKindFoldWithPerLaneWeights) {
                 SCOPED_TRACE(s.describe() + " low_val=" + std::to_string(low_val) +
                              " div=" + std::to_string(div));
                 const Script script{c.even, c.odd, low_val, div};
+                int acts = 0;
                 const auto make = [&](bool bridge) {
                     return [&, bridge](unsigned j, const SeedTree&, const sim::ProtocolBundle&) {
                         std::vector<NodeId> set(j % (c.t + 1));
                         for (NodeId v = 0; v < set.size(); ++v) set[v] = v;
                         std::unique_ptr<net::Adversary> a =
-                            std::make_unique<ScriptedUniform>(std::move(set), script);
+                            std::make_unique<ScriptedUniform>(std::move(set), script, &acts);
                         if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
                         return a;
                     };
                 };
-                expect_block_eq(run_block(plan, 0x77 + div, make(false)),
-                                run_block(plan, 0x77 + div, make(true)));
+                const BlockOutcome block = run_block(plan, 0x77 + div, make(false));
+                EXPECT_EQ(acts, 0) << "the block did not take the block form";
+                expect_block_eq(block, run_block(plan, 0x77 + div, make(true)));
             }
         }
     }
 }
 
-TEST(FusedLaneUniform, SharedRowChargesEachLaneItsOwnSetSize) {
+TEST(FusedBlockForm, SharedRowChargesEachLaneItsOwnSetSize) {
     // One shared split-vote row from 64 static sets of 64 distinct sizes
     // (37j mod 67, so lane 0's is empty) at n = 200, a partial last word.
     // Each lane's byzantine_messages and fold weights must come from its own
@@ -1227,8 +1271,7 @@ TEST(FusedLaneUniform, SharedRowChargesEachLaneItsOwnSetSize) {
     const auto sized = [&s](bool bridge) {
         return [&s, bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
             std::unique_ptr<net::Adversary> a = std::make_unique<adv::StaticAdversary>(
-                static_cast<Count>(37 * j % (s.t + 1)), adv::StaticBehavior::SplitVotes,
-                seeds.stream(StreamPurpose::Adversary));
+                static_cast<Count>(37 * j % (s.t + 1)), seeds.stream(StreamPurpose::Adversary));
             if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
             return a;
         };
@@ -1236,19 +1279,26 @@ TEST(FusedLaneUniform, SharedRowChargesEachLaneItsOwnSetSize) {
     bool divergent = false;
     for (const std::uint64_t seed : {0x5A1u, 0x5A2u, 0x5A3u, 0x5A4u}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
-        const BlockOutcome uniform = run_block(plan, seed, sized(false));
-        expect_block_eq(uniform, run_block(plan, seed, sized(true)));
-        EXPECT_EQ(uniform.lanes[0].metrics.byzantine_messages, 0u);
+        const BlockOutcome block = run_block(plan, seed, sized(false));
+        expect_block_eq(block, run_block(plan, seed, sized(true)));
+        EXPECT_EQ(block.lanes[0].metrics.byzantine_messages, 0u);
         for (unsigned j = 1; j < net::kFusedLanes; ++j) {
-            EXPECT_EQ(uniform.lanes[j].metrics.corruptions, 37 * j % (s.t + 1));
-            EXPECT_GT(uniform.lanes[j].metrics.byzantine_messages, 0u);
-            divergent |= uniform.lanes[j].rounds != uniform.lanes[0].rounds;
+            EXPECT_EQ(block.lanes[j].metrics.corruptions, 37 * j % (s.t + 1));
+            EXPECT_GT(block.lanes[j].metrics.byzantine_messages, 0u);
+            divergent |= block.lanes[j].rounds != block.lanes[0].rounds;
         }
     }
     EXPECT_TRUE(divergent) << "no block retired its lanes at different rounds";
 }
 
-TEST(FusedLaneUniform, WordWiseContractsRaiseTheBridgeMessages) {
+/// The human-readable part of a ContractViolation's text: what follows the
+/// failed expression and its source location.
+std::string contract_message(const std::string& what) {
+    const std::size_t at = what.find(" — ");
+    return at == std::string::npos ? what : what.substr(at + std::string(" — ").size());
+}
+
+TEST(FusedBlockForm, WordWiseContractsRaiseTheBridgeMessages) {
     sim::Scenario s;
     s.protocol = sim::ProtocolKind::Ours;
     s.adversary = sim::AdversaryKind::Static;
@@ -1270,31 +1320,39 @@ TEST(FusedLaneUniform, WordWiseContractsRaiseTheBridgeMessages) {
             return a;
         };
     };
-    // The first failing (lane, node) in the bridge's order names the error.
-    const std::pair<Sets, const char*> cases[] = {
-        {{{0}, {2, 4, 6, 8}}, "corruption budget exhausted"},
-        {{{0}, {2, 5, 2}}, "cannot corrupt an already-Byzantine node"},
-        {{{0}, {3, 16}}, "v < frame_->n()"},
-        {{{2, 4, 6, 8, 2}, {0}}, "corruption budget exhausted"},
-        {{{2, 2, 4, 6, 8}, {3, 16}}, "cannot corrupt an already-Byzantine node"},
-        {{{16}, {2, 5, 2}}, "v < frame_->n()"},
-        {{{1, 2, 3}, {2, 4, 6, 8}}, "corruption budget exhausted"},
+    // A set over the budget t = 3, in lane 9, lane 3 or both: corrupt_lanes
+    // checks every lane's count before it corrupts and raises the message
+    // the bridge's corrupt() does.
+    const Sets over_budget[] = {
+        {{0}, {2, 4, 6, 8}},
+        {{2, 4, 6, 8}, {0}},
+        {{1, 2, 3}, {2, 4, 6, 8}},
     };
-    for (const auto& [sets, message] : cases) {
-        SCOPED_TRACE(message);
+    for (const Sets& sets : over_budget) {
+        const std::string bridge = block_error(plan, scripted(sets, true));
+        EXPECT_EQ(contract_message(bridge), "corruption budget exhausted") << bridge;
+        const std::string block = block_error(plan, scripted(sets, false));
+        EXPECT_EQ(contract_message(block), contract_message(bridge)) << block;
+    }
+    // Sets a lane mask cannot express, a member named twice or one past n,
+    // reach only the bridge, whose corrupt() raises Engine::Ctl's messages.
+    const std::pair<Sets, const char*> bridge_only[] = {
+        {{{0}, {2, 5, 2}}, "cannot corrupt an already-Byzantine node"},
+        {{{16}, {3}}, "v < frame_->n()"},
+    };
+    for (const auto& [sets, message] : bridge_only) {
         const std::string bridge = block_error(plan, scripted(sets, true));
         EXPECT_NE(bridge.find(message), std::string::npos) << bridge;
-        EXPECT_EQ(block_error(plan, scripted(sets, false)), bridge);
     }
     // Sets within the budget run, both paths agree, and only the bridge
-    // calls act(): the word-parallel path replaces every call.
+    // calls act(): the block form replaces every call.
     const Sets fit{{1, 2, 3}, {2, 4, 6}};
     acts = 0;
-    const BlockOutcome uniform = run_block(plan, 0x5EED, scripted(fit, false));
+    const BlockOutcome block = run_block(plan, 0x5EED, scripted(fit, false));
     EXPECT_EQ(acts, 0);
     const BlockOutcome bridge = run_block(plan, 0x5EED, scripted(fit, true));
     EXPECT_GE(acts, static_cast<int>(net::kFusedLanes));
-    expect_block_eq(uniform, bridge);
+    expect_block_eq(block, bridge);
 }
 
 // ---------------------------------------------------------------------------
@@ -1512,57 +1570,6 @@ TEST(FusedPlaneRegistry, FusedCapabilityFlagsMatchThePlan) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-uniform strategy groups: one lane per group is asked for its row.
-
-/// Counts lane_uniform() calls into `*asks`; forwards everything else,
-/// including the strategy key.
-class CountingUniform final : public net::Adversary {
-public:
-    CountingUniform(std::unique_ptr<net::Adversary> inner, int* asks)
-        : inner_(std::move(inner)), asks_(asks) {}
-    void on_start(NodeId n, Count budget) override { inner_->on_start(n, budget); }
-    void act(net::RoundControl& ctl) override { inner_->act(ctl); }
-    std::optional<net::LaneUniformRound> lane_uniform(Round r, NodeId n) const override {
-        ++*asks_;
-        return inner_->lane_uniform(r, n);
-    }
-    bool same_strategy(const net::Adversary& other) const override {
-        const auto* o = dynamic_cast<const CountingUniform*>(&other);
-        return o != nullptr && inner_->same_strategy(*o->inner_);
-    }
-
-private:
-    std::unique_ptr<net::Adversary> inner_;
-    int* asks_;
-};
-
-TEST(FusedLaneUniform, OneLanePerStrategyGroupIsAskedEachRound) {
-    // Two strategy groups (split-vote and silent static sets): after the
-    // round-0 fold asks every lane once, each round asks at most one lane
-    // per group, and the block still equals the per-lane bridge.
-    sim::Scenario s = sim::Scenario::parse("protocol=ours adversary=static n=40 t=13");
-    const sim::ScenarioPlan plan = sim::validate(s);
-    int asks = 0;
-    const auto grouped = [&asks](bool bridge) {
-        return [bridge, &asks](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
-            std::unique_ptr<net::Adversary> a = std::make_unique<adv::StaticAdversary>(
-                13, j % 2 == 0 ? adv::StaticBehavior::SplitVotes : adv::StaticBehavior::Silent,
-                seeds.stream(StreamPurpose::Adversary));
-            a = std::make_unique<CountingUniform>(std::move(a), &asks);
-            if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
-            return a;
-        };
-    };
-    const BlockOutcome uniform = run_block(plan, 0x6A0, grouped(false));
-    const int uniform_asks = asks;
-    expect_block_eq(uniform, run_block(plan, 0x6A0, grouped(true)));
-    Round rounds = 0;
-    for (const net::FusedLaneResult& lane : uniform.lanes) rounds = std::max(rounds, lane.rounds);
-    EXPECT_GE(uniform_asks, static_cast<int>(net::kFusedLanes));
-    EXPECT_LE(uniform_asks, static_cast<int>(net::kFusedLanes + 2 * rounds));
-}
-
-// ---------------------------------------------------------------------------
 // The worst-case adversary's block-level form against 64 scalar engine runs
 // of the same trials, block by block.
 
@@ -1730,9 +1737,11 @@ TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
         adv::WorstCaseAdversary block_adv(cfg);
         block_adv.on_start(n, t);
         std::vector<std::unique_ptr<adv::WorstCaseAdversary>> lane_advs;
+        const net::Adversary* lane_ptrs[net::kFusedLanes];
         for (unsigned j = 0; j < net::kFusedLanes; ++j) {
             lane_advs.push_back(std::make_unique<adv::WorstCaseAdversary>(cfg));
             lane_advs.back()->on_start(n, t);
+            lane_ptrs[j] = lane_advs.back().get();
         }
         ASSERT_NE(block_adv.block_form(), nullptr);
         PlaneProtocol proto(n);
@@ -1782,7 +1791,7 @@ TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
             lane_frame.coinn = block_frame.coinn;
 
             block_ctl.set_round(r);
-            block_adv.block_form()->act_block(block_ctl);
+            block_adv.block_form()->act_block(block_ctl, lane_ptrs);
             lane_ctl.set_round(r);
             bool split = false, opposite = false;
             for (std::uint64_t lanes = block_frame.active; lanes != 0; lanes &= lanes - 1) {
@@ -1900,7 +1909,7 @@ private:
         return m;
     }
 
-    void act_block(net::FusedLaneControl& ctl) override {
+    void act_block(net::FusedLaneControl& ctl, const net::Adversary* const*) override {
         const net::FusedFrame& f = ctl.frame();
         const std::uint64_t* value = ctl.protocol().value_plane();
         const Round r = ctl.round();

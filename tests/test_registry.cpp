@@ -3,6 +3,8 @@
 // or incompatible selections fail with actionable messages.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 #include "sim/registry.hpp"
@@ -236,6 +238,30 @@ TEST(ScenarioSpec, UnknownKeysAndValuesThrowActionably) {
     const std::string bad_mv =
         thrown_message([] { MvScenario::parse("n=16 t=5 las_vegas=maybe"); });
     EXPECT_NE(bad_mv.find("scenario key 'las_vegas'"), std::string::npos) << bad_mv;
+}
+
+TEST(ScenarioSpec, UnsignedKeysRejectSignsAndValuesPastTheirField) {
+    // Each key names itself and its field's range; none wraps into it.
+    const auto rejects = [](const std::function<void()>& parse, const std::string& key,
+                            const std::string& max) {
+        const std::string message = thrown_message(parse);
+        EXPECT_NE(message.find("scenario key '" + key + "' expects an integer in [0, " + max + "]"),
+                  std::string::npos)
+            << message;
+    };
+    const std::string u32 = "4294967295", u64 = "18446744073709551615";
+    rejects([] { Scenario::parse("protocol=ours n=4294967360 t=21"); }, "n", u32);
+    rejects([] { Scenario::parse("n=64 t=-1"); }, "t", u32);
+    rejects([] { Scenario::parse("n=64 max_rounds=-1"); }, "max_rounds", u32);
+    rejects([] { Scenario::parse("sparse_seed=+7"); }, "sparse_seed", u64);
+    rejects([] { Scenario::parse("sparse_seed=18446744073709551616"); }, "sparse_seed", u64);
+    rejects([] { MvScenario::parse("n=-4 t=1"); }, "n", u32);
+    rejects([] { MvScenario::parse("watchdog_ms=4294967296"); }, "watchdog_ms", u32);
+    // The top of each field's range still parses.
+    EXPECT_EQ(Scenario::parse("n=4294967295").n, 4294967295u);
+    EXPECT_EQ(Scenario::parse("sparse_seed=18446744073709551615").sparse_seed,
+              ~std::uint64_t{0});
+    EXPECT_EQ(MvScenario::parse("fallback=4294967295").fallback, 4294967295u);
 }
 
 TEST(ScenarioSpec, ParsedScenarioRunsByName) {

@@ -2,6 +2,7 @@
 // rendering, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "support/math.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "support/types.hpp"
 
 namespace adba {
 namespace {
@@ -421,6 +423,41 @@ TEST(Cli, MalformedNumbersNameTheFlag) {
               "--x expects true/1/yes/on or false/0/no/off, got ''");
     for (const char* yes : {"true", "1", "yes", "on"}) EXPECT_TRUE(parse_bool("--x", yes));
     for (const char* no : {"false", "0", "no", "off"}) EXPECT_FALSE(parse_bool("--x", no));
+}
+
+TEST(Cli, UnsignedFlagsRejectSignsAndValuesPastTheirField) {
+    const char* argv[] = {"prog", "--trials=-1", "--n=4294967360", "--chunk=+4", "--q= 3",
+                          "--seed=18446744073709551615", "--t=4294967295", "--bit=256",
+                          "--phases=12"};
+    Cli cli(9, const_cast<char**>(argv));
+    const auto message_of = [](auto&& read) {
+        try {
+            read();
+        } catch (const ContractViolation& e) {
+            return std::string(e.what());
+        }
+        return std::string("no throw");
+    };
+    EXPECT_EQ(message_of([&] { cli.get_uint<Count>("trials", 20); }),
+              "--trials expects an integer in [0, 4294967295], got '-1'");
+    EXPECT_EQ(message_of([&] { cli.get_uint<NodeId>("n", 64); }),
+              "--n expects an integer in [0, 4294967295], got '4294967360'");
+    EXPECT_EQ(message_of([&] { cli.get_uint<Count>("chunk", 0); }),
+              "--chunk expects an integer in [0, 4294967295], got '+4'");
+    EXPECT_EQ(message_of([&] { cli.get_uint<Count>("q", 0); }),
+              "--q expects an integer in [0, 4294967295], got ' 3'");
+    EXPECT_EQ(message_of([&] { cli.get_uint<Bit>("bit", 0); }),
+              "--bit expects an integer in [0, 255], got '256'");
+    // The top of each field's range, an ordinary value and the fallback.
+    EXPECT_EQ(cli.get_uint<std::uint64_t>("seed", 1), ~std::uint64_t{0});
+    EXPECT_EQ(cli.get_uint<Count>("t", 0), 4294967295u);
+    EXPECT_EQ(cli.get_uint<Count>("phases", 64), 12u);
+    EXPECT_EQ(cli.get_uint<Count>("absent", 7), 7u);
+    EXPECT_EQ(message_of([] { (void)parse_uint("--x", "", 9); }),
+              "--x expects an integer in [0, 9], got ''");
+    EXPECT_EQ(parse_uint("--x", "9", 9), 9u);
+    EXPECT_EQ(message_of([] { (void)parse_uint("--x", "10", 9); }),
+              "--x expects an integer in [0, 9], got '10'");
 }
 
 TEST(Cli, RunMainMapsOutcomesToExitStatus) {

@@ -113,7 +113,7 @@ double pct(Count good, Count total) {
 /// loads completed chunks from it instead of re-running them.
 sim::ExecutorConfig exec_config(const Cli& cli) {
     sim::ExecutorConfig exec;
-    exec.chunk = static_cast<Count>(cli.get_int("chunk", 0));
+    exec.chunk = cli.get_uint<Count>("chunk", 0);
     exec.checkpoint = cli.get("checkpoint", "");
     exec.resume = cli.get_bool("resume", false);
     if (exec.resume && exec.checkpoint.empty())
@@ -132,12 +132,12 @@ int run_multivalued(const Cli& cli) {
             "--workload=binary");
     sim::MvScenario s;
     if (cli.has("scenario")) s = sim::MvScenario::parse(cli.get("scenario", ""));
-    if (cli.has("n") || s.n == 0) s.n = static_cast<NodeId>(cli.get_int("n", 96));
+    if (cli.has("n") || s.n == 0) s.n = cli.get_uint<NodeId>("n", 96);
     if (cli.has("t"))
-        s.t = static_cast<Count>(cli.get_int("t", 0));
+        s.t = cli.get_uint<Count>("t", 0);
     else if (!cli.has("scenario"))
         s.t = (s.n - 1) / 3;
-    if (cli.has("q")) s.q = static_cast<Count>(cli.get_int("q", 0));
+    if (cli.has("q")) s.q = cli.get_uint<Count>("q", 0);
     if (cli.has("inputs")) s.inputs = sim::parse_mv_input_pattern(cli.get("inputs", ""));
     if (cli.has("adversary"))
         s.adversary =
@@ -147,7 +147,7 @@ int run_multivalued(const Cli& cli) {
     if (cli.has("beta")) s.tuning.beta = cli.get_double("beta", s.tuning.beta);
     if (cli.has("las_vegas")) s.las_vegas = cli.get_bool("las_vegas", false);
     if (cli.has("fallback"))
-        s.fallback = static_cast<net::Word>(cli.get_int("fallback", 0));
+        s.fallback = cli.get_uint<net::Word>("fallback", 0);
     if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
     if (cli.has("batch")) s.use_batch = cli.get_bool("batch", true);
     if (cli.has("simd")) s.use_simd = cli.get_bool("simd", true);
@@ -155,11 +155,11 @@ int run_multivalued(const Cli& cli) {
     // with the why_incompatible message (no mv sparse batch yet).
     if (cli.has("plane")) s.sparse_plane = sim::parse_plane_name(cli.get("plane", ""));
     if (cli.has("sample_degree"))
-        s.sample_degree = static_cast<Count>(cli.get_int("sample_degree", 0));
+        s.sample_degree = cli.get_uint<Count>("sample_degree", 0);
     if (cli.has("watchdog_ms"))
-        s.watchdog_ms = static_cast<std::uint32_t>(cli.get_int("watchdog_ms", 0));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+        s.watchdog_ms = cli.get_uint<std::uint32_t>("watchdog_ms", 0);
+    const auto trials = cli.get_uint<Count>("trials", 20);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
     cli.check_unused();      // fail on typos BEFORE burning trial time
@@ -203,13 +203,13 @@ int run_coin(const Cli& cli) {
             "standalone coin workload has no fused plane (drop the flag or "
             "use --workload=binary)");
     sim::CoinScenario s;
-    s.n = static_cast<NodeId>(cli.get_int("n", 256));
-    s.designated = static_cast<NodeId>(cli.get_int("k", s.n));  // == n: Algorithm 1
-    s.f = static_cast<Count>(cli.get_int("f", 0));
+    s.n = cli.get_uint<NodeId>("n", 256);
+    s.designated = cli.get_uint<NodeId>("k", s.n);  // == n: Algorithm 1
+    s.f = cli.get_uint<Count>("f", 0);
     s.attack = sim::parse_coin_attack(cli.get("attack", "split"));
-    s.forced_bit = static_cast<Bit>(cli.get_int("forced_bit", 0));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 2000));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    s.forced_bit = cli.get_uint<Bit>("forced_bit", 0);
+    const auto trials = cli.get_uint<Count>("trials", 2000);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");
     cli.check_unused();
@@ -246,12 +246,12 @@ int run_macro(const Cli& cli) {
             "macro asymptotic simulator steps counts, not bit planes (drop "
             "the flag or use --workload=binary)");
     sim::MacroScenario s;
-    s.n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 16));
-    s.t = static_cast<std::uint64_t>(cli.get_int("t", 256));
-    s.q = cli.has("q") ? static_cast<std::uint64_t>(cli.get_int("q", 0)) : s.t;
+    s.n = cli.get_uint<std::uint64_t>("n", 1 << 16);
+    s.t = cli.get_uint<std::uint64_t>("t", 256);
+    s.q = cli.has("q") ? cli.get_uint<std::uint64_t>("q", 0) : s.t;
     s.schedule = sim::parse_macro_schedule(cli.get("schedule", "ours"));
-    const auto trials = static_cast<Count>(cli.get_int("trials", 50));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    const auto trials = cli.get_uint<Count>("trials", 50);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");
     cli.check_unused();
@@ -292,23 +292,23 @@ int run_binary(const Cli& cli) {
     else if (!cli.has("scenario"))
         s.adversary = proto.strongest;  // per-protocol default pairing
     if (cli.has("inputs")) s.inputs = sim::parse_input_pattern(cli.get("inputs", ""));
-    if (cli.has("n") || s.n == 0) s.n = static_cast<NodeId>(cli.get_int("n", 64));
+    if (cli.has("n") || s.n == 0) s.n = cli.get_uint<NodeId>("n", 64);
     if (cli.has("t")) {
-        s.t = static_cast<Count>(cli.get_int("t", 0));
+        s.t = cli.get_uint<Count>("t", 0);
     } else if (!cli.has("scenario")) {
         // Largest budget the protocol's resilience predicate admits at n.
         s.t = (s.n - 1) / 3;
         while (s.t > 0 && !proto.supports(s.n, s.t)) --s.t;
     }
-    if (cli.has("q")) s.q = static_cast<Count>(cli.get_int("q", 0));
+    if (cli.has("q")) s.q = cli.get_uint<Count>("q", 0);
     if (cli.has("alpha")) s.tuning.alpha = cli.get_double("alpha", s.tuning.alpha);
     if (cli.has("gamma")) s.tuning.gamma = cli.get_double("gamma", s.tuning.gamma);
     if (cli.has("beta")) s.tuning.beta = cli.get_double("beta", s.tuning.beta);
     if (cli.has("phases"))
-        s.local_coin_phases = static_cast<Count>(cli.get_int("phases", 64));
+        s.local_coin_phases = cli.get_uint<Count>("phases", 64);
     if (cli.has("kappa")) s.sampling_kappa = cli.get_double("kappa", s.sampling_kappa);
     if (cli.has("max_rounds"))
-        s.max_rounds_override = static_cast<Round>(cli.get_int("max_rounds", 0));
+        s.max_rounds_override = cli.get_uint<Round>("max_rounds", 0);
     if (cli.has("transcript"))
         s.record_transcript = cli.get_bool("transcript", false);
     if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
@@ -326,9 +326,9 @@ int run_binary(const Cli& cli) {
     // frozen sample-derivation version (mirroring the scenario keys).
     if (cli.has("plane")) s.sparse_plane = sim::parse_plane_name(cli.get("plane", ""));
     if (cli.has("sample_degree"))
-        s.sample_degree = static_cast<Count>(cli.get_int("sample_degree", 0));
+        s.sample_degree = cli.get_uint<Count>("sample_degree", 0);
     if (cli.has("sparse_seed"))
-        s.sparse_seed = static_cast<std::uint64_t>(cli.get_int("sparse_seed", 0));
+        s.sparse_seed = cli.get_uint<std::uint64_t>("sparse_seed", 0);
     if (cli.has("sparse_stream"))
         s.sparse_stream = sim::parse_sparse_stream_name(cli.get("sparse_stream", ""));
     // --fused=on|off: co-execute 64 trials per machine word through the
@@ -337,10 +337,10 @@ int run_binary(const Cli& cli) {
     // to stderr below.
     if (cli.has("fused")) s.use_fused = cli.get_bool("fused", true);
     if (cli.has("watchdog_ms"))
-        s.watchdog_ms = static_cast<std::uint32_t>(cli.get_int("watchdog_ms", 0));
+        s.watchdog_ms = cli.get_uint<std::uint32_t>("watchdog_ms", 0);
 
-    const auto trials = static_cast<Count>(cli.get_int("trials", 20));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    const auto trials = cli.get_uint<Count>("trials", 20);
+    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
     const sim::ExecutorConfig exec = exec_config(cli);
     cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
     cli.check_unused();      // fail on typos BEFORE burning trial time
