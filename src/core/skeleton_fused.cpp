@@ -27,7 +27,7 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     halted_.assign(n, 0);
     // Per-cell streams identical to the scalar batches': lane j's stream
     // (NodeProtocol, v), consumed only by cell (v, j). Committee flips draw
-    // statelessly (committee_flip); only the Local coin's case-3 draws keep
+    // statelessly (committee_flips); only the Local coin's case-3 draws keep
     // a stream per cell, derived lazily at the first draw (cell_rng).
     if (coin_.kind == CoinSpec::Kind::Local) {
         rng_.resize(static_cast<std::size_t>(n) * kFusedLanes);
@@ -64,16 +64,10 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
             // The flip is drawn before any round-2 delivery is seen
             // (Lemma 5 independence) for every live lane, flushing or not —
             // exactly the scalar send path's draw set.
-            std::uint64_t pos = 0, neg = 0;
-            for (std::uint64_t lanes = act & frame.active; lanes != 0; lanes &= lanes - 1) {
-                const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-                if (committee_flip(v, j, p) > 0)
-                    pos |= std::uint64_t{1} << j;
-                else
-                    neg |= std::uint64_t{1} << j;
-            }
-            frame.coinp[v] = pos;
-            frame.coinn[v] = neg;
+            const std::uint64_t drawn = act & frame.active;
+            const std::uint64_t ones = committee_flips(v, p, drawn);
+            frame.coinp[v] = ones & drawn;
+            frame.coinn[v] = ~ones & drawn;
         }
         halted_[v] |= act & flushing_[v];  // second flush broadcast done
     }

@@ -22,6 +22,7 @@
 // where the scalar case-3 path would.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -68,19 +69,28 @@ private:
     std::uint64_t lane_purpose_[net::kFusedLanes] = {};
     std::uint64_t dealer_seed_[net::kFusedLanes] = {};
 
-    /// Committee coin: lane j's phase-p flip of node v, drawn without
-    /// state. Honesty and liveness are monotone, so a member live now drew
-    /// once at every earlier visit of its committee, and this flip is
-    /// output number p / num_blocks of its (NodeProtocol, v) stream. A first
-    /// visit reads output 0 without building the stream; sign() is its top
-    /// bit.
-    CoinSign committee_flip(NodeId v, unsigned j, Phase p) const {
-        const std::uint64_t seed = SeedTree::child_seed(lane_purpose_[j], v);
-        if (p < coin_.schedule.num_blocks)
-            return (Xoshiro256::first_output(seed) >> 63) != 0 ? CoinSign{1} : CoinSign{-1};
-        Xoshiro256 g(seed);
-        for (Phase visit = p / coin_.schedule.num_blocks; visit > 0; --visit) g();
-        return g.sign();
+    /// Committee coin: node v's phase-p flips, bit j set when lane j's flip
+    /// is +1, for the lanes of `drawn` (other bits are arbitrary). Drawn
+    /// without state: honesty and liveness are monotone, so a member live
+    /// now drew once at every earlier visit of its committee, and this flip
+    /// is output number p / num_blocks of its (NodeProtocol, v) stream. A
+    /// first visit reads output 0's top bit in all 64 lanes, with no branch
+    /// on a lane or its coin; a revisit steps each drawn lane's stream.
+    std::uint64_t committee_flips(NodeId v, Phase p, std::uint64_t drawn) const {
+        std::uint64_t ones = 0;
+        if (p < coin_.schedule.num_blocks) {
+            for (unsigned j = 0; j < net::kFusedLanes; ++j)
+                ones |= (Xoshiro256::first_output(SeedTree::child_seed(lane_purpose_[j], v)) >> 63)
+                        << j;
+            return ones;
+        }
+        for (; drawn != 0; drawn &= drawn - 1) {
+            const unsigned j = static_cast<unsigned>(std::countr_zero(drawn));
+            Xoshiro256 g(SeedTree::child_seed(lane_purpose_[j], v));
+            for (Phase visit = p / coin_.schedule.num_blocks; visit > 0; --visit) g();
+            if (g.sign() > 0) ones |= std::uint64_t{1} << j;
+        }
+        return ones;
     }
 
     Xoshiro256& cell_rng(NodeId v, unsigned j) {

@@ -5,10 +5,6 @@
 #include "net/round_buffer.hpp"
 #include "support/contracts.hpp"
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 namespace adba::net::kern {
 
 void pack_shard(const RoundBuffer& buf, NodeId lo, NodeId hi,
@@ -156,9 +152,11 @@ using GreaterFn = std::uint64_t (*)(const std::int32_t*, const std::int32_t*);
 // are compiled behind a target attribute and chosen only when the host CPU
 // reports the feature.
 #if defined(__x86_64__)
+const bool g_avx512f = __builtin_cpu_supports("avx512f") != 0;
+
 template <typename Fn>
 Fn resolve(Fn avx512, Fn portable) {
-    return __builtin_cpu_supports("avx512f") != 0 ? avx512 : portable;
+    return g_avx512f ? avx512 : portable;
 }
 const DigitsToCountsFn g_digits_to_counts =
     resolve<DigitsToCountsFn>(&lane_digits_to_counts_avx512, &lane_digits_to_counts_portable);
@@ -172,6 +170,10 @@ const GreaterFn g_greater = &lanes_greater_portable;
 #endif
 
 }  // namespace
+
+#if defined(__x86_64__)
+bool has_avx512f() { return g_avx512f; }
+#endif
 
 void lane_digits_to_counts(const std::uint64_t* digits, unsigned k, Count* out) {
     g_digits_to_counts(digits, k, out);

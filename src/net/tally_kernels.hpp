@@ -30,13 +30,18 @@
 //
 //  * kern::lane_counts — the fused trial plane's one counting kernel: K
 //    columns of 64 per-lane counts (bit j of a word belongs to trial j) in
-//    one pass, a carry-save adder tree over groups of 8 words whose digits
-//    stay bit-sliced until kern::lane_digits_to_counts turns them into
-//    integers. That conversion is chosen once at load time from the CPU
-//    (AVX-512F masked adds, else a portable loop), like the sparse probe
-//    kernel; both give the same integers. kern::lanes_greater, the fused
-//    receive beats' one compare kernel, turns 64 such counts back into a
-//    lane mask, dispatched the same way.
+//    one pass, with digits kept bit-sliced until kern::lane_digits_to_counts
+//    turns them into integers. It has two forms with the same counts and
+//    the same words() contract: lane_counts_portable, a carry-save adder
+//    tree over groups of 8 words, and lane_counts_avx512, the same tree
+//    run vertically over 8-word vectors, 64 words per block. The AVX-512F
+//    form takes ranges of at least kWideLaneCountsFrom (64) words on a CPU
+//    that has the feature; shorter ranges, such as committee ranges, and
+//    other CPUs take the carry-save form. Like the sparse probe kernel,
+//    every AVX-512F path here is chosen once at load time from the CPU
+//    (has_avx512f): the digit conversion (masked adds, else a portable
+//    loop) and kern::lanes_greater, the fused receive beats' one compare
+//    kernel, which turns 64 such counts back into a lane mask.
 #pragma once
 
 #include <algorithm>
@@ -49,6 +54,10 @@
 
 #include "net/message.hpp"
 #include "support/types.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace adba::net {
 
@@ -273,14 +282,15 @@ inline void csa(std::uint64_t& carry, std::uint64_t& sum, std::uint64_t a,
 /// words(v, w) is called exactly once per v, in ascending order, and fills
 /// w[0..K-1]; out[k][j] becomes the number of v whose word k has bit j set.
 ///
-/// Each group of 8 consecutive words goes through a carry-save tree that
-/// keeps every column's weight-1/2/4 digits apart from the digit array, so
-/// one carry word per group and column enters the high digits; the words
-/// after the last full group ripple in one by one. Every carry walks all
-/// the digits the range can need (bit_width(hi - lo)), so no branch
-/// depends on the data.
+/// The carry-save form. Each group of 8 consecutive words goes through a
+/// carry-save tree that keeps every column's weight-1/2/4 digits apart from
+/// the digit array, so one carry word per group and column enters the high
+/// digits; the words after the last full group ripple in one by one. Every
+/// carry walks all the digits the range can need (bit_width(hi - lo)), so
+/// no branch depends on the data. The fallback of lane_counts on CPUs
+/// without AVX-512F and below kWideLaneCountsFrom, and the tests' reference.
 template <unsigned K, typename Words>
-void lane_counts(NodeId lo, NodeId hi, Words&& words, Count (*out)[kWordBits]) {
+void lane_counts_portable(NodeId lo, NodeId hi, Words&& words, Count (*out)[kWordBits]) {
     static_assert(K >= 1);
     const NodeId len = hi > lo ? hi - lo : 0;
     const unsigned digits = std::max(3u, static_cast<unsigned>(std::bit_width(len)));
@@ -330,6 +340,153 @@ void lane_counts(NodeId lo, NodeId hi, Words&& words, Count (*out)[kWordBits]) {
         d[k][2] = fours[k];
         lane_digits_to_counts(d[k], digits, out[k]);
     }
+}
+
+#if defined(__x86_64__)
+/// True when the host CPU has AVX-512F: the load-time check behind every
+/// dispatched kernel of this header.
+bool has_avx512f();
+
+namespace wide {
+
+/// csa over 8-word vectors, each output one vpternlogq (majority, xor3).
+__attribute__((target("avx512f"), always_inline)) inline void csa(__m512i& carry, __m512i& sum,
+                                                                   __m512i a, __m512i b, __m512i c) {
+    carry = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+    sum = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+}
+
+/// Adds one block of 64 words x[0..63] to the 8 bit-sliced counts whose
+/// digits are d[0..digits-1]: element e of every vector counts the words
+/// x[i] with i % 8 == e.
+__attribute__((target("avx512f"), always_inline)) inline void add_block(const std::uint64_t* x,
+                                                                         __m512i* d,
+                                                                         unsigned digits) {
+    __m512i twos_a, twos_b, fours_a, fours_b, eights;
+    csa(twos_a, d[0], d[0], _mm512_load_si512(x), _mm512_load_si512(x + 8));
+    csa(twos_b, d[0], d[0], _mm512_load_si512(x + 16), _mm512_load_si512(x + 24));
+    csa(fours_a, d[1], d[1], twos_a, twos_b);
+    csa(twos_a, d[0], d[0], _mm512_load_si512(x + 32), _mm512_load_si512(x + 40));
+    csa(twos_b, d[0], d[0], _mm512_load_si512(x + 48), _mm512_load_si512(x + 56));
+    csa(fours_b, d[1], d[1], twos_a, twos_b);
+    csa(eights, d[2], d[2], fours_a, fours_b);
+    for (unsigned i = 3; i < digits; ++i) {
+        const __m512i next = _mm512_and_si512(d[i], eights);
+        d[i] = _mm512_xor_si512(d[i], eights);
+        eights = next;
+    }
+}
+
+/// Sums each column's 8 bit-sliced counts, d[k][0..digits-1], into
+/// sum[k][0..top-1], the digits of one count of at most `top` digits:
+/// three butterfly steps add element e ^ 4, then e ^ 2, then e ^ 1 to every
+/// element e, each a bit-sliced ripple add one digit longer (capped at
+/// `top`, which no partial sum outgrows), after which every element holds
+/// the total. The K columns' carry chains interleave.
+template <unsigned K>
+__attribute__((target("avx512f"), always_inline)) inline void fold(
+    __m512i (*d)[kMaxLaneDigits], unsigned digits, unsigned top,
+    std::uint64_t (*sum)[kMaxLaneDigits]) {
+    for (const int step : {4, 2, 1}) {
+        const __m512i partner = _mm512_set_epi64(7 ^ step, 6 ^ step, 5 ^ step, 4 ^ step,
+                                                 3 ^ step, 2 ^ step, 1 ^ step, 0 ^ step);
+        __m512i carry[K];
+        for (unsigned k = 0; k < K; ++k) carry[k] = _mm512_setzero_si512();
+        for (unsigned i = 0; i < digits; ++i)
+            for (unsigned k = 0; k < K; ++k) {
+                const __m512i a = d[k][i];
+                const __m512i b = _mm512_permutex2var_epi64(a, partner, a);
+                d[k][i] = _mm512_ternarylogic_epi64(a, b, carry[k], 0x96);
+                carry[k] = _mm512_ternarylogic_epi64(a, b, carry[k], 0xE8);
+            }
+        if (digits < top) {
+            for (unsigned k = 0; k < K; ++k) d[k][digits] = carry[k];
+            ++digits;
+        }
+    }
+    alignas(64) std::uint64_t total[8];
+    for (unsigned k = 0; k < K; ++k)
+        for (unsigned i = 0; i < top; ++i) {
+            _mm512_store_si512(total, d[k][i]);
+            sum[k][i] = total[0];
+        }
+}
+
+/// Fills x[k][i] with column k of words(v + i) for i < m <= 64, in
+/// ascending order, and x[k][m..63] with zeros; v + m must not pass the
+/// NodeId range. The call index is taken from a base whose bound shows
+/// v + i cannot wrap (v never exceeds it), so the loop of a full block
+/// vectorizes wherever words() does.
+template <unsigned K, typename Words>
+__attribute__((target("avx512f"), always_inline)) inline void gather(Words& words, NodeId v,
+                                                                      NodeId m,
+                                                                      std::uint64_t (*x)[kWordBits]) {
+    const NodeId base = std::min(v, std::numeric_limits<NodeId>::max() - m);
+    for (NodeId i = 0; i < m; ++i) {
+        std::uint64_t w[K];
+        words(base + i, w);
+        for (unsigned k = 0; k < K; ++k) x[k][i] = w[k];
+    }
+    for (unsigned k = 0; k < K; ++k) std::fill(x[k] + m, x[k] + kWordBits, std::uint64_t{0});
+}
+
+}  // namespace wide
+
+/// The AVX-512F form of lane_counts: the same counts and the same words()
+/// contract, from a vertical carry-save tree over 8-word vectors. Words
+/// are gathered 64 at a time, column by column; element e of a vector
+/// counts the nodes lo + e, lo + e + 8, ..., and a last partial block is
+/// padded with zero words (words() never sees a v outside [lo, hi)). The
+/// eight per-element digit sets fold into one only at the end.
+template <unsigned K, typename Words>
+__attribute__((target("avx512f"))) void lane_counts_avx512(NodeId lo, NodeId hi, Words&& words,
+                                                            Count (*out)[kWordBits]) {
+    static_assert(K >= 1);
+    const NodeId len = hi > lo ? hi - lo : 0;
+    const unsigned top = std::max(3u, static_cast<unsigned>(std::bit_width(len)));
+    const NodeId per_element = len / 8 + (len % 8 != 0 ? 1 : 0);
+    const unsigned digits = std::max(3u, static_cast<unsigned>(std::bit_width(per_element)));
+    __m512i d[K][kMaxLaneDigits];  // d[k][i]: digit i of column k's 8 counts
+    for (unsigned k = 0; k < K; ++k)
+        for (unsigned i = 0; i < digits; ++i) d[k][i] = _mm512_setzero_si512();
+    alignas(64) std::uint64_t x[K][kWordBits];
+
+    NodeId v = lo;
+    for (const NodeId end = lo + (len & ~(kWordBits - 1)); v != end; v += kWordBits) {
+        wide::gather<K>(words, v, kWordBits, x);
+        for (unsigned k = 0; k < K; ++k) wide::add_block(x[k], d[k], digits);
+    }
+    if (v != lo + len) {
+        wide::gather<K>(words, v, lo + len - v, x);
+        for (unsigned k = 0; k < K; ++k) wide::add_block(x[k], d[k], digits);
+    }
+
+    std::uint64_t sum[K][kMaxLaneDigits];
+    wide::fold<K>(d, digits, top, sum);
+    for (unsigned k = 0; k < K; ++k) lane_digits_to_counts(sum[k], top, out[k]);
+}
+#endif  // __x86_64__
+
+/// Ranges of at least this many words take the AVX-512F form when the host
+/// has it. Below one full block the wide form runs only its padded tail:
+/// there the carry-save form is faster at K = 1 and K = 4, and at most
+/// ~1.2x slower at K = 2 and 3 (from 48 words), so one crossover serves
+/// every K. Small-n committee ranges stay on the carry-save form.
+inline constexpr NodeId kWideLaneCountsFrom = 64;
+
+/// The fused trial plane's one counting kernel: lane_counts_portable's
+/// counts and words() contract, through lane_counts_avx512 when the host
+/// has AVX-512F (checked once at load time) and the range holds at least
+/// kWideLaneCountsFrom words.
+template <unsigned K, typename Words>
+void lane_counts(NodeId lo, NodeId hi, Words&& words, Count (*out)[kWordBits]) {
+#if defined(__x86_64__)
+    if (hi > lo && hi - lo >= kWideLaneCountsFrom && has_avx512f()) {
+        lane_counts_avx512<K>(lo, hi, words, out);
+        return;
+    }
+#endif
+    lane_counts_portable<K>(lo, hi, words, out);
 }
 
 }  // namespace kern

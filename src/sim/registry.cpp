@@ -940,18 +940,9 @@ void for_each_spec_token(const std::string& spec, const Apply& apply) {
     }
 }
 
+/// A scenario key stored in a double field: finite values only.
 double parse_f64(const std::string& key, const std::string& value) {
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const ContractViolation&) {
-        throw;
-    } catch (...) {
-        throw ContractViolation("scenario key '" + key + "' expects a number, got '" +
-                                value + "'");
-    }
+    return parse_double("scenario key '" + key + "'", value);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -24,11 +25,12 @@ std::size_t levenshtein(const std::string& a, const std::string& b) {
     return prev[b.size()];
 }
 
-/// Parses a flag's whole value with `convert` (std::stoll / std::stod): a
-/// malformed or partly numeric value names the flag instead of escaping as
-/// a bare std::invalid_argument or being silently truncated.
+/// Parses a setting's whole value with `convert` (std::stoll / std::stod),
+/// which clears `used` to reject a value: a malformed or partly numeric
+/// value names the setting (`what`, e.g. "--t") instead of escaping as a
+/// bare std::invalid_argument or being silently truncated.
 template <typename Convert>
-auto parse_number(const std::string& key, const std::string& text, const char* what,
+auto parse_number(const std::string& what, const std::string& text, const char* expected,
                   Convert convert) {
     std::size_t used = 0;
     decltype(convert(text, &used)) value{};
@@ -38,19 +40,13 @@ auto parse_number(const std::string& key, const std::string& text, const char* w
         used = 0;
     }
     if (used == 0 || used != text.size())
-        throw ContractViolation("--" + key + " expects " + what + ", got '" + text + "'");
+        throw ContractViolation(what + " expects " + expected + ", got '" + text + "'");
     return value;
 }
 
 std::int64_t parse_int(const std::string& key, const std::string& text) {
-    return parse_number(key, text, "an integer", [](const std::string& s, std::size_t* used) {
+    return parse_number("--" + key, text, "an integer", [](const std::string& s, std::size_t* used) {
         return static_cast<std::int64_t>(std::stoll(s, used));
-    });
-}
-
-double parse_double(const std::string& key, const std::string& text) {
-    return parse_number(key, text, "a number", [](const std::string& s, std::size_t* used) {
-        return std::stod(s, used);
     });
 }
 
@@ -80,6 +76,14 @@ bool parse_bool(const std::string& what, const std::string& value) {
     if (value == "false" || value == "0" || value == "no" || value == "off") return false;
     throw ContractViolation(what + " expects true/1/yes/on or false/0/no/off, got '" +
                             value + "'");
+}
+
+double parse_double(const std::string& what, const std::string& value) {
+    return parse_number(what, value, "a finite number", [](const std::string& s, std::size_t* used) {
+        const double v = std::stod(s, used);
+        if (!std::isfinite(v)) *used = 0;
+        return v;
+    });
 }
 
 std::uint64_t parse_uint(const std::string& what, const std::string& value, std::uint64_t max) {
@@ -155,7 +159,7 @@ double Cli::get_double(const std::string& key, double fallback) const {
     queried_[key] = text;
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return parse_double(key, it->second);
+    return parse_double("--" + key, it->second);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

@@ -48,6 +48,13 @@ bool parse_bool(const std::string& what, const std::string& value);
 /// Cli::get_uint and the scenario and fault spec parsers.
 std::uint64_t parse_uint(const std::string& what, const std::string& value, std::uint64_t max);
 
+/// Parses a real-valued setting that must be a finite number: NaN, an
+/// infinity, a value past double's range or trailing text throws
+/// ContractViolation naming `what` (e.g. "--gamma" or "scenario key
+/// 'gamma'"), instead of reaching a float-to-integer cast. Shared by
+/// Cli::get_double and the scenario spec parsers.
+double parse_double(const std::string& what, const std::string& value);
+
 /// parse_uint over the whole range of the unsigned field type T.
 template <typename T>
 T parse_uint(const std::string& what, const std::string& value) {
@@ -84,6 +91,7 @@ public:
         static_assert(std::is_unsigned_v<T>);
         return static_cast<T>(read_uint(key, fallback, std::numeric_limits<T>::max()));
     }
+    /// parse_double over the flag's value: `--gamma=nan` names the flag.
     double get_double(const std::string& key, double fallback) const;
     /// parse_bool over the flag's value (so `--batch=on|off` style toggles
     /// work); a bare `--flag` reads as true.

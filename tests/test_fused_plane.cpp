@@ -275,7 +275,10 @@ std::string block_error(const sim::ScenarioPlan& plan, MakeAdversary&& make) {
 // ---------------------------------------------------------------------------
 // lane_counts: K columns of per-lane counts in one pass must equal per-lane
 // popcounts of the same words, at any range offset, tail length after the
-// last full group of 8, and density; words(v, w) runs once per v, ascending.
+// last full group of 8 (and block of 64), and density; words(v, w) runs
+// once per v, ascending. Every case runs through the dispatched form and
+// the carry-save form, and, on an AVX-512F host, the AVX-512F form called
+// directly at every length, below its crossover too.
 // lane_digits_to_counts: the load-time dispatched form equals the portable
 // one.
 
@@ -295,8 +298,39 @@ std::uint64_t test_word(std::uint64_t seed, NodeId v, unsigned k, Density densit
     return 0;
 }
 
+/// Which lane_counts form a case calls: the dispatched one, the carry-save
+/// one, or the AVX-512F one (callers skip it on other hosts).
+enum class Form { Dispatched, Portable, Wide };
+
+template <unsigned K, typename Words>
+void lane_counts_by(Form form, NodeId lo, NodeId hi, Words&& words,
+                    Count (*out)[net::kFusedLanes]) {
+    switch (form) {
+        case Form::Dispatched:
+            net::kern::lane_counts<K>(lo, hi, words, out);
+            return;
+        case Form::Portable:
+            net::kern::lane_counts_portable<K>(lo, hi, words, out);
+            return;
+        case Form::Wide:
+#if defined(__x86_64__)
+            net::kern::lane_counts_avx512<K>(lo, hi, words, out);
+#endif
+            return;
+    }
+}
+
+/// True when the host can run Form::Wide.
+bool has_wide_form() {
+#if defined(__x86_64__)
+    return net::kern::has_avx512f();
+#else
+    return false;
+#endif
+}
+
 template <unsigned K>
-void expect_lane_counts(NodeId lo, NodeId len, std::uint64_t seed, Density density) {
+void expect_lane_counts(Form form, NodeId lo, NodeId len, std::uint64_t seed, Density density) {
     Count expect[K][net::kFusedLanes] = {};
     for (NodeId v = lo; v < lo + len; ++v)
         for (unsigned k = 0; k < K; ++k) {
@@ -308,55 +342,77 @@ void expect_lane_counts(NodeId lo, NodeId len, std::uint64_t seed, Density densi
     bool in_order = true;
     std::uint64_t calls = 0;
     Count got[K][net::kFusedLanes];
-    net::kern::lane_counts<K>(lo, lo + len, [&](NodeId v, std::uint64_t* w) {
+    lane_counts_by<K>(form, lo, lo + len, [&](NodeId v, std::uint64_t* w) {
         in_order = in_order && v == next;
         next = v + 1;
         ++calls;
         for (unsigned k = 0; k < K; ++k) w[k] = test_word(seed, v, k, density);
     }, got);
-    ASSERT_TRUE(in_order) << "words must run once per v, ascending";
-    ASSERT_EQ(calls, len) << "K=" << K << " lo=" << lo;
+    const int f = static_cast<int>(form);
+    ASSERT_TRUE(in_order) << "words must run once per v, ascending; form=" << f;
+    ASSERT_EQ(calls, len) << "K=" << K << " lo=" << lo << " form=" << f;
     for (unsigned k = 0; k < K; ++k)
         for (unsigned j = 0; j < net::kFusedLanes; ++j)
             ASSERT_EQ(got[k][j], expect[k][j]) << "K=" << K << " lo=" << lo << " len=" << len
                                                << " density=" << static_cast<int>(density)
-                                               << " column=" << k << " lane=" << j;
+                                               << " column=" << k << " lane=" << j
+                                               << " form=" << f;
 }
 
+/// Lengths 8 * groups + tail: groups 7-9 put the wide form's 64-word
+/// block edge inside the table (56-79 words), 16 its second (128-135).
 template <unsigned K>
-void expect_lane_counts_everywhere() {
+void expect_lane_counts_everywhere(Form form) {
     for (const NodeId lo : {NodeId{0}, NodeId{1}, NodeId{37}})
-        for (const NodeId groups : {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{33}, NodeId{125}})
+        for (const NodeId groups : {0u, 1u, 2u, 7u, 8u, 9u, 16u, 33u, 125u})
             for (NodeId tail = 0; tail < 8; ++tail)
                 for (const Density d :
                      {Density::Sparse, Density::Half, Density::Dense, Density::AllOnes})
-                    expect_lane_counts<K>(lo, 8 * groups + tail, 0xC0FFEEu + lo + tail, d);
+                    expect_lane_counts<K>(form, lo, 8 * groups + tail, 0xC0FFEEu + lo + tail, d);
 }
 
-TEST(FusedPlane, LaneCountsMatchPerLanePopcounts) {
-    expect_lane_counts_everywhere<1>();
-    expect_lane_counts_everywhere<2>();
-    expect_lane_counts_everywhere<3>();
-    expect_lane_counts_everywhere<4>();
+void expect_lane_counts_everywhere_for_every_k(Form form) {
+    expect_lane_counts_everywhere<1>(form);
+    expect_lane_counts_everywhere<2>(form);
+    expect_lane_counts_everywhere<3>(form);
+    expect_lane_counts_everywhere<4>(form);
 }
 
-TEST(FusedPlane, LaneCountsFillSeventeenDigits) {
+void expect_seventeen_digits(Form form) {
     // 2^17 all-ones words: every lane counts 2^17, an 18-digit count whose
     // low 17 digits are all zero, so each carry walks the whole stack.
     const NodeId len = NodeId{1} << 17;
     Count got[2][net::kFusedLanes];
     std::uint64_t calls = 0;
-    net::kern::lane_counts<2>(5, 5 + len, [&](NodeId v, std::uint64_t* w) {
+    lane_counts_by<2>(form, 5, 5 + len, [&](NodeId v, std::uint64_t* w) {
         ++calls;
         w[0] = ~std::uint64_t{0};
         w[1] = std::uint64_t{1} << (v % 64);  // one lane per word, round robin
     }, got);
     EXPECT_EQ(calls, len);
     for (unsigned j = 0; j < net::kFusedLanes; ++j) {
-        ASSERT_EQ(got[0][j], len) << "lane " << j;
-        ASSERT_EQ(got[1][j], len / 64) << "lane " << j;
+        ASSERT_EQ(got[0][j], len) << "lane " << j << " form=" << static_cast<int>(form);
+        ASSERT_EQ(got[1][j], len / 64) << "lane " << j << " form=" << static_cast<int>(form);
     }
-    expect_lane_counts<3>(3, len + 5, 0xD1617u, Density::Dense);
+    expect_lane_counts<3>(form, 3, len + 5, 0xD1617u, Density::Dense);
+}
+
+TEST(FusedPlane, LaneCountsMatchPerLanePopcounts) {
+    expect_lane_counts_everywhere_for_every_k(Form::Dispatched);
+    expect_lane_counts_everywhere_for_every_k(Form::Portable);
+}
+
+TEST(FusedPlane, LaneCountsFillSeventeenDigits) {
+    expect_seventeen_digits(Form::Dispatched);
+    expect_seventeen_digits(Form::Portable);
+}
+
+TEST(FusedPlane, LaneCountsWideFormMatchesPerLanePopcounts) {
+    // The AVX-512F form called directly, below the crossover length too;
+    // lane_counts reaches it only from kWideLaneCountsFrom words.
+    if (!has_wide_form()) GTEST_SKIP() << "the host CPU lacks AVX-512F";
+    expect_lane_counts_everywhere_for_every_k(Form::Wide);
+    expect_seventeen_digits(Form::Wide);
 }
 
 TEST(FusedPlane, LaneDigitsToCountsMatchesPortableForm) {

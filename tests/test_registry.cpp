@@ -238,6 +238,28 @@ TEST(ScenarioSpec, UnknownKeysAndValuesThrowActionably) {
     const std::string bad_mv =
         thrown_message([] { MvScenario::parse("n=16 t=5 las_vegas=maybe"); });
     EXPECT_NE(bad_mv.find("scenario key 'las_vegas'"), std::string::npos) << bad_mv;
+
+    // Real-valued keys take finite numbers only: NaN and infinities would
+    // reach a float-to-integer cast.
+    for (const char* value : {"nan", "inf", "-inf"}) {
+        for (const char* key : {"alpha", "gamma", "beta", "kappa"}) {
+            const std::string spec = std::string("n=64 t=21 ") + key + "=" + value;
+            const std::string message = thrown_message([&] { Scenario::parse(spec); });
+            EXPECT_NE(message.find(std::string("scenario key '") + key +
+                                   "' expects a finite number, got '" + value + "'"),
+                      std::string::npos)
+                << spec << ": " << message;
+        }
+        for (const char* key : {"alpha", "gamma", "beta"}) {
+            const std::string spec = std::string("n=16 t=5 ") + key + "=" + value;
+            const std::string message = thrown_message([&] { MvScenario::parse(spec); });
+            EXPECT_NE(message.find(std::string("scenario key '") + key +
+                                   "' expects a finite number, got '" + value + "'"),
+                      std::string::npos)
+                << spec << ": " << message;
+        }
+    }
+    EXPECT_DOUBLE_EQ(Scenario::parse("gamma=2.5").tuning.gamma, 2.5);
 }
 
 TEST(ScenarioSpec, UnsignedKeysRejectSignsAndValuesPastTheirField) {

@@ -398,8 +398,9 @@ TEST(Cli, HelpListsTheQueriedFlagsWithTheirDefaults) {
 
 TEST(Cli, MalformedNumbersNameTheFlag) {
     const char* argv[] = {"prog", "--threads=abc", "--alpha=1.5x", "--t=4,x",
-                          "--fused=onn", "--batch=off", "--resume"};
-    Cli cli(7, const_cast<char**>(argv));
+                          "--fused=onn", "--batch=off", "--resume",
+                          "--gamma=nan", "--kappa=inf", "--beta=-inf"};
+    Cli cli(10, const_cast<char**>(argv));
     const auto message_of = [](auto&& read) {
         try {
             read();
@@ -411,7 +412,17 @@ TEST(Cli, MalformedNumbersNameTheFlag) {
     EXPECT_EQ(message_of([&] { cli.get_int("threads", 1); }),
               "--threads expects an integer, got 'abc'");
     EXPECT_EQ(message_of([&] { cli.get_double("alpha", 0.0); }),
-              "--alpha expects a number, got '1.5x'");
+              "--alpha expects a finite number, got '1.5x'");
+    // A non-finite value must not reach a float-to-integer cast.
+    EXPECT_EQ(message_of([&] { cli.get_double("gamma", 1.0); }),
+              "--gamma expects a finite number, got 'nan'");
+    EXPECT_EQ(message_of([&] { cli.get_double("kappa", 1.0); }),
+              "--kappa expects a finite number, got 'inf'");
+    EXPECT_EQ(message_of([&] { cli.get_double("beta", 1.0); }),
+              "--beta expects a finite number, got '-inf'");
+    EXPECT_EQ(message_of([] { (void)parse_double("--x", "1e999"); }),
+              "--x expects a finite number, got '1e999'");
+    EXPECT_DOUBLE_EQ(parse_double("--x", "-2.5e3"), -2500.0);
     EXPECT_EQ(message_of([&] { cli.get_int_list("t", {}); }),
               "--t expects an integer, got 'x'");
     // A misspelled toggle must not silently read as false.
