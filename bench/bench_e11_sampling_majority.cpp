@@ -45,8 +45,9 @@ E11Agg run_cell(NodeId n, Count t, Count trials) {
         for (Count i = begin; i < end; ++i) {
             const SeedTree seeds(0xE11 + n * 1009ULL + t * 31ULL + i);
             const auto params = base::SamplingMajorityParams::compute(n, t, 4.0);
-            auto nodes = base::make_sampling_majority_nodes(
-                params, sim::make_inputs(sim::InputPattern::Split, n, seeds), seeds);
+            std::vector<std::unique_ptr<net::HonestNode>> nodes;
+            base::arm_sampling_majority_nodes(
+                params, sim::make_inputs(sim::InputPattern::Split, n, seeds), seeds, nodes);
             adv::MajorityBalancerAdversary adversary({t, 0});
             net::Engine eng({n, t, params.rounds + 1, false}, std::move(nodes),
                             adversary);

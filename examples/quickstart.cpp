@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "adversary/worst_case.hpp"
-#include "core/agreement.hpp"
+#include "core/skeleton.hpp"
 #include "net/engine.hpp"
 #include "sim/runner.hpp"
 #include "support/cli.hpp"
@@ -39,8 +39,11 @@ static int run(const adba::Cli& cli) {
     std::vector<Bit> inputs(n);
     for (NodeId v = 0; v < n; ++v) inputs[v] = static_cast<Bit>(v & 1);
 
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
+    // Algorithm 3 is the Rabin phase skeleton with the committee coin.
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    core::arm_skeleton_nodes({n, t, params.phases, core::AgreementMode::WhpFixedPhases},
+                             {core::CoinSpec::Kind::Committee, params.schedule}, inputs,
+                             seeds, nodes);
 
     // The strongest attack we know for this protocol family: rushing
     // observation of committee coin flips, greedy corruption to split or

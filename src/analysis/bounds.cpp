@@ -45,10 +45,10 @@ double coin_common_prob_lower(double n, double f) {
     if (f > 0.5 * std::sqrt(n)) return 0.0;  // theorem precondition
     const double g = n - f;  // honest nodes
     // X = sum of g fair ±1 flips: E[X^2] = g, E[X^4] = 3g^2 - 2g.
+    // PZ on X^2 bounds P(X^2 > n/4) = P(|X| > ½ sqrt(n)): both tails at once.
     const double theta = n / (4.0 * g);
     if (theta >= 1.0) return 0.0;
-    const double per_tail = paley_zygmund(theta, g, 3.0 * g * g - 2.0 * g);
-    return std::min(1.0, 2.0 * per_tail);
+    return paley_zygmund(theta, g, 3.0 * g * g - 2.0 * g);
 }
 
 }  // namespace adba::an

@@ -26,10 +26,10 @@ double crossover_t(double n);
 
 /// Theorem 3's proof-level lower bound on P(all honest output the same bit)
 /// for Algorithm 1 with g >= n - f honest nodes and f <= ½ sqrt(n) corrupted:
-/// applying Paley-Zygmund to X^2 gives
-///   P(X > ½ sqrt(n)) >= (1-θ)^2 g^2 / (3g^2 - 2g),  θ = n / (4g),
-/// and commonness holds on either tail, so P(common) >= 2 * that bound
-/// (>= 1/6 for g >= n/2; the paper quotes 1/12 per tail).
+/// applying Paley-Zygmund to X^2 bounds both tails of X at once,
+///   P(|X| > ½ sqrt(n)) >= (1-θ)^2 g^2 / (3g^2 - 2g),  θ = n / (4g),
+/// and commonness holds on that event, so P(common) >= that bound
+/// (>= 1/6 for g >= n - ½ sqrt(n); the paper quotes 1/12 per tail).
 double coin_common_prob_lower(double n, double f);
 
 /// Paley-Zygmund right-hand side for a nonnegative variable:

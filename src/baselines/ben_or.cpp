@@ -92,23 +92,11 @@ void BenOrNode::round_receive(Round r, const net::ReceiveView& view) {
     if (p + 1 >= params_.phases) halted_ = true;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_ben_or_nodes(
-    const BenOrParams& params, const std::vector<Bit>& inputs, const SeedTree& seeds) {
+void arm_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
+                      const SeedTree& seeds,
+                      std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<BenOrNode>(
-            params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds,
-                         std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<BenOrNode>(nodes, params.n, [&](BenOrNode& nd, NodeId v) {
+    net::arm_node_pool<BenOrNode>(nodes, params.n, [&](BenOrNode& nd, NodeId v) {
         nd.reinit(params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }

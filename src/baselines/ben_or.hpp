@@ -36,9 +36,11 @@ struct BenOrParams {
 
 class BenOrNode final : public net::HonestNode {
 public:
+    /// An unarmed node; reinit() arms it.
+    BenOrNode() = default;
     BenOrNode(BenOrParams params, NodeId self, Bit input, Xoshiro256 rng);
 
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
+    /// Arms the node for a fresh trial (the constructor's contract).
     void reinit(BenOrParams params, NodeId self, Bit input, Xoshiro256 rng);
 
     std::optional<net::Message> round_send(Round r) override;
@@ -128,12 +130,9 @@ private:
     net::SegmentFold fold_;  ///< recycled receive scratch
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_ben_or_nodes(
-    const BenOrParams& params, const std::vector<Bit>& inputs, const SeedTree& seeds);
-
-/// Re-arms a pool built by make_ben_or_nodes for a new trial (no allocs).
-void reinit_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
-                         const SeedTree& seeds,
-                         std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Builds (into an empty pool) or re-arms the node set of one trial.
+void arm_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
+                      const SeedTree& seeds,
+                      std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 }  // namespace adba::base

@@ -49,53 +49,6 @@ ChorCoanParams ChorCoanParams::compute_classic(NodeId n, Count t, const Tuning& 
     return p;
 }
 
-ChorCoanNode::ChorCoanNode(const ChorCoanParams& params, AgreementMode mode, NodeId self,
-                           Bit input, Xoshiro256 rng) {
-    reinit(params, mode, self, input, rng);
-}
-
-void ChorCoanNode::reinit(const ChorCoanParams& params, AgreementMode mode,
-                          NodeId self, Bit input, Xoshiro256 rng) {
-    RabinSkeletonNode::reinit(
-        core::SkeletonConfig{params.n, params.t, params.phases, mode}, self, input,
-        rng);
-    sched_ = params.schedule;
-}
-
-CoinSign ChorCoanNode::coin_contribution(Phase p) {
-    return sched_.flips_in_phase(self(), p) ? rng().sign() : CoinSign{0};
-}
-
-Bit ChorCoanNode::coin_value(Phase p, const net::ReceiveView& view) {
-    const Count k = sched_.committee_of_phase(p);
-    const auto [first, last] = sched_.range(k);
-    return core::committee_coin_sum(view, p, first, last) >= 0 ? Bit{1} : Bit{0};
-}
-
-std::vector<std::unique_ptr<net::HonestNode>> make_chor_coan_nodes(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<ChorCoanNode>(
-            params, mode, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<ChorCoanNode>(nodes, params.n, [&](ChorCoanNode& nd,
-                                                             NodeId v) {
-        nd.reinit(params, mode, v, inputs[v],
-                  seeds.stream(StreamPurpose::NodeProtocol, v));
-    });
-}
-
 Round max_rounds_whp(const ChorCoanParams& p) { return 2 * (p.phases + 2); }
 
 }  // namespace adba::base

@@ -20,16 +20,10 @@
 //    cc-classic column (the 1985 analysis assumed a non-rushing adversary).
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "core/params.hpp"
-#include "core/skeleton.hpp"
-#include "rand/seed_tree.hpp"
 
 namespace adba::base {
 
-using core::AgreementMode;
 using core::BlockSchedule;
 using core::Tuning;
 
@@ -49,35 +43,6 @@ struct ChorCoanParams {
     /// holds in our (harder) model: phases = ⌈2t/(½√g)⌉ + ⌈γ·log n⌉.
     static ChorCoanParams compute_classic(NodeId n, Count t, const Tuning& tune = {});
 };
-
-/// One Chor-Coan node (either variant; behaviour differs only via params).
-class ChorCoanNode final : public core::RabinSkeletonNode {
-public:
-    ChorCoanNode(const ChorCoanParams& params, AgreementMode mode, NodeId self,
-                 Bit input, Xoshiro256 rng);
-
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
-    void reinit(const ChorCoanParams& params, AgreementMode mode, NodeId self,
-                Bit input, Xoshiro256 rng);
-
-    const BlockSchedule& schedule() const { return sched_; }
-
-protected:
-    CoinSign coin_contribution(Phase p) override;
-    Bit coin_value(Phase p, const net::ReceiveView& view) override;
-
-private:
-    BlockSchedule sched_;
-};
-
-std::vector<std::unique_ptr<net::HonestNode>> make_chor_coan_nodes(
-    const ChorCoanParams& params, AgreementMode mode, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a pool built by make_chor_coan_nodes for a new trial (no allocs).
-void reinit_chor_coan_nodes(const ChorCoanParams& params, AgreementMode mode,
-                            const std::vector<Bit>& inputs, const SeedTree& seeds,
-                            std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 /// The paper's round budget analogue for this baseline.
 Round max_rounds_whp(const ChorCoanParams& p);

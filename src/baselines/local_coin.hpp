@@ -9,11 +9,7 @@
 // a correctness stressor (safety must hold even when liveness crawls).
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "core/skeleton.hpp"
-#include "rand/seed_tree.hpp"
+#include "support/types.hpp"
 
 namespace adba::base {
 
@@ -24,32 +20,5 @@ struct LocalCoinParams {
     /// phases are exponential in the number of undecided nodes).
     Count phases = 1;
 };
-
-class LocalCoinNode final : public core::RabinSkeletonNode {
-public:
-    LocalCoinNode(const LocalCoinParams& params, core::AgreementMode mode, NodeId self,
-                  Bit input, Xoshiro256 rng);
-
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
-    void reinit(const LocalCoinParams& params, core::AgreementMode mode, NodeId self,
-                Bit input, Xoshiro256 rng) {
-        RabinSkeletonNode::reinit(
-            core::SkeletonConfig{params.n, params.t, params.phases, mode}, self,
-            input, rng);
-    }
-
-protected:
-    CoinSign coin_contribution(Phase) override { return 0; }
-    Bit coin_value(Phase, const net::ReceiveView&) override { return rng().bit(); }
-};
-
-std::vector<std::unique_ptr<net::HonestNode>> make_local_coin_nodes(
-    const LocalCoinParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
-
-/// Re-arms a pool built by make_local_coin_nodes for a new trial (no allocs).
-void reinit_local_coin_nodes(const LocalCoinParams& params, core::AgreementMode mode,
-                             const std::vector<Bit>& inputs, const SeedTree& seeds,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 }  // namespace adba::base

@@ -64,21 +64,10 @@ void PhaseKingNode::round_receive(Round r, const net::ReceiveView& view) {
     if (k + 1 == params_.phases()) halted_ = true;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_phase_king_nodes(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs) {
+void arm_phase_king_nodes(const PhaseKingParams& params, const std::vector<Bit>& inputs,
+                          std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v)
-        nodes.push_back(std::make_unique<PhaseKingNode>(params, v, inputs[v]));
-    return nodes;
-}
-
-void reinit_phase_king_nodes(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<PhaseKingNode>(
+    net::arm_node_pool<PhaseKingNode>(
         nodes, params.n,
         [&](PhaseKingNode& nd, NodeId v) { nd.reinit(params, v, inputs[v]); });
 }

@@ -43,9 +43,11 @@ struct PhaseKingParams {
 
 class PhaseKingNode final : public net::HonestNode {
 public:
+    /// An unarmed node; reinit() arms it.
+    PhaseKingNode() = default;
     PhaseKingNode(PhaseKingParams params, NodeId self, Bit input);
 
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
+    /// Arms the node for a fresh trial (the constructor's contract).
     void reinit(PhaseKingParams params, NodeId self, Bit input);
 
     std::optional<net::Message> round_send(Round r) override;
@@ -125,12 +127,8 @@ private:
     net::SegmentFold fold_;  ///< recycled receive scratch
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_phase_king_nodes(
-    const PhaseKingParams& params, const std::vector<Bit>& inputs);
-
-/// Re-arms a pool built by make_phase_king_nodes for a new trial (no allocs).
-void reinit_phase_king_nodes(const PhaseKingParams& params,
-                             const std::vector<Bit>& inputs,
-                             std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Builds (into an empty pool) or re-arms the node set of one trial.
+void arm_phase_king_nodes(const PhaseKingParams& params, const std::vector<Bit>& inputs,
+                          std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 }  // namespace adba::base

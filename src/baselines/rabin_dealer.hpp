@@ -12,16 +12,14 @@
 // O(1) phases — the floor any committee scheme is compared against.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
-#include "core/skeleton.hpp"
-#include "rand/seed_tree.hpp"
+#include "support/types.hpp"
 
 namespace adba::base {
 
 /// Seed-free: the dealer seed is per trial (the trial's DealerCoin stream
-/// seed), bound by every factory from the trial's SeedTree.
+/// seed), bound by every skeleton form from the trial's SeedTree.
 struct RabinDealerParams {
     NodeId n = 0;
     Count t = 0;
@@ -31,37 +29,9 @@ struct RabinDealerParams {
     static RabinDealerParams compute(NodeId n, Count t, double gamma = 2.0);
 };
 
-class RabinDealerNode final : public core::RabinSkeletonNode {
-public:
-    RabinDealerNode(const RabinDealerParams& params, core::AgreementMode mode,
-                    NodeId self, Bit input, Xoshiro256 rng, std::uint64_t dealer_seed);
-
-    /// Re-arms a pooled node for a fresh trial (constructor contract; the
-    /// dealer seed is per-trial, so it is re-latched here).
-    void reinit(const RabinDealerParams& params, core::AgreementMode mode,
-                NodeId self, Bit input, Xoshiro256 rng, std::uint64_t dealer_seed);
-
-    /// The dealer's public coin for phase p (identical at every node).
-    static Bit dealer_coin(std::uint64_t dealer_seed, Phase p);
-
-protected:
-    CoinSign coin_contribution(Phase) override { return 0; }
-    Bit coin_value(Phase p, const net::ReceiveView& view) override;
-
-private:
-    std::uint64_t dealer_seed_ = 0;
-};
-
-/// Node set for one trial; the dealer seed is the trial's DealerCoin seed.
-std::vector<std::unique_ptr<net::HonestNode>> make_rabin_dealer_nodes(
-    const RabinDealerParams& params, core::AgreementMode mode,
-    const std::vector<Bit>& inputs, const SeedTree& seeds);
-
-/// Re-arms a pool built by make_rabin_dealer_nodes for a new trial.
-void reinit_rabin_dealer_nodes(const RabinDealerParams& params,
-                               core::AgreementMode mode,
-                               const std::vector<Bit>& inputs, const SeedTree& seeds,
-                               std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// The dealer's public coin for phase p under the trial's dealer seed
+/// (identical at every node): the skeleton's Dealer coin.
+Bit dealer_coin(std::uint64_t dealer_seed, Phase p);
 
 Round max_rounds_whp(const RabinDealerParams& p);
 

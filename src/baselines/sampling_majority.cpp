@@ -19,11 +19,6 @@ SamplingMajorityParams SamplingMajorityParams::compute(NodeId n, Count t, double
     return p;
 }
 
-SamplingMajorityNode::SamplingMajorityNode(SamplingMajorityParams params, NodeId self,
-                                           Bit input, Xoshiro256 rng) {
-    reinit(params, self, input, rng);  // one initialization body for both paths
-}
-
 void SamplingMajorityNode::reinit(SamplingMajorityParams params, NodeId self,
                                   Bit input, Xoshiro256 rng) {
     ADBA_EXPECTS(params.n >= 2);
@@ -75,24 +70,11 @@ void SamplingMajorityNode::round_receive(Round r, const net::ReceiveView& view) 
     val_ = ones >= 2 ? Bit{1} : Bit{0};
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds) {
+void arm_sampling_majority_nodes(const SamplingMajorityParams& params,
+                                 const std::vector<Bit>& inputs, const SeedTree& seeds,
+                                 std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
     ADBA_EXPECTS(inputs.size() == params.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.n);
-    for (NodeId v = 0; v < params.n; ++v) {
-        nodes.push_back(std::make_unique<SamplingMajorityNode>(
-            params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds, std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.n);
-    net::reinit_node_pool<SamplingMajorityNode>(
+    net::arm_node_pool<SamplingMajorityNode>(
         nodes, params.n, [&](SamplingMajorityNode& nd, NodeId v) {
             nd.reinit(params, v, inputs[v],
                       seeds.stream(StreamPurpose::NodeProtocol, v));

@@ -46,12 +46,11 @@ struct SamplingMajorityParams {
 
 class SamplingMajorityNode final : public net::HonestNode {
 public:
-    SamplingMajorityNode(SamplingMajorityParams params, NodeId self, Bit input,
-                         Xoshiro256 rng);
+    /// An unarmed node; reinit() arms it.
+    SamplingMajorityNode() = default;
 
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
-    void reinit(SamplingMajorityParams params, NodeId self, Bit input,
-                Xoshiro256 rng);
+    /// Arms the node for a fresh trial.
+    void reinit(SamplingMajorityParams params, NodeId self, Bit input, Xoshiro256 rng);
 
     std::optional<net::Message> round_send(Round r) override;
     void round_receive(Round r, const net::ReceiveView& view) override;
@@ -66,13 +65,9 @@ private:
     bool halted_ = false;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a pool built by make_sampling_majority_nodes for a new trial.
-void reinit_sampling_majority_nodes(
-    const SamplingMajorityParams& params, const std::vector<Bit>& inputs,
-    const SeedTree& seeds, std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Builds (into an empty pool) or re-arms the node set of one trial.
+void arm_sampling_majority_nodes(const SamplingMajorityParams& params,
+                                 const std::vector<Bit>& inputs, const SeedTree& seeds,
+                                 std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 }  // namespace adba::base

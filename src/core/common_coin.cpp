@@ -4,10 +4,6 @@
 
 namespace adba::core {
 
-CoinFlipNode::CoinFlipNode(CoinConfig cfg, NodeId self, Xoshiro256 rng) {
-    reinit(cfg, self, rng);  // one initialization body for both paths
-}
-
 void CoinFlipNode::reinit(CoinConfig cfg, NodeId self, Xoshiro256 rng) {
     ADBA_EXPECTS(cfg.n > 0);
     ADBA_EXPECTS(cfg.designated >= 1 && cfg.designated <= cfg.n);
@@ -38,20 +34,9 @@ void CoinFlipNode::round_receive(Round r, const net::ReceiveView& view) {
     halted_ = true;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_coin_nodes(const CoinConfig& cfg,
-                                                              const SeedTree& seeds) {
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(cfg.n);
-    for (NodeId v = 0; v < cfg.n; ++v) {
-        nodes.push_back(std::make_unique<CoinFlipNode>(
-            cfg, v, seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds,
-                       std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    net::reinit_node_pool<CoinFlipNode>(nodes, cfg.n, [&](CoinFlipNode& nd, NodeId v) {
+void arm_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds,
+                    std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
+    net::arm_node_pool<CoinFlipNode>(nodes, cfg.n, [&](CoinFlipNode& nd, NodeId v) {
         nd.reinit(cfg, v, seeds.stream(StreamPurpose::NodeProtocol, v));
     });
 }

@@ -35,9 +35,10 @@ struct CoinConfig {
 /// One participant of Algorithm 1 / Algorithm 2. Single round, then halts.
 class CoinFlipNode final : public net::HonestNode {
 public:
-    CoinFlipNode(CoinConfig cfg, NodeId self, Xoshiro256 rng);
+    /// An unarmed node; reinit() arms it.
+    CoinFlipNode() = default;
 
-    /// Re-arms a pooled node for a fresh trial (constructor contract).
+    /// Arms the node for a fresh trial.
     void reinit(CoinConfig cfg, NodeId self, Xoshiro256 rng);
 
     std::optional<net::Message> round_send(Round r) override;
@@ -58,12 +59,9 @@ private:
     bool halted_ = false;
 };
 
-/// Builds all n participants with independent streams.
-std::vector<std::unique_ptr<net::HonestNode>> make_coin_nodes(const CoinConfig& cfg,
-                                                              const SeedTree& seeds);
-
-/// Re-arms a pool built by make_coin_nodes for a new trial (no allocs).
-void reinit_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds,
-                       std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Builds (into an empty pool) or re-arms all n participants of one trial,
+/// each with its own stream.
+void arm_coin_nodes(const CoinConfig& cfg, const SeedTree& seeds,
+                    std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 }  // namespace adba::core

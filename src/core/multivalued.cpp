@@ -28,7 +28,7 @@ void TurpinCoanNode::reinit(const MultiValuedParams& params, NodeId self,
     echo_.reset();
     x_star_ = 0;
     x_star_valid_ = false;
-    inner_live_ = false;  // the pooled inner node is re-armed by the prelude
+    inner_live_ = false;  // the inner node is re-armed by the prelude
 }
 
 std::optional<net::Message> TurpinCoanNode::round_send(Round r) {
@@ -47,7 +47,7 @@ std::optional<net::Message> TurpinCoanNode::round_send(Round r) {
         return m;
     }
     ADBA_ENSURES_MSG(inner_live_, "prelude must have armed the inner protocol");
-    return inner_->round_send(r - 2);
+    return inner_.round_send(r - 2);
 }
 
 void TurpinCoanNode::round_receive(Round r, const net::ReceiveView& view) {
@@ -72,32 +72,29 @@ void TurpinCoanNode::round_receive(Round r, const net::ReceiveView& view) {
         }
         x_star_valid_ = best > 0;
         const Bit binary_input = best >= quorum ? Bit{1} : Bit{0};
-        if (inner_) {
-            inner_->reinit(params_.binary, params_.mode, self_, binary_input, rng_);
-        } else {
-            inner_ = std::make_unique<Algorithm3Node>(params_.binary, params_.mode,
-                                                      self_, binary_input, rng_);
-        }
+        const AgreementParams& b = params_.binary;
+        inner_.reinit({b.n, b.t, b.phases, params_.mode},
+                      {CoinSpec::Kind::Committee, b.schedule}, self_, binary_input, rng_);
         inner_live_ = true;
         return;
     }
 
     ADBA_ENSURES_MSG(inner_live_, "prelude must have armed the inner protocol");
-    inner_->round_receive(r - 2, view);
+    inner_.round_receive(r - 2, view);
 }
 
-bool TurpinCoanNode::halted() const { return inner_live_ && inner_->halted(); }
+bool TurpinCoanNode::halted() const { return inner_live_ && inner_.halted(); }
 
 Bit TurpinCoanNode::current_value() const {
-    return inner_live_ ? inner_->current_value() : Bit{0};
+    return inner_live_ ? inner_.current_value() : Bit{0};
 }
 
 bool TurpinCoanNode::current_decided() const {
-    return inner_live_ && inner_->current_decided();
+    return inner_live_ && inner_.current_decided();
 }
 
 bool TurpinCoanNode::decided_real_value() const {
-    return inner_live_ && inner_->output() == 1;
+    return inner_live_ && inner_.output() == 1;
 }
 
 net::Word TurpinCoanNode::output_word() const {
@@ -108,25 +105,11 @@ net::Word TurpinCoanNode::output_word() const {
     return x_star_;
 }
 
-std::vector<std::unique_ptr<net::HonestNode>> make_turpin_coan_nodes(
-    const MultiValuedParams& params, const std::vector<net::Word>& inputs,
-    const SeedTree& seeds) {
+void arm_turpin_coan_nodes(const MultiValuedParams& params,
+                           const std::vector<net::Word>& inputs, const SeedTree& seeds,
+                           std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
     ADBA_EXPECTS(inputs.size() == params.binary.n);
-    std::vector<std::unique_ptr<net::HonestNode>> nodes;
-    nodes.reserve(params.binary.n);
-    for (NodeId v = 0; v < params.binary.n; ++v) {
-        nodes.push_back(std::make_unique<TurpinCoanNode>(
-            params, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v)));
-    }
-    return nodes;
-}
-
-void reinit_turpin_coan_nodes(const MultiValuedParams& params,
-                              const std::vector<net::Word>& inputs,
-                              const SeedTree& seeds,
-                              std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
-    ADBA_EXPECTS(inputs.size() == params.binary.n);
-    net::reinit_node_pool<TurpinCoanNode>(
+    net::arm_node_pool<TurpinCoanNode>(
         nodes, params.binary.n, [&](TurpinCoanNode& nd, NodeId v) {
             nd.reinit(params, v, inputs[v],
                       seeds.stream(StreamPurpose::NodeProtocol, v));

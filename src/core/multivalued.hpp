@@ -21,8 +21,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/agreement.hpp"
 #include "core/params.hpp"
+#include "core/skeleton.hpp"
 #include "net/node.hpp"
 #include "rand/seed_tree.hpp"
 
@@ -43,11 +43,14 @@ struct MultiValuedParams {
 /// One participant of the Turpin-Coan reduction wrapping Algorithm 3.
 class TurpinCoanNode final : public net::HonestNode {
 public:
+    /// An unarmed node; reinit() arms it.
+    TurpinCoanNode() = default;
     TurpinCoanNode(const MultiValuedParams& params, NodeId self, net::Word input,
                    Xoshiro256 rng);
 
-    /// Re-arms a pooled node for a fresh trial (constructor contract). The
-    /// embedded Algorithm 3 node is kept allocated and re-armed in place.
+    /// Arms the node for a fresh trial (the constructor's contract). The
+    /// embedded Algorithm 3 node is re-armed when the prelude fixes its
+    /// input.
     void reinit(const MultiValuedParams& params, NodeId self, net::Word input,
                 Xoshiro256 rng);
 
@@ -74,22 +77,17 @@ private:
     std::optional<net::Word> echo_;  ///< nullopt = ⊥
     net::Word x_star_ = 0;
     bool x_star_valid_ = false;
-    // Inner binary protocol, armed when the prelude fixes its input. The
-    // allocation is pooled across trials; inner_live_ marks whether the
-    // current trial's prelude has armed it yet.
-    std::unique_ptr<Algorithm3Node> inner_;
+    // Inner binary protocol (Algorithm 3's skeleton node), armed when the
+    // prelude fixes its input; inner_live_ marks whether the current trial's
+    // prelude has armed it yet.
+    RabinSkeletonNode inner_;
     bool inner_live_ = false;
 };
 
-std::vector<std::unique_ptr<net::HonestNode>> make_turpin_coan_nodes(
-    const MultiValuedParams& params, const std::vector<net::Word>& inputs,
-    const SeedTree& seeds);
-
-/// Re-arms a pool built by make_turpin_coan_nodes for a new trial.
-void reinit_turpin_coan_nodes(const MultiValuedParams& params,
-                              const std::vector<net::Word>& inputs,
-                              const SeedTree& seeds,
-                              std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+/// Builds (into an empty pool) or re-arms the node set of one trial.
+void arm_turpin_coan_nodes(const MultiValuedParams& params,
+                           const std::vector<net::Word>& inputs, const SeedTree& seeds,
+                           std::vector<std::unique_ptr<net::HonestNode>>& nodes);
 
 /// Engine round budget: 2 prelude rounds + the binary budget.
 Round max_rounds_whp(const MultiValuedParams& p);

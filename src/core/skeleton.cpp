@@ -4,19 +4,23 @@
 
 namespace adba::core {
 
-RabinSkeletonNode::RabinSkeletonNode(SkeletonConfig cfg, NodeId self, Bit input,
-                                     Xoshiro256 rng) {
-    reinit(cfg, self, input, rng);  // one initialization body for both paths
+RabinSkeletonNode::RabinSkeletonNode(const SkeletonConfig& cfg, const CoinSpec& coin,
+                                     NodeId self, Bit input, Xoshiro256 rng,
+                                     std::uint64_t dealer_seed) {
+    reinit(cfg, coin, self, input, rng, dealer_seed);  // one initialization body
 }
 
-void RabinSkeletonNode::reinit(SkeletonConfig cfg, NodeId self, Bit input,
-                               Xoshiro256 rng) {
+void RabinSkeletonNode::reinit(const SkeletonConfig& cfg, const CoinSpec& coin, NodeId self,
+                               Bit input, Xoshiro256 rng, std::uint64_t dealer_seed) {
     ADBA_EXPECTS(cfg.n > 0);
     ADBA_EXPECTS_MSG(3 * static_cast<std::uint64_t>(cfg.t) < cfg.n, "requires t < n/3");
     ADBA_EXPECTS(cfg.phases >= 1);
     ADBA_EXPECTS(self < cfg.n);
     ADBA_EXPECTS(input <= 1);
+    if (coin.kind == CoinSpec::Kind::Dealer) ADBA_EXPECTS(coin.dealer != nullptr);
     cfg_ = cfg;
+    coin_ = coin;
+    dealer_seed_ = dealer_seed;
     self_ = self;
     rng_ = rng;
     val_ = input;
@@ -41,7 +45,8 @@ std::optional<net::Message> RabinSkeletonNode::round_send(Round r) {
         // Flip regardless of this node's own case: the flip is drawn before
         // any round-2 delivery is seen, so every honest committee member
         // contributes (Corollary 1 counts them all).
-        m.coin = coin_contribution(p);
+        if (coin_.kind == CoinSpec::Kind::Committee && coin_.schedule.flips_in_phase(self_, p))
+            m.coin = rng_.sign();
         if (flushing_) {
             // Second flush broadcast done; the node's output is final.
             halted_ = true;
@@ -113,8 +118,34 @@ void RabinSkeletonNode::receive_round2(Phase p, const net::ReceiveView& view) {
             return;
         }
     }
-    val_ = coin_value(p, view);
+    val_ = case3_coin(p, view);
     decided_ = false;
+}
+
+Bit RabinSkeletonNode::case3_coin(Phase p, const net::ReceiveView& view) {
+    switch (coin_.kind) {
+        case CoinSpec::Kind::Committee: {
+            const auto [first, last] = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
+            return committee_coin_sum(view, p, first, last) >= 0 ? Bit{1} : Bit{0};
+        }
+        case CoinSpec::Kind::Dealer:
+            return coin_.dealer(dealer_seed_, p);
+        case CoinSpec::Kind::Local:
+            return rng_.bit();
+    }
+    return Bit{0};  // unreachable: all kinds handled above
+}
+
+void arm_skeleton_nodes(const SkeletonConfig& cfg, const CoinSpec& coin,
+                        const std::vector<Bit>& inputs, const SeedTree& seeds,
+                        std::vector<std::unique_ptr<net::HonestNode>>& nodes) {
+    ADBA_EXPECTS(inputs.size() == cfg.n);
+    const std::uint64_t dealer_seed =
+        coin.kind == CoinSpec::Kind::Dealer ? seeds.seed(StreamPurpose::DealerCoin) : 0;
+    net::arm_node_pool<RabinSkeletonNode>(nodes, cfg.n, [&](RabinSkeletonNode& nd, NodeId v) {
+        nd.reinit(cfg, coin, v, inputs[v], seeds.stream(StreamPurpose::NodeProtocol, v),
+                  dealer_seed);
+    });
 }
 
 std::int64_t committee_coin_sum(const net::ReceiveView& view, Phase p, NodeId first,

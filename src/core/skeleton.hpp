@@ -1,6 +1,8 @@
 // Rabin-style phase skeleton shared by every shared-coin agreement protocol
 // in this repository (Algorithm 3, both Chor-Coan baselines, the Rabin
-// trusted-dealer reference, and the local-coin ablation).
+// trusted-dealer reference, and the local-coin ablation). They differ only
+// in where the phase coin comes from, so one node class runs all of them
+// and a CoinSpec value names the coin.
 //
 // Each phase has two broadcast rounds (paper §3.2, Algorithm 3):
 //   round 1: broadcast (phase, 1, val, decided);
@@ -23,19 +25,26 @@
 // SkeletonFlush.FinisherBroadcastsOneFullPhaseThenHalts (test_skeleton) and
 // Lemma4.FinisherForcesTerminationWithinTwoPhases (test_agreement).
 //
-// Subclasses supply only the coin source:
-//   * coin_contribution(p) — this node's ±1 flip piggybacked on its round-2
-//     broadcast of phase p (0 = not a flipper this phase);
-//   * coin_value(p, view)  — the common-coin bit derived from this round's
-//     deliveries (or private/dealer randomness).
+// The coin (CoinSpec) is drawn at three sites only:
+//   * Committee — Algorithm 3 and the Chor-Coans: phase p's committee (an ID
+//     block of the schedule) piggybacks ±1 flips on its round-2 broadcasts,
+//     and every node adopts the sign of the committee sum (Algorithm 2 /
+//     Corollary 1);
+//   * Dealer — a public coin function of the trial's dealer seed and the
+//     phase, the same at every node;
+//   * Local — each case-3 node flips its own private bit.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
+#include "core/params.hpp"
 #include "net/engine.hpp"
 #include "net/node.hpp"
 #include "rand/rng.hpp"
+#include "rand/seed_tree.hpp"
 #include "support/types.hpp"
 
 namespace adba::core {
@@ -57,20 +66,42 @@ struct SkeletonConfig {
     AgreementMode mode = AgreementMode::WhpFixedPhases;
 };
 
-/// Common machinery for two-round-per-phase shared-coin agreement nodes.
-class RabinSkeletonNode : public net::HonestNode {
+/// The phase coin of a skeleton protocol, in every form: the per-node
+/// RabinSkeletonNode, the scalar SkeletonBatch and the 64-lane
+/// FusedSkeleton.
+struct CoinSpec {
+    enum class Kind : std::uint8_t {
+        Committee,  ///< phase-p committee members flip; coin = sign of sum
+        Dealer,     ///< public coin: dealer(seed, p), identical at every node
+        Local,      ///< private coin: each case-3 node flips its own bit
+    };
+    Kind kind = Kind::Local;
+    BlockSchedule schedule;  ///< Committee only
+    /// Dealer only: a pure coin function of (the trial's DealerCoin seed,
+    /// phase). Each batch evaluates it under its own trial's seed (every
+    /// lane under its own, on the fused plane), so it may run on any shard.
+    Bit (*dealer)(std::uint64_t dealer_seed, Phase p) = nullptr;
+};
+
+/// One node of a two-round-per-phase shared-coin agreement protocol.
+class RabinSkeletonNode final : public net::HonestNode {
 public:
-    RabinSkeletonNode(SkeletonConfig cfg, NodeId self, Bit input, Xoshiro256 rng);
+    /// An unarmed node; reinit() arms it.
+    RabinSkeletonNode() = default;
+    RabinSkeletonNode(const SkeletonConfig& cfg, const CoinSpec& coin, NodeId self,
+                      Bit input, Xoshiro256 rng, std::uint64_t dealer_seed = 0);
 
-    /// Re-arms a pooled node for a fresh trial (same contract as the
-    /// constructor); trial runners call this instead of re-allocating.
-    void reinit(SkeletonConfig cfg, NodeId self, Bit input, Xoshiro256 rng);
+    /// Arms the node for a fresh trial (the constructor's contract); pooled
+    /// nodes are re-armed this way instead of re-allocated. `dealer_seed` is
+    /// the trial's DealerCoin seed, read only under the Dealer coin.
+    void reinit(const SkeletonConfig& cfg, const CoinSpec& coin, NodeId self, Bit input,
+                Xoshiro256 rng, std::uint64_t dealer_seed = 0);
 
-    std::optional<net::Message> round_send(Round r) final;
-    void round_receive(Round r, const net::ReceiveView& view) final;
-    bool halted() const final { return halted_; }
-    Bit current_value() const final { return val_; }
-    bool current_decided() const final { return decided_; }
+    std::optional<net::Message> round_send(Round r) override;
+    void round_receive(Round r, const net::ReceiveView& view) override;
+    bool halted() const override { return halted_; }
+    Bit current_value() const override { return val_; }
+    bool current_decided() const override { return decided_; }
 
     // --- introspection for tests / full-information adversaries ---
     bool finish_flag() const { return finish_; }
@@ -78,29 +109,15 @@ public:
     std::optional<Phase> finish_phase() const { return finish_phase_; }
     NodeId self() const { return self_; }
 
-protected:
-    /// This node's ±1 flip for phase p (0 = does not flip). Called exactly
-    /// once per phase at round-2 send time, before any round-2 message is
-    /// received — Lemma 5's independence requirement.
-    virtual CoinSign coin_contribution(Phase p) = 0;
-
-    /// The phase-p coin this node adopts in case 3, computed from the
-    /// round-2 deliveries.
-    virtual Bit coin_value(Phase p, const net::ReceiveView& view) = 0;
-
-    const SkeletonConfig& cfg() const { return cfg_; }
-    Xoshiro256& rng() { return rng_; }
-
-protected:
-    /// For subclasses that construct via their own reinit() (the constructor
-    /// and the pooled path then share one initialization body).
-    RabinSkeletonNode() = default;
-
 private:
     void receive_round1(Phase p, const net::ReceiveView& view);
     void receive_round2(Phase p, const net::ReceiveView& view);
+    /// The phase-p coin this node adopts in case 3.
+    Bit case3_coin(Phase p, const net::ReceiveView& view);
 
     SkeletonConfig cfg_;
+    CoinSpec coin_;
+    std::uint64_t dealer_seed_ = 0;
     NodeId self_ = 0;
     Xoshiro256 rng_;
 
@@ -112,11 +129,18 @@ private:
     bool halted_ = false;
 };
 
+/// Builds (into an empty pool) or re-arms the n skeleton nodes of one
+/// trial: node v gets inputs[v] and the stream (NodeProtocol, v), and a
+/// Dealer coin binds the trial's DealerCoin seed.
+void arm_skeleton_nodes(const SkeletonConfig& cfg, const CoinSpec& coin,
+                        const std::vector<Bit>& inputs, const SeedTree& seeds,
+                        std::vector<std::unique_ptr<net::HonestNode>>& nodes);
+
 /// Sums sanitized coin contributions of a block-committee from round-2
 /// deliveries: Byzantine coin fields are clamped to ±1, contributions from
 /// outside the committee are ignored (paper §3.2: "messages from byzantine
-/// nodes not in the committee are ignored"). Shared by Algorithm 3 and the
-/// Chor-Coan baselines. Backed by the view's shared-tally coin prefix, so
+/// nodes not in the committee are ignored"): the per-node Committee coin.
+/// Backed by the view's shared-tally coin prefix, so
 /// the honest contribution costs O(1) per receiver.
 std::int64_t committee_coin_sum(const net::ReceiveView& view, Phase p, NodeId first,
                                 NodeId last);

@@ -17,10 +17,9 @@
 // arrays. tests/test_batch_plane.cpp pins this class bit-identical to the
 // per-node adapter across every compatible registry pair.
 //
-// The subclass coin hooks of RabinSkeletonNode become a CoinSpec value:
-// Committee (Algorithm 3 / Chor-Coan block schedules), Dealer (a public
-// coin function of the trial's dealer seed and the phase), or Local
-// (private per-node flips).
+// The coin is the node's CoinSpec (core/skeleton.hpp): Committee (Algorithm
+// 3 / Chor-Coan block schedules), Dealer (a public coin function of the
+// trial's dealer seed and the phase), or Local (private per-node flips).
 #pragma once
 
 #include <cstdint>
@@ -33,23 +32,6 @@
 #include "rand/seed_tree.hpp"
 
 namespace adba::core {
-
-/// The coin source of a skeleton batch — scalar SkeletonBatch or 64-lane
-/// FusedSkeleton — the data-only analogue of the RabinSkeletonNode subclass
-/// hooks.
-struct CoinSpec {
-    enum class Kind : std::uint8_t {
-        Committee,  ///< phase-p committee members flip; coin = sign of sum
-        Dealer,     ///< public coin: dealer(seed, p), identical at every node
-        Local,      ///< private coin: each case-3 node flips its own bit
-    };
-    Kind kind = Kind::Local;
-    BlockSchedule schedule;  ///< Committee only
-    /// Dealer only: a pure coin function of (the trial's DealerCoin seed,
-    /// phase). Each batch evaluates it under its own trial's seed (every
-    /// lane under its own, on the fused plane), so it may run on any shard.
-    Bit (*dealer)(std::uint64_t dealer_seed, Phase p) = nullptr;
-};
 
 /// Whole-population Rabin skeleton: one object, n nodes, flat planes.
 class SkeletonBatch final : public net::NativeBatch {

@@ -13,7 +13,7 @@
 // round 1 is dec = Q0|Q1, val1 = Q1; round 2 is dec = S0|S1, fin = Q0|Q1,
 // val1 = S1, case3 = active & ~dec (Q = n-t quorum, S = t+1 support).
 //
-// The coin hooks are SkeletonBatch's CoinSpec. Committee sums come from the
+// The coin is the skeleton's CoinSpec. Committee sums come from the
 // fold (honest flips plus Byzantine coins); a coin-sign row splits case 3
 // into two masks, one adopting 1 and one adopting the receiver's sign-plane
 // bit. Dealer coins are the pure coin function under each lane's own
@@ -28,7 +28,6 @@
 
 #include "core/params.hpp"
 #include "core/skeleton.hpp"
-#include "core/skeleton_batch.hpp"
 #include "net/fused_plane.hpp"
 #include "rand/rng.hpp"
 #include "rand/seed_tree.hpp"

@@ -57,13 +57,19 @@ public:
     virtual Bit output() const { return current_value(); }
 };
 
-/// Shared loop behind every protocol's reinit_*_nodes: checks the pool was
-/// built for this node type and size, then re-arms each node in id order via
-/// `per_node(node, v)`. Trial runners use this to reuse node sets across
-/// Monte-Carlo trials with zero allocation.
+/// Shared loop behind every protocol's arm_*_nodes: fills an empty pool with
+/// n default-constructed (unarmed) Nodes, or checks that a pool from an
+/// earlier trial holds n Nodes, then arms each node in id order via
+/// `per_node(node, v)`. Trial runners reuse node sets across Monte-Carlo
+/// trials this way with zero allocation.
 template <typename Node, typename Fn>
-void reinit_node_pool(std::vector<std::unique_ptr<HonestNode>>& nodes, NodeId n,
-                      Fn&& per_node) {
+void arm_node_pool(std::vector<std::unique_ptr<HonestNode>>& nodes, NodeId n,
+                   Fn&& per_node) {
+    ADBA_EXPECTS(n > 0);
+    if (nodes.empty()) {
+        nodes.reserve(n);
+        for (NodeId v = 0; v < n; ++v) nodes.push_back(std::make_unique<Node>());
+    }
     ADBA_EXPECTS(nodes.size() == n);
     ADBA_EXPECTS_MSG(dynamic_cast<Node*>(nodes.front().get()) != nullptr,
                      "node pool type does not match the requested protocol");

@@ -22,12 +22,7 @@ public:
 
     CoinTrial run(std::uint64_t seed) {
         const SeedTree seeds(seed);
-        const core::CoinConfig cfg{s_.n, s_.designated};
-        if (nodes_.empty()) {
-            nodes_ = core::make_coin_nodes(cfg, seeds);
-        } else {
-            core::reinit_coin_nodes(cfg, seeds, nodes_);
-        }
+        core::arm_coin_nodes({s_.n, s_.designated}, seeds, nodes_);
 
         adv::CoinRuinAdversary adversary(
             adv::CoinRuinConfig{s_.designated, s_.f, s_.attack, s_.forced_bit});

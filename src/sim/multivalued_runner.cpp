@@ -57,11 +57,7 @@ public:
         make_mv_inputs(s.inputs, s.n, seeds, inputs_);
         const auto& inputs = inputs_;
 
-        if (nodes_.empty()) {
-            nodes_ = core::make_turpin_coan_nodes(plan_.params, inputs, seeds);
-        } else {
-            core::reinit_turpin_coan_nodes(plan_.params, inputs, seeds, nodes_);
-        }
+        core::arm_turpin_coan_nodes(plan_.params, inputs, seeds, nodes_);
         raw_.clear();
         raw_.reserve(s.n);
         for (const auto& p : nodes_)

@@ -2,9 +2,10 @@
 // Separate from the binary runner because inputs, outputs, and agreement
 // evaluation are over words, not bits — but it is the same Monte-Carlo
 // machine, so it rides the workload-generic kernel (sim/workload.hpp) and
-// has full scenario parity with the binary stack: parse/describe
+// shares the binary stack's scenario machinery: parse/describe
 // round-tripping, a hoisted plan, the `q` corruption cap, and the
-// `reference`/`batch` engine toggles.
+// `reference`/`simd` engine toggles. It always steps its per-node
+// Turpin-Coan nodes on the flat plane.
 #pragma once
 
 #include <cstdint>
@@ -50,26 +51,11 @@ struct MvScenario {
     /// probing) instead of the flat plane — the same oracle toggle the
     /// binary scenario carries (`reference=true`).
     bool reference_delivery = false;
-    /// Scenario key `batch`. The Turpin-Coan node set ships no native SoA
-    /// batch yet, so both settings step through the pooled PerNodeBatch
-    /// adapter today; the key is carried (and round-tripped) so specs stay
-    /// portable with the binary stack and forward-compatible with a native
-    /// mv batch.
-    bool use_batch = true;
     /// Build round tallies with the word-packed popcount kernels (scenario
     /// key `simd`); `simd=off` keeps the scalar byte-plane build — the
     /// oracle toggle shared with the binary stack. The mv word histograms
     /// are the word-sliced packed path this exercises.
     bool use_simd = true;
-    /// Scenario key `plane`. The Turpin-Coan stack has no sparse batch
-    /// (per-word histograms don't fit the bit-plane sampling), so only
-    /// `plane=flat` validates today; the key is parsed for spec parity with
-    /// the binary stack and why_incompatible rejects `plane=sparse` with an
-    /// actionable message.
-    bool sparse_plane = false;
-    /// Scenario key `sample_degree`; carried and round-tripped for spec
-    /// parity, meaningful only once an mv sparse batch exists.
-    Count sample_degree = 0;
     /// Per-trial wall-clock watchdog in ms (scenario key `watchdog_ms`);
     /// 0 = off. Same semantics as the binary scenario's key — the guard for
     /// `las_vegas=true` inner protocols whose round cap is generous by
@@ -80,8 +66,8 @@ struct MvScenario {
     /// Builds a scenario from a `key=value ...` spec string, resolving
     /// adversary/input names through MvAdversaryRegistry. Keys: adversary,
     /// inputs, n, t, q, alpha, gamma, beta, fallback, las_vegas, reference,
-    /// batch, simd, plane, sample_degree, watchdog_ms. Unknown keys or
-    /// names throw ContractViolation with the accepted alternatives.
+    /// simd, watchdog_ms. Unknown keys or names throw ContractViolation with
+    /// the accepted alternatives.
     static MvScenario parse(const std::string& spec);
 
     /// Canonical spec string; `MvScenario::parse(s.describe()) == s`.

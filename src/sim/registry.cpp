@@ -21,7 +21,7 @@
 #include "baselines/phase_king.hpp"
 #include "baselines/rabin_dealer.hpp"
 #include "baselines/sampling_majority.hpp"
-#include "core/agreement.hpp"
+#include "core/skeleton_batch.hpp"
 #include "core/skeleton_fused.hpp"
 #include "sim/faults.hpp"
 #include "support/cli.hpp"
@@ -176,7 +176,8 @@ void arm(BatchSlot& slot, const Args&... args) {
 //                                  trial's seeds reach only the builders),
 //   meta(P) -> ProtocolMeta        phases, round cap, optional schedule,
 //   committee                      true when meta() carries a schedule,
-//   make_nodes / reinit_nodes      the per-node form, and, when the
+//   arm_nodes                      the per-node form, built into an empty
+//                                  pool or re-armed in place, and, when the
 //   arm_batch / make_fused         protocol has them, the native batch
 //                                  (built into an empty slot or re-armed
 //                                  in place) and the 64-lane form.
@@ -186,11 +187,11 @@ ProtocolEntry derive(ProtocolEntry e) {
     e.make_nodes = [](const Scenario& s, const Inputs& in, const SeedTree& sd) {
         const auto p = D::params(s);
         ProtocolBundle b = bundle_of(D::meta(p));
-        b.nodes = D::make_nodes(p, in, sd);
+        D::arm_nodes(p, in, sd, b.nodes);
         return b;
     };
     e.reinit_nodes = [](const Scenario& s, const Inputs& in, const SeedTree& sd,
-                        ProtocolBundle& b) { D::reinit_nodes(D::params(s), in, sd, b.nodes); };
+                        ProtocolBundle& b) { D::arm_nodes(D::params(s), in, sd, b.nodes); };
     e.budgets = [](const Scenario& s) {
         const ProtocolMeta m = D::meta(D::params(s));
         return BudgetHint{m.phases, m.max_rounds};
@@ -213,31 +214,24 @@ ProtocolEntry derive(ProtocolEntry e) {
 }
 
 /// The six skeleton protocols: each supplies params() and meta(), and this
-/// base supplies the rest — node sets from the protocol's own factories in
-/// mode M, and batch and fused forms from one SkeletonConfig-and-coin
-/// builder over the params' (n, t, phases): a committee coin over the
-/// params' schedule, the trusted dealer's public coin, or private flips.
-template <typename P, AgreementMode M, Coin C,
-          NodeSet (*MakeNodes)(const P&, AgreementMode, const Inputs&, const SeedTree&),
-          void (*ReinitNodes)(const P&, AgreementMode, const Inputs&, const SeedTree&,
-                              NodeSet&)>
+/// base supplies the rest — the per-node, batch and fused forms from one
+/// SkeletonConfig-and-coin builder over the params' (n, t, phases) in mode
+/// M: a committee coin over the params' schedule, the trusted dealer's
+/// public coin, or private flips.
+template <typename P, AgreementMode M, Coin C>
 struct Skeleton {
     static constexpr bool committee = C == Coin::Committee;
 
-    static NodeSet make_nodes(const P& p, const Inputs& in, const SeedTree& sd) {
-        return MakeNodes(p, M, in, sd);
-    }
-    static void reinit_nodes(const P& p, const Inputs& in, const SeedTree& sd,
-                             NodeSet& nodes) {
-        ReinitNodes(p, M, in, sd, nodes);
-    }
     static core::SkeletonConfig config(const P& p) { return {p.n, p.t, p.phases, M}; }
     static core::CoinSpec coin(const P& p) {
         core::CoinSpec spec;
         spec.kind = C;
         if constexpr (C == Coin::Committee) spec.schedule = p.schedule;
-        if constexpr (C == Coin::Dealer) spec.dealer = &base::RabinDealerNode::dealer_coin;
+        if constexpr (C == Coin::Dealer) spec.dealer = &base::dealer_coin;
         return spec;
+    }
+    static void arm_nodes(const P& p, const Inputs& in, const SeedTree& sd, NodeSet& nodes) {
+        core::arm_skeleton_nodes(config(p), coin(p), in, sd, nodes);
     }
     static void arm_batch(const P& p, const Inputs& in, const SeedTree& sd, BatchSlot& slot) {
         arm<core::SkeletonBatch>(slot, config(p), coin(p), in, sd);
@@ -253,8 +247,7 @@ Round phase_budget_cap(Count phases) { return static_cast<Round>(2 * (phases + 2
 
 /// Algorithm 3 (the paper), w.h.p. fixed-phase or Las Vegas.
 template <AgreementMode M>
-struct Alg3 : Skeleton<core::AgreementParams, M, Coin::Committee, &core::make_algorithm3_nodes,
-                       &core::reinit_algorithm3_nodes> {
+struct Alg3 : Skeleton<core::AgreementParams, M, Coin::Committee> {
     static core::AgreementParams params(const Scenario& s) {
         return core::AgreementParams::compute(s.n, s.t, s.tuning);
     }
@@ -265,8 +258,7 @@ struct Alg3 : Skeleton<core::AgreementParams, M, Coin::Committee, &core::make_al
 };
 
 template <base::ChorCoanParams (*Compute)(NodeId, Count, const core::Tuning&)>
-struct ChorCoan : Skeleton<base::ChorCoanParams, AgreementMode::WhpFixedPhases, Coin::Committee,
-                           &base::make_chor_coan_nodes, &base::reinit_chor_coan_nodes> {
+struct ChorCoan : Skeleton<base::ChorCoanParams, AgreementMode::WhpFixedPhases, Coin::Committee> {
     static base::ChorCoanParams params(const Scenario& s) { return Compute(s.n, s.t, s.tuning); }
     static ProtocolMeta meta(const base::ChorCoanParams& p) {
         return {p.phases, base::max_rounds_whp(p), p.schedule};
@@ -274,8 +266,7 @@ struct ChorCoan : Skeleton<base::ChorCoanParams, AgreementMode::WhpFixedPhases, 
 };
 
 struct RabinDealer
-    : Skeleton<base::RabinDealerParams, AgreementMode::WhpFixedPhases, Coin::Dealer,
-               &base::make_rabin_dealer_nodes, &base::reinit_rabin_dealer_nodes> {
+    : Skeleton<base::RabinDealerParams, AgreementMode::WhpFixedPhases, Coin::Dealer> {
     static base::RabinDealerParams params(const Scenario& s) {
         return base::RabinDealerParams::compute(s.n, s.t, s.tuning.gamma);
     }
@@ -284,8 +275,7 @@ struct RabinDealer
     }
 };
 
-struct LocalCoin : Skeleton<base::LocalCoinParams, AgreementMode::WhpFixedPhases, Coin::Local,
-                            &base::make_local_coin_nodes, &base::reinit_local_coin_nodes> {
+struct LocalCoin : Skeleton<base::LocalCoinParams, AgreementMode::WhpFixedPhases, Coin::Local> {
     static base::LocalCoinParams params(const Scenario& s) {
         return {s.n, s.t, s.local_coin_phases};
     }
@@ -300,13 +290,7 @@ struct BenOr {
     static ProtocolMeta meta(const base::BenOrParams& p) {
         return {p.phases, phase_budget_cap(p.phases)};
     }
-    static NodeSet make_nodes(const base::BenOrParams& p, const Inputs& in, const SeedTree& sd) {
-        return base::make_ben_or_nodes(p, in, sd);
-    }
-    static void reinit_nodes(const base::BenOrParams& p, const Inputs& in, const SeedTree& sd,
-                             NodeSet& nodes) {
-        base::reinit_ben_or_nodes(p, in, sd, nodes);
-    }
+    static constexpr auto arm_nodes = &base::arm_ben_or_nodes;
     static void arm_batch(const base::BenOrParams& p, const Inputs& in, const SeedTree& sd,
                           BatchSlot& slot) {
         arm<base::BenOrBatch>(slot, p, in, sd);
@@ -322,13 +306,9 @@ struct PhaseKing {
     static ProtocolMeta meta(const base::PhaseKingParams& p) {
         return {p.phases(), static_cast<Round>(p.total_rounds() + 2)};
     }
-    static NodeSet make_nodes(const base::PhaseKingParams& p, const Inputs& in,
-                              const SeedTree&) {
-        return base::make_phase_king_nodes(p, in);
-    }
-    static void reinit_nodes(const base::PhaseKingParams& p, const Inputs& in, const SeedTree&,
-                             NodeSet& nodes) {
-        base::reinit_phase_king_nodes(p, in, nodes);
+    static void arm_nodes(const base::PhaseKingParams& p, const Inputs& in, const SeedTree&,
+                          NodeSet& nodes) {
+        base::arm_phase_king_nodes(p, in, nodes);
     }
     static void arm_batch(const base::PhaseKingParams& p, const Inputs& in, const SeedTree&,
                           BatchSlot& slot) {
@@ -350,14 +330,7 @@ struct SamplingMajority {
     static ProtocolMeta meta(const base::SamplingMajorityParams& p) {
         return {p.rounds, static_cast<Round>(p.rounds + 1)};
     }
-    static NodeSet make_nodes(const base::SamplingMajorityParams& p, const Inputs& in,
-                              const SeedTree& sd) {
-        return base::make_sampling_majority_nodes(p, in, sd);
-    }
-    static void reinit_nodes(const base::SamplingMajorityParams& p, const Inputs& in,
-                             const SeedTree& sd, NodeSet& nodes) {
-        base::reinit_sampling_majority_nodes(p, in, sd, nodes);
-    }
+    static constexpr auto arm_nodes = &base::arm_sampling_majority_nodes;
 };
 
 }  // namespace
@@ -799,10 +772,6 @@ std::optional<std::string> why_incompatible(const MvScenario& s) {
     if (q > s.t)
         return "actual corruptions q must not exceed the budget t (q=" +
                std::to_string(q) + ", t=" + std::to_string(s.t) + ")";
-    if (s.sparse_plane)
-        return "the multi-valued stack has no sparse delivery plane yet (the "
-               "Turpin-Coan word histograms do not fit the bit-plane sampling); "
-               "use plane=flat";
     return std::nullopt;
 }
 
@@ -1026,11 +995,7 @@ std::string MvScenario::describe() const {
     if (fallback != defaults.fallback) out += " fallback=" + std::to_string(fallback);
     if (las_vegas) out += " las_vegas=true";
     if (reference_delivery) out += " reference=true";
-    if (!use_batch) out += " batch=false";
     if (!use_simd) out += " simd=false";
-    if (sparse_plane) out += " plane=sparse";
-    if (sample_degree != defaults.sample_degree)
-        out += " sample_degree=" + std::to_string(sample_degree);
     if (watchdog_ms != defaults.watchdog_ms)
         out += " watchdog_ms=" + std::to_string(watchdog_ms);
     return out;
@@ -1061,22 +1026,15 @@ MvScenario MvScenario::parse(const std::string& spec) {
             s.las_vegas = parse_onoff(key, value);
         } else if (key == "reference") {
             s.reference_delivery = parse_onoff(key, value);
-        } else if (key == "batch") {
-            s.use_batch = parse_onoff(key, value);
         } else if (key == "simd") {
             s.use_simd = parse_onoff(key, value);
-        } else if (key == "plane") {
-            s.sparse_plane = parse_plane_name(value);
-        } else if (key == "sample_degree") {
-            s.sample_degree = parse_count<Count>(key, value);
         } else if (key == "watchdog_ms") {
             s.watchdog_ms = parse_count<std::uint32_t>(key, value);
         } else {
             throw ContractViolation(
                 "unknown multi-valued scenario key '" + key +
                 "'; valid keys: adversary, inputs, n, t, q, alpha, gamma, beta, "
-                "fallback, las_vegas, reference, batch, simd, plane, sample_degree, "
-                "watchdog_ms");
+                "fallback, las_vegas, reference, simd, watchdog_ms");
         }
     });
     return s;

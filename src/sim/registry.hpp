@@ -13,7 +13,8 @@
 // registry.cpp (linker-safe for a static library). Each built-in protocol
 // is written there as ONE descriptor — a params function (scenario ->
 // protocol parameters) plus one metadata function (phases, round cap,
-// optional committee schedule) and its builders — from which every
+// optional committee schedule), one arm function for its per-node form and
+// its batch and fused builders — from which every
 // ProtocolEntry hook (make_nodes, reinit_nodes, make_batch, reinit_batch,
 // make_fused, budgets, schedule_of) is derived, so a protocol states its
 // budgets once. A plug-in translation unit extends the system with

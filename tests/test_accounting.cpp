@@ -261,7 +261,9 @@ TEST(Accounting, TurpinCoanWordKindsChargeTheWordPayload) {
             cfg.n = sc.n;
             cfg.budget = sc.t;
             cfg.max_rounds = max_rounds ? max_rounds : plan.cap;
-            net::Engine eng(cfg, core::make_turpin_coan_nodes(plan.params, inputs, seeds), adv);
+            std::vector<std::unique_ptr<net::HonestNode>> nodes;
+            core::arm_turpin_coan_nodes(plan.params, inputs, seeds, nodes);
+            net::Engine eng(cfg, std::move(nodes), adv);
             return eng.run();
         };
         expect_engine_matches_reference(run, seen);

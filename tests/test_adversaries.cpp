@@ -16,7 +16,7 @@
 #include "adversary/crash.hpp"
 #include "adversary/static_adversary.hpp"
 #include "adversary/worst_case.hpp"
-#include "core/agreement.hpp"
+#include "core/skeleton.hpp"
 #include "core/params.hpp"
 #include "net/engine.hpp"
 #include "rand/rng.hpp"
@@ -269,8 +269,10 @@ TEST(WorstCase, SpendsNothingAgainstUnanimousInputs) {
     const auto params = core::AgreementParams::compute(16, 5);
     const SeedTree seeds(123);
     const std::vector<Bit> inputs(16, 1);
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    core::arm_skeleton_nodes({16, 5, params.phases, core::AgreementMode::WhpFixedPhases},
+                             {core::CoinSpec::Kind::Committee, params.schedule}, inputs,
+                             seeds, nodes);
     WorstCaseAdversary adv({5, 5, params.schedule, true});
     net::Engine eng({16, 5, core::max_rounds_whp(params), false}, std::move(nodes),
                     adv);

@@ -15,7 +15,6 @@
 #include <tuple>
 
 #include "adversary/worst_case.hpp"
-#include "core/agreement.hpp"
 #include "core/skeleton.hpp"
 #include "net/engine.hpp"
 #include "sim/runner.hpp"
@@ -104,8 +103,10 @@ void run_with_lemma3_observer(NodeId n, Count t, std::uint64_t seed) {
     const SeedTree seeds(seed);
     const auto params = core::AgreementParams::compute(n, t);
     const auto inputs = make_inputs(InputPattern::Split, n, seeds);
-    auto nodes = core::make_algorithm3_nodes(params, core::AgreementMode::WhpFixedPhases,
-                                             inputs, seeds);
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    core::arm_skeleton_nodes({n, t, params.phases, core::AgreementMode::WhpFixedPhases},
+                             {core::CoinSpec::Kind::Committee, params.schedule}, inputs,
+                             seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
     net::Engine engine({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
                        adversary);
@@ -146,8 +147,10 @@ TEST(Lemma4, FinisherForcesTerminationWithinTwoPhases) {
         const SeedTree seeds(0x77 + seed);
         const auto params = core::AgreementParams::compute(n, t);
         const auto inputs = make_inputs(InputPattern::Random, n, seeds);
-        auto nodes = core::make_algorithm3_nodes(
-            params, core::AgreementMode::WhpFixedPhases, inputs, seeds);
+        std::vector<std::unique_ptr<net::HonestNode>> nodes;
+        core::arm_skeleton_nodes({n, t, params.phases, core::AgreementMode::WhpFixedPhases},
+                                 {core::CoinSpec::Kind::Committee, params.schedule}, inputs,
+                                 seeds, nodes);
         std::vector<const core::RabinSkeletonNode*> raw;
         for (const auto& p : nodes)
             raw.push_back(dynamic_cast<const core::RabinSkeletonNode*>(p.get()));

@@ -98,10 +98,9 @@ TEST(ChorCoanClassic, GroupSizeIsLogNIndependentOfT) {
 
 TEST(RabinDealer, DealerCoinIsDeterministicPerPhase) {
     const std::uint64_t seed = 77;
-    EXPECT_EQ(base::RabinDealerNode::dealer_coin(seed, 3),
-              base::RabinDealerNode::dealer_coin(seed, 3));
+    EXPECT_EQ(base::dealer_coin(seed, 3), base::dealer_coin(seed, 3));
     int ones = 0;
-    for (Phase p = 0; p < 1000; ++p) ones += base::RabinDealerNode::dealer_coin(seed, p);
+    for (Phase p = 0; p < 1000; ++p) ones += base::dealer_coin(seed, p);
     EXPECT_NEAR(ones, 500, 80);  // fair across phases
 }
 

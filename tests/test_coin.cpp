@@ -177,6 +177,16 @@ TEST(CoinTheory, CommonProbLowerBoundMatchesPaper) {
     }
 }
 
+TEST(CoinTheory, CommonProbLowerBoundIsBelowMeasuredSplitRate) {
+    // The floor E1a prints must bound what it measures: P(common) under the
+    // SPLIT attack at f = ½ sqrt(n), which sits near 0.31 at these shapes.
+    for (NodeId n : {64u, 256u, 1024u}) {
+        const auto f = static_cast<Count>(isqrt(n) / 2);
+        const auto agg = run_coin_trials(alg1(n, f), 7, 1500);
+        EXPECT_LE(an::coin_common_prob_lower(n, f), agg.p_common()) << "n=" << n;
+    }
+}
+
 TEST(CoinTheory, BoundZeroBeyondPrecondition) {
     EXPECT_EQ(an::coin_common_prob_lower(100.0, 6.0), 0.0);  // f > sqrt(100)/2
 }

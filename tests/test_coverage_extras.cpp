@@ -6,7 +6,7 @@
 #include <set>
 
 #include "baselines/chor_coan.hpp"
-#include "core/agreement.hpp"
+#include "core/skeleton.hpp"
 #include "net/engine.hpp"
 #include "sim/coin_runner.hpp"
 #include "sim/macro.hpp"

@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "adversary/worst_case.hpp"
-#include "core/agreement.hpp"
+#include "core/skeleton.hpp"
 #include "net/engine.hpp"
 #include "sim/inputs.hpp"
 #include "sim/runner.hpp"
@@ -28,9 +28,10 @@ struct EconomicsRun {
 EconomicsRun run_once(NodeId n, Count t, std::uint64_t seed) {
     const SeedTree seeds(seed);
     const auto params = core::AgreementParams::compute(n, t);
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases,
-        make_inputs(InputPattern::Split, n, seeds), seeds);
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    core::arm_skeleton_nodes({n, t, params.phases, core::AgreementMode::WhpFixedPhases},
+                             {core::CoinSpec::Kind::Committee, params.schedule},
+                             make_inputs(InputPattern::Split, n, seeds), seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
     net::Engine eng({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
                     adversary);

@@ -80,8 +80,9 @@ TEST(SamplingMajority, BalancerDelaysConvergence) {
         for (int i = 0; i < trials; ++i) {
             const SeedTree seeds(0x5A4 + static_cast<std::uint64_t>(i));
             const auto params = base::SamplingMajorityParams::compute(n, t, 4.0);
-            auto nodes = base::make_sampling_majority_nodes(
-                params, make_inputs(InputPattern::Split, n, seeds), seeds);
+            std::vector<std::unique_ptr<net::HonestNode>> nodes;
+            base::arm_sampling_majority_nodes(
+                params, make_inputs(InputPattern::Split, n, seeds), seeds, nodes);
             adv::MajorityBalancerAdversary adversary({t, 0});
             net::Engine eng({n, t, params.rounds + 1, false}, std::move(nodes),
                             adversary);
@@ -322,9 +323,10 @@ TEST(SwitchAdversary, DelegatesByRound) {
     s.t = 3;
     const SeedTree seeds(9);
     const auto params = core::AgreementParams::compute(16, 3);
-    auto nodes = core::make_algorithm3_nodes(
-        params, core::AgreementMode::WhpFixedPhases,
-        make_inputs(InputPattern::Split, 16, seeds), seeds);
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    core::arm_skeleton_nodes({16, 3, params.phases, core::AgreementMode::WhpFixedPhases},
+                             {core::CoinSpec::Kind::Committee, params.schedule},
+                             make_inputs(InputPattern::Split, 16, seeds), seeds, nodes);
     net::Engine eng({16, 3, core::max_rounds_whp(params), true}, std::move(nodes), sw);
     const auto res = eng.run();
     ASSERT_TRUE(res.transcript.has_value());

@@ -805,8 +805,8 @@ TEST(FusedFold, SkeletonReceiveMatchesTheScalarRuleAtEveryReceiver) {
                         if (committee)
                             coin = seen.coin >= 0;
                         else if (std::string(name) == "rabin-dealer")
-                            coin = base::RabinDealerNode::dealer_coin(
-                                       seeds[j].seed(StreamPurpose::DealerCoin), p) != 0;
+                            coin = base::dealer_coin(seeds[j].seed(StreamPurpose::DealerCoin),
+                                                     p) != 0;
                         else
                             coin = seeds[j].stream(StreamPurpose::NodeProtocol, v).bit() != 0;
                         set(val, s0 || s1 ? s1 : coin);

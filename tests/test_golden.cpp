@@ -57,8 +57,8 @@ struct SpecRow {
 constexpr std::uint64_t kSeed = 0x601DE2026ULL;
 constexpr Count kTrials = 3;
 constexpr NodeId kSizes[] = {7, 64, 256, 1000};
-constexpr NodeId kScalarMaxN = 256;  ///< above it, only pairs with a 64-lane form
-constexpr NodeId kPerNodeMaxN = 256;
+/// Above it, only pairs with a 64-lane form, and only their default plan.
+constexpr NodeId kScalarMaxN = 256;
 constexpr sim::InputPattern kInputs[] = {sim::InputPattern::Split, sim::InputPattern::Random};
 const sim::ExecutorConfig kExec{2, 0};
 
@@ -201,7 +201,7 @@ TEST(GoldenFingerprints, BinaryDefaultPlan) {
 
 TEST(GoldenFingerprints, BinaryPerNodeAdapter) {
     for (const BinaryRow& row : kBinaryGolden) {
-        if (row.n > kPerNodeMaxN) continue;
+        if (row.n > kScalarMaxN) continue;
         sim::Scenario s = binary_cell(row);
         s.use_batch = false;
         const std::uint64_t h = hash_of(s);

@@ -200,8 +200,19 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.sampling_kappa = 3.75;
     s.max_rounds_override = 99;
     s.record_transcript = true;
-    const Scenario back = Scenario::parse(s.describe());
-    EXPECT_EQ(back, s) << s.describe();
+    s.reference_delivery = true;
+    s.use_batch = false;
+    s.use_shard = false;
+    s.use_simd = false;
+    s.intra_threads = 3;
+    s.sparse_plane = true;
+    s.sample_degree = 48;
+    s.sparse_seed = 11;
+    s.sparse_stream = net::SparseStream::Chain;
+    s.use_fused = false;
+    s.watchdog_ms = 500;
+    // Every optional key is off its default, so describe() writes each one.
+    EXPECT_EQ(Scenario::parse(s.describe()), s) << s.describe();
 }
 
 TEST(ScenarioSpec, ParseResolvesAliasesAndSeparators) {

@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/agreement.hpp"
 #include "core/params.hpp"
 #include "core/skeleton.hpp"
 #include "support/contracts.hpp"
@@ -56,11 +55,16 @@ net::Message vote2(Phase p, Bit val, bool decided, CoinSign coin = 0) {
     return m;
 }
 
+/// Algorithm 3's node: the skeleton with the params' committee coin.
+RabinSkeletonNode algorithm3_node(const AgreementParams& params, NodeId self, Bit input,
+                                  Xoshiro256 rng) {
+    return RabinSkeletonNode({params.n, params.t, params.phases, AgreementMode::WhpFixedPhases},
+                             {CoinSpec::Kind::Committee, params.schedule}, self, input, rng);
+}
+
 /// n=10, t=3 instance of Algorithm 3 node `self` with input 0.
-Algorithm3Node make_node(NodeId self = 0, Bit input = 0) {
-    const auto params = AgreementParams::compute(10, 3);
-    return Algorithm3Node(params, AgreementMode::WhpFixedPhases, self, input,
-                          Xoshiro256(42));
+RabinSkeletonNode make_node(NodeId self = 0, Bit input = 0) {
+    return algorithm3_node(AgreementParams::compute(10, 3), self, input, Xoshiro256(42));
 }
 
 TEST(SkeletonRound1, QuorumSetsValAndDecided) {
@@ -266,11 +270,9 @@ TEST(SkeletonEnd, HaltsAtPhaseBudgetWithoutFinish) {
 
 TEST(SkeletonContracts, RejectsBadConfig) {
     const auto params = AgreementParams::compute(10, 3);
-    EXPECT_THROW(Algorithm3Node(params, AgreementMode::WhpFixedPhases, 10, 0,
-                                Xoshiro256(1)),
+    EXPECT_THROW(algorithm3_node(params, 10, 0, Xoshiro256(1)),
                  ContractViolation);  // self out of range
-    EXPECT_THROW(Algorithm3Node(params, AgreementMode::WhpFixedPhases, 0, 2,
-                                Xoshiro256(1)),
+    EXPECT_THROW(algorithm3_node(params, 0, 2, Xoshiro256(1)),
                  ContractViolation);  // non-binary input
 }
 
@@ -278,14 +280,14 @@ TEST(SkeletonCommitteeFlip, MembersFlipNonMembersDoNot) {
     const auto params = AgreementParams::compute(12, 3);
     const NodeId s = params.schedule.block;
     // Member of committee 0:
-    Algorithm3Node member(params, AgreementMode::WhpFixedPhases, 0, 0, Xoshiro256(7));
+    auto member = algorithm3_node(params, 0, 0, Xoshiro256(7));
     (void)member.round_send(0);
     const auto m = member.round_send(1);
     ASSERT_TRUE(m.has_value());
     EXPECT_NE(m->coin, 0);
     // Non-member (last node, committee != 0 when s < n):
     ASSERT_LT(s, 12u);
-    Algorithm3Node outsider(params, AgreementMode::WhpFixedPhases, 11, 0, Xoshiro256(8));
+    auto outsider = algorithm3_node(params, 11, 0, Xoshiro256(8));
     (void)outsider.round_send(0);
     const auto o = outsider.round_send(1);
     ASSERT_TRUE(o.has_value());

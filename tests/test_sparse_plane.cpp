@@ -204,13 +204,18 @@ TEST(SparsePlaneScenario, PlaneKeysRoundTrip) {
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5 sparse_stream=counter").sparse_stream,
               net::SparseStream::Counter);
 
-    sim::MvScenario m;
-    m.n = 32;
-    m.t = 5;
-    m.sparse_plane = true;
-    m.sample_degree = 16;
-    EXPECT_EQ(sim::MvScenario::parse(m.describe()), m);
-    EXPECT_FALSE(sim::MvScenario::parse("n=32 t=5 plane=flat").sparse_plane);
+    // The mv stack has no delivery-plane choice: both keys are unknown there.
+    for (const char* spec : {"n=32 t=5 plane=flat", "n=32 t=5 plane=sparse",
+                             "n=32 t=5 sample_degree=16"}) {
+        try {
+            (void)sim::MvScenario::parse(spec);
+            FAIL() << spec << " must throw";
+        } catch (const ContractViolation& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown multi-valued scenario key"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SparsePlaneScenario, PlaneTypoGetsDidYouMean) {
@@ -224,9 +229,9 @@ TEST(SparsePlaneScenario, PlaneTypoGetsDidYouMean) {
     }
     try {
         sim::MvScenario::parse("n=32 t=5 plane=flatt");
-        FAIL() << "typo'd plane value must throw";
+        FAIL() << "plane is no multi-valued key";
     } catch (const ContractViolation& e) {
-        EXPECT_NE(std::string(e.what()).find("did you mean 'flat'"),
+        EXPECT_NE(std::string(e.what()).find("unknown multi-valued scenario key 'plane'"),
                   std::string::npos)
             << e.what();
     }
@@ -274,13 +279,8 @@ TEST(SparsePlaneScenario, FeasibilityMessagesAreActionable) {
     ASSERT_TRUE(why.has_value());
     EXPECT_NE(why->find("sparse-capable"), std::string::npos) << *why;
 
-    sim::MvScenario m;
-    m.n = 32;
-    m.t = 5;
-    m.sparse_plane = true;
-    why = sim::why_incompatible(m);
-    ASSERT_TRUE(why.has_value());
-    EXPECT_NE(why->find("plane=flat"), std::string::npos) << *why;
+    // The mv stack cannot even state a sparse plan: the key is unknown there.
+    EXPECT_THROW((void)sim::MvScenario::parse("n=32 t=5 plane=sparse"), ContractViolation);
 }
 
 // ---------------------------------------------------------------------------

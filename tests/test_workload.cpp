@@ -155,7 +155,8 @@ TEST(MvScenario, DescribeParseRoundTripsEveryField) {
     s.fallback = 0xBEEF;
     s.las_vegas = true;
     s.reference_delivery = true;
-    s.use_batch = false;
+    s.use_simd = false;
+    s.watchdog_ms = 250;
     const std::string spec = s.describe();
     EXPECT_EQ(MvScenario::parse(spec), s) << spec;
 }

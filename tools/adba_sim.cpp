@@ -130,6 +130,11 @@ int run_multivalued(const Cli& cli) {
             "multi-valued stack has no fused plane (the Turpin-Coan word "
             "histograms do not bit-slice) — drop the flag or use "
             "--workload=binary");
+    if (cli.has("batch") || cli.has("plane") || cli.has("sample_degree"))
+        throw ContractViolation(
+            "--batch/--plane/--sample_degree select how the binary stack steps and "
+            "delivers; the multi-valued stack always steps its per-node Turpin-Coan "
+            "nodes on the flat plane — drop the flag or use --workload=binary");
     sim::MvScenario s;
     if (cli.has("scenario")) s = sim::MvScenario::parse(cli.get("scenario", ""));
     if (cli.has("n") || s.n == 0) s.n = cli.get_uint<NodeId>("n", 96);
@@ -149,13 +154,7 @@ int run_multivalued(const Cli& cli) {
     if (cli.has("fallback"))
         s.fallback = cli.get_uint<net::Word>("fallback", 0);
     if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
-    if (cli.has("batch")) s.use_batch = cli.get_bool("batch", true);
     if (cli.has("simd")) s.use_simd = cli.get_bool("simd", true);
-    // Round-trips like the binary stack; validate() rejects plane=sparse
-    // with the why_incompatible message (no mv sparse batch yet).
-    if (cli.has("plane")) s.sparse_plane = sim::parse_plane_name(cli.get("plane", ""));
-    if (cli.has("sample_degree"))
-        s.sample_degree = cli.get_uint<Count>("sample_degree", 0);
     if (cli.has("watchdog_ms"))
         s.watchdog_ms = cli.get_uint<std::uint32_t>("watchdog_ms", 0);
     const auto trials = cli.get_uint<Count>("trials", 20);
