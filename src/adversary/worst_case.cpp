@@ -16,6 +16,7 @@ void WorstCaseAdversary::on_start(NodeId, Count) {
     used_ = 0;
     ruined_ = 0;
     lane_used_.clear();
+    picks_.clear();
 }
 
 bool WorstCaseAdversary::same_strategy(const net::Adversary& other) const {
@@ -253,32 +254,105 @@ void WorstCaseAdversary::act_round2(net::RoundControl& ctl, Phase p) {
 // ------------------------------------------------------ block-level form
 //
 // The same strategy for all 64 lanes of a fused block at once, written
-// apart from act() above so that each checks the other.
+// apart from act() above so that each checks the other. Node loops call
+// nothing; per-lane decisions are straight loops over the 64 lanes with
+// masks. picks_ is all zero between rounds: each round clears the ranges
+// it picked in.
 
 namespace {
 
 /// One ascending sweep of [lo, hi): each lane of `want` takes the ids whose
 /// bit is set in cand(v) into out[v] until it holds quota[j] of them, then
-/// leaves `want`.
+/// leaves `want`. The quota walk visits only the lanes that take, and a
+/// lane leaves `want` by a mask, with no branch on its quota. Returns where
+/// the sweep stopped: out is untouched from there on.
 template <typename Cand>
-void take_ascending(NodeId lo, NodeId hi, const Cand& cand, Count* quota,
-                    std::uint64_t& want, std::uint64_t* out) {
-    for (NodeId v = lo; v < hi && want != 0; ++v) {
+NodeId take_ascending(NodeId lo, NodeId hi, const Cand& cand, Count* quota,
+                      std::uint64_t& want, std::uint64_t* out) {
+    NodeId v = lo;
+    for (; v < hi && want != 0; ++v) {
         std::uint64_t take = cand(v) & want;
         out[v] |= take;
-        for (; take != 0; take &= take - 1)
-            if (--quota[std::countr_zero(take)] == 0) want &= ~(take & -take);
+        for (; take != 0; take &= take - 1) {
+            const unsigned j = static_cast<unsigned>(std::countr_zero(take));
+            want &= ~(std::uint64_t{--quota[j] == 0} << j);
+        }
     }
+    return v;
 }
 
 /// Corruptions that close a margin gap each one narrows by 2: ceil(gap/2),
-/// or 0 when the gap is already closed.
-std::int64_t closing(std::int64_t gap) { return gap > 0 ? (gap + 1) / 2 : 0; }
-
-/// `k` when `avail` flippers can pay for it, else kInfeasible.
-Count within(std::int64_t k, Count avail) {
-    return k <= static_cast<std::int64_t>(avail) ? static_cast<Count>(k) : kInfeasible;
+/// or 0 when the gap is already closed (the sign mask clears a negative
+/// gap + 1).
+template <typename Int>
+Int closing(Int gap) {
+    return ((gap + 1) & ~((gap + 1) >> (std::numeric_limits<Int>::digits))) >> 1;
 }
+
+/// `k` when `avail` flippers can pay for it, else kInfeasible (all ones):
+/// the sign of avail - k selects.
+template <typename Int>
+Count within(Int k, Count avail) {
+    return static_cast<Count>(k | ((static_cast<Int>(avail) - k) >> std::numeric_limits<Int>::digits));
+}
+
+/// One round-2 coin plan for all 64 lanes, as straight loops over lane
+/// arrays: no branch depends on a lane or its coin.
+struct CoinPlan {
+    // In: the honest committee flips of each sign that survive the
+    // reduction, the Byzantine margin (members already corrupted plus
+    // committee victims), the live decided count, the reduction's size and
+    // the lane's budget left, and b_i (0 or 1).
+    alignas(64) Count pos[net::kFusedLanes];
+    alignas(64) Count neg[net::kFusedLanes];
+    alignas(64) Count margin[net::kFusedLanes];
+    alignas(64) Count decided[net::kFusedLanes];
+    alignas(64) Count need[net::kFusedLanes];
+    alignas(64) Count remaining[net::kFusedLanes];
+    alignas(64) std::int32_t b_i[net::kFusedLanes];
+    // Out: each lane's coin cost (0 where it does not act) and its flags
+    // as 0 or 1, for kern::lanes_greater to gather into lane masks.
+    alignas(64) Count cost[net::kFusedLanes];
+    alignas(64) std::int32_t acts[net::kFusedLanes];
+    alignas(64) std::int32_t split[net::kFusedLanes];
+    alignas(64) std::int32_t drain_plus[net::kFusedLanes];
+    alignas(64) std::int32_t drains[net::kFusedLanes];
+
+    /// The cheaper coin ruin per lane, each greedy in closed form. A
+    /// corruption moves the flip sum s one step toward the drained sign's
+    /// opposite and adds one equivocator to the margin m. Draining +1 flips
+    /// closes s - m + 1 (toward -m <= s <= m - 1 from above, or every
+    /// receiver on 0); draining -1 flips closes -s - m (from below, or
+    /// every receiver on 1). `Int` holds s - m + 1 and -s - m exactly:
+    /// int32_t, which vectorizes, while the committee has fewer than 2^30
+    /// members.
+    template <typename Int>
+    void plan() {
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            const Int s = static_cast<Int>(pos[j]) - static_cast<Int>(neg[j]);
+            const Int m = static_cast<Int>(margin[j]);
+            const Count c_plus = within<Int>(closing<Int>(s - m + 1), pos[j]);
+            const Count c_minus = within<Int>(closing<Int>(-s - m), neg[j]);
+            // SPLIT drains the majority sign; OPPOSITE, while a decided node
+            // stays visible, pushes every receiver to 1 - b_i.
+            const Count split_plus = static_cast<Count>(~s >> std::numeric_limits<Int>::digits) & 1;
+            const Count bi = static_cast<Count>(b_i[j]);
+            const Count c_split = split_plus != 0 ? c_plus : c_minus;
+            const Count c_opp =
+                (bi != 0 ? c_plus : c_minus) | (Count{0} - Count{decided[j] <= need[j]});
+            const Count use_split = c_split <= c_opp;
+            const Count c = std::min(c_split, c_opp);
+            // Unaffordable (or infeasible): spend nothing.
+            const Count a = Count{c != kInfeasible} & Count{need[j] <= remaining[j]} &
+                            Count{c <= remaining[j] - need[j]};
+            cost[j] = c & (Count{0} - a);
+            acts[j] = static_cast<std::int32_t>(a);
+            split[j] = static_cast<std::int32_t>(use_split);
+            drain_plus[j] = static_cast<std::int32_t>(use_split != 0 ? split_plus : bi);
+            drains[j] = static_cast<std::int32_t>(c != 0);
+        }
+    }
+};
 
 }  // namespace
 
@@ -287,13 +361,9 @@ Count WorstCaseAdversary::lane_remaining(const net::FusedLaneControl& ctl,
     return std::min<Count>(ctl.lane_budget_left(lane), cfg_.max_corruptions - lane_used_[lane]);
 }
 
-void WorstCaseAdversary::corrupt_picks(net::FusedLaneControl& ctl, NodeId lo, NodeId hi) {
-    for (NodeId v = lo; v < hi; ++v)
-        if (picks_[v] != 0) ctl.corrupt_word(v, picks_[v]);
-}
-
 void WorstCaseAdversary::act_block(net::FusedLaneControl& ctl, const net::Adversary* const*) {
     lane_used_.resize(net::kFusedLanes, 0);
+    if (picks_.size() != ctl.n()) picks_.assign(ctl.n(), 0);
     if (ctl.round() < cfg_.round_offset) return;  // prelude rounds: not ours
     const Round r = ctl.round() - cfg_.round_offset;
     if ((r % 2) == 0)
@@ -307,13 +377,14 @@ void WorstCaseAdversary::block_round1(net::FusedLaneControl& ctl, Phase p) {
     // Only live honest Vote1 broadcasts of this phase count toward a quorum.
     if (!cfg_.block_round1_quorums || f.kind != net::MsgKind::Vote1 || f.phase != p) return;
     const NodeId n = f.n();
-    const std::uint64_t* halted = ctl.protocol().halted_plane();
-    const auto voting = [&](NodeId v) { return f.sent[v] & ~halted[v]; };
+    const std::uint64_t* const sent = f.sent.data();
+    const std::uint64_t* const val = f.val.data();
+    const std::uint64_t* const halted = ctl.protocol().halted_plane();
     Count tally[2][net::kFusedLanes];
     net::kern::lane_counts<2>(0, n, [&](NodeId v, std::uint64_t* w) {
-        const std::uint64_t vote = voting(v);
-        w[0] = vote & ~f.val[v];
-        w[1] = vote & f.val[v];
+        const std::uint64_t vote = sent[v] & ~halted[v];
+        w[0] = vote & ~val[v];
+        w[1] = vote & val[v];
     }, tally);
 
     // Each lane blocks the value holding the n-t quorum (at most one can)
@@ -335,14 +406,19 @@ void WorstCaseAdversary::block_round1(net::FusedLaneControl& ctl, Phase p) {
     if (want == 0) return;
 
     // The first `need` ascending ids of the bloc, current committee first.
-    picks_.assign(n, 0);
-    const auto bloc = [&](NodeId v) { return voting(v) & ~(f.val[v] ^ bloc_one); };
+    const std::uint64_t blocking = want;
+    std::uint64_t* const picks = picks_.data();
+    const auto bloc = [&](NodeId v) { return sent[v] & ~halted[v] & ~(val[v] ^ bloc_one); };
     const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
-    take_ascending(first, last, bloc, quota, want, picks_.data());
-    take_ascending(0, first, bloc, quota, want, picks_.data());
-    take_ascending(last, n, bloc, quota, want, picks_.data());
+    const NodeId in_stop = take_ascending(first, last, bloc, quota, want, picks);
+    const NodeId below_stop = take_ascending(0, first, bloc, quota, want, picks);
+    const NodeId above_stop = take_ascending(last, n, bloc, quota, want, picks);
     ADBA_ENSURES_MSG(want == 0, "a quorum bloc holds every victim it needs");
-    corrupt_picks(ctl, 0, n);
+    Count counted[net::kFusedLanes];
+    ctl.corrupt_lanes(0, n, picks, blocking, counted);
+    std::fill(picks + first, picks + in_stop, std::uint64_t{0});
+    std::fill(picks, picks + below_stop, std::uint64_t{0});
+    std::fill(picks + last, picks + above_stop, std::uint64_t{0});
 }
 
 void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
@@ -350,21 +426,26 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
     const NodeId n = f.n();
     const auto [first, last] = cfg_.schedule.range(cfg_.schedule.committee_of_phase(p));
     const net::FusedProtocol& proto = ctl.protocol();
-    const std::uint64_t* halted = proto.halted_plane();
-    const std::uint64_t* decided = proto.decided_plane();
-    const std::uint64_t* value = proto.value_plane();
+    const std::uint64_t* const byz = f.byz.data();
+    const std::uint64_t* const sent = f.sent.data();
+    const std::uint64_t* const coinp = f.coinp.data();
+    const std::uint64_t* const coinn = f.coinn.data();
+    const std::uint64_t* const halted = proto.halted_plane();
+    const std::uint64_t* const decided = proto.decided_plane();
+    const std::uint64_t* const value = proto.value_plane();
+    std::uint64_t* const picks = picks_.data();
     const std::uint64_t active = f.active;
-    const auto live = [&](NodeId v) { return ~f.byz[v] & ~halted[v]; };
-    const auto live_decided = [&](NodeId v) { return live(v) & decided[v]; };
+    const auto live_decided = [&](NodeId v) { return ~byz[v] & ~halted[v] & decided[v]; };
 
     // ---- observe: the live decided nodes, and b_i, the value of each
     // lane's highest one.
-    Count d_all[net::kFusedLanes];
+    CoinPlan cp;
     net::kern::lane_counts<1>(0, n, [&](NodeId v, std::uint64_t* w) { w[0] = live_decided(v); },
-                              &d_all);
+                              &cp.decided);
     std::uint64_t any_decided = 0;
-    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1)
-        if (d_all[std::countr_zero(lanes)] > 0) any_decided |= lanes & -lanes;
+    for (unsigned j = 0; j < net::kFusedLanes; ++j)
+        any_decided |= std::uint64_t{cp.decided[j] > 0} << j;
+    any_decided &= active;
     std::uint64_t b_i = 0, found = 0;
     for (NodeId v = n; v-- > 0 && found != any_decided;) {
         const std::uint64_t top = live_decided(v) & any_decided & ~found;
@@ -373,19 +454,27 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
     }
 
     // ---- plan: decided reduction to t, victims outside the committee first
-    // (they leave the flip sum alone), then committee members.
-    Count need[net::kFusedLanes] = {}, quota[net::kFusedLanes] = {};
-    std::uint64_t want = 0;
-    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const Count d = d_all[j];
-        need[j] = quota[j] = d > cfg_.t ? d - cfg_.t : 0;
-        if (need[j] != 0) want |= lanes & -lanes;
+    // (they leave the flip sum alone), then committee members. A lane that
+    // cannot afford the reduction spends nothing this round, so it picks no
+    // victims.
+    Count quota[net::kFusedLanes];
+    alignas(64) std::int32_t reducible[net::kFusedLanes];
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        const Count d = cp.decided[j];
+        cp.remaining[j] = lane_remaining(ctl, j);
+        cp.need[j] = quota[j] = d > cfg_.t ? d - cfg_.t : 0;
+        reducible[j] = cp.need[j] != 0 && cp.need[j] <= cp.remaining[j];
     }
-    picks_.assign(n, 0);
-    take_ascending(0, first, live_decided, quota, want, picks_.data());
-    take_ascending(last, n, live_decided, quota, want, picks_.data());
-    take_ascending(first, last, live_decided, quota, want, picks_.data());
+    for (unsigned j = 0; j < net::kFusedLanes; ++j)
+        cp.b_i[j] = static_cast<std::int32_t>(b_i >> j & 1);
+    const std::uint64_t reduce = net::kern::lanes_greater(reducible, 0) & active;
+    NodeId below_stop = 0, above_stop = last, in_stop = first;
+    if (reduce != 0) {
+        std::uint64_t want = reduce;
+        below_stop = take_ascending(0, first, live_decided, quota, want, picks);
+        above_stop = take_ascending(last, n, live_decided, quota, want, picks);
+        in_stop = take_ascending(first, last, live_decided, quota, want, picks);
+    }
 
     // Honest committee flips that survive the reduction, and the Byzantine
     // margin it leaves: members already corrupted plus committee victims.
@@ -394,82 +483,69 @@ void WorstCaseAdversary::block_round2(net::FusedLaneControl& ctl, Phase p) {
         f.kind == net::MsgKind::Vote2 && f.phase == p ? ~std::uint64_t{0} : 0;
     Count cnt[4][net::kFusedLanes];
     net::kern::lane_counts<4>(first, last, [&](NodeId u, std::uint64_t* w) {
-        const std::uint64_t flip = f.sent[u] & ~halted[u] & ~picks_[u] & vote2;
-        w[0] = f.byz[u];
-        w[1] = picks_[u];
-        w[2] = flip & f.coinp[u];
-        w[3] = flip & f.coinn[u];
+        const std::uint64_t flip = sent[u] & ~halted[u] & ~picks[u] & vote2;
+        w[0] = byz[u];
+        w[1] = picks[u];
+        w[2] = flip & coinp[u];
+        w[3] = flip & coinn[u];
     }, cnt);
-    const Count* margin = cnt[0];
-    const Count* taken_in = cnt[1];
-    const Count* pos = cnt[2];
-    const Count* neg = cnt[3];
-
-    // ---- plan: the cheaper coin ruin per lane, each greedy in closed form.
-    // A corruption moves the flip sum s one step toward the drained sign's
-    // opposite and adds one equivocator to the margin m.
-    Count coin_quota[net::kFusedLanes] = {};
-    std::uint64_t acting = 0, split = 0, drain_plus = 0;
-    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        const std::uint64_t bit = lanes & -lanes;
-        const std::int64_t s = static_cast<std::int64_t>(pos[j]) - neg[j];
-        const std::int64_t m = static_cast<std::int64_t>(margin[j]) + taken_in[j];
-        // SPLIT: drain the majority sign until -m <= s <= m - 1.
-        const Count c_split =
-            s >= 0 ? within(closing(s - m + 1), pos[j]) : within(closing(-s - m), neg[j]);
-        // OPPOSITE, while a decided node stays visible: every receiver on
-        // 1 - b_i, by draining -1 flips until s + m >= 0 (toward 1) or +1
-        // flips until s - m <= -1 (toward 0).
-        const bool bi = (b_i & bit) != 0;
-        Count c_opp = kInfeasible;
-        if (d_all[j] > need[j])
-            c_opp = bi ? within(closing(s - m + 1), pos[j]) : within(closing(-s - m), neg[j]);
-        const bool use_split = c_split <= c_opp;
-        const Count cost = use_split ? c_split : c_opp;
-        if (cost == kInfeasible) continue;
-        if (std::uint64_t{need[j]} + cost > lane_remaining(ctl, j)) continue;  // spend nothing
-        acting |= bit;
-        if (use_split) split |= bit;
-        if (use_split ? s >= 0 : bi) drain_plus |= bit;
-        coin_quota[j] = cost;
-        lane_used_[j] += need[j] + cost;
+    // ---- plan: the cheaper coin ruin per lane (CoinPlan::plan).
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        cp.pos[j] = cnt[2][j];
+        cp.neg[j] = cnt[3][j];
+        cp.margin[j] = cnt[0][j] + cnt[1][j];
     }
-    if (acting == 0) return;
+    if (last - first < (NodeId{1} << 30))
+        cp.plan<std::int32_t>();
+    else
+        cp.plan<std::int64_t>();
+    const std::uint64_t acting = net::kern::lanes_greater(cp.acts, 0) & active;
+    const std::uint64_t split = net::kern::lanes_greater(cp.split, 0) & acting;
+    const std::uint64_t drain_plus = net::kern::lanes_greater(cp.drain_plus, 0) & acting;
+    std::uint64_t drain = net::kern::lanes_greater(cp.drains, 0) & acting;
+    Count* const used = lane_used_.data();
+    for (unsigned j = 0; j < net::kFusedLanes; ++j)
+        used[j] += (cp.need[j] + cp.cost[j]) & (Count{0} - Count{(acting >> j & 1) != 0});
 
-    // ---- execute: the reduction, then the first flippers of each acting
-    // lane's drained sign (the reduction victims are Byzantine by then).
-    for (NodeId v = 0; v < n; ++v) picks_[v] &= acting;
-    corrupt_picks(ctl, 0, n);
-    std::fill(picks_.begin() + first, picks_.begin() + last, std::uint64_t{0});
-    std::uint64_t drain = 0;
-    for (std::uint64_t lanes = acting; lanes != 0; lanes &= lanes - 1)
-        if (coin_quota[std::countr_zero(lanes)] != 0) drain |= lanes & -lanes;
-    const auto drained = [&](NodeId u) {
-        return f.sent[u] & ~halted[u] & ((f.coinp[u] & drain_plus) | (f.coinn[u] & ~drain_plus));
-    };
-    take_ascending(first, last, drained, coin_quota, drain, picks_.data());
-    ADBA_ENSURES_MSG(drain == 0, "every planned coin corruption has a flipper");
-    corrupt_picks(ctl, first, last);
+    // ---- execute: the first flippers of each acting lane's drained sign,
+    // ascending (the reduction's committee victims are not flippers any
+    // more), then the reduction victims and those flippers in one pass.
+    if (acting != 0) {
+        const auto drained = [&](NodeId u) {
+            return sent[u] & ~halted[u] & ~picks[u] &
+                   ((coinp[u] & drain_plus) | (coinn[u] & ~drain_plus));
+        };
+        const NodeId drain_stop = take_ascending(first, last, drained, cp.cost, drain, picks);
+        ADBA_ENSURES_MSG(drain == 0, "every planned coin corruption has a flipper");
+        in_stop = std::max(in_stop, drain_stop);
+        Count counted[net::kFusedLanes];
+        if (reduce != 0)
+            ctl.corrupt_lanes(0, n, picks, acting, counted);
+        else
+            ctl.corrupt_lanes(first, last, picks, acting, counted);
+    }
+    std::fill(picks, picks + below_stop, std::uint64_t{0});
+    std::fill(picks + last, picks + above_stop, std::uint64_t{0});
+    std::fill(picks + first, picks + in_stop, std::uint64_t{0});
+    if (acting == 0) return;
 
     // ---- deliveries from every Byzantine committee member, as one coin-sign
     // row: SPLIT lanes give each live receiver the parity of the live
     // receivers below it (balanced targets; everyone else gets -1), OPPOSITE
     // lanes give every receiver the coin toward 1 - b_i.
-    sign_.resize(n);
-    const std::uint64_t toward_one = acting & ~split & ~b_i;
-    std::uint64_t parity = 0;
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t l = live(v);
-        sign_[v] = (split & l & parity) | toward_one;
-        parity ^= l;
-    }
     net::Message m;
     m.kind = net::MsgKind::Vote2;
     m.phase = p;
     m.val = 0;
     m.flag = 0;
-    ctl.sign_row(m, first, last, acting, sign_.data());
+    std::uint64_t* const sign = ctl.sign_row(m, first, last, acting);
+    const std::uint64_t toward_one = acting & ~split & ~b_i;
+    std::uint64_t parity = 0;
+    for (NodeId v = 0; v < n; ++v) {
+        const std::uint64_t l = ~byz[v] & ~halted[v];
+        sign[v] = (split & l & parity) | toward_one;
+        parity ^= l;
+    }
 }
 
 }  // namespace adba::adv

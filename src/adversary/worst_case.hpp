@@ -43,13 +43,15 @@
 // planes, in O(n) word operations — kern::lane_counts passes for the Vote1
 // tallies, the decided nodes and the committee margins (one four-column
 // pass), one ascending sweep with per-lane quotas for each
-// "first k ascending ids of a set" victim pick, one descending sweep for
-// b_i, closed forms for the SPLIT and OPPOSITE greedy costs, word-wise
-// corruption, and SPLIT and OPPOSITE together as one coin-sign row (SPLIT
-// targets are a prefix-XOR over the live plane, OPPOSITE a per-lane
-// constant). It is written apart from act(), which stays its oracle: the
-// block-by-block tests pin the two against each other. phases_ruined()
-// counts act() runs only.
+// "first k ascending ids of a set" victim pick (none for a lane that
+// cannot afford its decided reduction: it spends nothing that round), one
+// descending sweep for b_i, the SPLIT and OPPOSITE greedy costs in closed
+// form as one straight loop over 64-lane arrays, corruption by lane mask in
+// one pass, and SPLIT and OPPOSITE together as one coin-sign row written in
+// the frame's plane (SPLIT targets are a prefix-XOR over the live plane,
+// OPPOSITE a per-lane constant). It is written apart from act(), which
+// stays its oracle: the block-by-block tests pin the two against each
+// other. phases_ruined() counts act() runs only.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +104,6 @@ private:
     void block_round2(net::FusedLaneControl& ctl, Phase p);
     /// remaining() of one lane.
     Count lane_remaining(const net::FusedLaneControl& ctl, unsigned lane) const;
-    /// Corrupts node v in the lanes of picks_[v], for every v in [lo, hi).
-    void corrupt_picks(net::FusedLaneControl& ctl, NodeId lo, NodeId hi);
 
     WorstCaseConfig cfg_;
     Count used_ = 0;
@@ -114,10 +114,10 @@ private:
     std::vector<NodeId> plan_neg_;   ///< honest committee -1 flippers, victims excluded
     std::vector<net::Message> split_row_;  ///< SPLIT coin deliveries, one per receiver
     // Block-level form, sized at its first round, so that the other lanes'
-    // objects stay small: each lane's corruptions and per-round planes.
+    // objects stay small: each lane's corruptions, and the lanes in which
+    // node v is picked to corrupt (all zero between rounds).
     std::vector<Count> lane_used_;
-    std::vector<std::uint64_t> picks_;  ///< lanes in which node v is picked to corrupt
-    std::vector<std::uint64_t> sign_;   ///< coin-sign plane
+    std::vector<std::uint64_t> picks_;
 };
 
 }  // namespace adba::adv

@@ -22,7 +22,6 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     const NodeId n = cfg_.n;
     val_.assign(input_plane, input_plane + n);
     decided_.assign(n, 0);
-    finish_.assign(n, 0);
     flushing_.assign(n, 0);
     halted_.assign(n, 0);
     // Per-cell streams identical to the scalar batches': lane j's stream
@@ -40,6 +39,10 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
             dealer_seed_[j] = lane_seeds[j].seed(StreamPurpose::DealerCoin);
 }
 
+// Node loops below call nothing, so that each is a vector loop at the
+// build's baseline ISA; random draws run in loops of their own over only the
+// nodes that draw.
+
 void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
     const NodeId n = cfg_.n;
     const Phase p = r / 2;
@@ -47,30 +50,28 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
     frame.kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
     frame.phase = p;
 
-    NodeId flip_first = 0, flip_last = 0;
-    if (round2 && coin_.kind == CoinSpec::Kind::Committee) {
-        const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        flip_first = range.first;
-        flip_last = range.second;
-    }
+    std::uint64_t* const sent = frame.sent.data();
+    const std::uint64_t* const byz = frame.byz.data();
+    std::uint64_t* const halted = halted_.data();
+    for (NodeId v = 0; v < n; ++v) sent[v] = ~byz[v] & ~halted[v];
+    std::copy_n(val_.data(), n, frame.val.data());
+    std::copy_n(decided_.data(), n, frame.flag.data());
+    if (!round2) return;
 
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
-        frame.sent[v] = act;
-        frame.val[v] = val_[v];
-        frame.flag[v] = decided_[v];
-        if (!round2) continue;
-        if (v >= flip_first && v < flip_last) {
-            // The flip is drawn before any round-2 delivery is seen
-            // (Lemma 5 independence) for every live lane, flushing or not —
-            // exactly the scalar send path's draw set.
-            const std::uint64_t drawn = act & frame.active;
+    if (coin_.kind == CoinSpec::Kind::Committee) {
+        // The flip is drawn before any round-2 delivery is seen (Lemma 5
+        // independence) for every live lane, flushing or not — exactly the
+        // scalar send path's draw set.
+        const auto [first, last] = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
+        for (NodeId v = first; v < last; ++v) {
+            const std::uint64_t drawn = sent[v] & frame.active;
             const std::uint64_t ones = committee_flips(v, p, drawn);
             frame.coinp[v] = ones & drawn;
             frame.coinn[v] = ~ones & drawn;
         }
-        halted_[v] |= act & flushing_[v];  // second flush broadcast done
     }
+    const std::uint64_t* const flushing = flushing_.data();
+    for (NodeId v = 0; v < n; ++v) halted[v] |= sent[v] & flushing[v];  // second flush broadcast done
 }
 
 void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
@@ -93,8 +94,15 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
     }
     fold_.prepare(frame, {kind, p, round2, flip_first, flip_last});
 
-    const bool last_phase =
-        cfg_.mode == AgreementMode::WhpFixedPhases && p + 1 == cfg_.phases;
+    const std::uint64_t* const byz = frame.byz.data();
+    const std::uint64_t* const sign = frame.sign.data();
+    std::uint64_t* const val = val_.data();
+    std::uint64_t* const decided = decided_.data();
+    std::uint64_t* const flushing = flushing_.data();
+    std::uint64_t* const halted = halted_.data();
+    // Fixed-phase exhaustion halts every receiver that did not finish.
+    const std::uint64_t exhaust =
+        cfg_.mode == AgreementMode::WhpFixedPhases && p + 1 == cfg_.phases ? ~std::uint64_t{0} : 0;
     std::uint64_t dealer_drawn = 0, dealer_ones = 0;
     fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
         const std::uint64_t q0 = lanes_greater(c.c0, quorum) & active;
@@ -104,10 +112,10 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
             // Round 1: val is written only where a quorum decided.
             const std::uint64_t dec = q0 | q1;
             for (NodeId v = lo; v < hi; ++v) {
-                const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
+                const std::uint64_t act = ~byz[v] & ~halted[v] & ~flushing[v];
                 const std::uint64_t dw = dec & act;
-                val_[v] = (val_[v] & ~dw) | (q1 & act);
-                decided_[v] = (decided_[v] & ~act) | dw;
+                val[v] = (val[v] & ~dw) | (q1 & act);
+                decided[v] = (decided[v] & ~act) | dw;
             }
             return;
         }
@@ -149,20 +157,32 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
                 by_draw = case3;
                 break;
         }
-        for (NodeId v = lo; v < hi; ++v) {
-            const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
-            std::uint64_t v1 = val1;
-            if (by_sign != 0) v1 |= by_sign & frame.sign[v];
-            for (std::uint64_t cm = by_draw & act; cm != 0; cm &= cm - 1) {
-                const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
-                if (cell_rng(v, j).bit() != 0) v1 |= std::uint64_t{1} << j;
+        // Local coin: each case-3 cell of a live receiver draws from its own
+        // stream and writes its value here; the word loop keeps those bits.
+        if (by_draw != 0)
+            for (NodeId v = lo; v < hi; ++v) {
+                const std::uint64_t cells = by_draw & ~byz[v] & ~halted[v] & ~flushing[v];
+                std::uint64_t ones = 0;
+                for (std::uint64_t cm = cells; cm != 0; cm &= cm - 1) {
+                    const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
+                    if (cell_rng(v, j).bit() != 0) ones |= std::uint64_t{1} << j;
+                }
+                val[v] = (val[v] & ~cells) | ones;
             }
-            val_[v] = (val_[v] & ~act) | (v1 & act);
-            decided_[v] = (decided_[v] & ~act) | (dec & act);
+        // by_sign is empty without a coin-sign row, so a stale sign plane
+        // is never read into a value.
+        for (NodeId v = lo; v < hi; ++v) {
+            const std::uint64_t act = ~byz[v] & ~halted[v] & ~flushing[v];
+            const std::uint64_t set = act & ~by_draw;
+            val[v] = (val[v] & ~set) | ((val1 | (by_sign & sign[v])) & set);
+            decided[v] = (decided[v] & ~act) | (dec & act);
+        }
+        if ((fin | exhaust) == 0) return;
+        for (NodeId v = lo; v < hi; ++v) {
+            const std::uint64_t act = ~byz[v] & ~halted[v] & ~flushing[v];
             const std::uint64_t fin_v = fin & act;
-            finish_[v] |= fin_v;
-            flushing_[v] |= fin_v;  // finishers flush through the next phase
-            if (last_phase) halted_[v] |= act & ~fin_v;  // fixed-phase exhaustion
+            flushing[v] |= fin_v;  // finishers flush through the next phase
+            halted[v] |= act & ~fin_v & exhaust;
         }
     });
 }

@@ -52,7 +52,6 @@ private:
     CoinSpec coin_;
     std::vector<std::uint64_t> val_;
     std::vector<std::uint64_t> decided_;
-    std::vector<std::uint64_t> finish_;
     std::vector<std::uint64_t> flushing_;
     std::vector<std::uint64_t> halted_;
     /// Local coin only: per-(node, lane) protocol streams, lane-major:
@@ -74,15 +73,11 @@ private:
     /// now drew once at every earlier visit of its committee, and this flip
     /// is output number p / num_blocks of its (NodeProtocol, v) stream. A
     /// first visit reads output 0's top bit in all 64 lanes, with no branch
-    /// on a lane or its coin; a revisit steps each drawn lane's stream.
+    /// on a lane or its coin (net::kern::first_flips, eight lanes per
+    /// vector where the CPU can); a revisit steps each drawn lane's stream.
     std::uint64_t committee_flips(NodeId v, Phase p, std::uint64_t drawn) const {
+        if (p < coin_.schedule.num_blocks) return net::kern::first_flips(lane_purpose_, v);
         std::uint64_t ones = 0;
-        if (p < coin_.schedule.num_blocks) {
-            for (unsigned j = 0; j < net::kFusedLanes; ++j)
-                ones |= (Xoshiro256::first_output(SeedTree::child_seed(lane_purpose_[j], v)) >> 63)
-                        << j;
-            return ones;
-        }
         for (; drawn != 0; drawn &= drawn - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(drawn));
             Xoshiro256 g(SeedTree::child_seed(lane_purpose_[j], v));

@@ -123,29 +123,19 @@ void FusedLaneControl::split_as(NodeId byz_from, const std::optional<Message>& l
     byz_msgs_[lane_] += covered_slots(row.has_low, row.has_high, boundary, n);
 }
 
-void FusedLaneControl::corrupt_word(NodeId v, std::uint64_t lanes) {
-    ADBA_EXPECTS(v < frame_->n());
-    ADBA_EXPECTS_MSG((frame_->byz[v] & lanes) == 0,
-                     "cannot corrupt an already-Byzantine node");
-    ADBA_EXPECTS_MSG((proto_->halted_plane()[v] & lanes) == 0,
-                     "cannot corrupt a node that already terminated");
-    for (std::uint64_t l = lanes; l != 0; l &= l - 1)
-        ADBA_EXPECTS_MSG(used_[std::countr_zero(l)] < budget_, "corruption budget exhausted");
-    for (std::uint64_t l = lanes; l != 0; l &= l - 1) ++used_[std::countr_zero(l)];
-    frame_->byz[v] |= lanes;
-    frame_->sent[v] &= ~lanes;  // attribute bits stay; consumers mask with sent
-}
-
-void FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, Count* counted) {
+void FusedLaneControl::corrupt_lanes(NodeId lo, NodeId hi, const std::uint64_t* mask,
+                                     std::uint64_t lanes, Count* counted) {
+    ADBA_EXPECTS(lo <= hi && hi <= frame_->n());
     // corrupt()'s checks, one word of lanes at a time, before any write.
-    const NodeId n = frame_->n();
-    const std::uint64_t active = frame_->active;
-    const std::uint64_t* halted = proto_->halted_plane();
+    lanes &= frame_->active;
+    std::uint64_t* const byz = frame_->byz.data();
+    std::uint64_t* const sent = frame_->sent.data();
+    const std::uint64_t* const halted = proto_->halted_plane();
     std::uint64_t byzantine = 0, terminated = 0;  // lanes with such a member
     Count count[kFusedLanes];
-    kern::lane_counts<1>(0, n, [&](NodeId v, std::uint64_t* w) {
-        const std::uint64_t m = mask[v] & active;
-        byzantine |= frame_->byz[v] & m;
+    kern::lane_counts<1>(lo, hi, [&](NodeId v, std::uint64_t* w) {
+        const std::uint64_t m = mask[v] & lanes;
+        byzantine |= byz[v] & m;
         terminated |= halted[v] & m;
         w[0] = m;
     }, &count);
@@ -153,10 +143,10 @@ void FusedLaneControl::corrupt_lanes(const std::uint64_t* mask, Count* counted) 
     ADBA_EXPECTS_MSG(terminated == 0, "cannot corrupt a node that already terminated");
     for (unsigned j = 0; j < kFusedLanes; ++j)
         ADBA_EXPECTS_MSG(count[j] <= budget_ - used_[j], "corruption budget exhausted");
-    for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t m = mask[v] & active;
-        frame_->byz[v] |= m;
-        frame_->sent[v] &= ~m;  // attribute bits stay; consumers mask with sent
+    for (NodeId v = lo; v < hi; ++v) {
+        const std::uint64_t m = mask[v] & lanes;
+        byz[v] |= m;
+        sent[v] &= ~m;  // attribute bits stay; consumers mask with sent
     }
     for (unsigned j = 0; j < kFusedLanes; ++j) {
         used_[j] += count[j];
@@ -189,23 +179,22 @@ void FusedLaneControl::share_row(const SplitRow& row, const std::uint64_t* mask,
     }
 }
 
-void FusedLaneControl::sign_row(const Message& m, NodeId first, NodeId last,
-                                std::uint64_t lanes, const std::uint64_t* sign) {
+std::uint64_t* FusedLaneControl::sign_row(const Message& m, NodeId first, NodeId last,
+                                          std::uint64_t lanes) {
     FusedFrame& f = *frame_;
     const NodeId n = f.n();
     ADBA_EXPECTS(first <= last && last <= n);
-    kern::lane_counts<1>(first, last, [&](NodeId u, std::uint64_t* w) { w[0] = f.byz[u] & lanes; },
+    const std::uint64_t* const byz = f.byz.data();
+    kern::lane_counts<1>(first, last, [&](NodeId u, std::uint64_t* w) { w[0] = byz[u] & lanes; },
                          &f.sign_senders);
-    f.sign.assign(sign, sign + n);
     f.sign_msg = m;
     f.sign_first = first;
     f.sign_last = last;
     f.sign_lanes = lanes;
     f.has_sign = true;
-    for (; lanes != 0; lanes &= lanes - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
-        byz_msgs_[j] += std::uint64_t{f.sign_senders[j]} * n;
-    }
+    // A lane outside `lanes` counted no sender.
+    for (unsigned j = 0; j < kFusedLanes; ++j) byz_msgs_[j] += std::uint64_t{f.sign_senders[j]} * n;
+    return f.sign.data();
 }
 
 // ---------------------------------------------------------------- FusedBlock
@@ -257,21 +246,32 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         // broadcast_fanout identity Engine::account_sends charges, from
         // per-lane counts of live broadcasts (S), flush-halted senders (SH)
         // and honest-halted receivers (H), all read AFTER corruptions.
-        const std::uint64_t* halted = proto.halted_plane();
-        kern::lane_counts<3>(0, n, [&](NodeId v, std::uint64_t* w) {
-            const std::uint64_t s = frame_.sent[v];
-            w[0] = s;
-            w[1] = s & halted[v];
-            w[2] = ~frame_.byz[v] & halted[v];
-        }, cnt);
+        // Until a node of an active lane halts, SH and H are zero there,
+        // and one column counts S.
+        const std::uint64_t* const sent = frame_.sent.data();
+        const std::uint64_t* const byz = frame_.byz.data();
+        const std::uint64_t* const halted = proto.halted_plane();
+        std::uint64_t halted_any = 0;
+        for (NodeId v = 0; v < n; ++v) halted_any |= halted[v];
+        if ((halted_any & active) != 0) {
+            kern::lane_counts<3>(0, n, [&](NodeId v, std::uint64_t* w) {
+                w[0] = sent[v];
+                w[1] = sent[v] & halted[v];
+                w[2] = ~byz[v] & halted[v];
+            }, cnt);
+        } else {
+            kern::lane_counts<1>(0, n, [&](NodeId v, std::uint64_t* w) { w[0] = sent[v]; }, cnt);
+            std::fill(std::begin(cnt[1]), std::end(cnt[1]), Count{0});
+            std::fill(std::begin(cnt[2]), std::end(cnt[2]), Count{0});
+        }
         Message probe;
         probe.kind = frame_.kind;
         probe.phase = frame_.phase;
         const std::uint64_t wb = wire_bits(probe, n);
-        for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
-            const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        for (unsigned j = 0; j < kFusedLanes; ++j) {
+            const std::uint64_t in_lane = 0 - (active >> j & 1);
             const std::uint64_t fan =
-                broadcast_fanout(cnt[0][j], cnt[1][j], cnt[2][j], n);
+                broadcast_fanout(cnt[0][j], cnt[1][j], cnt[2][j], n) & in_lane;
             msgs[j] += fan;
             bits[j] += fan * wb;
         }
@@ -280,10 +280,15 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
         proto.receive_round(r, frame_);
 
         // All-halted sweep, all lanes at once: lane j is live while any node
-        // is neither Byzantine nor halted in it.
-        const std::uint64_t* halted2 = proto.halted_plane();
+        // is neither Byzantine nor halted in it. The sweep stops, 64 nodes
+        // at a time, once every active lane has shown a live node.
+        const std::uint64_t* const halted2 = proto.halted_plane();
+        constexpr NodeId kStep = 64;
         std::uint64_t live_any = 0;
-        for (NodeId v = 0; v < n; ++v) live_any |= ~frame_.byz[v] & ~halted2[v];
+        for (NodeId lo = 0, hi = 0; lo < n && (live_any & active) != active; lo = hi) {
+            hi = lo + std::min(n - lo, kStep);
+            for (NodeId v = lo; v < hi; ++v) live_any |= ~byz[v] & ~halted2[v];
+        }
         const std::uint64_t retired = active & ~live_any;
         for (std::uint64_t lanes = retired; lanes != 0; lanes &= lanes - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
@@ -379,12 +384,17 @@ void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
     }
     // The honest coin sum and the shared row's committee senders.
     Count c[3][kFusedLanes] = {};
-    if (coin_first < coin_last)
+    const auto by_coin = [&](NodeId v, std::uint64_t* w) {
+        w[0] = frame.sent[v] & frame.coinp[v] & honest;
+        w[1] = frame.sent[v] & frame.coinn[v] & honest;
+    };
+    if (coin_first < coin_last && frame.has_shared)
         kern::lane_counts<3>(coin_first, coin_last, [&](NodeId v, std::uint64_t* w) {
-            w[0] = frame.sent[v] & frame.coinp[v] & honest;
-            w[1] = frame.sent[v] & frame.coinn[v] & honest;
+            by_coin(v, w);
             w[2] = frame.shared[v];
         }, c);
+    else if (coin_first < coin_last)
+        kern::lane_counts<2>(coin_first, coin_last, by_coin, c);
     for (unsigned j = 0; j < kFusedLanes; ++j) {
         counts_.c0[j] = static_cast<std::int32_t>(h[0][j]);
         counts_.c1[j] = static_cast<std::int32_t>(h[1][j]);
@@ -413,7 +423,13 @@ void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
     // The coin-sign row: its counts are the same for every receiver; only
     // the coin sign varies, so its coin weight goes to the receiver.
     if (frame.has_sign) {
+        // The row's senders in [lo, hi): the counts sign_row took when the
+        // range covers the row's.
         const auto byz_senders = [&](NodeId lo, NodeId hi, Count (*out)[kFusedLanes]) {
+            if (lo <= frame.sign_first && frame.sign_last <= hi) {
+                std::copy(std::begin(frame.sign_senders), std::end(frame.sign_senders), out[0]);
+                return;
+            }
             kern::lane_counts<1>(std::max(lo, frame.sign_first), std::min(hi, frame.sign_last),
                                  [&](NodeId v, std::uint64_t* w) {
                                      w[0] = frame.byz[v] & frame.sign_lanes;
@@ -421,10 +437,7 @@ void SegmentFold::prepare(const FusedFrame& frame, const FoldQuery& q) {
                                  out);
         };
         Count weight[1][kFusedLanes], coin_weight[1][kFusedLanes] = {};
-        if (every_sender)
-            std::copy(std::begin(frame.sign_senders), std::end(frame.sign_senders), weight[0]);
-        else
-            byz_senders(from_first, from_last, weight);
+        byz_senders(from_first, from_last, weight);
         const bool coined = frame.sign_msg.kind == q.kind && frame.sign_msg.phase == q.phase;
         if (coined) byz_senders(coin_first, coin_last, coin_weight);
         const Unit u = classify(&frame.sign_msg);

@@ -85,8 +85,11 @@ struct FusedRow {
 
 /// One round's bit-sliced delivery state. Attribute planes are UNMASKED
 /// (same discipline as kern::PackedPlanes): consumers must AND with `sent`
-/// before counting. `byz` persists across rounds; everything else is
-/// cleared by begin_round().
+/// before counting. `byz` persists across rounds. begin_round() clears
+/// `sent`, the coin planes (a sender's coin is read whenever it sends, and
+/// the committee coin writes only its members') and the Byzantine rows;
+/// `val` and `flag` keep the last round's bits, which no consumer reads
+/// where `sent` is clear, so a protocol writes them for the nodes it sends.
 class FusedFrame {
 public:
     void reset(NodeId n) {
@@ -100,7 +103,8 @@ public:
         shared.assign(n, 0);
         std::fill(std::begin(shared_senders), std::end(shared_senders), Count{0});
         has_shared = false;
-        has_sign = false;  // the sign plane is sized by the first coin-sign row
+        has_sign = false;
+        sign.assign(n, 0);
         patterned_.assign(n, 0);
         for (auto& r : rows_) r.clear();
         row_lanes_ = 0;
@@ -113,8 +117,6 @@ public:
         kind = round_kind;
         phase = round_phase;
         std::fill(sent.begin(), sent.end(), 0);
-        std::fill(val.begin(), val.end(), 0);
-        std::fill(flag.begin(), flag.end(), 0);
         std::fill(coinp.begin(), coinp.end(), 0);
         std::fill(coinn.begin(), coinn.end(), 0);
         if (has_shared) {
@@ -192,8 +194,8 @@ public:
     /// receiver, with coin +1 to receiver v where sign[v] holds the lane's
     /// bit and coin -1 elsewhere (sign_msg.coin is unused). sign_senders[j]
     /// is lane j's sender count, 0 outside sign_lanes. Without one, has_sign
-    /// is false and the other fields are stale. A block that sends it sends
-    /// no other Byzantine row.
+    /// is false and the other fields are stale; the sign plane always holds
+    /// n words. A block that sends it sends no other Byzantine row.
     bool has_sign = false;
     Message sign_msg;
     NodeId sign_first = 0;
@@ -231,7 +233,8 @@ public:
     virtual void rearm(const std::uint64_t* input_plane, const SeedTree* lane_seeds) = 0;
 
     /// Beat 1: compute this round's broadcast planes into `frame` (which
-    /// has been begin_round-cleared) and apply send-beat state flips
+    /// has been begin_round-cleared: `val` and `flag` must be written for
+    /// every node whose `sent` bit is set) and apply send-beat state flips
     /// (flush-halts). Must set frame.kind / frame.phase.
     virtual void send_round(Round r, FusedFrame& frame) = 0;
 
@@ -263,13 +266,16 @@ public:
     const FusedProtocol& protocol() const { return *proto_; }
     /// budget_left() of `lane`.
     Count lane_budget_left(unsigned lane) const { return budget_ - used_[lane]; }
-    /// corrupt(v) in every lane of `lanes` at once, with corrupt()'s checks
-    /// and messages.
-    void corrupt_word(NodeId v, std::uint64_t lanes);
-    /// corrupt(v) in lanes mask[v] & active, for every v: with corrupt()'s
-    /// checks and messages, all taken before any write, and then writes
-    /// each lane's count of mask bits to counted[0..63].
-    void corrupt_lanes(const std::uint64_t* mask, Count* counted);
+    /// corrupt(v) in lanes mask[v] & lanes & active, for every v in
+    /// [lo, hi): with corrupt()'s checks and messages, all taken before any
+    /// write, and then writes each lane's count of those bits to
+    /// counted[0..63].
+    void corrupt_lanes(NodeId lo, NodeId hi, const std::uint64_t* mask, std::uint64_t lanes,
+                       Count* counted);
+    /// corrupt_lanes over every node and active lane.
+    void corrupt_lanes(const std::uint64_t* mask, Count* counted) {
+        corrupt_lanes(0, frame_->n(), mask, ~std::uint64_t{0}, counted);
+    }
     /// Node v sends `row` in lanes mask[v] & lanes this round, for every v,
     /// where senders[j] is lane j's count of mask bits (the set size
     /// corrupt_lanes counted): publishes the row, its lane plane and those
@@ -282,9 +288,12 @@ public:
     /// `m` to every receiver v, with coin +1 where sign[v] holds the lane's
     /// bit and -1 elsewhere: publishes the frame's coin-sign row and charges
     /// each lane's byzantine_messages n per sender, as one fresh
-    /// deliver_row_as per sender does.
-    void sign_row(const Message& m, NodeId first, NodeId last, std::uint64_t lanes,
-                  const std::uint64_t* sign);
+    /// deliver_row_as per sender does. Call it after the round's
+    /// corruptions: it counts the senders once, for the charge and for the
+    /// receive beat. Returns the frame's n-word sign plane, still holding
+    /// an earlier row's signs: the caller writes every word of it before
+    /// the receive beat.
+    std::uint64_t* sign_row(const Message& m, NodeId first, NodeId last, std::uint64_t lanes);
 
     // ---- RoundControl ----
     Round round() const override { return round_; }

@@ -1,8 +1,11 @@
 #include "net/tally_kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "net/round_buffer.hpp"
+#include "rand/rng.hpp"
+#include "rand/seed_tree.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::net::kern {
@@ -96,6 +99,50 @@ std::uint64_t lanes_greater_portable(const std::int32_t* a, const std::int32_t* 
     return m;
 }
 
+std::uint64_t first_flips_portable(const std::uint64_t* purpose, NodeId v) {
+    std::uint64_t ones = 0;
+    for (unsigned j = 0; j < kWordBits; ++j)
+        ones |= (Xoshiro256::first_output(SeedTree::child_seed(purpose[j], v)) >> 63) << j;
+    return ones;
+}
+
+#if defined(__x86_64__)
+namespace {
+
+/// Eight 64-bit lanes as a GCC vector: inside an AVX-512DQ function its
+/// shifts, multiplies and rotates are single zmm instructions.
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+
+/// splitmix64_next's output from an already advanced state, eight lanes.
+__attribute__((target("avx512f,avx512dq"), always_inline)) inline U64x8 splitmix_finalize(
+    U64x8 z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+}  // namespace
+
+__attribute__((target("avx512f,avx512dq"))) std::uint64_t first_flips_avx512(
+    const std::uint64_t* purpose, NodeId v) {
+    // child_seed = mix64(purpose ^ v * K); first_output reads the second
+    // splitmix word of that seed, s1 = finalize(seed + 2 * golden), and
+    // scrambles it as rotl(s1 * 5, 7) * 9.
+    constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t index = v * 0xaf251af3b0f025b5ULL;
+    std::uint64_t ones = 0;
+    for (unsigned q = 0; q < kWordBits / 8; ++q) {
+        U64x8 p;
+        std::memcpy(&p, purpose + 8 * q, sizeof p);
+        const U64x8 seed = splitmix_finalize((p ^ index) + kGolden);
+        U64x8 x = splitmix_finalize(seed + 2 * kGolden) * 5;
+        x = ((x << 7) | (x >> 57)) * 9;
+        ones |= std::uint64_t{_mm512_movepi64_mask(reinterpret_cast<__m512i>(x))} << (8 * q);
+    }
+    return ones;
+}
+#endif  // __x86_64__
+
 namespace {
 
 #if defined(__x86_64__)
@@ -147,6 +194,7 @@ void lane_digits_to_counts_avx512(const std::uint64_t* digits, unsigned k, Count
 using DigitsToCountsFn = void (*)(const std::uint64_t*, unsigned, Count*);
 using GreaterConstFn = std::uint64_t (*)(const std::int32_t*, std::int32_t);
 using GreaterFn = std::uint64_t (*)(const std::int32_t*, const std::int32_t*);
+using FirstFlipsFn = std::uint64_t (*)(const std::uint64_t*, NodeId);
 
 // Resolved once at load: the build carries no -march, so the AVX-512 forms
 // are compiled behind a target attribute and chosen only when the host CPU
@@ -163,16 +211,20 @@ const DigitsToCountsFn g_digits_to_counts =
 const GreaterConstFn g_greater_const =
     resolve<GreaterConstFn>(&lanes_greater_avx512, &lanes_greater_portable);
 const GreaterFn g_greater = resolve<GreaterFn>(&lanes_greater_avx512, &lanes_greater_portable);
+const bool g_avx512dq = g_avx512f && __builtin_cpu_supports("avx512dq") != 0;
+const FirstFlipsFn g_first_flips = g_avx512dq ? &first_flips_avx512 : &first_flips_portable;
 #else
 const DigitsToCountsFn g_digits_to_counts = &lane_digits_to_counts_portable;
 const GreaterConstFn g_greater_const = &lanes_greater_portable;
 const GreaterFn g_greater = &lanes_greater_portable;
+const FirstFlipsFn g_first_flips = &first_flips_portable;
 #endif
 
 }  // namespace
 
 #if defined(__x86_64__)
 bool has_avx512f() { return g_avx512f; }
+bool has_avx512dq() { return g_avx512dq; }
 #endif
 
 void lane_digits_to_counts(const std::uint64_t* digits, unsigned k, Count* out) {
@@ -185,6 +237,10 @@ std::uint64_t lanes_greater(const std::int32_t* x, std::int32_t c) {
 
 std::uint64_t lanes_greater(const std::int32_t* a, const std::int32_t* b) {
     return g_greater(a, b);
+}
+
+std::uint64_t first_flips(const std::uint64_t* purpose, NodeId v) {
+    return g_first_flips(purpose, v);
 }
 
 }  // namespace adba::net::kern

@@ -41,7 +41,10 @@
 //    every AVX-512F path here is chosen once at load time from the CPU
 //    (has_avx512f): the digit conversion (masked adds, else a portable
 //    loop) and kern::lanes_greater, the fused receive beats' one compare
-//    kernel, which turns 64 such counts back into a lane mask.
+//    kernel, which turns 64 such counts back into a lane mask. Beside them
+//    sits kern::first_flips, a committee member's first coin in all 64
+//    lanes, with an AVX-512F/DQ form (eight splitmix chains per vector)
+//    chosen the same way (has_avx512dq).
 #pragma once
 
 #include <algorithm>
@@ -269,6 +272,18 @@ std::uint64_t lanes_greater(const std::int32_t* a, const std::int32_t* b);
 std::uint64_t lanes_greater_portable(const std::int32_t* x, std::int32_t c);
 std::uint64_t lanes_greater_portable(const std::int32_t* a, const std::int32_t* b);
 
+/// A committee member's first-visit flips in all 64 lanes: bit j is the top
+/// bit of Xoshiro256::first_output(SeedTree::child_seed(purpose[j], v)), the
+/// first fair bit of stream v under lane j's purpose hash (a set bit is a
+/// +1 sign()). The path is chosen once at load time from the CPU: with
+/// AVX-512F and AVX-512DQ, eight lanes per 64-bit vector multiply
+/// (first_flips_avx512); otherwise first_flips_portable.
+std::uint64_t first_flips(const std::uint64_t* purpose, NodeId v);
+
+/// The portable form of first_flips: one splitmix chain per lane. The
+/// fallback on CPUs without AVX-512DQ, and the tests' reference.
+std::uint64_t first_flips_portable(const std::uint64_t* purpose, NodeId v);
+
 /// Carry-save adder: a + b + c == 2 * carry + sum in every bit position,
 /// with no carry chain between positions.
 inline void csa(std::uint64_t& carry, std::uint64_t& sum, std::uint64_t a,
@@ -346,6 +361,16 @@ void lane_counts_portable(NodeId lo, NodeId hi, Words&& words, Count (*out)[kWor
 /// True when the host CPU has AVX-512F: the load-time check behind every
 /// dispatched kernel of this header.
 bool has_avx512f();
+
+/// True when the host CPU has AVX-512F and AVX-512DQ: the load-time check
+/// behind first_flips.
+bool has_avx512dq();
+
+/// The AVX-512F/DQ form of first_flips: each splitmix finalizer and the
+/// xoshiro256** scrambler run over eight lanes per vector (vpmullq), and
+/// the top bits leave through vpmovq2m. Only on a host with has_avx512dq().
+__attribute__((target("avx512f,avx512dq"))) std::uint64_t first_flips_avx512(
+    const std::uint64_t* purpose, NodeId v);
 
 namespace wide {
 

@@ -118,6 +118,9 @@ std::optional<std::string> why_incompatible(const CoinScenario& s) {
         return "coin scenario needs 1 <= k <= n designated flippers (got k=" +
                std::to_string(s.designated) + ", n=" + std::to_string(s.n) +
                "); drop k to default to n (Algorithm 1)";
+    if (s.f > s.n)
+        return "coin scenario needs f <= n corruptions (got f=" + std::to_string(s.f) +
+               ", n=" + std::to_string(s.n) + ")";
     return std::nullopt;
 }
 

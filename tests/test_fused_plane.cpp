@@ -415,6 +415,35 @@ TEST(FusedPlane, LaneCountsWideFormMatchesPerLanePopcounts) {
     expect_seventeen_digits(Form::Wide);
 }
 
+TEST(FusedPlane, CommitteeFlipsWideFormMatchesPortable) {
+    // The AVX-512F/DQ flip form called directly, and the dispatched one,
+    // against the portable loop, on random purpose hashes at the NodeId
+    // extremes and at random members; the portable loop against each lane's
+    // own generator (first sign() of Xoshiro256(child_seed)).
+#if defined(__x86_64__)
+    if (!net::kern::has_avx512dq()) GTEST_SKIP() << "the host CPU lacks AVX-512F/DQ";
+    Xoshiro256 rng(0xF11Bu);
+    for (int rep = 0; rep < 500; ++rep) {
+        std::uint64_t purpose[net::kFusedLanes];
+        for (std::uint64_t& h : purpose) h = rng();
+        for (const NodeId v : {NodeId{0}, NodeId{1}, NodeId{1} << 31, ~NodeId{0},
+                               static_cast<NodeId>(rng())}) {
+            const std::uint64_t portable = net::kern::first_flips_portable(purpose, v);
+            ASSERT_EQ(net::kern::first_flips_avx512(purpose, v), portable)
+                << "rep " << rep << " v=" << v;
+            ASSERT_EQ(net::kern::first_flips(purpose, v), portable) << "rep " << rep << " v=" << v;
+            if (rep >= 8) continue;
+            for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                Xoshiro256 g(SeedTree::child_seed(purpose[j], v));
+                ASSERT_EQ(g.sign() > 0, (portable >> j & 1) != 0) << "v=" << v << " lane " << j;
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "the wide flip form is x86-64 only";
+#endif
+}
+
 TEST(FusedPlane, LaneDigitsToCountsMatchesPortableForm) {
     // The dispatched form (AVX-512F when the host has it) against the
     // portable one and a handwritten sum of 2^i, over random digit stacks
@@ -1786,7 +1815,7 @@ TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
             if (rng.bernoulli(p)) w |= std::uint64_t{1} << j;
         return w;
     };
-    Count split_lanes = 0, opposite_lanes = 0;
+    Count split_lanes = 0, opposite_lanes = 0, unaffordable_lanes = 0;
     bool mixed = false;
     for (int run = 0; run < 24; ++run) {
         const adv::WorstCaseConfig cfg{t, run % 2 == 0 ? t : t / 2, schedule, true};
@@ -1854,6 +1883,16 @@ TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
                 const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
                 SCOPED_TRACE("lane " + std::to_string(j));
                 lane_ctl.set_lane(j);
+                if (round2) {
+                    // A decided reduction the lane cannot afford: the block
+                    // form picks no victims for it, and act() spends nothing.
+                    Count d = 0;
+                    for (NodeId v = 0; v < n; ++v)
+                        d += (~block_frame.byz[v] & ~proto.halted[v] & proto.decided[v]) >> j & 1;
+                    const Count remaining = std::min<Count>(
+                        lane_ctl.budget_left(), cfg.max_corruptions - lane_advs[j]->corruptions_used());
+                    unaffordable_lanes += d > t && d - t > remaining ? 1 : 0;
+                }
                 LaneRowRecorder lane(lane_ctl);
                 lane_advs[j]->act(lane);
                 EXPECT_EQ(block_ctl.corruptions(j), lane_ctl.corruptions(j));
@@ -1900,6 +1939,7 @@ TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
     }
     EXPECT_GT(split_lanes, 0u);
     EXPECT_GT(opposite_lanes, 0u);
+    EXPECT_GT(unaffordable_lanes, 0u);
     EXPECT_TRUE(mixed) << "no round sent SPLIT in one lane and OPPOSITE in another";
 }
 
@@ -1977,16 +2017,17 @@ private:
             traces_[j].push_back(h);
         }
         if (r == 0) {
-            for (NodeId v = 0; v < limit_; v += 3)
-                if ((value[v] & f.active) != 0) ctl.corrupt_word(v, value[v] & f.active);
+            std::vector<std::uint64_t> mask(f.n(), 0);
+            for (NodeId v = 0; v < limit_; v += 3) mask[v] = value[v];
+            Count counted[net::kFusedLanes];
+            ctl.corrupt_lanes(mask.data(), counted);
             return;
         }
         if (r % 2 == 0) return;
         const auto [first, last] = schedule_.range(schedule_.committee_of_phase(r / 2));
-        std::vector<std::uint64_t> sign(f.n());
+        std::uint64_t* const sign = ctl.sign_row(header(r), first, last, f.active);
         for (NodeId v = 0; v < f.n(); ++v)
             sign[v] = (pattern(v, r) != 0 ? ~std::uint64_t{0} : 0) ^ (~f.byz[v] & value[v]);
-        ctl.sign_row(header(r), first, last, f.active, sign.data());
     }
 
     NodeId limit_;

@@ -282,6 +282,19 @@ TEST(CoinScenarioChecks, InfeasibleCommitteeIsActionable) {
     EXPECT_TRUE(compatible(CoinScenario{64, 64, 2, adv::CoinAttack::Split, 0}));
 }
 
+TEST(CoinScenarioChecks, MoreCorruptionsThanNodesAreRejected) {
+    // f = n corrupts every flipper; one more has no node to corrupt.
+    EXPECT_TRUE(compatible(CoinScenario{64, 64, 64, adv::CoinAttack::Split, 0}));
+    for (const Count f : {Count{65}, Count{100}, ~Count{0}}) {
+        const CoinScenario s{64, 64, f, adv::CoinAttack::Split, 0};
+        const auto why = why_incompatible(s);
+        ASSERT_TRUE(why.has_value()) << "f=" << f;
+        EXPECT_EQ(*why, "coin scenario needs f <= n corruptions (got f=" + std::to_string(f) +
+                            ", n=64)");
+        EXPECT_THROW(run_coin_trial(s, 1), ContractViolation);
+    }
+}
+
 TEST(MacroScenarioChecks, InfeasibleParametersAreActionable) {
     MacroScenario m;
     m.n = 4096;
