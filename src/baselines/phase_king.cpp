@@ -1,5 +1,7 @@
 #include "baselines/phase_king.hpp"
 
+#include <algorithm>
+
 #include "support/contracts.hpp"
 
 namespace adba::base {
@@ -189,6 +191,7 @@ void FusedPhaseKing::send_round(Round r, net::FusedFrame& frame) {
     // Only the king speaks in round 2.
     frame.kind = net::MsgKind::PhaseKingRuler;
     const NodeId king = params_.king_of(k);
+    std::fill(frame.sent.begin(), frame.sent.end(), 0);
     frame.sent[king] = ~frame.byz[king] & ~halted_[king];
     frame.val[king] = maj_[king];
 }

@@ -24,6 +24,7 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     decided_.assign(n, 0);
     flushing_.assign(n, 0);
     halted_.assign(n, 0);
+    coin_first_ = coin_last_ = 0;  // a block starts on a zeroed frame
     // Per-cell streams identical to the scalar batches': lane j's stream
     // (NodeProtocol, v), consumed only by cell (v, j). Committee flips draw
     // statelessly (committee_flips); only the Local coin's case-3 draws keep
@@ -50,6 +51,12 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
     frame.kind = round2 ? net::MsgKind::Vote2 : net::MsgKind::Vote1;
     frame.phase = p;
 
+    // The coin planes carry only the flipping committee: clear the range
+    // the last send wrote.
+    std::fill(frame.coinp.begin() + coin_first_, frame.coinp.begin() + coin_last_, 0);
+    std::fill(frame.coinn.begin() + coin_first_, frame.coinn.begin() + coin_last_, 0);
+    coin_first_ = coin_last_ = 0;
+
     std::uint64_t* const sent = frame.sent.data();
     const std::uint64_t* const byz = frame.byz.data();
     std::uint64_t* const halted = halted_.data();
@@ -69,6 +76,8 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
             frame.coinp[v] = ones & drawn;
             frame.coinn[v] = ~ones & drawn;
         }
+        coin_first_ = first;
+        coin_last_ = last;
     }
     const std::uint64_t* const flushing = flushing_.data();
     for (NodeId v = 0; v < n; ++v) halted[v] |= sent[v] & flushing[v];  // second flush broadcast done

@@ -54,6 +54,10 @@ private:
     std::vector<std::uint64_t> decided_;
     std::vector<std::uint64_t> flushing_;
     std::vector<std::uint64_t> halted_;
+    /// The node range whose coin planes the last send wrote (empty when it
+    /// wrote none); the next send clears it.
+    NodeId coin_first_ = 0;
+    NodeId coin_last_ = 0;
     /// Local coin only: per-(node, lane) protocol streams, lane-major:
     /// rng_[v * 64 + j] is lane j's stream (NodeProtocol, v) — private per
     /// cell, so fused iteration order never perturbs another cell's draws.

@@ -85,11 +85,12 @@ struct FusedRow {
 
 /// One round's bit-sliced delivery state. Attribute planes are UNMASKED
 /// (same discipline as kern::PackedPlanes): consumers must AND with `sent`
-/// before counting. `byz` persists across rounds. begin_round() clears
-/// `sent`, the coin planes (a sender's coin is read whenever it sends, and
-/// the committee coin writes only its members') and the Byzantine rows;
-/// `val` and `flag` keep the last round's bits, which no consumer reads
-/// where `sent` is clear, so a protocol writes them for the nodes it sends.
+/// before counting. `byz` persists across rounds. reset() zeroes every
+/// plane; begin_round() clears only the Byzantine rows, so each round's
+/// send writes the honest planes itself (FusedProtocol::send_round): `sent`
+/// for every node, `val` and `flag` for the nodes it sends, and the coin
+/// planes zero outside the current committee (a sender's coin is read
+/// whenever it sends).
 class FusedFrame {
 public:
     void reset(NodeId n) {
@@ -116,9 +117,6 @@ public:
     void begin_round(MsgKind round_kind, Phase round_phase) {
         kind = round_kind;
         phase = round_phase;
-        std::fill(sent.begin(), sent.end(), 0);
-        std::fill(coinp.begin(), coinp.end(), 0);
-        std::fill(coinn.begin(), coinn.end(), 0);
         if (has_shared) {
             std::fill(shared.begin(), shared.end(), 0);
             std::fill(std::begin(shared_senders), std::end(shared_senders), Count{0});
@@ -232,10 +230,12 @@ public:
     /// (the same tree the scalar trial at that index would use).
     virtual void rearm(const std::uint64_t* input_plane, const SeedTree* lane_seeds) = 0;
 
-    /// Beat 1: compute this round's broadcast planes into `frame` (which
-    /// has been begin_round-cleared: `val` and `flag` must be written for
-    /// every node whose `sent` bit is set) and apply send-beat state flips
-    /// (flush-halts). Must set frame.kind / frame.phase.
+    /// Beat 1: compute this round's broadcast planes into `frame`, which
+    /// still holds the last round's: `sent` must be written for every node,
+    /// `val` and `flag` for every node whose `sent` bit is set, and the coin
+    /// planes must be zero outside this round's flipping committee. Apply
+    /// send-beat state flips (flush-halts). Must set frame.kind /
+    /// frame.phase.
     virtual void send_round(Round r, FusedFrame& frame) = 0;
 
     /// Beat 3: consume the round — honest planes + per-lane Byzantine rows.

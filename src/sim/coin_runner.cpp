@@ -154,20 +154,13 @@ double CoinAggregate::p_one_given_common() const {
     return common == 0 ? 0.0 : static_cast<double>(common_ones) / common;
 }
 
-adv::CoinAttack parse_coin_attack(const std::string& name) {
-    if (name == "split") return adv::CoinAttack::Split;
-    if (name == "force-bit" || name == "forcebit" || name == "force")
-        return adv::CoinAttack::ForceBit;
-    throw ContractViolation("unknown coin attack '" + name +
-                            "'; known: split, force-bit");
+const Names<adv::CoinAttack>& coin_attacks() {
+    static const Names<adv::CoinAttack> table(
+        "coin attack", {{adv::CoinAttack::Split, "split"},
+                        {adv::CoinAttack::ForceBit, "force-bit", {"forcebit", "force"}}});
+    return table;
 }
 
-std::string to_string(adv::CoinAttack attack) {
-    switch (attack) {
-        case adv::CoinAttack::Split: return "split";
-        case adv::CoinAttack::ForceBit: return "force-bit";
-    }
-    return "?";
-}
+std::string to_string(adv::CoinAttack attack) { return coin_attacks().at(attack).display; }
 
 }  // namespace adba::sim

@@ -92,8 +92,8 @@ CoinAggregate run_coin_trials(const CoinScenario& s, std::uint64_t base_seed,
 std::optional<std::string> why_incompatible(const CoinScenario& s);
 bool compatible(const CoinScenario& s);
 
-/// Name <-> enum helpers for the coin-attack axis (adba_sim --workload=coin).
-adv::CoinAttack parse_coin_attack(const std::string& name);
+/// The coin-attack names (names.hpp; adba_sim --workload=coin --attack).
+const Names<adv::CoinAttack>& coin_attacks();
 std::string to_string(adv::CoinAttack attack);
 
 }  // namespace adba::sim

@@ -5,12 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "rand/rng.hpp"
-#include "support/cli.hpp"
+#include "sim/spec_keys.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::sim {
@@ -36,116 +35,46 @@ enum : std::uint64_t {
     kSiteTrial = 0x55,
 };
 
-void split_tokens(const std::string& spec, std::vector<std::string>& out) {
-    std::string cur;
-    for (char c : spec) {
-        if (c == ' ' || c == '\t' || c == '\n' || c == ',') {
-            if (!cur.empty()) out.push_back(std::move(cur)), cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty()) out.push_back(std::move(cur));
-}
-
-double parse_rate(const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    double r = 0.0;
-    try {
-        r = std::stod(v, &pos);
-    } catch (const std::exception&) {
-        pos = std::string::npos;
-    }
-    ADBA_EXPECTS_MSG(pos == v.size() && r >= 0.0 && r <= 1.0,
-                     "fault key '" + key + "' wants a rate in [0,1], got '" + v + "'");
+double parse_rate(const std::string& what, const std::string& v) {
+    const double r = parse_double(what, v);
+    ADBA_EXPECTS_MSG(r >= 0.0 && r <= 1.0, what + " wants a rate in [0,1], got '" + v + "'");
     return r;
 }
 
-/// A fault key stored in an unsigned field of type T.
-template <typename T>
-T parse_count(const std::string& key, const std::string& v) {
-    return parse_uint<T>("fault key '" + key + "'", v);
+std::uint32_t parse_attempts(const std::string& what, const std::string& v) {
+    const auto n = parse_uint<std::uint32_t>(what, v);
+    ADBA_EXPECTS_MSG(n >= 1, "max_attempts must be >= 1");
+    return n;
 }
 
-std::int64_t parse_i64_value(const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    long long r = 0;
-    try {
-        r = std::stoll(v, &pos);
-    } catch (const std::exception&) {
-        pos = std::string::npos;
-    }
-    ADBA_EXPECTS_MSG(pos == v.size(),
-                     "fault key '" + key + "' wants an integer, got '" + v + "'");
-    return static_cast<std::int64_t>(r);
-}
-
-void append_rate(std::ostringstream& os, const char* key, double rate) {
-    // Round-trippable rate formatting: max_digits10 keeps parse(describe())
-    // exact for every representable double.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", rate);
-    os << ' ' << key << '=' << buf;
+/// The fault spec's keys (spec_keys.hpp). Transient faults are recovered
+/// without changing any aggregate; trial_rate (and the seed that places its
+/// faults) changes results.
+const std::vector<SpecKey<FaultConfig>>& fault_keys() {
+    using F = FaultConfig;
+    using R = KeyRole;
+    static const std::vector<SpecKey<F>> keys = {
+        spec_field("seed", R::Identity, &F::seed),
+        spec_field("shard_death", R::Execution, &F::shard_death, &parse_rate),
+        spec_field("shard_death_shard", R::Execution, &F::shard_death_shard),
+        spec_field("stall_rate", R::Execution, &F::stall_rate, &parse_rate),
+        spec_field("stall_ms", R::Execution, &F::stall_ms),
+        spec_field("alloc_rate", R::Execution, &F::alloc_rate, &parse_rate),
+        spec_field("trial_rate", R::Result, &F::trial_rate, &parse_rate),
+        spec_field("beat_delay_rate", R::Execution, &F::beat_delay_rate, &parse_rate),
+        spec_field("beat_delay_ms", R::Execution, &F::beat_delay_ms),
+        spec_field("max_attempts", R::Execution, &F::max_attempts, &parse_attempts),
+    };
+    return keys;
 }
 
 }  // namespace
 
 FaultConfig FaultConfig::parse(const std::string& spec) {
-    FaultConfig c;
-    std::vector<std::string> tokens;
-    split_tokens(spec, tokens);
-    for (const std::string& tok : tokens) {
-        auto eq = tok.find('=');
-        ADBA_EXPECTS_MSG(eq != std::string::npos && eq > 0,
-                         "fault spec token '" + tok + "' is not key=value");
-        const std::string key = tok.substr(0, eq);
-        const std::string val = tok.substr(eq + 1);
-        if (key == "seed") {
-            c.seed = parse_count<std::uint64_t>(key, val);
-        } else if (key == "shard_death") {
-            c.shard_death = parse_rate(key, val);
-        } else if (key == "shard_death_shard") {
-            c.shard_death_shard = parse_i64_value(key, val);
-        } else if (key == "stall_rate") {
-            c.stall_rate = parse_rate(key, val);
-        } else if (key == "stall_ms") {
-            c.stall_ms = parse_count<std::uint32_t>(key, val);
-        } else if (key == "alloc_rate") {
-            c.alloc_rate = parse_rate(key, val);
-        } else if (key == "trial_rate") {
-            c.trial_rate = parse_rate(key, val);
-        } else if (key == "beat_delay_rate") {
-            c.beat_delay_rate = parse_rate(key, val);
-        } else if (key == "beat_delay_ms") {
-            c.beat_delay_ms = parse_count<std::uint32_t>(key, val);
-        } else if (key == "max_attempts") {
-            c.max_attempts = parse_count<std::uint32_t>(key, val);
-            ADBA_EXPECTS_MSG(c.max_attempts >= 1, "max_attempts must be >= 1");
-        } else {
-            ADBA_EXPECTS_MSG(false,
-                             "unknown fault key '" + key +
-                                 "' (known: seed shard_death shard_death_shard "
-                                 "stall_rate stall_ms alloc_rate trial_rate "
-                                 "beat_delay_rate beat_delay_ms max_attempts)");
-        }
-    }
-    return c;
+    return parse_spec(fault_keys(), "fault", spec);
 }
 
-std::string FaultConfig::describe() const {
-    std::ostringstream os;
-    os << "seed=" << seed;
-    if (shard_death > 0.0) append_rate(os, "shard_death", shard_death);
-    if (shard_death_shard >= 0) os << " shard_death_shard=" << shard_death_shard;
-    if (stall_rate > 0.0) append_rate(os, "stall_rate", stall_rate);
-    if (stall_ms != 0) os << " stall_ms=" << stall_ms;
-    if (alloc_rate > 0.0) append_rate(os, "alloc_rate", alloc_rate);
-    if (trial_rate > 0.0) append_rate(os, "trial_rate", trial_rate);
-    if (beat_delay_rate > 0.0) append_rate(os, "beat_delay_rate", beat_delay_rate);
-    if (beat_delay_ms != 0) os << " beat_delay_ms=" << beat_delay_ms;
-    if (max_attempts != 3) os << " max_attempts=" << max_attempts;
-    return os.str();
-}
+std::string FaultConfig::describe() const { return describe_spec(fault_keys(), *this); }
 
 void FaultInjector::arm(const FaultConfig& cfg) {
     g_injector.reset(new FaultInjector(cfg));

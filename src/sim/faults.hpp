@@ -63,9 +63,10 @@ struct FaultConfig {
                beat_delay_rate > 0.0;
     }
 
-    /// Builds a config from a `key=value ...` spec (same tokenizer semantics
-    /// as Scenario::parse); unknown keys throw ContractViolation with the
-    /// accepted list. `FaultConfig::parse(c.describe()) == c`.
+    /// Builds a config from a `key=value ...` spec through its key table
+    /// (faults.cpp; the tokenizer and table machinery of Scenario::parse);
+    /// unknown keys throw ContractViolation with the accepted list.
+    /// `FaultConfig::parse(c.describe()) == c`.
     static FaultConfig parse(const std::string& spec);
     std::string describe() const;
 

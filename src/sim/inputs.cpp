@@ -69,14 +69,15 @@ bool unanimous(const std::vector<Bit>& inputs) {
     return true;
 }
 
-std::string to_string(InputPattern pattern) {
-    switch (pattern) {
-        case InputPattern::AllZero: return "all-zero";
-        case InputPattern::AllOne: return "all-one";
-        case InputPattern::Split: return "split";
-        case InputPattern::Random: return "random";
-    }
-    return "?";
+const Names<InputPattern>& input_patterns() {
+    static const Names<InputPattern> table(
+        "input pattern", {{InputPattern::AllZero, "all-zero", {"zeros"}},
+                          {InputPattern::AllOne, "all-one", {"ones"}},
+                          {InputPattern::Split, "split"},
+                          {InputPattern::Random, "random"}});
+    return table;
 }
+
+std::string to_string(InputPattern pattern) { return input_patterns().at(pattern).display; }
 
 }  // namespace adba::sim

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "rand/seed_tree.hpp"
+#include "sim/names.hpp"
 #include "support/types.hpp"
 
 namespace adba::sim {
@@ -40,6 +41,9 @@ InputPlaneLanes make_input_plane(InputPattern pattern, NodeId n, const SeedTree*
 
 /// True iff every node holds the same input (validity clause applies).
 bool unanimous(const std::vector<Bit>& inputs);
+
+/// The input-pattern names (names.hpp): all-zero, all-one, split, random.
+const Names<InputPattern>& input_patterns();
 
 std::string to_string(InputPattern pattern);
 

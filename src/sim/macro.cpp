@@ -238,14 +238,22 @@ MacroAggregate run_macro_trials(const MacroScenario& s, std::uint64_t base_seed,
     return run_trials<MacroWorkload>(s, base_seed, trials, exec);
 }
 
-std::string to_string(MacroScheduleKind k) {
-    switch (k) {
-        case MacroScheduleKind::Ours: return "ours(macro)";
-        case MacroScheduleKind::ChorCoanRushing: return "cc-rushing(macro)";
-        case MacroScheduleKind::ChorCoanClassic: return "cc-classic(macro)";
-    }
-    return "?";
+const Names<MacroScheduleKind>& macro_schedules() {
+    static const Names<MacroScheduleKind> table(
+        "macro schedule",
+        {{MacroScheduleKind::Ours, "ours", {"ours(macro)", "alg3"}, "ours(macro)"},
+         {MacroScheduleKind::ChorCoanRushing,
+          "cc-rushing",
+          {"cc-rushing(macro)", "chor-coan-rushing"},
+          "cc-rushing(macro)"},
+         {MacroScheduleKind::ChorCoanClassic,
+          "cc-classic",
+          {"cc-classic(macro)", "chor-coan-classic"},
+          "cc-classic(macro)"}});
+    return table;
 }
+
+std::string to_string(MacroScheduleKind k) { return macro_schedules().at(k).display; }
 
 std::optional<std::string> why_incompatible(const MacroScenario& s) {
     if (s.n < 4 || s.n > 0xFFFFFFFFULL)
@@ -261,18 +269,5 @@ std::optional<std::string> why_incompatible(const MacroScenario& s) {
 }
 
 bool compatible(const MacroScenario& s) { return !why_incompatible(s).has_value(); }
-
-MacroScheduleKind parse_macro_schedule(const std::string& name) {
-    if (name == "ours" || name == "ours(macro)" || name == "alg3")
-        return MacroScheduleKind::Ours;
-    if (name == "cc-rushing" || name == "cc-rushing(macro)" ||
-        name == "chor-coan-rushing")
-        return MacroScheduleKind::ChorCoanRushing;
-    if (name == "cc-classic" || name == "cc-classic(macro)" ||
-        name == "chor-coan-classic")
-        return MacroScheduleKind::ChorCoanClassic;
-    throw ContractViolation("unknown macro schedule '" + name +
-                            "'; known: ours, cc-rushing, cc-classic");
-}
 
 }  // namespace adba::sim

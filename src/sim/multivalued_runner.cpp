@@ -178,7 +178,7 @@ std::vector<std::string> MvWorkload::csv_row(const MvAggregate& agg) {
 }
 
 std::string MvWorkload::checkpoint_scope(const MvScenarioPlan& plan) {
-    return plan.scenario.describe();
+    return describe_spec(mv_scenario_keys(), plan.scenario, /*results_only=*/true);
 }
 
 void MvWorkload::checkpoint_encode(const MvAggregate& agg, std::string& out) {
@@ -235,16 +235,18 @@ MvAggregate run_mv_trials(const MvScenario& s, std::uint64_t base_seed, Count tr
     return run_trials<MvWorkload>(s, base_seed, trials, exec);
 }
 
-std::string to_string(MvInputPattern p) {
-    switch (p) {
-        case MvInputPattern::AllSame: return "all-same";
-        case MvInputPattern::TwoBlocks: return "two-blocks";
-        case MvInputPattern::Distinct: return "all-distinct";
-        case MvInputPattern::RandomTiny: return "random(4)";
-        case MvInputPattern::NearQuorum: return "near-quorum(60%)";
-    }
-    return "?";
+const Names<MvInputPattern>& mv_input_patterns() {
+    static const Names<MvInputPattern> table(
+        "multi-valued input pattern",
+        {{MvInputPattern::AllSame, "all-same"},
+         {MvInputPattern::TwoBlocks, "two-blocks"},
+         {MvInputPattern::Distinct, "all-distinct", {"distinct"}},
+         {MvInputPattern::RandomTiny, "random", {"random(4)", "random-tiny"}, "random(4)"},
+         {MvInputPattern::NearQuorum, "near-quorum", {"near-quorum(60%)"}, "near-quorum(60%)"}});
+    return table;
 }
+
+std::string to_string(MvInputPattern p) { return mv_input_patterns().at(p).display; }
 
 std::string to_string(MvAdversaryKind a) {
     return MvAdversaryRegistry::instance().at(a).display;

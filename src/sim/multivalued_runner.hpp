@@ -63,14 +63,14 @@ struct MvScenario {
     /// bit-reproducible.
     std::uint32_t watchdog_ms = 0;
 
-    /// Builds a scenario from a `key=value ...` spec string, resolving
-    /// adversary/input names through MvAdversaryRegistry. Keys: adversary,
-    /// inputs, n, t, q, alpha, gamma, beta, fallback, las_vegas, reference,
-    /// simd, watchdog_ms. Unknown keys or names throw ContractViolation with
-    /// the accepted alternatives.
+    /// Builds a scenario from a `key=value ...` spec string through the key
+    /// table (mv_scenario_keys, registry.hpp), resolving names through the
+    /// name tables. Unknown keys or names throw ContractViolation with the
+    /// accepted alternatives.
     static MvScenario parse(const std::string& spec);
 
-    /// Canonical spec string; `MvScenario::parse(s.describe()) == s`.
+    /// Canonical spec string, in key-table order;
+    /// `MvScenario::parse(s.describe()) == s`.
     std::string describe() const;
 
     friend bool operator==(const MvScenario&, const MvScenario&) = default;
@@ -136,7 +136,8 @@ struct MvWorkload {
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
 
-    // Checkpoint hooks (sim/checkpoint.hpp).
+    // Checkpoint hooks (sim/checkpoint.hpp): the journal header pins the
+    // scenario's result-changing keys (mv_scenario_keys).
     static std::string checkpoint_scope(const Plan& plan);
     static void checkpoint_encode(const Aggregate& agg, std::string& out);
     static void checkpoint_decode(std::string_view bytes, Aggregate& agg);
@@ -145,6 +146,10 @@ struct MvWorkload {
 /// Runs on the workload-generic kernel; bit-identical at any thread count.
 MvAggregate run_mv_trials(const MvScenario& s, std::uint64_t base_seed, Count trials,
                           const ExecutorConfig& exec = {});
+
+/// The multi-valued input-pattern names (names.hpp); display names such as
+/// `random(4)` are what describe() writes.
+const Names<MvInputPattern>& mv_input_patterns();
 
 std::string to_string(MvInputPattern p);
 std::string to_string(MvAdversaryKind a);

@@ -1,10 +1,6 @@
 #include "sim/registry.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <typeinfo>
 
 #include "adversary/balancer.hpp"
@@ -24,24 +20,11 @@
 #include "core/skeleton_batch.hpp"
 #include "core/skeleton_fused.hpp"
 #include "sim/faults.hpp"
-#include "support/cli.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::sim {
 
 namespace {
-
-std::string lower(std::string s) {
-    std::transform(s.begin(), s.end(), s.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    return s;
-}
-
-std::string fmt_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);  // exact round trip via parse
-    return buf;
-}
 
 bool third_resilient(NodeId n, Count t) { return 3 * static_cast<std::uint64_t>(t) < n; }
 
@@ -51,78 +34,6 @@ std::string mb_string(std::uint64_t bytes) {
 }
 
 }  // namespace
-
-// --------------------------------------------------------- registry machinery
-
-namespace detail {
-
-template <typename Entry, typename Kind>
-const Entry& RegistryBase<Entry, Kind>::add(Entry entry) {
-    // Validate every key BEFORE mutating, so a rejected plug-in leaves the
-    // registry exactly as it was.
-    auto check = [&](const std::string& key) {
-        const auto it = by_name_.find(lower(key));
-        if (it != by_name_.end())
-            throw ContractViolation("duplicate " + what_ + " name '" + key +
-                                    "' (already registered as '" + it->second->name +
-                                    "')");
-    };
-    check(entry.name);
-    for (const auto& alias : entry.aliases) check(alias);
-
-    entries_.push_back(std::move(entry));
-    const Entry& stored = entries_.back();
-    by_name_[lower(stored.name)] = &stored;
-    for (const auto& alias : stored.aliases) by_name_[lower(alias)] = &stored;
-    return stored;
-}
-
-template <typename Entry, typename Kind>
-const Entry& RegistryBase<Entry, Kind>::at(Kind kind) const {
-    for (const Entry& e : entries_)
-        if (e.kind == kind) return e;
-    throw ContractViolation("unregistered " + what_ + " kind #" +
-                            std::to_string(static_cast<int>(kind)) +
-                            "; known: " + known_names());
-}
-
-template <typename Entry, typename Kind>
-const Entry* RegistryBase<Entry, Kind>::find(const std::string& name_or_alias) const {
-    const auto it = by_name_.find(lower(name_or_alias));
-    return it == by_name_.end() ? nullptr : it->second;
-}
-
-template <typename Entry, typename Kind>
-const Entry& RegistryBase<Entry, Kind>::at(const std::string& name_or_alias) const {
-    if (const Entry* e = find(name_or_alias)) return *e;
-    throw ContractViolation("unknown " + what_ + " '" + name_or_alias +
-                            "'; known " + what_ + "s: " + known_names() +
-                            " (aliases accepted; see `adba_sim --list`)");
-}
-
-template <typename Entry, typename Kind>
-std::vector<const Entry*> RegistryBase<Entry, Kind>::list() const {
-    std::vector<const Entry*> out;
-    out.reserve(entries_.size());
-    for (const Entry& e : entries_) out.push_back(&e);
-    return out;
-}
-
-template <typename Entry, typename Kind>
-std::string RegistryBase<Entry, Kind>::known_names() const {
-    std::string out;
-    for (const Entry& e : entries_) {
-        if (!out.empty()) out += ", ";
-        out += e.name;
-    }
-    return out;
-}
-
-template class RegistryBase<ProtocolEntry, ProtocolKind>;
-template class RegistryBase<AdversaryEntry, AdversaryKind>;
-template class RegistryBase<MvAdversaryEntry, MvAdversaryKind>;
-
-}  // namespace detail
 
 // ---------------------------------------------------------- built-in protocols
 
@@ -667,9 +578,8 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
                std::to_string(q) + ", t=" + std::to_string(s.t) + ")";
 
     if (a.needs_schedule && !p.schedule_of) {
-        std::string with;
-        for (const ProtocolEntry* e : ProtocolRegistry::instance().list())
-            if (e->schedule_of) with += (with.empty() ? "" : ", ") + e->name;
+        const std::string with = ProtocolRegistry::instance().known_names(
+            [](const ProtocolEntry& e) { return e.schedule_of != nullptr; });
         return "adversary '" + a.name + "' needs a committee-schedule protocol; '" +
                p.name + "' has none (compatible protocols: " + with + ")";
     }
@@ -683,9 +593,8 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
 
     if (s.sparse_plane) {
         if (!p.make_batch) {
-            std::string with;
-            for (const ProtocolEntry* e : ProtocolRegistry::instance().list())
-                if (e->make_batch) with += (with.empty() ? "" : ", ") + e->name;
+            const std::string with = ProtocolRegistry::instance().known_names(
+                [](const ProtocolEntry& e) { return e.make_batch != nullptr; });
             return "plane=sparse needs a sparse-capable native batch; protocol '" +
                    p.name + "' has none (sparse-capable protocols: " + with + ")";
         }
@@ -709,16 +618,14 @@ std::optional<std::string> why_not_fused(const Scenario& s) {
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
     const AdversaryEntry& a = AdversaryRegistry::instance().at(s.adversary);
     if (!p.make_fused) {
-        std::string with;
-        for (const ProtocolEntry* e : ProtocolRegistry::instance().list())
-            if (e->make_fused) with += (with.empty() ? "" : ", ") + e->name;
+        const std::string with = ProtocolRegistry::instance().known_names(
+            [](const ProtocolEntry& e) { return e.make_fused != nullptr; });
         return "protocol '" + p.name + "' has no 64-lane form (fused-capable protocols: " +
                with + ")";
     }
     if (!a.supports_fused) {
-        std::string with;
-        for (const AdversaryEntry* e : AdversaryRegistry::instance().list())
-            if (e->supports_fused) with += (with.empty() ? "" : ", ") + e->name;
+        const std::string with = AdversaryRegistry::instance().known_names(
+            [](const AdversaryEntry& e) { return e.supports_fused; });
         return "adversary '" + a.name + "' does not act on the fused plane (fused-capable " +
                "adversaries: " + with + ")";
     }
@@ -790,255 +697,86 @@ MvScenarioPlan validate(const MvScenario& s) {
     return plan;
 }
 
-// -------------------------------------------------------- input-name tables
+// ------------------------------------------------------------- name tables
 
-InputPattern parse_input_pattern(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "all-zero" || k == "zeros") return InputPattern::AllZero;
-    if (k == "all-one" || k == "ones") return InputPattern::AllOne;
-    if (k == "split") return InputPattern::Split;
-    if (k == "random") return InputPattern::Random;
-    throw ContractViolation("unknown input pattern '" + name +
-                            "'; known: all-zero, all-one, split, random");
+const Names<bool>& delivery_planes() {
+    static const Names<bool> table("delivery plane", {{false, "flat"}, {true, "sparse"}});
+    return table;
 }
 
-MvInputPattern parse_mv_input_pattern(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "all-same") return MvInputPattern::AllSame;
-    if (k == "two-blocks") return MvInputPattern::TwoBlocks;
-    if (k == "all-distinct" || k == "distinct") return MvInputPattern::Distinct;
-    if (k == "random" || k == "random(4)" || k == "random-tiny")
-        return MvInputPattern::RandomTiny;
-    if (k == "near-quorum" || k == "near-quorum(60%)") return MvInputPattern::NearQuorum;
-    throw ContractViolation(
-        "unknown multi-valued input pattern '" + name +
-        "'; known: all-same, two-blocks, all-distinct, random, near-quorum");
+const Names<net::SparseStream>& sparse_streams() {
+    static const Names<net::SparseStream> table(
+        "sparse sample stream",
+        {{net::SparseStream::Chain, "chain"}, {net::SparseStream::Counter, "counter"}});
+    return table;
 }
 
-bool parse_plane_name(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "flat") return false;
-    if (k == "sparse") return true;
-    std::string msg = "unknown delivery plane '" + name + "'; known: flat, sparse";
-    const std::string suggestion = closest_match(k, {"flat", "sparse"});
-    if (!suggestion.empty()) msg += " (did you mean '" + suggestion + "'?)";
-    throw ContractViolation(msg);
+// -------------------------------------------------------------- key tables
+
+const std::vector<SpecKey<Scenario>>& scenario_keys() {
+    using S = Scenario;
+    using R = KeyRole;
+    static const std::vector<SpecKey<S>> keys = {
+        spec_name("protocol", R::Identity, &S::protocol, &ProtocolRegistry::instance),
+        spec_name("adversary", R::Identity, &S::adversary, &AdversaryRegistry::instance),
+        spec_name("inputs", R::Identity, &S::inputs, &input_patterns),
+        spec_field("n", R::Identity, &S::n),
+        spec_field("t", R::Identity, &S::t),
+        spec_field("q", R::Result, &S::q),
+        spec_field("alpha", R::Result, &S::tuning, &core::Tuning::alpha),
+        spec_field("gamma", R::Result, &S::tuning, &core::Tuning::gamma),
+        spec_field("beta", R::Result, &S::tuning, &core::Tuning::beta),
+        spec_field("phases", R::Result, &S::local_coin_phases),
+        spec_field("kappa", R::Result, &S::sampling_kappa),
+        spec_field("max_rounds", R::Result, &S::max_rounds_override),
+        spec_field("transcript", R::Result, &S::record_transcript),
+        spec_field("reference", R::Execution, &S::reference_delivery),
+        spec_field("batch", R::Execution, &S::use_batch),
+        spec_field("shard", R::Execution, &S::use_shard),
+        spec_field("simd", R::Execution, &S::use_simd),
+        spec_field("intra_threads", R::Execution, &S::intra_threads),
+        spec_name("plane", R::Result, &S::sparse_plane, &delivery_planes),
+        spec_field("sample_degree", R::Result, &S::sample_degree),
+        spec_field("sparse_seed", R::Result, &S::sparse_seed),
+        spec_name("sparse_stream", R::Result, &S::sparse_stream, &sparse_streams),
+        spec_field("fused", R::Execution, &S::use_fused),
+        spec_field("watchdog_ms", R::Result, &S::watchdog_ms),
+    };
+    return keys;
 }
 
-net::SparseStream parse_sparse_stream_name(const std::string& name) {
-    const std::string k = lower(name);
-    if (k == "chain") return net::SparseStream::Chain;
-    if (k == "counter") return net::SparseStream::Counter;
-    std::string msg =
-        "unknown sparse sample stream '" + name + "'; known: chain, counter";
-    const std::string suggestion = closest_match(k, {"chain", "counter"});
-    if (!suggestion.empty()) msg += " (did you mean '" + suggestion + "'?)";
-    throw ContractViolation(msg);
+const std::vector<SpecKey<MvScenario>>& mv_scenario_keys() {
+    using S = MvScenario;
+    using R = KeyRole;
+    static const std::vector<SpecKey<S>> keys = {
+        spec_name("adversary", R::Identity, &S::adversary, &MvAdversaryRegistry::instance),
+        spec_name("inputs", R::Identity, &S::inputs, &mv_input_patterns, /*display=*/true),
+        spec_field("n", R::Identity, &S::n),
+        spec_field("t", R::Identity, &S::t),
+        spec_field("q", R::Result, &S::q),
+        spec_field("alpha", R::Result, &S::tuning, &core::Tuning::alpha),
+        spec_field("gamma", R::Result, &S::tuning, &core::Tuning::gamma),
+        spec_field("beta", R::Result, &S::tuning, &core::Tuning::beta),
+        spec_field("fallback", R::Result, &S::fallback),
+        spec_field("las_vegas", R::Result, &S::las_vegas),
+        spec_field("reference", R::Execution, &S::reference_delivery),
+        spec_field("simd", R::Execution, &S::use_simd),
+        spec_field("watchdog_ms", R::Result, &S::watchdog_ms),
+    };
+    return keys;
 }
-
-// ------------------------------------------------- Scenario parse / describe
-
-std::string Scenario::describe() const {
-    static const Scenario defaults;
-    std::string out = "protocol=" + ProtocolRegistry::instance().at(protocol).name +
-                      " adversary=" + AdversaryRegistry::instance().at(adversary).name +
-                      " inputs=" + to_string(inputs) + " n=" + std::to_string(n) +
-                      " t=" + std::to_string(t);
-    if (q) out += " q=" + std::to_string(*q);
-    if (tuning.alpha != defaults.tuning.alpha)
-        out += " alpha=" + fmt_double(tuning.alpha);
-    if (tuning.gamma != defaults.tuning.gamma)
-        out += " gamma=" + fmt_double(tuning.gamma);
-    if (tuning.beta != defaults.tuning.beta) out += " beta=" + fmt_double(tuning.beta);
-    if (local_coin_phases != defaults.local_coin_phases)
-        out += " phases=" + std::to_string(local_coin_phases);
-    if (sampling_kappa != defaults.sampling_kappa)
-        out += " kappa=" + fmt_double(sampling_kappa);
-    if (max_rounds_override != defaults.max_rounds_override)
-        out += " max_rounds=" + std::to_string(max_rounds_override);
-    if (record_transcript) out += " transcript=true";
-    if (reference_delivery) out += " reference=true";
-    if (!use_batch) out += " batch=false";
-    if (!use_shard) out += " shard=false";
-    if (!use_simd) out += " simd=false";
-    if (intra_threads != defaults.intra_threads)
-        out += " intra_threads=" + std::to_string(intra_threads);
-    if (sparse_plane) out += " plane=sparse";
-    if (sample_degree != defaults.sample_degree)
-        out += " sample_degree=" + std::to_string(sample_degree);
-    if (sparse_seed != defaults.sparse_seed)
-        out += " sparse_seed=" + std::to_string(sparse_seed);
-    if (sparse_stream != defaults.sparse_stream)
-        out += std::string(" sparse_stream=") +
-               (sparse_stream == net::SparseStream::Chain ? "chain" : "counter");
-    if (!use_fused) out += " fused=false";
-    if (watchdog_ms != defaults.watchdog_ms)
-        out += " watchdog_ms=" + std::to_string(watchdog_ms);
-    return out;
-}
-
-namespace {
-
-/// A scenario key stored in an unsigned field of type T.
-template <typename T>
-T parse_count(const std::string& key, const std::string& value) {
-    return parse_uint<T>("scenario key '" + key + "'", value);
-}
-
-bool parse_onoff(const std::string& key, const std::string& value) {
-    return parse_bool("scenario key '" + key + "'", value);
-}
-
-/// THE spec tokenizer: splits a `key=value ...` string (tolerating trailing
-/// ','/';' per token) and hands lowercased keys to `apply`. Shared by
-/// Scenario::parse and MvScenario::parse so separator/error semantics can
-/// never diverge between the stacks.
-template <typename Apply>
-void for_each_spec_token(const std::string& spec, const Apply& apply) {
-    std::istringstream in(spec);
-    std::string token;
-    while (in >> token) {
-        while (!token.empty() && (token.back() == ',' || token.back() == ';'))
-            token.pop_back();
-        if (token.empty()) continue;
-        const auto eq = token.find('=');
-        if (eq == std::string::npos)
-            throw ContractViolation("scenario token '" + token +
-                                    "' is not of the form key=value");
-        apply(lower(token.substr(0, eq)), token.substr(eq + 1));
-    }
-}
-
-/// A scenario key stored in a double field: finite values only.
-double parse_f64(const std::string& key, const std::string& value) {
-    return parse_double("scenario key '" + key + "'", value);
-}
-
-}  // namespace
 
 Scenario Scenario::parse(const std::string& spec) {
-    Scenario s;
-    for_each_spec_token(spec, [&s](const std::string& key, const std::string& value) {
-        if (key == "protocol") {
-            s.protocol = ProtocolRegistry::instance().at(value).kind;
-        } else if (key == "adversary") {
-            s.adversary = AdversaryRegistry::instance().at(value).kind;
-        } else if (key == "inputs") {
-            s.inputs = parse_input_pattern(value);
-        } else if (key == "n") {
-            s.n = parse_count<NodeId>(key, value);
-        } else if (key == "t") {
-            s.t = parse_count<Count>(key, value);
-        } else if (key == "q") {
-            s.q = parse_count<Count>(key, value);
-        } else if (key == "alpha") {
-            s.tuning.alpha = parse_f64(key, value);
-        } else if (key == "gamma") {
-            s.tuning.gamma = parse_f64(key, value);
-        } else if (key == "beta") {
-            s.tuning.beta = parse_f64(key, value);
-        } else if (key == "phases") {
-            s.local_coin_phases = parse_count<Count>(key, value);
-        } else if (key == "kappa") {
-            s.sampling_kappa = parse_f64(key, value);
-        } else if (key == "max_rounds") {
-            s.max_rounds_override = parse_count<Round>(key, value);
-        } else if (key == "transcript") {
-            s.record_transcript = parse_onoff(key, value);
-        } else if (key == "reference") {
-            s.reference_delivery = parse_onoff(key, value);
-        } else if (key == "batch") {
-            s.use_batch = parse_onoff(key, value);
-        } else if (key == "shard") {
-            s.use_shard = parse_onoff(key, value);
-        } else if (key == "simd") {
-            s.use_simd = parse_onoff(key, value);
-        } else if (key == "intra_threads") {
-            s.intra_threads = parse_count<Count>(key, value);
-        } else if (key == "plane") {
-            s.sparse_plane = parse_plane_name(value);
-        } else if (key == "sample_degree") {
-            s.sample_degree = parse_count<Count>(key, value);
-        } else if (key == "sparse_seed") {
-            s.sparse_seed = parse_count<std::uint64_t>(key, value);
-        } else if (key == "sparse_stream") {
-            s.sparse_stream = parse_sparse_stream_name(value);
-        } else if (key == "fused") {
-            s.use_fused = parse_onoff(key, value);
-        } else if (key == "watchdog_ms") {
-            s.watchdog_ms = parse_count<std::uint32_t>(key, value);
-        } else {
-            throw ContractViolation(
-                "unknown scenario key '" + key +
-                "'; valid keys: protocol, adversary, inputs, n, t, q, alpha, gamma, "
-                "beta, phases, kappa, max_rounds, transcript, reference, batch, "
-                "shard, simd, intra_threads, plane, sample_degree, sparse_seed, "
-                "sparse_stream, fused, watchdog_ms");
-        }
-    });
-    return s;
+    return parse_spec(scenario_keys(), "scenario", spec);
 }
 
-// --------------------------------------------- MvScenario parse / describe
-
-std::string MvScenario::describe() const {
-    static const MvScenario defaults;
-    std::string out = "adversary=" + MvAdversaryRegistry::instance().at(adversary).name +
-                      " inputs=" + to_string(inputs) + " n=" + std::to_string(n) +
-                      " t=" + std::to_string(t);
-    if (q) out += " q=" + std::to_string(*q);
-    if (tuning.alpha != defaults.tuning.alpha)
-        out += " alpha=" + fmt_double(tuning.alpha);
-    if (tuning.gamma != defaults.tuning.gamma)
-        out += " gamma=" + fmt_double(tuning.gamma);
-    if (tuning.beta != defaults.tuning.beta) out += " beta=" + fmt_double(tuning.beta);
-    if (fallback != defaults.fallback) out += " fallback=" + std::to_string(fallback);
-    if (las_vegas) out += " las_vegas=true";
-    if (reference_delivery) out += " reference=true";
-    if (!use_simd) out += " simd=false";
-    if (watchdog_ms != defaults.watchdog_ms)
-        out += " watchdog_ms=" + std::to_string(watchdog_ms);
-    return out;
-}
+std::string Scenario::describe() const { return describe_spec(scenario_keys(), *this); }
 
 MvScenario MvScenario::parse(const std::string& spec) {
-    MvScenario s;
-    for_each_spec_token(spec, [&s](const std::string& key, const std::string& value) {
-        if (key == "adversary") {
-            s.adversary = MvAdversaryRegistry::instance().at(value).kind;
-        } else if (key == "inputs") {
-            s.inputs = parse_mv_input_pattern(value);
-        } else if (key == "n") {
-            s.n = parse_count<NodeId>(key, value);
-        } else if (key == "t") {
-            s.t = parse_count<Count>(key, value);
-        } else if (key == "q") {
-            s.q = parse_count<Count>(key, value);
-        } else if (key == "alpha") {
-            s.tuning.alpha = parse_f64(key, value);
-        } else if (key == "gamma") {
-            s.tuning.gamma = parse_f64(key, value);
-        } else if (key == "beta") {
-            s.tuning.beta = parse_f64(key, value);
-        } else if (key == "fallback") {
-            s.fallback = parse_count<net::Word>(key, value);
-        } else if (key == "las_vegas") {
-            s.las_vegas = parse_onoff(key, value);
-        } else if (key == "reference") {
-            s.reference_delivery = parse_onoff(key, value);
-        } else if (key == "simd") {
-            s.use_simd = parse_onoff(key, value);
-        } else if (key == "watchdog_ms") {
-            s.watchdog_ms = parse_count<std::uint32_t>(key, value);
-        } else {
-            throw ContractViolation(
-                "unknown multi-valued scenario key '" + key +
-                "'; valid keys: adversary, inputs, n, t, q, alpha, gamma, beta, "
-                "fallback, las_vegas, reference, simd, watchdog_ms");
-        }
-    });
-    return s;
+    return parse_spec(mv_scenario_keys(), "multi-valued scenario", spec);
 }
+
+std::string MvScenario::describe() const { return describe_spec(mv_scenario_keys(), *this); }
 
 // ----------------------------------------------------------- memory budget
 

@@ -25,9 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,6 +34,7 @@
 #include "net/fused_plane.hpp"
 #include "sim/multivalued_runner.hpp"
 #include "sim/runner.hpp"
+#include "sim/spec_keys.hpp"
 
 namespace adba::sim {
 
@@ -173,40 +172,6 @@ struct MvAdversaryEntry {
         make_adversary;
 };
 
-namespace detail {
-
-/// Shared registry machinery: entries in registration order with stable
-/// addresses, looked up by enum kind or by (case-insensitive) name/alias.
-template <typename Entry, typename Kind>
-class RegistryBase {
-public:
-    /// Registers an entry; throws ContractViolation on a name/alias clash.
-    const Entry& add(Entry entry);
-
-    /// Lookup by enum kind; throws when the kind was never registered.
-    const Entry& at(Kind kind) const;
-    /// Lookup by canonical name or alias; throws with the known-name list.
-    const Entry& at(const std::string& name_or_alias) const;
-    /// Like at(name) but returns nullptr instead of throwing.
-    const Entry* find(const std::string& name_or_alias) const;
-
-    /// All entries, in registration order (built-ins follow enum order).
-    std::vector<const Entry*> list() const;
-
-    /// Comma-separated canonical names, for error messages and usage text.
-    std::string known_names() const;
-
-protected:
-    RegistryBase(std::string what) : what_(std::move(what)) {}
-
-private:
-    std::string what_;  ///< "protocol" / "adversary" — for error messages
-    std::deque<Entry> entries_;
-    std::map<std::string, const Entry*> by_name_;
-};
-
-}  // namespace detail
-
 class ProtocolRegistry : public detail::RegistryBase<ProtocolEntry, ProtocolKind> {
 public:
     static ProtocolRegistry& instance();
@@ -291,19 +256,19 @@ ScenarioPlan validate(const Scenario& s);
 /// parameters and round cap into the plan.
 MvScenarioPlan validate(const MvScenario& s);
 
-/// Name <-> enum helpers for the remaining scenario axes (throw with the
-/// accepted-name list on unknown input).
-InputPattern parse_input_pattern(const std::string& name);
-MvInputPattern parse_mv_input_pattern(const std::string& name);
+/// The delivery-plane names of the `plane` key: flat (false) and sparse
+/// (true, Scenario::sparse_plane).
+const Names<bool>& delivery_planes();
 
-/// Delivery-plane key: "flat" -> false, "sparse" -> true; anything else
-/// throws with the accepted values and a did-you-mean suggestion.
-bool parse_plane_name(const std::string& name);
+/// The sparse sample-stream names: chain (the frozen v1 derivation) and
+/// counter (the batched v2 default).
+const Names<net::SparseStream>& sparse_streams();
 
-/// Sparse sample-stream key: "chain" (the frozen v1 derivation) or
-/// "counter" (the batched v2 default); anything else throws with the
-/// accepted values and a did-you-mean suggestion.
-net::SparseStream parse_sparse_stream_name(const std::string& name);
+/// The key tables of the two scenario specs (spec_keys.hpp): parse,
+/// describe, adba_sim's scenario flags and the checkpoint scopes all read
+/// these rows, so a key is declared exactly once.
+const std::vector<SpecKey<Scenario>>& scenario_keys();
+const std::vector<SpecKey<MvScenario>>& mv_scenario_keys();
 
 /// Graceful degradation on resource limits (sim/faults.hpp owns the budget
 /// value): estimates the scenario's per-trial arena footprint against the

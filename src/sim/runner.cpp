@@ -332,9 +332,7 @@ std::vector<std::string> BinaryWorkload::csv_row(const Aggregate& agg) {
 }
 
 std::string BinaryWorkload::checkpoint_scope(const Plan& plan) {
-    Scenario semantic = plan.scenario;
-    semantic.use_fused = Scenario{}.use_fused;
-    return semantic.describe();
+    return describe_spec(scenario_keys(), plan.scenario, /*results_only=*/true);
 }
 
 void BinaryWorkload::checkpoint_encode(const Aggregate& agg, std::string& out) {

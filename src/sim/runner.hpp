@@ -127,16 +127,14 @@ struct Scenario {
     /// experiments.
     std::uint32_t watchdog_ms = 0;
 
-    /// Builds a scenario from a `key=value ...` spec string, resolving
-    /// protocol/adversary/input names through the registries (registry.hpp).
-    /// Keys: protocol, adversary, inputs, n, t, q, alpha, gamma, beta,
-    /// phases, kappa, max_rounds, transcript, reference, batch, shard,
-    /// simd, intra_threads, plane, sample_degree, sparse_seed,
-    /// sparse_stream, fused, watchdog_ms. Unknown keys or names throw
+    /// Builds a scenario from a `key=value ...` spec string through the key
+    /// table (scenario_keys, registry.hpp), resolving names through the
+    /// registries and name tables. Unknown keys or names throw
     /// ContractViolation with the accepted alternatives.
     static Scenario parse(const std::string& spec);
 
-    /// Canonical spec string; `Scenario::parse(s.describe()) == s`.
+    /// Canonical spec string, in key-table order;
+    /// `Scenario::parse(s.describe()) == s`.
     std::string describe() const;
 
     friend bool operator==(const Scenario&, const Scenario&) = default;
@@ -233,10 +231,11 @@ struct BinaryWorkload {
     static std::vector<std::string> csv_row(const Aggregate& agg);
 
     // Checkpoint hooks (sim/checkpoint.hpp): the journal header pins the
-    // canonical scenario string, less the result-invariant `fused` key
-    // (the header pins the chunk, which is what a resume must match), and
-    // chunk partials round-trip through a byte-exact encoding (raw IEEE
-    // bits, Samples order preserved).
+    // scenario's result-changing keys (scenario_keys; the Execution keys
+    // such as `fused` or `shard` leave aggregates bit-identical, and the
+    // header pins the chunk, which is what a resume must match), and chunk
+    // partials round-trip through a byte-exact encoding (raw IEEE bits,
+    // Samples order preserved).
     static std::string checkpoint_scope(const Plan& plan);
     static void checkpoint_encode(const Aggregate& agg, std::string& out);
     static void checkpoint_decode(std::string_view bytes, Aggregate& agg);

@@ -70,6 +70,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/executor.hpp"
 #include "sim/faults.hpp"
+#include "sim/names.hpp"
 #include "support/contracts.hpp"
 #include "support/types.hpp"
 
@@ -285,9 +286,12 @@ typename W::Aggregate run_trials(const typename W::Scenario& s, std::uint64_t ba
 
 // ------------------------------------------------------- workload directory
 
+enum class WorkloadKind : std::uint8_t { Binary, Coin, Mv, Macro };
+
 /// Metadata for one registered workload — the `adba_sim --workload=` axis
 /// and the capability table in README.md.
 struct WorkloadInfo {
+    WorkloadKind kind;
     std::string name;  ///< canonical CLI key: binary, coin, mv, macro
     std::vector<std::string> aliases;
     std::string scenario;   ///< scenario type, e.g. "Scenario"
@@ -295,14 +299,8 @@ struct WorkloadInfo {
     std::string summary;    ///< one-line note for capability tables
 };
 
-/// The four built-in workloads, in kernel-registration order.
-const std::vector<WorkloadInfo>& workloads();
-
-/// Lookup by canonical name or alias (case-insensitive); nullptr if unknown.
-const WorkloadInfo* find_workload(const std::string& name_or_alias);
-
-/// Like find_workload but throws ContractViolation with the known-name list
-/// and a did-you-mean suggestion for near misses.
-const WorkloadInfo& workload_at(const std::string& name_or_alias);
+/// The four built-in workloads, in kernel-registration order, behind the
+/// one name lookup (names.hpp).
+const NameTable<WorkloadInfo>& workloads();
 
 }  // namespace adba::sim

@@ -44,12 +44,6 @@ auto parse_number(const std::string& what, const std::string& text, const char* 
     return value;
 }
 
-std::int64_t parse_int(const std::string& key, const std::string& text) {
-    return parse_number("--" + key, text, "an integer", [](const std::string& s, std::size_t* used) {
-        return static_cast<std::int64_t>(std::stoll(s, used));
-    });
-}
-
 /// argv[0] without its directory.
 std::string program_name(const std::string& argv0) {
     return argv0.substr(argv0.find_last_of('/') + 1);
@@ -76,6 +70,12 @@ bool parse_bool(const std::string& what, const std::string& value) {
     if (value == "false" || value == "0" || value == "no" || value == "off") return false;
     throw ContractViolation(what + " expects true/1/yes/on or false/0/no/off, got '" +
                             value + "'");
+}
+
+std::int64_t parse_int(const std::string& what, const std::string& value) {
+    return parse_number(what, value, "an integer", [](const std::string& s, std::size_t* used) {
+        return static_cast<std::int64_t>(std::stoll(s, used));
+    });
 }
 
 double parse_double(const std::string& what, const std::string& value) {
@@ -142,7 +142,7 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
     queried_[key] = std::to_string(fallback);
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    return parse_int(key, it->second);
+    return parse_int("--" + key, it->second);
 }
 
 std::uint64_t Cli::read_uint(const std::string& key, std::uint64_t fallback,
@@ -185,7 +185,7 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
     while (pos < s.size()) {
         auto comma = s.find(',', pos);
         if (comma == std::string::npos) comma = s.size();
-        out.push_back(parse_int(key, s.substr(pos, comma - pos)));
+        out.push_back(parse_int("--" + key, s.substr(pos, comma - pos)));
         pos = comma + 1;
     }
     ADBA_ENSURES_MSG(!out.empty(), "empty list for --" + key);

@@ -48,6 +48,12 @@ bool parse_bool(const std::string& what, const std::string& value);
 /// Cli::get_uint and the scenario and fault spec parsers.
 std::uint64_t parse_uint(const std::string& what, const std::string& value, std::uint64_t max);
 
+/// Parses a signed integer setting: the whole value must be a number in
+/// int64's range, or ContractViolation names `what` (e.g. "--t" or
+/// "fault key 'shard_death_shard'"). Shared by Cli::get_int and the spec
+/// parsers.
+std::int64_t parse_int(const std::string& what, const std::string& value);
+
 /// Parses a real-valued setting that must be a finite number: NaN, an
 /// infinity, a value past double's range or trailing text throws
 /// ContractViolation naming `what` (e.g. "--gamma" or "scenario key

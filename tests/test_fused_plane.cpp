@@ -1861,11 +1861,12 @@ TEST(FusedWorstCase, BlockFormMatchesActOnRandomPlanes) {
                 block_frame.sent[v] = honest & (~proto.halted[v] | bits(0.5));
                 block_frame.val[v] = value;
                 block_frame.flag[v] = decided;
-                if (round2 && v >= first && v < last) {
-                    const std::uint64_t plus = bits(0.5);
-                    block_frame.coinp[v] = block_frame.sent[v] & plus;
-                    block_frame.coinn[v] = block_frame.sent[v] & ~plus;
-                }
+                // Coins flip in the round's committee only, and are zero
+                // elsewhere (the FusedFrame contract a protocol keeps).
+                const bool flips = round2 && v >= first && v < last;
+                const std::uint64_t plus = flips ? bits(0.5) : 0;
+                block_frame.coinp[v] = flips ? block_frame.sent[v] & plus : 0;
+                block_frame.coinn[v] = flips ? block_frame.sent[v] & ~plus : 0;
             }
             lane_frame.begin_round(block_frame.kind, block_frame.phase);
             lane_frame.active = block_frame.active;
@@ -2276,6 +2277,26 @@ TEST(FusedPolicy, DefaultFlatPlanOverTheMemoryBudgetFallsBackToSparse) {
     EXPECT_FALSE(plan.scenario.use_fused);
 }
 
+/// A copy of the journal at `full` cut after its first chunk record.
+std::string cut_after_first_record(const std::string& full, const char* name) {
+    std::ifstream in(full, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const auto u32_at = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof v);
+        return v;
+    };
+    std::size_t at = 8 + 8 + 8 + 4 + 4;
+    at += 4 + u32_at(at);
+    at += 4 + u32_at(at);
+    const std::size_t first_record_end = at + 20 + u32_at(at + 8);
+    const std::string cut = temp_path(name);
+    std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+    out << bytes.substr(0, first_record_end);
+    return cut;
+}
+
 TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
     // The checkpoint scope leaves out the result-invariant fused key: a
     // journal written with fused=off resumes under the default (fused
@@ -2291,25 +2312,37 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
     const std::string full = temp_path("fused_policy_ck.bin");
     std::filesystem::remove(full);
     (void)sim::run_trials(scalar, 0xAB, trials, {1, 64, full, false});
-    std::ifstream in(full, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    in.close();
-    const auto u32_at = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        std::memcpy(&v, bytes.data() + at, sizeof v);
-        return v;
-    };
-    std::size_t at = 8 + 8 + 8 + 4 + 4;
-    at += 4 + u32_at(at);
-    at += 4 + u32_at(at);
-    const std::size_t first_record_end = at + 20 + u32_at(at + 8);
-    const std::string cut = temp_path("fused_policy_ck_cut.bin");
-    {
-        std::ofstream out(cut, std::ios::binary | std::ios::trunc);
-        out << bytes.substr(0, first_record_end);
-    }
+    const std::string cut = cut_after_first_record(full, "fused_policy_ck_cut.bin");
     expect_aggregate_eq(sim::run_trials(fused, 0xAB, trials, {2, 64, cut, true}), expected);
+
+    // The same holds for every result-invariant (Execution) key: a journal
+    // cut under one off its default resumes under the defaults (whose
+    // aggregate `expected` is: intra_threads=1 is one too).
+    const std::string base = "protocol=ours adversary=worst-case inputs=random n=22 t=7";
+    for (const char* key : {"reference=true", "batch=false", "shard=off", "simd=off",
+                            "intra_threads=2", "fused=off"}) {
+        std::filesystem::remove(full);
+        (void)sim::run_trials(sim::Scenario::parse(base + " " + key), 0xAB, trials,
+                              {1, 64, full, false});
+        SCOPED_TRACE(key);
+        expect_aggregate_eq(sim::run_trials(sim::Scenario::parse(base), 0xAB, trials,
+                                            {2, 64, cut_after_first_record(full, "key_cut.bin"),
+                                             true}),
+                            expected);
+    }
+
+    // And the mv stack's (reference, simd).
+    const sim::MvScenario mv = sim::MvScenario::parse("n=16 t=5");
+    const sim::MvAggregate mv_expected = sim::run_mv_trials(mv, 0xAB, 12, {1, 4});
+    std::filesystem::remove(full);
+    (void)sim::run_mv_trials(sim::MvScenario::parse("n=16 t=5 reference=true simd=off"), 0xAB,
+                             12, {1, 4, full, false});
+    const sim::MvAggregate resumed = sim::run_mv_trials(
+        mv, 0xAB, 12, {2, 4, cut_after_first_record(full, "mv_cut.bin"), true});
+    EXPECT_EQ(resumed.trials, mv_expected.trials);
+    EXPECT_EQ(resumed.agreement_failures, mv_expected.agreement_failures);
+    EXPECT_EQ(resumed.decided_real, mv_expected.decided_real);
+    EXPECT_EQ(resumed.rounds.values(), mv_expected.rounds.values());
 }
 
 }  // namespace

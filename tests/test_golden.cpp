@@ -137,7 +137,7 @@ sim::Scenario binary_cell(const std::string& protocol, const std::string& advers
     s.adversary = sim::AdversaryRegistry::instance().at(adversary).kind;
     s.n = n;
     s.t = max_t(p, n);
-    s.inputs = sim::parse_input_pattern(inputs);
+    s.inputs = sim::input_patterns().at(inputs).kind;
     return s;
 }
 
@@ -235,7 +235,7 @@ TEST(GoldenFingerprints, Coin) {
     }
 }
 
-/// Macro spec: "n t q schedule", schedule as parse_macro_schedule reads it.
+/// Macro spec: "n t q schedule", schedule a macro_schedules() name.
 TEST(GoldenFingerprints, Macro) {
     for (const SpecRow& row : kMacroGolden) {
         unsigned long long n = 0, t = 0, q = 0;
@@ -246,7 +246,7 @@ TEST(GoldenFingerprints, Macro) {
         s.n = n;
         s.t = t;
         s.q = q;
-        s.schedule = sim::parse_macro_schedule(schedule);
+        s.schedule = sim::macro_schedules().at(schedule).kind;
         const sim::MacroAggregate agg = sim::run_macro_trials(s, kSeed, 16, kExec);
         EXPECT_EQ(fingerprint(agg), row.hash)
             << "actual row: {\"" << row.spec << "\", " << hex(fingerprint(agg)) << "},";

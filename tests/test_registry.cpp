@@ -3,10 +3,13 @@
 // or incompatible selections fail with actionable messages.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <functional>
 #include <string>
 
+#include "sim/coin_runner.hpp"
+#include "sim/macro.hpp"
 #include "sim/registry.hpp"
 #include "sim/sweep.hpp"
 #include "support/contracts.hpp"
@@ -21,6 +24,11 @@ std::string thrown_message(const std::function<void()>& f) {
         return e.what();
     }
     return "";
+}
+
+std::string upper(std::string s) {
+    for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    return s;
 }
 
 // --------------------------------------------------------------- resolution
@@ -211,8 +219,22 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.sparse_stream = net::SparseStream::Chain;
     s.use_fused = false;
     s.watchdog_ms = 500;
-    // Every optional key is off its default, so describe() writes each one.
     EXPECT_EQ(Scenario::parse(s.describe()), s) << s.describe();
+    // Every key of the table is off its default above, so describe() writes
+    // each one; alone off its default, each key round-trips and is written
+    // as `key=value`, also when the spec spells the key in upper case.
+    EXPECT_EQ(scenario_keys().size(), 24u);
+    for (const SpecKey<Scenario>& key : scenario_keys()) {
+        EXPECT_FALSE(key.at_default(s)) << key.name << ": set it off its default above";
+        Scenario one;
+        key.parse(one, key.name, key.value(s));
+        EXPECT_FALSE(key.at_default(one)) << key.name;
+        EXPECT_EQ(Scenario::parse(one.describe()), one) << one.describe();
+        EXPECT_NE((" " + one.describe() + " ").find(" " + key.name + "=" + key.value(s) + " "),
+                  std::string::npos)
+            << one.describe();
+        EXPECT_EQ(Scenario::parse(upper(key.name) + "=" + key.value(s)), one) << key.name;
+    }
 }
 
 TEST(ScenarioSpec, ParseResolvesAliasesAndSeparators) {
@@ -306,11 +328,57 @@ TEST(ScenarioSpec, ParsedScenarioRunsByName) {
 }
 
 TEST(ScenarioSpec, MvInputPatternsParse) {
-    EXPECT_EQ(parse_mv_input_pattern("near-quorum"), MvInputPattern::NearQuorum);
-    EXPECT_EQ(parse_mv_input_pattern("all-same"), MvInputPattern::AllSame);
-    EXPECT_THROW(parse_mv_input_pattern("nope"), ContractViolation);
-    EXPECT_EQ(parse_input_pattern("split"), InputPattern::Split);
-    EXPECT_THROW(parse_input_pattern("nope"), ContractViolation);
+    EXPECT_EQ(mv_input_patterns().at("near-quorum").kind, MvInputPattern::NearQuorum);
+    EXPECT_EQ(mv_input_patterns().at("all-same").kind, MvInputPattern::AllSame);
+    EXPECT_THROW(mv_input_patterns().at("nope"), ContractViolation);
+    EXPECT_EQ(input_patterns().at("split").kind, InputPattern::Split);
+    EXPECT_THROW(input_patterns().at("nope"), ContractViolation);
+}
+
+// ------------------------------------------------------------- name lookup
+
+/// Every name and alias of `table` resolves to its entry, also in upper case.
+template <typename Table>
+void expect_every_name_parses_in_upper_case(const Table& table) {
+    for (const auto* e : table.list()) {
+        EXPECT_EQ(table.at(upper(e->name)).kind, e->kind) << e->name;
+        for (const std::string& alias : e->aliases)
+            EXPECT_EQ(table.at(upper(alias)).kind, e->kind) << alias;
+    }
+}
+
+TEST(NameLookup, EveryNameOfEveryAxisParsesInUpperCase) {
+    expect_every_name_parses_in_upper_case(ProtocolRegistry::instance());
+    expect_every_name_parses_in_upper_case(AdversaryRegistry::instance());
+    expect_every_name_parses_in_upper_case(MvAdversaryRegistry::instance());
+    expect_every_name_parses_in_upper_case(workloads());
+    expect_every_name_parses_in_upper_case(input_patterns());
+    expect_every_name_parses_in_upper_case(mv_input_patterns());
+    expect_every_name_parses_in_upper_case(delivery_planes());
+    expect_every_name_parses_in_upper_case(sparse_streams());
+    expect_every_name_parses_in_upper_case(coin_attacks());
+    expect_every_name_parses_in_upper_case(macro_schedules());
+    // Display names are unchanged, and parse back too.
+    EXPECT_EQ(to_string(MvInputPattern::RandomTiny), "random(4)");
+    EXPECT_EQ(to_string(MacroScheduleKind::Ours), "ours(macro)");
+    EXPECT_EQ(macro_schedules().at("OURS(MACRO)").kind, MacroScheduleKind::Ours);
+    EXPECT_EQ(Scenario::parse("n=8 t=1 plane=SPARSE sparse_stream=Chain").sparse_stream,
+              net::SparseStream::Chain);
+}
+
+TEST(NameLookup, NearMissGetsDidYouMean) {
+    const auto expect_suggests = [](const std::function<void()>& lookup,
+                                    const std::string& suggestion) {
+        const std::string msg = thrown_message(lookup);
+        EXPECT_NE(msg.find("did you mean '" + suggestion + "'?"), std::string::npos) << msg;
+    };
+    expect_suggests([] { (void)coin_attacks().at("forcebitt"); }, "forcebit");
+    expect_suggests([] { (void)macro_schedules().at("ourz"); }, "ours");
+    expect_suggests([] { (void)Scenario::parse("protocol=ourz"); }, "ours");
+    expect_suggests([] { (void)Scenario::parse("protcol=ours"); }, "protocol");
+    expect_suggests([] { (void)MvScenario::parse("inputs=two-block"); }, "two-blocks");
+    const std::string msg = thrown_message([] { (void)macro_schedules().at("ourz"); });
+    EXPECT_NE(msg.find("ours, cc-rushing, cc-classic"), std::string::npos) << msg;
 }
 
 // ---------------------------------------------------------------- plug-ins

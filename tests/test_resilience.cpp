@@ -440,6 +440,14 @@ TEST(Checkpoint, ResumeRefusesMismatchedMeta) {
     other.t = 9;
     EXPECT_THROW((void)run_trials(other, 11, 6, ExecutorConfig{1, 3, path, true}),
                  ContractViolation);
+    // So does any other result-changing key: another q, the sparse plane.
+    other = s;
+    other.q = 3;
+    EXPECT_THROW((void)run_trials(other, 11, 6, ExecutorConfig{1, 3, path, true}),
+                 ContractViolation);
+    other = Scenario::parse(s.describe() + " plane=sparse");
+    EXPECT_THROW((void)run_trials(other, 11, 6, ExecutorConfig{1, 3, path, true}),
+                 ContractViolation);
     // The matching meta still resumes cleanly after all those refusals.
     (void)run_trials(s, 11, 6, ExecutorConfig{1, 3, path, true});
 }

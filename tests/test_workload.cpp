@@ -159,6 +159,19 @@ TEST(MvScenario, DescribeParseRoundTripsEveryField) {
     s.watchdog_ms = 250;
     const std::string spec = s.describe();
     EXPECT_EQ(MvScenario::parse(spec), s) << spec;
+    // Every key of the table is off its default above; alone off its
+    // default, each key round-trips and is written as `key=value`.
+    EXPECT_EQ(mv_scenario_keys().size(), 13u);
+    for (const SpecKey<MvScenario>& key : mv_scenario_keys()) {
+        EXPECT_FALSE(key.at_default(s)) << key.name << ": set it off its default above";
+        MvScenario one;
+        key.parse(one, key.name, key.value(s));
+        EXPECT_FALSE(key.at_default(one)) << key.name;
+        EXPECT_EQ(MvScenario::parse(one.describe()), one) << one.describe();
+        EXPECT_NE((" " + one.describe() + " ").find(" " + key.name + "=" + key.value(s) + " "),
+                  std::string::npos)
+            << one.describe();
+    }
 }
 
 TEST(MvScenario, RoundTripsForEveryInputAndAdversary) {
@@ -314,25 +327,25 @@ TEST(MacroScenarioChecks, InfeasibleParametersAreActionable) {
 // ------------------------------------------------------ workload directory
 
 TEST(WorkloadDirectory, ListsAllFourWorkloads) {
-    const auto& all = workloads();
+    const auto all = workloads().list();
     ASSERT_EQ(all.size(), 4u);
-    EXPECT_EQ(all[0].name, "binary");
-    EXPECT_EQ(all[1].name, "coin");
-    EXPECT_EQ(all[2].name, "mv");
-    EXPECT_EQ(all[3].name, "macro");
+    EXPECT_EQ(all[0]->name, "binary");
+    EXPECT_EQ(all[1]->name, "coin");
+    EXPECT_EQ(all[2]->name, "mv");
+    EXPECT_EQ(all[3]->name, "macro");
 }
 
 TEST(WorkloadDirectory, FindsByAliasCaseInsensitive) {
-    EXPECT_EQ(workload_at("Turpin-Coan").name, "mv");
-    EXPECT_EQ(workload_at("multivalued").name, "mv");
-    EXPECT_EQ(workload_at("BIN").name, "binary");
-    EXPECT_EQ(workload_at("asymptotic").name, "macro");
-    EXPECT_EQ(find_workload("no-such-thing"), nullptr);
+    EXPECT_EQ(workloads().at("Turpin-Coan").name, "mv");
+    EXPECT_EQ(workloads().at("multivalued").name, "mv");
+    EXPECT_EQ(workloads().at("BIN").name, "binary");
+    EXPECT_EQ(workloads().at("asymptotic").kind, WorkloadKind::Macro);
+    EXPECT_EQ(workloads().find("no-such-thing"), nullptr);
 }
 
 TEST(WorkloadDirectory, UnknownNameGetsDidYouMean) {
     try {
-        workload_at("macor");
+        workloads().at("macor");
         FAIL() << "expected ContractViolation";
     } catch (const ContractViolation& e) {
         const std::string msg = e.what();

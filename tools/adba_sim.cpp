@@ -16,18 +16,10 @@
 //   adba_sim --workload=coin --n=256 --k=64 --f=4       # standalone common coin
 //   adba_sim --workload=macro --n=65536 --t=256         # asymptotic simulator
 //
-// Flags: --workload --protocol --adversary --inputs --n --t --q --trials
-//        --seed --threads --intra_threads --csv_dir --scenario --alpha
-//        --gamma --beta --phases --kappa --max_rounds --transcript
-//        --reference --batch=on|off --shard=on|off --simd=on|off
-//        --plane=flat|sparse --sample_degree --sparse_seed
-//        --sparse_stream=chain|counter --fused=on|off --las_vegas --fallback
-//        --k --f --attack --forced_bit --schedule --list
-//        --watchdog_ms --chunk --checkpoint --resume
-//        --faults="key=value ..." --mem_budget_mb --help
-// Unknown flags (and unknown workload/protocol/adversary names) exit 2 with
-// did-you-mean suggestions (Cli strict mode + registry lookups); --help
-// lists the flags the selected workload reads.
+// Every scenario key is also a flag (`--n=64`, `--batch=off`), read through
+// the key tables (sim/spec_keys.hpp) on top of `--scenario`; `--help` lists
+// the flags the selected workload reads. Unknown flags and names exit 2
+// with did-you-mean suggestions (Cli strict mode + the name lookup).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -57,8 +49,8 @@ int list_capabilities() {
 
     Table wt("Workloads (--workload=...)");
     wt.set_header({"name", "aliases", "scenario", "sweep grid", "summary"});
-    for (const auto& w : sim::workloads())
-        wt.add_row({w.name, join(w.aliases), w.scenario, w.grid, w.summary});
+    for (const auto* w : sim::workloads().list())
+        wt.add_row({w->name, join(w->aliases), w->scenario, w->grid, w->summary});
     wt.print(std::cout);
 
     Table pt("Registered protocols (--workload=binary)");
@@ -89,12 +81,12 @@ int list_capabilities() {
         mt.add_row({e->name, join(e->aliases), e->summary});
     mt.print(std::cout);
 
-    std::printf("Input patterns: all-zero, all-one, split, random "
-                "(multi-valued: all-same, two-blocks, all-distinct, random, "
-                "near-quorum).\n"
-                "Coin attacks (--workload=coin): split, force-bit. "
-                "Macro schedules (--workload=macro): ours, cc-rushing, "
-                "cc-classic.\n");
+    std::printf("Input patterns: %s (multi-valued: %s).\n"
+                "Coin attacks (--workload=coin): %s. Macro schedules (--workload=macro): %s.\n",
+                sim::input_patterns().known_names().c_str(),
+                sim::mv_input_patterns().known_names().c_str(),
+                sim::coin_attacks().known_names().c_str(),
+                sim::macro_schedules().known_names().c_str());
     return 0;
 }
 
@@ -108,19 +100,43 @@ double pct(Count good, Count total) {
     return total == 0 ? 0.0 : 100.0 * static_cast<double>(good) / total;
 }
 
-/// Per-run executor knobs shared by every driver: --chunk fixes the work
-/// unit (0 = auto), --checkpoint=path arms the chunk journal, --resume
-/// loads completed chunks from it instead of re-running them.
-sim::ExecutorConfig exec_config(const Cli& cli) {
+/// The run flags every workload reads after its scenario's: --trials,
+/// --seed, and the executor knobs (--chunk fixes the work unit, 0 = auto;
+/// --checkpoint=path arms the chunk journal; --resume loads completed
+/// chunks from it instead of re-running them). Then the strict-mode check,
+/// so typos fail BEFORE any trial time is spent.
+struct RunFlags {
+    Count trials = 0;
+    std::uint64_t seed = 1;
     sim::ExecutorConfig exec;
-    exec.chunk = cli.get_uint<Count>("chunk", 0);
-    exec.checkpoint = cli.get("checkpoint", "");
-    exec.resume = cli.get_bool("resume", false);
-    if (exec.resume && exec.checkpoint.empty())
+};
+
+RunFlags run_flags(const Cli& cli, Count default_trials) {
+    RunFlags f{cli.get_uint<Count>("trials", default_trials),
+               cli.get_uint<std::uint64_t>("seed", 1)};
+    f.exec.chunk = cli.get_uint<Count>("chunk", 0);
+    f.exec.checkpoint = cli.get("checkpoint", "");
+    f.exec.resume = cli.get_bool("resume", false);
+    if (f.exec.resume && f.exec.checkpoint.empty())
         throw ContractViolation(
             "--resume resumes a chunk journal and needs --checkpoint=path "
             "pointing at the journal of the interrupted run");
-    return exec;
+    cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
+    cli.check_unused();
+    return f;
+}
+
+/// Sets each key of `keys` given as a flag (`--n=64`, `--batch=off`) on
+/// `s`; --help shows each with its value in `s`.
+template <typename S>
+void apply_key_flags(const Cli& cli, const std::vector<sim::SpecKey<S>>& keys, S& s) {
+    for (const sim::SpecKey<S>& key : keys) {
+        // --intra_threads keeps its process-wide meaning (init_intra_threads
+        // in run()): the shard default of every scenario, not this key.
+        if (key.name == "intra_threads") continue;
+        const std::string value = cli.get(key.name, key.value(s));
+        if (cli.has(key.name)) key.parse(s, "--" + key.name, value);
+    }
 }
 
 int run_multivalued(const Cli& cli) {
@@ -137,31 +153,10 @@ int run_multivalued(const Cli& cli) {
             "nodes on the flat plane — drop the flag or use --workload=binary");
     sim::MvScenario s;
     if (cli.has("scenario")) s = sim::MvScenario::parse(cli.get("scenario", ""));
-    if (cli.has("n") || s.n == 0) s.n = cli.get_uint<NodeId>("n", 96);
-    if (cli.has("t"))
-        s.t = cli.get_uint<Count>("t", 0);
-    else if (!cli.has("scenario"))
-        s.t = (s.n - 1) / 3;
-    if (cli.has("q")) s.q = cli.get_uint<Count>("q", 0);
-    if (cli.has("inputs")) s.inputs = sim::parse_mv_input_pattern(cli.get("inputs", ""));
-    if (cli.has("adversary"))
-        s.adversary =
-            sim::MvAdversaryRegistry::instance().at(cli.get("adversary", "")).kind;
-    if (cli.has("alpha")) s.tuning.alpha = cli.get_double("alpha", s.tuning.alpha);
-    if (cli.has("gamma")) s.tuning.gamma = cli.get_double("gamma", s.tuning.gamma);
-    if (cli.has("beta")) s.tuning.beta = cli.get_double("beta", s.tuning.beta);
-    if (cli.has("las_vegas")) s.las_vegas = cli.get_bool("las_vegas", false);
-    if (cli.has("fallback"))
-        s.fallback = cli.get_uint<net::Word>("fallback", 0);
-    if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
-    if (cli.has("simd")) s.use_simd = cli.get_bool("simd", true);
-    if (cli.has("watchdog_ms"))
-        s.watchdog_ms = cli.get_uint<std::uint32_t>("watchdog_ms", 0);
-    const auto trials = cli.get_uint<Count>("trials", 20);
-    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
-    const sim::ExecutorConfig exec = exec_config(cli);
-    cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
-    cli.check_unused();      // fail on typos BEFORE burning trial time
+    if (s.n == 0) s.n = 96;
+    apply_key_flags(cli, sim::mv_scenario_keys(), s);
+    if (!cli.has("t") && !cli.has("scenario")) s.t = (s.n - 1) / 3;
+    const auto [trials, seed, exec] = run_flags(cli, 20);
 
     // The spec round-trips: parse(describe(s)) == s (pinned in tests).
     std::printf("mv scenario: %s\n", s.describe().c_str());
@@ -205,13 +200,9 @@ int run_coin(const Cli& cli) {
     s.n = cli.get_uint<NodeId>("n", 256);
     s.designated = cli.get_uint<NodeId>("k", s.n);  // == n: Algorithm 1
     s.f = cli.get_uint<Count>("f", 0);
-    s.attack = sim::parse_coin_attack(cli.get("attack", "split"));
+    s.attack = sim::coin_attacks().at(cli.get("attack", "split")).kind;
     s.forced_bit = cli.get_uint<Bit>("forced_bit", 0);
-    const auto trials = cli.get_uint<Count>("trials", 2000);
-    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
-    const sim::ExecutorConfig exec = exec_config(cli);
-    cli.get("csv_dir", "");
-    cli.check_unused();
+    const auto [trials, seed, exec] = run_flags(cli, 2000);
 
     std::string label = "n=" + std::to_string(s.n) + " k=" +
                         std::to_string(s.designated) + " f=" + std::to_string(s.f) +
@@ -248,12 +239,8 @@ int run_macro(const Cli& cli) {
     s.n = cli.get_uint<std::uint64_t>("n", 1 << 16);
     s.t = cli.get_uint<std::uint64_t>("t", 256);
     s.q = cli.has("q") ? cli.get_uint<std::uint64_t>("q", 0) : s.t;
-    s.schedule = sim::parse_macro_schedule(cli.get("schedule", "ours"));
-    const auto trials = cli.get_uint<Count>("trials", 50);
-    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
-    const sim::ExecutorConfig exec = exec_config(cli);
-    cli.get("csv_dir", "");
-    cli.check_unused();
+    s.schedule = sim::macro_schedules().at(cli.get("schedule", "ours")).kind;
+    const auto [trials, seed, exec] = run_flags(cli, 50);
 
     const std::string label = "n=" + std::to_string(s.n) + " t=" +
                               std::to_string(s.t) + " q=" + std::to_string(s.q) +
@@ -284,65 +271,19 @@ int run_binary(const Cli& cli) {
 
     sim::Scenario s;
     if (cli.has("scenario")) s = sim::Scenario::parse(cli.get("scenario", ""));
-    if (cli.has("protocol")) s.protocol = protocols.at(cli.get("protocol", "")).kind;
-    const sim::ProtocolEntry& proto = protocols.at(s.protocol);
-    if (cli.has("adversary"))
-        s.adversary = sim::AdversaryRegistry::instance().at(cli.get("adversary", "")).kind;
-    else if (!cli.has("scenario"))
-        s.adversary = proto.strongest;  // per-protocol default pairing
-    if (cli.has("inputs")) s.inputs = sim::parse_input_pattern(cli.get("inputs", ""));
-    if (cli.has("n") || s.n == 0) s.n = cli.get_uint<NodeId>("n", 64);
-    if (cli.has("t")) {
-        s.t = cli.get_uint<Count>("t", 0);
-    } else if (!cli.has("scenario")) {
-        // Largest budget the protocol's resilience predicate admits at n.
-        s.t = (s.n - 1) / 3;
-        while (s.t > 0 && !proto.supports(s.n, s.t)) --s.t;
+    if (s.n == 0) s.n = 64;
+    apply_key_flags(cli, sim::scenario_keys(), s);
+    if (!cli.has("scenario")) {
+        const sim::ProtocolEntry& proto = protocols.at(s.protocol);
+        if (!cli.has("adversary")) s.adversary = proto.strongest;  // default pairing
+        if (!cli.has("t")) {
+            // Largest budget the protocol's resilience predicate admits at n.
+            s.t = (s.n - 1) / 3;
+            while (s.t > 0 && !proto.supports(s.n, s.t)) --s.t;
+        }
     }
-    if (cli.has("q")) s.q = cli.get_uint<Count>("q", 0);
-    if (cli.has("alpha")) s.tuning.alpha = cli.get_double("alpha", s.tuning.alpha);
-    if (cli.has("gamma")) s.tuning.gamma = cli.get_double("gamma", s.tuning.gamma);
-    if (cli.has("beta")) s.tuning.beta = cli.get_double("beta", s.tuning.beta);
-    if (cli.has("phases"))
-        s.local_coin_phases = cli.get_uint<Count>("phases", 64);
-    if (cli.has("kappa")) s.sampling_kappa = cli.get_double("kappa", s.sampling_kappa);
-    if (cli.has("max_rounds"))
-        s.max_rounds_override = cli.get_uint<Round>("max_rounds", 0);
-    if (cli.has("transcript"))
-        s.record_transcript = cli.get_bool("transcript", false);
-    if (cli.has("reference")) s.reference_delivery = cli.get_bool("reference", false);
-    // --batch=on|off: native SoA batch stepping vs the per-node reference
-    // path (mirrors the scenario key `batch`). --shard / --simd are the
-    // same shape for the intra-trial shard and packed-tally toggles;
-    // --intra_threads (read in main via init_intra_threads) sets the
-    // process-wide shard-count default the scenario key can override.
-    if (cli.has("batch")) s.use_batch = cli.get_bool("batch", true);
-    if (cli.has("shard")) s.use_shard = cli.get_bool("shard", true);
-    if (cli.has("simd")) s.use_simd = cli.get_bool("simd", true);
-    // --plane=flat|sparse selects the delivery plane; --sample_degree sets
-    // the per-receiver sampled senders under sparse (0 = plane default);
-    // --sparse_seed picks the topology stream and --sparse_stream the
-    // frozen sample-derivation version (mirroring the scenario keys).
-    if (cli.has("plane")) s.sparse_plane = sim::parse_plane_name(cli.get("plane", ""));
-    if (cli.has("sample_degree"))
-        s.sample_degree = cli.get_uint<Count>("sample_degree", 0);
-    if (cli.has("sparse_seed"))
-        s.sparse_seed = cli.get_uint<std::uint64_t>("sparse_seed", 0);
-    if (cli.has("sparse_stream"))
-        s.sparse_stream = sim::parse_sparse_stream_name(cli.get("sparse_stream", ""));
-    // --fused=on|off: co-execute 64 trials per machine word through the
-    // fused trial plane where the plan can (scenario key `fused`, on by
-    // default); off keeps the scalar oracle. The decision and its reason go
-    // to stderr below.
-    if (cli.has("fused")) s.use_fused = cli.get_bool("fused", true);
-    if (cli.has("watchdog_ms"))
-        s.watchdog_ms = cli.get_uint<std::uint32_t>("watchdog_ms", 0);
 
-    const auto trials = cli.get_uint<Count>("trials", 20);
-    const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
-    const sim::ExecutorConfig exec = exec_config(cli);
-    cli.get("csv_dir", "");  // queried late by maybe_csv; recognize it now
-    cli.check_unused();      // fail on typos BEFORE burning trial time
+    const auto [trials, seed, exec] = run_flags(cli, 20);
 
     const sim::ScenarioPlan plan = sim::BinaryWorkload::make_plan(s);
     const sim::BudgetHint budget = plan.protocol->budgets(s);
@@ -389,22 +330,21 @@ static int run(const Cli& cli) {
         cli.check_unused();
         return list_capabilities();
     }
-    std::string name = sim::workload_at(cli.get("workload", "binary")).name;
-    // Back-compat: --protocol=turpin-coan/multivalued/mv selected the mv
-    // stack before --workload existed. Only run_binary reads --protocol,
-    // so query it only when routing there — passing it to the coin/macro/
-    // mv workloads must fail strict-mode, not be dropped.
-    if (name == "binary") {
-        const std::string protocol = cli.get("protocol", "");
-        if (protocol == "turpin-coan" || protocol == "multivalued" ||
-            protocol == "mv")
-            name = "mv";
+    using Kind = sim::WorkloadKind;
+    Kind kind = sim::workloads().at(cli.get("workload", "binary")).kind;
+    // Back-compat: --protocol=<a name of the mv workload> (turpin-coan,
+    // multivalued, mv) selected the mv stack before --workload existed.
+    // Only run_binary reads --protocol, so query it only when routing
+    // there — passing it to the coin/macro/mv workloads must fail
+    // strict-mode, not be dropped.
+    if (kind == Kind::Binary) {
+        const auto* named = sim::workloads().find(cli.get("protocol", ""));
+        if (named != nullptr && named->kind == Kind::Mv) kind = Kind::Mv;
     }
-    int rc;
-    if (name == "mv") rc = run_multivalued(cli);
-    else if (name == "coin") rc = run_coin(cli);
-    else if (name == "macro") rc = run_macro(cli);
-    else rc = run_binary(cli);
+    const int rc = kind == Kind::Mv      ? run_multivalued(cli)
+                   : kind == Kind::Coin  ? run_coin(cli)
+                   : kind == Kind::Macro ? run_macro(cli)
+                                         : run_binary(cli);
     if (faults_armed)
         std::printf("%s\n", sim::FaultInjector::stats_line().c_str());
     return rc;
