@@ -4,6 +4,12 @@
 
 namespace adba::net {
 
+void BatchProtocol::receive_all(Round, const RoundBuffer&, const DeliverySource&) {
+    throw ContractViolation(
+        "this batch has no DeliverySource form; reference delivery steps the "
+        "per-node nodes (PerNodeBatch)");
+}
+
 void BatchProtocol::send_range(Round, RoundBuffer&, NodeId, NodeId) {
     ADBA_EXPECTS_MSG(false, "send_range called on a non-shardable batch");
 }
@@ -76,7 +82,7 @@ void PerNodeBatch::receive_all(Round r, const RoundBuffer& buf,
 
 BeatCounts BeatCounts::flat(const BeatQuery& q, const RoundBuffer& buf,
                             const RoundTally& tally) {
-    BeatCounts c(Plane::Flat, q, buf);
+    BeatCounts c(q, buf);
     if (q.counts) {
         // Honest counts are receiver-independent: read once per beat; only
         // the Byzantine delta plane varies per receiver.
@@ -90,7 +96,7 @@ BeatCounts BeatCounts::flat(const BeatQuery& q, const RoundBuffer& buf,
 
 BeatCounts BeatCounts::sampled(const BeatQuery& q, const RoundBuffer& buf,
                                const RoundTally& tally, const SparsePlane& sparse) {
-    BeatCounts c(Plane::Sampled, q, buf);
+    BeatCounts c(q, buf);
     c.exact_ = sparse.dense();
     c.sparse_ = &sparse;
     if (q.counts) c.sparse_query_ = sparse.query(q.kind, q.phase, q.require_flag);
@@ -98,13 +104,6 @@ BeatCounts BeatCounts::sampled(const BeatQuery& q, const RoundBuffer& buf,
     // hears the committee in full through the shared tally, so the coin is
     // the same integer at any sampling degree.
     c.hoist_coin(tally);
-    return c;
-}
-
-BeatCounts BeatCounts::reference(const BeatQuery& q, const RoundBuffer& buf,
-                                 const DeliverySource& src) {
-    BeatCounts c(Plane::Reference, q, buf);
-    c.src_ = &src;
     return c;
 }
 
@@ -119,25 +118,11 @@ void BeatCounts::hoist_coin(const RoundTally& tally) {
                                          q_.coin_first, q_.coin_last);
 }
 
-std::array<Count, 2> BeatCounts::val_probed(NodeId v) const {
-    if (plane_ == Plane::Sampled) return sparse_->val_estimates(sparse_query_, v);
-    return ReceiveView(*src_, v).val_counts(q_.kind, q_.phase, q_.require_flag);
-}
-
-std::int64_t BeatCounts::coin_probed(NodeId v) const {
-    return ReceiveView(*src_, v).coin_sum(q_.kind, q_.phase, /*check_phase=*/true,
-                                          q_.coin_first, q_.coin_last);
-}
-
 // -------------------------------------------------------------- NativeBatch
 
 void NativeBatch::receive_all(Round r, const RoundBuffer& buf, const RoundTally& tally) {
     receive_prepare(r, buf, tally);
     receive_rule(r, prep_, 0, n());
-}
-
-void NativeBatch::receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src) {
-    receive_rule(r, BeatCounts::reference(beat_query(r), buf, src), 0, n());
 }
 
 void NativeBatch::receive_prepare(Round r, const RoundBuffer& buf,

@@ -13,7 +13,8 @@
 //                                   round (flat delivery plane + shared
 //                                   tallies), or
 //   receive_all(r, src)           — the same over the virtual DeliverySource
-//                                   oracle (EngineConfig::reference_delivery),
+//                                   oracle (EngineConfig::reference_delivery;
+//                                   the per-node adapter only),
 //
 // plus the sharded (receive_prepare / receive_range) and sampled
 // (receive_sparse_prepare / receive_sparse_range) splits of the receive
@@ -23,8 +24,9 @@
 // Two families implement the interface:
 //  * PerNodeBatch — the generic adapter over any HonestNode vector. Every
 //    protocol works unchanged through it, and it is the reference oracle the
-//    native batches are pinned against (the same role reference_delivery
-//    plays for the delivery plane).
+//    native batches are pinned against; over the DeliverySource oracle
+//    (scenario key `reference=true`) it is the executable spec of every
+//    plane.
 //  * NativeBatch — SoA batches (core/skeleton_batch.hpp,
 //    baselines/ben_or.hpp, baselines/phase_king.hpp) that keep per-node
 //    state as flat arrays and write each protocol's receive rule ONCE. A
@@ -33,12 +35,12 @@
 //    and which committee's coin) and the per-node rule over [lo, hi), which
 //    reads its inputs from a BeatCounts. This file implements every receive
 //    entry point from those two hooks: BeatCounts is backed by the flat
-//    tally (honest histogram + per-receiver delta plane), by the sparse
+//    tally (honest histogram + per-receiver delta plane) or by the sparse
 //    plane (sampled estimates; the committee coin stays an exact island),
-//    or by per-sender ReceiveView loops over a DeliverySource — so the
-//    flat, sharded, sampled and reference beats run one rule. Selected by
-//    the registry's make_batch hooks; scenario key `batch=false` (CLI
-//    `--batch=off`) falls back to the adapter.
+//    so the flat, sharded and sampled beats run one rule. Selected by the
+//    registry's make_batch hooks; scenario key `batch=false` (CLI
+//    `--batch=off`) or `reference=true` runs the per-node nodes through
+//    the adapter instead.
 //
 // One step further along the same axis, net/fused_plane.hpp batches across
 // TRIALS instead of nodes: 64 Monte-Carlo trials co-execute bit-sliced in
@@ -86,9 +88,9 @@ public:
     /// DeliverySource adapter (the engine's reference_delivery mode) —
     /// per-node ReceiveView queries, the executable spec of the flat
     /// receive_all. `buf` supplies the honesty plane only; deliveries go
-    /// through `src`.
-    virtual void receive_all(Round r, const RoundBuffer& buf,
-                             const DeliverySource& src) = 0;
+    /// through `src`. Only the per-node form has one (PerNodeBatch); the
+    /// default throws ContractViolation.
+    virtual void receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src);
 
     // ---- intra-trial sharding (EngineConfig::intra) ----
     //
@@ -227,15 +229,15 @@ struct BeatQuery {
 
 /// One receive beat's inputs, whichever plane delivers them. Built once
 /// per beat (serially — the tally's lazy caches are not thread-safe) and
-/// then read from any shard:
-///  * flat      — the honest bucket counts plus the per-receiver Byzantine
-///                delta plane; the committee coin as the honest range sum
-///                plus its delta plane;
-///  * sampled   — SparsePlane::val_estimates per receiver; the committee
-///                coin and single-sender probes stay exact (the committee
-///                is the plane's exact island);
-///  * reference — per-sender ReceiveView loops over a DeliverySource, the
-///                executable spec of the other two.
+/// then read from any shard. Two backings:
+///  * flat    — the honest bucket counts plus the per-receiver Byzantine
+///              delta plane; the committee coin as the honest range sum
+///              plus its delta plane;
+///  * sampled — SparsePlane::val_estimates per receiver; the committee
+///              coin and single-sender probes stay exact (the committee
+///              is the plane's exact island).
+/// Their spec is the per-node nodes over a DeliverySource (PerNodeBatch
+/// under `reference=true`).
 class BeatCounts {
 public:
     BeatCounts() = default;
@@ -243,8 +245,6 @@ public:
                            const RoundTally& tally);
     static BeatCounts sampled(const BeatQuery& q, const RoundBuffer& buf,
                               const RoundTally& tally, const SparsePlane& sparse);
-    static BeatCounts reference(const BeatQuery& q, const RoundBuffer& buf,
-                                const DeliverySource& src);
 
     /// Receiver v is Byzantine this round (its state is not stepped).
     bool byzantine(NodeId v) const {
@@ -252,7 +252,7 @@ public:
     }
     /// Receiver v's (val 0, val 1) counts: exact, or sampled estimates.
     std::array<Count, 2> val(NodeId v) const {
-        if (plane_ != Plane::Flat) return val_probed(v);
+        if (sparse_ != nullptr) return sparse_->val_estimates(sparse_query_, v);
         std::array<Count, 2> c = base_;
         if (delta_ != nullptr) {
             c[0] += delta_[v][0];
@@ -262,31 +262,23 @@ public:
     }
     /// The committee coin's sum as receiver v hears it — exact on every plane.
     std::int64_t coin_sum(NodeId v) const {
-        if (plane_ == Plane::Reference) return coin_probed(v);
         return honest_coin_ + (coin_delta_ != nullptr ? coin_delta_[v] : 0);
     }
     /// The message `sender` delivered to v this round (nullptr = silence);
     /// a single-sender probe, exact on every plane.
-    const Message* from(NodeId v, NodeId sender) const {
-        return src_ != nullptr ? src_->delivery(v, sender) : buf_->from(v, sender);
-    }
-    /// True when the counts are exact (flat, reference, dense sampling):
+    const Message* from(NodeId v, NodeId sender) const { return buf_->from(v, sender); }
+    /// True when the counts are exact (flat, dense sampling):
     /// threshold lemmas that are theorems for exact counts — Lemma 3, Ben-Or's
     /// conflicting proposals — may be asserted. False under sub-dense
     /// sampling, where estimates can breach them statistically.
     bool exact() const { return exact_; }
 
 private:
-    enum class Plane : std::uint8_t { Flat, Sampled, Reference };
-
-    std::array<Count, 2> val_probed(NodeId v) const;
-    std::int64_t coin_probed(NodeId v) const;
-    BeatCounts(Plane plane, const BeatQuery& q, const RoundBuffer& buf)
-        : plane_(plane), q_(q), state_(buf.state_plane()), buf_(&buf) {}
+    BeatCounts(const BeatQuery& q, const RoundBuffer& buf)
+        : q_(q), state_(buf.state_plane()), buf_(&buf) {}
     /// Honest coin sum and Byzantine coin delta plane from the tally.
     void hoist_coin(const RoundTally& tally);
 
-    Plane plane_ = Plane::Flat;
     bool exact_ = true;
     BeatQuery q_;
     const std::uint8_t* state_ = nullptr;
@@ -295,16 +287,15 @@ private:
     const std::array<Count, 2>* delta_ = nullptr;
     std::int64_t honest_coin_ = 0;
     const std::int64_t* coin_delta_ = nullptr;
-    const SparsePlane* sparse_ = nullptr;
+    const SparsePlane* sparse_ = nullptr;  ///< set on the sampled backing
     SparsePlane::Query sparse_query_;
-    const DeliverySource* src_ = nullptr;
 };
 
 /// A native SoA batch written as one receive rule. Subclasses supply the
 /// send beat (send_range) and two receive hooks — the beat's query and the
 /// per-node rule over [lo, hi) — and every BatchProtocol entry point that
 /// steps the population is implemented here from them, so the flat,
-/// sharded, sampled and reference beats cannot drift apart.
+/// sharded and sampled beats cannot drift apart.
 ///
 /// Sharding contract: the rule touches only per-node state in [lo, hi)
 /// (value planes, halted bits, per-node RNG streams), so ranges write
@@ -314,7 +305,7 @@ class NativeBatch : public BatchProtocol {
 public:
     void send_all(Round r, RoundBuffer& buf) final { send_range(r, buf, 0, n()); }
     void receive_all(Round r, const RoundBuffer& buf, const RoundTally& tally) final;
-    void receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src) final;
+    using BatchProtocol::receive_all;
     bool shardable() const final { return true; }
     void receive_prepare(Round r, const RoundBuffer& buf, const RoundTally& tally) final;
     void receive_range(Round r, const RoundBuffer& buf, const RoundTally& tally,

@@ -39,8 +39,8 @@ struct CheckpointMeta {
     std::uint64_t seed_stride = 0;  ///< W::kSeedStride
     std::uint32_t trials = 0;
     std::uint32_t chunk = 0;        ///< resolved (nonzero) chunk size
-    std::string scope;              ///< workload-specific plan fingerprint
-                                    ///< (W::checkpoint_scope)
+    std::string scope;              ///< the scenario's result-changing keys
+                                    ///< (describe_spec over W::keys())
 
     friend bool operator==(const CheckpointMeta&, const CheckpointMeta&) = default;
 };
@@ -76,9 +76,9 @@ private:
     std::vector<std::pair<std::size_t, std::string>> completed_;
 };
 
-// ---- byte-exact payload encoding helpers (used by the workload traits'
-// checkpoint_encode/checkpoint_decode; doubles are moved as raw IEEE bits so
-// decoded Samples merge bit-identically) ----
+// ---- byte-exact payload encoding helpers (used by encode_fields /
+// decode_fields over each aggregate's field list, workload.hpp; doubles are
+// moved as raw IEEE bits so decoded Samples merge bit-identically) ----
 
 class BinWriter {
 public:

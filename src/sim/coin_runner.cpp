@@ -6,7 +6,6 @@
 #include "core/common_coin.hpp"
 #include "net/engine.hpp"
 #include "rand/seed_tree.hpp"
-#include "sim/checkpoint.hpp"
 #include "support/contracts.hpp"
 #include "support/table.hpp"
 
@@ -87,31 +86,6 @@ std::vector<std::string> CoinWorkload::csv_row(const CoinAggregate& agg) {
             Table::num(feasible, 2)};
 }
 
-std::string CoinWorkload::checkpoint_scope(const CoinScenario& plan) {
-    return "n=" + std::to_string(plan.n) + " k=" + std::to_string(plan.designated) +
-           " f=" + std::to_string(plan.f) + " attack=" + to_string(plan.attack) +
-           " forced_bit=" + std::to_string(static_cast<int>(plan.forced_bit));
-}
-
-void CoinWorkload::checkpoint_encode(const CoinAggregate& agg, std::string& out) {
-    BinWriter w(out);
-    w.u32(agg.trials);
-    w.u32(agg.common);
-    w.u32(agg.common_ones);
-    w.u32(agg.attack_feasible);
-    w.u32(agg.faulted);
-}
-
-void CoinWorkload::checkpoint_decode(std::string_view bytes, CoinAggregate& agg) {
-    BinReader r(bytes);
-    agg.trials = r.u32();
-    agg.common = r.u32();
-    agg.common_ones = r.u32();
-    agg.attack_feasible = r.u32();
-    agg.faulted = r.u32();
-    ADBA_EXPECTS_MSG(r.exhausted(), "coin checkpoint payload has trailing bytes");
-}
-
 std::optional<std::string> why_incompatible(const CoinScenario& s) {
     if (s.n == 0) return std::string("coin scenario needs n > 0");
     if (s.designated < 1 || s.designated > s.n)
@@ -121,6 +95,9 @@ std::optional<std::string> why_incompatible(const CoinScenario& s) {
     if (s.f > s.n)
         return "coin scenario needs f <= n corruptions (got f=" + std::to_string(s.f) +
                ", n=" + std::to_string(s.n) + ")";
+    if (s.forced_bit > 1)
+        return "coin scenario needs forced_bit in {0, 1} (got forced_bit=" +
+               std::to_string(s.forced_bit) + ")";
     return std::nullopt;
 }
 
@@ -129,14 +106,6 @@ bool compatible(const CoinScenario& s) { return !why_incompatible(s).has_value()
 CoinTrial run_coin_trial(const CoinScenario& s, std::uint64_t seed) {
     if (const auto why = why_incompatible(s)) throw ContractViolation(*why);
     return run_one_trial<CoinWorkload>(s, seed);
-}
-
-void CoinAggregate::merge(const CoinAggregate& other) {
-    trials += other.trials;
-    common += other.common;
-    common_ones += other.common_ones;
-    attack_feasible += other.attack_feasible;
-    faulted += other.faulted;
 }
 
 CoinAggregate run_coin_trials(const CoinScenario& s, std::uint64_t base_seed,
@@ -162,5 +131,24 @@ const Names<adv::CoinAttack>& coin_attacks() {
 }
 
 std::string to_string(adv::CoinAttack attack) { return coin_attacks().at(attack).display; }
+
+const std::vector<SpecKey<CoinScenario>>& coin_scenario_keys() {
+    using S = CoinScenario;
+    using R = KeyRole;
+    static const std::vector<SpecKey<S>> keys = {
+        spec_field("n", R::Identity, &S::n),
+        spec_field("k", R::Identity, &S::designated),
+        spec_field("f", R::Identity, &S::f),
+        spec_name("attack", R::Identity, &S::attack, &coin_attacks),
+        spec_field("forced_bit", R::Result, &S::forced_bit),
+    };
+    return keys;
+}
+
+CoinScenario CoinScenario::parse(const std::string& spec) {
+    return parse_spec(coin_scenario_keys(), "coin scenario", spec);
+}
+
+std::string CoinScenario::describe() const { return describe_spec(coin_scenario_keys(), *this); }
 
 }  // namespace adba::sim

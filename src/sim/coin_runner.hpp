@@ -6,7 +6,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "adversary/coin_ruin.hpp"
 #include "sim/executor.hpp"
@@ -20,10 +21,22 @@ struct CoinScenario {
     NodeId designated = 0;  ///< k flippers (== n for Algorithm 1)
     Count f = 0;            ///< adaptive corruption budget
     adv::CoinAttack attack = adv::CoinAttack::Split;
-    Bit forced_bit = 0;
+    Bit forced_bit = 0;     ///< the bit `attack=force-bit` forces: 0 or 1
+
+    /// Builds a scenario from a `key=value ...` spec string through the key
+    /// table (coin_scenario_keys); unknown keys or names throw
+    /// ContractViolation with the accepted alternatives.
+    static CoinScenario parse(const std::string& spec);
+    /// Canonical spec string, in key-table order;
+    /// `CoinScenario::parse(s.describe()) == s`.
+    std::string describe() const;
 
     friend bool operator==(const CoinScenario&, const CoinScenario&) = default;
 };
+
+/// The key table of the coin spec (spec_keys.hpp): n, k, f, attack,
+/// forced_bit.
+const std::vector<SpecKey<CoinScenario>>& coin_scenario_keys();
 
 struct CoinTrial {
     bool common = false;
@@ -50,8 +63,15 @@ struct CoinAggregate {
     /// P(bit = 1 | common); Definition 2(B) wants this in [ε, 1-ε].
     double p_one_given_common() const;
 
+    /// The fields in journal order (workload.hpp).
+    static constexpr auto fields() {
+        using A = CoinAggregate;
+        return std::tuple{&A::trials, &A::common, &A::common_ones, &A::attack_feasible,
+                          &A::faulted};
+    }
+
     /// Order-independent (pure counters), kept symmetric with Aggregate.
-    void merge(const CoinAggregate& other);
+    void merge(const CoinAggregate& other) { merge_fields(*this, other); }
 };
 
 /// Common-coin workload: the standalone Algorithm 1/2 trial stack as a
@@ -67,16 +87,11 @@ struct CoinWorkload {
     static constexpr const char* kName = "coin";
 
     static Plan make_plan(const Scenario& s) { return s; }
+    static const std::vector<SpecKey<Scenario>>& keys() { return coin_scenario_keys(); }
     static void accumulate(Aggregate& agg, const Result& r);
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
-
-    // Checkpoint hooks (sim/checkpoint.hpp). The scenario has no describe()
-    // form, so the scope fingerprint is assembled field by field.
-    static std::string checkpoint_scope(const Plan& plan);
-    static void checkpoint_encode(const Aggregate& agg, std::string& out);
-    static void checkpoint_decode(std::string_view bytes, Aggregate& agg);
 };
 
 /// Runs on the workload-generic kernel (sim/workload.hpp); bit-identical at
@@ -86,9 +101,10 @@ struct CoinWorkload {
 CoinAggregate run_coin_trials(const CoinScenario& s, std::uint64_t base_seed,
                               Count trials, const ExecutorConfig& exec = {});
 
-/// Coin feasibility: needs n > 0 and 1 <= k <= n flippers. Returns an
-/// actionable message (the adba_sim/driver-facing counterpart of the
-/// arena's precondition asserts), nullopt when the scenario can run.
+/// Coin feasibility: needs n > 0, 1 <= k <= n flippers, f <= n and
+/// forced_bit in {0, 1}. Returns an actionable message (the adba_sim-facing
+/// counterpart of the arena's precondition asserts), nullopt when the
+/// scenario can run.
 std::optional<std::string> why_incompatible(const CoinScenario& s);
 bool compatible(const CoinScenario& s);
 

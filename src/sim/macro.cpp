@@ -4,7 +4,6 @@
 
 #include "baselines/chor_coan.hpp"
 #include "rand/rng.hpp"
-#include "sim/checkpoint.hpp"
 #include "support/contracts.hpp"
 #include "support/table.hpp"
 
@@ -59,6 +58,7 @@ public:
 
     MacroResult run(std::uint64_t seed) const {
         const MacroScenario& s = plan_.scenario;
+        const std::uint64_t q = s.q.value_or(s.t);
         const Count phases = plan_.phases;
         const core::BlockSchedule& sched = plan_.sched;
 
@@ -104,7 +104,7 @@ public:
                 ++cost;
             }
 
-            if (feasible && used + cost <= s.q) {
+            if (feasible && used + cost <= q) {
                 used += cost;
                 byz_in[k] += static_cast<std::uint32_t>(cost);
                 out.phases_run = p + 1;
@@ -181,56 +181,8 @@ std::vector<std::string> MacroWorkload::csv_row(const MacroAggregate& agg) {
             Table::num(have ? agg.corruptions.mean() : 0.0, 3)};
 }
 
-std::string MacroWorkload::checkpoint_scope(const Plan& plan) {
-    const MacroScenario& s = plan.scenario;
-    return "n=" + std::to_string(s.n) + " t=" + std::to_string(s.t) +
-           " q=" + std::to_string(s.q) + " schedule=" + to_string(s.schedule) +
-           " alpha=" + std::to_string(s.tuning.alpha) +
-           " gamma=" + std::to_string(s.tuning.gamma) +
-           " beta=" + std::to_string(s.tuning.beta);
-}
-
-void MacroWorkload::checkpoint_encode(const MacroAggregate& agg, std::string& out) {
-    BinWriter w(out);
-    w.u32(agg.trials);
-    w.u32(agg.agreement_failures);
-    w.u32(agg.cap_exhausted);
-    w.u32(agg.faulted);
-    w.doubles(agg.rounds.values());
-    w.doubles(agg.phases.values());
-    w.doubles(agg.corruptions.values());
-}
-
-void MacroWorkload::checkpoint_decode(std::string_view bytes, MacroAggregate& agg) {
-    BinReader r(bytes);
-    agg.trials = r.u32();
-    agg.agreement_failures = r.u32();
-    agg.cap_exhausted = r.u32();
-    agg.faulted = r.u32();
-    std::vector<double> xs;
-    r.doubles(xs);
-    for (double x : xs) agg.rounds.add(x);
-    xs.clear();
-    r.doubles(xs);
-    for (double x : xs) agg.phases.add(x);
-    xs.clear();
-    r.doubles(xs);
-    for (double x : xs) agg.corruptions.add(x);
-    ADBA_EXPECTS_MSG(r.exhausted(), "macro checkpoint payload has trailing bytes");
-}
-
 MacroResult run_macro_trial(const MacroScenario& s, std::uint64_t seed) {
     return run_one_trial<MacroWorkload>(MacroWorkload::make_plan(s), seed);
-}
-
-void MacroAggregate::merge(const MacroAggregate& other) {
-    trials += other.trials;
-    agreement_failures += other.agreement_failures;
-    cap_exhausted += other.cap_exhausted;
-    faulted += other.faulted;
-    rounds.merge(other.rounds);
-    phases.merge(other.phases);
-    corruptions.merge(other.corruptions);
 }
 
 MacroAggregate run_macro_trials(const MacroScenario& s, std::uint64_t base_seed,
@@ -262,12 +214,36 @@ std::optional<std::string> why_incompatible(const MacroScenario& s) {
     if (3 * s.t >= s.n)
         return "macro schedules require t < n/3 (got n=" + std::to_string(s.n) +
                ", t=" + std::to_string(s.t) + ")";
-    if (s.q > s.t)
+    const std::uint64_t q = s.q.value_or(s.t);
+    if (q > s.t)
         return "actual corruptions q must not exceed the budget t (q=" +
-               std::to_string(s.q) + ", t=" + std::to_string(s.t) + ")";
+               std::to_string(q) + ", t=" + std::to_string(s.t) + ")";
     return std::nullopt;
 }
 
 bool compatible(const MacroScenario& s) { return !why_incompatible(s).has_value(); }
+
+const std::vector<SpecKey<MacroScenario>>& macro_scenario_keys() {
+    using S = MacroScenario;
+    using R = KeyRole;
+    static const std::vector<SpecKey<S>> keys = {
+        spec_field("n", R::Identity, &S::n),
+        spec_field("t", R::Identity, &S::t),
+        spec_field("q", R::Result, &S::q, &S::t),
+        spec_name("schedule", R::Identity, &S::schedule, &macro_schedules),
+        spec_field("alpha", R::Result, &S::tuning, &core::Tuning::alpha),
+        spec_field("gamma", R::Result, &S::tuning, &core::Tuning::gamma),
+        spec_field("beta", R::Result, &S::tuning, &core::Tuning::beta),
+    };
+    return keys;
+}
+
+MacroScenario MacroScenario::parse(const std::string& spec) {
+    return parse_spec(macro_scenario_keys(), "macro scenario", spec);
+}
+
+std::string MacroScenario::describe() const {
+    return describe_spec(macro_scenario_keys(), *this);
+}
 
 }  // namespace adba::sim

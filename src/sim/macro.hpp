@@ -26,7 +26,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "core/params.hpp"
 #include "sim/executor.hpp"
@@ -40,11 +41,25 @@ enum class MacroScheduleKind : std::uint8_t { Ours, ChorCoanRushing, ChorCoanCla
 
 struct MacroScenario {
     std::uint64_t n = 0;
-    std::uint64_t t = 0;       ///< protocol budget (threshold parameter)
-    std::uint64_t q = 0;       ///< actual adversary corruption cap
+    std::uint64_t t = 0;             ///< protocol budget (threshold parameter)
+    std::optional<std::uint64_t> q;  ///< actual corruption cap (default: t)
     MacroScheduleKind schedule = MacroScheduleKind::Ours;
     core::Tuning tuning;
+
+    /// Builds a scenario from a `key=value ...` spec string through the key
+    /// table (macro_scenario_keys); unknown keys or names throw
+    /// ContractViolation with the accepted alternatives.
+    static MacroScenario parse(const std::string& spec);
+    /// Canonical spec string, in key-table order;
+    /// `MacroScenario::parse(s.describe()) == s`.
+    std::string describe() const;
+
+    friend bool operator==(const MacroScenario&, const MacroScenario&) = default;
 };
+
+/// The key table of the macro spec (spec_keys.hpp): n, t, q, schedule,
+/// alpha, gamma, beta.
+const std::vector<SpecKey<MacroScenario>>& macro_scenario_keys();
 
 struct MacroResult {
     std::uint64_t rounds = 0;
@@ -75,8 +90,15 @@ struct MacroAggregate {
     Samples phases;
     Samples corruptions;
 
+    /// The fields in journal order (workload.hpp).
+    static constexpr auto fields() {
+        using A = MacroAggregate;
+        return std::tuple{&A::trials, &A::agreement_failures, &A::cap_exhausted,
+                          &A::faulted, &A::rounds, &A::phases, &A::corruptions};
+    }
+
     /// Merge in chunk-index order (see Aggregate::merge).
-    void merge(const MacroAggregate& other);
+    void merge(const MacroAggregate& other) { merge_fields(*this, other); }
 };
 
 /// Macro workload: the asymptotic simulator as a workload.hpp trait. The
@@ -91,17 +113,11 @@ struct MacroWorkload {
     static constexpr const char* kName = "macro";
 
     static Plan make_plan(const Scenario& s);
+    static const std::vector<SpecKey<Scenario>>& keys() { return macro_scenario_keys(); }
     static void accumulate(Aggregate& agg, const Result& r);
-    static void reserve(Aggregate& agg, Count trials) { agg.rounds.reserve(trials); }
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
-
-    // Checkpoint hooks (sim/checkpoint.hpp). The scenario has no describe()
-    // form, so the scope fingerprint is assembled field by field.
-    static std::string checkpoint_scope(const Plan& plan);
-    static void checkpoint_encode(const Aggregate& agg, std::string& out);
-    static void checkpoint_decode(std::string_view bytes, Aggregate& agg);
 };
 
 /// Runs on the workload-generic kernel; per-trial seeds depend only on

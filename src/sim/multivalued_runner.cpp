@@ -5,7 +5,6 @@
 
 #include "net/engine.hpp"
 #include "rand/seed_tree.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
 #include "sim/registry.hpp"
 #include "support/contracts.hpp"
@@ -177,57 +176,12 @@ std::vector<std::string> MvWorkload::csv_row(const MvAggregate& agg) {
             Table::num(have ? agg.rounds.max() : 0.0, 0)};
 }
 
-std::string MvWorkload::checkpoint_scope(const MvScenarioPlan& plan) {
-    return describe_spec(mv_scenario_keys(), plan.scenario, /*results_only=*/true);
-}
-
-void MvWorkload::checkpoint_encode(const MvAggregate& agg, std::string& out) {
-    BinWriter w(out);
-    w.u32(agg.trials);
-    w.u32(agg.agreement_failures);
-    w.u32(agg.validity_failures);
-    w.u32(agg.not_halted);
-    w.u32(agg.decided_real);
-    w.u32(agg.cap_exhausted);
-    w.u32(agg.watchdog_timeouts);
-    w.u32(agg.faulted);
-    w.doubles(agg.rounds.values());
-}
-
-void MvWorkload::checkpoint_decode(std::string_view bytes, MvAggregate& agg) {
-    BinReader r(bytes);
-    agg.trials = r.u32();
-    agg.agreement_failures = r.u32();
-    agg.validity_failures = r.u32();
-    agg.not_halted = r.u32();
-    agg.decided_real = r.u32();
-    agg.cap_exhausted = r.u32();
-    agg.watchdog_timeouts = r.u32();
-    agg.faulted = r.u32();
-    std::vector<double> xs;
-    r.doubles(xs);
-    for (double x : xs) agg.rounds.add(x);
-    ADBA_EXPECTS_MSG(r.exhausted(), "mv checkpoint payload has trailing bytes");
-}
-
 MvTrialResult run_mv_trial(const MvScenarioPlan& plan, std::uint64_t seed) {
     return run_one_trial<MvWorkload>(plan, seed);
 }
 
 MvTrialResult run_mv_trial(const MvScenario& s, std::uint64_t seed) {
     return run_one_trial<MvWorkload>(MvWorkload::make_plan(s), seed);
-}
-
-void MvAggregate::merge(const MvAggregate& other) {
-    trials += other.trials;
-    agreement_failures += other.agreement_failures;
-    validity_failures += other.validity_failures;
-    not_halted += other.not_halted;
-    decided_real += other.decided_real;
-    cap_exhausted += other.cap_exhausted;
-    watchdog_timeouts += other.watchdog_timeouts;
-    faulted += other.faulted;
-    rounds.merge(other.rounds);
 }
 
 MvAggregate run_mv_trials(const MvScenario& s, std::uint64_t base_seed, Count trials,

@@ -11,7 +11,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "core/multivalued.hpp"
 #include "sim/executor.hpp"
@@ -76,6 +77,10 @@ struct MvScenario {
     friend bool operator==(const MvScenario&, const MvScenario&) = default;
 };
 
+/// The key table of the multi-valued spec (spec_keys.hpp; rows in
+/// registry.cpp).
+const std::vector<SpecKey<MvScenario>>& mv_scenario_keys();
+
 struct MvTrialResult {
     bool agreement = false;
     std::optional<net::Word> agreed_word;
@@ -112,8 +117,16 @@ struct MvAggregate {
     Count faulted = 0;
     Samples rounds;
 
+    /// The fields in journal order (workload.hpp).
+    static constexpr auto fields() {
+        using A = MvAggregate;
+        return std::tuple{&A::trials, &A::agreement_failures, &A::validity_failures,
+                          &A::not_halted, &A::decided_real, &A::cap_exhausted,
+                          &A::watchdog_timeouts, &A::faulted, &A::rounds};
+    }
+
     /// Merge in chunk-index order (see Aggregate::merge).
-    void merge(const MvAggregate& other);
+    void merge(const MvAggregate& other) { merge_fields(*this, other); }
 };
 
 /// Multi-valued workload: the Turpin-Coan trial stack as a workload.hpp
@@ -130,17 +143,11 @@ struct MvWorkload {
     /// validate(s) + enforce_memory_budget(s) (no sparse fallback exists for
     /// the mv stack, so an over-budget plan is rejected, never adjusted).
     static Plan make_plan(const Scenario& s);
+    static const std::vector<SpecKey<Scenario>>& keys() { return mv_scenario_keys(); }
     static void accumulate(Aggregate& agg, const Result& r);
-    static void reserve(Aggregate& agg, Count trials) { agg.rounds.reserve(trials); }
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
-
-    // Checkpoint hooks (sim/checkpoint.hpp): the journal header pins the
-    // scenario's result-changing keys (mv_scenario_keys).
-    static std::string checkpoint_scope(const Plan& plan);
-    static void checkpoint_encode(const Aggregate& agg, std::string& out);
-    static void checkpoint_decode(std::string_view bytes, Aggregate& agg);
 };
 
 /// Runs on the workload-generic kernel; bit-identical at any thread count.

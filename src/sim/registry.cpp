@@ -712,6 +712,10 @@ const Names<net::SparseStream>& sparse_streams() {
 }
 
 // -------------------------------------------------------------- key tables
+//
+// The binary and multi-valued specs (runner.hpp, multivalued_runner.hpp):
+// parse, describe, adba_sim's scenario flags and the checkpoint scopes all
+// read these rows, so a key is declared exactly once.
 
 const std::vector<SpecKey<Scenario>>& scenario_keys() {
     using S = Scenario;
@@ -722,7 +726,7 @@ const std::vector<SpecKey<Scenario>>& scenario_keys() {
         spec_name("inputs", R::Identity, &S::inputs, &input_patterns),
         spec_field("n", R::Identity, &S::n),
         spec_field("t", R::Identity, &S::t),
-        spec_field("q", R::Result, &S::q),
+        spec_field("q", R::Result, &S::q, &S::t),
         spec_field("alpha", R::Result, &S::tuning, &core::Tuning::alpha),
         spec_field("gamma", R::Result, &S::tuning, &core::Tuning::gamma),
         spec_field("beta", R::Result, &S::tuning, &core::Tuning::beta),
@@ -753,7 +757,7 @@ const std::vector<SpecKey<MvScenario>>& mv_scenario_keys() {
         spec_name("inputs", R::Identity, &S::inputs, &mv_input_patterns, /*display=*/true),
         spec_field("n", R::Identity, &S::n),
         spec_field("t", R::Identity, &S::t),
-        spec_field("q", R::Result, &S::q),
+        spec_field("q", R::Result, &S::q, &S::t),
         spec_field("alpha", R::Result, &S::tuning, &core::Tuning::alpha),
         spec_field("gamma", R::Result, &S::tuning, &core::Tuning::gamma),
         spec_field("beta", R::Result, &S::tuning, &core::Tuning::beta),

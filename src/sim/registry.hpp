@@ -264,12 +264,6 @@ const Names<bool>& delivery_planes();
 /// counter (the batched v2 default).
 const Names<net::SparseStream>& sparse_streams();
 
-/// The key tables of the two scenario specs (spec_keys.hpp): parse,
-/// describe, adba_sim's scenario flags and the checkpoint scopes all read
-/// these rows, so a key is declared exactly once.
-const std::vector<SpecKey<Scenario>>& scenario_keys();
-const std::vector<SpecKey<MvScenario>>& mv_scenario_keys();
-
 /// Graceful degradation on resource limits (sim/faults.hpp owns the budget
 /// value): estimates the scenario's per-trial arena footprint against the
 /// process-wide memory budget. Within budget (or budget off): no change,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/fused_plane.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
 #include "sim/registry.hpp"
 #include "support/contracts.hpp"
@@ -51,7 +50,10 @@ public:
         // Native batch plane when the scenario wants it and the protocol
         // ships one; otherwise the per-node path (wrapped in the engine's
         // pooled PerNodeBatch adapter). Both are bit-identical by contract.
-        const bool batched = s.use_batch && plan_.protocol->make_batch != nullptr;
+        // reference=true runs the per-node nodes, the spec both are pinned
+        // to, over the engine's DeliverySource oracle.
+        const bool batched = s.use_batch && !s.reference_delivery &&
+                             plan_.protocol->make_batch != nullptr;
         if (!have_bundle_) {
             bundle_ = batched ? plan_.protocol->make_batch(s, inputs_, seeds)
                               : plan_.protocol->make_nodes(s, inputs_, seeds);
@@ -331,50 +333,6 @@ std::vector<std::string> BinaryWorkload::csv_row(const Aggregate& agg) {
             Table::num(have ? agg.corruptions.mean() : 0.0, 3)};
 }
 
-std::string BinaryWorkload::checkpoint_scope(const Plan& plan) {
-    return describe_spec(scenario_keys(), plan.scenario, /*results_only=*/true);
-}
-
-void BinaryWorkload::checkpoint_encode(const Aggregate& agg, std::string& out) {
-    BinWriter w(out);
-    w.u32(agg.trials);
-    w.u32(agg.agreement_failures);
-    w.u32(agg.validity_failures);
-    w.u32(agg.not_halted);
-    w.u32(agg.cap_exhausted);
-    w.u32(agg.watchdog_timeouts);
-    w.u32(agg.faulted);
-    w.doubles(agg.rounds.values());
-    w.doubles(agg.messages.values());
-    w.doubles(agg.bits.values());
-    w.doubles(agg.corruptions.values());
-}
-
-void BinaryWorkload::checkpoint_decode(std::string_view bytes, Aggregate& agg) {
-    BinReader r(bytes);
-    agg.trials = r.u32();
-    agg.agreement_failures = r.u32();
-    agg.validity_failures = r.u32();
-    agg.not_halted = r.u32();
-    agg.cap_exhausted = r.u32();
-    agg.watchdog_timeouts = r.u32();
-    agg.faulted = r.u32();
-    std::vector<double> xs;
-    r.doubles(xs);
-    for (double x : xs) agg.rounds.add(x);
-    xs.clear();
-    r.doubles(xs);
-    for (double x : xs) agg.messages.add(x);
-    xs.clear();
-    r.doubles(xs);
-    for (double x : xs) agg.bits.add(x);
-    xs.clear();
-    r.doubles(xs);
-    for (double x : xs) agg.corruptions.add(x);
-    ADBA_EXPECTS_MSG(r.exhausted(),
-                     "binary checkpoint payload has trailing bytes");
-}
-
 std::optional<std::string> fused_skip_reason(const ScenarioPlan& plan, Count trials,
                                              const ExecutorConfig& exec) {
     return BinaryWorkload::why_scalar(plan, trials,
@@ -387,20 +345,6 @@ TrialResult run_trial(const ScenarioPlan& plan, std::uint64_t seed) {
 
 TrialResult run_trial(const Scenario& s, std::uint64_t seed) {
     return run_one_trial<BinaryWorkload>(BinaryWorkload::make_plan(s), seed);
-}
-
-void Aggregate::merge(const Aggregate& other) {
-    rounds.merge(other.rounds);
-    messages.merge(other.messages);
-    bits.merge(other.bits);
-    corruptions.merge(other.corruptions);
-    trials += other.trials;
-    agreement_failures += other.agreement_failures;
-    validity_failures += other.validity_failures;
-    not_halted += other.not_halted;
-    cap_exhausted += other.cap_exhausted;
-    watchdog_timeouts += other.watchdog_timeouts;
-    faulted += other.faulted;
 }
 
 Aggregate run_trials(const Scenario& s, std::uint64_t base_seed, Count trials,

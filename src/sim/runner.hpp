@@ -7,7 +7,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "core/params.hpp"
 #include "net/engine.hpp"
@@ -140,6 +141,9 @@ struct Scenario {
     friend bool operator==(const Scenario&, const Scenario&) = default;
 };
 
+/// The key table of the binary spec (spec_keys.hpp; rows in registry.cpp).
+const std::vector<SpecKey<Scenario>>& scenario_keys();
+
 struct TrialResult {
     bool agreement = false;
     std::optional<Bit> agreed_value;
@@ -186,9 +190,19 @@ struct Aggregate {
     Count watchdog_timeouts = 0;
     Count faulted = 0;
 
+    /// The fields in journal order (workload.hpp): merge, reserve and the
+    /// checkpoint codec read this list.
+    static constexpr auto fields() {
+        using A = Aggregate;
+        return std::tuple{&A::trials, &A::agreement_failures, &A::validity_failures,
+                          &A::not_halted, &A::cap_exhausted, &A::watchdog_timeouts,
+                          &A::faulted, &A::rounds, &A::messages, &A::bits,
+                          &A::corruptions};
+    }
+
     /// Folds a later index range's partial in (order matters: merge partials
     /// in chunk-index order for serial-identical Samples buffers).
-    void merge(const Aggregate& other);
+    void merge(const Aggregate& other) { merge_fields(*this, other); }
 };
 
 /// Binary-engine workload: the full-fidelity (protocol x adversary) trial
@@ -208,13 +222,11 @@ struct BinaryWorkload {
     /// back to the sparse plane (one stderr warning) or is rejected with an
     /// actionable ContractViolation — never an OOM kill mid-sweep.
     static Plan make_plan(const Scenario& s);
+    static const std::vector<SpecKey<Scenario>>& keys() { return scenario_keys(); }
     static void accumulate(Aggregate& agg, const Result& r);
-    static void reserve(Aggregate& agg, Count trials) {
-        agg.rounds.reserve(trials);
-        agg.messages.reserve(trials);
-        agg.bits.reserve(trials);
-        agg.corruptions.reserve(trials);
-    }
+    /// The kernel's pre-sizing of a chunk partial, for chunk loops outside
+    /// it (perfbench's traced executor).
+    static void reserve(Aggregate& agg, Count trials) { reserve_fields(agg, trials); }
     /// 64 when the plan engages fused blocks (one block), else 1.
     static Count block_trials(const Plan& plan);
     /// THE run-level fused decision (the kernel's runs_in_blocks, and
@@ -229,16 +241,6 @@ struct BinaryWorkload {
 
     static std::vector<std::string> csv_header();
     static std::vector<std::string> csv_row(const Aggregate& agg);
-
-    // Checkpoint hooks (sim/checkpoint.hpp): the journal header pins the
-    // scenario's result-changing keys (scenario_keys; the Execution keys
-    // such as `fused` or `shard` leave aggregates bit-identical, and the
-    // header pins the chunk, which is what a resume must match), and chunk
-    // partials round-trip through a byte-exact encoding (raw IEEE bits,
-    // Samples order preserved).
-    static std::string checkpoint_scope(const Plan& plan);
-    static void checkpoint_encode(const Aggregate& agg, std::string& out);
-    static void checkpoint_decode(std::string_view bytes, Aggregate& agg);
 };
 
 /// Runs on the workload-generic kernel (sim/workload.hpp): the scenario is

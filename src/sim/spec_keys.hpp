@@ -2,9 +2,12 @@
 // row — its name, its field, and whether it changes results — and
 // everything a key appears in is derived from the rows: the spec parser,
 // describe() (in table order), the unknown-key message, adba_sim's
-// per-key flags and the checkpoint scope, which keeps only the keys that
-// change results. Adding a key is adding a row to scenario_keys() or
-// mv_scenario_keys() (registry.cpp).
+// per-key flags and --help, and the checkpoint scope, which keeps only the
+// keys that change results. Adding a key is adding a row to its workload's
+// table: scenario_keys() or mv_scenario_keys() (registry.cpp),
+// coin_scenario_keys() (coin_runner.cpp) or macro_scenario_keys()
+// (macro.cpp); each workload trait hands its table to the kernel as
+// W::keys().
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,7 @@
 
 namespace adba::sim {
 
-/// What a key is to its scenario.
+/// What a key is to its scenario, in describe_spec's `upto` order.
 enum class KeyRole : std::uint8_t {
     Identity,   ///< changes results; describe() writes it even at its default
     Result,     ///< changes results; describe() writes it off its default
@@ -36,7 +39,8 @@ struct SpecKey {
     /// Parses `value` into the field; `what` names the key in errors, e.g.
     /// "scenario key 'n'" or "--n".
     std::function<void(S&, const std::string& what, const std::string& value)> parse;
-    /// The field's value as describe() writes it ("" for an unset optional).
+    /// The field's value as describe() writes it; an unset optional reads
+    /// as its fallback (`q` as `t`), the value a run uses.
     std::function<std::string(const S&)> value;
     /// True while the field holds its default-constructed value.
     std::function<bool(const S&)> at_default;
@@ -44,19 +48,12 @@ struct SpecKey {
 
 namespace detail {
 
-template <typename T>
-inline constexpr bool kIsOptional = false;
-template <typename U>
-inline constexpr bool kIsOptional<std::optional<U>> = true;
-
 /// "%.17g": a double round-trips exactly through parse_double.
 std::string format_double(double v);
 
 template <typename T>
 T parse_field(const std::string& what, const std::string& value) {
-    if constexpr (kIsOptional<T>)
-        return parse_field<typename T::value_type>(what, value);
-    else if constexpr (std::is_same_v<T, bool>)
+    if constexpr (std::is_same_v<T, bool>)
         return parse_bool(what, value);
     else if constexpr (std::is_same_v<T, double>)
         return parse_double(what, value);
@@ -68,9 +65,7 @@ T parse_field(const std::string& what, const std::string& value) {
 
 template <typename T>
 std::string format_field(const T& v) {
-    if constexpr (kIsOptional<T>)
-        return v ? format_field(*v) : "";
-    else if constexpr (std::is_same_v<T, bool>)
+    if constexpr (std::is_same_v<T, bool>)
         return v ? "true" : "false";
     else if constexpr (std::is_same_v<T, double>)
         return format_double(v);
@@ -111,6 +106,21 @@ SpecKey<S> spec_field(std::string name, KeyRole role, T S::*field,
         std::move(name), role, [field](auto& s) -> auto& { return s.*field; }, parse);
 }
 
+/// A row for an optional field that reads as `fallback` while unset
+/// (`&S::q, &S::t`): describe() writes it once set.
+template <typename S, typename T>
+SpecKey<S> spec_field(std::string name, KeyRole role, std::optional<T> S::*field,
+                      T S::*fallback) {
+    return {std::move(name), role,
+            [field](S& s, const std::string& what, const std::string& value) {
+                s.*field = detail::parse_field<T>(what, value);
+            },
+            [field, fallback](const S& s) {
+                return detail::format_field((s.*field).value_or(s.*fallback));
+            },
+            [field](const S& s) { return !(s.*field).has_value(); }};
+}
+
 /// A row for a field of a member struct, `&S::member, &Member::field`.
 template <typename S, typename M, typename T>
 SpecKey<S> spec_field(std::string name, KeyRole role, M S::*member, T M::*field) {
@@ -137,7 +147,7 @@ SpecKey<S> spec_name(std::string name, KeyRole role, K S::*field, Table names,
 }
 
 /// Parses a spec through `keys`; `scenario` names the spec kind in errors
-/// ("scenario", "multi-valued scenario", "fault").
+/// ("scenario", "multi-valued scenario", "coin scenario", "fault").
 template <typename S>
 S parse_spec(const std::vector<SpecKey<S>>& keys, const std::string& scenario,
              const std::string& spec) {
@@ -157,14 +167,15 @@ S parse_spec(const std::vector<SpecKey<S>>& keys, const std::string& scenario,
 }
 
 /// The canonical spec of `s`, in table order: Identity keys always, the
-/// others off their defaults. `results_only` leaves out the Execution keys
-/// (the checkpoint scope).
+/// others off their defaults, up to role `upto`: KeyRole::Result leaves out
+/// the Execution keys (the checkpoint scope), KeyRole::Identity writes the
+/// Identity keys alone.
 template <typename S>
 std::string describe_spec(const std::vector<SpecKey<S>>& keys, const S& s,
-                          bool results_only = false) {
+                          KeyRole upto = KeyRole::Execution) {
     std::string out;
     for (const SpecKey<S>& k : keys) {
-        if (results_only && k.role == KeyRole::Execution) continue;
+        if (k.role > upto) continue;
         if (k.role != KeyRole::Identity && k.at_default(s)) continue;
         out += (out.empty() ? "" : " ") + k.name + "=" + k.value(s);
     }

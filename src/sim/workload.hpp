@@ -14,9 +14,13 @@
 //
 //   typename W::Scenario   pure-value scenario (equality-comparable)
 //   typename W::Result     outcome of one trial
-//   typename W::Aggregate  merge()-able aggregate with a `Count trials` field
+//   typename W::Aggregate  aggregate with a `Count trials` field and one
+//                          field list, A::fields() (see "aggregate field
+//                          lists" below): merge, reserve and the checkpoint
+//                          payload codec are derived from it
 //   typename W::Plan       once-per-sweep resolved product of a scenario
 //                          (registry entries, derived parameters, round caps)
+//                          holding it as `scenario`, or the scenario itself
 //   typename W::Arena      per-chunk pooled trial state; constructed from a
 //                          Plan, `Result run(std::uint64_t seed)` must be a
 //                          pure function of (plan, seed) — re-armed state
@@ -27,8 +31,12 @@
 //                          workload — changing it silently re-randomizes
 //                          every recorded experiment.
 //   W::make_plan(scenario) validation + hoisting, called once per run/sweep
+//   W::keys()              the scenario's key table (spec_keys.hpp): parse,
+//                          describe, adba_sim's flags, and the checkpoint
+//                          scope pinned in the journal header — the
+//                          scenario less its Execution keys, so a resume
+//                          under another result-changing key is refused
 //   W::accumulate(agg, r)  folds one trial result into a chunk partial
-//   W::reserve(agg, n)     optional pre-sizing of sample buffers
 //   W::block_trials(plan)  optional: trials one arena call co-executes under
 //                          this plan (64 for fused binary plans); the
 //                          default chunk rounds up to whole blocks, and
@@ -40,15 +48,7 @@
 //                          chunk runs as blocks)
 //
 // plus reporting metadata used by the uniform CSV schema (sim/report.hpp):
-//   W::kName, W::csv_header(), W::csv_row(agg),
-//
-// plus the checkpoint hooks (chunk-granular resume, sim/checkpoint.hpp):
-//   W::checkpoint_scope(plan)        plan fingerprint pinned in the journal
-//                                    header (a resume under a different
-//                                    scenario must be refused, not merged)
-//   W::checkpoint_encode(agg, out)   byte-exact chunk-partial serialization
-//   W::checkpoint_decode(bytes, agg) inverse; decode(encode(a)) == a to the
-//                                    bit, Samples order included
+//   W::kName, W::csv_header(), W::csv_row(agg).
 //
 // Resilience contract: every W::Result carries a TrialOutcome. The kernel
 // below recovers injected harness faults (sim/faults.hpp) by retrying the
@@ -62,6 +62,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -71,10 +73,101 @@
 #include "sim/executor.hpp"
 #include "sim/faults.hpp"
 #include "sim/names.hpp"
+#include "sim/spec_keys.hpp"
 #include "support/contracts.hpp"
+#include "support/stats.hpp"
 #include "support/types.hpp"
 
 namespace adba::sim {
+
+// ------------------------------------------------- aggregate field lists
+//
+// Every workload aggregate lists its counters (Count) and sample series
+// (Samples) once, in journal order,
+//
+//   static constexpr auto fields() { return std::tuple{&A::trials, ...}; }
+//
+// and merge, reserve and the checkpoint payload codec are derived from that
+// list. A payload holds each field in list order: a counter as u32, a
+// series as BinWriter::doubles (raw IEEE bits in storage order), so
+// decode-then-merge equals merging the originals, bit for bit.
+
+namespace detail {
+
+template <typename Field>
+inline constexpr bool kSeries = false;
+template <typename A>
+inline constexpr bool kSeries<Samples A::*> = true;
+
+/// Calls visit(&A::field) for each field of A's list, in order.
+template <typename A, typename Visit>
+void for_each_field(Visit&& visit) {
+    std::apply([&](auto... field) { (visit(field), ...); }, A::fields());
+}
+
+}  // namespace detail
+
+/// Folds a later index range's partial in: counters add, series append in
+/// storage order (merge partials in chunk-index order).
+template <typename A>
+void merge_fields(A& into, const A& from) {
+    detail::for_each_field<A>([&](auto field) {
+        if constexpr (detail::kSeries<decltype(field)>)
+            (into.*field).merge(from.*field);
+        else
+            into.*field += from.*field;
+    });
+}
+
+/// Pre-sizes every sample series for `trials` trials.
+template <typename A>
+void reserve_fields(A& agg, Count trials) {
+    detail::for_each_field<A>([&](auto field) {
+        if constexpr (detail::kSeries<decltype(field)>) (agg.*field).reserve(trials);
+    });
+}
+
+/// Appends the checkpoint payload of `agg` to `out`.
+template <typename A>
+void encode_fields(const A& agg, std::string& out) {
+    BinWriter w(out);
+    detail::for_each_field<A>([&](auto field) {
+        if constexpr (detail::kSeries<decltype(field)>) {
+            w.doubles((agg.*field).values());
+        } else {
+            static_assert(std::is_same_v<decltype(field), Count A::*>);
+            w.u32(agg.*field);
+        }
+    });
+}
+
+/// Decodes an encode_fields payload into `agg`, which must consume it
+/// exactly; `workload` names it in the error.
+template <typename A>
+void decode_fields(std::string_view bytes, A& agg, const std::string& workload) {
+    BinReader r(bytes);
+    std::vector<double> xs;
+    detail::for_each_field<A>([&](auto field) {
+        if constexpr (detail::kSeries<decltype(field)>) {
+            xs.clear();
+            r.doubles(xs);
+            for (double x : xs) (agg.*field).add(x);
+        } else {
+            agg.*field = r.u32();
+        }
+    });
+    ADBA_EXPECTS_MSG(r.exhausted(), workload + " checkpoint payload has trailing bytes");
+}
+
+/// The scenario a plan was made from (a workload whose scenario doubles as
+/// its plan passes it through).
+template <typename W>
+const typename W::Scenario& plan_scenario(const typename W::Plan& plan) {
+    if constexpr (std::is_same_v<typename W::Plan, typename W::Scenario>)
+        return plan;
+    else
+        return plan.scenario;
+}
 
 /// Runs one trial through a fresh arena; the one-shot (non-pooled) path.
 /// Bit-identical to what a pooled arena produces for the same (plan, seed).
@@ -134,8 +227,7 @@ typename W::Aggregate run_resilient_chunk(const typename W::Plan& plan,
         if (inj) inj->on_chunk_arena(chunk_index);
         typename W::Aggregate part;
         part.trials = end - begin;
-        if constexpr (requires { W::reserve(part, Count{}); })
-            W::reserve(part, end - begin);
+        reserve_fields(part, end - begin);
         typename W::Arena arena(plan);
         Count i = begin;
         // Fused fast path: when the run goes in blocks (runs_in_blocks;
@@ -210,7 +302,7 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
     meta.seed_stride = W::kSeedStride;
     meta.trials = trials;
     meta.chunk = chunk;
-    meta.scope = W::checkpoint_scope(plan);
+    meta.scope = describe_spec(W::keys(), plan_scenario<W>(plan), KeyRole::Result);
     ChunkJournal journal(exec.checkpoint, meta, exec.resume);
 
     if (trials == 0) return typename W::Aggregate{};
@@ -222,7 +314,7 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
                              " is beyond this sweep's " + std::to_string(num_chunks) +
                              " chunks");
         typename W::Aggregate agg;
-        W::checkpoint_decode(payload, agg);
+        decode_fields(payload, agg, W::kName);
         const Count begin = static_cast<Count>(ci) * chunk;
         const Count end = detail::chunk_end(trials, begin, chunk);
         ADBA_EXPECTS_MSG(agg.trials == end - begin,
@@ -239,7 +331,7 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
             typename W::Aggregate part =
                 run_resilient_chunk<W>(plan, base_seed, ci, begin, end, blocks);
             std::string payload;
-            W::checkpoint_encode(part, payload);
+            encode_fields(part, payload);
             journal.append(ci, payload);
             partials[ci].emplace(std::move(part));
         });

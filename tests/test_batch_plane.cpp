@@ -1,8 +1,10 @@
 // Batch-plane tests: native SoA protocol stepping (registry make_batch)
 // must be BIT-IDENTICAL to the per-node adapter path (scenario batch=false)
 // for every compatible (protocol, adversary) registry pair, at any thread
-// count, on both the flat delivery plane and the reference oracle — plus a
-// randomized fuzz sweep over sampled pairs, seeds, and network sizes.
+// count — plus a randomized fuzz sweep over sampled pairs, seeds, and
+// network sizes. The reference delivery oracle (reference=true) steps the
+// per-node nodes whatever `batch` says; test_delivery_plane pins the native
+// batches against it.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -45,8 +47,7 @@ Count max_t(const sim::ProtocolEntry& p, NodeId n) {
 
 // ---------------------------------------------------------------------------
 // Every compatible registry pair with a native batch: batch == per-node,
-// bit for bit, on the flat plane (threads 1 and 8) and on the reference
-// delivery oracle.
+// bit for bit, on the flat plane (threads 1 and 8).
 
 TEST(BatchPlaneEquivalence, AllRegistryPairsBatchMatchesPerNode) {
     const NodeId n = 25;
@@ -82,15 +83,6 @@ TEST(BatchPlaneEquivalence, AllRegistryPairsBatchMatchesPerNode) {
             // the pooled batch must be exact across any chunking).
             const sim::Aggregate par = sim::run_trials(batched, 0xBA7C4, 6, {8, 2});
             expect_aggregate_eq(fast, par);
-
-            // Reference-delivery oracle: the batch's scalar per-view receive
-            // must match the per-node nodes driven over the same oracle.
-            sim::Scenario batched_ref = batched;
-            batched_ref.reference_delivery = true;
-            sim::Scenario per_node_ref = per_node;
-            per_node_ref.reference_delivery = true;
-            expect_aggregate_eq(sim::run_trials(batched_ref, 0xBA7C4, 3, serial),
-                                sim::run_trials(per_node_ref, 0xBA7C4, 3, serial));
         }
     }
     // 8 native-batch protocols x 9 adversaries minus constraints.
@@ -223,6 +215,25 @@ TEST(BatchPlanePooling, TakeNodesRequiresPerNodeForm) {
     EXPECT_THROW(eng.take_nodes(), ContractViolation);
     (void)eng.run();
     EXPECT_TRUE(eng.take_batch() != nullptr);
+}
+
+TEST(BatchPlanePooling, NativeBatchesLeaveTheDeliverySourceToPerNodeNodes) {
+    sim::Scenario s;
+    s.n = 10;
+    s.t = 3;
+    const sim::ScenarioPlan plan = sim::validate(s);
+    const SeedTree seeds(7);
+    const std::vector<Bit> inputs(s.n, 0);
+    sim::ProtocolBundle bundle = plan.protocol->make_batch(s, inputs, seeds);
+    net::RoundBuffer buf;
+    buf.reset(s.n);
+    const net::RoundBufferSource src(buf);
+    try {
+        bundle.batch->receive_all(0, buf, src);
+        ADD_FAILURE() << "a native batch stepped the DeliverySource oracle";
+    } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("PerNodeBatch"), std::string::npos) << e.what();
+    }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/coin_runner.hpp"
 #include "sim/macro.hpp"
@@ -193,6 +194,25 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsEveryCompatiblePair) {
     }
 }
 
+/// `s` sets every key of `keys` off its default, so describe() writes each
+/// one; alone off its default, each key round-trips and is written as
+/// `key=value`, also when the spec spells the key in upper case.
+template <typename S>
+void expect_every_key_round_trips(const std::vector<SpecKey<S>>& keys, const S& s) {
+    EXPECT_EQ(S::parse(s.describe()), s) << s.describe();
+    for (const SpecKey<S>& key : keys) {
+        EXPECT_FALSE(key.at_default(s)) << key.name << ": set it off its default";
+        S one;
+        key.parse(one, key.name, key.value(s));
+        EXPECT_FALSE(key.at_default(one)) << key.name;
+        EXPECT_EQ(S::parse(one.describe()), one) << one.describe();
+        EXPECT_NE((" " + one.describe() + " ").find(" " + key.name + "=" + key.value(s) + " "),
+                  std::string::npos)
+            << one.describe();
+        EXPECT_EQ(S::parse(upper(key.name) + "=" + key.value(s)), one) << key.name;
+    }
+}
+
 TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     Scenario s;
     s.n = 96;
@@ -219,22 +239,76 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.sparse_stream = net::SparseStream::Chain;
     s.use_fused = false;
     s.watchdog_ms = 500;
-    EXPECT_EQ(Scenario::parse(s.describe()), s) << s.describe();
-    // Every key of the table is off its default above, so describe() writes
-    // each one; alone off its default, each key round-trips and is written
-    // as `key=value`, also when the spec spells the key in upper case.
     EXPECT_EQ(scenario_keys().size(), 24u);
-    for (const SpecKey<Scenario>& key : scenario_keys()) {
-        EXPECT_FALSE(key.at_default(s)) << key.name << ": set it off its default above";
-        Scenario one;
-        key.parse(one, key.name, key.value(s));
-        EXPECT_FALSE(key.at_default(one)) << key.name;
-        EXPECT_EQ(Scenario::parse(one.describe()), one) << one.describe();
-        EXPECT_NE((" " + one.describe() + " ").find(" " + key.name + "=" + key.value(s) + " "),
-                  std::string::npos)
-            << one.describe();
-        EXPECT_EQ(Scenario::parse(upper(key.name) + "=" + key.value(s)), one) << key.name;
-    }
+    expect_every_key_round_trips(scenario_keys(), s);
+
+    MvScenario mv;
+    mv.n = 96;
+    mv.t = 21;
+    mv.q = 7;
+    mv.adversary = MvAdversaryKind::Chaos;
+    mv.inputs = MvInputPattern::RandomTiny;
+    mv.tuning.alpha = 2.5;
+    mv.tuning.gamma = 1.25;
+    mv.tuning.beta = 0.5;
+    mv.fallback = 9;
+    mv.las_vegas = true;
+    mv.reference_delivery = true;
+    mv.use_simd = false;
+    mv.watchdog_ms = 500;
+    EXPECT_EQ(mv_scenario_keys().size(), 13u);
+    expect_every_key_round_trips(mv_scenario_keys(), mv);
+
+    CoinScenario coin;
+    coin.n = 64;
+    coin.designated = 16;
+    coin.f = 3;
+    coin.attack = adv::CoinAttack::ForceBit;
+    coin.forced_bit = 1;
+    EXPECT_EQ(coin_scenario_keys().size(), 5u);
+    expect_every_key_round_trips(coin_scenario_keys(), coin);
+    EXPECT_EQ(coin.describe(), "n=64 k=16 f=3 attack=force-bit forced_bit=1");
+
+    MacroScenario macro;
+    macro.n = 4096;
+    macro.t = 64;
+    macro.q = 32;
+    macro.schedule = MacroScheduleKind::ChorCoanClassic;
+    macro.tuning.alpha = 2.5;
+    macro.tuning.gamma = 1.25;
+    macro.tuning.beta = 0.5;
+    EXPECT_EQ(macro_scenario_keys().size(), 7u);
+    expect_every_key_round_trips(macro_scenario_keys(), macro);
+    EXPECT_EQ(macro.describe(),
+              "n=4096 t=64 q=32 schedule=cc-classic alpha=2.5 gamma=1.25 beta=0.5");
+}
+
+TEST(ScenarioSpec, UnsetQReadsAsT) {
+    // describe() leaves an unset q out; its value, what --help shows, is t.
+    const auto q_value = [](const auto& keys, const auto& s) {
+        for (const auto& key : keys)
+            if (key.name == "q") return key.value(s);
+        return std::string("no q key");
+    };
+    const Scenario s = Scenario::parse("n=64 t=21");
+    EXPECT_EQ(q_value(scenario_keys(), s), "21");
+    EXPECT_EQ(s.describe().find("q="), std::string::npos);
+    EXPECT_EQ(q_value(mv_scenario_keys(), MvScenario::parse("n=64 t=21")), "21");
+    const MacroScenario m = MacroScenario::parse("n=4096 t=64");
+    EXPECT_FALSE(m.q.has_value());
+    EXPECT_EQ(q_value(macro_scenario_keys(), m), "64");
+    EXPECT_EQ(m.describe(), "n=4096 t=64 schedule=ours");
+    EXPECT_EQ(run_macro_trials(m, 4, 6, ExecutorConfig{1}).corruptions.values(),
+              run_macro_trials(MacroScenario::parse("n=4096 t=64 q=64"), 4, 6, ExecutorConfig{1})
+                  .corruptions.values());
+}
+
+TEST(ScenarioSpec, CoinRejectsForcedBitOutsideZeroOne) {
+    CoinScenario s = CoinScenario::parse("n=64 k=64 f=4 attack=force-bit forced_bit=7");
+    const std::string message = thrown_message([&] { (void)run_coin_trials(s, 1, 4); });
+    EXPECT_NE(message.find("forced_bit in {0, 1}"), std::string::npos) << message;
+    s.forced_bit = 1;
+    EXPECT_TRUE(compatible(s));
 }
 
 TEST(ScenarioSpec, ParseResolvesAliasesAndSeparators) {
@@ -358,6 +432,17 @@ TEST(NameLookup, EveryNameOfEveryAxisParsesInUpperCase) {
     expect_every_name_parses_in_upper_case(sparse_streams());
     expect_every_name_parses_in_upper_case(coin_attacks());
     expect_every_name_parses_in_upper_case(macro_schedules());
+    // So does every coin attack and macro schedule in a spec.
+    for (const auto* e : coin_attacks().list()) {
+        EXPECT_EQ(CoinScenario::parse("attack=" + upper(e->name)).attack, e->kind);
+        for (const std::string& name : e->aliases)
+            EXPECT_EQ(CoinScenario::parse("ATTACK=" + upper(name)).attack, e->kind) << name;
+    }
+    for (const auto* e : macro_schedules().list()) {
+        EXPECT_EQ(MacroScenario::parse("schedule=" + upper(e->name)).schedule, e->kind);
+        for (const std::string& name : e->aliases)
+            EXPECT_EQ(MacroScenario::parse("SCHEDULE=" + upper(name)).schedule, e->kind) << name;
+    }
     // Display names are unchanged, and parse back too.
     EXPECT_EQ(to_string(MvInputPattern::RandomTiny), "random(4)");
     EXPECT_EQ(to_string(MacroScheduleKind::Ours), "ours(macro)");

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -452,35 +453,157 @@ TEST(Checkpoint, ResumeRefusesMismatchedMeta) {
     (void)run_trials(s, 11, 6, ExecutorConfig{1, 3, path, true});
 }
 
-TEST(Checkpoint, EncodeDecodeRoundTripsEveryWorkloadAggregate) {
-    const Scenario s = small_scenario();
-    const Aggregate agg = run_trials(s, 3, 5, ExecutorConfig{1});
-    std::string payload;
-    BinaryWorkload::checkpoint_encode(agg, payload);
-    Aggregate back;
-    BinaryWorkload::checkpoint_decode(payload, back);
-    expect_aggregates_identical(back, agg);
-    EXPECT_THROW(
-        {
-            Aggregate bad;
-            BinaryWorkload::checkpoint_decode(payload + "x", bad);
-        },
-        ContractViolation);
+std::string hex(const std::string& bytes) {
+    std::string out;
+    char buf[3];
+    for (unsigned char c : bytes) {
+        std::snprintf(buf, sizeof buf, "%02x", c);
+        out += buf;
+    }
+    return out;
+}
 
-    MacroScenario ms;
-    ms.n = 64;
-    ms.t = 12;
-    ms.q = 12;
-    const MacroAggregate magg = run_macro_trials(ms, 3, 5, ExecutorConfig{1});
-    payload.clear();
-    MacroWorkload::checkpoint_encode(magg, payload);
-    MacroAggregate mback;
-    MacroWorkload::checkpoint_decode(payload, mback);
-    EXPECT_EQ(mback.trials, magg.trials);
-    EXPECT_EQ(mback.agreement_failures, magg.agreement_failures);
-    expect_samples_identical(mback.rounds, magg.rounds);
-    expect_samples_identical(mback.phases, magg.phases);
-    expect_samples_identical(mback.corruptions, magg.corruptions);
+/// The payload of `agg` is `pinned` (hex), and decoding it reproduces
+/// `agg`'s payload exactly; a trailing byte is refused.
+template <typename A>
+void expect_payload_round_trips(const A& agg, const std::string& pinned,
+                                const std::string& workload) {
+    SCOPED_TRACE(workload);
+    std::string payload;
+    encode_fields(agg, payload);
+    if (!pinned.empty()) EXPECT_EQ(hex(payload), pinned);
+    A back;
+    decode_fields(payload, back, workload);
+    std::string again;
+    encode_fields(back, again);
+    EXPECT_EQ(again, payload);
+    EXPECT_EQ(back.trials, agg.trials);
+    const std::string message = [&] {
+        try {
+            A bad;
+            decode_fields(payload + "x", bad, workload);
+        } catch (const ContractViolation& e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    }();
+    EXPECT_NE(message.find(workload + " checkpoint payload has trailing bytes"),
+              std::string::npos)
+        << message;
+}
+
+TEST(Checkpoint, EncodeDecodeRoundTripsEveryWorkloadAggregate) {
+    // One small fixed aggregate per workload, its payload bytes as the
+    // hand-written codecs wrote them before the field lists: a journal from
+    // before resumes bit-identically.
+    Aggregate b;
+    b.trials = 7;
+    b.agreement_failures = 1;
+    b.validity_failures = 2;
+    b.not_halted = 3;
+    b.cap_exhausted = 4;
+    b.watchdog_timeouts = 5;
+    b.faulted = 6;
+    b.rounds.add(1.5);
+    b.rounds.add(2);
+    b.messages.add(3);
+    b.corruptions.add(-0.25);
+    b.corruptions.add(1e300);
+    expect_payload_round_trips(
+        b,
+        "0700000001000000020000000300000004000000050000000600000002000000000000000000"
+        "00000000f83f000000000000004001000000000000000000000000000840000000000000000002"
+        "00000000000000000000000000d0bf9c7500883ce4377e",
+        "binary");
+
+    CoinAggregate c;
+    c.trials = 7;
+    c.common = 1;
+    c.common_ones = 2;
+    c.attack_feasible = 3;
+    c.faulted = 4;
+    expect_payload_round_trips(c, "0700000001000000020000000300000004000000", "coin");
+
+    MvAggregate m;
+    m.trials = 9;
+    m.agreement_failures = 1;
+    m.validity_failures = 2;
+    m.not_halted = 3;
+    m.decided_real = 4;
+    m.cap_exhausted = 5;
+    m.watchdog_timeouts = 6;
+    m.faulted = 7;
+    m.rounds.add(8);
+    m.rounds.add(9.75);
+    expect_payload_round_trips(
+        m,
+        "09000000010000000200000003000000040000000500000006000000070000000200000000000000"
+        "00000000000020400000000000802340",
+        "mv");
+
+    MacroAggregate x;
+    x.trials = 7;
+    x.agreement_failures = 1;
+    x.cap_exhausted = 2;
+    x.faulted = 3;
+    x.rounds.add(10);
+    x.corruptions.add(0.125);
+    x.corruptions.add(3);
+    expect_payload_round_trips(
+        x,
+        "07000000010000000200000003000000010000000000000000000000000024400000000000000000"
+        "0200000000000000000000000000c03f0000000000000840",
+        "macro");
+
+    // Aggregates a run produced round-trip too, every field bit for bit.
+    const Aggregate run = run_trials(small_scenario(), 3, 5, ExecutorConfig{1});
+    std::string payload;
+    encode_fields(run, payload);
+    Aggregate back;
+    decode_fields(payload, back, "binary");
+    expect_aggregates_identical(back, run);
+    CoinScenario cs;
+    cs.n = 16;
+    cs.designated = 16;
+    cs.f = 2;
+    expect_payload_round_trips(run_coin_trials(cs, 3, 5, ExecutorConfig{1}), "", "coin");
+    MvScenario ms;
+    ms.n = 16;
+    ms.t = 5;
+    expect_payload_round_trips(run_mv_trials(ms, 3, 5, ExecutorConfig{1}), "", "mv");
+    MacroScenario xs;
+    xs.n = 64;
+    xs.t = 12;
+    expect_payload_round_trips(run_macro_trials(xs, 3, 5, ExecutorConfig{1}), "", "macro");
+}
+
+TEST(Checkpoint, CoinAndMacroScopesRefuseAnotherExperiment) {
+    // The macro scope writes alpha through the key table's %.17g: a journal
+    // written at alpha = 4 is refused at alpha = 4.0000004 (whose six-decimal
+    // rendering is the same) and resumes at alpha = 4.0.
+    const std::string path = temp_path("ck_macro_alpha.bin");
+    std::filesystem::remove(path);
+    MacroScenario ms = MacroScenario::parse("n=4096 t=64 alpha=4");
+    const MacroAggregate full = run_macro_trials(ms, 9, 8, ExecutorConfig{1, 4, path, false});
+    MacroScenario near = ms;
+    near.tuning.alpha = 4.0000004;
+    EXPECT_THROW((void)run_macro_trials(near, 9, 8, ExecutorConfig{1, 4, path, true}),
+                 ContractViolation);
+    const MacroAggregate resumed = run_macro_trials(
+        MacroScenario::parse("n=4096 t=64 alpha=4.0"), 9, 8, ExecutorConfig{1, 4, path, true});
+    EXPECT_EQ(resumed.rounds.values(), full.rounds.values());
+    EXPECT_EQ(resumed.corruptions.values(), full.corruptions.values());
+
+    // A coin journal is refused under another attack.
+    const std::string coin_path = temp_path("ck_coin_attack.bin");
+    std::filesystem::remove(coin_path);
+    CoinScenario cs = CoinScenario::parse("n=32 k=32 f=2 attack=split");
+    (void)run_coin_trials(cs, 5, 8, ExecutorConfig{1, 4, coin_path, false});
+    cs.attack = adv::CoinAttack::ForceBit;
+    EXPECT_THROW((void)run_coin_trials(cs, 5, 8, ExecutorConfig{1, 4, coin_path, true}),
+                 ContractViolation);
+    cs.attack = adv::CoinAttack::Split;
+    (void)run_coin_trials(cs, 5, 8, ExecutorConfig{1, 4, coin_path, true});
 }
 
 TEST(Checkpoint, JournaledFaultyRunStillMatchesUnarmedResult) {
