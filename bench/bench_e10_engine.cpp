@@ -11,12 +11,11 @@
 // speedup vs the serial entry at the same n), `tally_kernels` (bytes/sec
 // of the packed popcount tally build vs the scalar byte-plane build, next
 // to a streaming memory-bandwidth reference — the roofline the packed
-// kernels are judged against) and `sparse` / `sparse_chain` (direct trials
-// through the sampled delivery plane at n up to 2^20 — per-receiver sampled
-// sender views, the regime the shared-tally trick cannot represent — one
-// block per frozen sample-stream version, with trials/sec, ns per
-// node-round, ns per sampled probe, delivered bytes per node-round, and the
-// counter block's max/min ns flatness ratio across the n sweep). The
+// kernels are judged against) and `sparse` (direct trials through the
+// sampled delivery plane at n up to 2^20 — per-receiver sampled sender
+// views, the regime the shared-tally trick cannot represent — with
+// trials/sec, ns per node-round, ns per sampled probe, delivered bytes per
+// node-round, and the max/min ns flatness ratio across the n sweep). The
 // `fused` block re-measures the small-n serial cells through the 64-lane
 // fused trial plane (fused=true): trials/sec, ns per node-round, ns per
 // trial, and speedup vs the scalar entry at the same n, plus the fixed
@@ -120,8 +119,7 @@ struct SparsePoint {
     Count faulted = 0;
 };
 
-SparsePoint measure_sparse(NodeId n, Count trials, Count degree,
-                           net::SparseStream stream) {
+SparsePoint measure_sparse(NodeId n, Count trials, Count degree) {
     sim::Scenario s;
     s.n = n;
     s.t = n / 10;  // honest count well clear of the n-t threshold
@@ -131,7 +129,6 @@ SparsePoint measure_sparse(NodeId n, Count trials, Count degree,
     s.inputs = sim::InputPattern::Split;
     s.sparse_plane = true;
     s.sample_degree = degree;
-    s.sparse_stream = stream;
 
     const sim::ExecutorConfig serial{1, 0};
     (void)sim::run_trials(s, 0xE10, 1, serial);  // warm-up (pools, planes)
@@ -408,11 +405,9 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     ktab.print(std::cout);
     benchutil::maybe_write_csv(cli, ktab, "e10_tally_kernels");
 
-    // Sparse delivery plane: direct sampled-view trials up to n=2^20, one
-    // block per stream version. Counter (the batched default) is the gated
-    // block; chain rides along so the frozen v1 derivation keeps a recorded
-    // cost. The n=2^20 cell runs several trials — a single ~1 s trial made
-    // the committed baseline noisy enough to trip the regression gate.
+    // Sparse delivery plane: direct sampled-view trials up to n=2^20. The
+    // n=2^20 cell runs several trials — a single ~1 s trial made the
+    // committed baseline noisy enough to trip the regression gate.
     const Count degree = flags.degree;
     const std::pair<NodeId, Count> sparse_cells[] = {
         {1 << 14, std::max<Count>(base / 100, 5)},
@@ -420,33 +415,20 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
         {1 << 20, std::max<Count>(base / 500, 3)},
     };
     std::vector<SparsePoint> sparse_points;
-    std::vector<SparsePoint> sparse_chain_points;
-    for (const bool chain : {false, true}) {
-        auto& pts = chain ? sparse_chain_points : sparse_points;
-        Table sptab(std::string("E10: sparse delivery plane (stream ") +
-                    (chain ? "chain" : "counter") + ", degree " +
-                    std::to_string(degree) +
-                    ", ours + static q=256, split inputs, 1 thread)");
-        sptab.set_header({"n", "t", "trials", "trials/sec", "ns/node-round",
-                          "ns/probe", "bytes/node-round"});
-        for (const auto& [n, trials] : sparse_cells) {
-            const SparsePoint p =
-                measure_sparse(n, trials, degree,
-                               chain ? net::SparseStream::Chain
-                                     : net::SparseStream::Counter);
-            pts.push_back(p);
-            sptab.add_row({Table::num(std::uint64_t{p.n}),
-                           Table::num(std::uint64_t{p.t}),
-                           Table::num(std::uint64_t{p.trials}),
-                           Table::num(p.trials_per_sec, 2),
-                           Table::num(p.ns_per_node_round, 1),
-                           Table::num(p.ns_per_probe, 2),
-                           Table::num(p.bytes_per_node_round, 1)});
-        }
-        sptab.print(std::cout);
-        benchutil::maybe_write_csv(
-            cli, sptab, chain ? "e10_sparse_plane_chain" : "e10_sparse_plane");
+    Table sptab("E10: sparse delivery plane (degree " + std::to_string(degree) +
+                ", ours + static q=256, split inputs, 1 thread)");
+    sptab.set_header({"n", "t", "trials", "trials/sec", "ns/node-round", "ns/probe",
+                      "bytes/node-round"});
+    for (const auto& [n, trials] : sparse_cells) {
+        const SparsePoint p = measure_sparse(n, trials, degree);
+        sparse_points.push_back(p);
+        sptab.add_row({Table::num(std::uint64_t{p.n}), Table::num(std::uint64_t{p.t}),
+                       Table::num(std::uint64_t{p.trials}), Table::num(p.trials_per_sec, 2),
+                       Table::num(p.ns_per_node_round, 1), Table::num(p.ns_per_probe, 2),
+                       Table::num(p.bytes_per_node_round, 1)});
     }
+    sptab.print(std::cout);
+    benchutil::maybe_write_csv(cli, sptab, "e10_sparse_plane");
 
     // Fused trial plane: the small-n cells where 64-lane word parallelism
     // pays; trial counts rounded to whole 64-lane blocks.
@@ -557,48 +539,33 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
                       i + 1 < kernels.size() ? "," : "");
         out << buf;
     }
-    const auto write_sparse_entries = [&out](const std::vector<SparsePoint>& pts) {
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-            const SparsePoint& p = pts[i];
-            char buf[360];
-            std::snprintf(
-                buf, sizeof buf,
-                "    {\"n\": %u, \"t\": %u, \"trials\": %u, \"seconds\": %.6f, "
-                "\"trials_per_sec\": %.3f, \"mean_rounds\": %.2f, "
-                "\"ns_per_node_round\": %.2f, \"ns_per_probe\": %.3f, "
-                "\"bytes_per_node_round\": %.2f, \"exhausted\": %u, "
-                "\"faulted\": %u}%s\n",
-                p.n, p.t, p.trials, p.seconds, p.trials_per_sec, p.mean_rounds,
-                p.ns_per_node_round, p.ns_per_probe, p.bytes_per_node_round,
-                p.exhausted, p.faulted, i + 1 < pts.size() ? "," : "");
-            out << buf;
-        }
-    };
     {
         char buf[160];
         std::snprintf(buf, sizeof buf,
-                      "  ]},\n  \"sparse\": {\"degree\": %u, "
-                      "\"stream\": \"counter\", \"entries\": [\n",
-                      degree);
+                      "  ]},\n  \"sparse\": {\"degree\": %u, \"entries\": [\n", degree);
         out << buf;
     }
-    write_sparse_entries(sparse_points);
+    for (std::size_t i = 0; i < sparse_points.size(); ++i) {
+        const SparsePoint& p = sparse_points[i];
+        char buf[360];
+        std::snprintf(buf, sizeof buf,
+                      "    {\"n\": %u, \"t\": %u, \"trials\": %u, \"seconds\": %.6f, "
+                      "\"trials_per_sec\": %.3f, \"mean_rounds\": %.2f, "
+                      "\"ns_per_node_round\": %.2f, \"ns_per_probe\": %.3f, "
+                      "\"bytes_per_node_round\": %.2f, \"exhausted\": %u, "
+                      "\"faulted\": %u}%s\n",
+                      p.n, p.t, p.trials, p.seconds, p.trials_per_sec, p.mean_rounds,
+                      p.ns_per_node_round, p.ns_per_probe, p.bytes_per_node_round,
+                      p.exhausted, p.faulted, i + 1 < sparse_points.size() ? "," : "");
+        out << buf;
+    }
     {
-        char buf[240];
+        char buf[200];
         std::snprintf(buf, sizeof buf,
                       "  ], \"ns_per_node_round_max_over_min\": %.3f},\n"
-                      "  \"sparse_chain\": {\"degree\": %u, "
-                      "\"stream\": \"chain\", \"entries\": [\n",
-                      sp_ratio, degree);
-        out << buf;
-    }
-    write_sparse_entries(sparse_chain_points);
-    {
-        char buf[160];
-        std::snprintf(buf, sizeof buf,
-                      "  ]},\n  \"fused\": {\"lanes\": 64, "
+                      "  \"fused\": {\"lanes\": 64, "
                       "\"ns_per_trial_overhead\": %.2f, \"entries\": [\n",
-                      fused_overhead);
+                      sp_ratio, fused_overhead);
         out << buf;
     }
     for (std::size_t i = 0; i < fused_points.size(); ++i) {

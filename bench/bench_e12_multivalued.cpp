@@ -5,6 +5,9 @@
 // end-to-end stress of Algorithm 3 when embedded.
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "sim/report.hpp"
@@ -23,32 +26,34 @@ void experiment(const Cli& cli) {
     std::printf("E12: multi-valued agreement (Turpin-Coan over Algorithm 3), n=%u, "
                 "t=%u, %u trials/cell.\n", n, t, trials);
 
-    sim::MvSweepGrid grid;
-    grid.base.n = n;
-    grid.base.t = t;
-    grid.inputs = {sim::MvInputPattern::AllSame, sim::MvInputPattern::TwoBlocks,
-                   sim::MvInputPattern::Distinct, sim::MvInputPattern::RandomTiny,
-                   sim::MvInputPattern::NearQuorum};
-    grid.adversaries = {sim::MvAdversaryKind::None, sim::MvAdversaryKind::WorstCaseInner,
-                        sim::MvAdversaryKind::PreludePlusWorstCase};
-
     Table tab("E12: multi-valued agreement across inputs x adversaries");
     tab.set_header({"inputs", "adversary", "agree %", "validity", "real-value %",
                     "mean rounds"});
-    const auto outcomes = sim::run_mv_sweep(grid, 0xE12, trials);
-    for (const auto& o : outcomes) {
-        const auto& agg = o.agg;
-        tab.add_row({sim::to_string(o.row.scenario.inputs),
-                     sim::to_string(o.row.scenario.adversary),
-                     Table::num(100.0 * (agg.trials - agg.agreement_failures) /
-                                    agg.trials, 1),
-                     agg.validity_failures == 0 ? "ok" : "VIOLATED",
-                     Table::num(100.0 * agg.decided_real / agg.trials, 1),
-                     Table::num(agg.rounds.mean(), 1)});
+    std::vector<std::pair<std::string, sim::MvAggregate>> rows;
+    for (const sim::MvInputPattern inputs :
+         {sim::MvInputPattern::AllSame, sim::MvInputPattern::TwoBlocks,
+          sim::MvInputPattern::Distinct, sim::MvInputPattern::RandomTiny,
+          sim::MvInputPattern::NearQuorum}) {
+        for (const sim::MvAdversaryKind adversary :
+             {sim::MvAdversaryKind::None, sim::MvAdversaryKind::WorstCaseInner,
+              sim::MvAdversaryKind::PreludePlusWorstCase}) {
+            sim::MvScenario s;
+            s.n = n;
+            s.t = t;
+            s.inputs = inputs;
+            s.adversary = adversary;
+            const auto agg = sim::run_mv_trials(s, sim::row_seed(0xE12, rows.size()), trials);
+            tab.add_row({sim::to_string(inputs), sim::to_string(adversary),
+                         Table::num(100.0 * (agg.trials - agg.agreement_failures) /
+                                        agg.trials, 1),
+                         agg.validity_failures == 0 ? "ok" : "VIOLATED",
+                         Table::num(100.0 * agg.decided_real / agg.trials, 1),
+                         Table::num(agg.rounds.mean(), 1)});
+            rows.emplace_back(sim::to_string(inputs) + " " + sim::to_string(adversary), agg);
+        }
     }
     tab.print(std::cout);
-    benchutil::maybe_write_csv(cli, sim::sweep_csv_table(tab.title(), outcomes),
-                               "e12_multivalued");
+    benchutil::maybe_write_csv(cli, sim::csv_table(tab.title(), rows), "e12_multivalued");
 
     // Overhead vs the plain binary protocol on the matching instance: a
     // unanimous binary run locks immediately, as does the unanimous

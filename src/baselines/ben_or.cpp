@@ -221,11 +221,7 @@ void FusedBenOr::rearm(const std::uint64_t* input_plane, const SeedTree* lane_se
     decided_.assign(n, 0);
     flushing_.assign(n, 0);
     halted_.assign(n, 0);
-    rng_.clear();
-    rng_.reserve(static_cast<std::size_t>(n) * net::kFusedLanes);
-    for (NodeId v = 0; v < n; ++v)
-        for (unsigned j = 0; j < net::kFusedLanes; ++j)
-            rng_.push_back(lane_seeds[j].stream(StreamPurpose::NodeProtocol, v));
+    streams_.rearm(lane_seeds, n);
 }
 
 void FusedBenOr::send_round(Round r, net::FusedFrame& frame) {
@@ -287,12 +283,9 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
             const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
             std::uint64_t v1 = a1;
             const std::uint64_t cm = draw & act;
-            if (cm != 0) {
-                Xoshiro256* streams = &rng_[static_cast<std::size_t>(v) * net::kFusedLanes];
-                for (std::uint64_t l = cm; l != 0; l &= l - 1) {
-                    const unsigned j = static_cast<unsigned>(std::countr_zero(l));
-                    if (streams[j].bit() != 0) v1 |= std::uint64_t{1} << j;
-                }
+            for (std::uint64_t l = cm; l != 0; l &= l - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(l));
+                if (streams_.at(v, j).bit() != 0) v1 |= std::uint64_t{1} << j;
             }
             val_[v] = (val_[v] & ~act) | (v1 & act);
             const std::uint64_t fin_v = fin & act;

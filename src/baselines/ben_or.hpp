@@ -126,8 +126,8 @@ private:
     std::vector<std::uint64_t> decided_;
     std::vector<std::uint64_t> flushing_;
     std::vector<std::uint64_t> halted_;
-    std::vector<Xoshiro256> rng_;  ///< lane-major per node: rng_[v*64+j]
-    net::SegmentFold fold_;  ///< recycled receive scratch
+    net::LaneStreams streams_;  ///< the private coins' per-(node, lane) streams
+    net::SegmentFold fold_;     ///< recycled receive scratch
 };
 
 /// Builds (into an empty pool) or re-arms the node set of one trial.

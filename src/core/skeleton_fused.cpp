@@ -25,16 +25,7 @@ void FusedSkeleton::rearm(const std::uint64_t* input_plane, const SeedTree* lane
     flushing_.assign(n, 0);
     halted_.assign(n, 0);
     coin_first_ = coin_last_ = 0;  // a block starts on a zeroed frame
-    // Per-cell streams identical to the scalar batches': lane j's stream
-    // (NodeProtocol, v), consumed only by cell (v, j). Committee flips draw
-    // statelessly (committee_flips); only the Local coin's case-3 draws keep
-    // a stream per cell, derived lazily at the first draw (cell_rng).
-    if (coin_.kind == CoinSpec::Kind::Local) {
-        rng_.resize(static_cast<std::size_t>(n) * kFusedLanes);
-        rng_live_.assign(n, 0);
-    }
-    for (unsigned j = 0; j < kFusedLanes; ++j)
-        lane_purpose_[j] = lane_seeds[j].purpose_hash(StreamPurpose::NodeProtocol);
+    streams_.rearm(lane_seeds, coin_.kind == CoinSpec::Kind::Local ? n : 0);
     if (coin_.kind == CoinSpec::Kind::Dealer)
         for (unsigned j = 0; j < kFusedLanes; ++j)
             dealer_seed_[j] = lane_seeds[j].seed(StreamPurpose::DealerCoin);
@@ -174,7 +165,7 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
                 std::uint64_t ones = 0;
                 for (std::uint64_t cm = cells; cm != 0; cm &= cm - 1) {
                     const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
-                    if (cell_rng(v, j).bit() != 0) ones |= std::uint64_t{1} << j;
+                    if (streams_.at(v, j).bit() != 0) ones |= std::uint64_t{1} << j;
                 }
                 val[v] = (val[v] & ~cells) | ones;
             }

@@ -58,17 +58,10 @@ private:
     /// wrote none); the next send clears it.
     NodeId coin_first_ = 0;
     NodeId coin_last_ = 0;
-    /// Local coin only: per-(node, lane) protocol streams, lane-major:
-    /// rng_[v * 64 + j] is lane j's stream (NodeProtocol, v) — private per
-    /// cell, so fused iteration order never perturbs another cell's draws.
-    /// Streams are constructed LAZILY at the first draw (rng_live_[v] bit
-    /// j); the stream is a pure function of (lane master, v), whenever it
-    /// is built.
-    std::vector<Xoshiro256> rng_;
-    std::vector<std::uint64_t> rng_live_;
-    /// Lane j's SeedTree purpose hash of NodeProtocol: node v's stream is
-    /// Xoshiro256(SeedTree::child_seed(lane_purpose_[j], v)).
-    std::uint64_t lane_purpose_[net::kFusedLanes] = {};
+    /// Per-(node, lane) protocol streams: committee flips draw statelessly
+    /// from their purposes, and only the Local coin's case-3 draws keep a
+    /// table of cells.
+    net::LaneStreams streams_;
     std::uint64_t dealer_seed_[net::kFusedLanes] = {};
 
     /// Committee coin: node v's phase-p flips, bit j set when lane j's flip
@@ -80,25 +73,16 @@ private:
     /// on a lane or its coin (net::kern::first_flips, eight lanes per
     /// vector where the CPU can); a revisit steps each drawn lane's stream.
     std::uint64_t committee_flips(NodeId v, Phase p, std::uint64_t drawn) const {
-        if (p < coin_.schedule.num_blocks) return net::kern::first_flips(lane_purpose_, v);
+        const std::uint64_t* purpose = streams_.purposes();
+        if (p < coin_.schedule.num_blocks) return net::kern::first_flips(purpose, v);
         std::uint64_t ones = 0;
         for (; drawn != 0; drawn &= drawn - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(drawn));
-            Xoshiro256 g(SeedTree::child_seed(lane_purpose_[j], v));
+            Xoshiro256 g(SeedTree::child_seed(purpose[j], v));
             for (Phase visit = p / coin_.schedule.num_blocks; visit > 0; --visit) g();
             if (g.sign() > 0) ones |= std::uint64_t{1} << j;
         }
         return ones;
-    }
-
-    Xoshiro256& cell_rng(NodeId v, unsigned j) {
-        const std::uint64_t bit = std::uint64_t{1} << j;
-        Xoshiro256& g = rng_[static_cast<std::size_t>(v) * net::kFusedLanes + j];
-        if ((rng_live_[v] & bit) == 0) {
-            g = Xoshiro256(SeedTree::child_seed(lane_purpose_[j], v));
-            rng_live_[v] |= bit;
-        }
-        return g;
     }
 
     net::SegmentFold fold_;  ///< recycled receive scratch

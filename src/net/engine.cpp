@@ -177,8 +177,7 @@ void Engine::common_reset(EngineConfig cfg, Adversary& adversary) {
                          "plane=sparse has no reference-delivery form");
         ADBA_EXPECTS_MSG(cfg_.simd_tally,
                          "plane=sparse reads the word-packed tally planes");
-        sparse_.reset(cfg_.n, cfg_.sample_degree, cfg_.sparse_seed,
-                      cfg_.sparse_stream);
+        sparse_.reset(cfg_.n, cfg_.sample_degree, cfg_.sparse_seed);
     }
     round_ = 0;
     budget_used_ = 0;

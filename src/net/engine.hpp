@@ -265,11 +265,7 @@ struct EngineConfig {
     /// Seed of the replayable edge-sample streams (SeedTree purpose
     /// SparseTopology); only read in sparse mode.
     std::uint64_t sparse_seed = 0;
-    /// Frozen index-derivation version of the sample streams (scenario key
-    /// `sparse_stream=chain|counter`; see net/sparse_kernels.hpp). Part of
-    /// the replayability contract: recorded sparse experiments replay only
-    /// under the stream version that produced them. Only read in sparse
-    /// mode.
+    /// Written only by perfbench; the engine reads none of it.
     SparseStream sparse_stream = SparseStream::Counter;
     /// Intra-trial shard dispatcher (owned by the caller, e.g. the arena's
     /// sim::ShardPool; must outlive run()). When set, the send beat, the

@@ -211,6 +211,43 @@ private:
     std::uint64_t row_lanes_ = 0;  ///< lanes whose rows_ are non-empty
 };
 
+/// The per-(node, lane) protocol streams of a block: cell (v, j) draws from
+/// lane j's (NodeProtocol, v) stream, Xoshiro256(SeedTree::child_seed(
+/// purposes()[j], v)), the scalar batches' stream of node v. Each cell's
+/// stream is private, so fused iteration order never perturbs another
+/// cell's draws, and is built at the cell's first draw: it is a pure
+/// function of (lane seed, v) whenever it is built.
+class LaneStreams {
+public:
+    /// Points lane j at lane_seeds[j]'s streams; a table of `nodes` nodes'
+    /// cells, none built yet, serves at() (0: purposes() only).
+    void rearm(const SeedTree* lane_seeds, NodeId nodes) {
+        for (unsigned j = 0; j < kFusedLanes; ++j)
+            purpose_[j] = lane_seeds[j].purpose_hash(StreamPurpose::NodeProtocol);
+        rng_.resize(static_cast<std::size_t>(nodes) * kFusedLanes);
+        live_.assign(nodes, 0);
+    }
+
+    /// Lane j's NodeProtocol purpose hash, for stateless draws.
+    const std::uint64_t* purposes() const { return purpose_; }
+
+    /// Cell (v, j)'s stream, built at its first draw.
+    Xoshiro256& at(NodeId v, unsigned j) {
+        const std::uint64_t bit = std::uint64_t{1} << j;
+        Xoshiro256& g = rng_[static_cast<std::size_t>(v) * kFusedLanes + j];
+        if ((live_[v] & bit) == 0) {
+            g = Xoshiro256(SeedTree::child_seed(purpose_[j], v));
+            live_[v] |= bit;
+        }
+        return g;
+    }
+
+private:
+    std::uint64_t purpose_[kFusedLanes] = {};
+    std::vector<Xoshiro256> rng_;      ///< lane-major per node: rng_[v * 64 + j]
+    std::vector<std::uint64_t> live_;  ///< bit j of live_[v]: cell (v, j) built
+};
+
 /// A word-parallel protocol over the fused plane. Implementations mirror
 /// their scalar batch twin EXACTLY — same round cadence, same thresholds,
 /// same RNG draw sites per (node, lane) stream — so that lane j of every
@@ -337,8 +374,9 @@ struct FusedLaneResult {
 };
 
 /// Drives one 64-lane block: Engine::run's beat order, word-parallel.
-/// No watchdog (fused scenarios require watchdog_ms == 0) and no
-/// transcript — both are kept off the fused plane upstream.
+/// No watchdog (fused scenarios require watchdog_ms == 0, kept off the
+/// fused plane upstream) and no transcript (the binary workload records
+/// none).
 ///
 /// The adversary beat takes one of two paths for the whole block: when
 /// every lane offers a block-level form of the first lane's strategy

@@ -81,7 +81,7 @@ std::uint64_t counter_block_scalar(std::uint64_t h, NodeId n, NodeId i0,
 /// keeps ns/probe flat from L1-resident n to 2^20); (3) count — ONE
 /// masked vpgatherqq per 8 probes into the 2-bit code plane. Produces
 /// bit-identical integers to counter_block_scalar — dispatch is never a
-/// stream version.
+/// stream change.
 __attribute__((target("avx512f,avx512dq,avx512vl")))
 std::uint64_t counter_block_avx512(std::uint64_t h, NodeId n, NodeId i0,
                                    NodeId k, const std::uint64_t* code,
@@ -173,17 +173,10 @@ const CounterBlockFn g_counter_block = resolve_counter_block();
 
 }  // namespace
 
-std::uint64_t sparse_probe_block(SparseStream stream, std::uint64_t& h,
-                                 NodeId n, NodeId i0, NodeId k,
+std::uint64_t sparse_probe_block(std::uint64_t h, NodeId n, NodeId i0, NodeId k,
                                  const std::uint64_t* code, NodeId* idx,
                                  std::array<Count, 2>& c) {
-    if (stream == SparseStream::Counter)
-        return g_counter_block(h, n, i0, k, code, idx, c);
-    // Chain: the serial v1 derivation cannot pipeline (each draw waits on
-    // the previous), so it keeps the scalar fill; the count side still
-    // reads the code plane.
-    h = sparse_fill_indices(SparseStream::Chain, h, n, i0, k, idx);
-    return code_count_block(code, idx, k, c);
+    return g_counter_block(h, n, i0, k, code, idx, c);
 }
 
 void sparse_build_code_plane(const SparseProbeCtx& ctx, std::size_t words,
@@ -212,30 +205,17 @@ void sparse_build_code_plane(const SparseProbeCtx& ctx, std::size_t words,
     }
 }
 
-std::uint64_t sparse_fill_indices(SparseStream stream, std::uint64_t h,
-                                  NodeId n, NodeId i0, NodeId k, NodeId* out) {
-    if (stream == SparseStream::Chain) {
-        // v1 (FROZEN): the serial splitmix64 chain with `% n` — byte-for-
-        // byte the PR 7 derivation, so recorded chain-stream experiments
-        // replay exactly. The chain state threads through the return value.
-        for (NodeId j = 0; j < k; ++j) {
-            h = sparse_mix(h);
-            out[j] = static_cast<NodeId>(h % n);
-        }
-        return h;
-    }
-    // v2 (FROZEN): counter mode. Lanes are independent — mix(h ^ i) has no
+void sparse_fill_indices(std::uint64_t h, NodeId n, NodeId i0, NodeId k, NodeId* out) {
+    // Counter mode (FROZEN). Lanes are independent — mix(h ^ i) has no
     // loop-carried dependency, so the block's ~3-multiply mix latencies
     // overlap — and the Lemire mulhi replaces the division. h is the MIXED
-    // per-receiver base (sparse_mixed_base): XORing the counter into the
+    // per-receiver base (sparse_receiver_base): XORing the counter into the
     // raw base would let a low-bit seed/receiver change merely permute the
     // lane set instead of redrawing it. The counter enters the mix whole;
     // splitmix64's finalizer avalanches adjacent counters into decorrelated
     // full-width hashes (it is exactly the splitmix64 generator's shape:
     // counter in, hash out).
-    for (NodeId j = 0; j < k; ++j)
-        out[j] = sparse_reduce(sparse_mix(h ^ (i0 + j)), n);
-    return h;
+    for (NodeId j = 0; j < k; ++j) out[j] = sparse_reduce(sparse_mix(h ^ (i0 + j)), n);
 }
 
 }  // namespace adba::net::kern

@@ -1,18 +1,14 @@
 // Batched sparse probe kernels — the sixth data-plane layer (README.md).
 //
 // SparsePlane's job is answering "how many of receiver v's sampled senders
-// broadcast (kind, phase, val)" n times per round. PR 7 answered it with a
-// scalar per-probe loop: a serially-dependent splitmix64 chain (every draw
-// waits ~3 multiply latencies on the previous one), a 64-bit `h % n`
-// division, and a random byte load from the n-byte state plane per probe —
-// ~5 ns/probe at n=2^20 and growing with n. This header is the sparse
-// analogue of tally_kernels.hpp: the same counts, derived and counted in
-// independent 64-probe blocks at memory bandwidth.
+// broadcast (kind, phase, val)" n times per round. A scalar per-probe loop
+// pays a dependent hash per draw, a 64-bit `% n` division, and a random
+// byte load from the n-byte state plane per probe. This header is the
+// sparse analogue of tally_kernels.hpp: the same counts, derived and
+// counted in independent 64-probe blocks at memory bandwidth.
 //
-// Three ideas, mirroring the issue's shape:
-//
-//  * Counter-based derivation (SparseStream::Counter, the default). Draw i
-//    of receiver v in round r is mix(base ^ i) with
+//  * Counter-based derivation (SparseStream::Counter, the one stream). Draw
+//    i of receiver v in round r is mix(base ^ i) with
 //    base = mix(seed ^ ((r << 32) | v)) — every lane is independent, so the
 //    64 mixes of a block pipeline instead of serializing. The inner mix of
 //    base is load-bearing: without it a low-bit seed or receiver change
@@ -20,12 +16,8 @@
 //    instead of redrawing them. The modulo becomes a Lemire multiply-shift
 //    reduction (one mulhi), which is uniform enough for sampling
 //    (bias <= n / 2^64) and is pinned by a chi-square test at
-//    non-power-of-two n.
-//  * The v1 chain (SparseStream::Chain) stays bit-for-bit selectable:
-//    sample derivation is part of the replayability contract — recorded
-//    sparse experiments replay only under the stream version that produced
-//    them — so streams are VERSIONED, never edited. Both derivations below
-//    are frozen; a future change must add a third enumerator.
+//    non-power-of-two n. The derivation is frozen: recorded sparse
+//    experiments replay only under it (tests pin its integers).
 //  * One load per probe: the per-query CODE PLANE. A receiver's probe of
 //    sender u needs exactly four facts — Byzantine? in the bucket? flag
 //    ok? which val? — which collapse to 2 bits per sender once the query
@@ -39,8 +31,8 @@
 //    block, and only the (rare) Byzantine lanes leave it, via a caller
 //    callback.
 //
-// Determinism: counts depend only on (stream, seed, round, receiver, i) and
-// the round's planes — never on block size, threads, or shards.
+// Determinism: counts depend only on (seed, round, receiver, i) and the
+// round's planes — never on block size, threads, or shards.
 #pragma once
 
 #include <array>
@@ -50,17 +42,15 @@
 
 namespace adba::net {
 
-/// Version tag of the (seed, round, receiver, i) -> sender index stream.
-/// Scenario key `sparse_stream=chain|counter`; part of the replayability
-/// contract (see file comment — derivations are frozen per enumerator).
+/// The one sample stream (file comment). Written only by perfbench
+/// (EngineConfig::sparse_stream, Scenario::sparse_stream); src/ reads none.
 enum class SparseStream : std::uint8_t {
-    Chain,    ///< v1 (PR 7): serial splitmix64 chain, `h % n` reduction
-    Counter,  ///< v2: independent mix(base ^ i) lanes, Lemire reduction
+    Counter,  ///< independent mix(base ^ i) lanes, Lemire reduction
 };
 
 namespace kern {
 
-/// splitmix64 finalizer. FROZEN: both sample streams are built from it.
+/// splitmix64 finalizer. FROZEN: the sample stream is built from it.
 inline std::uint64_t sparse_mix(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -68,12 +58,13 @@ inline std::uint64_t sparse_mix(std::uint64_t x) {
     return x ^ (x >> 31);
 }
 
-/// Per-(round, receiver) stream base. Round and receiver pack into one
-/// 64-bit lane, so every pair owns a distinct stream regardless of
-/// execution order. Shared verbatim by both stream versions.
-inline std::uint64_t sparse_stream_base(std::uint64_t seed, Round round,
-                                        NodeId receiver) {
-    return seed ^ ((static_cast<std::uint64_t>(round) << 32) | receiver);
+/// Mixed per-(seed, round, receiver) stream base. Round and receiver pack
+/// into one 64-bit lane, so every pair owns a distinct stream regardless of
+/// execution order; the mix decouples low seed/receiver bits from the
+/// counter lanes.
+inline std::uint64_t sparse_receiver_base(std::uint64_t seed, Round round,
+                                          NodeId receiver) {
+    return sparse_mix(seed ^ ((static_cast<std::uint64_t>(round) << 32) | receiver));
 }
 
 /// Lemire multiply-shift reduction of a full-width hash onto [0, n):
@@ -88,20 +79,10 @@ inline NodeId sparse_reduce(std::uint64_t h, NodeId n) {
 /// allocation-free (the plane's only heap is the O(n/4)-byte code plane).
 inline constexpr NodeId kSparseBlock = 64;
 
-/// Fills out[0..k) with draws i0..i0+k-1 of the receiver's round stream.
-/// `h` starts as sparse_mixed_base() for the first block; thread the
-/// return value into subsequent blocks. For Chain it is the serial chain
-/// state (mutates per draw); for Counter it is the mixed per-receiver base
-/// (returned unchanged — lanes derive from h ^ i). k <= kSparseBlock.
-std::uint64_t sparse_fill_indices(SparseStream stream, std::uint64_t h,
-                                  NodeId n, NodeId i0, NodeId k, NodeId* out);
-
-/// Mixed per-(seed, round, receiver) stream state both versions start
-/// from: the v1 chain's pre-loop hash, and the v2 counter's base (the
-/// avalanche decouples low seed/receiver bits from the counter lanes).
-inline std::uint64_t sparse_mixed_base(std::uint64_t base) {
-    return sparse_mix(base);
-}
+/// Fills out[0..k) with draws i0..i0+k-1 of the receiver's round stream,
+/// `h` = sparse_receiver_base(). The portable derivation the probe
+/// kernels are pinned against. k <= kSparseBlock.
+void sparse_fill_indices(std::uint64_t h, NodeId n, NodeId i0, NodeId k, NodeId* out);
 
 /// Per-sender probe codes, 2 bits each, 32 senders per word (LSB-first:
 /// sender u occupies bits [2*(u%32), 2*(u%32)+1] of word u/32).
@@ -132,15 +113,13 @@ void sparse_build_code_plane(const SparseProbeCtx& ctx, std::size_t words,
 /// One <= kSparseBlock-probe block of the per-receiver walk: derives draws
 /// i0..i0+k-1 into idx[0..k), counts honest lanes from the code plane into
 /// c, and returns the Byzantine lane mask (bit j set => idx[j] sampled a
-/// Byzantine sender; the caller walks those exactly). For Chain, `h` is
-/// the serial chain state and advances; for Counter it is the mixed base
-/// and is left unchanged (lanes derive from h ^ i). The counter path
-/// dispatches once at load time to an AVX-512 kernel when the CPU has one
-/// (8 splitmix64 lanes per vpmullq pair, Lemire via 32x32 halves, one
-/// vpgatherqq per 8 probes); the scalar fallback computes the identical
-/// integers — dispatch is a speed choice, never a stream version.
-std::uint64_t sparse_probe_block(SparseStream stream, std::uint64_t& h,
-                                 NodeId n, NodeId i0, NodeId k,
+/// Byzantine sender; the caller walks those exactly); `h` is the
+/// receiver's base. It dispatches once at load time to an AVX-512 kernel
+/// when the CPU has one (8 splitmix64 lanes per vpmullq pair, Lemire via
+/// 32x32 halves, one vpgatherqq per 8 probes); the scalar fallback
+/// computes the identical integers — dispatch is a speed choice, never a
+/// stream change.
+std::uint64_t sparse_probe_block(std::uint64_t h, NodeId n, NodeId i0, NodeId k,
                                  const std::uint64_t* code, NodeId* idx,
                                  std::array<Count, 2>& c);
 
@@ -151,20 +130,16 @@ std::uint64_t sparse_probe_block(SparseStream stream, std::uint64_t& h,
 /// walk; it must bump the caller's counters itself — almost always empty:
 /// Byzantine sample density q/n is tiny in the regimes the plane targets).
 /// Count increments commute, so the result is a pure function of the probe
-/// multiset — which is why batching is not a stream version: stream ==
-/// Chain reproduces the scalar v1 loop's counts exactly.
+/// multiset: a per-probe loop over the same draws gives the same counts.
 template <typename ByzProbe>
-void sparse_count_receiver(SparseStream stream, std::uint64_t seed,
-                           Round round, NodeId receiver, NodeId n,
+void sparse_count_receiver(std::uint64_t seed, Round round, NodeId receiver, NodeId n,
                            NodeId degree, const std::uint64_t* code,
                            std::array<Count, 2>& c, ByzProbe&& byz_probe) {
-    std::uint64_t h =
-        sparse_mixed_base(sparse_stream_base(seed, round, receiver));
+    const std::uint64_t h = sparse_receiver_base(seed, round, receiver);
     NodeId idx[kSparseBlock];
     for (NodeId i0 = 0; i0 < degree; i0 += kSparseBlock) {
         const NodeId k = degree - i0 < kSparseBlock ? degree - i0 : kSparseBlock;
-        std::uint64_t byz_mask =
-            sparse_probe_block(stream, h, n, i0, k, code, idx, c);
+        std::uint64_t byz_mask = sparse_probe_block(h, n, i0, k, code, idx, c);
         while (byz_mask != 0) {
             const unsigned j = static_cast<unsigned>(__builtin_ctzll(byz_mask));
             byz_probe(idx[j]);

@@ -5,12 +5,10 @@
 
 namespace adba::net {
 
-void SparsePlane::reset(NodeId n, Count requested_degree, std::uint64_t seed,
-                        SparseStream stream) {
+void SparsePlane::reset(NodeId n, Count requested_degree, std::uint64_t seed) {
     ADBA_EXPECTS(n > 0);
     n_ = n;
     seed_ = seed;
-    stream_ = stream;
     const Count want = requested_degree == 0 ? kDefaultSampleDegree : requested_degree;
     dense_ = want >= n;
     degree_ = dense_ ? n : static_cast<NodeId>(want);
@@ -103,17 +101,16 @@ std::array<Count, 2> SparsePlane::raw_counts(const Query& q, NodeId receiver) co
     if (dense_) {
         // Dense exact walk: per-sender probes over the whole population —
         // an independent re-derivation of the flat tally's integers, which
-        // is what pins sparse == flat at small n. No sampling, so the
-        // stream version cannot matter here (pinned by test anyway).
+        // is what pins sparse == flat at small n.
         for (NodeId u = 0; u < n_; ++u) probe(q, receiver, u, c);
         return c;
     }
-    // Batched with-replacement draws keyed by (stream, seed, round,
-    // receiver, i): 64-lane index blocks, one gathered 2-bit code read per
-    // honest lane, exact pattern-row walks for the (rare) Byzantine lanes
+    // Batched with-replacement draws keyed by (seed, round, receiver, i):
+    // 64-lane index blocks, one gathered 2-bit code read per honest lane,
+    // exact pattern-row walks for the (rare) Byzantine lanes
     // (net/sparse_kernels.hpp).
     kern::sparse_count_receiver(
-        stream_, seed_, round_, receiver, n_, degree_, q.code, c,
+        seed_, round_, receiver, n_, degree_, q.code, c,
         [&](NodeId sender) {
             if (const Message* m = buf_->from(receiver, sender)) {
                 if (m->kind == q.kind && m->phase == q.phase &&

@@ -24,13 +24,11 @@
 //    bit of the packed honesty plane (PackedPlanes::byz).
 //
 // Sampling is index-derived and replayable: draw i of receiver v in round
-// r depends only on (sparse_stream, sparse_seed, r, v, i) — never on
-// threads, shards, or visit order — so sparse runs obey the repository's
-// bit-exactness discipline (any thread/shard count, same integers). The
-// derivation is VERSIONED (net/sparse_kernels.hpp, scenario key
-// `sparse_stream=`): the counter stream is the fast default, the v1 chain
-// stays selectable forever because recorded experiments replay only under
-// the stream that produced them.
+// r depends only on (sparse_seed, r, v, i) — never on threads, shards, or
+// visit order — so sparse runs obey the repository's bit-exactness
+// discipline (any thread/shard count, same integers). The derivation is
+// frozen (net/sparse_kernels.hpp): recorded experiments replay only under
+// it.
 //
 // The probe loop itself is batched (sparse_kernels.hpp): query() folds the
 // round's honesty/match/val/flag planes into a per-query 2-bit code plane,
@@ -41,9 +39,7 @@
 // Oracle relationship: with degree >= n the plane switches to a dense
 // exact walk over ALL senders — an independent code path that must produce
 // the very integers the flat tally produces, which pins sparse == flat
-// bit-identically across the registry cross product at small n, for BOTH
-// stream versions (the dense walk draws nothing, so the stream tag is
-// irrelevant there — tests/test_sparse_plane.cpp pins it anyway). Below n,
+// bit-identically across the registry cross product at small n. Below n,
 // counts become estimates est = round(cnt * n / degree) and protocol
 // lemmas that are theorems under exact counts become approximations —
 // batches run their relaxed (assert-free) threshold forms there.
@@ -70,9 +66,7 @@ class SparsePlane {
 public:
     /// Re-arms the plane for a trial. `requested_degree` 0 selects
     /// kDefaultSampleDegree; any request >= n selects the dense exact walk.
-    /// `stream` picks the frozen index-derivation version (sparse_kernels).
-    void reset(NodeId n, Count requested_degree, std::uint64_t seed,
-               SparseStream stream = SparseStream::Counter);
+    void reset(NodeId n, Count requested_degree, std::uint64_t seed);
 
     /// Binds the plane to the current round's delivery state. The tally
     /// must have been rebuilt in packed mode for this round.
@@ -83,8 +77,6 @@ public:
     NodeId degree() const { return degree_; }
     /// True when every sender is observed and counts are exact (no scaling).
     bool dense() const { return dense_; }
-    /// The frozen sample-derivation version this trial replays under.
-    SparseStream stream() const { return stream_; }
 
     /// Heap bytes owned by the plane itself. The design owns NO per-edge or
     /// per-receiver storage — samples are re-derived from the seed (the
@@ -144,7 +136,6 @@ private:
     NodeId n_ = 0;
     NodeId degree_ = 0;
     bool dense_ = false;
-    SparseStream stream_ = SparseStream::Counter;
     std::uint64_t seed_ = 0;
     Round round_ = 0;
     const RoundBuffer* buf_ = nullptr;

@@ -90,10 +90,14 @@ unsigned init_intra_threads(const Cli& cli);
 /// workers are running: max(1, hardware_threads() / max(1, pool_width)).
 unsigned intra_worker_cap(unsigned pool_width);
 
+/// The smallest n the auto policy shards: from here up, four shards beat
+/// one in the median on every shape of README's measured table.
+inline constexpr NodeId kAutoShardFromN = 16384;
+
 /// Resolves a scenario's intra_threads request to a logical shard count.
 /// `requested` > 0 wins; else a non-zero process default wins; else auto:
-/// 1 (no sharding) unless n >= 2048 AND the trial pool leaves idle
-/// hardware, in which case min(8, intra_worker_cap(default_threads())).
+/// 1 (no sharding) unless n >= kAutoShardFromN AND the trial pool leaves
+/// idle hardware, in which case min(8, intra_worker_cap(default_threads())).
 /// Explicit values are clamped to max(word_count(n), 8 * hardware) —
 /// shards past one per plane word are empty ranges, and the ShardPool
 /// claim loop iterates the logical count per dispatch.

@@ -51,7 +51,8 @@ struct MacroScenario {
     /// ContractViolation with the accepted alternatives.
     static MacroScenario parse(const std::string& spec);
     /// Canonical spec string, in key-table order;
-    /// `MacroScenario::parse(s.describe()) == s`.
+    /// `MacroScenario::parse(s.describe()) == s`, except that a q set to t (the
+    /// same experiment) reads back unset.
     std::string describe() const;
 
     friend bool operator==(const MacroScenario&, const MacroScenario&) = default;

@@ -71,7 +71,8 @@ struct MvScenario {
     static MvScenario parse(const std::string& spec);
 
     /// Canonical spec string, in key-table order;
-    /// `MvScenario::parse(s.describe()) == s`.
+    /// `MvScenario::parse(s.describe()) == s`, except that a q set to t (the
+    /// same experiment) reads back unset.
     std::string describe() const;
 
     friend bool operator==(const MvScenario&, const MvScenario&) = default;

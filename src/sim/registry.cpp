@@ -633,9 +633,6 @@ std::optional<std::string> why_not_fused(const Scenario& s) {
         return "plane=sparse samples each receiver's senders; fused blocks run on the "
                "flat bit planes";
     if (s.reference_delivery) return "reference=true is the scalar delivery oracle";
-    if (s.record_transcript)
-        return "transcript=true records per-trial transcripts, which co-executing "
-               "trials do not keep";
     if (!s.use_batch)
         return "batch=false steps the per-node adapter; fused blocks are the native "
                "batch's word-parallel form";
@@ -704,13 +701,6 @@ const Names<bool>& delivery_planes() {
     return table;
 }
 
-const Names<net::SparseStream>& sparse_streams() {
-    static const Names<net::SparseStream> table(
-        "sparse sample stream",
-        {{net::SparseStream::Chain, "chain"}, {net::SparseStream::Counter, "counter"}});
-    return table;
-}
-
 // -------------------------------------------------------------- key tables
 //
 // The binary and multi-valued specs (runner.hpp, multivalued_runner.hpp):
@@ -733,16 +723,13 @@ const std::vector<SpecKey<Scenario>>& scenario_keys() {
         spec_field("phases", R::Result, &S::local_coin_phases),
         spec_field("kappa", R::Result, &S::sampling_kappa),
         spec_field("max_rounds", R::Result, &S::max_rounds_override),
-        spec_field("transcript", R::Result, &S::record_transcript),
         spec_field("reference", R::Execution, &S::reference_delivery),
         spec_field("batch", R::Execution, &S::use_batch),
-        spec_field("shard", R::Execution, &S::use_shard),
         spec_field("simd", R::Execution, &S::use_simd),
         spec_field("intra_threads", R::Execution, &S::intra_threads),
         spec_name("plane", R::Result, &S::sparse_plane, &delivery_planes),
         spec_field("sample_degree", R::Result, &S::sample_degree),
         spec_field("sparse_seed", R::Result, &S::sparse_seed),
-        spec_name("sparse_stream", R::Result, &S::sparse_stream, &sparse_streams),
         spec_field("fused", R::Execution, &S::use_fused),
         spec_field("watchdog_ms", R::Result, &S::watchdog_ms),
     };

@@ -233,7 +233,7 @@ std::optional<std::string> why_incompatible(const MvScenario& s);
 /// The fused-plane policy. `fused=` means "when the plan can": fused
 /// blocks engage unless this names a reason they cannot — a protocol or
 /// adversary without a fused form, plane=sparse, reference=true,
-/// transcript=true, batch=false, watchdog_ms, an explicit intra-trial
+/// batch=false, watchdog_ms, an explicit intra-trial
 /// shard count > 1 (scenario key, else --intra_threads /
 /// ADBA_INTRA_THREADS; the auto policy's shards yield), a fused arena over
 /// an active memory budget, or, when nothing else does, fused=off. No n
@@ -259,10 +259,6 @@ MvScenarioPlan validate(const MvScenario& s);
 /// The delivery-plane names of the `plane` key: flat (false) and sparse
 /// (true, Scenario::sparse_plane).
 const Names<bool>& delivery_planes();
-
-/// The sparse sample-stream names: chain (the frozen v1 derivation) and
-/// counter (the batched v2 default).
-const Names<net::SparseStream>& sparse_streams();
 
 /// Graceful degradation on resource limits (sim/faults.hpp owns the budget
 /// value): estimates the scenario's per-trial arena footprint against the

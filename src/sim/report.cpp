@@ -53,11 +53,6 @@ Table sweep_csv_table(const std::string& title,
     return outcome_table<CoinWorkload>(title, outcomes);
 }
 
-Table sweep_csv_table(const std::string& title,
-                      const std::vector<MvSweepOutcome>& outcomes) {
-    return outcome_table<MvWorkload>(title, outcomes);
-}
-
 Table csv_table(const std::string& title,
                 const std::vector<std::pair<std::string, Aggregate>>& rows) {
     return pair_table<BinaryWorkload>(title, rows);

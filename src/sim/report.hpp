@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/macro.hpp"
+#include "sim/multivalued_runner.hpp"
 #include "sim/sweep.hpp"
 #include "support/table.hpp"
 
@@ -24,11 +25,9 @@ Table sweep_csv_table(const std::string& title,
                       const std::vector<SweepOutcome>& outcomes);
 Table sweep_csv_table(const std::string& title,
                       const std::vector<CoinSweepOutcome>& outcomes);
-Table sweep_csv_table(const std::string& title,
-                      const std::vector<MvSweepOutcome>& outcomes);
 
 /// (label, aggregate) form for benches that loop without a sweep grid
-/// (e.g. E4's macro regime tables).
+/// (e.g. E4's macro regime tables, E12's mv table).
 Table csv_table(const std::string& title,
                 const std::vector<std::pair<std::string, Aggregate>>& rows);
 Table csv_table(const std::string& title,

@@ -77,7 +77,6 @@ public:
         cfg.budget = s.t;
         cfg.max_rounds =
             s.max_rounds_override ? s.max_rounds_override : bundle_.default_max_rounds;
-        cfg.record_transcript = s.record_transcript;
         cfg.reference_delivery = s.reference_delivery;
         cfg.simd_tally = s.use_simd;
         if (s.sparse_plane) {
@@ -89,7 +88,6 @@ public:
             // pre-key stream (recorded sparse runs replay unchanged).
             cfg.sparse_seed =
                 seeds.seed(StreamPurpose::SparseTopology, s.sparse_seed);
-            cfg.sparse_stream = s.sparse_stream;
         }
         cfg.watchdog_ms = s.watchdog_ms;
         // Resilience seam: only pay the per-round std::function call when an
@@ -101,7 +99,7 @@ public:
         // nested-parallelism policy once and keep one pool per arena (its
         // workers persist across trials; rebuilding per trial would pay
         // thread spawns on the hot path).
-        if (s.use_shard && batched) {
+        if (batched) {
             const unsigned shards = plan_intra_shards(s.intra_threads, s.n);
             if (shards > 1) {
                 if (!shard_pool_ || shard_count_ != shards) {

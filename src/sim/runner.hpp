@@ -55,6 +55,7 @@ struct Scenario {
     Count local_coin_phases = 64;      ///< phase budget for LocalCoin / BenOr
     double sampling_kappa = 4.0;       ///< SamplingMajority round budget knob
     Round max_rounds_override = 0;     ///< 0 = protocol-derived default
+    /// Written only by perfbench; src/ reads none of it.
     bool record_transcript = false;
     /// Drive the engine's reference delivery path (virtual dispatch,
     /// per-sender tally loops) instead of the flat plane. Semantics are
@@ -67,11 +68,7 @@ struct Scenario {
     /// stepping the native batches are pinned against. Orthogonal to
     /// `reference`, which selects the delivery probing path.
     bool use_batch = true;
-    /// Allow intra-trial sharding of the engine beats (scenario key `shard`,
-    /// CLI `--shard`). Effective only for native batches (they are the
-    /// shardable ones) and when the policy resolves to >1 shard; `shard=off`
-    /// pins the serial whole-population beats — the stepping oracle for the
-    /// sharded path.
+    /// Written only by perfbench; src/ reads none of it.
     bool use_shard = true;
     /// Build round tallies with the word-packed popcount kernels (scenario
     /// key `simd`, CLI `--simd`); `simd=off` keeps the scalar byte-plane
@@ -81,7 +78,9 @@ struct Scenario {
     /// 0 = policy default: the process-wide `--intra_threads` /
     /// ADBA_INTRA_THREADS setting, else the auto heuristic
     /// (plan_intra_shards). Any value yields bit-identical results; only
-    /// wall-clock changes.
+    /// wall-clock changes. Shards split only native batches' beats;
+    /// `intra_threads=1` pins the serial whole-population beats, the
+    /// stepping oracle of the sharded path.
     Count intra_threads = 0;
     /// Answer receive beats from the sampled sparse delivery plane
     /// (net/sparse_plane.hpp; scenario key `plane=flat|sparse`, CLI
@@ -100,15 +99,13 @@ struct Scenario {
     /// sampled topology independently of every other randomness source.
     /// 0 (the default) reproduces the pre-key stream exactly.
     std::uint64_t sparse_seed = 0;
-    /// Frozen sample-derivation version under `plane=sparse` (scenario key
-    /// `sparse_stream=chain|counter`; net/sparse_kernels.hpp). Counter is
-    /// the batched default; chain replays PR-7-era recorded experiments.
+    /// Written only by perfbench; src/ reads none of it.
     net::SparseStream sparse_stream = net::SparseStream::Counter;
     /// Co-execute 64 trials per machine word through the fused trial plane
     /// when the plan can (net/fused_plane.hpp; scenario key `fused`, CLI
     /// `--fused`), like `batch`: it engages for a fused-capable protocol
     /// and adversary (registry capability flags) with `batch=on`,
-    /// `plane=flat`, `reference=off`, no transcript, `watchdog_ms=0`, no
+    /// `plane=flat`, `reference=off`, `watchdog_ms=0`, no
     /// explicit intra-trial shard count > 1 and a fused arena within any
     /// memory budget, on runs and chunks of at least two trials —
     /// why_not_fused and BinaryWorkload::why_scalar name the reason it does
@@ -135,7 +132,8 @@ struct Scenario {
     static Scenario parse(const std::string& spec);
 
     /// Canonical spec string, in key-table order;
-    /// `Scenario::parse(s.describe()) == s`.
+    /// `Scenario::parse(s.describe()) == s`, except that a q set to t (the
+    /// same experiment) reads back unset.
     std::string describe() const;
 
     friend bool operator==(const Scenario&, const Scenario&) = default;

@@ -42,7 +42,8 @@ struct SpecKey {
     /// The field's value as describe() writes it; an unset optional reads
     /// as its fallback (`q` as `t`), the value a run uses.
     std::function<std::string(const S&)> value;
-    /// True while the field holds its default-constructed value.
+    /// True while the field holds its default-constructed value (an
+    /// optional one: its fallback's value).
     std::function<bool(const S&)> at_default;
 };
 
@@ -107,18 +108,19 @@ SpecKey<S> spec_field(std::string name, KeyRole role, T S::*field,
 }
 
 /// A row for an optional field that reads as `fallback` while unset
-/// (`&S::q, &S::t`): describe() writes it once set.
+/// (`&S::q, &S::t`). A value equal to its fallback is the same experiment
+/// as an unset one, so it counts as the default: describe() and the
+/// checkpoint scope write the field only off its fallback.
 template <typename S, typename T>
 SpecKey<S> spec_field(std::string name, KeyRole role, std::optional<T> S::*field,
                       T S::*fallback) {
+    const auto read = [field, fallback](const S& s) { return (s.*field).value_or(s.*fallback); };
     return {std::move(name), role,
             [field](S& s, const std::string& what, const std::string& value) {
                 s.*field = detail::parse_field<T>(what, value);
             },
-            [field, fallback](const S& s) {
-                return detail::format_field((s.*field).value_or(s.*fallback));
-            },
-            [field](const S& s) { return !(s.*field).has_value(); }};
+            [read](const S& s) { return detail::format_field(read(s)); },
+            [read, fallback](const S& s) { return read(s) == s.*fallback; }};
 }
 
 /// A row for a field of a member struct, `&S::member, &Member::field`.

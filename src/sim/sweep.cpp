@@ -30,7 +30,7 @@ GridAxis<Row> fixed_axis(const std::vector<T>& values, T base_value, Set set,
 }
 
 /// Runs each row's trials at its stable seed, in enumeration order — the one
-/// sweep loop behind run_sweep / run_coin_sweep / run_mv_sweep.
+/// sweep loop behind run_sweep / run_coin_sweep.
 template <typename Outcome, typename Row, typename Runner>
 std::vector<Outcome> run_rows(const std::vector<Row>& rows, std::uint64_t base_seed,
                               Count trials, const ExecutorConfig& exec,
@@ -219,32 +219,6 @@ std::vector<CoinSweepOutcome> run_coin_sweep(const CoinSweepGrid& grid,
         grid.rows(), base_seed, trials, exec,
         [](const CoinScenario& s, std::uint64_t seed, Count n,
            const ExecutorConfig& e) { return run_coin_trials(s, seed, n, e); });
-}
-
-std::vector<MvSweepRow> MvSweepGrid::rows() const {
-    using Row = MvSweepRow;
-    std::vector<GridAxis<Row>> axes;
-    axes.push_back(fixed_axis<Row>(
-        inputs, base.inputs, [](Row& r, MvInputPattern i) { r.scenario.inputs = i; },
-        [](MvInputPattern i) { return to_string(i); }));
-    axes.push_back(fixed_axis<Row>(
-        adversaries, base.adversary,
-        [](Row& r, MvAdversaryKind a) { r.scenario.adversary = a; },
-        [](MvAdversaryKind a) { return to_string(a); }));
-
-    Row base_row;
-    base_row.scenario = base;
-    return detail::enumerate_grid(base_row, axes, [](const Row&) { return true; });
-}
-
-std::vector<MvSweepOutcome> run_mv_sweep(const MvSweepGrid& grid,
-                                         std::uint64_t base_seed, Count trials,
-                                         const ExecutorConfig& exec) {
-    return run_rows<MvSweepOutcome>(
-        grid.rows(), base_seed, trials, exec,
-        [](const MvScenario& s, std::uint64_t seed, Count n, const ExecutorConfig& e) {
-            return run_mv_trials(s, seed, n, e);
-        });
 }
 
 }  // namespace adba::sim

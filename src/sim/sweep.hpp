@@ -1,5 +1,5 @@
-// Declarative scenario sweeps: a grid over Scenario axes (and the coin /
-// multi-valued analogues) that yields labeled scenario rows in a fixed
+// Declarative scenario sweeps: a grid over Scenario axes (and the coin
+// analogue) that yields labeled scenario rows in a fixed
 // enumeration order and feeds them through the workload-generic kernel.
 //
 // This replaces the copy-pasted nested loops of the bench binaries: a bench
@@ -8,8 +8,8 @@
 // (base_seed, row index in the FULL cross product), so adding a filter or
 // reading only part of the outcomes never shifts another row's randomness.
 //
-// All three typed grids (SweepGrid, CoinSweepGrid, MvSweepGrid) are thin
-// axis declarations over ONE generic enumerator (detail::enumerate_grid):
+// Both typed grids (SweepGrid, CoinSweepGrid) are thin axis declarations
+// over ONE generic enumerator (detail::enumerate_grid):
 // an axis yields its value choices from the partially-built row — which is
 // how derived axes (t_of_n, adversary_of, ratio budgets that scale with the
 // committee) read what outer axes already set — and each choice mutates the
@@ -24,7 +24,6 @@
 
 #include "sim/coin_runner.hpp"
 #include "sim/executor.hpp"
-#include "sim/multivalued_runner.hpp"
 #include "sim/runner.hpp"
 
 namespace adba::sim {
@@ -165,32 +164,5 @@ struct CoinSweepOutcome {
 std::vector<CoinSweepOutcome> run_coin_sweep(const CoinSweepGrid& grid,
                                              std::uint64_t base_seed, Count trials,
                                              const ExecutorConfig& exec = {});
-
-// ------------------------------------------------------- multi-valued sweeps
-
-struct MvSweepRow {
-    MvScenario scenario;
-    std::string label;
-    std::size_t index = 0;
-};
-
-/// Grid over the multi-valued runner's axes: input pattern (outer) x
-/// adversary (inner); empty axes pin the base scenario's value.
-struct MvSweepGrid {
-    MvScenario base;
-    std::vector<MvInputPattern> inputs;
-    std::vector<MvAdversaryKind> adversaries;
-
-    std::vector<MvSweepRow> rows() const;
-};
-
-struct MvSweepOutcome {
-    MvSweepRow row;
-    MvAggregate agg;
-};
-
-std::vector<MvSweepOutcome> run_mv_sweep(const MvSweepGrid& grid,
-                                         std::uint64_t base_seed, Count trials,
-                                         const ExecutorConfig& exec = {});
 
 }  // namespace adba::sim

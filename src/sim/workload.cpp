@@ -21,7 +21,7 @@ const NameTable<WorkloadInfo>& workloads() {
           "mv",
           {"multivalued", "multi-valued", "turpin-coan"},
           "MvScenario",
-          "MvSweepGrid",
+          "-",
           "multi-valued agreement (Turpin-Coan reduction over Algorithm 3)"},
          {WorkloadKind::Macro,
           "macro",

@@ -157,7 +157,7 @@ TrialFactory binary_trial(const sim::Scenario& s, std::uint64_t seed) {
             cfg.sample_degree = s.sample_degree;
             cfg.sparse_seed = seeds.seed(StreamPurpose::SparseTopology, s.sparse_seed);
             net::SparsePlane probe;
-            probe.reset(s.n, s.sample_degree, cfg.sparse_seed, cfg.sparse_stream);
+            probe.reset(s.n, s.sample_degree, cfg.sparse_seed);
             if (!probe.dense()) cap = probe.degree();
         }
         AccountingProbe adv(plan.adversary->make_adversary(s, bundle, seeds), cap, ledger);

@@ -1601,16 +1601,13 @@ TEST(FusedPlaneRegistry, WhyIncompatibleNamesEveryRejection) {
     s.adversary = sim::AdversaryKind::Balancer;
     EXPECT_NE(why(s).find("fused-capable protocol"), std::string::npos) << why(s);
 
-    // Plane/oracle/transcript/batch/watchdog conflicts.
+    // Plane/oracle/batch/watchdog conflicts.
     s = base;
     s.sparse_plane = true;
     EXPECT_NE(why(s).find("plane=sparse"), std::string::npos) << why(s);
     s = base;
     s.reference_delivery = true;
     EXPECT_NE(why(s).find("reference"), std::string::npos) << why(s);
-    s = base;
-    s.record_transcript = true;
-    EXPECT_NE(why(s).find("transcript"), std::string::npos) << why(s);
     s = base;
     s.use_batch = false;
     EXPECT_NE(why(s).find("batch=false"), std::string::npos) << why(s);
@@ -2220,7 +2217,6 @@ TEST(FusedPolicy, EverySkipNamesItsReason) {
         {"protocol=phase-king adversary=king-killer n=64", "fused plane"},
         {"protocol=ours adversary=worst-case n=64 plane=sparse", "plane=sparse"},
         {"protocol=ours adversary=worst-case n=64 reference=true", "reference"},
-        {"protocol=ours adversary=worst-case n=64 transcript=true", "transcript"},
         {"protocol=ours adversary=worst-case n=64 batch=false", "batch=false"},
         {"protocol=ours adversary=worst-case n=64 watchdog_ms=5", "watchdog"},
         {"protocol=ours adversary=worst-case n=64 intra_threads=4", "intra_threads=4"},
@@ -2319,8 +2315,8 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
     // cut under one off its default resumes under the defaults (whose
     // aggregate `expected` is: intra_threads=1 is one too).
     const std::string base = "protocol=ours adversary=worst-case inputs=random n=22 t=7";
-    for (const char* key : {"reference=true", "batch=false", "shard=off", "simd=off",
-                            "intra_threads=2", "fused=off"}) {
+    for (const char* key :
+         {"reference=true", "batch=false", "simd=off", "intra_threads=2", "fused=off"}) {
         std::filesystem::remove(full);
         (void)sim::run_trials(sim::Scenario::parse(base + " " + key), 0xAB, trials,
                               {1, 64, full, false});

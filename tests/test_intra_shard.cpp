@@ -100,16 +100,12 @@ TEST(IntraShardEquivalence, AllRegistryPairsShardedMatchesScalarSerial) {
 
             const sim::ExecutorConfig serial{1, 0};
             sim::Scenario oracle = s;  // full scalar path, nothing sharded
-            oracle.use_shard = false;
+            oracle.intra_threads = 1;
             oracle.use_simd = false;
             const sim::Aggregate ref = sim::run_trials(oracle, 0x54A8D, 4, serial);
 
-            // Packed tally alone (no beat sharding).
-            sim::Scenario simd_only = s;
-            simd_only.use_shard = false;
-            expect_aggregate_eq(sim::run_trials(simd_only, 0x54A8D, 4, serial), ref);
-
-            // Sharded beats + packed tally at 1, 2, and 8 logical shards.
+            // Packed tally alone (intra_threads=1), then sharded beats +
+            // packed tally at 2 and 8 logical shards.
             for (const Count intra : {Count{1}, Count{2}, Count{8}}) {
                 SCOPED_TRACE("intra_threads=" + std::to_string(intra));
                 sim::Scenario sharded = s;
@@ -146,7 +142,7 @@ TEST(IntraShardEquivalence, SizeSweepShardedMatchesScalarSerial) {
             SCOPED_TRACE(p.name + " n=" + std::to_string(n));
 
             sim::Scenario oracle = s;
-            oracle.use_shard = false;
+            oracle.intra_threads = 1;
             oracle.use_simd = false;
             sim::Scenario sharded = s;
             sharded.intra_threads = 8;
@@ -350,12 +346,18 @@ TEST(ShardPolicy, PlanIntraShardsPrecedence) {
     sim::set_default_intra_threads(3);
     EXPECT_EQ(sim::plan_intra_shards(0, 10), 3u);
     EXPECT_EQ(sim::plan_intra_shards(7, 10), 7u);
-    // Auto: never shards small n; bounded by 8 when it does fire.
+    // Auto: never shards below kAutoShardFromN; from there it shards
+    // whenever the trial pool leaves cores idle, bounded by 8.
     sim::set_default_intra_threads(0);
     EXPECT_EQ(sim::plan_intra_shards(0, 100), 1u);
-    const unsigned huge = sim::plan_intra_shards(0, 1 << 20);
-    EXPECT_GE(huge, 1u);
-    EXPECT_LE(huge, 8u);
+    EXPECT_EQ(sim::plan_intra_shards(0, sim::kAutoShardFromN - 1), 1u);
+    EXPECT_EQ(sim::kAutoShardFromN, 16384u);
+    const unsigned saved_threads = sim::default_threads();
+    sim::set_default_threads(1);
+    const unsigned at = sim::plan_intra_shards(0, sim::kAutoShardFromN);
+    EXPECT_EQ(at, std::min(8u, sim::intra_worker_cap(1)));
+    EXPECT_EQ(sim::plan_intra_shards(0, 1 << 20), at);
+    sim::set_default_threads(saved_threads);
     sim::set_default_intra_threads(saved);
 }
 
@@ -456,18 +458,17 @@ TEST(ShardScenarioKeys, BinaryKeysRoundTrip) {
     sim::Scenario s;
     s.n = 16;
     s.t = 5;
-    s.use_shard = false;
     s.use_simd = false;
     s.intra_threads = 3;
     EXPECT_EQ(sim::Scenario::parse(s.describe()), s);
 
-    EXPECT_TRUE(sim::Scenario::parse("n=16 t=5").use_shard);
     EXPECT_TRUE(sim::Scenario::parse("n=16 t=5").use_simd);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5").intra_threads, 0u);
-    EXPECT_FALSE(sim::Scenario::parse("n=16 t=5 shard=off").use_shard);
     EXPECT_FALSE(sim::Scenario::parse("n=16 t=5 simd=off").use_simd);
-    EXPECT_TRUE(sim::Scenario::parse("n=16 t=5 shard=on simd=on").use_simd);
+    EXPECT_TRUE(sim::Scenario::parse("n=16 t=5 simd=on").use_simd);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5 intra_threads=4").intra_threads, 4u);
+    // intra_threads=1 is the one unsharded switch: shard= is no key.
+    EXPECT_THROW((void)sim::Scenario::parse("n=16 t=5 shard=off"), ContractViolation);
 }
 
 TEST(ShardScenarioKeys, MvSimdKeyRoundTrips) {

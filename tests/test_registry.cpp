@@ -227,19 +227,16 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.local_coin_phases = 17;
     s.sampling_kappa = 3.75;
     s.max_rounds_override = 99;
-    s.record_transcript = true;
     s.reference_delivery = true;
     s.use_batch = false;
-    s.use_shard = false;
     s.use_simd = false;
     s.intra_threads = 3;
     s.sparse_plane = true;
     s.sample_degree = 48;
     s.sparse_seed = 11;
-    s.sparse_stream = net::SparseStream::Chain;
     s.use_fused = false;
     s.watchdog_ms = 500;
-    EXPECT_EQ(scenario_keys().size(), 24u);
+    EXPECT_EQ(scenario_keys().size(), 21u);
     expect_every_key_round_trips(scenario_keys(), s);
 
     MvScenario mv;
@@ -293,6 +290,12 @@ TEST(ScenarioSpec, UnsetQReadsAsT) {
     const Scenario s = Scenario::parse("n=64 t=21");
     EXPECT_EQ(q_value(scenario_keys(), s), "21");
     EXPECT_EQ(s.describe().find("q="), std::string::npos);
+    // q = t is the same experiment as an unset q, and describes the same.
+    EXPECT_EQ(Scenario::parse("n=64 t=21 q=21").describe(), s.describe());
+    EXPECT_EQ(MvScenario::parse("q=21 n=64 t=21").describe(),
+              MvScenario::parse("n=64 t=21").describe());
+    EXPECT_EQ(MacroScenario::parse("n=4096 t=64 q=64").describe(), "n=4096 t=64 schedule=ours");
+    EXPECT_NE(Scenario::parse("n=64 t=21 q=20").describe().find(" q=20"), std::string::npos);
     EXPECT_EQ(q_value(mv_scenario_keys(), MvScenario::parse("n=64 t=21")), "21");
     const MacroScenario m = MacroScenario::parse("n=4096 t=64");
     EXPECT_FALSE(m.q.has_value());
@@ -429,7 +432,6 @@ TEST(NameLookup, EveryNameOfEveryAxisParsesInUpperCase) {
     expect_every_name_parses_in_upper_case(input_patterns());
     expect_every_name_parses_in_upper_case(mv_input_patterns());
     expect_every_name_parses_in_upper_case(delivery_planes());
-    expect_every_name_parses_in_upper_case(sparse_streams());
     expect_every_name_parses_in_upper_case(coin_attacks());
     expect_every_name_parses_in_upper_case(macro_schedules());
     // So does every coin attack and macro schedule in a spec.
@@ -447,8 +449,7 @@ TEST(NameLookup, EveryNameOfEveryAxisParsesInUpperCase) {
     EXPECT_EQ(to_string(MvInputPattern::RandomTiny), "random(4)");
     EXPECT_EQ(to_string(MacroScheduleKind::Ours), "ours(macro)");
     EXPECT_EQ(macro_schedules().at("OURS(MACRO)").kind, MacroScheduleKind::Ours);
-    EXPECT_EQ(Scenario::parse("n=8 t=1 plane=SPARSE sparse_stream=Chain").sparse_stream,
-              net::SparseStream::Chain);
+    EXPECT_TRUE(Scenario::parse("n=8 t=1 plane=SPARSE").sparse_plane);
 }
 
 TEST(NameLookup, NearMissGetsDidYouMean) {

@@ -606,6 +606,40 @@ TEST(Checkpoint, CoinAndMacroScopesRefuseAnotherExperiment) {
     (void)run_coin_trials(cs, 5, 8, ExecutorConfig{1, 4, coin_path, true});
 }
 
+TEST(Checkpoint, QEqualToTResumesAcrossAnUnsetQ) {
+    // q = t and an unset q are one experiment, so the binary, mv and macro
+    // scopes are the same bytes: a journal written under either resumes
+    // under the other to the same aggregate, and another q is refused.
+    const auto check = [](const auto& unset, const auto& run, const std::string& name) {
+        SCOPED_TRACE(name);
+        const std::string path = temp_path("ck_q_" + name + ".bin");
+        auto at_t = unset;
+        at_t.q = at_t.t;
+        auto below = unset;
+        below.q = unset.t - 1;
+        for (const bool write_unset : {true, false}) {
+            std::filesystem::remove(path);
+            const auto full = run(write_unset ? unset : at_t, ExecutorConfig{1, 4, path, false});
+            const auto resumed =
+                run(write_unset ? at_t : unset, ExecutorConfig{2, 4, path, true});
+            EXPECT_EQ(resumed.trials, full.trials);
+            EXPECT_EQ(resumed.rounds.values(), full.rounds.values());
+            EXPECT_THROW((void)run(below, ExecutorConfig{1, 4, path, true}), ContractViolation);
+        }
+    };
+    check(Scenario::parse("protocol=ours adversary=static n=64 t=21"),
+          [](const Scenario& s, const ExecutorConfig& e) { return run_trials(s, 7, 8, e); },
+          "binary");
+    check(MvScenario::parse("n=32 t=9"),
+          [](const MvScenario& s, const ExecutorConfig& e) { return run_mv_trials(s, 7, 8, e); },
+          "mv");
+    check(MacroScenario::parse("n=4096 t=64"),
+          [](const MacroScenario& s, const ExecutorConfig& e) {
+              return run_macro_trials(s, 7, 8, e);
+          },
+          "macro");
+}
+
 TEST(Checkpoint, JournaledFaultyRunStillMatchesUnarmedResult) {
     // Transient faults + checkpointing together: the journal records the
     // RECOVERED partials, so even a resume of a faulty run reproduces the

@@ -90,15 +90,6 @@ TEST(SparsePlaneEquivalence, DenseSparseMatchesFlatAcrossRegistry) {
                 sharded.intra_threads = shards;
                 expect_aggregate_eq(flat, sim::run_trials(sharded, 0xD1CE, 6, serial));
             }
-
-            // Dense mode probes every sender exactly once regardless of how
-            // the probe indices are derived, so BOTH frozen stream versions
-            // must reproduce the flat integers (serial is enough here —
-            // thread/shard invariance is covered by the default stream
-            // above).
-            sim::Scenario chain = sp;
-            chain.sparse_stream = net::SparseStream::Chain;
-            expect_aggregate_eq(flat, sim::run_trials(chain, 0xD1CE, 6, serial));
         }
     }
     // 8 sparse-capable protocols x 9 adversaries minus the schedule and
@@ -191,18 +182,11 @@ TEST(SparsePlaneScenario, PlaneKeysRoundTrip) {
     EXPECT_TRUE(sim::Scenario::parse("n=16 t=5 plane=sparse").sparse_plane);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5 sample_degree=7").sample_degree, 7u);
 
-    // Topology-seed and stream-version keys survive the round trip, both at
-    // their defaults (elided from describe()) and when set.
+    // The topology-seed key survives the round trip, both at its default
+    // (elided from describe()) and when set.
     s.sparse_seed = 1234567;
-    s.sparse_stream = net::SparseStream::Chain;
     EXPECT_EQ(sim::Scenario::parse(s.describe()), s);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5 sparse_seed=9").sparse_seed, 9u);
-    EXPECT_EQ(sim::Scenario::parse("n=16 t=5").sparse_stream,
-              net::SparseStream::Counter);
-    EXPECT_EQ(sim::Scenario::parse("n=16 t=5 sparse_stream=chain").sparse_stream,
-              net::SparseStream::Chain);
-    EXPECT_EQ(sim::Scenario::parse("n=16 t=5 sparse_stream=counter").sparse_stream,
-              net::SparseStream::Counter);
 
     // The mv stack has no delivery-plane choice: both keys are unknown there.
     for (const char* spec : {"n=32 t=5 plane=flat", "n=32 t=5 plane=sparse",
@@ -235,11 +219,12 @@ TEST(SparsePlaneScenario, PlaneTypoGetsDidYouMean) {
                   std::string::npos)
             << e.what();
     }
+    // The sample stream is fixed: it is no scenario key.
     try {
-        sim::Scenario::parse("n=16 t=5 sparse_stream=countre");
-        FAIL() << "typo'd sparse_stream value must throw";
+        sim::Scenario::parse("n=16 t=5 sparse_stream=counter");
+        FAIL() << "sparse_stream is no scenario key";
     } catch (const ContractViolation& e) {
-        EXPECT_NE(std::string(e.what()).find("did you mean 'counter'"),
+        EXPECT_NE(std::string(e.what()).find("unknown scenario key 'sparse_stream'"),
                   std::string::npos)
             << e.what();
     }
@@ -387,46 +372,39 @@ TEST(SparsePlaneUnit, SubDenseSamplingIsSeedDerivedAndBounded) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched probe kernels: frozen stream derivations and counting parity.
+// Batched probe kernels: the frozen stream derivation and counting parity.
 
-TEST(SparseKernels, ChainStreamReproducesRecordedIntegers) {
-    // The v1 chain derivation is FROZEN — these integers were recorded from
-    // the PR 7 scalar loop (h = mix(seed ^ ((round << 32) | receiver)); per
-    // draw h = mix(h), index = h % n) and must never change: recorded
-    // chain-stream experiments replay only if the kernel reproduces them
-    // bit-for-bit. If this test fails, the derivation was edited — add a
-    // new SparseStream enumerator instead.
+TEST(SparseKernels, CounterStreamReproducesRecordedIntegers) {
+    // The counter derivation is FROZEN — these integers were recorded from
+    // it (base = mix(seed ^ ((round << 32) | receiver)); draw i is
+    // (mix(base ^ i) * n) >> 64) and must never change: recorded sparse
+    // experiments replay only if the kernels reproduce them bit for bit.
     const std::uint64_t seed = 0x1234;
     const Round round = 5;
     const NodeId receiver = 77;
     const NodeId n = 1000;
-    const NodeId expected[8] = {206, 235, 285, 532, 136, 650, 4, 457};
+    const NodeId expected[8] = {267, 138, 424, 324, 212, 74, 585, 308};
 
-    std::uint64_t h = net::kern::sparse_mixed_base(
-        net::kern::sparse_stream_base(seed, round, receiver));
+    const std::uint64_t h = net::kern::sparse_receiver_base(seed, round, receiver);
+    EXPECT_EQ(h, 0xe381164997db95b0ull);
     NodeId out[8] = {};
-    h = net::kern::sparse_fill_indices(net::SparseStream::Chain, h, n, 0, 8, out);
+    net::kern::sparse_fill_indices(h, n, 0, 8, out);
     for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], expected[i]) << "draw " << i;
-    EXPECT_EQ(h, 0x181688ca60949ce9ull);  // chain state after 8 draws
 
-    // Block splits cannot change the chain: deriving 3 + 5 draws threads the
-    // state through the return value and lands on the same indices.
+    // Block splits cannot change the draws: deriving 3 + 5 draws from the
+    // same base lands on the same indices.
     NodeId split[8] = {};
-    std::uint64_t g = net::kern::sparse_mixed_base(
-        net::kern::sparse_stream_base(seed, round, receiver));
-    g = net::kern::sparse_fill_indices(net::SparseStream::Chain, g, n, 0, 3, split);
-    g = net::kern::sparse_fill_indices(net::SparseStream::Chain, g, n, 3, 5,
-                                       split + 3);
-    EXPECT_EQ(g, h);
+    net::kern::sparse_fill_indices(h, n, 0, 3, split);
+    net::kern::sparse_fill_indices(h, n, 3, 5, split + 3);
     for (int i = 0; i < 8; ++i) EXPECT_EQ(split[i], expected[i]);
 }
 
-TEST(SparseKernels, ChainCountsMatchScalarReferenceOnRandomBuffers) {
+TEST(SparseKernels, CounterCountsMatchScalarReferenceOnRandomBuffers) {
     // Functional pin of the whole batched path against an independent
-    // reimplementation of the PR 7 per-probe loop: serial chain derivation,
+    // per-probe loop: its own counter derivation (128-bit multiply-shift),
     // state-BYTE honesty test (not the packed word plane), and the exact
     // from() walk for every probe. Agreement across random buffers checks
-    // the packed honesty plane, the gathered bit reads, and the Byzantine
+    // the packed honesty plane, the gathered code reads, and the Byzantine
     // rerouting in one sweep.
     Xoshiro256 rng(4242);
     for (int iter = 0; iter < 25; ++iter) {
@@ -457,7 +435,7 @@ TEST(SparseKernels, ChainCountsMatchScalarReferenceOnRandomBuffers) {
         const std::uint64_t seed = rng();
         const Round round = static_cast<Round>(rng.below(50));
         net::SparsePlane plane;
-        plane.reset(n, degree, seed, net::SparseStream::Chain);
+        plane.reset(n, degree, seed);
         ASSERT_FALSE(plane.dense());
         plane.begin_round(round, buf, tally);
 
@@ -465,11 +443,11 @@ TEST(SparseKernels, ChainCountsMatchScalarReferenceOnRandomBuffers) {
             const auto q = plane.query(MsgKind::Vote1, 1, rf);
             for (NodeId recv = 0; recv < n; recv += 13) {
                 std::array<Count, 2> ref{};
-                std::uint64_t h = net::kern::sparse_mix(
+                const std::uint64_t h = net::kern::sparse_mix(
                     seed ^ ((static_cast<std::uint64_t>(round) << 32) | recv));
                 for (Count i = 0; i < degree; ++i) {
-                    h = net::kern::sparse_mix(h);
-                    const NodeId sender = static_cast<NodeId>(h % n);
+                    const unsigned __int128 wide = net::kern::sparse_mix(h ^ i);
+                    const auto sender = static_cast<NodeId>((wide * n) >> 64);
                     if (const Message* m = buf.from(recv, sender)) {
                         if (m->kind == MsgKind::Vote1 && m->phase == 1 &&
                             (!rf || m->flag != 0))
@@ -497,10 +475,8 @@ TEST(SparseKernels, CounterLemireReductionIsUniformAtNonPowerOfTwoN) {
     std::vector<std::uint32_t> hist(n, 0);
     NodeId idx[net::kern::kSparseBlock];
     for (NodeId recv = 0; recv < receivers; ++recv) {
-        const std::uint64_t h = net::kern::sparse_mixed_base(
-            net::kern::sparse_stream_base(0xC0FFEE, 9, recv));
-        net::kern::sparse_fill_indices(net::SparseStream::Counter, h, n, 0,
-                                       draws_per_receiver, idx);
+        const std::uint64_t h = net::kern::sparse_receiver_base(0xC0FFEE, 9, recv);
+        net::kern::sparse_fill_indices(h, n, 0, draws_per_receiver, idx);
         for (NodeId j = 0; j < draws_per_receiver; ++j) ++hist[idx[j]];
     }
     const double total = static_cast<double>(draws_per_receiver) * receivers;
@@ -522,10 +498,8 @@ TEST(SparseKernels, CounterStreamDecorrelatesAdjacentSeedsAndReceivers) {
     const NodeId n = 500;
     const auto sorted_draws = [n](std::uint64_t seed, NodeId recv) {
         NodeId idx[32];
-        const std::uint64_t h = net::kern::sparse_mixed_base(
-            net::kern::sparse_stream_base(seed, 3, recv));
-        net::kern::sparse_fill_indices(net::SparseStream::Counter, h, n, 0, 32,
-                                       idx);
+        const std::uint64_t h = net::kern::sparse_receiver_base(seed, 3, recv);
+        net::kern::sparse_fill_indices(h, n, 0, 32, idx);
         std::vector<NodeId> v(idx, idx + 32);
         std::sort(v.begin(), v.end());
         return v;
@@ -534,14 +508,12 @@ TEST(SparseKernels, CounterStreamDecorrelatesAdjacentSeedsAndReceivers) {
     EXPECT_NE(sorted_draws(0xABCD, 10), sorted_draws(0xABCD, 11));
 }
 
-TEST(SparseKernels, CounterAndChainStreamsAgreeOnGuaranteesAcrossRegistry) {
-    // Counter vs chain parity over the registry cross product: the two
-    // frozen derivations draw DIFFERENT samples, so trajectories are not
-    // bit-comparable sub-dense — but protocol guarantees cannot depend on
-    // which healthy stream drew the sample. Unanimous inputs keep sampled
-    // estimates exact at any degree, so agreement + validity must hold for
-    // BOTH streams at every compatible (protocol, adversary) pair, and
-    // split-input runs must complete without tripping asserts.
+TEST(SparseKernels, SubDenseSamplingKeepsGuaranteesAcrossRegistry) {
+    // Sub-dense samples are not bit-comparable to flat counts, but protocol
+    // guarantees cannot depend on which healthy sample was drawn. Unanimous
+    // inputs keep sampled estimates exact at any degree, so agreement +
+    // validity must hold at every compatible (protocol, adversary) pair,
+    // and split-input runs must complete without tripping asserts.
     Count covered = 0;
     for (const sim::ProtocolEntry* p : sim::ProtocolRegistry::instance().list()) {
         for (const sim::AdversaryEntry* a : sim::AdversaryRegistry::instance().list()) {
@@ -557,26 +529,21 @@ TEST(SparseKernels, CounterAndChainStreamsAgreeOnGuaranteesAcrossRegistry) {
             s.sample_degree = 16;  // genuinely sub-dense
             // q=0 for the guarantee half: with actual corruptions, 16-draw
             // estimates can legitimately wobble past thresholds (a sampling
-            // property, not a stream bug); with none, unanimous estimates
+            // property, not a kernel bug); with none, unanimous estimates
             // are exact and the guarantees are deterministic.
             s.q = 0;
             if (!sim::compatible(s)) continue;
             ++covered;
-            for (const net::SparseStream stream :
-                 {net::SparseStream::Counter, net::SparseStream::Chain}) {
-                sim::Scenario v = s;
-                v.sparse_stream = stream;
-                SCOPED_TRACE(v.describe());
-                const sim::Aggregate one = sim::run_trials(v, 0xBEEF, 2, {1, 0});
-                EXPECT_EQ(one.agreement_failures, 0u);
-                EXPECT_EQ(one.validity_failures, 0u);
+            SCOPED_TRACE(s.describe());
+            const sim::Aggregate one = sim::run_trials(s, 0xBEEF, 2, {1, 0});
+            EXPECT_EQ(one.agreement_failures, 0u);
+            EXPECT_EQ(one.validity_failures, 0u);
 
-                sim::Scenario split = v;
-                split.inputs = sim::InputPattern::Split;
-                split.q.reset();  // full corruption budget: worst-case noise
-                const sim::Aggregate sp = sim::run_trials(split, 0xBEEF, 2, {1, 0});
-                EXPECT_EQ(sp.trials, 2u);  // completion, not decisions
-            }
+            sim::Scenario split = s;
+            split.inputs = sim::InputPattern::Split;
+            split.q.reset();  // full corruption budget: worst-case noise
+            const sim::Aggregate sp = sim::run_trials(split, 0xBEEF, 2, {1, 0});
+            EXPECT_EQ(sp.trials, 2u);  // completion, not decisions
         }
     }
     EXPECT_GE(covered, 40u) << "registry coverage unexpectedly low";
@@ -589,17 +556,15 @@ TEST(SparseKernels, ProbeBlockMatchesScalarDerivationAcrossTailLengths) {
     // indices, honest counts, AND the Byzantine lane mask — at a
     // non-power-of-two n for every tail length 1..kSparseBlock (the
     // masked-lane edge cases). Dispatch is a speed choice, never a
-    // stream version.
+    // stream change.
     Xoshiro256 rng(0xBEEFu);
     const NodeId n = 100003;  // prime: exercises the Lemire reduction
     std::vector<std::uint64_t> code(2 * ((n + 63) / 64));
     for (auto& w : code) w = rng();
     for (NodeId k = 1; k <= net::kern::kSparseBlock; ++k) {
-        const std::uint64_t h = net::kern::sparse_mixed_base(
-            net::kern::sparse_stream_base(rng(), Round{3}, NodeId{41 + k}));
+        const std::uint64_t h = net::kern::sparse_receiver_base(rng(), Round{3}, NodeId{41 + k});
         NodeId ref_idx[net::kern::kSparseBlock];
-        net::kern::sparse_fill_indices(net::SparseStream::Counter, h, n,
-                                       NodeId{7}, k, ref_idx);
+        net::kern::sparse_fill_indices(h, n, NodeId{7}, k, ref_idx);
         std::array<Count, 2> ref{0, 0};
         std::uint64_t ref_mask = 0;
         for (NodeId j = 0; j < k; ++j) {
@@ -614,11 +579,8 @@ TEST(SparseKernels, ProbeBlockMatchesScalarDerivationAcrossTailLengths) {
         }
         NodeId idx[net::kern::kSparseBlock];
         std::array<Count, 2> c{0, 0};
-        std::uint64_t h2 = h;
-        const std::uint64_t mask = net::kern::sparse_probe_block(
-            net::SparseStream::Counter, h2, n, NodeId{7}, k, code.data(),
-            idx, c);
-        ASSERT_EQ(h2, h) << "counter stream must not advance h";
+        const std::uint64_t mask =
+            net::kern::sparse_probe_block(h, n, NodeId{7}, k, code.data(), idx, c);
         ASSERT_EQ(mask, ref_mask) << "tail " << k;
         ASSERT_EQ(c, ref) << "tail " << k;
         for (NodeId j = 0; j < k; ++j)

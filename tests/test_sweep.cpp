@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/macro.hpp"
+#include "sim/multivalued_runner.hpp"
 #include "sim/sweep.hpp"
 #include "support/contracts.hpp"
 
@@ -176,21 +177,7 @@ TEST(CoinSweep, RunCoinSweepMatchesDirectCall) {
     EXPECT_EQ(outcomes[0].agg.common_ones, direct.common_ones);
 }
 
-// ------------------------------------------------------------------- mv grid
-
-TEST(MvSweepGrid, CrossProductAndLabels) {
-    MvSweepGrid g;
-    g.base.n = 16;
-    g.base.t = 5;
-    g.inputs = {MvInputPattern::AllSame, MvInputPattern::TwoBlocks};
-    g.adversaries = {MvAdversaryKind::None, MvAdversaryKind::WorstCaseInner};
-    const auto rows = g.rows();
-    ASSERT_EQ(rows.size(), 4u);
-    EXPECT_EQ(rows[0].label, "all-same none");
-    EXPECT_EQ(rows[3].label, "two-blocks worst-case(inner)");
-    EXPECT_EQ(rows[3].scenario.inputs, MvInputPattern::TwoBlocks);
-    EXPECT_EQ(rows[3].scenario.adversary, MvAdversaryKind::WorstCaseInner);
-}
+// ---------------------------------------------------------------- mv names
 
 TEST(MvSweep, ToStringCoverage) {
     EXPECT_EQ(to_string(MvInputPattern::NearQuorum), "near-quorum(60%)");

@@ -372,11 +372,15 @@ TEST(Report, SweepCsvTablesShareTheLabelColumnAndWorkloadSchema) {
     EXPECT_EQ(ct.rows(), 2u);
     EXPECT_NE(ct.to_csv().find("label,trials,faulted,p_common"), std::string::npos);
 
-    MvSweepGrid mg;
-    mg.base.n = 16;
-    mg.base.t = 5;
-    mg.adversaries = {MvAdversaryKind::None, MvAdversaryKind::WorstCaseInner};
-    const Table mt = sweep_csv_table("m", run_mv_sweep(mg, 1, 3, ExecutorConfig{1}));
+    std::vector<std::pair<std::string, MvAggregate>> mv_rows;
+    for (const MvAdversaryKind a : {MvAdversaryKind::None, MvAdversaryKind::WorstCaseInner}) {
+        MvScenario ms;
+        ms.n = 16;
+        ms.t = 5;
+        ms.adversary = a;
+        mv_rows.emplace_back(to_string(a), run_mv_trials(ms, 1, 3, ExecutorConfig{1}));
+    }
+    const Table mt = csv_table("m", mv_rows);
     EXPECT_EQ(mt.rows(), 2u);
     EXPECT_NE(mt.to_csv().find("label,trials,agree_pct"), std::string::npos);
 

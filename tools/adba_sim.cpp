@@ -209,7 +209,7 @@ int run_workload(const Cli& cli, const sim::WorkloadInfo& info) {
         if (flag_key(key)) cli.get(key.name, key.value(s));
     const auto [trials, seed, exec, csv_dir] = run_flags(cli, PerWorkload<W>::kTrials);
 
-    // The spec round-trips: S::parse(s.describe()) == s (pinned in tests).
+    // The spec round-trips through S::parse (pinned in tests).
     // The default workload's line has no prefix.
     const std::string echo = info.kind == sim::WorkloadKind::Binary ? "" : info.name + " ";
     std::printf("%sscenario: %s\n", echo.c_str(), s.describe().c_str());

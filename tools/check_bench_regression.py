@@ -11,9 +11,8 @@ Gated blocks (each gate is a (block, field, direction) triple):
   entries         serial trials_per_sec per n            (higher is better)
   sharded         intra-trial-sharded trials_per_sec     (higher is better)
   tally_kernels   packed_gb_per_sec per n                (higher is better)
-  sparse          counter-stream trials_per_sec per n    (higher is better)
-  sparse          counter-stream ns_per_probe per n      (LOWER is better)
-  sparse_chain    chain-stream trials_per_sec per n      (higher is better)
+  sparse          sampled-plane trials_per_sec per n     (higher is better)
+  sparse          sampled-plane ns_per_probe per n       (LOWER is better)
   fused           64-lane fused trials_per_sec per n     (higher is better)
   fused           64-lane fused ns_per_trial per n       (LOWER is better)
 
@@ -61,8 +60,6 @@ GATES = [
      "field": "trials_per_sec", "better": "higher"},
     {"block": "sparse", "path": ("sparse", "entries"),
      "field": "ns_per_probe", "better": "lower"},
-    {"block": "sparse_chain", "path": ("sparse_chain", "entries"),
-     "field": "trials_per_sec", "better": "higher"},
     {"block": "fused", "path": ("fused", "entries"),
      "field": "trials_per_sec", "better": "higher"},
     {"block": "fused", "path": ("fused", "entries"),
