@@ -12,7 +12,9 @@
 // counting form the smaller n miss). t is the largest the protocol admits,
 // inputs are split and random, kTrials trials per cell. The default plan (fused blocks where the pair has them; sharded
 // native batches under ADBA_INTRA_THREADS) and, up to n = 256, the per-node
-// adapter (batch=false) must each reproduce the cell's hash.
+// adapter (batch=false) must each reproduce the cell's hash. Seven more
+// binary cells run the sparse plane below n senders per receiver, where the
+// native batches' tie-breaks decide results.
 //
 // The hash is perfbench's aggregate fingerprint: FNV-1a over every sample
 // of every sample series (each prefixed by its length) and then over the
@@ -206,6 +208,16 @@ TEST(GoldenFingerprints, BinaryPerNodeAdapter) {
         s.use_batch = false;
         const std::uint64_t h = hash_of(s);
         EXPECT_EQ(h, row.hash) << "batch=false, actual row: " << row_text(row, h);
+    }
+}
+
+/// Sub-dense sampling (plane=sparse below n senders): the only plane where
+/// estimates can put both values past one threshold, so the rows pin the
+/// native batches' tie-breaks, serial or sharded.
+TEST(GoldenFingerprints, BinarySubDenseSampled) {
+    for (const SpecRow& row : kSubDenseGolden) {
+        const std::uint64_t h = hash_of(sim::Scenario::parse(row.spec));
+        EXPECT_EQ(h, row.hash) << "actual row: {\"" << row.spec << "\", " << hex(h) << "},";
     }
 }
 
