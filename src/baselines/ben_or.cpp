@@ -4,15 +4,18 @@
 
 namespace adba::base {
 
+void BenOrParams::check() const {
+    ADBA_EXPECTS(n > 0);
+    ADBA_EXPECTS_MSG(5 * static_cast<std::uint64_t>(t) < n, "Ben-Or 1983 requires t < n/5");
+    ADBA_EXPECTS(phases >= 1);
+}
+
 BenOrNode::BenOrNode(BenOrParams params, NodeId self, Bit input, Xoshiro256 rng) {
     reinit(params, self, input, rng);  // one initialization body for both paths
 }
 
 void BenOrNode::reinit(BenOrParams params, NodeId self, Bit input, Xoshiro256 rng) {
-    ADBA_EXPECTS(params.n > 0);
-    ADBA_EXPECTS_MSG(5 * static_cast<std::uint64_t>(params.t) < params.n,
-                     "Ben-Or 1983 requires t < n/5");
-    ADBA_EXPECTS(params.phases >= 1);
+    params.check();
     ADBA_EXPECTS(self < params.n);
     ADBA_EXPECTS(input <= 1);
     params_ = params;
@@ -103,27 +106,14 @@ void arm_ben_or_nodes(const BenOrParams& params, const std::vector<Bit>& inputs,
 
 // ------------------------------------------------------------- BenOrBatch
 
-BenOrBatch::BenOrBatch(const BenOrParams& params, const std::vector<Bit>& inputs,
-                       const SeedTree& seeds) {
-    rearm(params, inputs, seeds);
-}
-
 void BenOrBatch::rearm(const BenOrParams& params, const std::vector<Bit>& inputs,
                        const SeedTree& seeds) {
-    ADBA_EXPECTS(params.n > 0);
-    ADBA_EXPECTS_MSG(5 * static_cast<std::uint64_t>(params.t) < params.n,
-                     "Ben-Or 1983 requires t < n/5");
-    ADBA_EXPECTS(params.phases >= 1);
+    params.check();
     ADBA_EXPECTS(inputs.size() == params.n);
     params_ = params;
     const NodeId n = params.n;
-    val_.assign(inputs.begin(), inputs.end());
-    for (NodeId v = 0; v < n; ++v) ADBA_EXPECTS(val_[v] <= 1);
-    proposal_.assign(n, 0);
-    proposing_.assign(n, 0);
-    decided_.assign(n, 0);
-    flushing_.assign(n, 0);
-    halted_.assign(n, 0);
+    planes_.rearm(inputs.data(), n);
+    for (NodeId v = 0; v < n; ++v) ADBA_EXPECTS(inputs[v] <= 1);
     rng_.clear();
     rng_.reserve(n);
     for (NodeId v = 0; v < n; ++v)
@@ -137,13 +127,13 @@ void BenOrBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi
     m.phase = r / 2;
     m.kind = round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport;
     for (NodeId v = lo; v < hi; ++v) {
-        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
+        if ((state[v] & net::RoundBuffer::kByzantine) != 0 || planes_.halted[v]) continue;
         if (round2) {
-            m.val = proposal_[v];
-            m.flag = proposing_[v] ? 1 : 0;  // flag 0 encodes the ⊥ proposal
-            if (flushing_[v]) halted_[v] = 1;
+            m.val = planes_.proposal[v];
+            m.flag = planes_.proposing[v] ? 1 : 0;  // flag 0 encodes the ⊥ proposal
+            if (planes_.flushing[v]) planes_.halted[v] = 1;
         } else {
-            m.val = val_[v];
+            m.val = planes_.val[v];
             m.flag = 0;
         }
         buf.set_broadcast(v, m);
@@ -157,70 +147,33 @@ net::BeatQuery BenOrBatch::beat_query(Round r) const {
 }
 
 void BenOrBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo, NodeId hi) {
-    const Phase p = r / 2;
+    using Step = BenOrStep<Bit>;
+    const bool propose = (r % 2) != 0;
     const Count t = params_.t;
+    const bool last_phase = r / 2 + 1 >= params_.phases;
+    // 2 * count > n + t, as count > floor((n + t) / 2).
+    const std::uint64_t report_quorum = (static_cast<std::uint64_t>(params_.n) + t) / 2;
     for (NodeId v = lo; v < hi; ++v) {
-        if (in.byzantine(v) || halted_[v] || flushing_[v]) continue;
+        if (in.byzantine(v) || planes_.halted[v] || planes_.flushing[v]) continue;
         const std::array<Count, 2> cnt = in.val(v);
-
-        if ((r % 2) == 0) {
-            // Report round: propose b when b passes the (n+t)/2 quorum.
-            proposing_[v] = 0;
-            for (Bit b : {Bit{0}, Bit{1}}) {
-                if (2 * static_cast<std::uint64_t>(cnt[b]) >
-                    static_cast<std::uint64_t>(params_.n) + t) {
-                    proposal_[v] = b;
-                    proposing_[v] = 1;
-                }
-            }
-            continue;
-        }
-
-        // Two honest nodes cannot propose different values (both passed the
-        // (n+t)/2 quorum), so at most one value exceeds t from honest
-        // senders — a theorem for exact counts only.
-        if (in.exact()) {
-            ADBA_ENSURES_MSG(!(cnt[0] > t && cnt[1] > t),
-                             "conflicting Ben-Or proposals above t");
-        }
-        if (cnt[0] > 2 * t || cnt[1] > 2 * t) {
-            val_[v] = cnt[0] > 2 * t ? Bit{0} : Bit{1};
-            decided_[v] = 1;
-            flushing_[v] = 1;
-            proposal_[v] = val_[v];
-            proposing_[v] = 1;
-            continue;
-        }
-        bool adopted = false;
-        for (Bit b : {Bit{0}, Bit{1}}) {
-            if (cnt[b] > t) {
-                val_[v] = b;
-                adopted = true;
-            }
-        }
-        if (!adopted) val_[v] = rng_[v].bit();  // private coin
-        if (p + 1 >= params_.phases) halted_[v] = 1;
+        // The conflict check holds for exact counts only.
+        const Step step = propose ? Step::propose(cnt[0] > 2 * t, cnt[1] > 2 * t, cnt[0] > t,
+                                                  cnt[1] > t, in.exact(), last_phase)
+                                  : Step::report(cnt[0] > report_quorum, cnt[1] > report_quorum);
+        step(planes_, v, 1, step.coin_lanes(1) != 0 ? rng_[v].bit() : Bit{0});  // private coin
     }
 }
 
 // ------------------------------------------------------------- FusedBenOr
 
 FusedBenOr::FusedBenOr(const BenOrParams& params) {
-    ADBA_EXPECTS(params.n > 0);
-    ADBA_EXPECTS_MSG(5 * static_cast<std::uint64_t>(params.t) < params.n,
-                     "Ben-Or 1983 requires t < n/5");
-    ADBA_EXPECTS(params.phases >= 1);
+    params.check();
     params_ = params;
 }
 
 void FusedBenOr::rearm(const std::uint64_t* input_plane, const SeedTree* lane_seeds) {
     const NodeId n = params_.n;
-    val_.assign(input_plane, input_plane + n);
-    proposal_.assign(n, 0);
-    proposing_.assign(n, 0);
-    decided_.assign(n, 0);
-    flushing_.assign(n, 0);
-    halted_.assign(n, 0);
+    planes_.rearm(input_plane, n);
     streams_.rearm(lane_seeds, n);
 }
 
@@ -230,14 +183,14 @@ void FusedBenOr::send_round(Round r, net::FusedFrame& frame) {
     frame.kind = round2 ? net::MsgKind::BenOrPropose : net::MsgKind::BenOrReport;
     frame.phase = r / 2;
     for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
+        const std::uint64_t act = ~frame.byz[v] & ~planes_.halted[v];
         frame.sent[v] = act;
         if (round2) {
-            frame.val[v] = proposal_[v];
-            frame.flag[v] = proposing_[v];  // flag 0 encodes the ⊥ proposal
-            halted_[v] |= act & flushing_[v];
+            frame.val[v] = planes_.proposal[v];
+            frame.flag[v] = planes_.proposing[v];  // flag 0 encodes the ⊥ proposal
+            planes_.halted[v] |= act & planes_.flushing[v];
         } else {
-            frame.val[v] = val_[v];
+            frame.val[v] = planes_.val[v];
             frame.flag[v] = 0;
         }
     }
@@ -245,6 +198,7 @@ void FusedBenOr::send_round(Round r, net::FusedFrame& frame) {
 
 void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
     using net::kern::lanes_greater;
+    using Step = BenOrStep<std::uint64_t>;
     const NodeId n = params_.n;
     const Phase p = r / 2;
     const bool round2 = (r % 2) != 0;
@@ -256,44 +210,31 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
     const std::uint64_t active = frame.active;
     const bool last_phase = p + 1 >= params_.phases;
 
+    const std::uint64_t* const byz = frame.byz.data();
+    const std::uint64_t* const flushing = planes_.flushing.data();
+    const std::uint64_t* const halted = planes_.halted.data();
+    const auto live = [&](NodeId v) { return ~byz[v] & ~halted[v] & ~flushing[v] & active; };
     // A proposal counts only with its flag (flag 0 is the ⊥ proposal).
     fold_.prepare(frame, {kind, p, /*require_flag=*/round2});
     fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
         if (!round2) {
-            // Report round: propose the value past the (n+t)/2 quorum; at
-            // most one can pass it (counts total at most n).
-            const std::uint64_t p1 = lanes_greater(c.c1, report_quorum) & active;
-            const std::uint64_t prop = (lanes_greater(c.c0, report_quorum) & active) | p1;
-            for (NodeId v = lo; v < hi; ++v) {
-                const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
-                proposing_[v] = (proposing_[v] & ~act) | (prop & act);
-                proposal_[v] = (proposal_[v] & ~(prop & act)) | (p1 & act);
-            }
+            const Step step = Step::report(lanes_greater(c.c0, report_quorum) & active,
+                                           lanes_greater(c.c1, report_quorum) & active);
+            for (NodeId v = lo; v < hi; ++v) step(planes_, v, live(v), 0);
             return;
         }
-
-        // Propose round: more than 2t proposals of a value decide it, more
-        // than t adopt it; otherwise the private coin.
-        const std::uint64_t a0 = lanes_greater(c.c0, t) & active;
-        const std::uint64_t a1 = lanes_greater(c.c1, t) & active;
-        ADBA_ENSURES_MSG((a0 & a1) == 0, "conflicting Ben-Or proposals above t");
-        const std::uint64_t fin = (lanes_greater(c.c0, 2 * t) | lanes_greater(c.c1, 2 * t)) & active;
-        const std::uint64_t draw = active & ~(a0 | a1);
+        const Step step = Step::propose(
+            lanes_greater(c.c0, 2 * t) & active, lanes_greater(c.c1, 2 * t) & active,
+            lanes_greater(c.c0, t) & active, lanes_greater(c.c1, t) & active,
+            /*exact=*/true, last_phase);
         for (NodeId v = lo; v < hi; ++v) {
-            const std::uint64_t act = ~frame.byz[v] & ~halted_[v] & ~flushing_[v];
-            std::uint64_t v1 = a1;
-            const std::uint64_t cm = draw & act;
-            for (std::uint64_t l = cm; l != 0; l &= l - 1) {
-                const unsigned j = static_cast<unsigned>(std::countr_zero(l));
-                if (streams_.at(v, j).bit() != 0) v1 |= std::uint64_t{1} << j;
+            // Each coin cell draws from its own stream.
+            std::uint64_t drawn = 0;
+            for (std::uint64_t cm = step.coin_lanes(live(v)); cm != 0; cm &= cm - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
+                if (streams_.at(v, j).bit() != 0) drawn |= std::uint64_t{1} << j;
             }
-            val_[v] = (val_[v] & ~act) | (v1 & act);
-            const std::uint64_t fin_v = fin & act;
-            decided_[v] |= fin_v;
-            flushing_[v] |= fin_v;
-            proposing_[v] |= fin_v;
-            proposal_[v] = (proposal_[v] & ~fin_v) | (a1 & fin_v);
-            if (last_phase) halted_[v] |= act & ~fin_v;
+            step(planes_, v, live(v), drawn);
         }
     });
 }

@@ -6,15 +6,18 @@
 
 namespace adba::base {
 
+void PhaseKingParams::check() const {
+    ADBA_EXPECTS(n > 0);
+    ADBA_EXPECTS_MSG(4 * static_cast<std::uint64_t>(t) < n, "simple phase-king requires t < n/4");
+    ADBA_EXPECTS_MSG(t + 1 <= n, "needs t+1 distinct kings");
+}
+
 PhaseKingNode::PhaseKingNode(PhaseKingParams params, NodeId self, Bit input) {
     reinit(params, self, input);  // one initialization body for both paths
 }
 
 void PhaseKingNode::reinit(PhaseKingParams params, NodeId self, Bit input) {
-    ADBA_EXPECTS(params.n > 0);
-    ADBA_EXPECTS_MSG(4 * static_cast<std::uint64_t>(params.t) < params.n,
-                     "simple phase-king requires t < n/4");
-    ADBA_EXPECTS_MSG(params.t + 1 <= params.n, "needs t+1 distinct kings");
+    params.check();
     ADBA_EXPECTS(self < params.n);
     ADBA_EXPECTS(input <= 1);
     params_ = params;
@@ -76,25 +79,14 @@ void arm_phase_king_nodes(const PhaseKingParams& params, const std::vector<Bit>&
 
 // --------------------------------------------------------- PhaseKingBatch
 
-PhaseKingBatch::PhaseKingBatch(const PhaseKingParams& params,
-                               const std::vector<Bit>& inputs) {
-    rearm(params, inputs);
-}
-
 void PhaseKingBatch::rearm(const PhaseKingParams& params,
                            const std::vector<Bit>& inputs) {
-    ADBA_EXPECTS(params.n > 0);
-    ADBA_EXPECTS_MSG(4 * static_cast<std::uint64_t>(params.t) < params.n,
-                     "simple phase-king requires t < n/4");
-    ADBA_EXPECTS_MSG(params.t + 1 <= params.n, "needs t+1 distinct kings");
+    params.check();
     ADBA_EXPECTS(inputs.size() == params.n);
     params_ = params;
     const NodeId n = params.n;
-    val_.assign(inputs.begin(), inputs.end());
-    for (NodeId v = 0; v < n; ++v) ADBA_EXPECTS(val_[v] <= 1);
-    maj_.assign(n, 0);
-    mult_.assign(n, 0);
-    halted_.assign(n, 0);
+    planes_.rearm(inputs.data(), n);
+    for (NodeId v = 0; v < n; ++v) ADBA_EXPECTS(inputs[v] <= 1);
 }
 
 void PhaseKingBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) {
@@ -105,8 +97,8 @@ void PhaseKingBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeI
         m.kind = net::MsgKind::PhaseKingSend;
         m.phase = k;
         for (NodeId v = lo; v < hi; ++v) {
-            if ((state[v] & net::RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-            m.val = val_[v];
+            if ((state[v] & net::RoundBuffer::kByzantine) != 0 || planes_.halted[v]) continue;
+            m.val = planes_.val[v];
             buf.set_broadcast(v, m);
         }
         return;
@@ -114,11 +106,11 @@ void PhaseKingBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeI
     // Only the king speaks in round 2 — and only the shard that holds it.
     const NodeId king = params_.king_of(k);
     if (king < lo || king >= hi) return;
-    if ((state[king] & net::RoundBuffer::kByzantine) != 0 || halted_[king]) return;
+    if ((state[king] & net::RoundBuffer::kByzantine) != 0 || planes_.halted[king]) return;
     net::Message m;
     m.kind = net::MsgKind::PhaseKingRuler;
     m.phase = k;
-    m.val = maj_[king];
+    m.val = planes_.maj[king];
     buf.set_broadcast(king, m);
 }
 
@@ -130,50 +122,43 @@ net::BeatQuery PhaseKingBatch::beat_query(Round r) const {
 
 void PhaseKingBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo,
                                   NodeId hi) {
+    using Step = PhaseKingStep<Bit>;
     const Phase k = r / 2;
     const NodeId king = params_.king_of(k);
-    for (NodeId v = lo; v < hi; ++v) {
-        if (in.byzantine(v) || halted_[v]) continue;
-        if ((r % 2) == 0) {
-            const std::array<Count, 2> cnt = in.val(v);
-            maj_[v] = cnt[1] > cnt[0] ? Bit{1} : Bit{0};
-            mult_[v] = cnt[maj_[v]];
-            continue;
-        }
-        // Round 2: adopt the king's value unless our majority was
-        // overwhelming; a silent/corrupted king defaults to 0 at every node.
-        Bit king_val = 0;
+    const bool last_phase = k + 1 == params_.phases();
+    // 2 * mult > n + 2t, as mult > floor((n + 2t) / 2).
+    const std::uint64_t strong_bound =
+        (params_.n + 2 * static_cast<std::uint64_t>(params_.t)) / 2;
+    const auto round1 = [&](const std::array<Count, 2>& cnt) {
+        return Step::round1(cnt[1] > cnt[0], cnt[0] > strong_bound, cnt[1] > strong_bound);
+    };
+    // A silent or corrupted king's value is 0 at every node.
+    const auto king1 = [&](NodeId v) -> Bit {
         const net::Message* m = in.from(v, king);
-        if (m != nullptr && m->kind == net::MsgKind::PhaseKingRuler && m->phase == k)
-            king_val = m->val & 1;
-        if (2 * static_cast<std::uint64_t>(mult_[v]) >
-            params_.n + 2 * static_cast<std::uint64_t>(params_.t)) {
-            val_[v] = maj_[v];
-        } else {
-            val_[v] = king_val;
-        }
-        if (k + 1 == params_.phases()) halted_[v] = 1;
+        return m != nullptr && m->kind == net::MsgKind::PhaseKingRuler && m->phase == k
+                   ? m->val & 1
+                   : 0;
+    };
+    for (NodeId v = lo; v < hi; ++v) {
+        if (in.byzantine(v) || planes_.halted[v]) continue;
+        const Step step =
+            (r % 2) == 0 ? round1(in.val(v)) : Step::round2(king1(v), last_phase);
+        step(planes_, v, 1);
     }
 }
 
 // --------------------------------------------------------- FusedPhaseKing
 
 FusedPhaseKing::FusedPhaseKing(const PhaseKingParams& params) {
-    ADBA_EXPECTS(params.n > 0);
-    ADBA_EXPECTS_MSG(4 * static_cast<std::uint64_t>(params.t) < params.n,
-                     "simple phase-king requires t < n/4");
-    ADBA_EXPECTS_MSG(params.t + 1 <= params.n, "needs t+1 distinct kings");
+    params.check();
     params_ = params;
 }
 
 void FusedPhaseKing::rearm(const std::uint64_t* input_plane,
                            const SeedTree* /*lane_seeds*/) {
     const NodeId n = params_.n;
-    val_.assign(input_plane, input_plane + n);
-    maj_.assign(n, 0);
-    strong_.assign(n, 0);
+    planes_.rearm(input_plane, n);
     decided_.assign(n, 0);
-    halted_.assign(n, 0);
 }
 
 void FusedPhaseKing::send_round(Round r, net::FusedFrame& frame) {
@@ -183,8 +168,8 @@ void FusedPhaseKing::send_round(Round r, net::FusedFrame& frame) {
     if ((r % 2) == 0) {
         frame.kind = net::MsgKind::PhaseKingSend;
         for (NodeId v = 0; v < n; ++v) {
-            frame.sent[v] = ~frame.byz[v] & ~halted_[v];
-            frame.val[v] = val_[v];
+            frame.sent[v] = ~frame.byz[v] & ~planes_.halted[v];
+            frame.val[v] = planes_.val[v];
         }
         return;
     }
@@ -192,14 +177,18 @@ void FusedPhaseKing::send_round(Round r, net::FusedFrame& frame) {
     frame.kind = net::MsgKind::PhaseKingRuler;
     const NodeId king = params_.king_of(k);
     std::fill(frame.sent.begin(), frame.sent.end(), 0);
-    frame.sent[king] = ~frame.byz[king] & ~halted_[king];
-    frame.val[king] = maj_[king];
+    frame.sent[king] = ~frame.byz[king] & ~planes_.halted[king];
+    frame.val[king] = planes_.maj[king];
 }
 
 void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
     using net::kern::lanes_greater;
+    using Step = PhaseKingStep<std::uint64_t>;
     const Phase k = r / 2;
     const std::uint64_t active = frame.active;
+    const std::uint64_t* const byz = frame.byz.data();
+    const std::uint64_t* const halted = planes_.halted.data();
+    const auto live = [&](NodeId v) { return ~byz[v] & ~halted[v] & active; };
 
     if ((r % 2) == 0) {
         // 2 * mult > n + 2t, as mult > floor((n + 2t) / 2).
@@ -207,33 +196,23 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
             static_cast<std::int32_t>((params_.n + 2 * static_cast<std::uint64_t>(params_.t)) / 2);
         fold_.prepare(frame, {net::MsgKind::PhaseKingSend, k});
         fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
-            const std::uint64_t maj = lanes_greater(c.c1, c.c0) & active;
-            const std::uint64_t strong = ((maj & lanes_greater(c.c1, strong_bound)) |
-                                          (~maj & lanes_greater(c.c0, strong_bound))) &
-                                         active;
-            for (NodeId v = lo; v < hi; ++v) {
-                const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
-                maj_[v] = (maj_[v] & ~act) | (maj & act);
-                strong_[v] = (strong_[v] & ~act) | (strong & act);
-            }
+            const Step step = Step::round1(lanes_greater(c.c1, c.c0) & active,
+                                           lanes_greater(c.c0, strong_bound) & active,
+                                           lanes_greater(c.c1, strong_bound) & active);
+            for (NodeId v = lo; v < hi; ++v) step(planes_, v, live(v));
         });
         return;
     }
 
     // Round 2: the king's value, counted from the king alone — its honest
     // broadcast, or the row a corrupted king sends (shared or the lane's
-    // own); a silent/corrupted king defaults to 0 at every node.
+    // own).
     const NodeId king = params_.king_of(k);
     const bool last_phase = k + 1 == params_.phases();
     fold_.prepare(frame, {net::MsgKind::PhaseKingRuler, k, false, 0, 0, king, king + 1});
     fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
-        const std::uint64_t kv = lanes_greater(c.c1, 0) & active;
-        for (NodeId v = lo; v < hi; ++v) {
-            const std::uint64_t act = ~frame.byz[v] & ~halted_[v];
-            const std::uint64_t nv = (strong_[v] & maj_[v]) | (~strong_[v] & kv);
-            val_[v] = (val_[v] & ~act) | (nv & act);
-            if (last_phase) halted_[v] |= act;
-        }
+        const Step step = Step::round2(lanes_greater(c.c1, 0) & active, last_phase);
+        for (NodeId v = lo; v < hi; ++v) step(planes_, v, live(v));
     });
 }
 

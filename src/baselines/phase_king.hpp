@@ -39,6 +39,59 @@ struct PhaseKingParams {
     Round total_rounds() const { return 2 * phases(); }
     /// King (coordinator) of phase k.
     NodeId king_of(Phase k) const { return static_cast<NodeId>(k); }
+    /// The contract every form checks when armed.
+    void check() const;
+};
+
+/// A Phase-King form's state: one lane word W per node and plane.
+template <typename W>
+struct PhaseKingPlanes {
+    std::vector<W> val, maj, strong, halted;
+
+    /// n nodes holding `input`, live.
+    void rearm(const W* input, NodeId n) {
+        val.assign(input, input + n);
+        for (std::vector<W>* p : {&maj, &strong, &halted}) p->assign(n, 0);
+    }
+};
+
+/// One Phase-King receive round on a lane word W: one node of
+/// PhaseKingBatch (a 0/1 byte) or 64 trials of FusedPhaseKing (bit j =
+/// lane j). Both fast forms call it; PhaseKingNode's rule, written apart,
+/// is its spec. Round 1 keeps only whether the majority was strong
+/// (2·mult > n + 2t), not mult itself. A complement is only ever masked by
+/// another lane word, so a 0/1 byte stays 0/1.
+template <typename W>
+struct PhaseKingStep {
+    bool king_round;  ///< round 2 (else round 1)
+    W maj;            ///< round 1: the majority value is 1
+    W strong;         ///< round 1: the majority is strong
+    W king1;          ///< round 2: the king's value is 1
+    W exhaust;        ///< round 2: all lanes in the last phase, else none
+
+    /// Round 1: more1 = more 1s than 0s counted (the majority, 0 on a
+    /// tie); over_b = the count of b passes (n + 2t) / 2.
+    static PhaseKingStep round1(W more1, W over0, W over1) {
+        return {false, more1, W((more1 & over1) | (~more1 & over0)), 0, 0};
+    }
+    /// Round 2: king1 = the king's value is 1 (a silent or corrupted king's
+    /// is 0). A strong majority keeps its value, the rest adopt the king's;
+    /// the last phase halts.
+    static PhaseKingStep round2(W king1, bool last_phase) {
+        return {true, 0, 0, king1, W(last_phase ? ~W{0} : 0)};
+    }
+
+    /// Node v's words on its live lanes (honest, not halted).
+    void operator()(PhaseKingPlanes<W>& s, NodeId v, W live) const {
+        if (!king_round) {
+            s.maj[v] = W((s.maj[v] & ~live) | (maj & live));
+            s.strong[v] = W((s.strong[v] & ~live) | (strong & live));
+            return;
+        }
+        const W next = W((s.strong[v] & s.maj[v]) | (~s.strong[v] & king1));
+        s.val[v] = W((s.val[v] & ~live) | (next & live));
+        s.halted[v] |= live & exhaust;
+    }
 };
 
 class PhaseKingNode final : public net::HonestNode {
@@ -64,26 +117,27 @@ private:
     bool halted_ = false;
 };
 
-/// SoA batch form of Phase-King: val / maj / mult planes, one dispatch per
-/// beat, the rule written once over net::BeatCounts. Round-1 majorities
-/// hoist the shared honest tally (or read sampled estimates); the round-2
-/// king probe is one single-sender read per receiver, exact on every plane
-/// (the one-coordinator analogue of the committee's exact island). No RNG
-/// and no threshold assertion, so sampling needs no relaxation.
-/// Bit-identical to PhaseKingNode.
+/// SoA batch form of Phase-King: val / maj / strong planes, one dispatch
+/// per beat. Its receive rule compares each receiver's net::BeatCounts and
+/// hands the masks to PhaseKingStep: round-1 majorities read the shared
+/// honest tally (or sampled estimates); the round-2 king probe is one
+/// single-sender read per receiver, exact on every plane (the
+/// one-coordinator analogue of the committee's exact island). No RNG and
+/// no threshold assertion, so sampling needs no relaxation. Bit-identical
+/// to PhaseKingNode.
 class PhaseKingBatch final : public net::NativeBatch {
 public:
-    PhaseKingBatch(const PhaseKingParams& params, const std::vector<Bit>& inputs);
+    /// Arms the batch for a fresh trial; zero allocation once warm.
     void rearm(const PhaseKingParams& params, const std::vector<Bit>& inputs);
 
     NodeId n() const override { return params_.n; }
     // The round-2 king broadcast fires exactly once — from the shard whose
     // range holds the king.
     void send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) override;
-    const std::uint8_t* halted_plane() const override { return halted_.data(); }
-    Bit value(NodeId v) const override { return val_[v]; }
+    const std::uint8_t* halted_plane() const override { return planes_.halted.data(); }
+    Bit value(NodeId v) const override { return planes_.val[v]; }
     bool decided(NodeId /*v*/) const override { return false; }
-    Bit output(NodeId v) const override { return val_[v]; }
+    Bit output(NodeId v) const override { return planes_.val[v]; }
 
 protected:
     /// Round 1 counts vals; the king round reads no counts.
@@ -92,19 +146,15 @@ protected:
 
 private:
     PhaseKingParams params_;
-    std::vector<Bit> val_;
-    std::vector<Bit> maj_;
-    std::vector<Count> mult_;
-    std::vector<std::uint8_t> halted_;
+    PhaseKingPlanes<Bit> planes_;
 };
 
 /// 64-lane Phase-King over the fused trial plane: round-1 majorities are
 /// one lane-vector compare of the fold's counts (c1 > c0) per receiver
 /// segment, for all 64 lanes; the round-2 king probe is a fold over the
-/// king alone, whose honest broadcast and Byzantine rows count alike.
-/// mult_ never materializes — only the "2·mult > n + 2t" predicate survives
-/// round 1, stored as the strong_ plane. No RNG at all. Bit-identical to
-/// PhaseKingBatch lane by lane.
+/// king alone, whose honest broadcast and Byzantine rows count alike. The
+/// masks go to PhaseKingStep, as PhaseKingBatch's do. No RNG at all.
+/// Bit-identical to PhaseKingBatch lane by lane.
 class FusedPhaseKing final : public net::FusedProtocol {
 public:
     explicit FusedPhaseKing(const PhaseKingParams& params);
@@ -113,17 +163,14 @@ public:
     void rearm(const std::uint64_t* input_plane, const SeedTree* lane_seeds) override;
     void send_round(Round r, net::FusedFrame& frame) override;
     void receive_round(Round r, const net::FusedFrame& frame) override;
-    const std::uint64_t* value_plane() const override { return val_.data(); }
+    const std::uint64_t* value_plane() const override { return planes_.val.data(); }
     const std::uint64_t* decided_plane() const override { return decided_.data(); }
-    const std::uint64_t* halted_plane() const override { return halted_.data(); }
+    const std::uint64_t* halted_plane() const override { return planes_.halted.data(); }
 
 private:
     PhaseKingParams params_;
-    std::vector<std::uint64_t> val_;
-    std::vector<std::uint64_t> maj_;
-    std::vector<std::uint64_t> strong_;  ///< 2·mult > n + 2t, per (node, lane)
-    std::vector<std::uint64_t> decided_; ///< all-zero (phase-king never decides)
-    std::vector<std::uint64_t> halted_;
+    PhaseKingPlanes<std::uint64_t> planes_;
+    std::vector<std::uint64_t> decided_;  ///< all-zero (phase-king never decides)
     net::SegmentFold fold_;  ///< recycled receive scratch
 };
 

@@ -10,14 +10,18 @@ RabinSkeletonNode::RabinSkeletonNode(const SkeletonConfig& cfg, const CoinSpec& 
     reinit(cfg, coin, self, input, rng, dealer_seed);  // one initialization body
 }
 
+void SkeletonConfig::check(const CoinSpec& coin) const {
+    ADBA_EXPECTS(n > 0);
+    ADBA_EXPECTS_MSG(3 * static_cast<std::uint64_t>(t) < n, "requires t < n/3");
+    ADBA_EXPECTS(phases >= 1);
+    if (coin.kind == CoinSpec::Kind::Dealer) ADBA_EXPECTS(coin.dealer != nullptr);
+}
+
 void RabinSkeletonNode::reinit(const SkeletonConfig& cfg, const CoinSpec& coin, NodeId self,
                                Bit input, Xoshiro256 rng, std::uint64_t dealer_seed) {
-    ADBA_EXPECTS(cfg.n > 0);
-    ADBA_EXPECTS_MSG(3 * static_cast<std::uint64_t>(cfg.t) < cfg.n, "requires t < n/3");
-    ADBA_EXPECTS(cfg.phases >= 1);
+    cfg.check(coin);
     ADBA_EXPECTS(self < cfg.n);
     ADBA_EXPECTS(input <= 1);
-    if (coin.kind == CoinSpec::Kind::Dealer) ADBA_EXPECTS(coin.dealer != nullptr);
     cfg_ = cfg;
     coin_ = coin;
     dealer_seed_ = dealer_seed;

@@ -45,6 +45,7 @@
 #include "net/node.hpp"
 #include "rand/rng.hpp"
 #include "rand/seed_tree.hpp"
+#include "support/contracts.hpp"
 #include "support/types.hpp"
 
 namespace adba::core {
@@ -59,11 +60,22 @@ enum class AgreementMode : std::uint8_t {
     LasVegas,
 };
 
+struct CoinSpec;
+
 struct SkeletonConfig {
     NodeId n = 0;
     Count t = 0;          ///< threshold parameter (n-t / t+1 tallies)
     Count phases = 1;     ///< phase budget in WhpFixedPhases mode
     AgreementMode mode = AgreementMode::WhpFixedPhases;
+
+    /// The contract every form checks when armed: n > 0, t < n/3, a phase
+    /// budget, and a coin function under the Dealer coin.
+    void check(const CoinSpec& coin) const;
+    /// True when phase p is the last of a fixed phase budget: a receiver
+    /// that does not finish in its round 2 halts on its current value.
+    bool exhausts(Phase p) const {
+        return mode == AgreementMode::WhpFixedPhases && p + 1 == phases;
+    }
 };
 
 /// The phase coin of a skeleton protocol, in every form: the per-node
@@ -144,5 +156,79 @@ void arm_skeleton_nodes(const SkeletonConfig& cfg, const CoinSpec& coin,
 /// the honest contribution costs O(1) per receiver.
 std::int64_t committee_coin_sum(const net::ReceiveView& view, Phase p, NodeId first,
                                 NodeId last);
+
+/// A skeleton form's state: one lane word W per node and plane.
+template <typename W>
+struct SkeletonPlanes {
+    std::vector<W> val, decided, flushing, halted;
+
+    /// n nodes holding `input`, undecided and live.
+    void rearm(const W* input, NodeId n) {
+        val.assign(input, input + n);
+        for (std::vector<W>* p : {&decided, &flushing, &halted}) p->assign(n, 0);
+    }
+};
+
+/// One skeleton receive round on a lane word W: one node of SkeletonBatch
+/// (a 0/1 byte) or 64 trials of FusedSkeleton (bit j = lane j). Both fast
+/// forms call it; RabinSkeletonNode's rule, written apart, is its spec. A
+/// form builds it from the round's threshold masks — q_b: n-t votes for b,
+/// s_b: t+1 decided votes for b — once per node or receiver segment, then
+/// steps node v's words on its live lanes (honest, neither halted nor
+/// flushing). A complement is only ever masked by another lane word, so a
+/// 0/1 byte stays 0/1.
+template <typename W>
+struct SkeletonStep {
+    W dec;      ///< lanes that end the round decided
+    W one;      ///< a deciding lane's value is 1
+    W coin;     ///< lanes that take the phase coin
+    W fin;      ///< lanes that finish
+    W exhaust;  ///< all lanes when the phases run out, else none
+
+    /// Round 1: n-t votes for b decide b; other lanes keep their value,
+    /// undecided.
+    static SkeletonStep round1(W q0, W q1) {
+        check_quorums(q0, q1);
+        return {W(q0 | q1), q1, 0, 0, 0};
+    }
+
+    /// Round 2, over decided votes: n-t for b finish on b (case 1), t+1
+    /// decide b (case 2), else the phase coin, undecided (case 3); a lane
+    /// that does not finish halts when the phases run out. Only sub-dense
+    /// estimates can give both values t+1 votes: that tie goes to 0, and
+    /// Lemma 3 is asserted where the counts are exact.
+    static SkeletonStep round2(W q0, W q1, W s0, W s1, bool exact, bool exhausts) {
+        check_quorums(q0, q1);
+        if (exact)
+            ADBA_ENSURES_MSG((s0 & s1) == 0, "Lemma 3 violated: decided quorums for both values");
+        const W dec = W(s0 | s1);
+        return {dec, W(q1 | (s1 & ~s0)), W(~dec), W(q0 | q1), W(exhausts ? ~W{0} : 0)};
+    }
+
+    /// The lanes of `live` that take the phase coin.
+    W coin_lanes(W live) const { return W(live & coin); }
+    /// Node v's value and decided words; `c` holds the phase coin on
+    /// coin_lanes(live).
+    void value(SkeletonPlanes<W>& s, NodeId v, W live, W c) const {
+        const W set = W(live & (dec | coin));  // lanes whose value is written
+        s.val[v] = W((s.val[v] & ~set) | ((one | (coin & c)) & set));
+        s.decided[v] = W((s.decided[v] & ~live) | (dec & live));
+    }
+    /// Lanes end() may flush or halt.
+    W ending() const { return W(fin | exhaust); }
+    /// Node v's flushing and halted words: finishers flush through the next
+    /// phase.
+    void end(SkeletonPlanes<W>& s, NodeId v, W live) const {
+        s.flushing[v] |= fin & live;
+        s.halted[v] |= live & ~fin & exhaust;
+    }
+
+private:
+    // Two n-t counts cannot coexist even as sampled estimates
+    // (est0 + est1 <= n + 1 < 2(n-t) for t < n/3): every plane.
+    static void check_quorums(W q0, W q1) {
+        ADBA_ENSURES_MSG((q0 & q1) == 0, "two n-t quorums cannot coexist (t < n/3)");
+    }
+};
 
 }  // namespace adba::core

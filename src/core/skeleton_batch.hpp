@@ -4,18 +4,16 @@
 // reference, and the local-coin ablation).
 //
 // Semantics are EXACTLY core/skeleton.hpp's RabinSkeletonNode — same state
-// machine, same thresholds, same finish-flush termination, same per-node
-// randomness draws in the same order — but the per-node state lives in flat
-// arrays (val / decided / finish / flushing / halted planes plus one RNG
-// stream per node in a contiguous vector) and the whole population steps
-// under ONE virtual dispatch per engine beat. The receive rule is written
-// once (net::NativeBatch): its counts and committee coin come from a
-// net::BeatCounts the base builds per beat — honest counts and coin read
-// once per round from the shared RoundTally plus per-receiver delta planes,
-// sampled estimates on the sparse plane, or per-sender loops on the
-// reference path — so the inner loop is pure arithmetic over contiguous
-// arrays. tests/test_batch_plane.cpp pins this class bit-identical to the
-// per-node adapter across every compatible registry pair.
+// machine, same per-node randomness draws in the same order — but the
+// per-node state lives in flat arrays (val / decided / flushing / halted
+// planes plus one RNG stream per node in a contiguous vector) and the whole
+// population steps under ONE virtual dispatch per engine beat. The receive
+// rule (net::NativeBatch) compares each receiver's net::BeatCounts against
+// the thresholds and hands the masks to core::SkeletonStep, the round step
+// FusedSkeleton calls too; the counts come from the shared RoundTally plus
+// per-receiver delta planes, or from sampled estimates on the sparse plane.
+// tests/test_batch_plane.cpp pins this class bit-identical to the per-node
+// adapter across every compatible registry pair.
 //
 // The coin is the node's CoinSpec (core/skeleton.hpp): Committee (Algorithm
 // 3 / Chor-Coan block schedules), Dealer (a public coin function of the
@@ -36,22 +34,18 @@ namespace adba::core {
 /// Whole-population Rabin skeleton: one object, n nodes, flat planes.
 class SkeletonBatch final : public net::NativeBatch {
 public:
-    SkeletonBatch(const SkeletonConfig& cfg, CoinSpec coin,
-                  const std::vector<Bit>& inputs, const SeedTree& seeds);
-
-    /// Re-arms a pooled batch for a fresh trial (constructor contract);
-    /// zero allocation once warm.
+    /// Arms the batch for a fresh trial; zero allocation once warm.
     void rearm(const SkeletonConfig& cfg, CoinSpec coin,
                const std::vector<Bit>& inputs, const SeedTree& seeds);
 
     NodeId n() const override { return cfg_.n; }
     void send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) override;
-    const std::uint8_t* halted_plane() const override { return halted_.data(); }
-    Bit value(NodeId v) const override { return val_[v]; }
-    bool decided(NodeId v) const override { return decided_[v] != 0; }
-    Bit output(NodeId v) const override { return val_[v]; }
-    const Bit* value_plane() const override { return val_.data(); }
-    const std::uint8_t* decided_plane() const override { return decided_.data(); }
+    const std::uint8_t* halted_plane() const override { return planes_.halted.data(); }
+    Bit value(NodeId v) const override { return planes_.val[v]; }
+    bool decided(NodeId v) const override { return planes_.decided[v] != 0; }
+    Bit output(NodeId v) const override { return planes_.val[v]; }
+    const Bit* value_plane() const override { return planes_.val.data(); }
+    const std::uint8_t* decided_plane() const override { return planes_.decided.data(); }
 
 protected:
     /// Round 1 counts Vote1 vals; round 2 counts decided Vote2 vals plus,
@@ -63,11 +57,7 @@ private:
     SkeletonConfig cfg_;
     CoinSpec coin_;
     std::uint64_t dealer_seed_ = 0;  ///< Dealer only: this trial's DealerCoin seed
-    std::vector<Bit> val_;
-    std::vector<std::uint8_t> decided_;
-    std::vector<std::uint8_t> finish_;
-    std::vector<std::uint8_t> flushing_;
-    std::vector<std::uint8_t> halted_;
+    SkeletonPlanes<Bit> planes_;
     std::vector<Xoshiro256> rng_;  ///< per-node streams, flat
 };
 

@@ -43,17 +43,14 @@ public:
     void rearm(const std::uint64_t* input_plane, const SeedTree* lane_seeds) override;
     void send_round(Round r, net::FusedFrame& frame) override;
     void receive_round(Round r, const net::FusedFrame& frame) override;
-    const std::uint64_t* value_plane() const override { return val_.data(); }
-    const std::uint64_t* decided_plane() const override { return decided_.data(); }
-    const std::uint64_t* halted_plane() const override { return halted_.data(); }
+    const std::uint64_t* value_plane() const override { return planes_.val.data(); }
+    const std::uint64_t* decided_plane() const override { return planes_.decided.data(); }
+    const std::uint64_t* halted_plane() const override { return planes_.halted.data(); }
 
 private:
     SkeletonConfig cfg_;
     CoinSpec coin_;
-    std::vector<std::uint64_t> val_;
-    std::vector<std::uint64_t> decided_;
-    std::vector<std::uint64_t> flushing_;
-    std::vector<std::uint64_t> halted_;
+    SkeletonPlanes<std::uint64_t> planes_;
     /// The node range whose coin planes the last send wrote (empty when it
     /// wrote none); the next send clears it.
     NodeId coin_first_ = 0;

@@ -69,13 +69,10 @@ ProtocolBundle bundle_of(const ProtocolMeta& m) {
     return b;
 }
 
-/// Builds a fresh B into an empty slot, or re-arms the B already there.
+/// Arms the B in the slot, built first into an empty one.
 template <typename B, typename... Args>
 void arm(BatchSlot& slot, const Args&... args) {
-    if (slot == nullptr) {
-        slot = std::make_unique<B>(args...);
-        return;
-    }
+    if (slot == nullptr) slot = std::make_unique<B>();
     auto* b = dynamic_cast<B*>(slot.get());
     ADBA_EXPECTS_MSG(b != nullptr, "batch pool type does not match the requested protocol");
     b->rearm(args...);
