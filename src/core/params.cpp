@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/cli.hpp"
 #include "support/contracts.hpp"
 #include "support/math.hpp"
 
@@ -44,6 +45,11 @@ Count raw_committee_count(NodeId n, Count t, double alpha) {
     const double c2 = 3.0 * alpha * static_cast<double>(t) / logn;
     const double c = std::min(c1, c2);
     return static_cast<Count>(std::clamp(std::ceil(c), 1.0, static_cast<double>(n)));
+}
+
+std::optional<std::string> why_bad_tuning(const Tuning& tune) {
+    if (tune.alpha >= 1.0) return std::nullopt;
+    return "alpha must be at least 1 (got alpha=" + format_double(tune.alpha) + ")";
 }
 
 AgreementParams AgreementParams::compute(NodeId n, Count t, const Tuning& tune) {

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "support/types.hpp"
@@ -62,6 +64,12 @@ struct Tuning {
 
     friend bool operator==(const Tuning&, const Tuning&) = default;
 };
+
+/// AgreementParams::compute's bound on the tuning, as an input error: a
+/// message naming alpha, its bound and the value given, or nullopt. Every
+/// workload that computes Algorithm 3's parameters checks it before any
+/// trial runs.
+std::optional<std::string> why_bad_tuning(const Tuning& tune);
 
 /// Fully resolved parameters for one Algorithm 3 instance.
 struct AgreementParams {

@@ -214,6 +214,8 @@ std::optional<std::string> why_incompatible(const MacroScenario& s) {
     if (3 * s.t >= s.n)
         return "macro schedules require t < n/3 (got n=" + std::to_string(s.n) +
                ", t=" + std::to_string(s.t) + ")";
+    if (s.schedule == MacroScheduleKind::Ours)
+        if (auto why = core::why_bad_tuning(s.tuning)) return why;
     const std::uint64_t q = s.q.value_or(s.t);
     if (q > s.t)
         return "actual corruptions q must not exceed the budget t (q=" +

@@ -132,7 +132,8 @@ MacroAggregate run_macro_trials(const MacroScenario& s, std::uint64_t base_seed,
 const Names<MacroScheduleKind>& macro_schedules();
 std::string to_string(MacroScheduleKind k);
 
-/// Macro feasibility: 4 <= n <= 2^32 - 1, t < n/3, q <= t. Returns an
+/// Macro feasibility: 4 <= n <= 2^32 - 1, t < n/3, q <= t, and alpha >= 1
+/// under the `ours` schedule (core::why_bad_tuning). Returns an
 /// actionable message; make_plan throws it as a ContractViolation.
 std::optional<std::string> why_incompatible(const MacroScenario& s);
 bool compatible(const MacroScenario& s);

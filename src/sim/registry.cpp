@@ -118,6 +118,7 @@ ProtocolEntry derive(ProtocolEntry e) {
     }
     if constexpr (requires { &D::make_fused; })
         e.make_fused = [](const Scenario& s) { return D::make_fused(D::params(s)); };
+    if constexpr (requires { &D::why_unsupported; }) e.why_unsupported = &D::why_unsupported;
     return e;
 }
 
@@ -156,6 +157,9 @@ Round phase_budget_cap(Count phases) { return static_cast<Round>(2 * (phases + 2
 /// Algorithm 3 (the paper), w.h.p. fixed-phase or Las Vegas.
 template <AgreementMode M>
 struct Alg3 : Skeleton<core::AgreementParams, M, Coin::Committee> {
+    static std::optional<std::string> why_unsupported(const Scenario& s) {
+        return core::why_bad_tuning(s.tuning);
+    }
     static core::AgreementParams params(const Scenario& s) {
         return core::AgreementParams::compute(s.n, s.t, s.tuning);
     }
@@ -568,6 +572,8 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
         return "protocol '" + p.name + "' requires " + p.resilience + " (got n=" +
                std::to_string(s.n) + ", t=" + std::to_string(s.t) +
                "); lower t or pick another protocol (see `adba_sim --list`)";
+    if (p.why_unsupported)
+        if (auto why = p.why_unsupported(s)) return why;
 
     const Count q = s.q.value_or(s.t);
     if (q > s.t)
@@ -669,6 +675,7 @@ std::optional<std::string> why_incompatible(const MvScenario& s) {
     if (3 * static_cast<std::uint64_t>(s.t) >= s.n)
         return "the Turpin-Coan reduction requires t < n/3 (got n=" +
                std::to_string(s.n) + ", t=" + std::to_string(s.t) + ")";
+    if (auto why = core::why_bad_tuning(s.tuning)) return why;
     const Count q = s.q.value_or(s.t);
     if (q > s.t)
         return "actual corruptions q must not exceed the budget t (q=" +

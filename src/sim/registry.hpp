@@ -93,6 +93,11 @@ struct ProtocolEntry {
     /// Default phase/round budgets at the scenario's parameters.
     std::function<BudgetHint(const Scenario&)> budgets = nullptr;
 
+    /// Its bound on another scenario key (Algorithm 3's alpha >= 1): a
+    /// message naming the key, the bound and the value, or nullopt. Null =
+    /// none.
+    std::function<std::optional<std::string>(const Scenario&)> why_unsupported = nullptr;
+
     /// Native SoA batch factory: fills a bundle whose `batch` steps the
     /// whole population under one dispatch per beat (bit-identical to
     /// make_nodes + the PerNodeBatch adapter, pinned by the equivalence
@@ -221,13 +226,15 @@ struct MvScenarioPlan {
 
 /// THE feasibility/compatibility rule set — the one place the repository
 /// states them. Returns an actionable message when the scenario cannot run:
-/// protocol resilience violated (`supports(n, t)` false), q > t, adversary
+/// protocol resilience violated (`supports(n, t)` false) or another key
+/// out of the protocol's bound (`why_unsupported`), q > t, adversary
 /// needs a committee schedule the protocol lacks, or the adversary targets a
 /// different protocol.
 std::optional<std::string> why_incompatible(const Scenario& s);
 
-/// Multi-valued feasibility: the Turpin-Coan reduction needs t < n/3 and
-/// q must not exceed the budget t.
+/// Multi-valued feasibility: the Turpin-Coan reduction needs t < n/3, its
+/// binary core alpha >= 1 (core::why_bad_tuning), and q must not exceed the
+/// budget t.
 std::optional<std::string> why_incompatible(const MvScenario& s);
 
 /// The fused-plane policy. `fused=` means "when the plan can": fused

@@ -1,17 +1,10 @@
 #include "sim/spec_keys.hpp"
 
 #include <cctype>
-#include <cstdio>
 
 #include "support/contracts.hpp"
 
 namespace adba::sim::detail {
-
-std::string format_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 std::vector<std::pair<std::string, std::string>> spec_tokens(const std::string& scenario,
                                                              const std::string& spec) {

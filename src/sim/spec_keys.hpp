@@ -49,9 +49,6 @@ struct SpecKey {
 
 namespace detail {
 
-/// "%.17g": a double round-trips exactly through parse_double.
-std::string format_double(double v);
-
 template <typename T>
 T parse_field(const std::string& what, const std::string& value) {
     if constexpr (std::is_same_v<T, bool>)

@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -80,10 +81,19 @@ std::int64_t parse_int(const std::string& what, const std::string& value) {
 
 double parse_double(const std::string& what, const std::string& value) {
     return parse_number(what, value, "a finite number", [](const std::string& s, std::size_t* used) {
-        const double v = std::stod(s, used);
-        if (!std::isfinite(v)) *used = 0;
+        // strtod, not stod: a subnormal such as 5e-324 sets ERANGE yet is finite.
+        char* end = nullptr;
+        const double v = std::strtod(s.c_str(), &end);
+        *used = std::isfinite(v) ? static_cast<std::size_t>(end - s.c_str()) : 0;
         return v;
     });
+}
+
+std::string format_double(double v) {
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    ADBA_ENSURES(ec == std::errc{});
+    return {buf, end};
 }
 
 std::uint64_t parse_uint(const std::string& what, const std::string& value, std::uint64_t max) {

@@ -61,6 +61,10 @@ std::int64_t parse_int(const std::string& what, const std::string& value);
 /// Cli::get_double and the scenario spec parsers.
 double parse_double(const std::string& what, const std::string& value);
 
+/// The shortest text that parse_double reads back as the same double
+/// (std::to_chars): 0.1 prints "0.1", not "0.10000000000000001".
+std::string format_double(double v);
+
 /// parse_uint over the whole range of the unsigned field type T.
 template <typename T>
 T parse_uint(const std::string& what, const std::string& value) {

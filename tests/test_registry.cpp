@@ -3,10 +3,13 @@
 // or incompatible selections fail with actionable messages.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/coin_runner.hpp"
@@ -168,6 +171,39 @@ TEST(Registry, ResilienceViolationThrowsActionably) {
     EXPECT_TRUE(compatible(s));
 }
 
+TEST(Registry, AlphaBelowOneIsBadInput) {
+    // Algorithm 3's committee count needs alpha >= 1: every workload that
+    // computes it refuses a smaller alpha before any trial runs, naming the
+    // key, its bound and the value. The Chor-Coan schedules have no such
+    // bound.
+    const std::string want = "alpha must be at least 1 (got alpha=0.5)";
+    Scenario s;
+    s.n = 64;
+    s.t = 21;
+    s.tuning.alpha = 0.5;
+    for (const auto kind : {ProtocolKind::Ours, ProtocolKind::OursLasVegas}) {
+        s.protocol = kind;
+        EXPECT_EQ(why_incompatible(s), want);
+        EXPECT_EQ(thrown_message([&] { validate(s); }), want);
+    }
+    s.protocol = ProtocolKind::ChorCoanRushing;
+    EXPECT_TRUE(compatible(s));
+    s.protocol = ProtocolKind::Ours;
+    s.tuning.alpha = 1.0;
+    EXPECT_TRUE(compatible(s));
+
+    MvScenario mv;
+    mv.n = 64;
+    mv.t = 21;
+    mv.tuning.alpha = 0.5;
+    EXPECT_EQ(why_incompatible(mv), want);
+
+    MacroScenario macro = MacroScenario::parse("n=4096 t=100 alpha=0.5");
+    EXPECT_EQ(why_incompatible(macro), want);
+    macro.schedule = MacroScheduleKind::ChorCoanRushing;
+    EXPECT_TRUE(compatible(macro));
+}
+
 TEST(Registry, QExceedingTIsIncompatible) {
     Scenario s;
     s.n = 16;
@@ -278,6 +314,24 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     expect_every_key_round_trips(macro_scenario_keys(), macro);
     EXPECT_EQ(macro.describe(),
               "n=4096 t=64 q=32 schedule=cc-classic alpha=2.5 gamma=1.25 beta=0.5");
+}
+
+TEST(ScenarioSpec, RealsPrintShortestAndRoundTripBitExact) {
+    const std::pair<double, const char*> cases[] = {
+        {0.1, "0.1"},       {0.3, "0.3"},       {1.1, "1.1"},
+        {1e300, "1e+300"}, {5e-324, "5e-324"}, {std::nextafter(1.0, 2.0), "1.0000000000000002"},
+    };
+    for (const auto& [x, text] : cases) {
+        Scenario s;
+        s.n = 64;
+        s.t = 21;
+        s.tuning.gamma = x;
+        const std::string spec = s.describe();
+        EXPECT_NE(spec.find(std::string(" gamma=") + text), std::string::npos) << spec;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(Scenario::parse(spec).tuning.gamma),
+                  std::bit_cast<std::uint64_t>(x))
+            << spec;
+    }
 }
 
 TEST(ScenarioSpec, UnsetQReadsAsT) {

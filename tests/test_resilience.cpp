@@ -578,7 +578,7 @@ TEST(Checkpoint, EncodeDecodeRoundTripsEveryWorkloadAggregate) {
 }
 
 TEST(Checkpoint, CoinAndMacroScopesRefuseAnotherExperiment) {
-    // The macro scope writes alpha through the key table's %.17g: a journal
+    // The macro scope writes alpha exactly, through the key table: a journal
     // written at alpha = 4 is refused at alpha = 4.0000004 (whose six-decimal
     // rendering is the same) and resumes at alpha = 4.0.
     const std::string path = temp_path("ck_macro_alpha.bin");

@@ -423,6 +423,7 @@ TEST(Cli, MalformedNumbersNameTheFlag) {
     EXPECT_EQ(message_of([] { (void)parse_double("--x", "1e999"); }),
               "--x expects a finite number, got '1e999'");
     EXPECT_DOUBLE_EQ(parse_double("--x", "-2.5e3"), -2500.0);
+    EXPECT_EQ(parse_double("--x", "5e-324"), 5e-324);  // subnormal: finite
     EXPECT_EQ(message_of([&] { cli.get_int_list("t", {}); }),
               "--t expects an integer, got 'x'");
     // A misspelled toggle must not silently read as false.

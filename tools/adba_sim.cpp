@@ -209,13 +209,14 @@ int run_workload(const Cli& cli, const sim::WorkloadInfo& info) {
         if (flag_key(key)) cli.get(key.name, key.value(s));
     const auto [trials, seed, exec, csv_dir] = run_flags(cli, PerWorkload<W>::kTrials);
 
+    // An infeasible scenario exits with its why_incompatible message alone.
+    if (const auto why = sim::why_incompatible(s)) throw ContractViolation(*why);
     // The spec round-trips through S::parse (pinned in tests).
     // The default workload's line has no prefix.
     const std::string echo = info.kind == sim::WorkloadKind::Binary ? "" : info.name + " ";
     std::printf("%sscenario: %s\n", echo.c_str(), s.describe().c_str());
     std::printf("%u trials, %u threads\n", trials, sim::default_threads());
 
-    // Infeasible scenarios throw the why_incompatible message here.
     const typename W::Aggregate agg = PerWorkload<W>::run(s, seed, trials, exec);
     // The row label is the Identity keys alone, so the result is the same
     // text under every key that only changes how the run executes.
