@@ -77,6 +77,8 @@ void SkeletonBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo,
     const bool round2 = (r % 2) != 0;
     const Count quorum = cfg_.n - cfg_.t;
     const Count supermin = cfg_.t + 1;
+    const bool exact = in.exact();
+    const bool exhausts = cfg_.exhausts(p);
     // The phase coin, drawn only for a receiver that takes it.
     const auto coin = [&](NodeId v) -> Bit {
         switch (coin_.kind) {
@@ -96,10 +98,10 @@ void SkeletonBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo,
         const Bit q0 = cnt[0] >= quorum, q1 = cnt[1] >= quorum;
         // Round 2 counts decided votes; Lemma 3 holds for exact counts only.
         const Step step = round2 ? Step::round2(q0, q1, cnt[0] >= supermin, cnt[1] >= supermin,
-                                                in.exact(), cfg_.exhausts(p))
+                                                exact, exhausts)
                                  : Step::round1(q0, q1);
         step.value(planes_, v, 1, step.coin_lanes(1) != 0 ? coin(v) : Bit{0});
-        step.end(planes_, v, 1);
+        if (step.ending() != 0) step.end(planes_, v, 1);
     }
 }
 
