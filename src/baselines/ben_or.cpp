@@ -151,6 +151,7 @@ void BenOrBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo, Nod
     const bool propose = (r % 2) != 0;
     const Count t = params_.t;
     const bool last_phase = r / 2 + 1 >= params_.phases;
+    const bool exact = in.exact();
     // 2 * count > n + t, as count > floor((n + t) / 2).
     const std::uint64_t report_quorum = (static_cast<std::uint64_t>(params_.n) + t) / 2;
     for (NodeId v = lo; v < hi; ++v) {
@@ -158,9 +159,10 @@ void BenOrBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo, Nod
         const std::array<Count, 2> cnt = in.val(v);
         // The conflict check holds for exact counts only.
         const Step step = propose ? Step::propose(cnt[0] > 2 * t, cnt[1] > 2 * t, cnt[0] > t,
-                                                  cnt[1] > t, in.exact(), last_phase)
+                                                  cnt[1] > t, exact, last_phase)
                                   : Step::report(cnt[0] > report_quorum, cnt[1] > report_quorum);
-        step(planes_, v, 1, step.coin_lanes(1) != 0 ? rng_[v].bit() : Bit{0});  // private coin
+        step.value(planes_, v, 1, step.coin_lanes(1) != 0 ? rng_[v].bit() : Bit{0});
+        if (step.ending() != 0) step.end(planes_, v, 1);
     }
 }
 
@@ -220,7 +222,7 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
         if (!round2) {
             const Step step = Step::report(lanes_greater(c.c0, report_quorum) & active,
                                            lanes_greater(c.c1, report_quorum) & active);
-            for (NodeId v = lo; v < hi; ++v) step(planes_, v, live(v), 0);
+            for (NodeId v = lo; v < hi; ++v) step.value(planes_, v, live(v), 0);
             return;
         }
         const Step step = Step::propose(
@@ -234,8 +236,10 @@ void FusedBenOr::receive_round(Round r, const net::FusedFrame& frame) {
                 const unsigned j = static_cast<unsigned>(std::countr_zero(cm));
                 if (streams_.at(v, j).bit() != 0) drawn |= std::uint64_t{1} << j;
             }
-            step(planes_, v, live(v), drawn);
+            step.value(planes_, v, live(v), drawn);
         }
+        if (step.ending() == 0) return;
+        for (NodeId v = lo; v < hi; ++v) step.end(planes_, v, live(v));
     });
 }
 

@@ -14,6 +14,10 @@
 // the historical starting point that Rabin-style shared coins (and the
 // paper's committee coins) replace; E8/E11 use it as the "no shared
 // randomness" control with provable safety.
+//
+// Three forms: BenOrNode (the per-node spec), BenOrBatch and FusedBenOr.
+// The two fast forms differ only in how they count and draw; both step
+// their state through one BenOrStep.
 #pragma once
 
 #include <memory>
@@ -87,15 +91,27 @@ struct BenOrStep {
 
     /// The lanes of `live` that take the private coin.
     W coin_lanes(W live) const { return W(live & coin); }
-    /// Node v's words; `c` holds the private coin on coin_lanes(live).
-    void operator()(BenOrPlanes<W>& s, NodeId v, W live, W c) const {
-        const W p = W(prop & live);
-        s.proposal[v] = W((s.proposal[v] & ~p) | (prop1 & live));
-        if (!propose_round) {
-            s.proposing[v] = W((s.proposing[v] & ~live) | p);
+    /// Node v's words every lane writes: its proposal in the report round,
+    /// its value in the propose round, where `c` holds the private coin on
+    /// coin_lanes(live).
+    void value(BenOrPlanes<W>& s, NodeId v, W live, W c) const {
+        if (propose_round) {
+            s.val[v] = W((s.val[v] & ~live) | ((one | (coin & c)) & live));
             return;
         }
-        s.val[v] = W((s.val[v] & ~live) | ((one | (coin & c)) & live));
+        const W p = W(prop & live);
+        s.proposal[v] = W((s.proposal[v] & ~p) | (prop1 & live));
+        s.proposing[v] = W((s.proposing[v] & ~live) | p);
+    }
+    /// Lanes end() may change: the propose round's deciders and, in the
+    /// last phase, every lane.
+    W ending() const { return propose_round ? W(prop | exhaust) : W{0}; }
+    /// Node v's propose-round ending: a decider proposes its value, decides
+    /// and flushes through one more phase; the rest halt when the phases
+    /// run out.
+    void end(BenOrPlanes<W>& s, NodeId v, W live) const {
+        const W p = W(prop & live);
+        s.proposal[v] = W((s.proposal[v] & ~p) | (prop1 & live));
         s.decided[v] |= p;
         s.flushing[v] |= p;
         s.proposing[v] |= p;
@@ -130,12 +146,11 @@ private:
     bool halted_ = false;
 };
 
-/// SoA batch form of Ben-Or: per-node state (val / proposal / proposing /
-/// decided / flushing / halted, plus private-coin RNG streams) as flat
-/// arrays, whole population stepped under one dispatch per beat, with the
-/// report/propose rule written once over net::BeatCounts (honest quorum
-/// counts hoisted once per round, only Byzantine deltas per receiver).
-/// Bit-identical to BenOrNode (tests/test_batch_plane.cpp).
+/// SoA batch form of Ben-Or: BenOrPlanes of bytes plus private-coin RNG
+/// streams, the whole population stepped under one dispatch per beat. Its
+/// receive rule compares each receiver's net::BeatCounts and hands the
+/// masks to BenOrStep. Bit-identical to BenOrNode
+/// (tests/test_batch_plane.cpp).
 class BenOrBatch final : public net::NativeBatch {
 public:
     /// Arms the batch for a fresh trial; zero allocation once warm.
@@ -164,11 +179,10 @@ private:
 
 /// 64-lane Ben-Or over the fused trial plane (net/fused_plane.hpp): report
 /// and propose quorums are lane masks over the fold's exact counts (one
-/// kern::lanes_greater compare each), decided once per receiver segment for
-/// all 64 lanes; the conflict check is one word check over the active
-/// lanes, and the private coin draws from the focused (node, lane) stream
-/// exactly where the scalar case-3 path would. Bit-identical to BenOrBatch
-/// lane by lane.
+/// kern::lanes_greater compare each), taken once per receiver segment for
+/// all 64 lanes and handed to BenOrStep, as BenOrBatch's are; the private
+/// coin draws from the focused (node, lane) stream exactly where the scalar
+/// case-3 path would. Bit-identical to BenOrBatch lane by lane.
 class FusedBenOr final : public net::FusedProtocol {
 public:
     explicit FusedBenOr(const BenOrParams& params);

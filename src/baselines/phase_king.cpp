@@ -143,7 +143,8 @@ void PhaseKingBatch::receive_rule(Round r, const net::BeatCounts& in, NodeId lo,
         if (in.byzantine(v) || planes_.halted[v]) continue;
         const Step step =
             (r % 2) == 0 ? round1(in.val(v)) : Step::round2(king1(v), last_phase);
-        step(planes_, v, 1);
+        step.value(planes_, v, 1);
+        if (step.ending() != 0) step.end(planes_, v, 1);
     }
 }
 
@@ -199,7 +200,7 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
             const Step step = Step::round1(lanes_greater(c.c1, c.c0) & active,
                                            lanes_greater(c.c0, strong_bound) & active,
                                            lanes_greater(c.c1, strong_bound) & active);
-            for (NodeId v = lo; v < hi; ++v) step(planes_, v, live(v));
+            for (NodeId v = lo; v < hi; ++v) step.value(planes_, v, live(v));
         });
         return;
     }
@@ -212,7 +213,9 @@ void FusedPhaseKing::receive_round(Round r, const net::FusedFrame& frame) {
     fold_.prepare(frame, {net::MsgKind::PhaseKingRuler, k, false, 0, 0, king, king + 1});
     fold_.sweep([&](const net::LaneCounts& c, NodeId lo, NodeId hi) {
         const Step step = Step::round2(lanes_greater(c.c1, 0) & active, last_phase);
-        for (NodeId v = lo; v < hi; ++v) step(planes_, v, live(v));
+        for (NodeId v = lo; v < hi; ++v) step.value(planes_, v, live(v));
+        if (step.ending() == 0) return;
+        for (NodeId v = lo; v < hi; ++v) step.end(planes_, v, live(v));
     });
 }
 

@@ -17,6 +17,10 @@
 // classical one: corrupt each king as its phase arrives; after t ruined
 // phases the budget is gone and the t+1st king finishes the job —
 // deterministically 2(t+1) rounds, the O(t) line in E3.
+//
+// Three forms: PhaseKingNode (the per-node spec), PhaseKingBatch and
+// FusedPhaseKing. The two fast forms differ only in how they count; both
+// step their state through one PhaseKingStep.
 #pragma once
 
 #include <memory>
@@ -81,8 +85,9 @@ struct PhaseKingStep {
         return {true, 0, 0, king1, W(last_phase ? ~W{0} : 0)};
     }
 
-    /// Node v's words on its live lanes (honest, not halted).
-    void operator()(PhaseKingPlanes<W>& s, NodeId v, W live) const {
+    /// Node v's words every live lane (honest, not halted) writes: its
+    /// majority in round 1, its value in round 2.
+    void value(PhaseKingPlanes<W>& s, NodeId v, W live) const {
         if (!king_round) {
             s.maj[v] = W((s.maj[v] & ~live) | (maj & live));
             s.strong[v] = W((s.strong[v] & ~live) | (strong & live));
@@ -90,8 +95,10 @@ struct PhaseKingStep {
         }
         const W next = W((s.strong[v] & s.maj[v]) | (~s.strong[v] & king1));
         s.val[v] = W((s.val[v] & ~live) | (next & live));
-        s.halted[v] |= live & exhaust;
     }
+    /// Lanes end() halts: every lane in the last phase's round 2.
+    W ending() const { return exhaust; }
+    void end(PhaseKingPlanes<W>& s, NodeId v, W live) const { s.halted[v] |= live & exhaust; }
 };
 
 class PhaseKingNode final : public net::HonestNode {

@@ -2,24 +2,22 @@
 // trials of the two-round phase machine per plane word, bit j = trial j.
 //
 // Semantics are EXACTLY core/skeleton_batch.hpp's SkeletonBatch, lane by
-// lane — same thresholds, same finish-flush termination, same per-(node,
-// lane) randomness draws in the same order — so lane j of a fused block is
-// bit-identical to the scalar trial seeded with lane j's SeedTree. The trick
-// that keeps receive word-parallel under Byzantine pressure: supported
-// adversaries deliver piecewise-constant split_as patterns, so every lane's
-// per-receiver counts are constant between the boundaries of all lanes'
-// rows (net::SegmentFold), and each receive rule is mask algebra over
-// kern::lanes_greater compares, decided once per segment for all 64 lanes:
-// round 1 is dec = Q0|Q1, val1 = Q1; round 2 is dec = S0|S1, fin = Q0|Q1,
-// val1 = S1, case3 = active & ~dec (Q = n-t quorum, S = t+1 support).
+// lane — same round step (core::SkeletonStep, over 64-lane words here and
+// one node's byte there), same per-(node, lane) randomness draws in the
+// same order — so lane j of a fused block is bit-identical to the scalar
+// trial seeded with lane j's SeedTree. The trick that keeps receive
+// word-parallel under Byzantine pressure: supported adversaries deliver
+// piecewise-constant split_as patterns, so every lane's per-receiver counts
+// are constant between the boundaries of all lanes' rows
+// (net::SegmentFold), and the threshold masks are kern::lanes_greater
+// compares taken once per segment for all 64 lanes.
 //
 // The coin is the skeleton's CoinSpec. Committee sums come from the
-// fold (honest flips plus Byzantine coins); a coin-sign row splits case 3
-// into two masks, one adopting 1 and one adopting the receiver's sign-plane
-// bit. Dealer coins are the pure coin function under each lane's own
-// DealerCoin seed, drawn once per beat for the lanes some receiver sends to
-// case 3; Local coins draw from the focused (node, lane) stream exactly
-// where the scalar case-3 path would.
+// fold (honest flips plus Byzantine coins); a coin-sign row lets a lane's
+// coin be the receiver's sign-plane bit. Dealer coins are the pure coin
+// function under each lane's own DealerCoin seed, drawn once per beat for
+// the lanes some receiver sends to case 3; Local coins draw from the
+// focused (node, lane) stream exactly where the scalar case-3 path would.
 #pragma once
 
 #include <bit>
@@ -50,7 +48,7 @@ public:
 private:
     SkeletonConfig cfg_;
     CoinSpec coin_;
-    SkeletonPlanes<std::uint64_t> planes_;
+    SkeletonPlanes<std::uint64_t> planes_;  ///< bit j of a word: lane j
     /// The node range whose coin planes the last send wrote (empty when it
     /// wrote none); the next send clears it.
     NodeId coin_first_ = 0;
