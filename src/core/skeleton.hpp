@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -93,6 +94,13 @@ struct CoinSpec {
     /// phase). Each batch evaluates it under its own trial's seed (every
     /// lane under its own, on the fused plane), so it may run on any shard.
     Bit (*dealer)(std::uint64_t dealer_seed, Phase p) = nullptr;
+
+    /// The node range [first, last) that flips phase p's committee coin in
+    /// round 2; empty unless the coin is Committee.
+    std::pair<NodeId, NodeId> flippers(Phase p) const {
+        if (kind != Kind::Committee) return {0, 0};
+        return schedule.range(schedule.committee_of_phase(p));
+    }
 };
 
 /// One node of a two-round-per-phase shared-coin agreement protocol.

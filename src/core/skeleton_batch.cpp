@@ -1,5 +1,7 @@
 #include "core/skeleton_batch.hpp"
 
+#include <tuple>
+
 #include "support/contracts.hpp"
 
 namespace adba::core {
@@ -30,13 +32,7 @@ void SkeletonBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId
 
     // Committee membership is an ID range; hoist it out of the node loop
     // (BlockSchedule::flips_in_phase is exactly this range test).
-    NodeId flip_first = 0, flip_last = 0;
-    if (round2 && coin_.kind == CoinSpec::Kind::Committee) {
-        const auto range =
-            coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        flip_first = range.first;
-        flip_last = range.second;
-    }
+    const auto [flip_first, flip_last] = coin_.flippers(p);
 
     net::Message m;
     m.phase = p;
@@ -62,11 +58,7 @@ net::BeatQuery SkeletonBatch::beat_query(Round r) const {
     const Phase p = r / 2;
     if ((r % 2) == 0) return {net::MsgKind::Vote1, p};
     net::BeatQuery q{net::MsgKind::Vote2, p, /*require_flag=*/true};
-    if (coin_.kind == CoinSpec::Kind::Committee) {
-        const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        q.coin_first = range.first;
-        q.coin_last = range.second;
-    }
+    std::tie(q.coin_first, q.coin_last) = coin_.flippers(p);
     return q;
 }
 

@@ -1,6 +1,7 @@
 #include "core/skeleton_fused.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "support/contracts.hpp"
 
@@ -49,19 +50,15 @@ void FusedSkeleton::send_round(Round r, net::FusedFrame& frame) {
     std::copy_n(planes_.decided.data(), n, frame.flag.data());
     if (!round2) return;
 
-    if (coin_.kind == CoinSpec::Kind::Committee) {
-        // The flip is drawn before any round-2 delivery is seen (Lemma 5
-        // independence) for every live lane, flushing or not — exactly the
-        // scalar send path's draw set.
-        const auto [first, last] = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        for (NodeId v = first; v < last; ++v) {
-            const std::uint64_t drawn = sent[v] & frame.active;
-            const std::uint64_t ones = committee_flips(v, p, drawn);
-            frame.coinp[v] = ones & drawn;
-            frame.coinn[v] = ~ones & drawn;
-        }
-        coin_first_ = first;
-        coin_last_ = last;
+    // The flip is drawn before any round-2 delivery is seen (Lemma 5
+    // independence) for every live lane, flushing or not — exactly the
+    // scalar send path's draw set.
+    std::tie(coin_first_, coin_last_) = coin_.flippers(p);
+    for (NodeId v = coin_first_; v < coin_last_; ++v) {
+        const std::uint64_t drawn = sent[v] & frame.active;
+        const std::uint64_t ones = committee_flips(v, p, drawn);
+        frame.coinp[v] = ones & drawn;
+        frame.coinn[v] = ~ones & drawn;
     }
     const std::uint64_t* const flushing = planes_.flushing.data();
     for (NodeId v = 0; v < n; ++v) halted[v] |= sent[v] & flushing[v];  // second flush broadcast done
@@ -80,12 +77,7 @@ void FusedSkeleton::receive_round(Round r, const net::FusedFrame& frame) {
 
     // Round 2 counts flagged senders only (val_flag_cnt), and the committee
     // coin adds its members' flips.
-    NodeId flip_first = 0, flip_last = 0;
-    if (round2 && coin_.kind == CoinSpec::Kind::Committee) {
-        const auto range = coin_.schedule.range(coin_.schedule.committee_of_phase(p));
-        flip_first = range.first;
-        flip_last = range.second;
-    }
+    const auto [flip_first, flip_last] = round2 ? coin_.flippers(p) : std::pair<NodeId, NodeId>{};
     fold_.prepare(frame, {kind, p, round2, flip_first, flip_last});
 
     const std::uint64_t* const byz = frame.byz.data();
