@@ -194,9 +194,11 @@ struct SkeletonStep {
     W exhaust;  ///< all lanes when the phases run out, else none
 
     /// Round 1: n-t votes for b decide b; other lanes keep their value,
-    /// undecided.
+    /// undecided. Two n-t counts cannot coexist even as sampled estimates
+    /// (est0 + est1 <= n + 1 < 2(n-t) for t < n/3), so the check holds on
+    /// every plane, and round 2 relies on the same bound.
     static SkeletonStep round1(W q0, W q1) {
-        check_quorums(q0, q1);
+        ADBA_ENSURES_MSG((q0 & q1) == 0, "two n-t quorums cannot coexist (t < n/3)");
         return {W(q0 | q1), q1, 0, 0, 0};
     }
 
@@ -206,7 +208,6 @@ struct SkeletonStep {
     /// estimates can give both values t+1 votes: that tie goes to 0, and
     /// Lemma 3 is asserted where the counts are exact.
     static SkeletonStep round2(W q0, W q1, W s0, W s1, bool exact, bool exhausts) {
-        check_quorums(q0, q1);
         if (exact)
             ADBA_ENSURES_MSG((s0 & s1) == 0, "Lemma 3 violated: decided quorums for both values");
         const W dec = W(s0 | s1);
@@ -229,13 +230,6 @@ struct SkeletonStep {
     void end(SkeletonPlanes<W>& s, NodeId v, W live) const {
         s.flushing[v] |= fin & live;
         s.halted[v] |= live & ~fin & exhaust;
-    }
-
-private:
-    // Two n-t counts cannot coexist even as sampled estimates
-    // (est0 + est1 <= n + 1 < 2(n-t) for t < n/3): every plane.
-    static void check_quorums(W q0, W q1) {
-        ADBA_ENSURES_MSG((q0 & q1) == 0, "two n-t quorums cannot coexist (t < n/3)");
     }
 };
 
