@@ -12,7 +12,7 @@
 // counting form the smaller n miss). t is the largest the protocol admits,
 // inputs are split and random, kTrials trials per cell. The default plan (fused blocks where the pair has them; sharded
 // native batches under ADBA_INTRA_THREADS) and, up to n = 256, the per-node
-// adapter (batch=false) must each reproduce the cell's hash. Seven more
+// adapter (batch=false) must each reproduce the cell's hash. Eight more
 // binary cells run the sparse plane below n senders per receiver, where the
 // native batches' tie-breaks decide results.
 //
