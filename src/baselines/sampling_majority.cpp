@@ -1,16 +1,26 @@
 #include "baselines/sampling_majority.hpp"
 
 #include <algorithm>
+#include <limits>
 
+#include "support/cli.hpp"
 #include "support/contracts.hpp"
 #include "support/math.hpp"
 
 namespace adba::base {
 
+std::optional<std::string> why_bad_kappa(NodeId n, double kappa) {
+    if (!(kappa > 0.0)) return "kappa must be positive (got kappa=" + format_double(kappa) + ")";
+    const double logn = static_cast<double>(std::max<std::uint32_t>(1, ceil_log2(n)));
+    if (std::ceil(kappa * logn * logn) < std::numeric_limits<Round>::max()) return std::nullopt;
+    return "kappa=" + format_double(kappa) + " at n=" + std::to_string(n) +
+           " puts the round cap ceil(kappa*log2(n)^2)+1 past the largest round; lower kappa";
+}
+
 SamplingMajorityParams SamplingMajorityParams::compute(NodeId n, Count t, double kappa) {
     ADBA_EXPECTS(n >= 2);
     ADBA_EXPECTS_MSG(3 * static_cast<std::uint64_t>(t) < n, "requires t < n/3");
-    ADBA_EXPECTS(kappa > 0.0);
+    ADBA_EXPECTS(!why_bad_kappa(n, kappa));
     const double logn = static_cast<double>(std::max<std::uint32_t>(1, ceil_log2(n)));
     SamplingMajorityParams p;
     p.n = n;

@@ -27,6 +27,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "net/node.hpp"
@@ -43,6 +44,10 @@ struct SamplingMajorityParams {
     /// R = ceil(kappa * log2(n)^2) — the APR polylog convergence budget.
     static SamplingMajorityParams compute(NodeId n, Count t, double kappa = 4.0);
 };
+
+/// Why `kappa` (scenario key) gives no run at n: it must be positive, and
+/// R + 1, the run's round cap, must fit a Round.
+std::optional<std::string> why_bad_kappa(NodeId n, double kappa);
 
 class SamplingMajorityNode final : public net::HonestNode {
 public:

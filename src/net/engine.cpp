@@ -175,8 +175,6 @@ void Engine::common_reset(EngineConfig cfg, Adversary& adversary) {
                          "plane=sparse requires a sparse-capable batch");
         ADBA_EXPECTS_MSG(!cfg_.reference_delivery,
                          "plane=sparse has no reference-delivery form");
-        ADBA_EXPECTS_MSG(cfg_.simd_tally,
-                         "plane=sparse reads the word-packed tally planes");
         sparse_.reset(cfg_.n, cfg_.sample_degree, cfg_.sparse_seed);
     }
     round_ = 0;
@@ -289,17 +287,20 @@ void Engine::run_receives() {
         batch_->receive_all(round_, buf_, src);
         return;
     }
-    // Packed tally builds shard regardless of the protocol (the pack pass
-    // is protocol-agnostic); the scalar build stays serial — it is the
-    // byte-plane oracle.
-    tally_.rebuild(buf_, cfg_.simd_tally, cfg_.simd_tally ? cfg_.intra : nullptr);
-    if (cfg_.plane == PlaneMode::Sparse) {
+    // The tally is word-packed where its planes are read word-wise: sharded
+    // beats (the pack pass splits over the shards) and the sparse plane's
+    // per-edge probes. Serial flat beats take the byte-plane sweep, which
+    // is faster there.
+    IntraDispatcher* d = shard_dispatcher();
+    const bool sparse = cfg_.plane == PlaneMode::Sparse;
+    tally_.rebuild(buf_, sparse || d != nullptr, d);
+    if (sparse) {
         // Sparse receive beat: same prepare/range split as the flat sharded
         // path — exact islands (committee coin, king probe) hoist or read
         // from the tally, the per-receiver walk probes sampled edges only.
         sparse_.begin_round(round_, buf_, tally_);
         batch_->receive_sparse_prepare(round_, buf_, tally_, sparse_);
-        if (IntraDispatcher* d = shard_dispatcher()) {
+        if (d != nullptr) {
             d->run_shards(cfg_.n, [&](unsigned, NodeId lo, NodeId hi) {
                 batch_->receive_sparse_range(round_, buf_, tally_, sparse_, lo, hi);
             });
@@ -308,7 +309,7 @@ void Engine::run_receives() {
         }
         return;
     }
-    if (IntraDispatcher* d = shard_dispatcher()) {
+    if (d != nullptr) {
         batch_->receive_prepare(round_, buf_, tally_);
         d->run_shards(cfg_.n, [&](unsigned, NodeId lo, NodeId hi) {
             batch_->receive_range(round_, buf_, tally_, lo, hi);

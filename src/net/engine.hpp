@@ -250,15 +250,13 @@ struct EngineConfig {
     /// per-sender tally loops — the reference path the flat plane is pinned
     /// against. Semantics identical, markedly slower.
     bool reference_delivery = false;
-    /// Build the round tally with the word-packed popcount kernels
-    /// (net/tally_kernels.hpp). `false` keeps the scalar byte-plane build —
-    /// the oracle the packed path is pinned against (scenario key `simd=`).
+    /// Written only by perfbench; src/ reads none of it.
     bool simd_tally = true;
     /// Sparse delivery mode: live receivers probe only `sample_degree`
     /// sampled sender edges per round and scale counts to estimates
     /// (degree >= n: dense exact walk, bit-identical to flat). Requires a
-    /// packed tally (simd_tally), a sparse-capable batch
-    /// (BatchProtocol::supports_sparse) and !reference_delivery.
+    /// sparse-capable batch (BatchProtocol::supports_sparse) and
+    /// !reference_delivery.
     PlaneMode plane = PlaneMode::Flat;
     /// Sampled senders per receiver per round; 0 = kDefaultSampleDegree.
     Count sample_degree = 0;
@@ -272,6 +270,9 @@ struct EngineConfig {
     /// packed tally build, and the receive beat split into the dispatcher's
     /// word-aligned node ranges — provided the batch is shardable() and the
     /// engine is not in reference_delivery mode. Null = serial beats.
+    /// The round tally is word-packed exactly when the beats shard or the
+    /// plane is sparse (whose per-edge probes read the packed planes), and
+    /// the byte-plane build otherwise; both answer every query alike.
     IntraDispatcher* intra = nullptr;
     /// Per-trial wall-clock watchdog in milliseconds; 0 = off. When a round
     /// completes past the deadline with live honest nodes, the run stops

@@ -46,7 +46,7 @@
 // SeedTree chain as scalar trials, every (node, lane) RNG stream is private,
 // and every count is exact — fused aggregates are bit-identical to 64
 // scalar runs of the same trial indices. The scalar path stays the oracle,
-// exactly as `reference=` / `batch=` / `simd=` already do.
+// exactly as `reference=` / `batch=` / `intra_threads=1` already do.
 #pragma once
 
 #include <algorithm>

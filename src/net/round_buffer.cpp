@@ -299,28 +299,17 @@ const WordHistogram& RoundTally::word_counts(const TallyBucket& b,
     if (!b.have_words) {
         b.words.clear();
         b.words_flag.clear();
+        // One byte-plane sweep under either build: only the per-node
+        // protocols read word histograms, and they never shard or sample.
         const NodeId n = buf_->n();
+        const std::uint8_t* state = buf_->state_plane();
         const Message* honest = buf_->honest_plane();
-        if (packed_) {
-            // Word-sliced collection: iterate set bits of the bucket's
-            // match plane (ctz per live sender) instead of branching on
-            // every sender's state/kind/phase bytes. Same senders in the
-            // same ascending order — identical histograms.
-            const std::size_t words = kern::word_count(n);
-            kern::for_each_set_bit(b.match.data(), words, [&](NodeId u) {
-                const Message& m = honest[u];
-                b.words.emplace_back(m.word, Count{1});
-                if (m.flag != 0) b.words_flag.emplace_back(m.word, Count{1});
-            });
-        } else {
-            const std::uint8_t* state = buf_->state_plane();
-            for (NodeId u = 0; u < n; ++u) {
-                if (state[u] != RoundBuffer::kPresent) continue;
-                const Message& m = honest[u];
-                if (m.kind != b.kind || m.phase != b.phase) continue;
-                b.words.emplace_back(m.word, Count{1});
-                if (m.flag != 0) b.words_flag.emplace_back(m.word, Count{1});
-            }
+        for (NodeId u = 0; u < n; ++u) {
+            if (state[u] != RoundBuffer::kPresent) continue;
+            const Message& m = honest[u];
+            if (m.kind != b.kind || m.phase != b.phase) continue;
+            b.words.emplace_back(m.word, Count{1});
+            if (m.flag != 0) b.words_flag.emplace_back(m.word, Count{1});
         }
         sort_aggregate(b.words);
         sort_aggregate(b.words_flag);

@@ -27,13 +27,15 @@
 //    virtual adapter used by scripted tests and by the engine's reference
 //    delivery path, which the equivalence suite pins the flat plane against.
 //
-//  The tally has two equivalent build modes (engine toggle
-//  EngineConfig::simd_tally, scenario key `simd=`): the scalar byte-plane
-//  sweep above (the reference oracle) and a word-packed mode
+//  The tally has two equivalent build modes: the scalar byte-plane sweep
+//  above (the reference oracle) and a word-packed mode
 //  (net/tally_kernels.hpp) where presence/val/flag/coin collapse to
 //  uint64_t bit planes, counts become popcounts-over-words, and the pack
 //  pass itself shards across an IntraDispatcher's word-aligned node
-//  ranges. Both modes produce bit-identical query results.
+//  ranges. Both modes produce bit-identical query results. The engine
+//  picks the packed mode exactly when a round's beats shard or the plane
+//  is sparse; an unsharded flat round (`intra_threads=1`) is the packed
+//  mode's oracle.
 #pragma once
 
 #include <array>

@@ -30,8 +30,7 @@ void SparsePlane::reset(NodeId n, Count requested_degree, std::uint64_t seed) {
 void SparsePlane::begin_round(Round r, const RoundBuffer& buf,
                               const RoundTally& tally) {
     ADBA_EXPECTS_MSG(buf.n() == n_, "SparsePlane bound to a different population");
-    ADBA_EXPECTS_MSG(tally.packed(),
-                     "sparse mode reads the word-packed tally planes (simd=on)");
+    ADBA_EXPECTS_MSG(tally.packed(), "sparse mode reads the word-packed tally planes");
     round_ = r;
     buf_ = &buf;
     tally_ = &tally;

@@ -17,7 +17,7 @@
 //    (kind, phase) bucket match bit, the val bit, the flag bit. Three bit
 //    planes of n/8 bytes each instead of 16-byte Message cells, so the
 //    whole read set of a million-node round is a few hundred kilobytes.
-//    Sparse mode therefore requires the packed tally (`simd=on`).
+//    The engine therefore builds the packed tally for every sparse round.
 //  * Byzantine u — RoundBuffer::from(v, u): the O(1) pattern-row probe, so
 //    adversarial equivocation (split_as / broadcast_as) gates sampled
 //    edges exactly as it gates flat ones. Membership itself is a single

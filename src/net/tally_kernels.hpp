@@ -7,10 +7,12 @@
 // decided flag, coin sign) into uint64_t bit planes so that every
 // histogram / coin-sum query collapses to popcount-over-words: 64 senders
 // per instruction, streaming through (n/8)-byte planes instead of
-// 16-byte Messages. The scalar byte-plane code in round_buffer.cpp stays
-// as the reference oracle (scenario key `simd=off`); the equivalence
-// tests pin the two bit-identical — every count here is an exact integer,
-// so "vectorized" never means "approximate".
+// 16-byte Messages. The engine packs a round exactly when its beats shard
+// or its plane is sparse, where the planes are read word-wise; a serial
+// flat round keeps the scalar byte-plane code in round_buffer.cpp, which
+// is faster there and is the reference oracle (`intra_threads=1`). The
+// equivalence tests pin the two bit-identical — every count here is an
+// exact integer, so "vectorized" never means "approximate".
 //
 // Three pieces live here:
 //
@@ -221,21 +223,6 @@ inline std::int64_t coin_sum_range(const std::uint64_t* pos,
         sum -= std::popcount(neg[w] & m);
     }
     return sum;
-}
-
-/// Invokes fn(sender) for every set bit in `words`, ascending — the
-/// word-sliced iteration behind the packed mv word histograms (ctz per
-/// live sender instead of a byte-plane branch per sender).
-template <typename Fn>
-void for_each_set_bit(const std::uint64_t* words, std::size_t word_count, Fn&& fn) {
-    for (std::size_t w = 0; w < word_count; ++w) {
-        std::uint64_t bits = words[w];
-        while (bits != 0) {
-            const unsigned i = static_cast<unsigned>(std::countr_zero(bits));
-            fn(static_cast<NodeId>(w * kWordBits + i));
-            bits &= bits - 1;
-        }
-    }
 }
 
 // ---- per-lane counts: the fused trial plane's counting kernel ------------

@@ -69,7 +69,6 @@ public:
         cfg.budget = s.t;
         cfg.max_rounds = plan_.cap;
         cfg.reference_delivery = s.reference_delivery;
-        cfg.simd_tally = s.use_simd;
         cfg.watchdog_ms = s.watchdog_ms;
         if (FaultInjector* inj = FaultInjector::active();
             inj && inj->config().beat_delay_rate > 0.0)

@@ -4,8 +4,8 @@
 // machine, so it rides the workload-generic kernel (sim/workload.hpp) and
 // shares the binary stack's scenario machinery: parse/describe
 // round-tripping, a hoisted plan, the `q` corruption cap, and the
-// `reference`/`simd` engine toggles. It always steps its per-node
-// Turpin-Coan nodes on the flat plane.
+// `reference` engine toggle. It always steps its per-node Turpin-Coan
+// nodes on the flat plane, over the byte-plane tally.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +52,6 @@ struct MvScenario {
     /// probing) instead of the flat plane — the same oracle toggle the
     /// binary scenario carries (`reference=true`).
     bool reference_delivery = false;
-    /// Build round tallies with the word-packed popcount kernels (scenario
-    /// key `simd`); `simd=off` keeps the scalar byte-plane build — the
-    /// oracle toggle shared with the binary stack. The mv word histograms
-    /// are the word-sliced packed path this exercises.
-    bool use_simd = true;
     /// Per-trial wall-clock watchdog in ms (scenario key `watchdog_ms`);
     /// 0 = off. Same semantics as the binary scenario's key — the guard for
     /// `las_vegas=true` inner protocols whose round cap is generous by

@@ -1,5 +1,6 @@
 #include "sim/registry.hpp"
 
+#include <limits>
 #include <memory>
 #include <typeinfo>
 
@@ -118,7 +119,7 @@ ProtocolEntry derive(ProtocolEntry e) {
     }
     if constexpr (requires { &D::make_fused; })
         e.make_fused = [](const Scenario& s) { return D::make_fused(D::params(s)); };
-    if constexpr (requires { &D::why_unsupported; }) e.why_unsupported = &D::why_unsupported;
+    if constexpr (requires { D::why_unsupported; }) e.why_unsupported = D::why_unsupported;
     return e;
 }
 
@@ -154,6 +155,14 @@ struct Skeleton {
 /// rounds of slack for the last finish flush.
 Round phase_budget_cap(Count phases) { return static_cast<Round>(2 * (phases + 2)); }
 
+/// Why the `phases` key gives no run: no phase, or a cap past every Round.
+std::optional<std::string> why_bad_phases(const Scenario& s) {
+    constexpr Count kMaxPhases = std::numeric_limits<Round>::max() / 2 - 2;
+    if (s.local_coin_phases >= 1 && s.local_coin_phases <= kMaxPhases) return std::nullopt;
+    return "phases must be between 1 and " + std::to_string(kMaxPhases) +
+           " (got phases=" + std::to_string(s.local_coin_phases) + ")";
+}
+
 /// Algorithm 3 (the paper), w.h.p. fixed-phase or Las Vegas.
 template <AgreementMode M>
 struct Alg3 : Skeleton<core::AgreementParams, M, Coin::Committee> {
@@ -188,6 +197,7 @@ struct RabinDealer
 };
 
 struct LocalCoin : Skeleton<base::LocalCoinParams, AgreementMode::WhpFixedPhases, Coin::Local> {
+    static constexpr auto why_unsupported = &why_bad_phases;
     static base::LocalCoinParams params(const Scenario& s) {
         return {s.n, s.t, s.local_coin_phases};
     }
@@ -198,6 +208,7 @@ struct LocalCoin : Skeleton<base::LocalCoinParams, AgreementMode::WhpFixedPhases
 
 struct BenOr {
     static constexpr bool committee = false;
+    static constexpr auto why_unsupported = &why_bad_phases;
     static base::BenOrParams params(const Scenario& s) { return {s.n, s.t, s.local_coin_phases}; }
     static ProtocolMeta meta(const base::BenOrParams& p) {
         return {p.phases, phase_budget_cap(p.phases)};
@@ -236,6 +247,9 @@ struct PhaseKing {
 /// dispatch; it rides the PerNodeBatch adapter.
 struct SamplingMajority {
     static constexpr bool committee = false;
+    static std::optional<std::string> why_unsupported(const Scenario& s) {
+        return base::why_bad_kappa(s.n, s.sampling_kappa);
+    }
     static base::SamplingMajorityParams params(const Scenario& s) {
         return base::SamplingMajorityParams::compute(s.n, s.t, s.sampling_kappa);
     }
@@ -607,9 +621,6 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
         if (s.reference_delivery)
             return "plane=sparse has no reference-delivery form; drop "
                    "reference=true (use plane=flat for oracle comparisons)";
-        if (!s.use_simd)
-            return "plane=sparse reads the word-packed tally planes and cannot "
-                   "combine with simd=false; drop one of the two";
     }
 
     return std::nullopt;
@@ -729,7 +740,6 @@ const std::vector<SpecKey<Scenario>>& scenario_keys() {
         spec_field("max_rounds", R::Result, &S::max_rounds_override),
         spec_field("reference", R::Execution, &S::reference_delivery),
         spec_field("batch", R::Execution, &S::use_batch),
-        spec_field("simd", R::Execution, &S::use_simd),
         spec_field("intra_threads", R::Execution, &S::intra_threads),
         spec_name("plane", R::Result, &S::sparse_plane, &delivery_planes),
         spec_field("sample_degree", R::Result, &S::sample_degree),
@@ -755,7 +765,6 @@ const std::vector<SpecKey<MvScenario>>& mv_scenario_keys() {
         spec_field("fallback", R::Result, &S::fallback),
         spec_field("las_vegas", R::Result, &S::las_vegas),
         spec_field("reference", R::Execution, &S::reference_delivery),
-        spec_field("simd", R::Execution, &S::use_simd),
         spec_field("watchdog_ms", R::Result, &S::watchdog_ms),
     };
     return keys;
@@ -787,8 +796,8 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
     // budget too (estimate_fused_arena_bytes >= flat): the fallback takes
     // the plan to sparse, where they stay off.
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
-    const bool can_fall_back = !s.sparse_plane && p.make_batch && s.use_batch &&
-                               s.use_simd && !s.reference_delivery;
+    const bool can_fall_back =
+        !s.sparse_plane && p.make_batch && s.use_batch && !s.reference_delivery;
     if (can_fall_back) {
         const std::uint64_t sparse = estimate_trial_arena_bytes(s.n, true);
         if (sparse <= budget) {
@@ -810,7 +819,7 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
              ? ""
              : " and cannot fall back to the sparse plane under this "
                "configuration (needs a sparse-capable protocol with batch=on, "
-               "simd=on, reference=off)") +
+               "reference=off)") +
         "; raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, lower n, or pick a "
         "sparse-capable protocol");
 }

@@ -120,7 +120,7 @@ struct ProtocolEntry {
     /// lane SeedTrees. Null = the protocol has no fused form (its scenarios
     /// run scalar, with the reason why_not_fused names). Lane j of a fused
     /// block is bit-identical to the scalar trial at lane j's index — the
-    /// scalar path stays the oracle, as with `batch=` / `simd=` / `plane=`.
+    /// scalar path stays the oracle, as with `batch=` / `plane=`.
     std::function<std::unique_ptr<net::FusedProtocol>(const Scenario&)> make_fused = nullptr;
 };
 
@@ -271,8 +271,8 @@ const Names<bool>& delivery_planes();
 /// value): estimates the scenario's per-trial arena footprint against the
 /// process-wide memory budget. Within budget (or budget off): no change,
 /// nullopt. Over budget on the flat plane with a sparse-capable
-/// configuration (protocol with a native batch, batch=on, simd=on,
-/// reference=off): flips `s.sparse_plane = true` and returns the one-line
+/// configuration (protocol with a native batch, batch=on, reference=off):
+/// flips `s.sparse_plane = true` and returns the one-line
 /// warning to print. Otherwise throws ContractViolation with an actionable
 /// message (raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, shrink n, or pick a
 /// sparse-capable protocol) instead of letting the sweep OOM.

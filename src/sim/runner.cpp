@@ -78,7 +78,6 @@ public:
         cfg.max_rounds =
             s.max_rounds_override ? s.max_rounds_override : bundle_.default_max_rounds;
         cfg.reference_delivery = s.reference_delivery;
-        cfg.simd_tally = s.use_simd;
         if (s.sparse_plane) {
             cfg.plane = net::PlaneMode::Sparse;
             cfg.sample_degree = s.sample_degree;

@@ -70,22 +70,21 @@ struct Scenario {
     bool use_batch = true;
     /// Written only by perfbench; src/ reads none of it.
     bool use_shard = true;
-    /// Build round tallies with the word-packed popcount kernels (scenario
-    /// key `simd`, CLI `--simd`); `simd=off` keeps the scalar byte-plane
-    /// build — the tally oracle the packed kernels are pinned against.
+    /// Written only by perfbench; src/ reads none of it.
     bool use_simd = true;
     /// Intra-trial logical shard count (scenario key `intra_threads`).
     /// 0 = policy default: the process-wide `--intra_threads` /
     /// ADBA_INTRA_THREADS setting, else the auto heuristic
     /// (plan_intra_shards). Any value yields bit-identical results; only
-    /// wall-clock changes. Shards split only native batches' beats;
-    /// `intra_threads=1` pins the serial whole-population beats, the
-    /// stepping oracle of the sharded path.
+    /// wall-clock changes. Shards split only native batches' beats, and
+    /// a sharded round builds the word-packed tally; `intra_threads=1`
+    /// pins the serial whole-population beats over the byte-plane tally,
+    /// the oracle of both.
     Count intra_threads = 0;
     /// Answer receive beats from the sampled sparse delivery plane
     /// (net/sparse_plane.hpp; scenario key `plane=flat|sparse`, CLI
-    /// `--plane`). Requires a sparse-capable native batch, `batch=on`,
-    /// `simd=on`, and `reference=off` — why_incompatible states the rule.
+    /// `--plane`). Requires a sparse-capable native batch, `batch=on` and
+    /// `reference=off` — why_incompatible states the rule.
     /// With `sample_degree >= n` the sparse plane is bit-identical to flat
     /// (the dense oracle mode the equivalence tests pin).
     bool sparse_plane = false;

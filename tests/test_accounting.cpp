@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,7 @@
 #include "net/engine.hpp"
 #include "net/sparse_plane.hpp"
 #include "rand/seed_tree.hpp"
-#include "sim/inputs.hpp"
+#include "registry_trial.hpp"
 #include "sim/registry.hpp"
 
 namespace adba {
@@ -138,35 +137,21 @@ void expect_engine_matches_reference(const TrialFactory& run, Coverage& total) {
     total.cap_loose += full.seen.cap_loose;
 }
 
-/// A registry binary trial, wired like the Monte-Carlo arena wires it.
+/// A registry binary trial (registry_trial.hpp) with its strategy wrapped
+/// in the probe; a sub-dense sparse plane caps each broadcast at the degree.
 TrialFactory binary_trial(const sim::Scenario& s, std::uint64_t seed) {
     return [s, seed](Round max_rounds, Ledger& ledger) {
-        const sim::ScenarioPlan plan = sim::validate(s);
-        const SeedTree seeds(seed);
-        const std::vector<Bit> inputs = sim::make_inputs(s.inputs, s.n, seeds);
-        sim::ProtocolBundle bundle = plan.protocol->make_batch
-                                         ? plan.protocol->make_batch(s, inputs, seeds)
-                                         : plan.protocol->make_nodes(s, inputs, seeds);
-        net::EngineConfig cfg;
-        cfg.n = s.n;
-        cfg.budget = s.t;
-        cfg.max_rounds = max_rounds ? max_rounds : bundle.default_max_rounds;
-        std::uint64_t cap = net::kUncapped;
-        if (s.sparse_plane) {
-            cfg.plane = net::PlaneMode::Sparse;
-            cfg.sample_degree = s.sample_degree;
-            cfg.sparse_seed = seeds.seed(StreamPurpose::SparseTopology, s.sparse_seed);
-            net::SparsePlane probe;
-            probe.reset(s.n, s.sample_degree, cfg.sparse_seed);
-            if (!probe.dense()) cap = probe.degree();
-        }
-        AccountingProbe adv(plan.adversary->make_adversary(s, bundle, seeds), cap, ledger);
-        std::optional<net::Engine> eng;
-        if (bundle.batch)
-            eng.emplace(cfg, std::move(bundle.batch), adv);
-        else
-            eng.emplace(cfg, std::move(bundle.nodes), adv);
-        return eng->run();
+        return testing::run_registry_trial(
+            s, seed, max_rounds,
+            [&ledger](std::unique_ptr<net::Adversary> inner, const net::EngineConfig& cfg) {
+                std::uint64_t cap = net::kUncapped;
+                if (cfg.plane == net::PlaneMode::Sparse) {
+                    net::SparsePlane probe;
+                    probe.reset(cfg.n, cfg.sample_degree, cfg.sparse_seed);
+                    if (!probe.dense()) cap = probe.degree();
+                }
+                return std::make_unique<AccountingProbe>(std::move(inner), cap, ledger);
+            });
     };
 }
 

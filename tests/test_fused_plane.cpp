@@ -2316,7 +2316,7 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
     // aggregate `expected` is: intra_threads=1 is one too).
     const std::string base = "protocol=ours adversary=worst-case inputs=random n=22 t=7";
     for (const char* key :
-         {"reference=true", "batch=false", "simd=off", "intra_threads=2", "fused=off"}) {
+         {"reference=true", "batch=false", "intra_threads=2", "fused=off"}) {
         std::filesystem::remove(full);
         (void)sim::run_trials(sim::Scenario::parse(base + " " + key), 0xAB, trials,
                               {1, 64, full, false});
@@ -2327,11 +2327,11 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
                             expected);
     }
 
-    // And the mv stack's (reference, simd).
+    // And the mv stack's reference key.
     const sim::MvScenario mv = sim::MvScenario::parse("n=16 t=5");
     const sim::MvAggregate mv_expected = sim::run_mv_trials(mv, 0xAB, 12, {1, 4});
     std::filesystem::remove(full);
-    (void)sim::run_mv_trials(sim::MvScenario::parse("n=16 t=5 reference=true simd=off"), 0xAB,
+    (void)sim::run_mv_trials(sim::MvScenario::parse("n=16 t=5 reference=true"), 0xAB,
                              12, {1, 4, full, false});
     const sim::MvAggregate resumed = sim::run_mv_trials(
         mv, 0xAB, 12, {2, 4, cut_after_first_record(full, "mv_cut.bin"), true});

@@ -14,7 +14,8 @@
 // native batches under ADBA_INTRA_THREADS) and, up to n = 256, the per-node
 // adapter (batch=false) must each reproduce the cell's hash. Eight more
 // binary cells run the sparse plane below n senders per receiver, where the
-// native batches' tie-breaks decide results.
+// native batches' tie-breaks decide results; for these the table also pins
+// every node's output, which no aggregate reads.
 //
 // The hash is perfbench's aggregate fingerprint: FNV-1a over every sample
 // of every sample series (each prefixed by its length) and then over the
@@ -32,6 +33,8 @@
 #include <tuple>
 #include <vector>
 
+#include "rand/rng.hpp"
+#include "registry_trial.hpp"
 #include "sim/coin_runner.hpp"
 #include "sim/macro.hpp"
 #include "sim/multivalued_runner.hpp"
@@ -151,6 +154,22 @@ std::uint64_t hash_of(const sim::Scenario& s) {
     return fingerprint(sim::run_trials(s, kSeed, kTrials, kExec));
 }
 
+/// FNV-1a over every node's output (a Byzantine node as the third symbol
+/// 2) in each of the kTrials trials hash_of aggregates, each run on a bare
+/// engine wired from the registry hooks.
+std::uint64_t outputs_hash(const sim::Scenario& s) {
+    Fnv h;
+    for (Count i = 0; i < kTrials; ++i) {
+        const std::uint64_t seed = mix64(kSeed + sim::BinaryWorkload::kSeedStride * i);
+        const net::RunResult run = testing::run_registry_trial(s, seed);
+        // The same trial the aggregate counts.
+        EXPECT_EQ(run.rounds, sim::run_trial(s, seed).rounds) << "trial " << i;
+        h.mix(run.outputs.size());
+        for (NodeId v = 0; v < s.n; ++v) h.mix(run.honest[v] ? run.outputs[v] : 2);
+    }
+    return h.value();
+}
+
 std::string row_text(const std::string& protocol, const std::string& adversary, NodeId n,
                      const std::string& inputs, std::uint64_t hash) {
     return "{\"" + protocol + "\", \"" + adversary + "\", " + std::to_string(n) + ", \"" +
@@ -217,6 +236,19 @@ TEST(GoldenFingerprints, BinaryPerNodeAdapter) {
 TEST(GoldenFingerprints, BinarySubDenseSampled) {
     for (const SpecRow& row : kSubDenseGolden) {
         const std::uint64_t h = hash_of(sim::Scenario::parse(row.spec));
+        EXPECT_EQ(h, row.hash) << "actual row: {\"" << row.spec << "\", " << hex(h) << "},";
+    }
+}
+
+/// The same rows' per-node outputs. Under the golden seed most of these
+/// trials disagree, so a tie-break that moves which value a node takes can
+/// leave every aggregate as it was; the outputs pin it.
+TEST(GoldenFingerprints, BinarySubDenseOutputs) {
+    ASSERT_EQ(kSubDenseOutputs.size(), kSubDenseGolden.size());
+    for (std::size_t i = 0; i < kSubDenseOutputs.size(); ++i) {
+        const SpecRow& row = kSubDenseOutputs[i];
+        EXPECT_STREQ(row.spec, kSubDenseGolden[i].spec) << "row " << i;
+        const std::uint64_t h = outputs_hash(sim::Scenario::parse(row.spec));
         EXPECT_EQ(h, row.hash) << "actual row: {\"" << row.spec << "\", " << hex(h) << "},";
     }
 }

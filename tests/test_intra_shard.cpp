@@ -1,9 +1,9 @@
 // Intra-trial sharding + packed-tally tests: the sharded beat execution
-// (scenario `shard=`, EngineConfig::intra) and the word-packed popcount
-// tally (scenario `simd=`, EngineConfig::simd_tally) must be BIT-IDENTICAL
-// to the serial scalar byte-plane oracle — for every compatible registry
-// pair, at any logical shard count, at sizes that straddle 64-bit word
-// boundaries, with halted and corrupted nodes landing on the straddle.
+// (scenario `intra_threads=`, EngineConfig::intra) and the word-packed
+// popcount tally it builds must be BIT-IDENTICAL to the serial byte-plane
+// oracle (`intra_threads=1`) — for every compatible registry pair, at any
+// logical shard count, at sizes that straddle 64-bit word boundaries, with
+// halted and corrupted nodes landing on the straddle.
 // Plus the nested-parallelism policy (plan_intra_shards / intra_worker_cap)
 // and the ShardPool dispatch contract (tiling, reuse, exception propagation,
 // quiescence).
@@ -78,7 +78,7 @@ private:
 
 // ---------------------------------------------------------------------------
 // Every compatible registry pair: sharded + packed trials must reproduce the
-// serial scalar oracle bit for bit, at logical shard counts 1, 2, and 8.
+// serial byte-plane oracle bit for bit, at logical shard counts 2 and 8.
 
 TEST(IntraShardEquivalence, AllRegistryPairsShardedMatchesScalarSerial) {
     const NodeId n = 33;  // straddles nothing; sizes are swept separately
@@ -99,14 +99,12 @@ TEST(IntraShardEquivalence, AllRegistryPairsShardedMatchesScalarSerial) {
             SCOPED_TRACE(p->name + " vs " + a->name);
 
             const sim::ExecutorConfig serial{1, 0};
-            sim::Scenario oracle = s;  // full scalar path, nothing sharded
+            sim::Scenario oracle = s;  // serial beats, byte-plane tally
             oracle.intra_threads = 1;
-            oracle.use_simd = false;
             const sim::Aggregate ref = sim::run_trials(oracle, 0x54A8D, 4, serial);
 
-            // Packed tally alone (intra_threads=1), then sharded beats +
-            // packed tally at 2 and 8 logical shards.
-            for (const Count intra : {Count{1}, Count{2}, Count{8}}) {
+            // Sharded beats + packed tally at 2 and 8 logical shards.
+            for (const Count intra : {Count{2}, Count{8}}) {
                 SCOPED_TRACE("intra_threads=" + std::to_string(intra));
                 sim::Scenario sharded = s;
                 sharded.intra_threads = intra;
@@ -143,7 +141,6 @@ TEST(IntraShardEquivalence, SizeSweepShardedMatchesScalarSerial) {
 
             sim::Scenario oracle = s;
             oracle.intra_threads = 1;
-            oracle.use_simd = false;
             sim::Scenario sharded = s;
             sharded.intra_threads = 8;
 
@@ -152,29 +149,6 @@ TEST(IntraShardEquivalence, SizeSweepShardedMatchesScalarSerial) {
                                 sim::run_trials(oracle, 0x512E5, trials, serial));
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The multi-valued stack's packed word histograms against its scalar build.
-
-TEST(IntraShardEquivalence, MvPackedWordTalliesMatchScalar) {
-    sim::MvScenario s;
-    s.n = 33;
-    s.t = 8;
-    s.inputs = sim::MvInputPattern::NearQuorum;
-    s.adversary = sim::MvAdversaryKind::PreludePlusWorstCase;
-    sim::MvScenario scalar = s;
-    scalar.use_simd = false;
-
-    const sim::ExecutorConfig serial{1, 0};
-    const sim::MvAggregate fast = sim::run_mv_trials(s, 0x3C0DE, 5, serial);
-    const sim::MvAggregate ref = sim::run_mv_trials(scalar, 0x3C0DE, 5, serial);
-    EXPECT_EQ(fast.trials, ref.trials);
-    EXPECT_EQ(fast.agreement_failures, ref.agreement_failures);
-    EXPECT_EQ(fast.validity_failures, ref.validity_failures);
-    EXPECT_EQ(fast.not_halted, ref.not_halted);
-    EXPECT_EQ(fast.decided_real, ref.decided_real);
-    expect_samples_eq(fast.rounds, ref.rounds, "mv rounds");
 }
 
 // ---------------------------------------------------------------------------
@@ -458,27 +432,22 @@ TEST(ShardScenarioKeys, BinaryKeysRoundTrip) {
     sim::Scenario s;
     s.n = 16;
     s.t = 5;
-    s.use_simd = false;
     s.intra_threads = 3;
     EXPECT_EQ(sim::Scenario::parse(s.describe()), s);
 
-    EXPECT_TRUE(sim::Scenario::parse("n=16 t=5").use_simd);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5").intra_threads, 0u);
-    EXPECT_FALSE(sim::Scenario::parse("n=16 t=5 simd=off").use_simd);
-    EXPECT_TRUE(sim::Scenario::parse("n=16 t=5 simd=on").use_simd);
     EXPECT_EQ(sim::Scenario::parse("n=16 t=5 intra_threads=4").intra_threads, 4u);
-    // intra_threads=1 is the one unsharded switch: shard= is no key.
+    // intra_threads=1 is the one unsharded switch, and sharding picks the
+    // tally form: neither shard= nor simd= is a key.
     EXPECT_THROW((void)sim::Scenario::parse("n=16 t=5 shard=off"), ContractViolation);
+    EXPECT_THROW((void)sim::Scenario::parse("n=16 t=5 simd=off"), ContractViolation);
 }
 
-TEST(ShardScenarioKeys, MvSimdKeyRoundTrips) {
-    sim::MvScenario s;
-    s.n = 16;
-    s.t = 5;
-    s.use_simd = false;
-    EXPECT_EQ(sim::MvScenario::parse(s.describe()), s);
-    EXPECT_TRUE(sim::MvScenario::parse("n=16 t=5").use_simd);
-    EXPECT_FALSE(sim::MvScenario::parse("n=16 t=5 simd=off").use_simd);
+TEST(ShardScenarioKeys, MvSimdIsNoKey) {
+    // The multi-valued stack steps per-node nodes, which never shard: its
+    // rounds always build the byte-plane tally.
+    EXPECT_THROW((void)sim::MvScenario::parse("n=16 t=5 simd=off"), ContractViolation);
+    EXPECT_THROW((void)sim::MvScenario::parse("n=16 t=5 simd=on"), ContractViolation);
 }
 
 }  // namespace

@@ -204,6 +204,53 @@ TEST(Registry, AlphaBelowOneIsBadInput) {
     EXPECT_TRUE(compatible(macro));
 }
 
+TEST(Registry, RoundBudgetKeysThatGiveNoRunAreBadInput) {
+    // `phases` (local-coin, Ben-Or) and `kappa` (sampling-majority) size
+    // the round cap: a budget of no phase, a non-positive kappa, or a cap
+    // past the largest Round is refused before any trial runs, naming the
+    // key and the value.
+    Scenario s;
+    s.n = 64;
+    s.adversary = AdversaryKind::Static;
+    for (const auto kind : {ProtocolKind::LocalCoin, ProtocolKind::BenOr}) {
+        s.protocol = kind;
+        s.t = kind == ProtocolKind::BenOr ? 12 : 21;
+        SCOPED_TRACE(to_string(kind));
+        const std::string want = "phases must be between 1 and 2147483645 (got phases=";
+        s.local_coin_phases = 0;
+        EXPECT_EQ(why_incompatible(s), want + "0)");
+        EXPECT_EQ(thrown_message([&] { validate(s); }), want + "0)");
+        // 2 * (phases + 2) must fit a Round: 2147483645 is the last that does.
+        s.local_coin_phases = 2147483646;
+        EXPECT_EQ(why_incompatible(s), want + "2147483646)");
+        s.local_coin_phases = 2147483647;
+        EXPECT_EQ(why_incompatible(s), want + "2147483647)");
+        s.local_coin_phases = 2147483645;
+        EXPECT_TRUE(compatible(s));
+        EXPECT_EQ(ProtocolRegistry::instance().at(kind).budgets(s).max_rounds, 4294967294u);
+        s.local_coin_phases = 1;
+        EXPECT_TRUE(compatible(s));
+    }
+
+    s.protocol = ProtocolKind::SamplingMajority;
+    s.t = 2;
+    s.sampling_kappa = 0.0;
+    EXPECT_EQ(why_incompatible(s), "kappa must be positive (got kappa=0)");
+    s.sampling_kappa = -1.5;
+    EXPECT_EQ(why_incompatible(s), "kappa must be positive (got kappa=-1.5)");
+    s.sampling_kappa = 1e300;
+    const auto why = why_incompatible(s);
+    ASSERT_TRUE(why.has_value());
+    EXPECT_NE(why->find("kappa=1e+300 at n=64"), std::string::npos) << *why;
+    // At n = 64, log2(n)^2 = 36: ceil(36 * kappa) + 1 must fit a Round.
+    s.sampling_kappa = 119304648.0;
+    EXPECT_FALSE(compatible(s));
+    s.sampling_kappa = 119304647.0;
+    EXPECT_TRUE(compatible(s));
+    EXPECT_EQ(ProtocolRegistry::instance().at(s.protocol).budgets(s).max_rounds,
+              36u * 119304647u + 1u);
+}
+
 TEST(Registry, QExceedingTIsIncompatible) {
     Scenario s;
     s.n = 16;
@@ -265,14 +312,13 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.max_rounds_override = 99;
     s.reference_delivery = true;
     s.use_batch = false;
-    s.use_simd = false;
     s.intra_threads = 3;
     s.sparse_plane = true;
     s.sample_degree = 48;
     s.sparse_seed = 11;
     s.use_fused = false;
     s.watchdog_ms = 500;
-    EXPECT_EQ(scenario_keys().size(), 21u);
+    EXPECT_EQ(scenario_keys().size(), 20u);
     expect_every_key_round_trips(scenario_keys(), s);
 
     MvScenario mv;
@@ -287,9 +333,8 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     mv.fallback = 9;
     mv.las_vegas = true;
     mv.reference_delivery = true;
-    mv.use_simd = false;
     mv.watchdog_ms = 500;
-    EXPECT_EQ(mv_scenario_keys().size(), 13u);
+    EXPECT_EQ(mv_scenario_keys().size(), 12u);
     expect_every_key_round_trips(mv_scenario_keys(), mv);
 
     CoinScenario coin;

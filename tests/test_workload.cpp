@@ -155,13 +155,12 @@ TEST(MvScenario, DescribeParseRoundTripsEveryField) {
     s.fallback = 0xBEEF;
     s.las_vegas = true;
     s.reference_delivery = true;
-    s.use_simd = false;
     s.watchdog_ms = 250;
     const std::string spec = s.describe();
     EXPECT_EQ(MvScenario::parse(spec), s) << spec;
     // Every key of the table is off its default above; alone off its
     // default, each key round-trips and is written as `key=value`.
-    EXPECT_EQ(mv_scenario_keys().size(), 13u);
+    EXPECT_EQ(mv_scenario_keys().size(), 12u);
     for (const SpecKey<MvScenario>& key : mv_scenario_keys()) {
         EXPECT_FALSE(key.at_default(s)) << key.name << ": set it off its default above";
         MvScenario one;
