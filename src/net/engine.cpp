@@ -290,7 +290,7 @@ void Engine::run_receives() {
     // The tally is word-packed where its planes are read word-wise: sharded
     // beats (the pack pass splits over the shards) and the sparse plane's
     // per-edge probes. Serial flat beats take the byte-plane sweep, which
-    // is faster there.
+    // measured as fast or faster on most serial shapes.
     IntraDispatcher* d = shard_dispatcher();
     const bool sparse = cfg_.plane == PlaneMode::Sparse;
     tally_.rebuild(buf_, sparse || d != nullptr, d);

@@ -10,7 +10,8 @@
 // 16-byte Messages. The engine packs a round exactly when its beats shard
 // or its plane is sparse, where the planes are read word-wise; a serial
 // flat round keeps the scalar byte-plane code in round_buffer.cpp, which
-// is faster there and is the reference oracle (`intra_threads=1`). The
+// measured as fast or faster there on most shapes and is the reference
+// oracle (`intra_threads=1`). The
 // equivalence tests pin the two bit-identical — every count here is an
 // exact integer, so "vectorized" never means "approximate".
 //
