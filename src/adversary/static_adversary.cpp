@@ -1,5 +1,6 @@
 #include "adversary/static_adversary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <numeric>
 #include <utility>
@@ -46,10 +47,6 @@ net::SplitRow StaticAdversary::row(Round r, NodeId n) {
     return row;
 }
 
-bool StaticAdversary::same_strategy(const net::Adversary& other) const {
-    return dynamic_cast<const StaticAdversary*>(&other) != nullptr;
-}
-
 void StaticAdversary::act(net::RoundControl& ctl) {
     if (ctl.round() == 0)
         for (const NodeId v : corrupted_) ctl.corrupt(v);
@@ -57,19 +54,53 @@ void StaticAdversary::act(net::RoundControl& ctl) {
     for (const NodeId v : corrupted_) ctl.split_as(v, r.low, r.high, r.boundary);
 }
 
-void StaticAdversary::act_block(net::FusedLaneControl& ctl, const net::Adversary* const* advs) {
+void StaticAdversary::start_block(net::Adversary* const* advs, std::uint64_t lanes, NodeId n,
+                                  Count budget) {
+    // on_start's draws in every lane at once, each from its lane's stream.
+    lane_rng_.resize(net::kFusedLanes);
+    Count q[net::kFusedLanes] = {};
+    Count most = 0;
+    for (std::uint64_t l = lanes; l != 0; l &= l - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(l));
+        // same_strategy made every lane's adversary a StaticAdversary.
+        const auto& lane = static_cast<const StaticAdversary&>(*advs[j]);
+        ADBA_EXPECTS_MSG(lane.q_ <= budget, "static corrupt set exceeds engine budget");
+        lane_rng_[j] = lane.rng_;
+        q[j] = lane.q_;
+        most = std::max(most, q[j]);
+    }
+    targets_.resize(static_cast<std::size_t>(most) * net::kFusedLanes);
+    net::kern::fisher_yates_targets(lane_rng_.data(), q, lanes, n, targets_.data());
+
+    // Each lane's swaps over the one id array. Swap i brings the id at its
+    // target to position i, into the lane's set; position i is never read
+    // again, so only the target is written, and writing every target back
+    // restores the identity for the next lane.
+    lane_mask_.assign(n, 0);
+    members_ = 0;
+    ids_.resize(n);
+    std::iota(ids_.begin(), ids_.end(), NodeId{0});
+    for (; lanes != 0; lanes &= lanes - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(lanes));
+        static_cast<StaticAdversary&>(*advs[j]).rng_ = lane_rng_[j];
+        const NodeId* const target = targets_.data() + j;
+        const std::uint64_t bit = std::uint64_t{1} << j;
+        for (Count i = 0; i < q[j]; ++i) {
+            const NodeId a = target[std::size_t{net::kFusedLanes} * i];
+            lane_mask_[ids_[a]] |= bit;
+            ids_[a] = ids_[i];
+        }
+        for (Count i = 0; i < q[j]; ++i) {
+            const NodeId a = target[std::size_t{net::kFusedLanes} * i];
+            ids_[a] = a;
+        }
+        if (q[j] != 0) members_ |= bit;
+    }
+}
+
+void StaticAdversary::act_block(net::FusedLaneControl& ctl, const net::Adversary* const*) {
     const net::FusedFrame& f = ctl.frame();
     if (ctl.round() == 0) {
-        lane_mask_.assign(f.n(), 0);
-        members_ = 0;
-        for (std::uint64_t lanes = f.active; lanes != 0; lanes &= lanes - 1) {
-            const std::uint64_t bit = lanes & -lanes;
-            // same_strategy made every lane's adversary a StaticAdversary.
-            const auto& set =
-                static_cast<const StaticAdversary&>(*advs[std::countr_zero(lanes)]).corrupted_;
-            for (const NodeId v : set) lane_mask_[v] |= bit;
-            if (!set.empty()) members_ |= bit;
-        }
         set_size_.resize(net::kFusedLanes);
         ctl.corrupt_lanes(lane_mask_.data(), set_size_.data());
     }

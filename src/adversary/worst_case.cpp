@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <typeinfo>
 
 #include "support/contracts.hpp"
 
@@ -20,8 +21,8 @@ void WorstCaseAdversary::on_start(NodeId, Count) {
 }
 
 bool WorstCaseAdversary::same_strategy(const net::Adversary& other) const {
-    const auto* o = dynamic_cast<const WorstCaseAdversary*>(&other);
-    return o != nullptr && o->cfg_ == cfg_;
+    return typeid(other) == typeid(WorstCaseAdversary) &&
+           static_cast<const WorstCaseAdversary&>(other).cfg_ == cfg_;
 }
 
 Count WorstCaseAdversary::remaining(const net::RoundControl& ctl) const {

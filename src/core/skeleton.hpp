@@ -101,6 +101,22 @@ struct CoinSpec {
         if (kind != Kind::Committee) return {0, 0};
         return schedule.range(schedule.committee_of_phase(p));
     }
+
+    /// Member v's phase-p flip under the Committee coin, drawn without a
+    /// stream table: `purpose` is the trial's NodeProtocol purpose hash, and
+    /// a member draws only its flips from its (NodeProtocol, v) stream.
+    /// Honesty and liveness are monotone, so a member that flips now flipped
+    /// at every earlier visit of its committee, and this flip is output
+    /// p / num_blocks of that stream; a first visit reads
+    /// Xoshiro256::first_output.
+    CoinSign committee_flip(std::uint64_t purpose, NodeId v, Phase p) const {
+        const std::uint64_t seed = SeedTree::child_seed(purpose, v);
+        Phase visit = p / schedule.num_blocks;
+        if (visit == 0) return (Xoshiro256::first_output(seed) >> 63) != 0 ? CoinSign{1} : CoinSign{-1};
+        Xoshiro256 g(seed);
+        for (; visit > 0; --visit) g();
+        return g.sign();
+    }
 };
 
 /// One node of a two-round-per-phase shared-coin agreement protocol.

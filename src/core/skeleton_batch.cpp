@@ -17,12 +17,17 @@ void SkeletonBatch::rearm(const SkeletonConfig& cfg, CoinSpec coin,
     const NodeId n = cfg_.n;
     planes_.rearm(inputs.data(), n);
     for (NodeId v = 0; v < n; ++v) ADBA_EXPECTS(inputs[v] <= 1);
-    // Per-node streams identical to the per-node constructors': stream
-    // (NodeProtocol, v), consumed in ascending node order each beat.
+    // Committee members draw their flips without a table
+    // (CoinSpec::committee_flip), and the Dealer coin draws nothing per
+    // node. The Local coin's per-node streams are the per-node
+    // constructors': stream (NodeProtocol, v), consumed in ascending node
+    // order each beat.
+    purpose_ = seeds.purpose_hash(StreamPurpose::NodeProtocol);
     rng_.clear();
-    rng_.reserve(n);
-    for (NodeId v = 0; v < n; ++v)
-        rng_.push_back(seeds.stream(StreamPurpose::NodeProtocol, v));
+    if (coin_.kind == CoinSpec::Kind::Local) {
+        rng_.reserve(n);
+        for (NodeId v = 0; v < n; ++v) rng_.push_back(Xoshiro256(SeedTree::child_seed(purpose_, v)));
+    }
 }
 
 void SkeletonBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId hi) {
@@ -47,7 +52,7 @@ void SkeletonBatch::send_range(Round r, net::RoundBuffer& buf, NodeId lo, NodeId
             // before any round-2 delivery is seen (Lemma 5 independence).
             // Stream v is private to v, so a shard draws exactly what the
             // serial sweep would.
-            if (v >= flip_first && v < flip_last) m.coin = rng_[v].sign();
+            if (v >= flip_first && v < flip_last) m.coin = coin_.committee_flip(purpose_, v, p);
             if (planes_.flushing[v]) planes_.halted[v] = 1;  // second flush broadcast done
         }
         buf.set_broadcast(v, m);

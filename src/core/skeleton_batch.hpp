@@ -6,7 +6,8 @@
 // Semantics are EXACTLY core/skeleton.hpp's RabinSkeletonNode — same state
 // machine, same per-node randomness draws in the same order — but the
 // per-node state lives in flat arrays (val / decided / flushing / halted
-// planes plus one RNG stream per node in a contiguous vector) and the whole
+// planes, plus one RNG stream per node in a contiguous vector under the
+// Local coin) and the whole
 // population steps under ONE virtual dispatch per engine beat. The receive
 // rule (net::NativeBatch) compares each receiver's net::BeatCounts against
 // the thresholds and hands the masks to core::SkeletonStep, the round step
@@ -57,8 +58,9 @@ private:
     SkeletonConfig cfg_;
     CoinSpec coin_;
     std::uint64_t dealer_seed_ = 0;  ///< Dealer only: this trial's DealerCoin seed
+    std::uint64_t purpose_ = 0;      ///< this trial's NodeProtocol purpose hash
     SkeletonPlanes<Bit> planes_;
-    std::vector<Xoshiro256> rng_;  ///< per-node streams, flat
+    std::vector<Xoshiro256> rng_;  ///< Local only: per-node streams, flat
 };
 
 }  // namespace adba::core

@@ -60,22 +60,18 @@ private:
     std::uint64_t dealer_seed_[net::kFusedLanes] = {};
 
     /// Committee coin: node v's phase-p flips, bit j set when lane j's flip
-    /// is +1, for the lanes of `drawn` (other bits are arbitrary). Drawn
-    /// without state: honesty and liveness are monotone, so a member live
-    /// now drew once at every earlier visit of its committee, and this flip
-    /// is output number p / num_blocks of its (NodeProtocol, v) stream. A
-    /// first visit reads output 0's top bit in all 64 lanes, with no branch
-    /// on a lane or its coin (net::kern::first_flips, eight lanes per
-    /// vector where the CPU can); a revisit steps each drawn lane's stream.
+    /// is +1, for the lanes of `drawn` (other bits are arbitrary), each
+    /// lane's CoinSpec::committee_flip. A first visit reads output 0's top
+    /// bit in all 64 lanes, with no branch on a lane or its coin
+    /// (net::kern::first_flips, eight lanes per vector where the CPU can); a
+    /// revisit steps each drawn lane's stream.
     std::uint64_t committee_flips(NodeId v, Phase p, std::uint64_t drawn) const {
         const std::uint64_t* purpose = streams_.purposes();
         if (p < coin_.schedule.num_blocks) return net::kern::first_flips(purpose, v);
         std::uint64_t ones = 0;
         for (; drawn != 0; drawn &= drawn - 1) {
             const unsigned j = static_cast<unsigned>(std::countr_zero(drawn));
-            Xoshiro256 g(SeedTree::child_seed(purpose[j], v));
-            for (Phase visit = p / coin_.schedule.num_blocks; visit > 0; --visit) g();
-            if (g.sign() > 0) ones |= std::uint64_t{1} << j;
+            if (coin_.committee_flip(purpose[j], v, p) > 0) ones |= std::uint64_t{1} << j;
         }
         return ones;
     }

@@ -167,6 +167,11 @@ public:
     virtual const Bit* value_plane() const { return nullptr; }
     virtual const std::uint8_t* decided_plane() const { return nullptr; }
 
+    /// False when no broadcast of this batch ever carries a word payload
+    /// (carries_word): the engine's traffic accounting then skips the
+    /// message plane. The default, true, reads every broadcast's kind.
+    virtual bool sends_words() const { return true; }
+
     /// The underlying per-node objects, when this batch has them (adapter);
     /// nullptr for native SoA batches. Round observers require them.
     virtual const std::vector<std::unique_ptr<HonestNode>>* nodes() const {
@@ -311,6 +316,8 @@ public:
     void receive_range(Round r, const RoundBuffer& buf, const RoundTally& tally,
                        NodeId lo, NodeId hi) final;
     bool supports_sparse() const final { return true; }
+    /// Native batches run binary protocols, whose kinds carry no word.
+    bool sends_words() const final { return false; }
     void receive_sparse_prepare(Round r, const RoundBuffer& buf, const RoundTally& tally,
                                 const SparsePlane& sparse) final;
     void receive_sparse_range(Round r, const RoundBuffer& buf, const RoundTally& tally,

@@ -231,17 +231,19 @@ void Engine::account_sends() {
     // One branch-free pass counts what the closed form (broadcast_fanout,
     // net/metrics.hpp) needs: live broadcasts, the ones whose sender
     // flush-halted this round, honest-halted receivers, and the same split
-    // for the word-carrying prelude kinds.
+    // for the word-carrying prelude kinds, read from the message plane only
+    // when the batch can send one.
     const NodeId n = cfg_.n;
     const std::uint8_t* state = buf_.state_plane();
-    const Message* sent_msgs = buf_.honest_plane();
+    const Message* sent_msgs = batch_->sends_words() ? buf_.honest_plane() : nullptr;
     const std::uint8_t* halted = batch_->halted_plane();
     std::uint64_t sent = 0, sent_halted = 0, words = 0, words_halted = 0;
     std::uint64_t halted_receivers = 0;
     for (NodeId v = 0; v < n; ++v) {
         const std::uint64_t h = halted[v] != 0;
         const std::uint64_t present = state[v] == RoundBuffer::kPresent;
-        const std::uint64_t word = present & carries_word(sent_msgs[v].kind);
+        const std::uint64_t word =
+            sent_msgs != nullptr ? present & carries_word(sent_msgs[v].kind) : 0;
         sent += present;
         sent_halted += present & h;
         words += word;

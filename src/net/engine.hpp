@@ -47,6 +47,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <typeinfo>
 #include <vector>
 
 #include "net/batch.hpp"
@@ -193,6 +194,7 @@ public:
     /// strategy with this configuration, so that this one's block_form()
     /// may decide for both: on equal planes it takes the decisions
     /// other.act() would. The default, false, keeps each lane to itself.
+    /// Read before on_start: the answer may not depend on a trial's state.
     virtual bool same_strategy(const Adversary& /*other*/) const { return false; }
 
     /// Block-level form: the object that decides the adversary beat of all
@@ -205,16 +207,23 @@ public:
 };
 
 /// The block-level form of a strategy (Adversary::block_form): one object
-/// decides the adversary beat of every live lane of a fused block
-/// (net/fused_plane.hpp) from the frame's planes, in word operations where
-/// the per-lane bridge would run 64 act() calls. It acts through
+/// starts every lane of a fused block (net/fused_plane.hpp) and decides its
+/// adversary beats from the frame's planes, in word operations where the
+/// per-lane bridge would run 64 on_start and act() calls. It acts through
 /// FusedLaneControl's word-wise forms of corrupt and split_as and keeps its
-/// per-lane state itself, reset by its adversary's on_start.
+/// per-lane state itself.
 class BlockStrategy {
 public:
+    /// Before round 0: starts every lane j of `lanes` on n nodes with
+    /// `budget` corruptions, where advs[j] is lane j's adversary (one of
+    /// this strategy, by same_strategy), the source of that lane's own
+    /// draws. The default calls each lane's on_start; a strategy whose
+    /// start draws may draw every lane's state here instead, from the same
+    /// streams in the same order.
+    virtual void start_block(Adversary* const* advs, std::uint64_t lanes, NodeId n, Count budget);
+
     /// Round ctl.round()'s adversary beat in every lane j of
-    /// ctl.frame().active, where advs[j] is lane j's adversary (one of this
-    /// strategy, by same_strategy), the source of that lane's own draws.
+    /// ctl.frame().active, where advs[j] is lane j's adversary.
     virtual void act_block(FusedLaneControl& ctl, const Adversary* const* advs) = 0;
 
 protected:
@@ -227,7 +236,7 @@ class NullAdversary final : public Adversary, private BlockStrategy {
 public:
     void act(RoundControl&) override {}
     bool same_strategy(const Adversary& other) const override {
-        return dynamic_cast<const NullAdversary*>(&other) != nullptr;
+        return typeid(other) == typeid(NullAdversary);
     }
     BlockStrategy* block_form() override { return this; }
 

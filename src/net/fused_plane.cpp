@@ -17,6 +17,13 @@ std::uint64_t covered_slots(bool low, bool high, NodeId boundary, NodeId n) {
 
 }  // namespace
 
+// ------------------------------------------------------------- BlockStrategy
+
+void BlockStrategy::start_block(Adversary* const* advs, std::uint64_t lanes, NodeId n,
+                                Count budget) {
+    for (; lanes != 0; lanes &= lanes - 1) advs[std::countr_zero(lanes)]->on_start(n, budget);
+}
+
 // ---------------------------------------------------------------- FusedFrame
 
 void FusedFrame::throw_duplicate_row() {
@@ -207,9 +214,14 @@ void FusedBlock::run(FusedProtocol& proto, Adversary* const* advs, Count budget,
     ADBA_EXPECTS(in_block != 0);
     frame_.reset(n);
     ctl_.rearm(&frame_, &proto, budget);
-    for (std::uint64_t l = in_block; l != 0; l &= l - 1)
-        advs[std::countr_zero(l)]->on_start(n, budget);
+    // The block form, when there is one, starts every lane.
     BlockStrategy* const block = block_form(advs, in_block);
+    if (block != nullptr) {
+        block->start_block(advs, in_block, n, budget);
+    } else {
+        for (std::uint64_t l = in_block; l != 0; l &= l - 1)
+            advs[std::countr_zero(l)]->on_start(n, budget);
+    }
 
     std::uint64_t active = in_block;
     std::uint64_t decided = 0;

@@ -378,15 +378,17 @@ struct FusedLaneResult {
 /// fused plane upstream) and no transcript (the binary workload records
 /// none).
 ///
-/// The adversary beat takes one of two paths for the whole block: when
-/// every lane offers a block-level form of the first lane's strategy
-/// (Adversary::block_form, same_strategy), the first lane's decides them
-/// all; otherwise — a block mixing strategies, or a decorator that hides
-/// the form — every live lane's act() runs through the per-lane bridge.
+/// The adversary takes one of two paths for the whole block: when every
+/// lane offers a block-level form of the first lane's strategy
+/// (Adversary::block_form, same_strategy), the first lane's starts them all
+/// (BlockStrategy::start_block) and decides their beats; otherwise — a
+/// block mixing strategies, or a decorator that hides the form — every
+/// lane's on_start and every live lane's act() run through the per-lane
+/// bridge.
 class FusedBlock {
 public:
     /// `proto` must already be rearm()-ed for this block; advs[j] is lane
-    /// j's adversary (on_start is called here). The block runs the lanes of
+    /// j's adversary (started here). The block runs the lanes of
     /// `in_block` (a partial block leaves the rest out from round 0: their
     /// adversaries may be null and their results are not written). Results
     /// land in out[j] for each lane j of `in_block`.

@@ -47,7 +47,9 @@
 //    kernel, which turns 64 such counts back into a lane mask. Beside them
 //    sits kern::first_flips, a committee member's first coin in all 64
 //    lanes, with an AVX-512F/DQ form (eight splitmix chains per vector)
-//    chosen the same way (has_avx512dq).
+//    chosen the same way (has_avx512dq), and kern::fisher_yates_targets,
+//    a static adversary's set draws in all 64 lanes at a block's start,
+//    with an AVX-512F form (eight generators per vector).
 #pragma once
 
 #include <algorithm>
@@ -59,6 +61,7 @@
 #include <vector>
 
 #include "net/message.hpp"
+#include "rand/rng.hpp"
 #include "support/types.hpp"
 
 #if defined(__x86_64__)
@@ -272,6 +275,23 @@ std::uint64_t first_flips(const std::uint64_t* purpose, NodeId v);
 /// fallback on CPUs without AVX-512DQ, and the tests' reference.
 std::uint64_t first_flips_portable(const std::uint64_t* purpose, NodeId v);
 
+/// The swap targets of a partial Fisher-Yates draw of q[j] of n ids (a
+/// static adversary's set) in every lane j of `lanes` at once:
+/// targets[kWordBits * i + j] = i + gens[j].below(n - i) for i < q[j], in
+/// ascending i, exactly the draws of that many below() calls, which leave
+/// gens[j] where they leave it. Other entries of targets and the other
+/// lanes' generators are left as they were. Requires q[j] <= n. The path
+/// is chosen once at load time from the CPU: with AVX-512F, eight lanes per
+/// vector (fisher_yates_targets_avx512); otherwise
+/// fisher_yates_targets_portable.
+void fisher_yates_targets(Xoshiro256* gens, const Count* q, std::uint64_t lanes, NodeId n,
+                          NodeId* targets);
+
+/// The portable form of fisher_yates_targets: below() lane by lane. The
+/// fallback on CPUs without AVX-512F, and the tests' reference.
+void fisher_yates_targets_portable(Xoshiro256* gens, const Count* q, std::uint64_t lanes,
+                                   NodeId n, NodeId* targets);
+
 /// Carry-save adder: a + b + c == 2 * carry + sum in every bit position,
 /// with no carry chain between positions.
 inline void csa(std::uint64_t& carry, std::uint64_t& sum, std::uint64_t a,
@@ -359,6 +379,14 @@ bool has_avx512dq();
 /// the top bits leave through vpmovq2m. Only on a host with has_avx512dq().
 __attribute__((target("avx512f,avx512dq"))) std::uint64_t first_flips_avx512(
     const std::uint64_t* purpose, NodeId v);
+
+/// The AVX-512F form of fisher_yates_targets: the generators of eight
+/// lanes step together, and each x % (n - i) is a multiply by the
+/// reciprocal of n - i (Granlund-Montgomery), computed once per i for all
+/// lanes; a draw that below() would test for rejection leaves the vector
+/// and finishes in below()'s own loop. Only on a host with has_avx512f().
+__attribute__((target("avx512f"))) void fisher_yates_targets_avx512(
+    Xoshiro256* gens, const Count* q, std::uint64_t lanes, NodeId n, NodeId* targets);
 
 namespace wide {
 

@@ -13,19 +13,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) {
     if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
 
-std::uint64_t Xoshiro256::below(std::uint64_t bound) {
-    ADBA_EXPECTS(bound > 0);
-    if ((bound & (bound - 1)) == 0) return (*this)() & (bound - 1);  // power of two
-    std::uint64_t x = (*this)();
-    if (x > ~0ULL - bound) {
-        // limit = 2^64 - 1 - (2^64 - 1) % bound > 2^64 - 1 - bound: only
-        // here can x reach it.
-        const std::uint64_t limit = (~0ULL / bound) * bound;
-        while (x >= limit) x = (*this)();
-    }
-    return x % bound;
-}
-
 double Xoshiro256::uniform01() {
     // 53 high-quality bits into the mantissa.
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "support/contracts.hpp"
 #include "support/types.hpp"
 
 namespace adba {
@@ -42,6 +43,15 @@ public:
     /// Seeds the four words via splitmix64 from a single seed, per the
     /// generator authors' recommendation.
     explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+
+    /// The generator in state `s`, as state() reads it: a saved position
+    /// of a stream, or a crafted one. `s` must not be all zero.
+    static Xoshiro256 from_state(const std::array<std::uint64_t, 4>& s) {
+        ADBA_EXPECTS(s[0] != 0 || s[1] != 0 || s[2] != 0 || s[3] != 0);
+        Xoshiro256 g(State{});
+        g.s_ = s;
+        return g;
+    }
 
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
@@ -70,8 +80,20 @@ public:
     /// draw x below the largest multiple of bound in [0, 2^64), redrawn
     /// otherwise. That multiple exceeds 2^64 - 1 - bound, so only a draw
     /// above it can be rejected, and only that draw pays for computing the
-    /// multiple: one division per draw.
-    std::uint64_t below(std::uint64_t bound);
+    /// multiple: one division per draw. Inline, so that a caller's loop of
+    /// draws keeps the state in registers.
+    std::uint64_t below(std::uint64_t bound) {
+        ADBA_EXPECTS(bound > 0);
+        if ((bound & (bound - 1)) == 0) return (*this)() & (bound - 1);  // power of two
+        std::uint64_t x = (*this)();
+        if (x > ~0ULL - bound) {
+            // limit = 2^64 - 1 - (2^64 - 1) % bound > 2^64 - 1 - bound: only
+            // here can x reach it.
+            const std::uint64_t limit = (~0ULL / bound) * bound;
+            while (x >= limit) x = (*this)();
+        }
+        return x % bound;
+    }
 
     /// Uniform double in [0, 1).
     double uniform01();
@@ -88,6 +110,9 @@ public:
     const std::array<std::uint64_t, 4>& state() const { return s_; }
 
 private:
+    struct State {};
+    explicit Xoshiro256(State) : s_{} {}
+
     std::array<std::uint64_t, 4> s_;
 };
 

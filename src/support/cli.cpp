@@ -117,7 +117,11 @@ Cli::Cli(int argc, char** argv) {
     if (argc > 0) passthrough_.emplace_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.rfind("--benchmark", 0) == 0 || arg.rfind("--", 0) != 0) {
+        if (arg.rfind("--", 0) != 0)
+            throw ContractViolation("unexpected argument '" + arg +
+                                    "': flags take the form --name=value (quote a --scenario "
+                                    "spec that holds spaces)");
+        if (arg.rfind("--benchmark", 0) == 0) {
             passthrough_.push_back(std::move(arg));
             continue;
         }

@@ -86,8 +86,10 @@ class Cli {
 public:
     /// Parses argv, consuming recognized `--key[=value]` pairs.
     /// Arguments beginning with `--benchmark` are left for google-benchmark.
-    /// A malformed number in an accessor throws ContractViolation naming
-    /// the flag.
+    /// Any other argument that does not begin with `--` (and is not the
+    /// value of a preceding `--key`) throws ContractViolation naming it. A
+    /// malformed number in an accessor throws ContractViolation naming the
+    /// flag.
     Cli(int argc, char** argv);
 
     bool has(const std::string& key) const;
@@ -111,7 +113,8 @@ public:
     std::vector<std::int64_t> get_int_list(const std::string& key,
                                            std::vector<std::int64_t> fallback) const;
 
-    /// Remaining untouched arguments (argv[0] + benchmark flags + positionals).
+    /// Remaining untouched arguments: argv[0] and the `--benchmark_*` flags
+    /// (for google-benchmark).
     const std::vector<std::string>& passthrough() const { return passthrough_; }
 
     /// Throws ContractViolation when any parsed `--flag` was never queried by

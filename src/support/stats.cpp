@@ -55,11 +55,6 @@ double RunningStats::max() const {
     return max_;
 }
 
-void Samples::add(double x) {
-    xs_.push_back(x);
-    sorted_ = xs_.size() <= 1;
-}
-
 void Samples::merge(const Samples& other) {
     if (other.xs_.empty()) return;
     xs_.insert(xs_.end(), other.xs_.begin(), other.xs_.end());

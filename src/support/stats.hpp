@@ -45,7 +45,11 @@ private:
 /// Stored-sample statistics with exact empirical quantiles.
 class Samples {
 public:
-    void add(double x);
+    /// Inline: the runners add four samples per trial.
+    void add(double x) {
+        xs_.push_back(x);
+        sorted_ = xs_.size() <= 1;
+    }
     void reserve(std::size_t n) { xs_.reserve(n); }
 
     /// Appends another sample set, preserving its current storage order.

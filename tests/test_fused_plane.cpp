@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -208,10 +210,11 @@ void expect_block_eq(const BlockOutcome& a, const BlockOutcome& b) {
 }
 
 /// Runs one fused block of `plan`'s protocol, as the binary arena does,
-/// against the adversaries `make(j, lane seeds, metadata)` builds.
+/// against the adversaries `make(j, lane seeds, metadata)` builds, in the
+/// lanes of `in_block` (the others' results are left default).
 template <typename MakeAdversary>
 BlockOutcome run_block(const sim::ScenarioPlan& plan, std::uint64_t base_seed,
-                       MakeAdversary&& make) {
+                       MakeAdversary&& make, std::uint64_t in_block = ~std::uint64_t{0}) {
     const sim::Scenario& s = plan.scenario;
     const NodeId n = s.n;
     const std::unique_ptr<net::FusedProtocol> proto = plan.protocol->make_fused(s);
@@ -239,7 +242,7 @@ BlockOutcome run_block(const sim::ScenarioPlan& plan, std::uint64_t base_seed,
     BlockOutcome out;
     block.run(*proto, advs, s.t, s.max_rounds_override ? s.max_rounds_override
                                                         : meta.default_max_rounds,
-              out.lanes);
+              out.lanes, in_block);
     out.byz.assign(block.byz_plane(), block.byz_plane() + n);
     out.val.assign(proto->value_plane(), proto->value_plane() + n);
     return out;
@@ -441,6 +444,143 @@ TEST(FusedPlane, CommitteeFlipsWideFormMatchesPortable) {
     }
 #else
     GTEST_SKIP() << "the wide flip form is x86-64 only";
+#endif
+}
+
+// fisher_yates_targets: a static adversary's partial Fisher-Yates draws for
+// up to 64 lanes at once must be below()'s, checked here against a
+// rejection sampler written from its definition.
+
+/// x % bound of the first draw of g below the largest multiple of bound in
+/// [0, 2^64), drawing again above it: Xoshiro256::below's contract.
+std::uint64_t reference_below(Xoshiro256& g, std::uint64_t bound) {
+    const unsigned __int128 multiple = ((static_cast<unsigned __int128>(1) << 64) / bound) * bound;
+    std::uint64_t x = g();
+    while (x >= multiple) x = g();
+    return x % bound;
+}
+
+/// The state whose next output is x: the xoshiro256** scrambler
+/// rotl(s1 * 5, 7) * 9 is a bijection of s1 (5 and 9 are odd).
+std::array<std::uint64_t, 4> state_with_output(std::uint64_t x, std::uint64_t other) {
+    constexpr std::uint64_t kInverse5 = 0xCCCCCCCCCCCCCCCDULL, kInverse9 = 0x8E38E38E38E38E39ULL;
+    static_assert(5 * kInverse5 == 1 && 9 * kInverse9 == 1);
+    const std::uint64_t s1 = std::rotr(x * kInverse9, 7) * kInverse5;
+    return {other | 1, s1, other * 3, other ^ 0xA5A5};
+}
+
+/// The state one Xoshiro256 step before `a`.
+std::array<std::uint64_t, 4> state_before(const std::array<std::uint64_t, 4>& a) {
+    // A step maps (s0, s1, s2, s3) to (s0 ^ s3 ^ s1, s1 ^ s2 ^ s0,
+    // s2 ^ s0 ^ (s1 << 17), rotl(s3 ^ s1, 45)).
+    const std::uint64_t n3 = std::rotr(a[3], 45);          // s3 ^ s1
+    const std::uint64_t c = a[1] ^ a[2];                   // s1 ^ (s1 << 17)
+    const std::uint64_t s1 = c ^ (c << 17) ^ (c << 34) ^ (c << 51);
+    const std::uint64_t s0 = a[0] ^ n3;
+    const std::uint64_t s2 = a[1] ^ s1 ^ s0;
+    return {s0, s1, s2, n3 ^ s1};
+}
+
+enum class TargetsForm { Dispatched, Portable, Wide };
+
+/// One kernel form's targets and end states against reference_below, lane
+/// by lane, for the generators `gens` in the lanes of `lanes`; entries of
+/// other lanes and past a lane's q must stay unwritten.
+void expect_targets_replay_below(TargetsForm form, const std::vector<Xoshiro256>& gens,
+                                 const Count* q, std::uint64_t lanes, NodeId n) {
+    Count most = 0;
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) most = std::max(most, q[j]);
+    constexpr NodeId kUnwritten = 0xDEADBEEF;
+    std::vector<NodeId> targets(std::size_t{most} * net::kFusedLanes + 1, kUnwritten);
+    std::vector<Xoshiro256> drawn = gens;
+    switch (form) {
+        case TargetsForm::Dispatched:
+            net::kern::fisher_yates_targets(drawn.data(), q, lanes, n, targets.data());
+            break;
+        case TargetsForm::Portable:
+            net::kern::fisher_yates_targets_portable(drawn.data(), q, lanes, n, targets.data());
+            break;
+        case TargetsForm::Wide:
+#if defined(__x86_64__)
+            net::kern::fisher_yates_targets_avx512(drawn.data(), q, lanes, n, targets.data());
+#endif
+            break;
+    }
+    for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+        SCOPED_TRACE("lane " + std::to_string(j) + " q=" + std::to_string(q[j]));
+        const bool in = (lanes >> j & 1) != 0;
+        Xoshiro256 ref = gens[j];
+        for (Count i = 0; i < most; ++i) {
+            const NodeId got = targets[std::size_t{net::kFusedLanes} * i + j];
+            if (in && i < q[j])
+                ASSERT_EQ(got, i + reference_below(ref, n - i)) << "draw " << i;
+            else
+                ASSERT_EQ(got, kUnwritten) << "draw " << i;
+        }
+        ASSERT_EQ(drawn[j].state(), ref.state());
+    }
+}
+
+void expect_targets_replay_below_everywhere(TargetsForm form) {
+    Xoshiro256 rng(0xF15Au);
+    std::vector<Xoshiro256> gens(net::kFusedLanes);
+    Count q[net::kFusedLanes];
+    for (int rep = 0; rep < 300; ++rep) {
+        const NodeId sizes[] = {1, 2, 3, 5, 64, 65, 100, 128, 200, 1024, 1 << 20, ~NodeId{0},
+                                static_cast<NodeId>(1 + rng() % 3000)};
+        const NodeId n = sizes[rep % std::size(sizes)];
+        // All lanes, a partial block's first lanes, or a random mask.
+        const std::uint64_t lanes = rep % 3 == 0   ? ~std::uint64_t{0}
+                                    : rep % 3 == 1 ? (std::uint64_t{1} << (1 + rep % 63)) - 1
+                                                   : rng();
+        const Count cap = std::min<NodeId>(n, 300);  // keep the huge-n cases short
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            gens[j] = Xoshiro256(rng());
+            const Count choices[] = {0, 1, cap - 1, cap, static_cast<Count>(rng() % (cap + 1))};
+            q[j] = choices[(j + rep) % std::size(choices)];
+        }
+        SCOPED_TRACE("rep " + std::to_string(rep) + " n=" + std::to_string(n));
+        expect_targets_replay_below(form, gens, q, lanes, n);
+    }
+    // Crafted draws past 2^64 - 1 - bound, where below() tests for
+    // rejection unless the bound is a power of two: 2^64 - 1, which it then
+    // redraws, and 2^64 - bound, which it keeps. Two lanes in three are
+    // crafted, at the first draw, later in the first chunk of 32 draws and
+    // in the second.
+    for (const NodeId n : {NodeId{3}, NodeId{64}, NodeId{100}, NodeId{255}, NodeId{1000}}) {
+        for (const Count at : {Count{0}, Count{1}, Count{5}, Count{40}}) {
+            if (at >= n) continue;
+            const std::uint64_t bound = n - at;
+            for (const std::uint64_t x : {~std::uint64_t{0}, 0 - bound}) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " draw " + std::to_string(at) +
+                             " x=" + std::to_string(x));
+                for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+                    std::array<std::uint64_t, 4> st = state_with_output(x, rng());
+                    for (Count back = 0; back < at; ++back) st = state_before(st);
+                    gens[j] = j % 3 == 1 ? Xoshiro256(rng()) : Xoshiro256::from_state(st);
+                    q[j] = std::min<Count>(n, at + 1 + j % 4);
+                }
+                // Lane 0's state does reach x at draw `at`.
+                Xoshiro256 probe = gens[0];
+                for (Count i = 0; i < at; ++i) (void)reference_below(probe, n - i);
+                ASSERT_EQ(probe(), x);
+                expect_targets_replay_below(form, gens, q, ~std::uint64_t{0} >> (x & 7), n);
+            }
+        }
+    }
+}
+
+TEST(FusedPlane, FisherYatesTargetsReplayBelow) {
+    expect_targets_replay_below_everywhere(TargetsForm::Portable);
+    expect_targets_replay_below_everywhere(TargetsForm::Dispatched);
+}
+
+TEST(FusedPlane, FisherYatesTargetsWideFormReplaysBelow) {
+#if defined(__x86_64__)
+    if (!net::kern::has_avx512f()) GTEST_SKIP() << "the host CPU lacks AVX-512F";
+    expect_targets_replay_below_everywhere(TargetsForm::Wide);
+#else
+    GTEST_SKIP() << "the wide Fisher-Yates form is x86-64 only";
 #endif
 }
 
@@ -2128,6 +2268,10 @@ TEST(FusedWorstCase, StatelessCommitteeDrawsHoldAcrossCommitteeRevisits) {
                     scalar.use_fused = false;
                     const sim::Aggregate fused = sim::run_trials(s, 0xD4A + n, 128, {1, 0});
                     expect_aggregate_eq(fused, sim::run_trials(scalar, 0xD4A + n, 128, {1, 0}));
+                    // The scalar batch draws statelessly too; the per-node
+                    // nodes step their own streams.
+                    scalar.use_batch = false;
+                    expect_aggregate_eq(fused, sim::run_trials(scalar, 0xD4A + n, 128, {1, 0}));
                     ++compared;
                     // Phase p visits committee p mod num_blocks.
                     if (fused.rounds.max() > 2.0 * sim::schedule_of(s)->num_blocks) ++revisited;
@@ -2137,6 +2281,109 @@ TEST(FusedWorstCase, StatelessCommitteeDrawsHoldAcrossCommitteeRevisits) {
     }
     EXPECT_EQ(compared, 4u * 6u * 6u * 2u);
     EXPECT_GT(revisited, 0u) << "no run revisited a committee";
+}
+
+// ---------------------------------------------------------------------------
+// `static`'s block start draws every lane's set at once; each lane's
+// on_start, and the per-lane bridge, are its oracles. A protocol that does
+// nothing and a budget of n let q reach n.
+
+TEST(FusedBlockForm, StaticBlockStartDrawsEachLanesOnStartSet) {
+    Xoshiro256 rng(0x57A7u);
+    for (int rep = 0; rep < 60; ++rep) {
+        const NodeId sizes[] = {1, 2, 7, 63, 64, 65, 128, 200, static_cast<NodeId>(1 + rng() % 700)};
+        const NodeId n = sizes[rep % std::size(sizes)];
+        const std::uint64_t in_block = rep % 3 == 0   ? ~std::uint64_t{0}
+                                       : rep % 3 == 1 ? (std::uint64_t{1} << (1 + rep % 63)) - 1
+                                                      : rng() | 1;
+        std::uint64_t seed[net::kFusedLanes];
+        Count q[net::kFusedLanes];
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            seed[j] = rng();
+            const Count choices[] = {0, 1, n - 1, n, static_cast<Count>(rng() % (n + 1))};
+            q[j] = choices[(j + rep) % std::size(choices)];
+        }
+        SCOPED_TRACE("rep " + std::to_string(rep) + " n=" + std::to_string(n));
+        const auto run = [&](bool bridge) {
+            std::vector<std::unique_ptr<net::Adversary>> owned(net::kFusedLanes);
+            net::Adversary* advs[net::kFusedLanes] = {};
+            for (std::uint64_t l = in_block; l != 0; l &= l - 1) {
+                const unsigned j = static_cast<unsigned>(std::countr_zero(l));
+                owned[j] = std::make_unique<adv::StaticAdversary>(q[j], Xoshiro256(seed[j]));
+                if (bridge) owned[j] = std::make_unique<BridgeOnly>(std::move(owned[j]));
+                advs[j] = owned[j].get();
+            }
+            PlaneProtocol proto(n);
+            net::FusedBlock block;
+            BlockOutcome out;
+            block.run(proto, advs, n, 2, out.lanes, in_block);
+            out.byz.assign(block.byz_plane(), block.byz_plane() + n);
+            return out;
+        };
+        const BlockOutcome block = run(false);
+        for (unsigned j = 0; j < net::kFusedLanes; ++j) {
+            std::vector<NodeId> lane_set;
+            for (NodeId v = 0; v < n; ++v)
+                if ((block.byz[v] >> j & 1) != 0) lane_set.push_back(v);
+            if ((in_block >> j & 1) == 0) {
+                EXPECT_TRUE(lane_set.empty()) << "lane " << j << " is not in the block";
+                continue;
+            }
+            adv::StaticAdversary scalar(q[j], Xoshiro256(seed[j]));
+            scalar.on_start(n, n);
+            ASSERT_EQ(lane_set, scalar.corrupted()) << "lane " << j << " q=" << q[j];
+        }
+        const BlockOutcome bridge = run(true);
+        EXPECT_EQ(block.byz, bridge.byz);
+        for (std::uint64_t l = in_block; l != 0; l &= l - 1) {
+            const unsigned j = static_cast<unsigned>(std::countr_zero(l));
+            EXPECT_EQ(block.lanes[j].rounds, bridge.lanes[j].rounds) << "lane " << j;
+            EXPECT_EQ(block.lanes[j].metrics.corruptions, q[j]) << "lane " << j;
+            EXPECT_EQ(block.lanes[j].metrics.corruptions, bridge.lanes[j].metrics.corruptions);
+            EXPECT_EQ(block.lanes[j].metrics.byzantine_messages,
+                      bridge.lanes[j].metrics.byzantine_messages)
+                << "lane " << j;
+            EXPECT_EQ(block.lanes[j].metrics.honest_messages,
+                      bridge.lanes[j].metrics.honest_messages)
+                << "lane " << j;
+        }
+    }
+}
+
+TEST(FusedBlockForm, StaticBlocksWithADifferentQPerLaneMatchTheBridge) {
+    // Registry protocols at q in {0, 1, t/2, t} by lane, whole and partial
+    // blocks: the block start and shared rows against the per-lane bridge.
+    for (const sim::ProtocolKind protocol :
+         {sim::ProtocolKind::Ours, sim::ProtocolKind::BenOr, sim::ProtocolKind::PhaseKing}) {
+        for (const NodeId n : {NodeId{64}, NodeId{97}}) {
+            sim::Scenario s;
+            s.protocol = protocol;
+            s.adversary = sim::AdversaryKind::Static;
+            s.n = n;
+            s.t = max_t(sim::ProtocolRegistry::instance().at(protocol), n);
+            s.inputs = sim::InputPattern::Split;
+            s.local_coin_phases = 8;
+            s.use_fused = true;
+            s.intra_threads = 1;
+            const sim::ScenarioPlan plan = sim::validate(s);
+            const Count qs[] = {0, 1, s.t / 2, s.t};
+            const auto by_lane = [&qs](bool bridge) {
+                return [&qs, bridge](unsigned j, const SeedTree& seeds, const sim::ProtocolBundle&) {
+                    std::unique_ptr<net::Adversary> a = std::make_unique<adv::StaticAdversary>(
+                        qs[j % 4], seeds.stream(StreamPurpose::Adversary));
+                    if (bridge) a = std::make_unique<BridgeOnly>(std::move(a));
+                    return a;
+                };
+            };
+            for (const std::uint64_t in_block : {~std::uint64_t{0}, (std::uint64_t{1} << 37) - 1}) {
+                SCOPED_TRACE(s.describe() + " lanes=" + std::to_string(std::popcount(in_block)));
+                const BlockOutcome block = run_block(plan, 0xB10 + n, by_lane(false), in_block);
+                expect_block_eq(block, run_block(plan, 0xB10 + n, by_lane(true), in_block));
+                for (unsigned j = 0; j < 37; ++j)
+                    EXPECT_EQ(block.lanes[j].metrics.corruptions, qs[j % 4]) << "lane " << j;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -356,10 +356,29 @@ TEST(Cli, CheckUnusedFailsLoudlyOnTypo) {
     }
 }
 
-TEST(Cli, CheckUnusedIgnoresPassthrough) {
-    const char* argv[] = {"prog", "--benchmark_filter=all", "positional"};
+TEST(Cli, CheckUnusedIgnoresBenchmarkFlags) {
+    const char* argv[] = {"prog", "--benchmark_filter=all", "--benchmark_repetitions=2"};
     Cli cli(3, const_cast<char**>(argv));
     EXPECT_NO_THROW(cli.check_unused());
+    EXPECT_EQ(cli.passthrough().size(), 3u);
+}
+
+TEST(Cli, RefusesPositionalArguments) {
+    // A stray word, and the second key of an unquoted --scenario spec, are
+    // refused by name before any flag is read.
+    for (const std::string stray : {"bogus", "simd=off", "-n"}) {
+        const char* argv[] = {"prog", "--scenario=n=32", stray.c_str()};
+        try {
+            Cli cli(3, const_cast<char**>(argv));
+            FAIL() << "expected ContractViolation for '" << stray << "'";
+        } catch (const ContractViolation& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("unexpected argument '" + stray + "'"), std::string::npos) << msg;
+        }
+    }
+    // The value of a spaced flag is not positional.
+    const char* argv[] = {"prog", "--trials", "50", "--benchmark_filter=NONE"};
+    EXPECT_NO_THROW(Cli(4, const_cast<char**>(argv)));
 }
 
 TEST(Cli, CheckUnusedListsAllOffenders) {
