@@ -33,9 +33,9 @@ public:
     /// Corrupts `q` nodes chosen uniformly at round 0 (q <= engine budget).
     StaticAdversary(Count q, Xoshiro256 rng) : q_(q), rng_(rng) {}
 
-    /// Replaces the stream the next on_start draws its set from, so that a
-    /// kept object replays a fresh one built with `rng` (its vectors are
-    /// reused).
+    /// Replaces the stream the next on_start (or a fused block's start)
+    /// draws its set from, so that a kept object replays a fresh one built
+    /// with `rng` (its vectors are reused).
     void reseed(Xoshiro256 rng) { rng_ = rng; }
 
     void on_start(NodeId n, Count budget) override;

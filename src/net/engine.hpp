@@ -184,7 +184,8 @@ class Adversary {
 public:
     virtual ~Adversary() = default;
 
-    /// Called once before round 0.
+    /// Called once before round 0, unless a fused block's block form
+    /// starts this lane in its place (BlockStrategy::start_block).
     virtual void on_start(NodeId /*n*/, Count /*budget*/) {}
 
     /// Called once per round, between honest sends and deliveries.
