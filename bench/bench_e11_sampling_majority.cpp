@@ -49,7 +49,7 @@ E11Agg run_cell(NodeId n, Count t, Count trials) {
             base::arm_sampling_majority_nodes(
                 params, sim::make_inputs(sim::InputPattern::Split, n, seeds), seeds, nodes);
             adv::MajorityBalancerAdversary adversary({t, 0});
-            net::Engine eng({n, t, params.rounds + 1, false}, std::move(nodes),
+            net::Engine eng({n, t, params.rounds + 1}, std::move(nodes),
                             adversary);
             Round first = params.rounds;
             bool found = false;

@@ -50,7 +50,7 @@ static int run(const adba::Cli& cli) {
     // flip the coin, decided-quorum suppression.
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
 
-    net::Engine engine({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
+    net::Engine engine({n, t, core::max_rounds_whp(params)}, std::move(nodes),
                        adversary);
     const net::RunResult result = engine.run();
 

@@ -5,9 +5,8 @@
 namespace adba::net {
 
 void BatchProtocol::receive_all(Round, const RoundBuffer&, const DeliverySource&) {
-    throw ContractViolation(
-        "this batch has no DeliverySource form; reference delivery steps the "
-        "per-node nodes (PerNodeBatch)");
+    throw ContractViolation("this batch has no DeliverySource form; its receive "
+                            "beats read the round's shared tally");
 }
 
 void BatchProtocol::send_range(Round, RoundBuffer&, NodeId, NodeId) {
@@ -55,27 +54,15 @@ void PerNodeBatch::send_all(Round r, RoundBuffer& buf) {
     }
 }
 
-template <typename MakeView>
-void PerNodeBatch::receive_impl(Round r, const std::uint8_t* state,
-                                MakeView&& make_view) {
+void PerNodeBatch::receive_all(Round r, const RoundBuffer& buf,
+                               const RoundTally& tally) {
+    const std::uint8_t* state = buf.state_plane();
     const NodeId n = this->n();
     for (NodeId v = 0; v < n; ++v) {
         if ((state[v] & RoundBuffer::kByzantine) != 0 || halted_[v]) continue;
-        const ReceiveView view = make_view(v);
-        nodes_[v]->round_receive(r, view);
+        nodes_[v]->round_receive(r, ReceiveView(buf, tally, v));
         if (nodes_[v]->halted()) halted_[v] = 1;
     }
-}
-
-void PerNodeBatch::receive_all(Round r, const RoundBuffer& buf,
-                               const RoundTally& tally) {
-    receive_impl(r, buf.state_plane(),
-                 [&](NodeId v) { return ReceiveView(buf, tally, v); });
-}
-
-void PerNodeBatch::receive_all(Round r, const RoundBuffer& buf,
-                               const DeliverySource& src) {
-    receive_impl(r, buf.state_plane(), [&](NodeId v) { return ReceiveView(src, v); });
 }
 
 // --------------------------------------------------------------- BeatCounts

@@ -11,10 +11,7 @@
 //   send_all(r, buf)              — every live honest node broadcasts,
 //   receive_all(r, buf, tally)    — every live honest node consumes the
 //                                   round (flat delivery plane + shared
-//                                   tallies), or
-//   receive_all(r, src)           — the same over the virtual DeliverySource
-//                                   oracle (EngineConfig::reference_delivery;
-//                                   the per-node adapter only),
+//                                   tallies),
 //
 // plus the sharded (receive_prepare / receive_range) and sampled
 // (receive_sparse_prepare / receive_sparse_range) splits of the receive
@@ -23,10 +20,9 @@
 //
 // Two families implement the interface:
 //  * PerNodeBatch — the generic adapter over any HonestNode vector. Every
-//    protocol works unchanged through it, and it is the reference oracle the
-//    native batches are pinned against; over the DeliverySource oracle
-//    (scenario key `reference=true`) it is the executable spec of every
-//    plane.
+//    protocol works unchanged through it, and it is the oracle the native
+//    batches are pinned against (scenario key `batch=false`;
+//    tests/test_batch_plane.cpp and the golden table's adapter pass).
 //  * NativeBatch — SoA batches (core/skeleton_batch.hpp,
 //    baselines/ben_or.hpp, baselines/phase_king.hpp) that keep per-node
 //    state as flat arrays and write each protocol's receive rule ONCE. A
@@ -39,8 +35,7 @@
 //    plane (sampled estimates; the committee coin stays an exact island),
 //    so the flat, sharded and sampled beats run one rule. Selected by the
 //    registry's make_batch hooks; scenario key `batch=false` (CLI
-//    `--batch=off`) or `reference=true` runs the per-node nodes through
-//    the adapter instead.
+//    `--batch=off`) runs the per-node nodes through the adapter instead.
 //
 // One step further along the same axis, net/fused_plane.hpp batches across
 // TRIALS instead of nodes: 64 Monte-Carlo trials co-execute bit-sliced in
@@ -84,12 +79,8 @@ public:
     virtual void receive_all(Round r, const RoundBuffer& buf,
                              const RoundTally& tally) = 0;
 
-    /// Beat 3, oracle path: the same semantics over the virtual
-    /// DeliverySource adapter (the engine's reference_delivery mode) —
-    /// per-node ReceiveView queries, the executable spec of the flat
-    /// receive_all. `buf` supplies the honesty plane only; deliveries go
-    /// through `src`. Only the per-node form has one (PerNodeBatch); the
-    /// default throws ContractViolation.
+    /// Written only by perfbench (its tracing wrapper forwards it); src/
+    /// calls none of it. The default throws ContractViolation.
     virtual void receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src);
 
     // ---- intra-trial sharding (EngineConfig::intra) ----
@@ -199,7 +190,7 @@ public:
     NodeId n() const override { return static_cast<NodeId>(nodes_.size()); }
     void send_all(Round r, RoundBuffer& buf) override;
     void receive_all(Round r, const RoundBuffer& buf, const RoundTally& tally) override;
-    void receive_all(Round r, const RoundBuffer& buf, const DeliverySource& src) override;
+    using BatchProtocol::receive_all;
     const std::uint8_t* halted_plane() const override { return halted_.data(); }
     Bit value(NodeId v) const override { return nodes_[v]->current_value(); }
     bool decided(NodeId v) const override { return nodes_[v]->current_decided(); }
@@ -209,9 +200,6 @@ public:
     }
 
 private:
-    template <typename MakeView>
-    void receive_impl(Round r, const std::uint8_t* state, MakeView&& make_view);
-
     std::vector<std::unique_ptr<HonestNode>> nodes_;
     std::vector<std::uint8_t> halted_;
 };
@@ -241,8 +229,9 @@ struct BeatQuery {
 ///  * sampled — SparsePlane::val_estimates per receiver; the committee
 ///              coin and single-sender probes stay exact (the committee
 ///              is the plane's exact island).
-/// Their spec is the per-node nodes over a DeliverySource (PerNodeBatch
-/// under `reference=true`).
+/// Their spec is the per-node nodes (PerNodeBatch under `batch=false`),
+/// whose ReceiveView queries are in turn pinned against the per-sender
+/// DeliverySource spec (tests/test_delivery_plane.cpp).
 class BeatCounts {
 public:
     BeatCounts() = default;

@@ -173,8 +173,6 @@ void Engine::common_reset(EngineConfig cfg, Adversary& adversary) {
     if (cfg_.plane == PlaneMode::Sparse) {
         ADBA_EXPECTS_MSG(batch_->supports_sparse(),
                          "plane=sparse requires a sparse-capable batch");
-        ADBA_EXPECTS_MSG(!cfg_.reference_delivery,
-                         "plane=sparse has no reference-delivery form");
         sparse_.reset(cfg_.n, cfg_.sample_degree, cfg_.sparse_seed);
     }
     round_ = 0;
@@ -182,8 +180,6 @@ void Engine::common_reset(EngineConfig cfg, Adversary& adversary) {
     buf_.reset(cfg_.n);
     honest_mask_.assign(cfg_.n, true);
     metrics_ = Metrics{};
-    transcript_.reset();
-    if (cfg_.record_transcript) transcript_.emplace();
     observer_ = nullptr;  // a run-A observer must not fire on run B's state
     ran_ = false;
 }
@@ -212,7 +208,6 @@ std::optional<Message> Engine::do_corrupt(NodeId v) {
     ++budget_used_;
     ++metrics_.corruptions;
     honest_mask_[v] = false;
-    if (transcript_) transcript_->record_corruption(v);
     return buf_.corrupt(v);
 }
 
@@ -223,7 +218,7 @@ void Engine::do_deliver(NodeId byz_from, NodeId to, const Message& m) {
 }
 
 void Engine::account_sends() {
-    // Accounting + transcript reflect post-corruption reality: a node
+    // Accounting reflects post-corruption reality: a node
     // corrupted this round never got its broadcast onto the wire. Honest
     // receivers that already terminated have left the protocol, so a
     // broadcast is charged only for the receivers that still take delivery
@@ -263,32 +258,13 @@ void Engine::account_sends() {
         broadcast_fanout(words, words_halted, halted_receivers, n, cap);
     metrics_.honest_messages += fanout;
     metrics_.honest_bits += fanout * wire_bits(Message{}, n) + word_fanout * kWordWireBits;
-    if (transcript_) record_sends();
-}
-
-void Engine::record_sends() {
-    for (NodeId v = 0; v < cfg_.n; ++v) {
-        if (buf_.is_honest(v)) {
-            const Message* m = buf_.broadcast(v);
-            transcript_->record_send(v, m ? std::optional<Message>(*m) : std::nullopt,
-                                     true);
-        } else {
-            transcript_->record_send(v, std::nullopt, false);
-        }
-    }
 }
 
 IntraDispatcher* Engine::shard_dispatcher() const {
-    if (cfg_.intra == nullptr || cfg_.reference_delivery) return nullptr;
-    return batch_->shardable() ? cfg_.intra : nullptr;
+    return cfg_.intra != nullptr && batch_->shardable() ? cfg_.intra : nullptr;
 }
 
 void Engine::run_receives() {
-    if (cfg_.reference_delivery) {
-        const RoundBufferSource src(buf_);
-        batch_->receive_all(round_, buf_, src);
-        return;
-    }
     // The tally is word-packed where its planes are read word-wise: sharded
     // beats (the pack pass splits over the shards) and the sparse plane's
     // per-edge probes. Serial flat beats take the byte-plane sweep, which
@@ -339,7 +315,6 @@ RunResult Engine::run() {
     bool timed_out = false;
     for (round_ = 0; round_ < cfg_.max_rounds; ++round_) {
         if (cfg_.beat_probe) cfg_.beat_probe(round_);
-        if (transcript_) transcript_->begin_round(round_, cfg_.n);
         buf_.begin_round();
 
         // Beat 1: honest sends (randomness for this round is drawn here).
@@ -417,7 +392,6 @@ RunResult Engine::run() {
     ADBA_ENSURES_MSG(res.outcome == TrialOutcome::Decided || !res.all_halted,
                      "a non-decided outcome must never read as all-halted");
     res.metrics = metrics_;
-    res.transcript = std::move(transcript_);
 
     // Pooled arenas destroy the per-trial adversary right after run();
     // drop the pointer so the idle engine never holds a dangling reference.

@@ -26,10 +26,9 @@
 //   BatchProtocol  — whole-protocol stepping: ONE virtual dispatch per beat
 //                    per round (send_all / receive_all), with halted state
 //                    as a contiguous bitplane. Per-node HonestNode vectors
-//                    ride through the PerNodeBatch adapter unchanged.
-// EngineConfig::reference_delivery re-routes every delivery probe through
-// the virtual DeliverySource adapter with per-sender tally loops: the slow
-// oracle the equivalence tests pin the flat path against.
+//                    ride through the PerNodeBatch adapter unchanged; the
+//                    adapter is the oracle the native batches are pinned
+//                    against (tests/test_batch_plane.cpp, golden table).
 //
 // Adversaries act through RoundControl, one trial at a time. The fused
 // trial plane (net/fused_plane.hpp) runs the same act() per lane through a
@@ -56,7 +55,6 @@
 #include "net/node.hpp"
 #include "net/round_buffer.hpp"
 #include "net/sparse_plane.hpp"
-#include "net/transcript.hpp"
 #include "support/types.hpp"
 
 namespace adba::net {
@@ -255,18 +253,16 @@ struct EngineConfig {
     NodeId n = 0;
     Count budget = 0;        ///< adversary's corruption budget t
     Round max_rounds = 0;    ///< hard stop if the protocol does not self-halt
+    /// Written only by perfbench; src/ reads none of it.
     bool record_transcript = false;
-    /// Route deliveries through the virtual DeliverySource adapter with
-    /// per-sender tally loops — the reference path the flat plane is pinned
-    /// against. Semantics identical, markedly slower.
+    /// Written only by perfbench; src/ reads none of it.
     bool reference_delivery = false;
     /// Written only by perfbench; src/ reads none of it.
     bool simd_tally = true;
     /// Sparse delivery mode: live receivers probe only `sample_degree`
     /// sampled sender edges per round and scale counts to estimates
     /// (degree >= n: dense exact walk, bit-identical to flat). Requires a
-    /// sparse-capable batch (BatchProtocol::supports_sparse) and
-    /// !reference_delivery.
+    /// sparse-capable batch (BatchProtocol::supports_sparse).
     PlaneMode plane = PlaneMode::Flat;
     /// Sampled senders per receiver per round; 0 = kDefaultSampleDegree.
     Count sample_degree = 0;
@@ -278,8 +274,8 @@ struct EngineConfig {
     /// Intra-trial shard dispatcher (owned by the caller, e.g. the arena's
     /// sim::ShardPool; must outlive run()). When set, the send beat, the
     /// packed tally build, and the receive beat split into the dispatcher's
-    /// word-aligned node ranges — provided the batch is shardable() and the
-    /// engine is not in reference_delivery mode. Null = serial beats.
+    /// word-aligned node ranges — provided the batch is shardable(). Null =
+    /// serial beats.
     /// The round tally is word-packed exactly when the beats shard or the
     /// plane is sparse (whose per-edge probes read the packed planes), and
     /// the byte-plane build otherwise; both answer every query alike.
@@ -310,7 +306,6 @@ struct RunResult {
     /// (sim/workload.hpp), which owns fault recovery.
     TrialOutcome outcome = TrialOutcome::Decided;
     Metrics metrics;
-    std::optional<Transcript> transcript;
 
     /// All surviving honest nodes output the same bit.
     bool agreement() const;
@@ -366,12 +361,11 @@ private:
 
     void common_reset(EngineConfig cfg, Adversary& adversary);
     /// The dispatcher for protocol beats, or nullptr for serial execution
-    /// (no dispatcher configured, batch not shardable, or oracle mode).
+    /// (no dispatcher configured or batch not shardable).
     IntraDispatcher* shard_dispatcher() const;
     std::optional<Message> do_corrupt(NodeId v);
     void do_deliver(NodeId byz_from, NodeId to, const Message& m);
     void account_sends();
-    void record_sends();
     void run_receives();
 
     EngineConfig cfg_;
@@ -387,7 +381,6 @@ private:
     std::vector<bool> honest_mask_;  ///< mirror of buf_ honesty for observers/results
 
     Metrics metrics_;
-    std::optional<Transcript> transcript_;
     RoundObserver observer_;
     bool ran_ = false;
 };

@@ -46,7 +46,8 @@
 // SeedTree chain as scalar trials, every (node, lane) RNG stream is private,
 // and every count is exact — fused aggregates are bit-identical to 64
 // scalar runs of the same trial indices. The scalar path stays the oracle,
-// exactly as `reference=` / `batch=` / `intra_threads=1` already do.
+// exactly as `batch=false` and `intra_threads=1` are for the native batch
+// and the sharded beats.
 #pragma once
 
 #include <algorithm>
@@ -375,8 +376,7 @@ struct FusedLaneResult {
 
 /// Drives one 64-lane block: Engine::run's beat order, word-parallel.
 /// No watchdog (fused scenarios require watchdog_ms == 0, kept off the
-/// fused plane upstream) and no transcript (the binary workload records
-/// none).
+/// fused plane upstream).
 ///
 /// The adversary takes one of two paths for the whole block: when every
 /// lane offers a block-level form of the first lane's strategy

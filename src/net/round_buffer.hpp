@@ -24,8 +24,9 @@
 //  * ReceiveView — the receiver's window onto one round, now a concrete
 //    `final` class (non-virtual `from()`, bulk `for_each_delivery`, and the
 //    tally queries). Polymorphism survives only behind DeliverySource, a thin
-//    virtual adapter used by scripted tests and by the engine's reference
-//    delivery path, which the equivalence suite pins the flat plane against.
+//    virtual adapter used by scripted tests; its per-sender loops are the
+//    spec the tally-backed queries are pinned against
+//    (tests/test_delivery_plane.cpp).
 //
 //  The tally has two equivalent build modes: the scalar byte-plane sweep
 //  above (the reference oracle) and a word-packed mode
@@ -51,8 +52,8 @@
 
 namespace adba::net {
 
-/// Thin virtual adapter for delivery lookups. Only scripted tests and the
-/// reference (oracle) engine path pay this vtable; the flat path never does.
+/// Thin virtual adapter for delivery lookups. Only scripted tests pay this
+/// vtable; the engine never does.
 class DeliverySource {
 public:
     virtual ~DeliverySource() = default;
@@ -167,21 +168,6 @@ private:
     std::vector<std::uint8_t> byz_present_;  ///< [slots * n]
     std::size_t rows_in_use_ = 0;
     std::size_t slots_in_use_ = 0;
-};
-
-/// Adapts a RoundBuffer behind the virtual DeliverySource interface — the
-/// engine's reference delivery path (per-probe vtable dispatch, per-sender
-/// tally loops) that the flat path must match bit for bit.
-class RoundBufferSource final : public DeliverySource {
-public:
-    explicit RoundBufferSource(const RoundBuffer& buf) : buf_(buf) {}
-    const Message* delivery(NodeId receiver, NodeId sender) const override {
-        return buf_.from(receiver, sender);
-    }
-    NodeId n() const override { return buf_.n(); }
-
-private:
-    const RoundBuffer& buf_;
 };
 
 /// Sorted (word, count) histogram — the recycled flat replacement for the
@@ -322,10 +308,10 @@ private:
 ///
 /// Two backends share exactly one semantics:
 ///  * flat     — RoundBuffer probe + RoundTally-backed O(1) queries;
-///  * adapter  — a DeliverySource (scripted test or the engine's reference
-///               path); every tally query falls back to the plain per-sender
-///               loop over from(), which doubles as the executable spec the
-///               flat implementations are tested against.
+///  * adapter  — a DeliverySource (scripted tests); every tally query falls
+///               back to the plain per-sender loop over from(), which doubles
+///               as the executable spec the flat implementations are tested
+///               against.
 class ReceiveView final {
 public:
     ReceiveView(const RoundBuffer& buf, const RoundTally& tally, NodeId receiver)

@@ -68,7 +68,6 @@ public:
         cfg.n = s.n;
         cfg.budget = s.t;
         cfg.max_rounds = plan_.cap;
-        cfg.reference_delivery = s.reference_delivery;
         cfg.watchdog_ms = s.watchdog_ms;
         if (FaultInjector* inj = FaultInjector::active();
             inj && inj->config().beat_delay_rate > 0.0)

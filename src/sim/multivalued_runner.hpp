@@ -3,9 +3,9 @@
 // evaluation are over words, not bits — but it is the same Monte-Carlo
 // machine, so it rides the workload-generic kernel (sim/workload.hpp) and
 // shares the binary stack's scenario machinery: parse/describe
-// round-tripping, a hoisted plan, the `q` corruption cap, and the
-// `reference` engine toggle. It always steps its per-node Turpin-Coan
-// nodes on the flat plane, over the byte-plane tally.
+// round-tripping, a hoisted plan and the `q` corruption cap. It always
+// steps its per-node Turpin-Coan nodes on the flat plane, over the
+// byte-plane tally.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +48,6 @@ struct MvScenario {
     core::Tuning tuning;
     net::Word fallback = 0;
     bool las_vegas = false;  ///< inner protocol in Las Vegas mode
-    /// Drive the engine's reference delivery path (virtual per-sender
-    /// probing) instead of the flat plane — the same oracle toggle the
-    /// binary scenario carries (`reference=true`).
-    bool reference_delivery = false;
     /// Per-trial wall-clock watchdog in ms (scenario key `watchdog_ms`);
     /// 0 = off. Same semantics as the binary scenario's key — the guard for
     /// `las_vegas=true` inner protocols whose round cap is generous by

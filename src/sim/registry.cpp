@@ -618,9 +618,6 @@ std::optional<std::string> why_incompatible(const Scenario& s) {
         if (!s.use_batch)
             return "plane=sparse answers receive beats through the native batch "
                    "plane and cannot combine with batch=false; drop one of the two";
-        if (s.reference_delivery)
-            return "plane=sparse has no reference-delivery form; drop "
-                   "reference=true (use plane=flat for oracle comparisons)";
     }
 
     return std::nullopt;
@@ -646,7 +643,6 @@ std::optional<std::string> why_not_fused(const Scenario& s) {
     if (s.sparse_plane)
         return "plane=sparse samples each receiver's senders; fused blocks run on the "
                "flat bit planes";
-    if (s.reference_delivery) return "reference=true is the scalar delivery oracle";
     if (!s.use_batch)
         return "batch=false steps the per-node adapter; fused blocks are the native "
                "batch's word-parallel form";
@@ -738,7 +734,6 @@ const std::vector<SpecKey<Scenario>>& scenario_keys() {
         spec_field("phases", R::Result, &S::local_coin_phases),
         spec_field("kappa", R::Result, &S::sampling_kappa),
         spec_field("max_rounds", R::Result, &S::max_rounds_override),
-        spec_field("reference", R::Execution, &S::reference_delivery),
         spec_field("batch", R::Execution, &S::use_batch),
         spec_field("intra_threads", R::Execution, &S::intra_threads),
         spec_name("plane", R::Result, &S::sparse_plane, &delivery_planes),
@@ -764,7 +759,6 @@ const std::vector<SpecKey<MvScenario>>& mv_scenario_keys() {
         spec_field("beta", R::Result, &S::tuning, &core::Tuning::beta),
         spec_field("fallback", R::Result, &S::fallback),
         spec_field("las_vegas", R::Result, &S::las_vegas),
-        spec_field("reference", R::Execution, &S::reference_delivery),
         spec_field("watchdog_ms", R::Result, &S::watchdog_ms),
     };
     return keys;
@@ -796,8 +790,7 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
     // budget too (estimate_fused_arena_bytes >= flat): the fallback takes
     // the plan to sparse, where they stay off.
     const ProtocolEntry& p = ProtocolRegistry::instance().at(s.protocol);
-    const bool can_fall_back =
-        !s.sparse_plane && p.make_batch && s.use_batch && !s.reference_delivery;
+    const bool can_fall_back = !s.sparse_plane && p.make_batch && s.use_batch;
     if (can_fall_back) {
         const std::uint64_t sparse = estimate_trial_arena_bytes(s.n, true);
         if (sparse <= budget) {
@@ -818,8 +811,7 @@ std::optional<std::string> apply_memory_budget(Scenario& s) {
          : s.sparse_plane
              ? ""
              : " and cannot fall back to the sparse plane under this "
-               "configuration (needs a sparse-capable protocol with batch=on, "
-               "reference=off)") +
+               "configuration (needs a sparse-capable protocol with batch=on)") +
         "; raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, lower n, or pick a "
         "sparse-capable protocol");
 }

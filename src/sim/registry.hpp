@@ -149,8 +149,8 @@ struct AdversaryEntry {
     /// RoundControl bridge (corrupt/split_as only, one pattern per sender
     /// per round, no deliver_as) or through its block-level form
     /// (net::Adversary::block_form). False for strategies that need
-    /// per-cell delivery or full-information transcripts; their scenarios
-    /// run scalar, with the reason why_not_fused names.
+    /// per-cell delivery; their scenarios run scalar, with the reason
+    /// why_not_fused names.
     bool supports_fused = false;
 
     /// Trial-reuse fast path (the contract of ProtocolEntry::reinit_batch):
@@ -239,11 +239,11 @@ std::optional<std::string> why_incompatible(const MvScenario& s);
 
 /// The fused-plane policy. `fused=` means "when the plan can": fused
 /// blocks engage unless this names a reason they cannot — a protocol or
-/// adversary without a fused form, plane=sparse, reference=true,
-/// batch=false, watchdog_ms, an explicit intra-trial
-/// shard count > 1 (scenario key, else --intra_threads /
-/// ADBA_INTRA_THREADS; the auto policy's shards yield), a fused arena over
-/// an active memory budget, or, when nothing else does, fused=off. No n
+/// adversary without a fused form, plane=sparse, batch=false, watchdog_ms,
+/// an explicit intra-trial shard count > 1 (scenario key, else
+/// --intra_threads / ADBA_INTRA_THREADS; the auto policy's shards yield),
+/// a fused arena over an active memory budget, or, when nothing else
+/// does, fused=off. No n
 /// bound: fused blocks beat the flat plane, sharded or not, at every n in
 /// README's fused-vs-scalar table. The run-level reasons are
 /// BinaryWorkload::why_scalar's (sim/runner.hpp). Aggregates are the same
@@ -271,9 +271,8 @@ const Names<bool>& delivery_planes();
 /// value): estimates the scenario's per-trial arena footprint against the
 /// process-wide memory budget. Within budget (or budget off): no change,
 /// nullopt. Over budget on the flat plane with a sparse-capable
-/// configuration (protocol with a native batch, batch=on, reference=off):
-/// flips `s.sparse_plane = true` and returns the one-line
-/// warning to print. Otherwise throws ContractViolation with an actionable
+/// configuration (protocol with a native batch, batch=on): flips
+/// `s.sparse_plane = true` and returns the one-line warning to print. Otherwise throws ContractViolation with an actionable
 /// message (raise --mem_budget_mb / ADBA_MEM_BUDGET_MB, shrink n, or pick a
 /// sparse-capable protocol) instead of letting the sweep OOM.
 std::optional<std::string> apply_memory_budget(Scenario& s);

@@ -50,10 +50,7 @@ public:
         // Native batch plane when the scenario wants it and the protocol
         // ships one; otherwise the per-node path (wrapped in the engine's
         // pooled PerNodeBatch adapter). Both are bit-identical by contract.
-        // reference=true runs the per-node nodes, the spec both are pinned
-        // to, over the engine's DeliverySource oracle.
-        const bool batched = s.use_batch && !s.reference_delivery &&
-                             plan_.protocol->make_batch != nullptr;
+        const bool batched = s.use_batch && plan_.protocol->make_batch != nullptr;
         if (!have_bundle_) {
             bundle_ = batched ? plan_.protocol->make_batch(s, inputs_, seeds)
                               : plan_.protocol->make_nodes(s, inputs_, seeds);
@@ -77,7 +74,6 @@ public:
         cfg.budget = s.t;
         cfg.max_rounds =
             s.max_rounds_override ? s.max_rounds_override : bundle_.default_max_rounds;
-        cfg.reference_delivery = s.reference_delivery;
         if (s.sparse_plane) {
             cfg.plane = net::PlaneMode::Sparse;
             cfg.sample_degree = s.sample_degree;

@@ -57,16 +57,12 @@ struct Scenario {
     Round max_rounds_override = 0;     ///< 0 = protocol-derived default
     /// Written only by perfbench; src/ reads none of it.
     bool record_transcript = false;
-    /// Drive the engine's reference delivery path (virtual dispatch,
-    /// per-sender tally loops) instead of the flat plane. Semantics are
-    /// identical — the equivalence tests pin this — but markedly slower;
-    /// exists for oracle comparisons and debugging.
+    /// Written only by perfbench; src/ reads none of it.
     bool reference_delivery = false;
     /// Step the protocol through its native SoA batch plane when the
     /// registry entry provides one (scenario key `batch`, CLI `--batch`).
-    /// `batch=false` forces the per-node adapter — the reference protocol
-    /// stepping the native batches are pinned against. Orthogonal to
-    /// `reference`, which selects the delivery probing path.
+    /// `batch=false` forces the per-node adapter — the oracle the native
+    /// batches are pinned against.
     bool use_batch = true;
     /// Written only by perfbench; src/ reads none of it.
     bool use_shard = true;
@@ -83,8 +79,8 @@ struct Scenario {
     Count intra_threads = 0;
     /// Answer receive beats from the sampled sparse delivery plane
     /// (net/sparse_plane.hpp; scenario key `plane=flat|sparse`, CLI
-    /// `--plane`). Requires a sparse-capable native batch, `batch=on` and
-    /// `reference=off` — why_incompatible states the rule.
+    /// `--plane`). Requires a sparse-capable native batch and `batch=on` —
+    /// why_incompatible states the rule.
     /// With `sample_degree >= n` the sparse plane is bit-identical to flat
     /// (the dense oracle mode the equivalence tests pin).
     bool sparse_plane = false;
@@ -104,11 +100,11 @@ struct Scenario {
     /// when the plan can (net/fused_plane.hpp; scenario key `fused`, CLI
     /// `--fused`), like `batch`: it engages for a fused-capable protocol
     /// and adversary (registry capability flags) with `batch=on`,
-    /// `plane=flat`, `reference=off`, `watchdog_ms=0`, no
-    /// explicit intra-trial shard count > 1 and a fused arena within any
-    /// memory budget, on runs and chunks of at least two trials —
-    /// why_not_fused and BinaryWorkload::why_scalar name the reason it does
-    /// not. `fused=off` keeps the scalar oracle. Aggregates are
+    /// `plane=flat`, `watchdog_ms=0`, no explicit intra-trial shard
+    /// count > 1 and a fused arena within any memory budget, on runs and
+    /// chunks of at least two trials — why_not_fused and
+    /// BinaryWorkload::why_scalar name the reason it does not. `fused=off`
+    /// keeps the scalar oracle. Aggregates are
     /// bit-identical to the scalar path at any thread count; trial chunks
     /// split into whole 64-lane blocks plus one partial block, so
     /// checkpoint/resume identity is preserved. The default chunk size is

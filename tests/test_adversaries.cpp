@@ -21,6 +21,7 @@
 #include "net/engine.hpp"
 #include "rand/rng.hpp"
 #include "rand/seed_tree.hpp"
+#include "recording_adversary.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::adv {
@@ -79,7 +80,7 @@ std::vector<std::unique_ptr<net::HonestNode>> stub_network(
 
 TEST(StaticAdversary, CorruptsExactlyQAtRoundZero) {
     StaticAdversary adv(3, Xoshiro256(1));
-    net::Engine eng({10, 3, 2, false}, stub_network(10, 0, 0), adv);
+    net::Engine eng({10, 3, 2}, stub_network(10, 0, 0), adv);
     const auto res = eng.run();
     EXPECT_EQ(res.metrics.corruptions, 3u);
     EXPECT_EQ(adv.corrupted().size(), 3u);
@@ -89,7 +90,7 @@ TEST(StaticAdversary, CorruptsExactlyQAtRoundZero) {
 TEST(StaticAdversary, SplitVotesEquivocatesByReceiverHalf) {
     std::vector<StubVoter*> raw;
     StaticAdversary adv(1, Xoshiro256(3));
-    net::Engine eng({8, 1, 1, false}, stub_network(8, 0, 0, &raw), adv);
+    net::Engine eng({8, 1, 1}, stub_network(8, 0, 0, &raw), adv);
     eng.run();
     const NodeId byz = adv.corrupted()[0];
     // Survivors in the low half saw val 0, high half saw val 1.
@@ -138,17 +139,13 @@ TEST(StaticAdversary, BitmapSweepYieldsTheSortedFisherYatesDraw) {
     }
 }
 
-TEST(StaticAdversary, TranscriptListsRoundZeroCorruptionsAscending) {
+TEST(StaticAdversary, CorruptsItsSetAscendingInRoundZero) {
     StaticAdversary adv(66, Xoshiro256(7));
-    net::EngineConfig cfg;
-    cfg.n = 200;
-    cfg.budget = 66;
-    cfg.max_rounds = 2;
-    cfg.record_transcript = true;
-    net::Engine eng(cfg, stub_network(200, 0, 0), adv);
-    const auto res = eng.run();
-    ASSERT_TRUE(res.transcript.has_value());
-    const auto& round0 = res.transcript->round(0).new_corruptions;
+    testing::RecordingAdversary rec(adv);
+    net::Engine eng({200, 66, 2}, stub_network(200, 0, 0), rec);
+    (void)eng.run();
+    const std::vector<NodeId> round0 = rec.corrupted_in(0);
+    EXPECT_EQ(rec.corruptions().size(), round0.size()) << "corruptions after round 0";
     EXPECT_EQ(round0, adv.corrupted());
     EXPECT_EQ(round0.size(), 66u);
     EXPECT_TRUE(std::adjacent_find(round0.begin(), round0.end(), std::greater_equal<>()) ==
@@ -162,14 +159,14 @@ TEST(StaticAdversary, RejectsOverBudget) {
 
 TEST(Chaos, RespectsSelfCap) {
     ChaosAdversary adv({2, 1.0, 0.5}, Xoshiro256(5));  // corrupt every round
-    net::Engine eng({10, 9, 20, false}, stub_network(10, 0, 0), adv);
+    net::Engine eng({10, 9, 20}, stub_network(10, 0, 0), adv);
     const auto res = eng.run();
     EXPECT_LE(res.metrics.corruptions, 2u);
 }
 
 TEST(Chaos, DeliversGarbageWithoutCrashingReceivers) {
     ChaosAdversary adv({3, 1.0, 1.0}, Xoshiro256(6));
-    net::Engine eng({10, 3, 10, false}, stub_network(10, 5, 1), adv);
+    net::Engine eng({10, 3, 10}, stub_network(10, 5, 1), adv);
     const auto res = eng.run();
     EXPECT_GT(res.metrics.byzantine_messages, 0u);
 }
@@ -177,7 +174,7 @@ TEST(Chaos, DeliversGarbageWithoutCrashingReceivers) {
 TEST(CrashRandom, CrashedNodesStaySilentForever) {
     CrashAdversary adv({3, CrashMode::Random, 1.0, std::nullopt}, Xoshiro256(7));
     std::vector<StubVoter*> raw;
-    net::Engine eng({8, 3, 6, false}, stub_network(8, 0, 0, &raw), adv);
+    net::Engine eng({8, 3, 6}, stub_network(8, 0, 0, &raw), adv);
     const auto res = eng.run();
     EXPECT_EQ(adv.crashes_used(), 3u);
     // After the final round, every corrupted node's slot in every survivor's
@@ -216,7 +213,7 @@ TEST(CrashTargeted, SplitsCoinWithPrefixDelivery) {
     {
         CrashAdversary adv({3, CrashMode::TargetedCoin, 0.0, sched}, Xoshiro256(8));
         std::vector<StubVoter*> raw;
-        net::Engine eng({12, 3, 2, false}, mixed_committee_network(12, 4, 3, &raw),
+        net::Engine eng({12, 3, 2}, mixed_committee_network(12, 4, 3, &raw),
                         adv);
         const auto res = eng.run();
         EXPECT_EQ(adv.crashes_used(), 3u);
@@ -236,7 +233,7 @@ TEST(CrashTargeted, SplitsCoinWithPrefixDelivery) {
     {
         // Budget one short of the needed 3: spend nothing.
         CrashAdversary adv({2, CrashMode::TargetedCoin, 0.0, sched}, Xoshiro256(8));
-        net::Engine eng({12, 2, 2, false}, mixed_committee_network(12, 4, 3, nullptr),
+        net::Engine eng({12, 2, 2}, mixed_committee_network(12, 4, 3, nullptr),
                         adv);
         eng.run();
         EXPECT_EQ(adv.crashes_used(), 0u) << "unaffordable phase: spend nothing";
@@ -245,7 +242,7 @@ TEST(CrashTargeted, SplitsCoinWithPrefixDelivery) {
         // Unanimous +1 committee: needs S+1 = 5 crashes but only 4 flippers
         // exist — crash-immune (ties break to 1); spend nothing.
         CrashAdversary adv({12, CrashMode::TargetedCoin, 0.0, sched}, Xoshiro256(8));
-        net::Engine eng({12, 12 - 1, 2, false}, stub_network(12, 4, +1, nullptr), adv);
+        net::Engine eng({12, 12 - 1, 2}, stub_network(12, 4, +1, nullptr), adv);
         eng.run();
         EXPECT_EQ(adv.crashes_used(), 0u) << "crash-immune committee: spend nothing";
     }
@@ -274,7 +271,7 @@ TEST(WorstCase, SpendsNothingAgainstUnanimousInputs) {
                              {core::CoinSpec::Kind::Committee, params.schedule}, inputs,
                              seeds, nodes);
     WorstCaseAdversary adv({5, 5, params.schedule, true});
-    net::Engine eng({16, 5, core::max_rounds_whp(params), false}, std::move(nodes),
+    net::Engine eng({16, 5, core::max_rounds_whp(params)}, std::move(nodes),
                     adv);
     const auto res = eng.run();
     EXPECT_EQ(res.metrics.corruptions, 0u);
@@ -290,7 +287,7 @@ TEST(WorstCase, RuinsUnanimousCoinWhenAffordable) {
     const auto sched = core::BlockSchedule::make(16, 8);
     WorstCaseAdversary adv({5, 5, sched, true});
     std::vector<StubVoter*> raw;
-    net::Engine eng({16, 5, 2, false}, stub_network(16, 8, +1, &raw), adv);
+    net::Engine eng({16, 5, 2}, stub_network(16, 8, +1, &raw), adv);
     eng.run();
     // Sum 8, need S' <= M-1: k >= 4.5 -> 5 corruptions (m starts 0).
     EXPECT_EQ(adv.corruptions_used(), 5u);
@@ -300,7 +297,7 @@ TEST(WorstCase, RuinsUnanimousCoinWhenAffordable) {
 TEST(WorstCase, GivesUpWhenRuinUnaffordable) {
     const auto sched = core::BlockSchedule::make(16, 8);
     WorstCaseAdversary adv({4, 4, sched, true});  // needs 5, has 4
-    net::Engine eng({16, 4, 2, false}, stub_network(16, 8, +1, nullptr), adv);
+    net::Engine eng({16, 4, 2}, stub_network(16, 8, +1, nullptr), adv);
     const auto res = eng.run();
     EXPECT_EQ(res.metrics.corruptions, 0u);
     EXPECT_EQ(adv.phases_ruined(), 0u);
@@ -312,7 +309,7 @@ TEST(WorstCase, EquivocatedCoinsSplitReceivers) {
     const auto sched = core::BlockSchedule::make(16, 8);
     WorstCaseAdversary adv({6, 6, sched, true});
     std::vector<StubVoter*> raw;
-    net::Engine eng({16, 6, 2, false}, stub_network(16, 8, +1, &raw), adv);
+    net::Engine eng({16, 6, 2}, stub_network(16, 8, +1, &raw), adv);
     const auto res = eng.run();
     ASSERT_EQ(adv.phases_ruined(), 1u);
     int coin_one = 0, coin_zero = 0, survivors = 0;
@@ -335,7 +332,7 @@ TEST(WorstCase, EquivocatedCoinsSplitReceivers) {
 TEST(WorstCase, SelfCapsBelowEngineBudget) {
     const auto sched = core::BlockSchedule::make(16, 8);
     WorstCaseAdversary adv({6, 2, sched, true});  // q=2 < t=6
-    net::Engine eng({16, 6, 4, false}, stub_network(16, 8, +1, nullptr), adv);
+    net::Engine eng({16, 6, 4}, stub_network(16, 8, +1, nullptr), adv);
     const auto res = eng.run();
     EXPECT_LE(res.metrics.corruptions, 2u);
 }
@@ -345,7 +342,7 @@ TEST(WorstCase, SelfCapsBelowEngineBudget) {
 TEST(SplitVoteAdv, KeepsHalvesOnOppositeValues) {
     StaticAdversary adv(2, Xoshiro256(11));
     std::vector<StubVoter*> raw;
-    net::Engine eng({10, 2, 2, false}, stub_network(10, 0, 0, &raw), adv);
+    net::Engine eng({10, 2, 2}, stub_network(10, 0, 0, &raw), adv);
     const auto res = eng.run();
     EXPECT_EQ(res.metrics.corruptions, 2u);
     for (NodeId v = 0; v < 10; ++v) {

@@ -108,7 +108,7 @@ void run_with_lemma3_observer(NodeId n, Count t, std::uint64_t seed) {
                              {core::CoinSpec::Kind::Committee, params.schedule}, inputs,
                              seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
-    net::Engine engine({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
+    net::Engine engine({n, t, core::max_rounds_whp(params)}, std::move(nodes),
                        adversary);
 
     engine.set_round_observer([&](Round, const auto& live_nodes, const auto& honest) {
@@ -155,7 +155,7 @@ TEST(Lemma4, FinisherForcesTerminationWithinTwoPhases) {
         for (const auto& p : nodes)
             raw.push_back(dynamic_cast<const core::RabinSkeletonNode*>(p.get()));
         adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
-        net::Engine engine({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
+        net::Engine engine({n, t, core::max_rounds_whp(params)}, std::move(nodes),
                            adversary);
         const auto res = engine.run();
 

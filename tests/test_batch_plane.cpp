@@ -2,9 +2,9 @@
 // must be BIT-IDENTICAL to the per-node adapter path (scenario batch=false)
 // for every compatible (protocol, adversary) registry pair, at any thread
 // count — plus a randomized fuzz sweep over sampled pairs, seeds, and
-// network sizes. The reference delivery oracle (reference=true) steps the
-// per-node nodes whatever `batch` says; test_delivery_plane pins the native
-// batches against it.
+// network sizes. The per-node nodes read their rounds through ReceiveView's
+// tally-backed queries, which test_delivery_plane pins against the
+// per-sender spec.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -210,30 +210,40 @@ TEST(BatchPlanePooling, TakeNodesRequiresPerNodeForm) {
     ASSERT_TRUE(bundle.batch != nullptr);
     EXPECT_TRUE(bundle.nodes.empty());
     auto adversary = plan.adversary->make_adversary(s, bundle, seeds);
-    net::Engine eng({s.n, s.t, bundle.default_max_rounds, false},
+    net::Engine eng({s.n, s.t, bundle.default_max_rounds},
                     std::move(bundle.batch), *adversary);
     EXPECT_THROW(eng.take_nodes(), ContractViolation);
     (void)eng.run();
     EXPECT_TRUE(eng.take_batch() != nullptr);
 }
 
-TEST(BatchPlanePooling, NativeBatchesLeaveTheDeliverySourceToPerNodeNodes) {
+/// A RoundBuffer behind the virtual DeliverySource interface.
+class RoundBufferSource final : public net::DeliverySource {
+public:
+    explicit RoundBufferSource(const net::RoundBuffer& buf) : buf_(buf) {}
+    const net::Message* delivery(NodeId receiver, NodeId sender) const override {
+        return buf_.from(receiver, sender);
+    }
+    NodeId n() const override { return buf_.n(); }
+
+private:
+    const net::RoundBuffer& buf_;
+};
+
+TEST(BatchPlanePooling, NoBatchStepsADeliverySource) {
     sim::Scenario s;
     s.n = 10;
     s.t = 3;
     const sim::ScenarioPlan plan = sim::validate(s);
     const SeedTree seeds(7);
     const std::vector<Bit> inputs(s.n, 0);
-    sim::ProtocolBundle bundle = plan.protocol->make_batch(s, inputs, seeds);
+    const sim::ProtocolBundle native = plan.protocol->make_batch(s, inputs, seeds);
+    net::PerNodeBatch adapter(plan.protocol->make_nodes(s, inputs, seeds).nodes);
     net::RoundBuffer buf;
     buf.reset(s.n);
-    const net::RoundBufferSource src(buf);
-    try {
-        bundle.batch->receive_all(0, buf, src);
-        ADD_FAILURE() << "a native batch stepped the DeliverySource oracle";
-    } catch (const ContractViolation& e) {
-        EXPECT_NE(std::string(e.what()).find("PerNodeBatch"), std::string::npos) << e.what();
-    }
+    const RoundBufferSource src(buf);
+    for (net::BatchProtocol* batch : {native.batch.get(), static_cast<net::BatchProtocol*>(&adapter)})
+        EXPECT_THROW(batch->receive_all(0, buf, src), ContractViolation);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Delivery-plane tests: the flat RoundBuffer/RoundTally path must be
-// BIT-IDENTICAL to the reference virtual-dispatch path (per-sender loops
-// over a DeliverySource) for every compatible (protocol, adversary) registry
-// pair, at any thread count; plus pattern-row mechanics and the halted-
-// receiver message-accounting contract.
+// Delivery-plane tests: every tally-backed ReceiveView query must answer
+// exactly what the per-sender spec (plain loops over a DeliverySource)
+// answers, on randomized round buffers; every compatible (protocol,
+// adversary) registry pair must run bit-identically at any thread count;
+// plus pattern-row mechanics and the halted-receiver message-accounting
+// contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -24,7 +24,7 @@ using net::Message;
 using net::MsgKind;
 
 // ---------------------------------------------------------------------------
-// Old-vs-new equivalence over the full registry cross product.
+// Thread-count invariance over the full registry cross product.
 
 void expect_samples_eq(const Samples& a, const Samples& b, const char* what) {
     ASSERT_EQ(a.count(), b.count()) << what;
@@ -52,13 +52,8 @@ Count max_t(const sim::ProtocolEntry& p, NodeId n) {
     return t;
 }
 
-TEST(DeliveryPlaneEquivalence, AllRegistryPairsFlatMatchesReference) {
+TEST(DeliveryPlaneEquivalence, AllRegistryPairsMatchAcrossThreadCounts) {
     const NodeId n = 25;
-    // ADBA_FORCE_SPARSE=1 (the sanitizer CI pass) reruns the cross product
-    // with the sparse plane in dense oracle mode: the reference comparison
-    // below then pins sparse == reference through an entirely different
-    // receive path, under ASan/UBSan.
-    const bool force_sparse = std::getenv("ADBA_FORCE_SPARSE") != nullptr;
     Count covered = 0;
     for (const sim::ProtocolEntry* p : sim::ProtocolRegistry::instance().list()) {
         for (const sim::AdversaryEntry* a : sim::AdversaryRegistry::instance().list()) {
@@ -72,33 +67,18 @@ TEST(DeliveryPlaneEquivalence, AllRegistryPairsFlatMatchesReference) {
             // The scalar flat plane is the subject; fused blocks have their
             // own equivalence suite (test_fused_plane.cpp).
             s.use_fused = false;
-            if (force_sparse) {
-                s.sparse_plane = true;
-                s.sample_degree = n;  // dense: bit-identical to flat
-            }
             if (!sim::compatible(s)) continue;
             ++covered;
             SCOPED_TRACE(p->name + " vs " + a->name);
 
-            const sim::ExecutorConfig serial{1, 0};
-            const sim::Aggregate flat = sim::run_trials(s, 0xD1CE, 6, serial);
-
-            sim::Scenario ref = s;
-            ref.sparse_plane = false;  // sparse has no reference form
-            ref.sample_degree = 0;
-            ref.reference_delivery = true;
-            const sim::Aggregate oracle = sim::run_trials(ref, 0xD1CE, 6, serial);
-            expect_aggregate_eq(flat, oracle);
-
-            // Thread-count invariance of the flat path (arena re-arming must
-            // be exact across any chunking).
+            // Arena re-arming must be exact across any chunking.
+            const sim::Aggregate serial = sim::run_trials(s, 0xD1CE, 6, {1, 0});
             const sim::Aggregate par = sim::run_trials(s, 0xD1CE, 6, {8, 2});
-            expect_aggregate_eq(flat, par);
+            expect_aggregate_eq(serial, par);
         }
     }
-    // 9 protocols x 9 adversaries minus the schedule/targeting constraints
-    // (8 sparse-capable protocols when the force flag drops sampling-majority).
-    EXPECT_GE(covered, force_sparse ? 45u : 50u) << "registry coverage unexpectedly low";
+    // 9 protocols x 9 adversaries minus the schedule/targeting constraints.
+    EXPECT_GE(covered, 50u) << "registry coverage unexpectedly low";
 }
 
 TEST(DeliveryPlaneEquivalence, ArenaReuseMatchesFreshTrials) {
@@ -128,19 +108,24 @@ TEST(DeliveryPlaneEquivalence, ArenaReuseMatchesFreshTrials) {
     }
 }
 
-TEST(DeliveryPlaneEquivalence, ScenarioReferenceKeyRoundTrips) {
-    sim::Scenario s;
-    s.n = 16;
-    s.t = 5;
-    s.reference_delivery = true;
-    const sim::Scenario parsed = sim::Scenario::parse(s.describe());
-    EXPECT_EQ(parsed, s);
-    EXPECT_FALSE(sim::Scenario::parse("n=16 t=5").reference_delivery);
-}
-
 // ---------------------------------------------------------------------------
 // Tally queries: flat answers vs the per-sender executable spec, under
-// randomized buffer contents (dense rows, pattern rows, garbage kinds).
+// randomized buffer contents (dense rows, pattern rows, garbage kinds). The
+// one oracle of the tally-backed queries every per-node node reads.
+
+/// A RoundBuffer behind the virtual DeliverySource interface: ReceiveView's
+/// per-sender backend over the same deliveries.
+class RoundBufferSource final : public net::DeliverySource {
+public:
+    explicit RoundBufferSource(const net::RoundBuffer& buf) : buf_(buf) {}
+    const Message* delivery(NodeId receiver, NodeId sender) const override {
+        return buf_.from(receiver, sender);
+    }
+    NodeId n() const override { return buf_.n(); }
+
+private:
+    const net::RoundBuffer& buf_;
+};
 
 TEST(DeliveryPlaneTally, RandomizedBufferMatchesAdapterSpec) {
     Xoshiro256 rng(2024);
@@ -192,7 +177,7 @@ TEST(DeliveryPlaneTally, RandomizedBufferMatchesAdapterSpec) {
 
         net::RoundTally tally;
         tally.rebuild(buf);
-        const net::RoundBufferSource src(buf);
+        const RoundBufferSource src(buf);
         for (NodeId recv = 0; recv < n; ++recv) {
             const net::ReceiveView flat(buf, tally, recv);
             const net::ReceiveView spec(src, recv);
@@ -301,7 +286,7 @@ TEST(DeliveryPlanePatterns, SplitAsDeliversThresholdEquivocation) {
         high.val = 1;
         ctl.split_as(3, low, high, 2);
     });
-    net::Engine eng({5, 1, 1, false}, inbox_nodes(5, 1, &raw), adv);
+    net::Engine eng({5, 1, 1}, inbox_nodes(5, 1, &raw), adv);
     const net::RunResult res = eng.run();
     EXPECT_EQ(res.metrics.byzantine_messages, 5u);
     for (NodeId v = 0; v < 5; ++v) {
@@ -327,7 +312,7 @@ TEST(DeliveryPlanePatterns, SplitWithSilentSideAndDenseMerge) {
         late.val = 0;
         ctl.deliver_as(0, 4, late);
     });
-    net::Engine eng({6, 1, 1, false}, inbox_nodes(6, 1, &raw), adv);
+    net::Engine eng({6, 1, 1}, inbox_nodes(6, 1, &raw), adv);
     const net::RunResult res = eng.run();
     EXPECT_EQ(res.metrics.byzantine_messages, 4u);  // 3 prefix + 1 late
     EXPECT_TRUE(raw[2]->inbox_[0].has_value());
@@ -345,7 +330,7 @@ TEST(DeliveryPlanePatterns, BroadcastAsCountsOnlyFreshSlots) {
         ctl.broadcast_as(0, m);
         ctl.broadcast_as(0, m);  // second blanket covers nothing new
     });
-    net::Engine eng({4, 1, 1, false}, inbox_nodes(4, 1, nullptr), adv);
+    net::Engine eng({4, 1, 1}, inbox_nodes(4, 1, nullptr), adv);
     const net::RunResult res = eng.run();
     EXPECT_EQ(res.metrics.byzantine_messages, 4u);
 }
@@ -361,7 +346,7 @@ TEST(DeliveryPlaneMetrics, FanoutExcludesHaltedReceivers) {
     net::NullAdversary adv;
     std::vector<std::unique_ptr<net::HonestNode>> nodes;
     for (NodeId v = 0; v < 4; ++v) nodes.push_back(std::make_unique<InboxNode>(v, v + 1));
-    net::Engine eng({4, 0, 8, false}, std::move(nodes), adv);
+    net::Engine eng({4, 0, 8}, std::move(nodes), adv);
     const net::RunResult res = eng.run();
     EXPECT_TRUE(res.all_halted);
     EXPECT_EQ(res.rounds, 4u);
@@ -375,7 +360,7 @@ TEST(DeliveryPlaneMetrics, UniformLifetimesKeepFullFanout) {
     // classic n*(n-1) per round exactly (regression guard for the halted-
     // receiver fix not over-subtracting).
     net::NullAdversary adv;
-    net::Engine eng({5, 0, 3, false}, inbox_nodes(5, 3, nullptr), adv);
+    net::Engine eng({5, 0, 3}, inbox_nodes(5, 3, nullptr), adv);
     const net::RunResult res = eng.run();
     EXPECT_EQ(res.metrics.honest_messages, 3u * 5u * 4u);
 }
@@ -385,13 +370,13 @@ TEST(DeliveryPlaneMetrics, UniformLifetimesKeepFullFanout) {
 
 TEST(DeliveryPlaneReuse, ResetDropsTheObserver) {
     net::NullAdversary adv;
-    net::Engine eng({3, 0, 2, false}, inbox_nodes(3, 2, nullptr), adv);
+    net::Engine eng({3, 0, 2}, inbox_nodes(3, 2, nullptr), adv);
     int fired = 0;
     eng.set_round_observer([&](Round, const auto&, const auto&) { ++fired; });
     eng.run();
     EXPECT_EQ(fired, 2);
     // A pooled engine must not replay run-A's observer on run-B's state.
-    eng.reset({3, 0, 2, false}, inbox_nodes(3, 2, nullptr), adv);
+    eng.reset({3, 0, 2}, inbox_nodes(3, 2, nullptr), adv);
     eng.run();
     EXPECT_EQ(fired, 2);
 }

@@ -33,7 +33,7 @@ EconomicsRun run_once(NodeId n, Count t, std::uint64_t seed) {
                              {core::CoinSpec::Kind::Committee, params.schedule},
                              make_inputs(InputPattern::Split, n, seeds), seeds, nodes);
     adv::WorstCaseAdversary adversary({t, t, params.schedule, true});
-    net::Engine eng({n, t, core::max_rounds_whp(params), false}, std::move(nodes),
+    net::Engine eng({n, t, core::max_rounds_whp(params)}, std::move(nodes),
                     adversary);
     const auto res = eng.run();
     EconomicsRun out;

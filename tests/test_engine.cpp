@@ -1,5 +1,5 @@
 // Engine semantics tests: delivery, rushing corruption, equivocation,
-// budget enforcement, halting, metrics, transcripts.
+// budget enforcement, halting, metrics, round observation.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/engine.hpp"
+#include "recording_adversary.hpp"
 #include "support/contracts.hpp"
 
 namespace adba::net {
@@ -73,7 +74,7 @@ std::vector<std::unique_ptr<HonestNode>> make_echo_nodes(NodeId n, Round live,
 TEST(Engine, HonestBroadcastReachesEveryoneIncludingSelf) {
     std::vector<EchoNode*> raw;
     NullAdversary adv;
-    Engine eng({4, 0, 1, false}, make_echo_nodes(4, 1, &raw), adv);
+    Engine eng({4, 0, 1}, make_echo_nodes(4, 1, &raw), adv);
     const RunResult res = eng.run();
     EXPECT_TRUE(res.all_halted);
     EXPECT_EQ(res.rounds, 1u);
@@ -103,7 +104,7 @@ TEST(Engine, CorruptionDiscardsBroadcastAndAllowsEquivocation) {
         ctl.deliver_as(2, 1, m1);
         // receivers 2,3 get silence from the corrupted node
     });
-    Engine eng({4, 1, 2, false}, make_echo_nodes(4, 2, &raw), adv);
+    Engine eng({4, 1, 2}, make_echo_nodes(4, 2, &raw), adv);
     const RunResult res = eng.run();
     EXPECT_FALSE(res.honest[2]);
     EXPECT_TRUE(res.honest[0] && res.honest[1] && res.honest[3]);
@@ -123,7 +124,7 @@ TEST(Engine, BudgetIsEnforced) {
         EXPECT_EQ(ctl.budget_left(), 0u);
         EXPECT_THROW(ctl.corrupt(1), ContractViolation);
     });
-    Engine eng({4, 1, 1, false}, make_echo_nodes(4, 1, nullptr), adv);
+    Engine eng({4, 1, 1}, make_echo_nodes(4, 1, nullptr), adv);
     const RunResult res = eng.run();
     EXPECT_EQ(res.metrics.corruptions, 1u);
 }
@@ -134,7 +135,7 @@ TEST(Engine, CannotCorruptTwice) {
         ctl.corrupt(0);
         EXPECT_THROW(ctl.corrupt(0), ContractViolation);
     });
-    Engine eng({4, 3, 1, false}, make_echo_nodes(4, 1, nullptr), adv);
+    Engine eng({4, 3, 1}, make_echo_nodes(4, 1, nullptr), adv);
     eng.run();
 }
 
@@ -144,7 +145,7 @@ TEST(Engine, DeliverAsRequiresCorruptedSender) {
         m.kind = MsgKind::Vote1;
         EXPECT_THROW(ctl.deliver_as(1, 0, m), ContractViolation);
     });
-    Engine eng({3, 1, 1, false}, make_echo_nodes(3, 1, nullptr), adv);
+    Engine eng({3, 1, 1}, make_echo_nodes(3, 1, nullptr), adv);
     eng.run();
 }
 
@@ -157,7 +158,7 @@ TEST(Engine, CannotCorruptHaltedNode) {
         }
         EXPECT_FALSE(ctl.is_halted(0));  // round 0: still live
     });
-    Engine eng({3, 1, 4, false}, make_echo_nodes(3, 1, nullptr), adv);
+    Engine eng({3, 1, 4}, make_echo_nodes(3, 1, nullptr), adv);
     const RunResult res = eng.run();
     EXPECT_TRUE(res.all_halted);
     EXPECT_EQ(res.rounds, 1u);
@@ -165,7 +166,7 @@ TEST(Engine, CannotCorruptHaltedNode) {
 
 TEST(Engine, StopsAtMaxRoundsWhenNodesNeverHalt) {
     NullAdversary adv;
-    Engine eng({3, 0, 5, false}, make_echo_nodes(3, 100, nullptr), adv);
+    Engine eng({3, 0, 5}, make_echo_nodes(3, 100, nullptr), adv);
     const RunResult res = eng.run();
     EXPECT_FALSE(res.all_halted);
     EXPECT_EQ(res.rounds, 5u);
@@ -174,7 +175,7 @@ TEST(Engine, StopsAtMaxRoundsWhenNodesNeverHalt) {
 TEST(Engine, MetricsCountHonestTraffic) {
     NullAdversary adv;
     const NodeId n = 5;
-    Engine eng({n, 0, 3, false}, make_echo_nodes(n, 3, nullptr), adv);
+    Engine eng({n, 0, 3}, make_echo_nodes(n, 3, nullptr), adv);
     const RunResult res = eng.run();
     // 3 rounds, 5 senders, fanout n-1 = 4.
     EXPECT_EQ(res.metrics.honest_messages, 3u * 5u * 4u);
@@ -193,7 +194,7 @@ TEST(Engine, CorruptedSenderTrafficNotChargedToProtocol) {
         }
     });
     const NodeId n = 4;
-    Engine eng({n, 1, 2, false}, make_echo_nodes(n, 2, nullptr), adv);
+    Engine eng({n, 1, 2}, make_echo_nodes(n, 2, nullptr), adv);
     const RunResult res = eng.run();
     // Round 0: 3 honest broadcast; round 1: 3 honest broadcast.
     EXPECT_EQ(res.metrics.honest_messages, (3u + 3u) * (n - 1));
@@ -202,7 +203,7 @@ TEST(Engine, CorruptedSenderTrafficNotChargedToProtocol) {
 
 TEST(Engine, AgreementEvaluation) {
     NullAdversary adv;
-    Engine eng({4, 0, 1, false}, make_echo_nodes(4, 1, nullptr), adv);
+    Engine eng({4, 0, 1}, make_echo_nodes(4, 1, nullptr), adv);
     RunResult res = eng.run();
     // EchoNode outputs id%2 -> no agreement.
     EXPECT_FALSE(res.agreement());
@@ -219,7 +220,7 @@ TEST(Engine, AgreementIgnoresCorruptedNodes) {
     ScriptAdversary adv([](RoundControl& ctl) {
         if (ctl.round() == 0) ctl.corrupt(1);  // the only odd-valued node
     });
-    Engine eng({3, 1, 1, false}, make_echo_nodes(3, 1, nullptr), adv);
+    Engine eng({3, 1, 1}, make_echo_nodes(3, 1, nullptr), adv);
     const RunResult res = eng.run();
     // Survivors are 0 and 2, both output 0.
     EXPECT_TRUE(res.agreement());
@@ -227,25 +228,29 @@ TEST(Engine, AgreementIgnoresCorruptedNodes) {
     EXPECT_EQ(*res.agreed_value(), 0);
 }
 
-TEST(Engine, TranscriptRecordsSendsAndCorruptions) {
-    ScriptAdversary adv([](RoundControl& ctl) {
+TEST(Engine, RecordingControlSeesSendsAndCorruptions) {
+    bool broadcast_seen = false;
+    ScriptAdversary script([&](RoundControl& ctl) {
+        if (ctl.round() == 0) broadcast_seen = ctl.intended_broadcast(2) != nullptr;
         if (ctl.round() == 1) ctl.corrupt(2);
     });
-    Engine eng({3, 1, 2, true}, make_echo_nodes(3, 2, nullptr), adv);
-    const RunResult res = eng.run();
-    ASSERT_TRUE(res.transcript.has_value());
-    const auto& tr = *res.transcript;
-    ASSERT_EQ(tr.rounds().size(), 2u);
-    EXPECT_TRUE(tr.round(0).sends[2].honest);
-    EXPECT_TRUE(tr.round(0).sends[2].broadcast.has_value());
-    EXPECT_FALSE(tr.round(1).sends[2].honest);
-    ASSERT_EQ(tr.round(1).new_corruptions.size(), 1u);
-    EXPECT_EQ(tr.round(1).new_corruptions[0], 2u);
+    adba::testing::RecordingAdversary adv(script);
+    Engine eng({3, 1, 2}, make_echo_nodes(3, 2, nullptr), adv);
+    std::vector<std::vector<bool>> honest_after;
+    eng.set_round_observer(
+        [&](Round, const auto&, const std::vector<bool>& honest) { honest_after.push_back(honest); });
+    eng.run();
+    ASSERT_EQ(honest_after.size(), 2u);
+    EXPECT_TRUE(honest_after[0][2]);
+    EXPECT_TRUE(broadcast_seen);
+    EXPECT_FALSE(honest_after[1][2]);
+    const std::vector<std::pair<Round, NodeId>> expected = {{1, 2}};
+    EXPECT_EQ(adv.corruptions(), expected);
 }
 
 TEST(Engine, RoundObserverSeesEveryRound) {
     NullAdversary adv;
-    Engine eng({3, 0, 4, false}, make_echo_nodes(3, 4, nullptr), adv);
+    Engine eng({3, 0, 4}, make_echo_nodes(3, 4, nullptr), adv);
     std::vector<Round> seen;
     eng.set_round_observer([&](Round r, const auto& nodes, const auto& honest) {
         seen.push_back(r);
@@ -260,19 +265,19 @@ TEST(Engine, RoundObserverSeesEveryRound) {
 
 TEST(Engine, RunIsSingleShot) {
     NullAdversary adv;
-    Engine eng({2, 0, 1, false}, make_echo_nodes(2, 1, nullptr), adv);
+    Engine eng({2, 0, 1}, make_echo_nodes(2, 1, nullptr), adv);
     eng.run();
     EXPECT_THROW(eng.run(), ContractViolation);
 }
 
 TEST(Engine, ConfigValidation) {
     NullAdversary adv;
-    EXPECT_THROW(Engine({0, 0, 1, false},
+    EXPECT_THROW(Engine({0, 0, 1},
                         std::vector<std::unique_ptr<HonestNode>>{}, adv),
                  ContractViolation);
-    EXPECT_THROW(Engine({2, 0, 0, false}, make_echo_nodes(2, 1, nullptr), adv),
+    EXPECT_THROW(Engine({2, 0, 0}, make_echo_nodes(2, 1, nullptr), adv),
                  ContractViolation);
-    EXPECT_THROW(Engine({3, 0, 1, false}, make_echo_nodes(2, 1, nullptr), adv),
+    EXPECT_THROW(Engine({3, 0, 1}, make_echo_nodes(2, 1, nullptr), adv),
                  ContractViolation);
 }
 

@@ -1741,13 +1741,10 @@ TEST(FusedPlaneRegistry, WhyIncompatibleNamesEveryRejection) {
     s.adversary = sim::AdversaryKind::Balancer;
     EXPECT_NE(why(s).find("fused-capable protocol"), std::string::npos) << why(s);
 
-    // Plane/oracle/batch/watchdog conflicts.
+    // Plane/batch/watchdog conflicts.
     s = base;
     s.sparse_plane = true;
     EXPECT_NE(why(s).find("plane=sparse"), std::string::npos) << why(s);
-    s = base;
-    s.reference_delivery = true;
-    EXPECT_NE(why(s).find("reference"), std::string::npos) << why(s);
     s = base;
     s.use_batch = false;
     EXPECT_NE(why(s).find("batch=false"), std::string::npos) << why(s);
@@ -2463,7 +2460,6 @@ TEST(FusedPolicy, EverySkipNamesItsReason) {
         {"protocol=ours adversary=chaos n=64", "fused plane"},
         {"protocol=phase-king adversary=king-killer n=64", "fused plane"},
         {"protocol=ours adversary=worst-case n=64 plane=sparse", "plane=sparse"},
-        {"protocol=ours adversary=worst-case n=64 reference=true", "reference"},
         {"protocol=ours adversary=worst-case n=64 batch=false", "batch=false"},
         {"protocol=ours adversary=worst-case n=64 watchdog_ms=5", "watchdog"},
         {"protocol=ours adversary=worst-case n=64 intra_threads=4", "intra_threads=4"},
@@ -2562,8 +2558,7 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
     // cut under one off its default resumes under the defaults (whose
     // aggregate `expected` is: intra_threads=1 is one too).
     const std::string base = "protocol=ours adversary=worst-case inputs=random n=22 t=7";
-    for (const char* key :
-         {"reference=true", "batch=false", "intra_threads=2", "fused=off"}) {
+    for (const char* key : {"batch=false", "intra_threads=2", "fused=off"}) {
         std::filesystem::remove(full);
         (void)sim::run_trials(sim::Scenario::parse(base + " " + key), 0xAB, trials,
                               {1, 64, full, false});
@@ -2573,19 +2568,6 @@ TEST(FusedPolicy, JournalResumesAcrossTheFusedSettingUnderOneChunk) {
                                              true}),
                             expected);
     }
-
-    // And the mv stack's reference key.
-    const sim::MvScenario mv = sim::MvScenario::parse("n=16 t=5");
-    const sim::MvAggregate mv_expected = sim::run_mv_trials(mv, 0xAB, 12, {1, 4});
-    std::filesystem::remove(full);
-    (void)sim::run_mv_trials(sim::MvScenario::parse("n=16 t=5 reference=true"), 0xAB,
-                             12, {1, 4, full, false});
-    const sim::MvAggregate resumed = sim::run_mv_trials(
-        mv, 0xAB, 12, {2, 4, cut_after_first_record(full, "mv_cut.bin"), true});
-    EXPECT_EQ(resumed.trials, mv_expected.trials);
-    EXPECT_EQ(resumed.agreement_failures, mv_expected.agreement_failures);
-    EXPECT_EQ(resumed.decided_real, mv_expected.decided_real);
-    EXPECT_EQ(resumed.rounds.values(), mv_expected.rounds.values());
 }
 
 }  // namespace

@@ -310,7 +310,6 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.local_coin_phases = 17;
     s.sampling_kappa = 3.75;
     s.max_rounds_override = 99;
-    s.reference_delivery = true;
     s.use_batch = false;
     s.intra_threads = 3;
     s.sparse_plane = true;
@@ -318,7 +317,7 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     s.sparse_seed = 11;
     s.use_fused = false;
     s.watchdog_ms = 500;
-    EXPECT_EQ(scenario_keys().size(), 20u);
+    EXPECT_EQ(scenario_keys().size(), 19u);
     expect_every_key_round_trips(scenario_keys(), s);
 
     MvScenario mv;
@@ -332,9 +331,8 @@ TEST(ScenarioSpec, ParseDescribeRoundTripsNonDefaultFields) {
     mv.tuning.beta = 0.5;
     mv.fallback = 9;
     mv.las_vegas = true;
-    mv.reference_delivery = true;
     mv.watchdog_ms = 500;
-    EXPECT_EQ(mv_scenario_keys().size(), 12u);
+    EXPECT_EQ(mv_scenario_keys().size(), 11u);
     expect_every_key_round_trips(mv_scenario_keys(), mv);
 
     CoinScenario coin;
@@ -443,7 +441,7 @@ TEST(ScenarioSpec, UnknownKeysAndValuesThrowActionably) {
     EXPECT_NE(bad_bool.find("'ture'"), std::string::npos) << bad_bool;
     EXPECT_THROW(Scenario::parse("batch=of"), ContractViolation);
     EXPECT_FALSE(Scenario::parse("batch=no").use_batch);
-    EXPECT_TRUE(Scenario::parse("reference=1").reference_delivery);
+    EXPECT_TRUE(Scenario::parse("fused=1").use_fused);
     const std::string bad_mv =
         thrown_message([] { MvScenario::parse("n=16 t=5 las_vegas=maybe"); });
     EXPECT_NE(bad_mv.find("scenario key 'las_vegas'"), std::string::npos) << bad_mv;

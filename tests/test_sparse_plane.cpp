@@ -245,12 +245,6 @@ TEST(SparsePlaneScenario, FeasibilityMessagesAreActionable) {
     ASSERT_TRUE(why.has_value());
     EXPECT_NE(why->find("batch"), std::string::npos) << *why;
 
-    sim::Scenario ref = s;
-    ref.reference_delivery = true;
-    why = sim::why_incompatible(ref);
-    ASSERT_TRUE(why.has_value());
-    EXPECT_NE(why->find("reference"), std::string::npos) << *why;
-
     sim::Scenario unsupported = s;
     unsupported.protocol = sim::ProtocolKind::SamplingMajority;
     unsupported.adversary = sim::AdversaryKind::Balancer;

@@ -154,13 +154,12 @@ TEST(MvScenario, DescribeParseRoundTripsEveryField) {
     s.tuning.beta = 1.125;
     s.fallback = 0xBEEF;
     s.las_vegas = true;
-    s.reference_delivery = true;
     s.watchdog_ms = 250;
     const std::string spec = s.describe();
     EXPECT_EQ(MvScenario::parse(spec), s) << spec;
     // Every key of the table is off its default above; alone off its
     // default, each key round-trips and is written as `key=value`.
-    EXPECT_EQ(mv_scenario_keys().size(), 12u);
+    EXPECT_EQ(mv_scenario_keys().size(), 11u);
     for (const SpecKey<MvScenario>& key : mv_scenario_keys()) {
         EXPECT_FALSE(key.at_default(s)) << key.name << ": set it off its default above";
         MvScenario one;
@@ -247,22 +246,6 @@ TEST(MvScenario, QZeroDisarmsAdversary) {
     const MvAggregate rh = run_mv_trials(honest, 11, 5, ExecutorConfig{1});
     EXPECT_EQ(rd.agreement_failures, 0u);
     expect_samples_identical(rd.rounds, rh.rounds);
-}
-
-// The reference delivery oracle must agree with the flat plane, mv included.
-TEST(MvScenario, ReferenceDeliveryMatchesFlatPlane) {
-    MvScenario flat;
-    flat.n = 16;
-    flat.t = 5;
-    flat.inputs = MvInputPattern::NearQuorum;
-    flat.adversary = MvAdversaryKind::PreludePlusWorstCase;
-    MvScenario ref = flat;
-    ref.reference_delivery = true;
-    const MvAggregate rf = run_mv_trials(flat, 13, 5, ExecutorConfig{1});
-    const MvAggregate rr = run_mv_trials(ref, 13, 5, ExecutorConfig{1});
-    EXPECT_EQ(rf.agreement_failures, rr.agreement_failures);
-    EXPECT_EQ(rf.decided_real, rr.decided_real);
-    expect_samples_identical(rf.rounds, rr.rounds);
 }
 
 // The hoisted plan path is the one-shot path.
