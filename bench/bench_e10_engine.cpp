@@ -4,9 +4,10 @@
 //
 // The `throughput` section is the repo's perf trajectory point: single-
 // thread trials/sec and ns per node-round for the skeleton protocol against
-// the static adversary at n in {64, 256, 1024}, dumped to BENCH_engine.json
-// (--bench_json=PATH; --bench_trials scales the n=256 trial count) so CI
-// can archive the numbers per commit. Two further sections feed the same
+// the static adversary at n in {64, 256, 1024}, written as JSON only when
+// --bench_json=PATH is given (--bench_trials scales the n=256 trial count),
+// so CI can archive the numbers per commit and a plain run never overwrites
+// the committed BENCH_engine.json baseline. Two further sections feed the same
 // JSON: `sharded` (one huge-n trial split across intra-trial shard workers,
 // speedup vs the serial entry at the same n), `tally_kernels` (bytes/sec
 // of the packed popcount tally build vs the scalar byte-plane build, next
@@ -319,7 +320,7 @@ double measure_mem_bandwidth() {
 /// runs, with every other flag.
 struct ThroughputFlags {
     Count base = 0;         ///< --bench_trials: trials at the n=256 cell
-    std::string json_path;  ///< --bench_json
+    std::string json_path;  ///< --bench_json; empty = write no file
     bool use_batch = true;  ///< --batch=on|off
     unsigned shards = 0;    ///< --shards
     Count degree = 0;       ///< --sample_degree (sparse blocks)
@@ -328,7 +329,7 @@ struct ThroughputFlags {
 ThroughputFlags read_throughput_flags(const Cli& cli) {
     ThroughputFlags f;
     f.base = cli.get_uint<Count>("bench_trials", 2000);
-    f.json_path = cli.get("bench_json", "BENCH_engine.json");
+    f.json_path = cli.get("bench_json", "");
     f.use_batch = cli.get_bool("batch", true);
     f.shards = cli.get_uint<unsigned>("shards", 4);
     f.degree = cli.get_uint<Count>("sample_degree", 64);
@@ -481,6 +482,7 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     std::printf("ns/node-round scaling: min %.1f, max %.1f, max/min %.2fx\n", ns_min,
                 ns_max, ns_ratio);
 
+    if (json_path.empty()) return;
     std::ofstream out(json_path);
     if (!out) throw ContractViolation("cannot write " + json_path);
     out << "{\n  \"bench\": \"engine_throughput\",\n"
@@ -593,7 +595,7 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = cli.get_uint<Count>("trials", 5);
+    const auto trials = sim::read_trials(cli, 5);
     benchutil::finish_flags(cli);
     std::printf("E10: engine throughput (timing entries below); summary table of\n"
                 "per-trial work at representative sizes.\n");

@@ -77,7 +77,7 @@ E11Agg run_cell(NodeId n, Count t, Count trials) {
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = cli.get_uint<Count>("trials", 15);
+    const auto trials = sim::read_trials(cli, 15);
     benchutil::finish_flags(cli);
     std::printf("E11: sampling-majority vs the drift-cancelling balancer "
                 "(%u trials/cell).\n", trials);

@@ -21,7 +21,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 96);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 20);
+    const auto trials = sim::read_trials(cli, 20);
     benchutil::finish_flags(cli);
     std::printf("E12: multi-valued agreement (Turpin-Coan over Algorithm 3), n=%u, "
                 "t=%u, %u trials/cell.\n", n, t, trials);

@@ -28,7 +28,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 256);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 25);
+    const auto trials = sim::read_trials(cli, 25);
     benchutil::finish_flags(cli);
     std::printf("E13: crash-fault lower-bound witness on Algorithm 3 (n=%u, budget "
                 "t=%u, %u trials).\n", n, t, trials);

@@ -21,7 +21,7 @@ namespace {
 using namespace adba;
 
 void experiment(const Cli& cli) {
-    const auto trials = cli.get_uint<Count>("trials", 1500);
+    const auto trials = sim::read_trials(cli, 1500);
     benchutil::finish_flags(cli);
     std::printf("E1: common coin (Algorithm 1) vs adaptive rushing corruption.\n");
     std::printf("Definition 2 asks: P(common) >= delta and P(bit|common) in "

@@ -20,7 +20,7 @@ using namespace adba;
 
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 1024);
-    const auto trials = cli.get_uint<Count>("trials", 1200);
+    const auto trials = sim::read_trials(cli, 1200);
     benchutil::finish_flags(cli);
     std::printf("E2: designated-node common coin (Algorithm 2) at n=%u.\n", n);
 

@@ -31,7 +31,7 @@ using namespace adba;
 
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 256);
-    const auto trials = cli.get_uint<Count>("trials", 25);
+    const auto trials = sim::read_trials(cli, 25);
     benchutil::finish_flags(cli);
     an::related_work_table().print(std::cout);
     std::printf("E3: rounds vs t at n=%u (split inputs, strongest adversary per "

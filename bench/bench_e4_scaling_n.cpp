@@ -67,7 +67,7 @@ void regime_table(const Cli& cli, const char* title, const char* slug, TofN t_of
 }
 
 void experiment(const Cli& cli) {
-    const auto trials = cli.get_uint<Count>("trials", 15);
+    const auto trials = sim::read_trials(cli, 15);
     benchutil::finish_flags(cli);
     std::printf("E4: scaling in n at fixed t-regimes (macro simulator, %u trials, "
                 "%u threads).\n\n", trials, sim::default_threads());

@@ -21,7 +21,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 256);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 30);
+    const auto trials = sim::read_trials(cli, 30);
     benchutil::finish_flags(cli);
     std::printf("E5: early termination — budget t=%u fixed, actual corruptions q "
                 "sweep (n=%u, %u trials).\n", t, n, trials);

@@ -20,7 +20,7 @@ using namespace adba;
 
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 128);
-    const auto trials = cli.get_uint<Count>("trials", 60);
+    const auto trials = sim::read_trials(cli, 60);
     benchutil::finish_flags(cli);
     std::printf("E7: Las Vegas Algorithm 3 (n=%u, worst-case adversary, split inputs, "
                 "%u trials).\n", n, trials);

@@ -20,7 +20,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 128);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 25);
+    const auto trials = sim::read_trials(cli, 25);
     benchutil::finish_flags(cli);
     std::printf("E8: adversary ablation for Algorithm 3 (n=%u, t=%u, split inputs, "
                 "%u trials).\n", n, t, trials);

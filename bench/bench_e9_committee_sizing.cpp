@@ -22,7 +22,7 @@ using namespace adba;
 void experiment(const Cli& cli) {
     const auto n = cli.get_uint<NodeId>("n", 64);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 60);
+    const auto trials = sim::read_trials(cli, 60, 2);
     benchutil::finish_flags(cli);
     std::printf("E9: committee-sizing ablation (n=%u, t=%u — the hardest cell — "
                 "%u trials).\n", n, t, trials);

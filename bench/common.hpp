@@ -13,7 +13,8 @@
 //                 at any thread count)
 //   --intra_threads=N  default intra-trial shard count (0 = auto policy;
 //                 results are bit-identical at any value)
-//   --trials=N    trials per scenario cell
+//   --trials=N    trials per scenario cell (sim::read_trials: at least 1,
+//                 or 2 where a cell runs trials / 2)
 //   --csv_dir=DIR also dump each table as DIR/<slug>.csv
 #pragma once
 
@@ -57,10 +58,12 @@ inline void reject_fused(const Cli& cli, const std::string& what) {
 /// Ends a bench's flag reading, before any experiment runs: recognizes
 /// `--csv_dir` (read later by maybe_write_csv), then fails on anything left
 /// over — a typo like `--trails=50` exits 2 instead of silently running
-/// with defaults — or answers `--help` (cli.hpp's run_main).
+/// with defaults — or answers `--help` (cli.hpp's run_main), and creates
+/// the csv directory, so a path that cannot hold one fails here too.
 inline void finish_flags(const Cli& cli) {
-    cli.get("csv_dir", "");
+    const std::string csv_dir = cli.get("csv_dir", "");
     cli.check_unused();
+    if (!csv_dir.empty()) ensure_csv_dir(csv_dir);
 }
 
 /// Hands the non-experiment arguments (argv[0] + --benchmark_* flags) to

@@ -21,7 +21,7 @@ static int run(const adba::Cli& cli) {
     using namespace adba;
     const auto n = cli.get_uint<NodeId>("n", 128);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 20);
+    const auto trials = sim::read_trials(cli, 20);
     sim::init_threads(cli);
     cli.check_unused();
 

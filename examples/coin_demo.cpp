@@ -18,7 +18,7 @@
 static int run(const adba::Cli& cli) {
     using namespace adba;
     const auto n = cli.get_uint<NodeId>("n", 256);
-    const auto trials = cli.get_uint<Count>("trials", 2000);
+    const auto trials = sim::read_trials(cli, 2000, 2);
     sim::init_threads(cli);
     cli.check_unused();
     const double sqrt_n = std::sqrt(static_cast<double>(n));

@@ -14,7 +14,7 @@ static int run(const adba::Cli& cli) {
     using namespace adba;
     const auto n = cli.get_uint<NodeId>("n", 96);
     const auto t = cli.get_uint<Count>("t", (n - 1) / 3);
-    const auto trials = cli.get_uint<Count>("trials", 12);
+    const auto trials = sim::read_trials(cli, 12);
     sim::init_threads(cli);
     cli.check_unused();
 

@@ -100,7 +100,7 @@ void asymptotic_section(int trials) {
 }  // namespace
 
 static int run(const Cli& cli) {
-    const auto trials = cli.get_uint<Count>("trials", 12);
+    const auto trials = sim::read_trials(cli, 12);
     sim::init_threads(cli);
     cli.check_unused();
     std::printf("# adba quick reproduction report\n\n"

@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hpp"
 
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -101,20 +102,20 @@ ChunkJournal::ChunkJournal(std::string path, const CheckpointMeta& meta, bool re
         FileReader r{data};
 
         char magic[sizeof kMagic];
-        ADBA_EXPECTS_MSG(r.bytes(magic, sizeof magic) &&
-                             std::memcmp(magic, kMagic, sizeof kMagic) == 0,
-                         "'" + path_ +
-                             "' is not an adba checkpoint journal (bad magic); "
-                             "refusing to resume — delete it or drop --resume to "
-                             "start fresh");
+        if (!r.bytes(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0)
+            throw ContractViolation("'" + path_ +
+                                    "' is not an adba checkpoint journal (bad magic); "
+                                    "refusing to resume — delete it or drop --resume to "
+                                    "start fresh");
 
         CheckpointMeta have;
         const bool header_ok = r.u64(have.base_seed) && r.u64(have.seed_stride) &&
                                r.u32(have.trials) && r.u32(have.chunk) &&
                                r.str(have.workload) && r.str(have.scope);
-        ADBA_EXPECTS_MSG(header_ok, "checkpoint journal '" + path_ +
-                                        "' has a truncated header; delete it or "
-                                        "drop --resume to start fresh");
+        if (!header_ok)
+            throw ContractViolation("checkpoint journal '" + path_ +
+                                    "' has a truncated header; delete it or drop "
+                                    "--resume to start fresh");
         if (have != meta) {
             std::string why;
             describe_mismatch(why, "workload", have.workload, meta.workload);
@@ -156,15 +157,17 @@ ChunkJournal::ChunkJournal(std::string path, const CheckpointMeta& meta, bool re
             std::filesystem::resize_file(path_, good_end);
 
         out_ = std::fopen(path_.c_str(), "ab");
-        ADBA_EXPECTS_MSG(out_ != nullptr,
-                         "cannot reopen checkpoint journal '" + path_ + "' for append");
+        if (out_ == nullptr)
+            throw ContractViolation("cannot reopen checkpoint journal '" + path_ +
+                                    "' for append: " + std::strerror(errno));
         return;
     }
 
     // Fresh journal (also the resume-from-nothing case).
     out_ = std::fopen(path_.c_str(), "wb");
-    ADBA_EXPECTS_MSG(out_ != nullptr,
-                     "cannot create checkpoint journal '" + path_ + "'");
+    if (out_ == nullptr)
+        throw ContractViolation("cannot create checkpoint journal '" + path_ +
+                                "': " + std::strerror(errno));
     const std::string header = encode_header(meta);
     const std::size_t wrote = std::fwrite(header.data(), 1, header.size(), out_);
     ADBA_EXPECTS_MSG(wrote == header.size() && std::fflush(out_) == 0,

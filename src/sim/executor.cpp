@@ -40,6 +40,15 @@ unsigned init_threads(const Cli& cli) {
     return threads;
 }
 
+Count read_trials(const Cli& cli, Count fallback, Count least) {
+    const auto trials = cli.get_uint<Count>("trials", fallback);
+    if (trials < least)
+        throw ContractViolation("--trials expects at least " + std::to_string(least) +
+                                " here (every cell runs at least one trial), got " +
+                                std::to_string(trials));
+    return trials;
+}
+
 unsigned default_intra_threads() {
     int v = g_default_intra.load(std::memory_order_relaxed);
     if (v < 0) {

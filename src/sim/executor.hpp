@@ -65,6 +65,13 @@ void set_default_threads(unsigned threads);
 /// one entry point bench binaries and examples share for the flag.
 unsigned init_threads(const Cli& cli);
 
+/// Reads `--trials` (default `fallback`) for a bench or example, refusing a
+/// count below `least`: the fewest trials that leave every cell the binary
+/// runs at least one (a binary whose smaller cells run trials / 2 passes
+/// 2). The refusal names --trials, the bound and the value, so run_main
+/// exits 2 before any work.
+Count read_trials(const Cli& cli, Count fallback, Count least = 1);
+
 // ---- intra-trial sharding (nested-parallelism policy) ----
 //
 // Two independent axes: LOGICAL shards fix the node-range boundaries (part

@@ -37,13 +37,14 @@ enum : std::uint64_t {
 
 double parse_rate(const std::string& what, const std::string& v) {
     const double r = parse_double(what, v);
-    ADBA_EXPECTS_MSG(r >= 0.0 && r <= 1.0, what + " wants a rate in [0,1], got '" + v + "'");
+    if (!(r >= 0.0 && r <= 1.0))
+        throw ContractViolation(what + " wants a rate in [0,1], got '" + v + "'");
     return r;
 }
 
 std::uint32_t parse_attempts(const std::string& what, const std::string& v) {
     const auto n = parse_uint<std::uint32_t>(what, v);
-    ADBA_EXPECTS_MSG(n >= 1, "max_attempts must be >= 1");
+    if (n < 1) throw ContractViolation(what + " must be >= 1, got '" + v + "'");
     return n;
 }
 

@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 
 #include "support/contracts.hpp"
 
@@ -79,13 +80,20 @@ std::string Table::to_csv() const {
 
 void Table::print(std::ostream& os) const { os << "\n" << to_markdown() << "\n"; }
 
-std::string write_csv(const Table& table, const std::string& dir,
-                      const std::string& slug) {
+void ensure_csv_dir(const std::string& dir) {
     ADBA_EXPECTS(!dir.empty());
-    ADBA_EXPECTS(!slug.empty());
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    ADBA_ENSURES_MSG(!ec, "cannot create csv directory '" + dir + "': " + ec.message());
+    if (!ec && !std::filesystem::is_directory(dir, ec))
+        ec = std::make_error_code(std::errc::not_a_directory);
+    if (ec) throw ContractViolation("cannot create csv directory '" + dir + "': " + ec.message());
+}
+
+std::string write_csv(const Table& table, const std::string& dir,
+                      const std::string& slug) {
+    ADBA_EXPECTS(!slug.empty());
+    ensure_csv_dir(dir);
+    std::error_code ec;
     const std::string path = (std::filesystem::path(dir) / (slug + ".csv")).string();
     // Crash-atomic: write the full document to a sibling temp file, then
     // rename over the target. A sweep killed mid-write can leave a stale

@@ -45,6 +45,12 @@ private:
     std::vector<std::vector<std::string>> rows_;
 };
 
+/// Creates the csv directory `dir` (including parents) when absent. Throws
+/// ContractViolation naming `dir` when it cannot be created or is not a
+/// directory. Binaries call it on `--csv_dir` while they read their flags,
+/// so a bad path fails before any trial runs.
+void ensure_csv_dir(const std::string& dir);
+
 /// Writes `table.to_csv()` to `<dir>/<slug>.csv`, creating `dir` (including
 /// parents) when absent. Returns the written path. Throws ContractViolation
 /// when the directory or the file cannot be created — a reproduction table

@@ -97,6 +97,22 @@ TEST(Executor, DefaultThreadsIsSettable) {
     set_default_threads(before == hardware_threads() ? 0 : before);
 }
 
+TEST(Executor, ReadTrialsRefusesACountBelowTheBinarysFewest) {
+    const char* argv[] = {"prog", "--trials=1"};
+    const Cli cli(2, const_cast<char**>(argv));
+    EXPECT_EQ(read_trials(cli, 20), 1u);
+    try {
+        (void)read_trials(cli, 20, 2);
+        ADD_FAILURE() << "--trials=1 passed a bound of 2";
+    } catch (const ContractViolation& e) {
+        const std::string msg = e.what();
+        EXPECT_EQ(msg.find("--trials expects at least 2"), 0u) << msg;
+        EXPECT_NE(msg.find("got 1"), std::string::npos) << msg;
+    }
+    const char* none[] = {"prog"};
+    EXPECT_EQ(read_trials(Cli(1, const_cast<char**>(none)), 20, 2), 20u);
+}
+
 // ------------------------------------------------- thread-count invariance
 
 void expect_samples_identical(const Samples& a, const Samples& b) {

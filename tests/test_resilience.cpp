@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/checkpoint.hpp"
@@ -313,7 +314,17 @@ TEST(FaultMatrix, ConfigSpecRoundTripsAndRejectsUnknownKeys) {
     fc.max_attempts = 5;
     EXPECT_EQ(FaultConfig::parse(fc.describe()), fc);
     EXPECT_THROW(FaultConfig::parse("shard_deth=1"), ContractViolation);
-    EXPECT_THROW(FaultConfig::parse("trial_rate=1.5"), ContractViolation);
+    // Bad values are input errors that name the key, not internal faults.
+    for (const auto& [spec, key] : {std::pair{"trial_rate=1.5", "fault key 'trial_rate'"},
+                                    std::pair{"shard_death=2", "fault key 'shard_death'"},
+                                    std::pair{"max_attempts=0", "fault key 'max_attempts'"}}) {
+        try {
+            (void)FaultConfig::parse(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const ContractViolation& e) {
+            EXPECT_EQ(std::string(e.what()).find(key), 0u) << e.what();
+        }
+    }
 }
 
 // ------------------------------------------------ checkpoint/resume
@@ -451,6 +462,18 @@ TEST(Checkpoint, ResumeRefusesMismatchedMeta) {
                  ContractViolation);
     // The matching meta still resumes cleanly after all those refusals.
     (void)run_trials(s, 11, 6, ExecutorConfig{1, 3, path, true});
+}
+
+TEST(Checkpoint, UncreatableJournalIsAnInputError) {
+    const std::string path = temp_path("no_such_dir") + "/journal.bin";
+    try {
+        (void)run_trials(small_scenario(), 11, 6, ExecutorConfig{1, 3, path, false});
+        ADD_FAILURE() << "a journal was created at " << path;
+    } catch (const ContractViolation& e) {
+        EXPECT_EQ(std::string(e.what()).find("cannot create checkpoint journal '" + path + "'"),
+                  0u)
+            << e.what();
+    }
 }
 
 std::string hex(const std::string& bytes) {

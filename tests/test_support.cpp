@@ -295,6 +295,18 @@ TEST(Table, WriteCsvFailsLoudlyWhenDirectoryIsAFile) {
     // The target "directory" is a regular file: creation must throw, not
     // silently drop the table.
     EXPECT_THROW(write_csv(t, (blocker / "sub").string(), "demo"), ContractViolation);
+    // The check binaries run on --csv_dir before any trial: the message
+    // names the path, without the contract prefix of an internal fault.
+    for (const auto& dir : {blocker, blocker / "sub"}) {
+        try {
+            ensure_csv_dir(dir.string());
+            ADD_FAILURE() << dir << " passed as a csv directory";
+        } catch (const ContractViolation& e) {
+            const std::string msg = e.what();
+            EXPECT_EQ(msg.find("cannot create csv directory '" + dir.string() + "'"), 0u)
+                << msg;
+        }
+    }
     std::filesystem::remove(blocker);
 }
 

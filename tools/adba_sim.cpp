@@ -99,8 +99,9 @@ int list_capabilities() {
 /// --seed, the executor knobs (--chunk fixes the work unit, 0 = auto;
 /// --checkpoint=path arms the chunk journal; --resume loads completed
 /// chunks from it instead of re-running them) and --csv_dir. Then the
-/// strict-mode check, so typos and flags the workload does not read fail
-/// BEFORE any trial time is spent.
+/// strict-mode check and the csv directory, so typos, flags the workload
+/// does not read and a --csv_dir that cannot be created fail BEFORE any
+/// trial time is spent.
 struct RunFlags {
     Count trials = 0;
     std::uint64_t seed = 1;
@@ -120,6 +121,7 @@ RunFlags run_flags(const Cli& cli, Count default_trials) {
             "pointing at the journal of the interrupted run");
     f.csv_dir = cli.get("csv_dir", "");
     cli.check_unused();
+    if (!f.csv_dir.empty()) ensure_csv_dir(f.csv_dir);
     return f;
 }
 
