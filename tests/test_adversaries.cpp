@@ -30,8 +30,10 @@ namespace {
 /// Stub node broadcasting a fixed Vote1/Vote2 cadence with a fixed coin.
 class StubVoter final : public net::HonestNode {
 public:
-    StubVoter(NodeId self, Bit val, CoinSign coin, NodeId committee_end)
-        : self_(self), val_(val), coin_(coin), committee_end_(committee_end) {}
+    StubVoter(NodeId self, Bit val, CoinSign coin, NodeId committee_end,
+              bool decided = false)
+        : self_(self), val_(val), coin_(coin), committee_end_(committee_end),
+          decided_(decided) {}
 
     std::optional<net::Message> round_send(Round r) override {
         net::Message m;
@@ -55,6 +57,7 @@ public:
     }
     bool halted() const override { return false; }
     Bit current_value() const override { return val_; }
+    bool current_decided() const override { return decided_; }
 
     std::vector<std::optional<net::Message>> last_inbox_;
 
@@ -63,6 +66,7 @@ private:
     Bit val_;
     CoinSign coin_;
     NodeId committee_end_;
+    bool decided_;
 };
 
 std::vector<std::unique_ptr<net::HonestNode>> stub_network(
@@ -327,6 +331,35 @@ TEST(WorstCase, EquivocatedCoinsSplitReceivers) {
     EXPECT_GT(coin_one, 0);
     EXPECT_GT(coin_zero, 0);
     EXPECT_EQ(coin_one + coin_zero, survivors);
+}
+
+TEST(WorstCase, OppositeCoinPushesAgainstTheDecidedValue) {
+    // Committee [0, 8) all flip +1; nodes 0..5 are decided on 0, the rest
+    // hold 1 (no round-1 quorum to block). With d = 6 > t = 5 one decided
+    // node must go: the reduction takes committee node 0. The honest coin
+    // already lands on 1, opposite the decided 0, so OPPOSITE costs nothing
+    // (SPLIT would cost 4) and node 0's corpse pushes +1 to everyone.
+    const auto sched = core::BlockSchedule::make(16, 8);
+    WorstCaseAdversary adv({5, 5, sched, true});
+    std::vector<StubVoter*> raw;
+    std::vector<std::unique_ptr<net::HonestNode>> nodes;
+    for (NodeId v = 0; v < 16; ++v) {
+        auto p = std::make_unique<StubVoter>(v, v < 6 ? Bit{0} : Bit{1}, CoinSign{1}, 8,
+                                             /*decided=*/v < 6);
+        raw.push_back(p.get());
+        nodes.push_back(std::move(p));
+    }
+    net::Engine eng({16, 5, 2}, std::move(nodes), adv);
+    const auto res = eng.run();
+    EXPECT_EQ(adv.corruptions_used(), 1u);
+    EXPECT_EQ(adv.phases_ruined(), 1u);
+    ASSERT_FALSE(res.honest[0]);
+    for (NodeId v = 1; v < 16; ++v) {
+        const auto& m = raw[v]->last_inbox_[0];
+        ASSERT_TRUE(m.has_value()) << "receiver " << v;
+        EXPECT_EQ(m->kind, net::MsgKind::Vote2);
+        EXPECT_EQ(m->coin, CoinSign{1}) << "receiver " << v;
+    }
 }
 
 TEST(WorstCase, SelfCapsBelowEngineBudget) {
