@@ -190,7 +190,6 @@ public:
     NodeId n() const override { return static_cast<NodeId>(nodes_.size()); }
     void send_all(Round r, RoundBuffer& buf) override;
     void receive_all(Round r, const RoundBuffer& buf, const RoundTally& tally) override;
-    using BatchProtocol::receive_all;
     const std::uint8_t* halted_plane() const override { return halted_.data(); }
     Bit value(NodeId v) const override { return nodes_[v]->current_value(); }
     bool decided(NodeId v) const override { return nodes_[v]->current_decided(); }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/engine.hpp"
+#include "recording_adversary.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "support/contracts.hpp"
@@ -20,44 +21,15 @@
 namespace adba {
 namespace {
 
-/// Forwards the per-node virtuals and actions only, so view() and
-/// deliver_row_as() run their RoundControl base forms over the inner
-/// control's answers.
-class PassThroughControl final : public net::RoundControl {
-public:
-    explicit PassThroughControl(net::RoundControl& inner) : inner_(inner) {}
-
-    Round round() const override { return inner_.round(); }
-    NodeId n() const override { return inner_.n(); }
-    Count budget_left() const override { return inner_.budget_left(); }
-    bool is_honest(NodeId v) const override { return inner_.is_honest(v); }
-    bool is_halted(NodeId v) const override { return inner_.is_halted(v); }
-    const net::Message* intended_broadcast(NodeId v) const override {
-        return inner_.intended_broadcast(v);
-    }
-    Bit current_value(NodeId v) const override { return inner_.current_value(v); }
-    bool current_decided(NodeId v) const override { return inner_.current_decided(v); }
-    std::optional<net::Message> corrupt(NodeId v) override { return inner_.corrupt(v); }
-    void deliver_as(NodeId byz_from, NodeId to, const net::Message& m) override {
-        inner_.deliver_as(byz_from, to, m);
-    }
-    void split_as(NodeId byz_from, const std::optional<net::Message>& low,
-                  const std::optional<net::Message>& high, NodeId boundary) override {
-        inner_.split_as(byz_from, low, high, boundary);
-    }
-
-private:
-    net::RoundControl& inner_;
-};
-
-/// Hands the wrapped strategy a PassThroughControl every round.
+/// Hands the wrapped strategy a ForwardingControl every round, so its
+/// bulk calls run their RoundControl base forms.
 class PassThroughAdversary final : public net::Adversary {
 public:
     explicit PassThroughAdversary(std::unique_ptr<net::Adversary> inner)
         : inner_(std::move(inner)) {}
     void on_start(NodeId n, Count budget) override { inner_->on_start(n, budget); }
     void act(net::RoundControl& ctl) override {
-        PassThroughControl base(ctl);
+        testing::ForwardingControl base(ctl);
         inner_->act(base);
     }
 
