@@ -6,7 +6,6 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <system_error>
 
 #include "support/contracts.hpp"
 
@@ -83,9 +82,7 @@ void Table::print(std::ostream& os) const { os << "\n" << to_markdown() << "\n";
 void ensure_csv_dir(const std::string& dir) {
     ADBA_EXPECTS(!dir.empty());
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!ec && !std::filesystem::is_directory(dir, ec))
-        ec = std::make_error_code(std::errc::not_a_directory);
+    std::filesystem::create_directories(dir, ec);  // a non-directory at dir sets ec
     if (ec) throw ContractViolation("cannot create csv directory '" + dir + "': " + ec.message());
 }
 
