@@ -242,7 +242,8 @@ TEST(BatchPlanePooling, NoBatchStepsADeliverySource) {
     net::RoundBuffer buf;
     buf.reset(s.n);
     const RoundBufferSource src(buf);
-    for (net::BatchProtocol* batch : {native.batch.get(), static_cast<net::BatchProtocol*>(&adapter)})
+    for (net::BatchProtocol* batch :
+         {native.batch.get(), static_cast<net::BatchProtocol*>(&adapter)})
         EXPECT_THROW(batch->receive_all(0, buf, src), ContractViolation);
 }
 

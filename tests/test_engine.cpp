@@ -237,15 +237,15 @@ TEST(Engine, RecordingControlSeesSendsAndCorruptions) {
     adba::testing::RecordingAdversary adv(script);
     Engine eng({3, 1, 2}, make_echo_nodes(3, 2, nullptr), adv);
     std::vector<std::vector<bool>> honest_after;
-    eng.set_round_observer(
-        [&](Round, const auto&, const std::vector<bool>& honest) { honest_after.push_back(honest); });
+    eng.set_round_observer([&](Round, const auto&, const std::vector<bool>& honest) {
+        honest_after.push_back(honest);
+    });
     eng.run();
     ASSERT_EQ(honest_after.size(), 2u);
     EXPECT_TRUE(honest_after[0][2]);
     EXPECT_TRUE(broadcast_seen);
     EXPECT_FALSE(honest_after[1][2]);
-    const std::vector<std::pair<Round, NodeId>> expected = {{1, 2}};
-    EXPECT_EQ(adv.corruptions(), expected);
+    EXPECT_EQ(adv.corruptions(), (adba::testing::CorruptionLog{{1, 2}}));
 }
 
 TEST(Engine, RoundObserverSeesEveryRound) {
