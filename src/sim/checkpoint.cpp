@@ -91,6 +91,17 @@ void describe_mismatch(std::string& why, const char* field, const std::string& h
 
 }  // namespace
 
+void ensure_journal_path(const std::string& path) {
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    std::FILE* f = std::fopen(path.c_str(), "ab");
+    if (f == nullptr)
+        throw ContractViolation("cannot create checkpoint journal '" + path +
+                                "': " + std::strerror(errno));
+    std::fclose(f);
+    if (!existed) std::filesystem::remove(path, ec);
+}
+
 ChunkJournal::ChunkJournal(std::string path, const CheckpointMeta& meta, bool resume)
     : path_(std::move(path)) {
     ADBA_EXPECTS_MSG(!path_.empty(), "checkpoint journal path must be non-empty");

@@ -76,6 +76,12 @@ private:
     std::vector<std::pair<std::size_t, std::string>> completed_;
 };
 
+/// Refuses a journal path the run could not create, as the flags are read:
+/// opens it for append (creating, never truncating) and removes it again if
+/// it did not exist. Throws ChunkJournal's "cannot create checkpoint
+/// journal" message.
+void ensure_journal_path(const std::string& path);
+
 // ---- byte-exact payload encoding helpers (used by encode_fields /
 // decode_fields over each aggregate's field list, workload.hpp; doubles are
 // moved as raw IEEE bits so decoded Samples merge bit-identically) ----

@@ -7,8 +7,9 @@
 //  * the trial range [0, trials) is split into fixed chunks whose boundaries
 //    depend only on (trials, chunk) — never on the thread count;
 //  * each chunk produces a partial aggregate by running its trials in index
-//    order, and partials are merged in chunk-index order, so every Samples
-//    buffer ends up in exactly the serial observation order.
+//    order, and partials fold into one run-sized aggregate in chunk-index
+//    order as the workers finish them, so every Samples buffer ends up in
+//    exactly the serial observation order.
 // Any thread count (including 1) therefore yields the same aggregate, which
 // the executor tests enforce.
 #pragma once
@@ -24,11 +25,14 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "net/tally_kernels.hpp"
 #include "support/cli.hpp"
+#include "support/contracts.hpp"
+#include "support/stats.hpp"
 #include "support/types.hpp"
 
 namespace adba::sim {
@@ -153,6 +157,53 @@ private:
     std::vector<std::thread> workers_;
 };
 
+// ------------------------------------------------- aggregate field lists
+//
+// Every workload aggregate lists its counters (Count) and sample series
+// (Samples) once, in journal order,
+//
+//   static constexpr auto fields() { return std::tuple{&A::trials, ...}; }
+//
+// and merge, reserve and the checkpoint payload codec (workload.hpp) are
+// derived from that list.
+
+namespace detail {
+
+template <typename Field>
+inline constexpr bool kSeries = false;
+template <typename A>
+inline constexpr bool kSeries<Samples A::*> = true;
+
+/// Calls visit(&A::field) for each field of A's list, in order.
+template <typename A, typename Visit>
+void for_each_field(Visit&& visit) {
+    std::apply([&](auto... field) { (visit(field), ...); }, A::fields());
+}
+
+}  // namespace detail
+
+/// Folds a later index range's partial in: counters add, series append in
+/// storage order (merge partials in chunk-index order).
+template <typename A>
+void merge_fields(A& into, const A& from) {
+    detail::for_each_field<A>([&](auto field) {
+        if constexpr (detail::kSeries<decltype(field)>)
+            (into.*field).merge(from.*field);
+        else
+            into.*field += from.*field;
+    });
+}
+
+/// Pre-sizes every sample series for `trials` trials.
+template <typename A>
+void reserve_fields(A& agg, Count trials) {
+    detail::for_each_field<A>([&](auto field) {
+        if constexpr (detail::kSeries<decltype(field)>) (agg.*field).reserve(trials);
+    });
+}
+
+// ------------------------------------------------------------ chunked runs
+
 namespace detail {
 
 /// Chunk size heuristic: small enough to load-balance a pool, large enough
@@ -178,11 +229,67 @@ inline Count chunk_end(Count trials, Count begin, Count chunk) {
 void for_each_chunk(Count trials, Count chunk, unsigned threads,
                     const std::function<void(std::size_t, Count, Count)>& body);
 
+/// The one fold of chunk partials, behind parallel_reduce and the journaled
+/// kernel: runs per_chunk(chunk_index, begin, end) on `threads` workers for
+/// every chunk of [0, trials) that `ready` does not already hold (ready[ci]
+/// is a journal-recovered partial; an empty vector holds none), and merges
+/// every partial into `out` in chunk-index order while the workers run. A
+/// worker deposits its partial under one mutex; whichever worker then finds
+/// the lowest unmerged chunk ready takes the merger role and, outside the
+/// lock, merges every ready partial in index order, freeing each as it
+/// goes. Chunk boundaries and merge order are those of a serial run, so
+/// `out` is the same at any thread count.
+template <typename Agg, typename PerChunk>
+void fold_chunks(Agg& out, Count trials, Count chunk, unsigned threads,
+                 std::vector<std::optional<Agg>> ready, PerChunk&& per_chunk) {
+    ready.resize(chunk_count(trials, chunk));
+    std::vector<bool> recovered(ready.size());
+    for (std::size_t ci = 0; ci < ready.size(); ++ci) recovered[ci] = ready[ci].has_value();
+    std::mutex mu;
+    std::size_t merged = 0;  // chunks [0, merged) are in out
+    bool merging = false;    // a thread holds the merger role
+    const auto merge_ready = [&] {
+        std::unique_lock<std::mutex> lock(mu);
+        if (merging) return;  // the merger looks again before it lets go
+        merging = true;
+        while (true) {
+            const std::size_t from = merged;
+            std::size_t to = from;
+            while (to < ready.size() && ready[to]) ++to;
+            if (to == from) break;
+            // Depositors only write chunks past `to`, so [from, to) is the
+            // merger's alone until `merged` moves past it.
+            lock.unlock();
+            for (std::size_t ci = from; ci < to; ++ci) {
+                out.merge(*ready[ci]);
+                ready[ci].reset();
+            }
+            lock.lock();
+            merged = to;
+        }
+        merging = false;
+    };
+    for_each_chunk(trials, chunk, threads, [&](std::size_t ci, Count begin, Count end) {
+        if (recovered[ci]) return;
+        Agg part = per_chunk(ci, begin, end);
+        {
+            const std::lock_guard<std::mutex> lock(mu);
+            ready[ci].emplace(std::move(part));
+        }
+        merge_ready();
+    });
+    merge_ready();  // a run whose chunks were all recovered deposits none
+    ADBA_ENSURES(merged == ready.size());
+}
+
 }  // namespace detail
 
-/// Runs `per_chunk(begin, end)` over [0, trials) and merges the partial
-/// aggregates in chunk-index order via `Agg::merge`. `per_chunk` must be a
-/// pure function of its index range (thread-safe by construction).
+/// Runs `per_chunk(begin, end)` over [0, trials) and folds the partial
+/// aggregates in chunk-index order via `Agg::merge`, as the workers finish
+/// them (detail::fold_chunks), into one output made on the calling thread
+/// and, for an aggregate with a field list, reserved for `trials`.
+/// `per_chunk` must be a pure function of its index range (thread-safe by
+/// construction). One thread, or one chunk, runs [0, trials) as one range.
 template <typename Agg, typename PerChunk>
 Agg parallel_reduce(Count trials, const ExecutorConfig& cfg, PerChunk&& per_chunk) {
     if (trials == 0) return Agg{};
@@ -190,14 +297,12 @@ Agg parallel_reduce(Count trials, const ExecutorConfig& cfg, PerChunk&& per_chun
     const Count chunk = cfg.chunk ? cfg.chunk : detail::auto_chunk(trials);
     if (threads <= 1 || trials <= chunk) return per_chunk(Count{0}, trials);
 
-    const std::size_t num_chunks = detail::chunk_count(trials, chunk);
-    std::vector<std::optional<Agg>> partials(num_chunks);
-    detail::for_each_chunk(trials, chunk, threads,
-                           [&](std::size_t ci, Count begin, Count end) {
-                               partials[ci].emplace(per_chunk(begin, end));
-                           });
-    Agg out = std::move(*partials.front());
-    for (std::size_t ci = 1; ci < num_chunks; ++ci) out.merge(*partials[ci]);
+    Agg out;
+    if constexpr (requires { Agg::fields(); }) reserve_fields(out, trials);
+    detail::fold_chunks(out, trials, chunk, threads, {},
+                        [&](std::size_t, Count begin, Count end) {
+                            return per_chunk(begin, end);
+                        });
     return out;
 }
 

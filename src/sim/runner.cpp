@@ -254,6 +254,7 @@ Count BinaryWorkload::block_trials(const Plan& plan) {
 std::optional<std::string> BinaryWorkload::why_scalar(const Plan& plan, Count trials,
                                                       Count chunk) {
     if (!plan.scenario.use_fused) return why_not_fused(plan.scenario);
+    if (trials == 0) return "a run of no trials has no block to run";
     if (trials < 2) return "a run of one trial has no other trial to share its block";
     if (chunk < 2) return "chunk=1 leaves each trial alone in its block";
     if (FaultInjector::active() != nullptr)

@@ -226,9 +226,9 @@ struct BinaryWorkload {
     /// adba_sim's stderr line via fused_skip_reason): why a run of
     /// `trials` trials in chunks of `chunk` runs no fused block, or nullopt
     /// when every chunk runs as blocks — the plan's why_not_fused reason, a
-    /// run or chunk of one trial (a one-lane block costs more than the
-    /// scalar trial it replaces), or an armed fault injector (whose
-    /// recovery is defined on the scalar path).
+    /// run of no trials, a run or chunk of one trial (a one-lane block costs
+    /// more than the scalar trial it replaces), or an armed fault injector
+    /// (whose recovery is defined on the scalar path).
     static std::optional<std::string> why_scalar(const Plan& plan, Count trials,
                                                  Count chunk);
 

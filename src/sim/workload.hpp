@@ -4,11 +4,12 @@
 // common-coin trials, multi-valued (Turpin-Coan) trials, and the macro
 // asymptotic simulator — is the same machine: validate a scenario once,
 // split [0, trials) into executor chunks, run each chunk's trials in index
-// order through a pooled per-chunk arena with index-derived seeds, and merge
-// the partial aggregates in chunk order so the result is bit-identical at
-// any thread count. This header owns that machine ONCE; the four stacks are
-// thin workload definitions on top of it (see src/sim/README.md for the
-// full contract and how to add a fifth workload).
+// order through a pooled per-chunk arena with index-derived seeds, and fold
+// the partial aggregates into one run-sized aggregate in chunk order as they
+// finish, so the result is bit-identical at any thread count. This header
+// owns that machine ONCE; the four stacks are thin workload definitions on
+// top of it (see src/sim/README.md for the full contract and how to add a
+// fifth workload).
 //
 // A workload W provides:
 //
@@ -16,8 +17,8 @@
 //   typename W::Result     outcome of one trial
 //   typename W::Aggregate  aggregate with a `Count trials` field and one
 //                          field list, A::fields() (see "aggregate field
-//                          lists" below): merge, reserve and the checkpoint
-//                          payload codec are derived from it
+//                          lists" in executor.hpp): merge, reserve and the
+//                          checkpoint payload codec are derived from it
 //   typename W::Plan       once-per-sweep resolved product of a scenario
 //                          (registry entries, derived parameters, round caps)
 //                          holding it as `scenario`, or the scenario itself
@@ -63,7 +64,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -75,57 +75,16 @@
 #include "sim/names.hpp"
 #include "sim/spec_keys.hpp"
 #include "support/contracts.hpp"
-#include "support/stats.hpp"
 #include "support/types.hpp"
 
 namespace adba::sim {
 
-// ------------------------------------------------- aggregate field lists
+// ------------------------------------------------- checkpoint payloads
 //
-// Every workload aggregate lists its counters (Count) and sample series
-// (Samples) once, in journal order,
-//
-//   static constexpr auto fields() { return std::tuple{&A::trials, ...}; }
-//
-// and merge, reserve and the checkpoint payload codec are derived from that
-// list. A payload holds each field in list order: a counter as u32, a
-// series as BinWriter::doubles (raw IEEE bits in storage order), so
-// decode-then-merge equals merging the originals, bit for bit.
-
-namespace detail {
-
-template <typename Field>
-inline constexpr bool kSeries = false;
-template <typename A>
-inline constexpr bool kSeries<Samples A::*> = true;
-
-/// Calls visit(&A::field) for each field of A's list, in order.
-template <typename A, typename Visit>
-void for_each_field(Visit&& visit) {
-    std::apply([&](auto... field) { (visit(field), ...); }, A::fields());
-}
-
-}  // namespace detail
-
-/// Folds a later index range's partial in: counters add, series append in
-/// storage order (merge partials in chunk-index order).
-template <typename A>
-void merge_fields(A& into, const A& from) {
-    detail::for_each_field<A>([&](auto field) {
-        if constexpr (detail::kSeries<decltype(field)>)
-            (into.*field).merge(from.*field);
-        else
-            into.*field += from.*field;
-    });
-}
-
-/// Pre-sizes every sample series for `trials` trials.
-template <typename A>
-void reserve_fields(A& agg, Count trials) {
-    detail::for_each_field<A>([&](auto field) {
-        if constexpr (detail::kSeries<decltype(field)>) (agg.*field).reserve(trials);
-    });
-}
+// A chunk partial's journal payload holds each field of its aggregate's
+// field list (executor.hpp) in list order: a counter as u32, a series as
+// BinWriter::doubles (raw IEEE bits in storage order), so decode-then-merge
+// equals merging the originals, bit for bit.
 
 /// Appends the checkpoint payload of `agg` to `out`.
 template <typename A>
@@ -287,9 +246,9 @@ typename W::Aggregate run_resilient_chunk(const typename W::Plan& plan,
 
 /// Checkpointed variant of the kernel loop: completed chunk partials are
 /// journaled as they finish and recovered on --resume instead of re-run.
-/// ALWAYS routes through detail::for_each_chunk — the parallel_reduce
-/// serial fast path would collapse chunk boundaries and break the
-/// journal's thread-count-invariant chunk identity.
+/// ALWAYS routes through detail::fold_chunks — the parallel_reduce serial
+/// fast path would collapse chunk boundaries and break the journal's
+/// thread-count-invariant chunk identity.
 template <typename W>
 typename W::Aggregate run_journaled(const typename W::Plan& plan,
                                     std::uint64_t base_seed, Count trials,
@@ -307,7 +266,7 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
 
     if (trials == 0) return typename W::Aggregate{};
     const std::size_t num_chunks = detail::chunk_count(trials, chunk);
-    std::vector<std::optional<typename W::Aggregate>> partials(num_chunks);
+    std::vector<std::optional<typename W::Aggregate>> recovered(num_chunks);
     for (const auto& [ci, payload] : journal.completed()) {
         ADBA_EXPECTS_MSG(ci < num_chunks,
                          "checkpoint journal record for chunk " + std::to_string(ci) +
@@ -321,30 +280,28 @@ typename W::Aggregate run_journaled(const typename W::Plan& plan,
                          "checkpoint journal chunk " + std::to_string(ci) +
                              " records " + std::to_string(agg.trials) +
                              " trials, expected " + std::to_string(end - begin));
-        partials[ci].emplace(std::move(agg));
+        recovered[ci].emplace(std::move(agg));
     }
 
+    typename W::Aggregate out;
+    reserve_fields(out, trials);
     const bool blocks = runs_in_blocks<W>(plan, trials, chunk);
-    detail::for_each_chunk(
-        trials, chunk, threads, [&](std::size_t ci, Count begin, Count end) {
-            if (partials[ci]) return;  // recovered from the journal
-            typename W::Aggregate part =
-                run_resilient_chunk<W>(plan, base_seed, ci, begin, end, blocks);
-            std::string payload;
-            encode_fields(part, payload);
-            journal.append(ci, payload);
-            partials[ci].emplace(std::move(part));
-        });
-
-    typename W::Aggregate out = std::move(*partials.front());
-    for (std::size_t ci = 1; ci < num_chunks; ++ci) out.merge(*partials[ci]);
+    detail::fold_chunks(out, trials, chunk, threads, std::move(recovered),
+                        [&](std::size_t ci, Count begin, Count end) {
+                            typename W::Aggregate part = run_resilient_chunk<W>(
+                                plan, base_seed, ci, begin, end, blocks);
+                            std::string payload;
+                            encode_fields(part, payload);
+                            journal.append(ci, payload);
+                            return part;
+                        });
     return out;
 }
 
 /// THE Monte-Carlo executor loop. Per-trial seeds depend only on
 /// (base_seed, trial index), chunk boundaries depend only on (trials,
 /// chunk), chunks run their trials in index order through one pooled arena,
-/// and partials merge in chunk-index order — so the aggregate is
+/// and partials fold in chunk-index order — so the aggregate is
 /// bit-identical at any thread count, including serial. This is the only
 /// pooled-arena chunk loop in src/sim/; workloads must not grow their own.
 /// With ExecutorConfig::checkpoint set it becomes resumable (run_journaled);

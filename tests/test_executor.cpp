@@ -3,6 +3,9 @@
 // bit-identical at 1, 2, and 8 threads for a fixed (scenario, base seed).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,21 +19,38 @@
 namespace adba::sim {
 namespace {
 
-// Toy aggregate recording the observed trial indices in merge order.
+// Toy aggregate recording the observed trial indices in merge order, and
+// how many partials were merged into it.
 struct OrderAgg {
     std::vector<Count> order;
+    Count merges = 0;
 
     void merge(const OrderAgg& other) {
         order.insert(order.end(), other.order.begin(), other.order.end());
+        ++merges;
     }
 };
 
+OrderAgg order_part(Count begin, Count end) {
+    OrderAgg part;
+    for (Count i = begin; i < end; ++i) part.order.push_back(i);
+    return part;
+}
+
 OrderAgg run_order(Count trials, const ExecutorConfig& cfg) {
-    return parallel_reduce<OrderAgg>(trials, cfg, [](Count begin, Count end) {
-        OrderAgg part;
-        for (Count i = begin; i < end; ++i) part.order.push_back(i);
-        return part;
-    });
+    return parallel_reduce<OrderAgg>(trials, cfg, order_part);
+}
+
+/// Spins until `done()` holds or 30 s pass; returns whether it held (a
+/// broken fold fails the test instead of hanging it).
+template <typename Done>
+bool wait_for(Done done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::yield();
+    }
+    return true;
 }
 
 TEST(Executor, ReducePreservesIndexOrder) {
@@ -40,6 +60,55 @@ TEST(Executor, ReducePreservesIndexOrder) {
             ASSERT_EQ(agg.order.size(), 25u) << threads << "x" << chunk;
             for (Count i = 0; i < 25; ++i) EXPECT_EQ(agg.order[i], i);
         }
+    }
+}
+
+// Partials fold as the workers finish them, in chunk-index order: chunk 0
+// is held until every other chunk has returned its partial, so all of them
+// are deposited before the first can be merged.
+TEST(Executor, FoldKeepsIndexOrderWhenChunkZeroFinishesLast) {
+    const Count trials = 25, chunk = 3;
+    const std::size_t chunks = detail::chunk_count(trials, chunk);
+    for (unsigned threads : {2u, 3u, 8u}) {
+        std::atomic<std::size_t> finished{0};
+        bool held = false;
+        const OrderAgg agg = parallel_reduce<OrderAgg>(
+            trials, ExecutorConfig{threads, chunk}, [&](Count begin, Count end) {
+                if (begin == 0)
+                    held = wait_for([&] { return finished.load() == chunks - 1; });
+                OrderAgg part = order_part(begin, end);
+                if (begin != 0) ++finished;
+                return part;
+            });
+        EXPECT_TRUE(held) << threads;
+        ASSERT_EQ(agg.order.size(), trials) << threads;
+        for (Count i = 0; i < trials; ++i) EXPECT_EQ(agg.order[i], i) << threads;
+        EXPECT_EQ(agg.merges, chunks) << threads;  // each partial folded once
+    }
+}
+
+// A chunk that throws after the chunks before it were folded into the
+// output still rethrows on the caller.
+std::atomic<std::size_t> g_folds{0};
+
+struct FoldProbe {
+    void merge(const FoldProbe&) { ++g_folds; }
+};
+
+TEST(Executor, ChunkThrowingAfterEarlierFoldsRethrowsOnTheCaller) {
+    for (unsigned threads : {2u, 3u, 8u}) {
+        g_folds = 0;
+        bool folded_first = false;
+        const auto body = [&](Count begin, Count) {
+            if (begin == 5) {
+                folded_first = wait_for([] { return g_folds.load() == 5; });
+                ADBA_EXPECTS_MSG(false, "chunk 5 fails after chunks 0-4 folded");
+            }
+            return FoldProbe{};
+        };
+        EXPECT_THROW(parallel_reduce<FoldProbe>(8, ExecutorConfig{threads, 1}, body),
+                     ContractViolation);
+        EXPECT_TRUE(folded_first) << threads;
     }
 }
 

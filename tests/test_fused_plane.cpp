@@ -2398,6 +2398,7 @@ TEST(FusedPolicy, EngagesForTheWorstCaseShapeFromTwoTrials) {
     const auto reason = [&live](Count trials, sim::ExecutorConfig exec) {
         return sim::fused_skip_reason(live, trials, exec).value_or("");
     };
+    EXPECT_NE(reason(0, {}).find("no trials"), std::string::npos);
     EXPECT_NE(reason(1, {}).find("one trial"), std::string::npos);
     EXPECT_NE(reason(1000, {1, 1}).find("chunk=1"), std::string::npos);
     {

@@ -435,6 +435,42 @@ TEST(Checkpoint, KillAtAnyChunkBoundaryResumesBitIdentical) {
     }
 }
 
+// A killed parallel run can leave any set of chunks journaled, not only a
+// prefix: here chunks 1 and 3 of 4. Their recovered partials fold between
+// the re-run chunks 0 and 2.
+TEST(Checkpoint, NonPrefixJournalResumesBitIdentical) {
+    const std::string full_path = temp_path("ck_gaps_full.bin");
+    std::filesystem::remove(full_path);
+    const Scenario s = small_scenario();
+    const Count trials = 10;
+    const Aggregate expected = run_trials(s, 0x5EED, trials, ExecutorConfig{1, 3});
+    (void)run_trials(s, 0x5EED, trials, ExecutorConfig{1, 3, full_path, false});
+    const JournalImage img = parse_journal(full_path);
+    ASSERT_EQ(img.record_ends.size(), 4u);
+    // A serial run journals its chunks in index order.
+    const auto record = [&img](std::size_t ci) {
+        const std::size_t from = ci == 0 ? img.header_end : img.record_ends[ci - 1];
+        std::uint32_t index = 0;
+        std::memcpy(&index, img.bytes.data() + from + 4, sizeof index);
+        EXPECT_EQ(index, ci);
+        return img.bytes.substr(from, img.record_ends[ci] - from);
+    };
+    const std::string gaps = img.bytes.substr(0, img.header_end) + record(1) + record(3);
+
+    for (unsigned threads : {1u, 8u}) {
+        const std::string path = temp_path("ck_gaps_run.bin");
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << gaps;
+        }
+        const Aggregate resumed =
+            run_trials(s, 0x5EED, trials, ExecutorConfig{threads, 3, path, true});
+        expect_aggregates_identical(resumed, expected);
+        // Only chunks 0 and 2 ran again.
+        EXPECT_EQ(parse_journal(path).record_ends.size(), 4u) << threads;
+    }
+}
+
 TEST(Checkpoint, ResumeRefusesMismatchedMeta) {
     const std::string path = temp_path("ck_meta.bin");
     std::filesystem::remove(path);
@@ -466,14 +502,31 @@ TEST(Checkpoint, ResumeRefusesMismatchedMeta) {
 
 TEST(Checkpoint, UncreatableJournalIsAnInputError) {
     const std::string path = temp_path("no_such_dir") + "/journal.bin";
+    const std::string want = "cannot create checkpoint journal '" + path + "'";
     try {
         (void)run_trials(small_scenario(), 11, 6, ExecutorConfig{1, 3, path, false});
         ADD_FAILURE() << "a journal was created at " << path;
     } catch (const ContractViolation& e) {
-        EXPECT_EQ(std::string(e.what()).find("cannot create checkpoint journal '" + path + "'"),
-                  0u)
-            << e.what();
+        EXPECT_EQ(std::string(e.what()).find(want), 0u) << e.what();
     }
+    // The same refusal while the flags are read, before any run.
+    try {
+        ensure_journal_path(path);
+        ADD_FAILURE() << "ensure_journal_path accepted " << path;
+    } catch (const ContractViolation& e) {
+        EXPECT_EQ(std::string(e.what()).find(want), 0u) << e.what();
+    }
+    // A creatable path is left as it was: absent, or untouched.
+    const std::string fresh = temp_path("ck_probe.bin");
+    std::filesystem::remove(fresh);
+    ensure_journal_path(fresh);
+    EXPECT_FALSE(std::filesystem::exists(fresh));
+    {
+        std::ofstream out(fresh, std::ios::binary);
+        out << "journal";
+    }
+    ensure_journal_path(fresh);
+    EXPECT_EQ(std::filesystem::file_size(fresh), 7u);
 }
 
 std::string hex(const std::string& bytes) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
 #include "sim/macro.hpp"
 #include "sim/registry.hpp"
@@ -99,9 +100,9 @@ int list_capabilities() {
 /// --seed, the executor knobs (--chunk fixes the work unit, 0 = auto;
 /// --checkpoint=path arms the chunk journal; --resume loads completed
 /// chunks from it instead of re-running them) and --csv_dir. Then the
-/// strict-mode check and the csv directory, so typos, flags the workload
-/// does not read and a --csv_dir that cannot be created fail BEFORE any
-/// trial time is spent.
+/// strict-mode check, the csv directory and the journal path, so typos,
+/// flags the workload does not read and a --csv_dir or --checkpoint that
+/// cannot be created fail BEFORE any trial time is spent.
 struct RunFlags {
     Count trials = 0;
     std::uint64_t seed = 1;
@@ -122,6 +123,7 @@ RunFlags run_flags(const Cli& cli, Count default_trials) {
     f.csv_dir = cli.get("csv_dir", "");
     cli.check_unused();
     if (!f.csv_dir.empty()) ensure_csv_dir(f.csv_dir);
+    if (!f.exec.checkpoint.empty()) sim::ensure_journal_path(f.exec.checkpoint);
     return f;
 }
 
