@@ -2,36 +2,26 @@
 // experiment. Not a paper claim; reported so readers can size their own
 // sweeps (messages delivered per second, trial latency vs n).
 //
-// The `throughput` section is the repo's perf trajectory point: single-
-// thread trials/sec and ns per node-round for the skeleton protocol against
-// the static adversary at n in {64, 256, 1024}, written as JSON only when
-// --bench_json=PATH is given (--bench_trials scales the n=256 trial count),
-// so CI can archive the numbers per commit and a plain run never overwrites
-// the committed BENCH_engine.json baseline. Two further sections feed the same
-// JSON: `sharded` (one huge-n trial split across intra-trial shard workers,
-// speedup vs the serial entry at the same n), `tally_kernels` (bytes/sec
-// of the packed popcount tally build vs the scalar byte-plane build, next
-// to a streaming memory-bandwidth reference — the roofline the packed
-// kernels are judged against) and `sparse` (direct trials through the
-// sampled delivery plane at n up to 2^20 — per-receiver sampled sender
-// views, the regime the shared-tally trick cannot represent — with
-// trials/sec, ns per node-round, ns per sampled probe, delivered bytes per
-// node-round, and the max/min ns flatness ratio across the n sweep). The
-// `fused` block re-measures the small-n serial cells through the 64-lane
-// fused trial plane (fused=true): trials/sec, ns per node-round, ns per
-// trial, and speedup vs the scalar entry at the same n, plus the fixed
-// per-block overhead priced on an early-deciding scenario.
+// Three timed readouts, each on one trial thread: the serial block
+// (trials/sec and ns per node-round for the skeleton protocol against the
+// static adversary at n in {64, ..., 4096} on the scalar engine;
+// --bench_trials scales the n=256 trial count), the `sparse` block (direct
+// trials through the sampled delivery plane at n up to 2^20, with each
+// row's resolved intra-trial shard count) and the `fused` block (the
+// small-n serial cells on the 64-lane fused trial plane, plus the fixed
+// per-block overhead). A timed row with any exhausted or faulted trial
+// exits 2 naming the row. Nothing gates these numbers: the repository's
+// speed gate is perfbench (BENCHMARK.json), run parent against change on
+// one host by tools/ab_gate.py.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/common.hpp"
-#include "net/round_buffer.hpp"
-#include "rand/rng.hpp"
 #include "sim/macro.hpp"
 #include "sim/registry.hpp"
 #include "sim/report.hpp"
@@ -43,22 +33,25 @@ namespace {
 
 using namespace adba;
 
+/// A timed row averaged over trials that never decided is not a throughput
+/// measurement, so any exhausted or faulted trial ends the run (exit 2).
+void require_healthy(const std::string& row, const sim::Aggregate& agg) {
+    const Count exhausted = agg.cap_exhausted + agg.watchdog_timeouts;
+    if (exhausted > 0 || agg.faulted > 0)
+        throw ContractViolation("E10 row '" + row + "' ran " + std::to_string(exhausted) +
+                                " exhausted and " + std::to_string(agg.faulted) +
+                                " faulted trials; its timing is not a throughput measurement");
+}
+
 struct ThroughputPoint {
     NodeId n = 0;
     Count t = 0;
     Count trials = 0;
-    double seconds = 0.0;
     double trials_per_sec = 0.0;
-    double mean_rounds = 0.0;
     double ns_per_node_round = 0.0;
-    /// Outcome-taxonomy health counters: the regression gate rejects a
-    /// baseline whose timing rows hide exhausted or faulted trials.
-    Count exhausted = 0;  ///< cap_exhausted + watchdog_timeouts
-    Count faulted = 0;
 };
 
-ThroughputPoint measure_throughput(NodeId n, Count trials, bool use_batch,
-                                   Count intra_shards = 0) {
+ThroughputPoint measure_throughput(NodeId n, Count trials, bool use_batch) {
     sim::Scenario s;
     s.n = n;
     s.t = (n - 1) / 3;
@@ -66,9 +59,8 @@ ThroughputPoint measure_throughput(NodeId n, Count trials, bool use_batch,
     s.adversary = sim::AdversaryKind::Static;
     s.inputs = sim::InputPattern::Split;
     s.use_batch = use_batch;
-    s.intra_threads = intra_shards;
-    // The serial, batch, shard and packed entries time the scalar engine
-    // paths their names say; the `fused` block times the fused plane.
+    // The serial entries time the scalar engine; the `fused` block times
+    // the fused plane.
     s.use_fused = false;
 
     const sim::ExecutorConfig serial{1, 0};  // the canonical single-thread metric
@@ -77,18 +69,16 @@ ThroughputPoint measure_throughput(NodeId n, Count trials, bool use_batch,
     const auto start = std::chrono::steady_clock::now();
     const sim::Aggregate agg = sim::run_trials(s, 0xE10, trials, serial);
     const auto stop = std::chrono::steady_clock::now();
+    require_healthy("serial n=" + std::to_string(n), agg);
 
     ThroughputPoint p;
     p.n = n;
     p.t = s.t;
     p.trials = trials;
-    p.seconds = std::chrono::duration<double>(stop - start).count();
-    p.trials_per_sec = p.seconds > 0 ? trials / p.seconds : 0.0;
-    p.mean_rounds = agg.rounds.mean();
+    const double seconds = std::chrono::duration<double>(stop - start).count();
+    p.trials_per_sec = seconds > 0 ? trials / seconds : 0.0;
     const double node_rounds = agg.rounds.sum() * static_cast<double>(n);
-    p.ns_per_node_round = node_rounds > 0 ? 1e9 * p.seconds / node_rounds : 0.0;
-    p.exhausted = agg.cap_exhausted + agg.watchdog_timeouts;
-    p.faulted = agg.faulted;
+    p.ns_per_node_round = node_rounds > 0 ? 1e9 * seconds / node_rounds : 0.0;
     return p;
 }
 
@@ -104,20 +94,19 @@ ThroughputPoint measure_throughput(NodeId n, Count trials, bool use_batch,
 // ~0.5*n/sqrt(degree) standard error, so knife-edge q=t shapes would
 // straddle the threshold and never converge — that is a property of
 // sampling, not a bug, and the bench deliberately measures the regime the
-// plane is built for.
+// plane is built for. One trial runs at a time, but from n = 16384 the auto
+// policy splits it over shard workers when the trial pool leaves cores
+// idle, so each row names its resolved shard count.
 
 struct SparsePoint {
     NodeId n = 0;
     Count t = 0;
     Count trials = 0;
-    double seconds = 0.0;
+    unsigned shards = 0;
     double trials_per_sec = 0.0;
-    double mean_rounds = 0.0;
     double ns_per_node_round = 0.0;
     double ns_per_probe = 0.0;
     double bytes_per_node_round = 0.0;
-    Count exhausted = 0;  ///< cap_exhausted + watchdog_timeouts (gated at 0)
-    Count faulted = 0;
 };
 
 SparsePoint measure_sparse(NodeId n, Count trials, Count degree) {
@@ -137,29 +126,28 @@ SparsePoint measure_sparse(NodeId n, Count trials, Count degree) {
     const auto start = std::chrono::steady_clock::now();
     const sim::Aggregate agg = sim::run_trials(s, 0xE10, trials, serial);
     const auto stop = std::chrono::steady_clock::now();
+    require_healthy("sparse n=" + std::to_string(n), agg);
 
     SparsePoint p;
     p.n = n;
     p.t = s.t;
     p.trials = trials;
-    p.seconds = std::chrono::duration<double>(stop - start).count();
-    p.trials_per_sec = p.seconds > 0 ? trials / p.seconds : 0.0;
-    p.mean_rounds = agg.rounds.mean();
+    p.shards = sim::plan_intra_shards(s.intra_threads, s.n);
+    const double seconds = std::chrono::duration<double>(stop - start).count();
+    p.trials_per_sec = seconds > 0 ? trials / seconds : 0.0;
+    const double mean_rounds = agg.rounds.mean();
     const double node_rounds = agg.rounds.sum() * static_cast<double>(n);
-    p.ns_per_node_round = node_rounds > 0 ? 1e9 * p.seconds / node_rounds : 0.0;
+    p.ns_per_node_round = node_rounds > 0 ? 1e9 * seconds / node_rounds : 0.0;
     // Nominal per-edge cost: each node-round is `degree` sampled probes
     // (send/step beats are amortised into it, so this slightly overstates
-    // the pure probe kernel — fine for a regression gate, which only needs
-    // the number to be comparable run-over-run).
+    // the pure probe kernel; it stays comparable run over run).
     p.ns_per_probe =
         degree > 0 ? p.ns_per_node_round / static_cast<double>(degree) : 0.0;
     const double bits_per_trial = agg.bits.mean();
     p.bytes_per_node_round =
-        p.mean_rounds > 0
-            ? bits_per_trial / 8.0 / static_cast<double>(n) / p.mean_rounds
+        mean_rounds > 0
+            ? bits_per_trial / 8.0 / static_cast<double>(n) / mean_rounds
             : 0.0;
-    p.exhausted = agg.cap_exhausted + agg.watchdog_timeouts;
-    p.faulted = agg.faulted;
     return p;
 }
 
@@ -169,9 +157,8 @@ SparsePoint measure_sparse(NodeId n, Count trials, Count degree) {
 // 64 trials co-execute bit-sliced, one uint64_t per node, so the per-trial
 // cost of small-n cells stops being dominated by per-node bookkeeping.
 // Trial counts are whole multiples of 64 so the chunk is all whole fused
-// blocks (a partial block would dilute the measurement); aggregates stay
-// bit-identical to the scalar path, so the health counters gate the same
-// way. `ns_per_trial_overhead` prices the fixed per-block cost (rearm,
+// blocks (a partial block would dilute the measurement).
+// `ns_per_trial_overhead` prices the fixed per-block cost (rearm,
 // input packing, result scatter) on a fast-deciding all-one/no-adversary
 // scenario where almost no protocol rounds run.
 
@@ -179,14 +166,10 @@ struct FusedPoint {
     NodeId n = 0;
     Count t = 0;
     Count trials = 0;
-    double seconds = 0.0;
     double trials_per_sec = 0.0;
-    double mean_rounds = 0.0;
     double ns_per_node_round = 0.0;
     double ns_per_trial = 0.0;
     double speedup = 0.0;  ///< trials/sec vs the scalar entry at the same n
-    Count exhausted = 0;
-    Count faulted = 0;
 };
 
 FusedPoint measure_fused(NodeId n, Count trials, double scalar_tps) {
@@ -204,20 +187,18 @@ FusedPoint measure_fused(NodeId n, Count trials, double scalar_tps) {
     const sim::Aggregate agg =
         sim::run_trials(s, 0xE10, trials, sim::ExecutorConfig{1, trials});
     const auto stop = std::chrono::steady_clock::now();
+    require_healthy("fused n=" + std::to_string(n), agg);
 
     FusedPoint p;
     p.n = n;
     p.t = s.t;
     p.trials = trials;
-    p.seconds = std::chrono::duration<double>(stop - start).count();
-    p.trials_per_sec = p.seconds > 0 ? trials / p.seconds : 0.0;
-    p.mean_rounds = agg.rounds.mean();
+    const double seconds = std::chrono::duration<double>(stop - start).count();
+    p.trials_per_sec = seconds > 0 ? trials / seconds : 0.0;
     const double node_rounds = agg.rounds.sum() * static_cast<double>(n);
-    p.ns_per_node_round = node_rounds > 0 ? 1e9 * p.seconds / node_rounds : 0.0;
-    p.ns_per_trial = trials > 0 ? 1e9 * p.seconds / trials : 0.0;
+    p.ns_per_node_round = node_rounds > 0 ? 1e9 * seconds / node_rounds : 0.0;
+    p.ns_per_trial = trials > 0 ? 1e9 * seconds / trials : 0.0;
     p.speedup = scalar_tps > 0 ? p.trials_per_sec / scalar_tps : 0.0;
-    p.exhausted = agg.cap_exhausted + agg.watchdog_timeouts;
-    p.faulted = agg.faulted;
     return p;
 }
 
@@ -232,114 +213,32 @@ double measure_fused_overhead() {
     const Count trials = 64 * 128;
     (void)sim::run_trials(s, 0xE10, 64, sim::ExecutorConfig{1, 64});  // warm-up
     const auto start = std::chrono::steady_clock::now();
-    (void)sim::run_trials(s, 0xE10, trials, sim::ExecutorConfig{1, trials});
+    const sim::Aggregate agg =
+        sim::run_trials(s, 0xE10, trials, sim::ExecutorConfig{1, trials});
     const auto stop = std::chrono::steady_clock::now();
+    require_healthy("fused overhead n=64", agg);
     const double secs = std::chrono::duration<double>(stop - start).count();
     return secs > 0 ? 1e9 * secs / trials : 0.0;
-}
-
-// ---- tally-kernel microbench (the roofline evidence) ----
-//
-// One synthetic all-honest round, rebuilt over and over in each tally mode.
-// Both modes sweep the same input — n Message cells plus the n-byte state
-// plane per rebuild — so bytes/sec is directly comparable, and the packed
-// mode's margin over scalar (and its distance from the streaming memory-
-// bandwidth reference below) is the reproducible form of the "runs at
-// memory bandwidth" claim.
-
-struct KernelPoint {
-    NodeId n = 0;
-    double scalar_gbs = 0.0;
-    double packed_gbs = 0.0;
-    double speedup = 0.0;
-};
-
-KernelPoint measure_tally_kernel(NodeId n) {
-    net::RoundBuffer buf;
-    buf.reset(n);
-    buf.begin_round();
-    // Lockstep round shape: every live sender shares one (kind, phase)
-    // signature (what the skeleton protocol's rounds look like), payload
-    // bits random — the branchy case the packed kernels exist to flatten.
-    Xoshiro256 rng(0xE10ull * n);
-    for (NodeId v = 0; v < n; ++v) {
-        net::Message m;
-        m.kind = net::MsgKind::Vote1;
-        m.phase = 1;
-        m.val = static_cast<Bit>(rng.below(2));
-        m.flag = static_cast<std::uint8_t>(rng.below(2));
-        m.coin = static_cast<CoinSign>(static_cast<int>(rng.below(3)) - 1);
-        buf.set_broadcast(v, m);
-    }
-
-    net::RoundTally tally;
-    const double bytes_per_rebuild =
-        static_cast<double>(n) * (sizeof(net::Message) + 1);
-    const auto time_mode = [&](bool packed) {
-        const Count reps = std::max<Count>(5'000'000 / n, 50);
-        tally.rebuild(buf, packed, nullptr);  // warm-up (bucket storage etc.)
-        std::uint64_t sink = 0;
-        const auto start = std::chrono::steady_clock::now();
-        for (Count r = 0; r < reps; ++r) {
-            tally.rebuild(buf, packed, nullptr);
-            sink += tally.bucket(0).total;
-        }
-        const auto stop = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(sink);
-        const double secs = std::chrono::duration<double>(stop - start).count();
-        return secs > 0 ? bytes_per_rebuild * static_cast<double>(reps) / secs / 1e9
-                        : 0.0;
-    };
-
-    KernelPoint k;
-    k.n = n;
-    k.scalar_gbs = time_mode(false);
-    k.packed_gbs = time_mode(true);
-    k.speedup = k.scalar_gbs > 0 ? k.packed_gbs / k.scalar_gbs : 0.0;
-    return k;
-}
-
-/// Streaming read bandwidth over a 64 MiB uint64 buffer — the roofline the
-/// packed kernels are compared against.
-double measure_mem_bandwidth() {
-    std::vector<std::uint64_t> a(std::size_t{1} << 23, 0x0101010101010101ull);
-    std::uint64_t sink = 0;
-    for (const std::uint64_t x : a) sink += x;  // warm-up / fault-in
-    const int passes = 4;
-    const auto start = std::chrono::steady_clock::now();
-    for (int p = 0; p < passes; ++p)
-        for (const std::uint64_t x : a) sink += x;
-    const auto stop = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(sink);
-    const double secs = std::chrono::duration<double>(stop - start).count();
-    const double bytes = static_cast<double>(a.size()) * sizeof(std::uint64_t) * passes;
-    return secs > 0 ? bytes / secs / 1e9 : 0.0;
 }
 
 /// The throughput blocks' flags; main() reads them before any experiment
 /// runs, with every other flag.
 struct ThroughputFlags {
     Count base = 0;         ///< --bench_trials: trials at the n=256 cell
-    std::string json_path;  ///< --bench_json; empty = write no file
     bool use_batch = true;  ///< --batch=on|off
-    unsigned shards = 0;    ///< --shards
-    Count degree = 0;       ///< --sample_degree (sparse blocks)
+    Count degree = 0;       ///< --sample_degree (sparse block)
 };
 
 ThroughputFlags read_throughput_flags(const Cli& cli) {
     ThroughputFlags f;
     f.base = cli.get_uint<Count>("bench_trials", 2000);
-    f.json_path = cli.get("bench_json", "");
     f.use_batch = cli.get_bool("batch", true);
-    f.shards = cli.get_uint<unsigned>("shards", 4);
     f.degree = cli.get_uint<Count>("sample_degree", 64);
     return f;
 }
 
 void throughput(const Cli& cli, const ThroughputFlags& flags) {
     const Count base = flags.base;
-    const std::string& json_path = flags.json_path;
-    const bool use_batch = flags.use_batch;
 
     Table tab("E10: delivery-plane throughput (ours + static, split inputs, 1 thread)");
     tab.set_header({"n", "t", "trials", "trials/sec", "ns/node-round"});
@@ -351,7 +250,7 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
         {4096, std::max<Count>(base / 20, 5)},
     };
     for (const auto& [n, trials] : cells) {
-        const ThroughputPoint p = measure_throughput(n, trials, use_batch);
+        const ThroughputPoint p = measure_throughput(n, trials, flags.use_batch);
         points.push_back(p);
         tab.add_row({Table::num(std::uint64_t{p.n}), Table::num(std::uint64_t{p.t}),
                      Table::num(std::uint64_t{p.trials}), Table::num(p.trials_per_sec, 0),
@@ -360,55 +259,9 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     tab.print(std::cout);
     benchutil::maybe_write_csv(cli, tab, "e10_engine_throughput");
 
-    // Intra-trial sharding: the same huge-n cells, one trial at a time split
-    // across shard workers. The trial pool default is pinned to 1 for the
-    // measurement so the nested-parallelism clamp hands the whole machine to
-    // the intra workers (the single-huge-trial use case). On a 1-core host
-    // this degrades to the serial loop and speedup reads ~1.0x — the number
-    // is honest, not padded.
-    const unsigned shards = flags.shards;
-    const unsigned saved_threads = sim::default_threads();
-    sim::set_default_threads(1);
-    const unsigned workers = std::min(shards, sim::intra_worker_cap(1));
-    Table stab("E10: intra-trial sharding (" + std::to_string(shards) +
-               " shards, " + std::to_string(workers) + " workers)");
-    stab.set_header({"n", "trials", "trials/sec", "ns/node-round", "speedup"});
-    std::vector<std::pair<ThroughputPoint, double>> sharded;
-    for (const auto& [n, trials] : cells) {
-        if (n < 1024) continue;  // sharding targets the huge-n cells
-        const ThroughputPoint p = measure_throughput(n, trials, use_batch, shards);
-        double serial_tps = 0.0;
-        for (const ThroughputPoint& q : points)
-            if (q.n == n) serial_tps = q.trials_per_sec;
-        const double speedup = serial_tps > 0 ? p.trials_per_sec / serial_tps : 0.0;
-        sharded.emplace_back(p, speedup);
-        stab.add_row({Table::num(std::uint64_t{p.n}),
-                      Table::num(std::uint64_t{p.trials}),
-                      Table::num(p.trials_per_sec, 0),
-                      Table::num(p.ns_per_node_round, 1), Table::num(speedup, 2)});
-    }
-    sim::set_default_threads(saved_threads);
-    stab.print(std::cout);
-    benchutil::maybe_write_csv(cli, stab, "e10_engine_sharded");
-
-    // Packed-vs-scalar tally kernel bandwidth next to the streaming roofline.
-    const double mem_bw = measure_mem_bandwidth();
-    Table ktab("E10: tally kernel bandwidth (stream reference " +
-               Table::num(mem_bw, 1) + " GB/s)");
-    ktab.set_header({"n", "scalar GB/s", "packed GB/s", "speedup"});
-    std::vector<KernelPoint> kernels;
-    for (const NodeId n : {NodeId{1024}, NodeId{4096}, NodeId{16384}}) {
-        const KernelPoint k = measure_tally_kernel(n);
-        kernels.push_back(k);
-        ktab.add_row({Table::num(std::uint64_t{k.n}), Table::num(k.scalar_gbs, 2),
-                      Table::num(k.packed_gbs, 2), Table::num(k.speedup, 2)});
-    }
-    ktab.print(std::cout);
-    benchutil::maybe_write_csv(cli, ktab, "e10_tally_kernels");
-
     // Sparse delivery plane: direct sampled-view trials up to n=2^20. The
-    // n=2^20 cell runs several trials — a single ~1 s trial made the
-    // committed baseline noisy enough to trip the regression gate.
+    // n=2^20 cell runs several trials so that one slow trial does not set
+    // its row.
     const Count degree = flags.degree;
     const std::pair<NodeId, Count> sparse_cells[] = {
         {1 << 14, std::max<Count>(base / 100, 5)},
@@ -417,14 +270,15 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     };
     std::vector<SparsePoint> sparse_points;
     Table sptab("E10: sparse delivery plane (degree " + std::to_string(degree) +
-                ", ours + static q=256, split inputs, 1 thread)");
-    sptab.set_header({"n", "t", "trials", "trials/sec", "ns/node-round", "ns/probe",
-                      "bytes/node-round"});
+                ", ours + static q=256, split inputs, 1 trial thread)");
+    sptab.set_header({"n", "t", "trials", "shards", "trials/sec", "ns/node-round",
+                      "ns/probe", "bytes/node-round"});
     for (const auto& [n, trials] : sparse_cells) {
         const SparsePoint p = measure_sparse(n, trials, degree);
         sparse_points.push_back(p);
         sptab.add_row({Table::num(std::uint64_t{p.n}), Table::num(std::uint64_t{p.t}),
-                       Table::num(std::uint64_t{p.trials}), Table::num(p.trials_per_sec, 2),
+                       Table::num(std::uint64_t{p.trials}),
+                       Table::num(std::uint64_t{p.shards}), Table::num(p.trials_per_sec, 2),
                        Table::num(p.ns_per_node_round, 1), Table::num(p.ns_per_probe, 2),
                        Table::num(p.bytes_per_node_round, 1)});
     }
@@ -437,7 +291,6 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
                "split inputs, 1 thread)");
     ftab.set_header({"n", "t", "trials", "trials/sec", "ns/node-round",
                      "ns/trial", "speedup vs scalar"});
-    std::vector<FusedPoint> fused_points;
     for (const auto& [n, trials] : cells) {
         if (n > 1024) continue;  // beyond the small-n regime fused targets
         const Count blocks = std::max<Count>(trials / 64, 1) * 64;
@@ -445,7 +298,6 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
         for (const ThroughputPoint& q : points)
             if (q.n == n) scalar_tps = q.trials_per_sec;
         const FusedPoint p = measure_fused(n, blocks, scalar_tps);
-        fused_points.push_back(p);
         ftab.add_row({Table::num(std::uint64_t{p.n}), Table::num(std::uint64_t{p.t}),
                       Table::num(std::uint64_t{p.trials}),
                       Table::num(p.trials_per_sec, 0),
@@ -454,12 +306,11 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     }
     ftab.print(std::cout);
     benchutil::maybe_write_csv(cli, ftab, "e10_fused_plane");
-    const double fused_overhead = measure_fused_overhead();
     std::printf("fused per-trial overhead (all-one early decide): %.0f ns/trial\n",
-                fused_overhead);
+                measure_fused_overhead());
 
-    // Sparse flatness: once probing is batched, ns/node-round must not grow
-    // with n across 2^14..2^20 (counter stream); CI gates the max/min ratio.
+    // Flatness: once probing and delivery are batched, ns/node-round should
+    // not grow with n, so each block prints its max/min ratio across n.
     double sp_min = sparse_points.front().ns_per_node_round;
     double sp_max = sp_min;
     for (const SparsePoint& p : sparse_points) {
@@ -470,8 +321,6 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     std::printf("sparse ns/node-round scaling: min %.1f, max %.1f, max/min %.2fx\n",
                 sp_min, sp_max, sp_ratio);
 
-    // Scaling flatness: per-node-round cost should not grow with n once the
-    // plane is batched; CI tracks the max/min ratio, not just throughput.
     double ns_min = points.front().ns_per_node_round;
     double ns_max = ns_min;
     for (const ThroughputPoint& p : points) {
@@ -481,117 +330,6 @@ void throughput(const Cli& cli, const ThroughputFlags& flags) {
     const double ns_ratio = ns_min > 0 ? ns_max / ns_min : 0.0;
     std::printf("ns/node-round scaling: min %.1f, max %.1f, max/min %.2fx\n", ns_min,
                 ns_max, ns_ratio);
-
-    if (json_path.empty()) return;
-    std::ofstream out(json_path);
-    if (!out) throw ContractViolation("cannot write " + json_path);
-    out << "{\n  \"bench\": \"engine_throughput\",\n"
-        << "  \"protocol\": \"ours\",\n  \"adversary\": \"static\",\n"
-        << "  \"inputs\": \"split\",\n  \"threads\": 1,\n"
-        << "  \"batch\": " << (use_batch ? "true" : "false") << ",\n  \"entries\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const ThroughputPoint& p = points[i];
-        char buf[320];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"n\": %u, \"t\": %u, \"trials\": %u, \"seconds\": %.6f, "
-                      "\"trials_per_sec\": %.1f, \"mean_rounds\": %.2f, "
-                      "\"ns_per_node_round\": %.2f, \"exhausted\": %u, "
-                      "\"faulted\": %u}%s\n",
-                      p.n, p.t, p.trials, p.seconds, p.trials_per_sec, p.mean_rounds,
-                      p.ns_per_node_round, p.exhausted, p.faulted,
-                      i + 1 < points.size() ? "," : "");
-        out << buf;
-    }
-    {
-        char buf[200];
-        std::snprintf(buf, sizeof buf,
-                      "  ],\n  \"sharded\": {\"shards\": %u, \"workers\": %u, "
-                      "\"entries\": [\n",
-                      shards, workers);
-        out << buf;
-    }
-    for (std::size_t i = 0; i < sharded.size(); ++i) {
-        const auto& [p, speedup] = sharded[i];
-        char buf[320];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"n\": %u, \"trials\": %u, \"seconds\": %.6f, "
-                      "\"trials_per_sec\": %.1f, \"ns_per_node_round\": %.2f, "
-                      "\"speedup_vs_serial\": %.3f, \"exhausted\": %u, "
-                      "\"faulted\": %u}%s\n",
-                      p.n, p.trials, p.seconds, p.trials_per_sec,
-                      p.ns_per_node_round, speedup, p.exhausted, p.faulted,
-                      i + 1 < sharded.size() ? "," : "");
-        out << buf;
-    }
-    {
-        char buf[120];
-        std::snprintf(buf, sizeof buf,
-                      "  ]},\n  \"tally_kernels\": {\"mem_bw_gb_per_sec\": %.2f, "
-                      "\"entries\": [\n",
-                      mem_bw);
-        out << buf;
-    }
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-        const KernelPoint& k = kernels[i];
-        char buf[240];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"n\": %u, \"scalar_gb_per_sec\": %.3f, "
-                      "\"packed_gb_per_sec\": %.3f, \"speedup\": %.3f}%s\n",
-                      k.n, k.scalar_gbs, k.packed_gbs, k.speedup,
-                      i + 1 < kernels.size() ? "," : "");
-        out << buf;
-    }
-    {
-        char buf[160];
-        std::snprintf(buf, sizeof buf,
-                      "  ]},\n  \"sparse\": {\"degree\": %u, \"entries\": [\n", degree);
-        out << buf;
-    }
-    for (std::size_t i = 0; i < sparse_points.size(); ++i) {
-        const SparsePoint& p = sparse_points[i];
-        char buf[360];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"n\": %u, \"t\": %u, \"trials\": %u, \"seconds\": %.6f, "
-                      "\"trials_per_sec\": %.3f, \"mean_rounds\": %.2f, "
-                      "\"ns_per_node_round\": %.2f, \"ns_per_probe\": %.3f, "
-                      "\"bytes_per_node_round\": %.2f, \"exhausted\": %u, "
-                      "\"faulted\": %u}%s\n",
-                      p.n, p.t, p.trials, p.seconds, p.trials_per_sec, p.mean_rounds,
-                      p.ns_per_node_round, p.ns_per_probe, p.bytes_per_node_round,
-                      p.exhausted, p.faulted, i + 1 < sparse_points.size() ? "," : "");
-        out << buf;
-    }
-    {
-        char buf[200];
-        std::snprintf(buf, sizeof buf,
-                      "  ], \"ns_per_node_round_max_over_min\": %.3f},\n"
-                      "  \"fused\": {\"lanes\": 64, "
-                      "\"ns_per_trial_overhead\": %.2f, \"entries\": [\n",
-                      sp_ratio, fused_overhead);
-        out << buf;
-    }
-    for (std::size_t i = 0; i < fused_points.size(); ++i) {
-        const FusedPoint& p = fused_points[i];
-        char buf[360];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"n\": %u, \"t\": %u, \"trials\": %u, \"seconds\": %.6f, "
-                      "\"trials_per_sec\": %.1f, \"mean_rounds\": %.2f, "
-                      "\"ns_per_node_round\": %.2f, \"ns_per_trial\": %.2f, "
-                      "\"speedup_vs_scalar\": %.3f, \"exhausted\": %u, "
-                      "\"faulted\": %u}%s\n",
-                      p.n, p.t, p.trials, p.seconds, p.trials_per_sec, p.mean_rounds,
-                      p.ns_per_node_round, p.ns_per_trial, p.speedup, p.exhausted,
-                      p.faulted, i + 1 < fused_points.size() ? "," : "");
-        out << buf;
-    }
-    char buf[200];
-    std::snprintf(buf, sizeof buf,
-                  "  ]},\n  \"scaling\": {\"ns_per_node_round_min\": %.2f, "
-                  "\"ns_per_node_round_max\": %.2f, "
-                  "\"ns_per_node_round_max_over_min\": %.3f}\n}\n",
-                  ns_min, ns_max, ns_ratio);
-    out << buf;
-    std::printf("wrote %s\n", json_path.c_str());
 }
 
 void experiment(const Cli& cli) {
