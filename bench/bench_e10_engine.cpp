@@ -158,7 +158,7 @@ SparsePoint measure_sparse(NodeId n, Count trials, Count degree) {
 // cost of small-n cells stops being dominated by per-node bookkeeping.
 // Trial counts are whole multiples of 64 so the chunk is all whole fused
 // blocks (a partial block would dilute the measurement).
-// `ns_per_trial_overhead` prices the fixed per-block cost (rearm,
+// measure_fused_overhead() prices the fixed per-block cost (rearm,
 // input packing, result scatter) on a fast-deciding all-one/no-adversary
 // scenario where almost no protocol rounds run.
 
